@@ -227,15 +227,13 @@ int run_bench() {
   int64_t total = 0;
   for (auto& [op, v] : lat) total += static_cast<int64_t>(v.size());
   const double rps = static_cast<double>(total) / (wall_us / 1e6);
-  const serve::RequestStats rstats = core.request_stats();
   const serve::CacheStats cstats = core.cache().stats();
 
   Json load_ops = Json::object();
   double run_p99 = 0;
   std::cout << "  mixed load: " << total << " requests, " << kClients
             << " clients, " << fmt_double(wall_us / 1000.0, 1) << " ms ("
-            << fmt_double(rps, 0) << " req/s), " << rstats.batches
-            << " batches covering " << rstats.batched_runs << " runs\n";
+            << fmt_double(rps, 0) << " req/s)\n";
   for (auto& [op, v] : lat) {
     Json o = Json::object();
     o.set("n", v.size());
@@ -275,8 +273,6 @@ int run_bench() {
                       .set("wall_ms", wall_us / 1000.0)
                       .set("throughput_rps", rps)
                       .set("failed", failed.load())
-                      .set("batches", rstats.batches)
-                      .set("batched_runs", rstats.batched_runs)
                       .set("cache_hits", cstats.hits)
                       .set("cache_misses", cstats.misses)
                       .set("ops", load_ops));

@@ -52,23 +52,6 @@ IntInterval interval_join(const IntInterval& a, const IntInterval& b) {
   return out;
 }
 
-IntInterval interval_meet(const IntInterval& a, const IntInterval& b,
-                          bool* empty) {
-  IntInterval out;
-  out.lo_finite = a.lo_finite || b.lo_finite;
-  out.hi_finite = a.hi_finite || b.hi_finite;
-  if (out.lo_finite) {
-    out.lo = a.lo_finite && b.lo_finite ? std::max(a.lo, b.lo)
-                                        : (a.lo_finite ? a.lo : b.lo);
-  }
-  if (out.hi_finite) {
-    out.hi = a.hi_finite && b.hi_finite ? std::min(a.hi, b.hi)
-                                        : (a.hi_finite ? a.hi : b.hi);
-  }
-  if (empty) *empty = out.lo_finite && out.hi_finite && out.lo > out.hi;
-  return out;
-}
-
 bool interval_leq(const IntInterval& a, const IntInterval& b) {
   if (b.lo_finite && (!a.lo_finite || a.lo < b.lo)) return false;
   if (b.hi_finite && (!a.hi_finite || a.hi > b.hi)) return false;

@@ -69,11 +69,6 @@ struct IntInterval {
 };
 
 IntInterval interval_join(const IntInterval& a, const IntInterval& b);
-/// Intersection a ∩ b.  When the intersection contains no integer the
-/// result is meaningless and `*empty` (if supplied) is set; callers that
-/// conjoin constraints (the specializer's shape-guard merger) must check it.
-IntInterval interval_meet(const IntInterval& a, const IntInterval& b,
-                          bool* empty = nullptr);
 /// Containment a ⊆ b.
 bool interval_leq(const IntInterval& a, const IntInterval& b);
 /// Classic interval widening: bounds that grew become open.

@@ -422,46 +422,6 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
   std::vector<std::string> names;
   for (const auto& ti : reg.all()) names.push_back(ti.name);
 
-  // Profile seeding: drop cold thresholds from the search space and clamp
-  // the value range to straddle the observed Par values.
-  TunerOptions eff = opts;
-  if (opts.profile) {
-    const profile::ExecProfile& prof = *opts.profile;
-    std::map<std::string, bool> reached;  // per threshold name: any guard hot
-    int64_t par_hi = 0;
-    bool any_par = false;
-    for (const profile::GuardProfile& g : prof.guards) {
-      auto [it, fresh] = reached.emplace(g.threshold, g.reached());
-      if (!fresh) it->second = it->second || g.reached();
-      if (g.par_seen) {
-        any_par = true;
-        par_hi = std::max(par_hi, g.par_hi);
-      }
-    }
-    std::vector<std::string> kept;
-    for (const std::string& n : names) {
-      const auto it = reached.find(n);
-      if (it != reached.end() && !it->second) {
-        // Every guard over this threshold went unvisited: its code versions
-        // are cold for this workload, tuning the value cannot matter.
-        ++rep.cold_pruned;
-        continue;
-      }
-      kept.push_back(n);
-    }
-    names = std::move(kept);
-    if (any_par) {
-      // Smallest exponent with 2^e > par_hi: keeps one "always off" value
-      // in range, everything above it is redundant.
-      int e = 0;
-      while ((int64_t{1} << e) <= par_hi && e < 62) ++e;
-      eff.log2_max = std::max(eff.log2_min, std::min(eff.log2_max, e));
-    }
-    rep.profile_seeded = true;
-    trace::count("tuner.cold_pruned", rep.cold_pruned);
-    if (trace::enabled()) trace::count("tuner.profile_seeded");
-  }
-
   // Robust-measurement session (noise, failures, timeout, journal).  Held
   // outside both back ends so a resumed journal replays identically
   // whichever evaluation path the program selects.
@@ -491,7 +451,7 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
         PlanEval::build(dev, p, datasets, opts.default_threshold, pool);
     if (ev.ok()) {
       PlanMemoizer memo{ev, session.get(), {}, 0, 0};
-      stochastic_search(memo, names, eff, rep);
+      stochastic_search(memo, names, opts, rep);
       rep.used_plan = true;
       trace_report(rep);
       return rep;
@@ -499,7 +459,7 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
   }
   WalkMemoizer memo{dev,  p,           reg, datasets, opts.default_threshold,
                     session.get(), {}, 0,   0};
-  stochastic_search(memo, names, eff, rep);
+  stochastic_search(memo, names, opts, rep);
   trace_report(rep);
   return rep;
 }

@@ -26,7 +26,6 @@
 #include "src/gpusim/cost.h"
 #include "src/gpusim/device.h"
 #include "src/interp/interp.h"
-#include "src/profile/profile.h"
 
 namespace incflat {
 
@@ -88,19 +87,6 @@ struct TunerOptions {
   /// Resume from `journal` (which must exist and match this search's
   /// configuration) instead of starting fresh.
   bool resume = false;
-
-  // --- profile seeding (off by default: search identical to previous
-  // --- releases) ---
-
-  /// Execution profile (src/profile/) seeding the stochastic search:
-  /// threshold parameters whose guards the profiled workload never reached
-  /// are pruned from the search space (cold code versions keep the
-  /// default), and the log2 value range is clamped so it still straddles
-  /// every observed Par value — values beyond the largest observed Par all
-  /// behave as "never taken", so searching above that boundary is wasted
-  /// trials.  Not owned; must outlive the call.  Ignored by
-  /// exhaustive_tune (the oracle stays exact).
-  const profile::ExecProfile* profile = nullptr;
 };
 
 struct TuningReport {
@@ -114,8 +100,6 @@ struct TuningReport {
   int infeasible = 0;         // evaluations timed out / failed every retry
   int journal_replayed = 0;   // evaluations answered from a resumed journal
   bool early_stopped = false; // wall-clock budget exhausted; best = incumbent
-  bool profile_seeded = false; // search was seeded from an execution profile
-  int cold_pruned = 0;        // thresholds pruned as cold (never reached)
 };
 
 /// Tune `p`'s thresholds for `dev` over the training datasets.

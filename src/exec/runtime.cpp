@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "src/support/error.h"
 #include "src/support/str.h"
@@ -49,33 +50,6 @@ double backoff_for(const RunPolicy& policy, int retry_number) {
   return std::min(b, policy.backoff_cap_us);
 }
 
-/// The launch schedule the run executes under `env`: from the plan tree
-/// when one is available, else one entry per priced kernel of the legacy
-/// walker's estimate, each carrying the estimate's full guard list as its
-/// path (the innermost taken guard is still a correct degradation target —
-/// the legacy report cannot attribute guards to kernels more precisely).
-std::vector<LaunchInfo> make_schedule(const DeviceProfile& dev,
-                                      const KernelPlan* plan,
-                                      const PlanDatasetCache* cache,
-                                      const Program& target,
-                                      const SizeEnv& sizes,
-                                      const ThresholdEnv& env) {
-  if (plan && cache && !plan->legacy_fallback) {
-    return plan_launch_schedule(*plan, *cache, env);
-  }
-  const RunEstimate est = estimate_run(dev, target, sizes, env);
-  std::vector<LaunchInfo> sched;
-  sched.reserve(est.kernels.size());
-  for (const KernelCost& k : est.kernels) {
-    LaunchInfo li;
-    li.what = k.what;
-    li.time_us = k.time_us;
-    li.guard_path = est.guards;
-    sched.push_back(std::move(li));
-  }
-  return sched;
-}
-
 /// How many launches may pass between CancelToken checks.  Checking every
 /// launch would put a clock read on the hot path; every 16th bounds the
 /// overshoot past a deadline to a handful of simulated kernels.
@@ -98,25 +72,73 @@ void mark_cancelled(RunOutcome& out, double wasted) {
   if (trace::enabled()) trace::count("exec.cancelled_runs");
 }
 
-RunOutcome run_impl(const DeviceProfile& dev, const KernelPlan* plan,
-                    const Program& target, const SizeEnv& sizes,
-                    const ThresholdEnv& thresholds, FaultPlan& faults,
-                    const RunPolicy& policy) {
+}  // namespace
+
+RunMemo::RunMemo(const DeviceProfile& dev, const KernelPlan& plan,
+                 const SizeEnv& sizes, ThresholdEnv thresholds)
+    : RunMemo(dev, &plan, plan.program, sizes, std::move(thresholds)) {}
+
+RunMemo::RunMemo(const DeviceProfile& dev, const KernelPlan* plan,
+                 const Program& target, const SizeEnv& sizes,
+                 ThresholdEnv thresholds)
+    : dev_(dev),
+      plan_(plan && !plan->legacy_fallback ? plan : nullptr),
+      target_(target),
+      sizes_(sizes),
+      thresholds_(std::move(thresholds)) {
+  if (plan_) cache_.emplace(*plan_, dev_, sizes_);
+  schedule_ = price_schedule(thresholds_);
+  estimate_ = price_estimate(thresholds_);
+}
+
+bool RunMemo::hit(const ThresholdEnv& thresholds) const {
+  return thresholds.default_threshold == thresholds_.default_threshold &&
+         thresholds.values == thresholds_.values;
+}
+
+const std::vector<LaunchInfo>& RunMemo::schedule(
+    const ThresholdEnv& thresholds, std::vector<LaunchInfo>* scratch) const {
+  if (hit(thresholds)) return schedule_;
+  *scratch = price_schedule(thresholds);
+  return *scratch;
+}
+
+RunEstimate RunMemo::estimate(const ThresholdEnv& thresholds) const {
+  return hit(thresholds) ? estimate_ : price_estimate(thresholds);
+}
+
+/// From the plan tree when the memo has a cache, else one entry per priced
+/// kernel of the legacy walker's estimate, each carrying the estimate's
+/// full guard list as its path (the innermost taken guard is still a
+/// correct degradation target — the legacy report cannot attribute guards
+/// to kernels more precisely).
+std::vector<LaunchInfo> RunMemo::price_schedule(
+    const ThresholdEnv& env) const {
+  if (cache_) return plan_launch_schedule(*plan_, *cache_, env);
+  const RunEstimate est = price_estimate(env);
+  std::vector<LaunchInfo> sched;
+  sched.reserve(est.kernels.size());
+  for (const KernelCost& k : est.kernels) {
+    LaunchInfo li;
+    li.what = k.what;
+    li.time_us = k.time_us;
+    li.guard_path = est.guards;
+    sched.push_back(std::move(li));
+  }
+  return sched;
+}
+
+RunEstimate RunMemo::price_estimate(const ThresholdEnv& env) const {
+  return cache_ ? plan_estimate(*plan_, *cache_, env)
+                : estimate_run(dev_, target_, sizes_, env);
+}
+
+RunOutcome run_with_faults(const RunMemo& memo,
+                           const ThresholdEnv& thresholds, FaultPlan& faults,
+                           const RunPolicy& policy) {
   trace::Span span("exec.run");
   RunOutcome out;
   out.thresholds = thresholds;
-
-  std::unique_ptr<PlanDatasetCache> cache;
-  if (plan && !plan->legacy_fallback) {
-    cache = std::make_unique<PlanDatasetCache>(*plan, dev, sizes);
-  }
-
-  const auto final_estimate = [&]() {
-    return plan && cache && !plan->legacy_fallback
-               ? plan_estimate(*plan, *cache, out.thresholds)
-               : estimate_run(dev, target, sizes, out.thresholds);
-  };
-
   double wasted = 0;  // failed attempts, backoffs, abandoned partial runs
 
   const auto emit_counters = [&out] {
@@ -139,7 +161,7 @@ RunOutcome run_impl(const DeviceProfile& dev, const KernelPlan* plan,
                 fault_kind_name(kind) + ") and " + why;
     out.error = d;
     out.ok = false;
-    out.estimate = final_estimate();
+    out.estimate = memo.estimate(out.thresholds);
     out.time_us = wasted;
     out.overhead_us = wasted;
     emit_counters();
@@ -147,17 +169,18 @@ RunOutcome run_impl(const DeviceProfile& dev, const KernelPlan* plan,
 
   bool restart = true;
   int since_check = 0;
+  std::vector<LaunchInfo> scratch;  // the schedule of a memo miss
   while (restart) {
     restart = false;
     // Pass start is a natural cancellation point: a restart redoes the whole
     // schedule, the most expensive step an expired request could still take.
     if (policy.cancel && policy.cancel->expired()) {
       mark_cancelled(out, wasted);
-      out.estimate = final_estimate();
+      out.estimate = memo.estimate(out.thresholds);
       return out;
     }
-    const std::vector<LaunchInfo> sched = make_schedule(
-        dev, plan, cache.get(), target, sizes, out.thresholds);
+    const std::vector<LaunchInfo>& sched =
+        memo.schedule(out.thresholds, &scratch);
     double completed = 0;  // progress of this pass, wasted if it restarts
 
     for (const LaunchInfo& li : sched) {
@@ -165,7 +188,7 @@ RunOutcome run_impl(const DeviceProfile& dev, const KernelPlan* plan,
         since_check = 0;
         if (policy.cancel->expired()) {
           mark_cancelled(out, wasted + completed);
-          out.estimate = final_estimate();
+          out.estimate = memo.estimate(out.thresholds);
           return out;
         }
       }
@@ -186,7 +209,7 @@ RunOutcome run_impl(const DeviceProfile& dev, const KernelPlan* plan,
         kind = faults.next_launch();
         if (kind == FaultKind::None) break;  // the launch succeeded
         ++out.faults;
-        wasted += attempt_cost(dev, policy, li, kind);
+        wasted += attempt_cost(memo.dev(), policy, li, kind);
         if (kind == FaultKind::LocalAllocFailed ||
             attempt >= policy.max_attempts) {
           persistent = true;
@@ -227,14 +250,12 @@ RunOutcome run_impl(const DeviceProfile& dev, const KernelPlan* plan,
   }
 
   out.ok = true;
-  out.estimate = final_estimate();
+  out.estimate = memo.estimate(out.thresholds);
   out.overhead_us = wasted;
   out.time_us = out.estimate.time_us + wasted;
   emit_counters();
   return out;
 }
-
-}  // namespace
 
 RunPolicy parse_run_policy(const std::string& spec) {
   RunPolicy p;
@@ -293,254 +314,31 @@ RunOutcome run_with_faults(const DeviceProfile& dev, const Compiled& c,
                            const SizeEnv& sizes,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
                            const RunPolicy& policy) {
-  return run_impl(dev, c.plan.get(), c.flat.program, sizes, thresholds,
-                  faults, policy);
+  const RunMemo memo(dev, c.plan.get(), c.flat.program, sizes, thresholds);
+  return run_with_faults(memo, thresholds, faults, policy);
 }
 
 RunOutcome run_with_faults(const DeviceProfile& dev, const KernelPlan& plan,
                            const SizeEnv& sizes,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
                            const RunPolicy& policy) {
-  return run_impl(dev, &plan, plan.program, sizes, thresholds, faults,
-                  policy);
+  const RunMemo memo(dev, plan, sizes, thresholds);
+  return run_with_faults(memo, thresholds, faults, policy);
 }
 
-// ---------------------------------------------------------------------------
-// Tiered execution.
-
-TieredRuntime::TieredRuntime(const DeviceProfile& dev, const KernelPlan& plan,
-                             TierPolicy policy)
-    : dev_(dev),
-      plan_(plan),
-      policy_(policy),
-      prof_(profile::make_profile(plan, plan.program.name, dev.name)) {}
-
-bool TieredRuntime::seed_profile(profile::ExecProfile p) {
-  profile::check_profile(p, plan_);
-  if (p.device != dev_.name) return false;
-  prof_ = std::move(p);
-  return true;
-}
-
-const PlanDatasetCache& TieredRuntime::cache_for(const SizeEnv& sizes) {
-  if (!cache_ || !cache_sizes_ || *cache_sizes_ != sizes) {
-    cache_ = std::make_unique<PlanDatasetCache>(plan_, dev_, sizes);
-    cache_sizes_ = sizes;
-    dispatch_.reset();
-  }
-  return *cache_;
-}
-
-void TieredRuntime::invalidate() {
-  dispatch_.reset();
-  if (!spec_) return;
-  spec_.reset();
-  ++stats_.invalidations;
-  trace::count("spesh.invalidations");
-}
-
-void TieredRuntime::deopt(TieredOutcome& t, const std::string& why) {
-  t.deopted = true;
-  t.deopt_reason = why;
-  ++stats_.deopts;
-  stats_.last_deopt = why;
-  ++prof_.deopts;
-  // Re-specializing requires a fresh stability window: stale streaks from
-  // before the deopt must not immediately re-trigger the same speculation.
-  profile::reset_streaks(prof_);
-  invalidate();
-  trace::count("exec.deopts");
-}
-
-bool TieredRuntime::thresholds_match(const ThresholdEnv& thresholds) const {
-  for (const std::string& name : plan_.thresholds) {
-    if (spec_->thresholds.get(name) != thresholds.get(name)) return false;
-  }
-  return true;
-}
-
-bool TieredRuntime::run_specialized(TieredOutcome& t,
-                                    const ThresholdEnv& thresholds,
-                                    FaultPlan& faults, SpecAttempt* attempt) {
-  // The dispatch check already verified and precompiled this schedule.
-  const std::vector<LaunchInfo>& sched = dispatch_->schedule();
-  RunOutcome out;
-  out.thresholds = thresholds;
-  double wasted = 0;
-  double completed = 0;
-  int since_check = 0;
-  for (const LaunchInfo& li : sched) {
-    if (policy_.run.cancel && ++since_check >= kCancelCheckStride) {
-      since_check = 0;
-      if (policy_.run.cancel->expired()) {
-        // Cancelled on the specialized tier: NOT a deopt — the plan is
-        // still valid, the client just stopped waiting.
-        mark_cancelled(out, wasted + completed);
-        out.estimate = dispatch_->estimate();
-        t.run = std::move(out);
-        t.specialized = true;
-        return true;
-      }
-    }
-    bool persistent = false;
-    FaultKind kind = FaultKind::None;
-    int att = 0;
-    if (policy_.run.kernel_timeout_us > 0 &&
-        li.time_us > policy_.run.kernel_timeout_us) {
-      persistent = true;
-      kind = FaultKind::LaunchTimeout;
-      ++out.faults;
-      wasted += policy_.run.kernel_timeout_us;
-    }
-    while (!persistent) {
-      ++att;
-      kind = faults.next_launch();
-      if (kind == FaultKind::None) break;
-      ++out.faults;
-      wasted += attempt_cost(dev_, policy_.run, li, kind);
-      if (kind == FaultKind::LocalAllocFailed ||
-          att >= policy_.run.max_attempts) {
-        persistent = true;
-        break;
-      }
-      ++out.retries;
-      wasted += backoff_for(policy_.run, att);
-      out.events.push_back(FaultEvent{faults.launches() - 1, li.what, kind,
-                                      att, "retry", ""});
-    }
-    if (!persistent) {
-      completed += li.time_us;
-      continue;
-    }
-    // A persistent fault never degrades inside the specialized schedule —
-    // degradation changes guard decisions, exactly what the specialization
-    // froze.  Deoptimize: abandon the pass, let the tree tier (which owns
-    // degradation) redo the run from scratch.
-    wasted += completed;
-    out.events.push_back(FaultEvent{faults.launches() - 1, li.what, kind, att,
-                                    "deopt", ""});
-    deopt(t, "persistent fault (" + std::string(fault_kind_name(kind)) +
-                 ") in kernel '" + li.what + "' on the specialized tier");
-    attempt->wasted_us = wasted;
-    attempt->faults = out.faults;
-    attempt->retries = out.retries;
-    attempt->events = std::move(out.events);
-    return false;
-  }
-  out.ok = true;
-  out.estimate = dispatch_->estimate();
-  out.overhead_us = wasted;
-  out.time_us = out.estimate.time_us + wasted;
-  if (trace::enabled()) {
-    trace::count("exec.fault_runs");
-    trace::count("exec.faults", out.faults);
-    trace::count("exec.retries", out.retries);
-  }
-  t.run = std::move(out);
-  t.specialized = true;
-  return true;
-}
+TieredRuntime::TieredRuntime(const DeviceProfile& dev, const KernelPlan& plan)
+    : dev_(dev), plan_(plan) {}
 
 TieredOutcome TieredRuntime::run(const SizeEnv& sizes,
                                  const ThresholdEnv& thresholds,
                                  FaultPlan& faults,
                                  const CancelToken* cancel) {
-  const sync::ExclusiveRegion::Scope excl(excl_);
-  // Safe to stash in the policy: ExclusiveRegion guarantees one run at a
-  // time, and the token outlives the call by contract.
-  policy_.run.cancel = cancel;
-  TieredOutcome t;
-  if (plan_.legacy_fallback) {
-    t.run = run_with_faults(dev_, plan_, sizes, thresholds, faults,
-                            policy_.run);
-    ++stats_.tree_runs;
-    return t;
+  if (!memo_ || memo_->sizes() != sizes || !memo_->hit(thresholds)) {
+    memo_ = std::make_unique<const RunMemo>(dev_, plan_, sizes, thresholds);
   }
-
-  SpecAttempt attempt;
-  if (spec_) {
-    std::string why;
-    if (!thresholds_match(thresholds)) {
-      why = "threshold assignment no longer matches the frozen one";
-    } else {
-      const PlanDatasetCache& cache = cache_for(sizes);
-      if (!dispatch_) {
-        dispatch_ = std::make_unique<spesh::SpecDispatch>(plan_, *spec_, cache);
-      }
-      if (!dispatch_->pass()) {
-        const spesh::ShapeGuard* failed = dispatch_->failed();
-        why = failed ? "shape guard failed: " + failed->expr.str() +
-                           " not in " + failed->iv.str() + " [" + failed->why +
-                           "]"
-                     : "shape guard failed";
-      }
-    }
-    if (why.empty()) {
-      if (run_specialized(t, thresholds, faults, &attempt)) {
-        ++stats_.spec_runs;
-        trace::count("spesh.dispatches");
-        return t;
-      }
-      // Fell through: deoptimized mid-run; `attempt` carries the debris.
-    } else {
-      deopt(t, why);
-    }
-  }
-
-  RunOutcome out =
-      run_with_faults(dev_, plan_, sizes, thresholds, faults, policy_.run);
-  ++stats_.tree_runs;
-  // The abandoned specialized pass is part of this run's cost and report.
-  out.faults += attempt.faults;
-  out.retries += attempt.retries;
-  out.events.insert(out.events.begin(),
-                    std::make_move_iterator(attempt.events.begin()),
-                    std::make_move_iterator(attempt.events.end()));
-  out.overhead_us += attempt.wasted_us;
-  out.time_us += attempt.wasted_us;
-
-  if (out.cancelled) {
-    // Deadline expiry says nothing about the plan: keep the specialized
-    // plan and the streaks, record nothing (a partial run has no complete
-    // decision vector to feed the profile).
-  } else if (!out.ok || out.degradations > 0) {
-    // A degraded run executed different code versions than the nominal
-    // assignment selects: its decisions must not feed speculation, and any
-    // standing speculation is no longer trustworthy.
-    invalidate();
-    profile::reset_streaks(prof_);
-  } else if (policy_.profile) {
-    profile::record_run(prof_, plan_, cache_for(sizes), thresholds);
-    if (policy_.specialize && !spec_) {
-      spesh::SpecializeOptions so;
-      so.hot_runs = policy_.hot_runs;
-      spesh::SpecializeResult res =
-          spesh::specialize_plan(plan_, prof_, thresholds, dev_, so);
-      if (res.ok) {
-        spec_ = std::move(res.plan);
-        dispatch_.reset();
-        ++stats_.specializations;
-      }
-    }
-  }
-  t.run = std::move(out);
-  return t;
-}
-
-std::string TieredRuntime::deopt_stats() const {
-  std::ostringstream os;
-  os << "tiers: " << stats_.tree_runs << " tree run(s), " << stats_.spec_runs
-     << " specialized, " << stats_.specializations << " specialization(s), "
-     << stats_.deopts << " deopt(s), " << stats_.invalidations
-     << " invalidation(s)";
-  if (!stats_.last_deopt.empty()) {
-    os << "\nlast deopt: " << stats_.last_deopt;
-  }
-  if (spec_) {
-    os << "\n" << spec_->str();
-  }
-  os << "\n" << prof_.str();
-  return os.str();
+  RunPolicy policy;
+  policy.cancel = cancel;
+  return {run_with_faults(*memo_, thresholds, faults, policy)};
 }
 
 std::string outcome_str(const RunOutcome& o) {

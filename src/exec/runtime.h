@@ -25,17 +25,13 @@
 // it computes (the paper's semantics-preservation property), so a degraded
 // run is value-identical to the fault-free one — execute the outcome's
 // effective thresholds to check against the interpreter oracle.
-// Tiered execution (TieredRuntime, at the bottom of this header) stacks a
-// speculative tier on top: successful non-degraded runs feed an execution
-// profile (src/profile/), stable guard streaks trigger specialization
-// (src/plan/specialize.h), and subsequent runs whose shape guards pass
-// replay the straight-line specialized schedule instead of descending the
-// tree.  Any crack in the speculation — shape drift, a changed threshold
-// assignment, a persistent fault mid-specialized-run, a fault degradation —
-// *deoptimizes*: the specialized plan is invalidated, decision streaks are
-// reset (re-specializing requires a fresh stability window), and the run
-// restarts on the tree tier, which remains the sole authority for
-// correctness.  Specialization off = bit-identical to the plain runtime.
+//
+// A run's launch schedule is a pure function of (plan, device, sizes,
+// thresholds), so repeated runs of one shape share a RunMemo: the shape's
+// dataset cache plus the schedule and estimate of one threshold assignment,
+// built once and never mutated.  The executor replays the memo's schedule
+// when a run asks for the memo's assignment and descends the plan tree on
+// the memo's cache otherwise (other thresholds, or after a degradation).
 #pragma once
 
 #include <atomic>
@@ -47,19 +43,17 @@
 
 #include "src/exec/exec.h"
 #include "src/gpusim/faults.h"
-#include "src/plan/specialize.h"
 #include "src/support/diag.h"
-#include "src/support/sync.h"
 
 namespace incflat {
 
 /// Cooperative end-to-end cancellation: an optional wall-clock deadline
 /// plus an externally flippable flag, checked at safe points (between
-/// kernel launches, between batch tickets, between tuner evaluations).
-/// The serve layer mints one per request carrying a "deadline_ms" budget
-/// and threads it client -> scheduler -> batch leader -> TieredRuntime, so
-/// an expired request is answered "timeout" at the next check instead of
-/// burning a worker to compute an answer nobody is waiting for.
+/// kernel launches, between tuner evaluations).  The serve layer mints one
+/// per request carrying a "deadline_ms" budget and threads it client ->
+/// scheduler -> executor, so an expired request is answered "timeout" at
+/// the next check instead of burning a worker to compute an answer nobody
+/// is waiting for.
 ///
 /// Thread-safe: cancel() may race expired() from any thread.  The default
 /// token never expires and costs one relaxed load per check.
@@ -123,8 +117,8 @@ struct RunPolicy {
   /// Optional cooperative cancellation: checked at pass start and
   /// periodically between launches.  An expired token aborts the run with
   /// ok=false, cancelled=true and a "deadline-exceeded" Diagnostic — no
-  /// degradation, no speculation impact.  Not owned; the caller keeps the
-  /// token alive for the duration of the run.  nullptr = never cancelled.
+  /// degradation.  Not owned; the caller keeps the token alive for the
+  /// duration of the run.  nullptr = never cancelled.
   const CancelToken* cancel = nullptr;
 };
 
@@ -151,8 +145,7 @@ struct RunOutcome {
   bool ok = false;
   /// The run was abandoned because its CancelToken expired (deadline or
   /// explicit cancel) — a scheduling outcome, not an execution fault:
-  /// cancelled runs carry a "deadline-exceeded" Diagnostic and never count
-  /// against speculation (the tiered runtime keeps its specialized plan).
+  /// cancelled runs carry a "deadline-exceeded" Diagnostic.
   bool cancelled = false;
   /// Fault-free estimate under the final (possibly degraded) thresholds.
   RunEstimate estimate;
@@ -173,11 +166,62 @@ struct RunOutcome {
   std::optional<Diagnostic> error;
 };
 
-/// Execute the compiled program's launch schedule on `dev` against `faults`
-/// under `policy`.  Never throws on injected faults — an unrecoverable run
+/// The fault-independent part of running one program on one dataset shape:
+/// the shape's PlanDatasetCache plus the launch schedule and estimate of
+/// one threshold assignment (the memo's own; the default one unless
+/// given).  Immutable once built, so any number of threads may run against
+/// one memo at once.  Plans outside the plan builder's fragment
+/// (legacy_fallback, or no plan at all) have no cache: the memo then holds
+/// the legacy walker's schedule and estimate, and other assignments are
+/// priced by the walker.  Holds references to the plan and target program;
+/// the caller keeps them alive.
+class RunMemo {
+ public:
+  RunMemo(const DeviceProfile& dev, const KernelPlan& plan,
+          const SizeEnv& sizes, ThresholdEnv thresholds = {});
+  /// `plan` may be null: every run then takes the walker over `target`.
+  RunMemo(const DeviceProfile& dev, const KernelPlan* plan,
+          const Program& target, const SizeEnv& sizes,
+          ThresholdEnv thresholds = {});
+
+  const DeviceProfile& dev() const { return dev_; }
+  const SizeEnv& sizes() const { return sizes_; }
+
+  /// Whether `thresholds` is the memo's own assignment (a memo hit).
+  bool hit(const ThresholdEnv& thresholds) const;
+
+  /// The launch schedule under `thresholds`: the memo's own on a hit,
+  /// otherwise a fresh descent (or walk) stored in `*scratch`.
+  const std::vector<LaunchInfo>& schedule(
+      const ThresholdEnv& thresholds,
+      std::vector<LaunchInfo>* scratch) const;
+  /// The fault-free estimate under `thresholds`, by the same rule.
+  RunEstimate estimate(const ThresholdEnv& thresholds) const;
+
+ private:
+  std::vector<LaunchInfo> price_schedule(const ThresholdEnv& env) const;
+  RunEstimate price_estimate(const ThresholdEnv& env) const;
+
+  DeviceProfile dev_;
+  const KernelPlan* plan_;  // null unless the plan tree prices runs
+  const Program& target_;
+  SizeEnv sizes_;
+  ThresholdEnv thresholds_;
+  std::optional<PlanDatasetCache> cache_;
+  std::vector<LaunchInfo> schedule_;
+  RunEstimate estimate_;
+};
+
+/// Execute one run of `memo` under `thresholds` against `faults` under
+/// `policy`.  Never throws on injected faults — an unrecoverable run
 /// reports ok=false with a structured Diagnostic.  The FaultPlan advances
 /// monotonically across retries and restarts (one consultation per launch
 /// attempt), so a given plan yields one deterministic outcome.
+RunOutcome run_with_faults(const RunMemo& memo,
+                           const ThresholdEnv& thresholds, FaultPlan& faults,
+                           const RunPolicy& policy = {});
+
+/// Same, for one run of the compiled program on `dev` (a throwaway memo).
 RunOutcome run_with_faults(const DeviceProfile& dev, const Compiled& c,
                            const SizeEnv& sizes,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
@@ -193,113 +237,30 @@ RunOutcome run_with_faults(const DeviceProfile& dev, const KernelPlan& plan,
 /// One-line human-readable outcome summary.
 std::string outcome_str(const RunOutcome& o);
 
-// ---------------------------------------------------------------------------
-// Tiered execution.
-
-/// Knobs of the tiered runtime.
-struct TierPolicy {
-  /// Record guard decisions of successful, non-degraded tree runs.
-  bool profile = true;
-  /// Attempt specialization once a full stability window has been profiled
-  /// (implies profiling is useful; with profile=false nothing ever
-  /// stabilizes and the tree tier runs forever — the compatibility mode).
-  bool specialize = true;
-  /// Consecutive identical decisions every reachable guard needs before the
-  /// plan may specialize — and, after a deoptimization, needs *again*
-  /// (streaks reset on every deopt, damping specialize/deopt thrash).
-  int64_t hot_runs = 8;
-  /// Fault policy for both tiers.
-  RunPolicy run;
-};
-
-/// Lifetime tallies of one TieredRuntime.
-struct TierStats {
-  int64_t tree_runs = 0;        // runs executed by tree descent
-  int64_t spec_runs = 0;        // runs executed by the specialized schedule
-  int64_t specializations = 0;  // specialized plans built
-  int64_t deopts = 0;           // deoptimizations (any reason)
-  int64_t invalidations = 0;    // specialized plans discarded
-  std::string last_deopt;       // reason of the most recent deopt
-};
-
-/// One tiered run: the underlying outcome plus which tier produced it.
+/// One run of a TieredRuntime.
 struct TieredOutcome {
   RunOutcome run;
-  bool specialized = false;  // the specialized schedule ran to completion
-  bool deopted = false;      // this run deoptimized (reason below)
-  std::string deopt_reason;
 };
 
-/// Profile-guided two-tier executor for one plan on one device.  Not
+/// A stream of runs of one plan on one device through one RunMemo, rebuilt
+/// whenever a run's sizes or thresholds differ from the memo's.  Not
 /// thread-safe; holds a reference to the plan (caller keeps it alive).
-/// "Not thread-safe" is *enforced*, not just documented: run() enters a
-/// sync::ExclusiveRegion, so two threads racing into one runtime — the bug
-/// shape the serve layer's batch-leader protocol exists to prevent — fail
-/// loudly with std::logic_error instead of corrupting profile state.
 class TieredRuntime {
  public:
-  TieredRuntime(const DeviceProfile& dev, const KernelPlan& plan,
-                TierPolicy policy = {});
+  TieredRuntime(const DeviceProfile& dev, const KernelPlan& plan);
 
-  /// Execute one dataset.  Dispatches to the specialized schedule when one
-  /// exists and covers (thresholds match, shape guards pass); otherwise —
-  /// or after a mid-run deoptimization — runs the guard tree with full
-  /// fault degradation.  Estimates are bit-identical across tiers.
-  /// `cancel` (optional, not owned, must outlive the call) aborts
-  /// cooperatively once expired: the outcome reports run.cancelled and the
-  /// speculation state is left untouched — a missed deadline says nothing
-  /// about the specialized plan's validity.
+  /// Execute one dataset under the default RunPolicy.  `cancel` (optional,
+  /// not owned, must outlive the call) aborts cooperatively once expired.
   TieredOutcome run(const SizeEnv& sizes, const ThresholdEnv& thresholds,
                     FaultPlan& faults, const CancelToken* cancel = nullptr);
 
-  /// Adopt a persisted profile (validated against the plan; throws IoError
-  /// on mismatch).  Returns false — keeping a fresh profile — when the
-  /// profile was recorded on a different device, whose guard decisions
-  /// (workgroup-fit in particular) do not transfer.
-  bool seed_profile(profile::ExecProfile p);
-
-  const profile::ExecProfile& prof() const { return prof_; }
-  /// The live specialized plan, or nullptr while on the tree tier.
-  const spesh::SpecializedPlan* specialized() const {
-    return spec_ ? &*spec_ : nullptr;
-  }
-  const TierStats& stats() const { return stats_; }
-
-  /// Human-readable tier/deopt report (incflatc --deopt-stats).
-  std::string deopt_stats() const;
+  /// The memo the last run used; nullptr before the first run.
+  const RunMemo* memo() const { return memo_.get(); }
 
  private:
-  const PlanDatasetCache& cache_for(const SizeEnv& sizes);
-  void invalidate();
-  void deopt(TieredOutcome& t, const std::string& why);
-  bool thresholds_match(const ThresholdEnv& thresholds) const;
-  /// Runs the specialized schedule; false = persistent fault (already
-  /// deoptimized; partial-run accounting is left in *attempt for the tree
-  /// rerun to absorb).
-  struct SpecAttempt {
-    double wasted_us = 0;
-    int faults = 0;
-    int retries = 0;
-    std::vector<FaultEvent> events;
-  };
-  bool run_specialized(TieredOutcome& t, const ThresholdEnv& thresholds,
-                       FaultPlan& faults, SpecAttempt* attempt);
-
   DeviceProfile dev_;
   const KernelPlan& plan_;
-  TierPolicy policy_;
-  profile::ExecProfile prof_;
-  std::optional<spesh::SpecializedPlan> spec_;
-  TierStats stats_;
-  // Single-entry dataset cache: steady-state streams reuse one shape.
-  std::optional<SizeEnv> cache_sizes_;
-  std::unique_ptr<PlanDatasetCache> cache_;
-  // Dispatch state for (spec_, cache_): verdict + precompiled schedule,
-  // rebuilt only when the shape or the specialization changes.
-  std::unique_ptr<spesh::SpecDispatch> dispatch_;
-  // Detects concurrent run() entry (this class is single-threaded by
-  // contract); zero cost beyond one atomic exchange per run.
-  sync::ExclusiveRegion excl_{"TieredRuntime"};
+  std::unique_ptr<const RunMemo> memo_;
 };
 
 }  // namespace incflat

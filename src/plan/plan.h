@@ -142,11 +142,10 @@ class PlanDatasetCache {
   /// guard_taken: fit failure wins, else par >= threshold.
   bool guard_taken(int guard_ix, int64_t threshold_value) const;
 
-  /// Raw observed guard operands for this dataset (the profile layer
-  /// records them): the evaluated Par value (0 when it could not be
-  /// evaluated — Par values are always >= 1 otherwise) and whether the
-  /// workgroup-fit bound failed.  `error` mirrors guard_taken's
-  /// unbound-variable condition.
+  /// Raw observed guard operands for this dataset: the evaluated Par value
+  /// (0 when it could not be evaluated — Par values are always >= 1
+  /// otherwise) and whether the workgroup-fit bound failed.  `error`
+  /// mirrors guard_taken's unbound-variable condition.
   struct GuardObs {
     int64_t par = 0;
     bool fit_fail = false;

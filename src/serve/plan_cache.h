@@ -10,10 +10,8 @@
 // entry fits.
 //
 // Values are shared_ptrs to a CacheValue subclass: eviction only drops the
-// cache's reference, so an in-flight request batch keeps executing against
-// an entry that was just evicted under it (the shared_ptr pins it) — the
-// same drop-the-table-reference discipline the tiered runtime uses for
-// invalidated specialized plans.
+// cache's reference, so an in-flight request keeps executing against an
+// entry that was just evicted under it (the shared_ptr pins it).
 //
 // Counters: per-cache atomics (always on, reported by the `stats` request)
 // plus serve.cache_hit / serve.cache_miss / serve.evictions trace counters
@@ -62,9 +60,8 @@ class PlanCache {
   /// Insert `value` (of `bytes` bytes) under `key`, evicting from the
   /// shard's LRU tail until the shard budget holds.  When another thread
   /// inserted `key` first, the existing entry wins and is returned — the
-  /// compile race loser adopts the winner's plan, keeping one runtime per
-  /// key so request batches never split across duplicates.  The returned
-  /// pointer is therefore the entry callers must use.
+  /// compile race loser adopts the winner's plan, keeping one entry per
+  /// key.  The returned pointer is therefore the entry callers must use.
   std::shared_ptr<CacheValue> insert(const std::string& key,
                                      std::shared_ptr<CacheValue> value,
                                      size_t bytes);

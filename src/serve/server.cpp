@@ -1,8 +1,8 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <deque>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -16,6 +16,7 @@
 #include "src/gpusim/device.h"
 #include "src/ir/print.h"
 #include "src/support/error.h"
+#include "src/support/rng.h"
 #include "src/support/trace.h"
 
 namespace incflat::serve {
@@ -45,8 +46,8 @@ DeviceProfile device_from_name(const std::string& name) {
 /// Resident-byte estimate of a served entry.  Plans are in-memory object
 /// graphs, not flat buffers, so this is an approximation — what matters for
 /// the budget is that it is monotone in plan size and stable per key.
-size_t approx_entry_bytes(const Compiled& c, bool has_runtime) {
-  size_t b = 4096;  // entry fixed cost (key, runtime scaffolding)
+size_t approx_entry_bytes(const Compiled& c, bool has_memo) {
+  size_t b = 4096;  // entry fixed cost (key, memo scaffolding)
   if (c.plan) {
     const KernelPlan& p = *c.plan;
     b += p.arena.size() * 48;
@@ -54,9 +55,9 @@ size_t approx_entry_bytes(const Compiled& c, bool has_runtime) {
     b += p.nodes.size() * 64;
     b += p.guards.size() * 128;
     for (const auto& t : p.thresholds) b += t.size() + 32;
-    // A run entry's TieredRuntime keeps a per-shape dataset cache (one
-    // priced cost row per arena node) plus profile state.
-    if (has_runtime) b += p.arena.size() * 16 + 1024;
+    // A run entry's memo keeps a per-shape dataset cache (one priced cost
+    // row per arena node) plus the default schedule and estimate.
+    if (has_memo) b += p.arena.size() * 16 + 1024;
   }
   return b;
 }
@@ -96,9 +97,9 @@ std::string shape_fingerprint(const std::map<std::string, int64_t>& sizes) {
 }
 
 /// One cache entry: the compiled plan plus — for shape-keyed run entries —
-/// the tiered runtime and the batch queue.  The runtime is single-threaded
-/// by design; exclusivity is the batch-leader protocol below, not a lock
-/// held across execution (followers must be able to enqueue mid-batch).
+/// the shape's RunMemo and fault seed.  Everything but the run counter is
+/// set before the entry is inserted and never changes after, so runs read
+/// the entry without a lock.
 struct ServerCore::ServedPlan : CacheValue {
   std::string key;
   std::string benchmark, mode, device;
@@ -109,35 +110,10 @@ struct ServerCore::ServedPlan : CacheValue {
   bool plan_reused = false; // run entry adopted the program entry's plan
 
   // Run-entry state.
-  SizeEnv sizes;
-  std::unique_ptr<TieredRuntime> rt;
-  FaultPlan faults;
-
-  // Ticket fields are deliberately *not* GUARDED_BY(mu): ownership is
-  // phased, not locked.  Until done flips, only the leader writes (under
-  // mu); once done, only the waiting follower reads — the leader never
-  // touches a finished ticket again.  The flip itself happens under mu.
-  struct Ticket {
-    Json req;
-    Json resp;
-    // The requester's deadline token (not owned; the requester's handle()
-    // stack frame outlives the ticket — follower blocks on cv, leader
-    // drains its own ticket).  The leader honors it per ticket: an expired
-    // follower is answered "timeout" without running, and a live one's
-    // token rides into the tiered runtime for mid-run cancellation.
-    const CancelToken* cancel = nullptr;
-    int batch = 0;  // members of the batch that answered this ticket
-    bool done = false;
-  };
-  sync::Mutex mu{"serve.entry"};
-  sync::CondVar cv;
-  std::deque<std::shared_ptr<Ticket>> pending GUARDED_BY(mu);
-  bool leader_active GUARDED_BY(mu) = false;
+  std::unique_ptr<const RunMemo> memo;
+  uint64_t fault_seed = 0;
+  std::atomic<uint64_t> runs{0};  // numbers the entry's requests
 };
-
-namespace testing {
-std::atomic<void (*)()> batch_abort_hook{nullptr};
-}  // namespace testing
 
 ServerCore::ServerCore(ServeOptions opts)
     : opts_(std::move(opts)),
@@ -180,8 +156,7 @@ Json ServerCore::handle(const Json& request, const CancelToken* cancel) {
   Json resp;
   if (cancel && cancel->expired()) {
     // The deadline passed before any work started (typically: the job sat
-    // in the scheduler queue, or the leader got to this ticket late).
-    // Answer without touching the cache or a runtime.
+    // in the scheduler queue).  Answer without touching the cache.
     resp = retriable_error(code::kTimeout,
                            "deadline expired before the request ran");
     echo_id(request, resp);
@@ -333,19 +308,14 @@ std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
   }
 
   if (is_run) {
-    sp->sizes = std::move(sizes);
-    TierPolicy tp;
-    tp.specialize = opts_.specialize;
-    tp.hot_runs = opts_.hot_runs;
-    sp->rt = std::make_unique<TieredRuntime>(sp->dev, *sp->compiled.plan, tp);
-    // Per-entry fault stream, decorrelated across keys by the key hash so
-    // two entries do not fault in lockstep.
-    sp->faults = FaultPlan(
-        fspec_, opts_.fault_seed ^ journal_hash(key.data(), key.size()));
+    sp->memo = std::make_unique<const RunMemo>(
+        sp->dev, sp->compiled.plan.get(), sp->compiled.flat.program, sizes);
+    // Per-entry fault seed, decorrelated across keys by the key hash so two
+    // entries do not fault in lockstep.
+    sp->fault_seed = opts_.fault_seed ^ journal_hash(key.data(), key.size());
   }
 
-  // Insert; on a compile race the first entry wins and we adopt it (one
-  // runtime and one batch queue per key).
+  // Insert; on a compile race the first entry wins and we adopt it.
   auto winner =
       cache_.insert(key, sp, approx_entry_bytes(sp->compiled, is_run));
   return std::static_pointer_cast<ServedPlan>(winner);
@@ -380,69 +350,6 @@ Json ServerCore::do_compile(const Json& req) {
   return r;
 }
 
-Json ServerCore::run_one(ServedPlan& entry, const Json& req,
-                         const CancelToken* cancel) {
-  ThresholdEnv thr;
-  if (const Json* tv = req.find("thresholds")) {
-    if (!tv->is_object())
-      throw CompilerError("'thresholds' must be an object");
-    for (const auto& info : entry.compiled.flat.thresholds.all()) {
-      if (const Json* v = tv->find(info.name))
-        thr.values[info.name] = static_cast<int64_t>(v->as_double());
-    }
-  } else if (const Json* tuned = req.find("tuned");
-             tuned && tuned->is_bool() && tuned->as_bool()) {
-    const std::string pkey =
-        program_key(entry.benchmark, entry.mode, entry.device);
-    sync::MutexLock lk(tuned_mu_);
-    auto it = tuned_.find(pkey);
-    if (it == tuned_.end())
-      throw CompilerError("no tuned thresholds published for " + pkey +
-                          " (tune first)");
-    thr.values = it->second;
-  }
-
-  TieredOutcome t;
-  {
-    trace::Span span("serve.run", "serve");
-    t = entry.rt->run(entry.sizes, thr, entry.faults, cancel);
-  }
-
-  if (t.run.cancelled) {
-    // Expired mid-execution: a scheduling outcome, answered retriable —
-    // the request itself was fine, the daemon just ran out of its budget.
-    {
-      sync::MutexLock lk(stats_mu_);
-      ++rstats_.deadline_expired;
-    }
-    if (trace::enabled()) trace::count("serve.deadline_expired");
-    return retriable_error(code::kTimeout,
-                           "deadline expired during execution");
-  }
-
-  Json r = Json::object();
-  r.set("ok", t.run.ok);
-  r.set("time_us", t.run.time_us);
-  r.set("overhead_us", t.run.overhead_us);
-  r.set("estimate_us", t.run.estimate.time_us);
-  r.set("kernel_launches", t.run.estimate.kernel_launches);
-  r.set("tier", t.specialized ? "specialized" : "tree");
-  if (t.deopted) {
-    r.set("deopted", true);
-    r.set("deopt_reason", t.deopt_reason);
-  }
-  if (t.run.faults > 0) {
-    r.set("faults", t.run.faults);
-    r.set("retries", t.run.retries);
-    r.set("degradations", t.run.degradations);
-  }
-  if (!t.run.ok) {
-    r.set("code", code::kRunFailed);
-    r.set("error", t.run.error ? t.run.error->message : "run failed");
-  }
-  return r;
-}
-
 Json ServerCore::do_run(const Json& req, const CancelToken* cancel) {
   {
     sync::MutexLock lk(stats_mu_);
@@ -457,127 +364,66 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel) {
   bool cached = false;
   auto entry = lookup_or_compile(bench, mode, device, dataset, &cached);
 
-  auto ticket = std::make_shared<ServedPlan::Ticket>();
-  ticket->req = req;
-  ticket->cancel = cancel;
+  ThresholdEnv thr;
+  if (const Json* tv = req.find("thresholds")) {
+    if (!tv->is_object())
+      throw CompilerError("'thresholds' must be an object");
+    for (const auto& info : entry->compiled.flat.thresholds.all()) {
+      if (const Json* v = tv->find(info.name))
+        thr.values[info.name] = static_cast<int64_t>(v->as_double());
+    }
+  } else if (const Json* tuned = req.find("tuned");
+             tuned && tuned->is_bool() && tuned->as_bool()) {
+    const std::string pkey = program_key(bench, mode, device);
+    sync::MutexLock lk(tuned_mu_);
+    auto it = tuned_.find(pkey);
+    if (it == tuned_.end())
+      throw CompilerError("no tuned thresholds published for " + pkey +
+                          " (tune first)");
+    thr.values = it->second;
+  }
 
-  sync::UniqueLock lk(entry->mu);
-  entry->pending.push_back(ticket);
-  if (entry->leader_active) {
-    // Follower: a leader is already draining this entry's queue; it will
-    // execute our request in its next batch and wake us.  Explicit loop
-    // instead of a predicate lambda so the thread-safety analysis sees the
-    // guarded read under the lock it requires.
-    while (!ticket->done) entry->cv.wait(entry->mu);
-    Json r = ticket->resp;
-    lk.unlock();
+  // The request's own fault stream: the n-th run of an entry draws from
+  // the entry seed mixed with n, whatever other requests run beside it.
+  const uint64_t n = entry->runs.fetch_add(1, std::memory_order_relaxed);
+  FaultPlan faults(fspec_, Rng(entry->fault_seed + n).next());
+  RunPolicy policy;
+  policy.cancel = cancel;
+  RunOutcome out;
+  {
+    trace::Span span("serve.run", "serve");
+    out = run_with_faults(*entry->memo, thr, faults, policy);
+  }
+
+  Json r;
+  if (out.cancelled) {
+    // Expired mid-execution: a scheduling outcome, answered retriable —
+    // the request itself was fine, the daemon just ran out of its budget.
     {
-      sync::MutexLock slk(stats_mu_);
-      ++rstats_.batched_runs;
+      sync::MutexLock lk(stats_mu_);
+      ++rstats_.deadline_expired;
     }
-    r.set("cached", cached);
-    r.set("batched", true);
-    if (ticket->batch > 1) r.set("batch", ticket->batch);
-    return r;
-  }
-
-  // Leader: drain the queue in batches until it is empty.  The entry mutex
-  // is *released* during execution — leader_active is what excludes other
-  // executors — so followers can keep enqueueing while a batch runs, and a
-  // burst of N requests against one plan becomes one leader executing N
-  // back-to-back runs on the entry's single TieredRuntime.
-  //
-  // Leadership must be released on every exit path: an exception escaping
-  // with leader_active still set would leave followers waiting on the cv
-  // forever and wedge the key for the life of the daemon.  run_one failures
-  // are caught per ticket so each offending request gets its own error
-  // response (a follower's bad thresholds must not surface as the leader's
-  // failure, nor abort its batchmates); the guard covers anything else that
-  // escapes the drain, failing open tickets and waking every waiter.
-  entry->leader_active = true;
-  std::deque<std::shared_ptr<ServedPlan::Ticket>> batch;
-  struct LeaderGuard {
-    ServedPlan& e;
-    sync::UniqueLock& lk;
-    std::deque<std::shared_ptr<ServedPlan::Ticket>>& batch;
-    bool released = false;
-    static void fail(ServedPlan::Ticket& t) {
-      if (t.done) return;
-      t.resp = error_response(code::kInternal, "batch leader aborted");
-      t.done = true;
+    if (trace::enabled()) trace::count("serve.deadline_expired");
+    r = retriable_error(code::kTimeout, "deadline expired during execution");
+  } else {
+    r = Json::object();
+    r.set("ok", out.ok);
+    r.set("time_us", out.time_us);
+    r.set("overhead_us", out.overhead_us);
+    r.set("estimate_us", out.estimate.time_us);
+    r.set("kernel_launches", out.estimate.kernel_launches);
+    if (out.faults > 0) {
+      r.set("faults", out.faults);
+      r.set("retries", out.retries);
+      r.set("degradations", out.degradations);
     }
-    // The conditional re-lock is invisible to the (intraprocedural,
-    // owns_lock-blind) thread-safety analysis; correctness here is covered
-    // by the leader-abort regression test instead.
-    ~LeaderGuard() NO_THREAD_SAFETY_ANALYSIS {
-      if (released) return;
-      try {
-        if (!lk.owns_lock()) lk.lock();
-        for (auto& t : batch) fail(*t);
-        for (auto& t : e.pending) fail(*t);
-        e.pending.clear();
-        e.leader_active = false;
-        e.cv.notify_all();
-        lk.unlock();
-      } catch (...) {
-        // Unlockable or unallocatable mid-unwind: nothing safer remains.
-      }
-    }
-  } guard{*entry, lk, batch};
-  while (!entry->pending.empty()) {
-    batch.clear();
-    batch.swap(entry->pending);
-    lk.unlock();
-    if (auto* hook =
-            testing::batch_abort_hook.load(std::memory_order_relaxed)) {
-      hook();  // outside the per-ticket barriers: simulates a leader abort
-    }
-    const int bsz = static_cast<int>(batch.size());
-    for (auto& t : batch) {
-      // Honor each ticket's own deadline before spending runtime on it: a
-      // follower that waited out its budget in this queue is answered
-      // "timeout" (retriable) without running — its client stopped waiting.
-      if (t->cancel && t->cancel->expired()) {
-        t->resp = retriable_error(code::kTimeout,
-                                  "deadline expired in the batch queue");
-        t->batch = bsz;
-        {
-          sync::MutexLock slk(stats_mu_);
-          ++rstats_.deadline_expired;
-        }
-        if (trace::enabled()) trace::count("serve.deadline_expired");
-        continue;
-      }
-      try {
-        t->resp = run_one(*entry, t->req, t->cancel);
-      } catch (const JsonParseError& e) {
-        t->resp = error_response(code::kBadRequest, e.what());
-      } catch (const CompilerError& e) {
-        t->resp = error_response(code::kBadRequest, e.what());
-      } catch (const EvalError& e) {
-        t->resp = error_response(code::kBadRequest, e.what());
-      } catch (const std::exception& e) {
-        t->resp = error_response(code::kInternal, e.what());
-      }
-      t->batch = bsz;
-    }
-    lk.lock();
-    for (auto& t : batch) t->done = true;
-    entry->cv.notify_all();
-    if (bsz > 1) {
-      if (trace::enabled()) trace::count("serve.batches");
-      sync::MutexLock slk(stats_mu_);
-      ++rstats_.batches;
+    if (!out.ok) {
+      r.set("code", code::kRunFailed);
+      r.set("error", out.error ? out.error->message : "run failed");
     }
   }
-  entry->leader_active = false;
-  guard.released = true;
-  Json r = ticket->resp;
-  lk.unlock();
-
   r.set("cached", cached);
   if (entry->plan_reused && !cached) r.set("plan_cached", true);
-  if (ticket->batch > 1) r.set("batch", ticket->batch);
   return r;
 }
 
@@ -633,7 +479,7 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
   TuningReport rep;
   {
     trace::Span span("serve.tune", "serve");
-    rep = autotune(entry->dev, entry->compiled.source,
+    rep = autotune(entry->dev, entry->compiled.flat.program,
                    entry->compiled.flat.thresholds, train, topts);
   }
 
@@ -695,8 +541,6 @@ Json ServerCore::do_stats() {
   reqs.set("tunes", rs.tunes);
   reqs.set("stats", rs.stats_calls);
   reqs.set("errors", rs.errors);
-  reqs.set("batches", rs.batches);
-  reqs.set("batched_runs", rs.batched_runs);
   reqs.set("deadline_expired", rs.deadline_expired);
 
   Json r = Json::object();

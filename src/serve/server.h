@@ -16,15 +16,11 @@
 //   run      -> lookup under (program, mode, device, dataset shape); a miss
 //               reuses the program-level entry's plan when one exists (the
 //               compile-once promise: a new shape never re-flattens) and
-//               builds a TieredRuntime for the shape.  Concurrent runs
-//               against one entry are *batched*: the first requester
-//               becomes the batch leader, drains every queued request for
-//               the key, and executes them back-to-back through the
-//               entry's single TieredRuntime — followers block on their
-//               ticket.  One runtime means the tiered profile/specialize
-//               machinery keeps working server-side: a hot key crosses its
-//               stability window and subsequent batches replay the
-//               specialized schedule.
+//               builds the shape's RunMemo (src/exec/runtime.h) once,
+//               before inserting the entry.  The memo is immutable, so
+//               concurrent runs against one entry need no lock: each
+//               replays the memo's default-threshold schedule, or descends
+//               the plan on the memo's cache for other thresholds.
 //   tune     -> autotunes the program's thresholds on its training
 //               datasets and publishes them; runs with "tuned":true select
 //               them.  The socket layer queues tune jobs at Low priority
@@ -34,12 +30,12 @@
 //               buffer stays bounded over months of uptime.
 //
 // Fault injection (ServeOptions::faults, also INCFLAT_FAULTS in incflatd)
-// routes every run through the fault-tolerant executor with a per-entry
-// FaultPlan; an unrecoverable run answers ok=false/"run-failed" — a
-// structured response, not a protocol error.
+// routes every run through the fault-tolerant executor with its own
+// FaultPlan, seeded from the entry's seed and the entry's run count; an
+// unrecoverable run answers ok=false/"run-failed" — a structured response,
+// not a protocol error.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -66,9 +62,6 @@ struct ServeOptions {
   /// Fault spec (parse_fault_spec syntax) applied to run execution.
   std::string faults;
   uint64_t fault_seed = 0xfa0175eedULL;
-  /// Tiered-runtime knobs for served runs.
-  bool specialize = true;
-  int64_t hot_runs = 8;
   /// Default trial budget of a `tune` request (overridable per request).
   int tune_trials = 64;
   /// Queue timeout for Low-priority (tune) jobs submitted by the socket
@@ -87,11 +80,9 @@ struct RequestStats {
   int64_t runs = 0;
   int64_t tunes = 0;
   int64_t stats_calls = 0;
-  int64_t errors = 0;        // responses with ok=false
-  int64_t batches = 0;       // run batches with more than one member
-  int64_t batched_runs = 0;  // run requests answered as batch followers
+  int64_t errors = 0;  // responses with ok=false
   /// Requests answered "timeout" because their end-to-end deadline expired
-  /// (at entry, waiting in a batch queue, or mid-run via the CancelToken).
+  /// (at entry, or mid-run via the CancelToken).
   /// Scheduler-queue expiries are counted by SchedulerStats::expired.
   int64_t deadline_expired = 0;
 };
@@ -107,9 +98,9 @@ class ServerCore {
   /// ok=false responses).  `cancel` (optional, not owned, must outlive the
   /// call) carries the request's end-to-end deadline: an already-expired
   /// token answers "timeout" (retriable) without any work, and run/tune
-  /// requests check it cooperatively mid-execution — in the batch leader's
-  /// drain before each ticket, between kernel launches inside the tiered
-  /// runtime, and between tuner evaluations via the tuner's budget hook.
+  /// requests check it cooperatively mid-execution — between kernel
+  /// launches inside the executor, and between tuner evaluations via the
+  /// tuner's budget hook.
   Json handle(const Json& request, const CancelToken* cancel = nullptr);
 
   /// Parse + handle + serialise (compact).  Malformed JSON answers a
@@ -142,12 +133,6 @@ class ServerCore {
                                                 const std::string& dataset,
                                                 bool* cached);
 
-  /// Execute one run request against an entry (leader-only; entry state is
-  /// exclusively owned while ServedPlan::leader_active).  `cancel` is the
-  /// *ticket's* token, not the leader's: in a batch the leader runs other
-  /// requests' work under their deadlines.
-  Json run_one(ServedPlan& entry, const Json& req, const CancelToken* cancel);
-
   ServeOptions opts_;
   FaultSpec fspec_;
   PlanCache cache_;
@@ -179,15 +164,5 @@ class ServerCore {
 std::string program_key(const std::string& benchmark, const std::string& mode,
                         const std::string& device);
 std::string shape_fingerprint(const std::map<std::string, int64_t>& sizes);
-
-namespace testing {
-/// Misuse-injection hook for regression tests: a batch leader calls it once
-/// per drained batch, *outside* the per-ticket exception barriers and with
-/// the entry mutex released.  Tests install a throwing hook to reconstruct
-/// the PR-7 "leader wedge" bug shape and assert the leader guard fails the
-/// open tickets instead of wedging the key.  Null (one relaxed atomic load)
-/// in production.
-extern std::atomic<void (*)()> batch_abort_hook;
-}  // namespace testing
 
 }  // namespace incflat::serve

@@ -1,12 +1,12 @@
 #include "src/support/sync.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "src/support/trace.h"
@@ -262,19 +262,6 @@ void CondVar::wait(Mutex& mu) {
     lockdep::before_acquire(mu.lock_class());
     lockdep::push_held(mu.lock_class());
   }
-}
-
-ExclusiveRegion::Scope::Scope(ExclusiveRegion& r) : r_(r) {
-  if (r_.busy_.exchange(true, std::memory_order_acquire)) {
-    throw std::logic_error(std::string(r_.what_) +
-                           " is single-threaded: concurrent entry detected "
-                           "(serialize callers or give each thread its own "
-                           "instance)");
-  }
-}
-
-ExclusiveRegion::Scope::~Scope() {
-  r_.busy_.store(false, std::memory_order_release);
 }
 
 }  // namespace incflat::sync

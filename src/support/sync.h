@@ -14,7 +14,7 @@
 //     macros expand to nothing — gcc builds are unaffected.
 //
 //   * lockdep, a runtime lock-order validator: every Mutex registers a
-//     named *lock class* ("serve.entry", "pool.mu", ...), and when enabled
+//     named *lock class* ("serve.stats", "pool.mu", ...), and when enabled
 //     (sync::lockdep::set_enabled, INCFLAT_LOCKDEP=1, or the
 //     INCFLAT_LOCKDEP CMake option) each thread keeps a held-lock stack and
 //     the process grows a global acquisition-order graph.  Acquiring B
@@ -36,7 +36,6 @@
 // stats op and soak_faults call it).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -369,34 +368,6 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
-};
-
-/// Loud misuse detector for single-threaded components (TieredRuntime and
-/// friends): entering an ExclusiveRegion that is already occupied throws
-/// std::logic_error instead of letting two threads corrupt unsynchronized
-/// state.  One atomic exchange per entry — cheap enough to stay on in
-/// release builds.
-class ExclusiveRegion {
- public:
-  /// `what` names the component in the failure message (string literal).
-  explicit ExclusiveRegion(const char* what) : what_(what) {}
-  ExclusiveRegion(const ExclusiveRegion&) = delete;
-  ExclusiveRegion& operator=(const ExclusiveRegion&) = delete;
-
-  class Scope {
-   public:
-    explicit Scope(ExclusiveRegion& r);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    ExclusiveRegion& r_;
-  };
-
- private:
-  std::atomic<bool> busy_{false};
-  const char* what_;
 };
 
 }  // namespace incflat::sync

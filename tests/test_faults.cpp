@@ -10,12 +10,16 @@
 //     a degraded run's values are bit-identical to the source program's
 //     (the interpreter oracle);
 //   * unrecoverable runs return a structured Diagnostic, never throw;
+//   * runs through a RunMemo — memo hits, tree descents after a drift or
+//     a threshold flip — are bit-identical to the plain runtime and to the
+//     tree oracle;
 //   * the noisy median-of-k tuner still finds the exhaustive oracle's
 //     quality on the Fig. 2 matmul, candidates that time out are marked
 //     infeasible, the wall-clock budget stops the search gracefully, and a
 //     crash-truncated journal resumes to a bit-identical TuningReport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -469,6 +473,155 @@ TEST(FaultedRun, DisabledFaultPlanIsBitIdenticalToSimulate) {
     EXPECT_DOUBLE_EQ(out.time_us, est.time_us);
     EXPECT_DOUBLE_EQ(out.estimate.time_us, est.time_us);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Run memo: memo hits and rebuilds are bit-identical to the plain runtime
+// ---------------------------------------------------------------------------
+
+void expect_same_estimate(const RunEstimate& a, const RunEstimate& b,
+                          const std::string& ctx) {
+  EXPECT_EQ(a.time_us, b.time_us) << ctx;
+  EXPECT_EQ(a.kernel_launches, b.kernel_launches) << ctx;
+  EXPECT_EQ(a.total.flops, b.total.flops) << ctx;
+  EXPECT_EQ(a.total.gbytes, b.total.gbytes) << ctx;
+  EXPECT_EQ(a.total.lbytes, b.total.lbytes) << ctx;
+  ASSERT_EQ(a.kernels.size(), b.kernels.size()) << ctx;
+  for (size_t i = 0; i < a.kernels.size(); ++i) {
+    const std::string kctx = ctx + " kernel #" + std::to_string(i);
+    EXPECT_EQ(a.kernels[i].what, b.kernels[i].what) << kctx;
+    EXPECT_EQ(a.kernels[i].time_us, b.kernels[i].time_us) << kctx;
+    EXPECT_EQ(a.kernels[i].threads, b.kernels[i].threads) << kctx;
+    EXPECT_EQ(a.kernels[i].work.flops, b.kernels[i].work.flops) << kctx;
+    EXPECT_EQ(a.kernels[i].work.gbytes, b.kernels[i].work.gbytes) << kctx;
+    EXPECT_EQ(a.kernels[i].work.lbytes, b.kernels[i].work.lbytes) << kctx;
+    EXPECT_EQ(a.kernels[i].used_local_fallback,
+              b.kernels[i].used_local_fallback)
+        << kctx;
+  }
+  EXPECT_EQ(a.guards, b.guards) << ctx;
+}
+
+void expect_same_outcome(const RunOutcome& a, const RunOutcome& b,
+                         const std::string& ctx) {
+  EXPECT_EQ(a.ok, b.ok) << ctx;
+  EXPECT_EQ(a.cancelled, b.cancelled) << ctx;
+  EXPECT_EQ(a.time_us, b.time_us) << ctx;
+  EXPECT_EQ(a.overhead_us, b.overhead_us) << ctx;
+  EXPECT_EQ(a.faults, b.faults) << ctx;
+  EXPECT_EQ(a.retries, b.retries) << ctx;
+  EXPECT_EQ(a.degradations, b.degradations) << ctx;
+  EXPECT_EQ(a.degraded, b.degraded) << ctx;
+  EXPECT_EQ(a.thresholds.values, b.thresholds.values) << ctx;
+  EXPECT_EQ(a.thresholds.default_threshold, b.thresholds.default_threshold)
+      << ctx;
+  ASSERT_EQ(a.events.size(), b.events.size()) << ctx;
+  for (size_t i = 0; i < a.events.size(); ++i) {
+    const std::string ectx = ctx + " event #" + std::to_string(i);
+    EXPECT_EQ(a.events[i].launch, b.events[i].launch) << ectx;
+    EXPECT_EQ(a.events[i].kernel, b.events[i].kernel) << ectx;
+    EXPECT_EQ(a.events[i].kind, b.events[i].kind) << ectx;
+    EXPECT_EQ(a.events[i].attempt, b.events[i].attempt) << ectx;
+    EXPECT_EQ(a.events[i].action, b.events[i].action) << ectx;
+    EXPECT_EQ(a.events[i].threshold, b.events[i].threshold) << ectx;
+  }
+  ASSERT_EQ(a.error.has_value(), b.error.has_value()) << ctx;
+  if (a.error) {
+    EXPECT_EQ(a.error->str(), b.error->str()) << ctx;
+  }
+  expect_same_estimate(a.estimate, b.estimate, ctx);
+}
+
+TEST(RunMemo, TieredRunsAreBitIdenticalToThePlainRuntime) {
+  const FaultSpec spec = parse_fault_spec("all=0.05");
+  // Threshold 1 turns every guard on at interpreter sizes: a memo of a
+  // non-default assignment, with guarded siblings to degrade to.
+  ThresholdEnv all_on;
+  all_on.default_threshold = 1;
+  int faulted = 0;
+  for (const auto& name : all_benchmark_names()) {
+    const Benchmark b = get_benchmark(name);
+    const Compiled c = compile(b.program, FlattenMode::Incremental);
+    for (const DeviceProfile& dev : {device_k40(), device_vega64()}) {
+      for (const ThresholdEnv& thr : {ThresholdEnv{}, all_on}) {
+        for (int s = 1; s <= 3; ++s) {
+          const std::string ctx = name + "/" + dev.name + " threshold " +
+                                  std::to_string(thr.default_threshold) +
+                                  " seed " + std::to_string(s);
+          // Short schedules consume only a stream's first draws, so the
+          // run identity is mixed into the seed: bare seeds 1-3 would give
+          // every run the same few, fault-free, decisions.
+          const uint64_t seed = journal_hash(ctx.data(), ctx.size());
+          FaultPlan plain_faults(spec, seed);
+          const RunOutcome plain =
+              run_with_faults(dev, c, b.test_sizes, thr, plain_faults);
+          faulted += plain.faults > 0;
+
+          TieredRuntime rt(dev, *c.plan);
+          FaultPlan first_faults(spec, seed);
+          expect_same_outcome(rt.run(b.test_sizes, thr, first_faults).run,
+                              plain, ctx + " first run");
+          const RunMemo* memo = rt.memo();
+          ASSERT_NE(memo, nullptr) << ctx;
+          // Same shape and thresholds: a memo hit on a fresh fault stream.
+          FaultPlan hit_faults(spec, seed);
+          expect_same_outcome(rt.run(b.test_sizes, thr, hit_faults).run,
+                              plain, ctx + " memo hit");
+          EXPECT_EQ(rt.memo(), memo) << ctx << ": the memo was rebuilt";
+        }
+      }
+    }
+  }
+  EXPECT_GT(faulted, 0) << "the fault spec never fired";
+}
+
+TEST(RunMemo, DriftingStreamsStayBitIdenticalToTheTreeOracle) {
+  int64_t hits = 0, rebuilds = 0;
+  Rng rng(0x57e91);
+  ThresholdEnv flipped;
+  flipped.default_threshold = 1;
+  for (const auto& name : all_benchmark_names()) {
+    const Benchmark b = get_benchmark(name);
+    const Compiled c = compile(b.program, FlattenMode::Incremental);
+    const KernelPlan& plan = *c.plan;
+    for (const DeviceProfile& dev : {device_k40(), device_vega64()}) {
+      TieredRuntime rt(dev, plan);
+      // A 28-run stream: stretches of the stable Table 1 dataset, broken by
+      // adversarial drift — the other dataset, interpreter-tiny sizes, and
+      // random power-of-two rescalings — and by threshold flips.
+      const SizeEnv stable = b.datasets.at(0).sizes;
+      for (int i = 0; i < 28; ++i) {
+        SizeEnv sizes = stable;
+        if (i >= 8 && rng.flip(0.25)) {
+          const int pick = static_cast<int>(rng.uniform_int(0, 2));
+          if (pick == 0 && b.datasets.size() > 1) {
+            sizes = b.datasets.at(1).sizes;
+          } else if (pick == 1) {
+            sizes = b.test_sizes;
+          } else {
+            for (auto& [n, v] : sizes) {
+              const int e = static_cast<int>(rng.uniform_int(-8, 1));
+              v = std::max<int64_t>(1, e < 0 ? v >> -e : v << e);
+            }
+          }
+        }
+        const ThresholdEnv& thr =
+            i == 24 || (i >= 8 && rng.flip(0.15)) ? flipped : ThresholdEnv{};
+        const RunMemo* before = rt.memo();
+        FaultPlan faults;
+        const TieredOutcome t = rt.run(sizes, thr, faults);
+        (rt.memo() == before ? hits : rebuilds) += 1;
+        const std::string ctx =
+            name + "/" + dev.name + " run " + std::to_string(i);
+        ASSERT_TRUE(t.run.ok) << ctx;
+        expect_same_estimate(t.run.estimate,
+                             plan_estimate_run(plan, dev, sizes, thr), ctx);
+      }
+    }
+  }
+  // Both halves of the runtime ran: memo hits and rebuilds.
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(rebuilds, 0);
 }
 
 // ---------------------------------------------------------------------------

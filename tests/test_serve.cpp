@@ -1,9 +1,10 @@
 // Unit + integration tests: the compile-and-serve daemon (src/serve/*) —
 // frame codec edge cases, sharded LRU plan cache semantics, the priority
 // job scheduler (promotion, cancellation, expiry, drop notification),
-// ServerCore request handling with same-plan run batching, the socket
-// front-end over unix and tcp endpoints, and the property that cache-served
-// plans answer bit-identically to freshly compiled ones.
+// ServerCore request handling (concurrent runs on one key, per-request
+// fault streams, the tune op), the socket front-end over unix and tcp
+// endpoints, and the property that cache-served plans answer
+// bit-identically to freshly compiled ones.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/autotune/autotune.h"
 #include "src/benchsuite/benchmark.h"
 #include "src/exec/exec.h"
 #include "src/exec/runtime.h"
@@ -201,7 +203,7 @@ TEST(Cache, FirstInserterWinsTheCompileRace) {
   auto loser = blob(2);
   EXPECT_EQ(cache.insert("k", first, 10).get(), first.get());
   // The racing second inserter gets the existing entry back and must adopt
-  // it — one runtime per key, so batches never split across duplicates.
+  // it — one entry per key.
   EXPECT_EQ(cache.insert("k", loser, 10).get(), first.get());
   EXPECT_EQ(cache.stats().entries, 1u);
   auto got = std::static_pointer_cast<Blob>(cache.find("k"));
@@ -578,7 +580,7 @@ TEST(Deadline, CancelTokenExpiryAndCancel) {
 }
 
 // ---------------------------------------------------------------------------
-// ServerCore: ops, errors, batching
+// ServerCore: ops, errors, concurrency
 // ---------------------------------------------------------------------------
 
 ServeOptions small_opts() {
@@ -691,61 +693,154 @@ TEST(Server, ThresholdOverridesAreHonoredPerRequest) {
             base.get("estimate_us").as_double());
 }
 
-TEST(Server, ConcurrentSamePlanRunsBatch) {
-  ServeOptions opts = small_opts();
-  ServerCore core(opts);
-  core.handle(run_req("matmul", "square"));  // warm the plan entry
-  constexpr int kThreads = 8;
-  constexpr int kReqs = 50;
-  std::atomic<int> failures{0};
-  std::atomic<uint64_t> estimate_bits{0};
-  int64_t issued = 1;
-  // Batching needs two threads inside do_run at once; on a single-CPU box
-  // that takes a preemption landing mid-run, so hammer in rounds until the
-  // overlap happens (one round suffices under real parallelism).
-  for (int round = 0; round < 50; ++round) {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
-        for (int i = 0; i < kReqs; ++i) {
-          const Json r = core.handle(run_req("matmul", "square"));
-          if (!r.get("ok").as_bool()) {
-            ++failures;
-            continue;
-          }
-          // Every answer for the key carries the same estimate bits,
-          // batched or not.
-          double est = r.get("estimate_us").as_double();
-          uint64_t bits = 0;
-          static_assert(sizeof bits == sizeof est);
-          std::memcpy(&bits, &est, sizeof bits);
-          uint64_t expect = 0;
-          if (!estimate_bits.compare_exchange_strong(expect, bits))
-            if (expect != bits) ++failures;
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    issued += kThreads * kReqs;
-    // A lone follower drained in a size-1 batch bumps batched_runs without
-    // bumping batches, so wait for a real multi-member batch: that implies
-    // a follower too (only followers share a leader's swap).
-    if (core.request_stats().batches > 0) break;
-  }
-  EXPECT_EQ(failures.load(), 0);
-  const serve::RequestStats rs = core.request_stats();
-  EXPECT_EQ(rs.runs, issued);
-  // With 8 clients hammering one key, some requests must eventually be
-  // answered as batch followers.
-  EXPECT_GT(rs.batched_runs, 0);
-  EXPECT_GT(rs.batches, 0);
+SizeEnv dataset_sizes(const Benchmark& b, const std::string& name) {
+  for (const auto* set : {&b.datasets, &b.tuning})
+    for (const BenchDataset& d : *set)
+      if (d.name == name) return d.sizes;
+  ADD_FAILURE() << b.name << " has no dataset " << name;
+  return {};
 }
 
-TEST(Server, BatchLeaderSurvivesBadRunRequests) {
-  // run_one can throw on user input (bad 'thresholds', 'tuned' with nothing
-  // published).  The leader must catch per ticket and release leadership:
-  // before the fix the exception escaped with leader_active still set, so
-  // the *next* run on the key parked forever as a follower — this test hung.
+TEST(Server, ConcurrentRunsOnOneKeyMatchTheTreeOracle) {
+  // Eight threads share one run entry's memo, half of their requests with
+  // per-request threshold overrides (memo misses that descend the plan on
+  // the shared cache).  Every answer must carry the in-process estimate of
+  // its own thresholds, bit for bit.
+  ServerCore core(small_opts());
+  const Benchmark b = get_benchmark("matmul");
+  const Compiled c = compile(b.program, FlattenMode::Incremental);
+  const SizeEnv sizes = dataset_sizes(b, "square");
+  std::vector<ThresholdEnv> variants(3);  // [0] = defaults, a memo hit
+  for (const auto& info : c.flat.thresholds.all()) {
+    variants[1].values[info.name] = 1;
+    variants[2].values[info.name] = int64_t{1} << 40;
+  }
+  std::vector<Json> reqs;
+  std::vector<RunEstimate> want;
+  for (const ThresholdEnv& thr : variants) {
+    Json r = run_req("matmul", "square");
+    if (!thr.values.empty()) {
+      Json tj = Json::object();
+      for (const auto& [name, v] : thr.values) tj.set(name, v);
+      r.set("thresholds", tj);
+    }
+    reqs.push_back(r);
+    want.push_back(plan_estimate_run(*c.plan, device_k40(), sizes, thr));
+  }
+  ASSERT_NE(want[0].time_us, want[1].time_us) << "variants must differ";
+  constexpr int kThreads = 8;
+  constexpr int kReqs = 40;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kReqs; ++i) {
+        const size_t v = static_cast<size_t>(t + i) % reqs.size();
+        const Json r = core.handle(reqs[v]);
+        if (!r.get("ok").as_bool() ||
+            r.get("estimate_us").as_double() != want[v].time_us ||
+            static_cast<int64_t>(r.get("kernel_launches").as_double()) !=
+                want[v].kernel_launches)
+          ++wrong;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(core.request_stats().runs, kThreads * kReqs);
+}
+
+TEST(Server, SameFaultSeedAnswersSerialRequestsIdentically) {
+  // Each request draws its own fault stream from the entry seed and the
+  // entry's run count, so one serial request sequence answers the same on
+  // any two cores with the same spec and seed — and repeated requests on
+  // one key do not replay one another's faults.
+  ServeOptions o = small_opts();
+  o.faults = "all=0.3";
+  o.fault_seed = 7;
+  ServerCore a(o), b(o);
+  std::vector<Json> seq;
+  for (const std::string name : {"matmul", "LocVolCalib", "Backprop"}) {
+    const Benchmark bench = get_benchmark(name);
+    for (int i = 0; i < 4; ++i)
+      seq.push_back(run_req(name, bench.datasets.front().name));
+  }
+  // Threshold overrides miss the memo and descend the plan.
+  const Compiled matmul =
+      compile(get_benchmark("matmul").program, FlattenMode::Incremental);
+  Json all_on = Json::object();
+  for (const auto& info : matmul.flat.thresholds.all())
+    all_on.set(info.name, 1);
+  Json flipped = run_req("matmul", "square");
+  flipped.set("thresholds", all_on);
+  seq.push_back(flipped);
+  int faulted = 0;
+  std::vector<std::string> matmul_answers;
+  for (const Json& req : seq) {
+    const std::string ra = a.handle(req).str(-1);
+    EXPECT_EQ(ra, b.handle(req).str(-1)) << req.str(-1);
+    const Json parsed = Json::parse(ra);
+    if (parsed.find("faults")) ++faulted;
+    if (req.get("benchmark").as_string() == "matmul" &&
+        !req.find("thresholds"))
+      matmul_answers.push_back(ra);
+  }
+  EXPECT_GT(faulted, 0) << "the fault spec never fired";
+  bool varied = false;
+  for (const std::string& ans : matmul_answers)
+    varied = varied || ans != matmul_answers.front();
+  EXPECT_TRUE(varied) << "every run of one key drew the same fault stream";
+}
+
+TEST(Server, TuneTunesTheFlattenedProgram) {
+  // The tune op must search the flattened program's thresholds: the answer
+  // equals an in-process autotune of it, and a following "tuned" run
+  // answers the plan's estimate under the published thresholds.  (On
+  // vega64 the tuned thresholds beat the defaults, so they are published.)
+  ServerCore core(small_opts());
+  const DeviceProfile dev = device_vega64();
+  const Benchmark b = get_benchmark("LocVolCalib");
+  const Compiled c = compile(b.program, FlattenMode::Incremental);
+  std::vector<TuningDataset> train;
+  for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
+  TunerOptions topts;
+  topts.max_trials = small_opts().tune_trials;
+  topts.measure_seed = small_opts().fault_seed;
+  topts.workers = 1;
+  const TuningReport rep =
+      autotune(dev, c.flat.program, c.flat.thresholds, train, topts);
+  ASSERT_FALSE(rep.best.values.empty());
+
+  Json req = Json::object();
+  req.set("op", "tune");
+  req.set("benchmark", "LocVolCalib");
+  req.set("device", dev.name);
+  const Json ans = core.handle(req);
+  ASSERT_TRUE(ans.get("ok").as_bool()) << ans.str(-1);
+  EXPECT_EQ(ans.get("best_cost_us").as_double(), rep.best_cost_us);
+  EXPECT_EQ(ans.get("evaluations").as_double(), rep.evaluations);
+  const Json& thr = ans.get("thresholds");
+  EXPECT_EQ(thr.size(), rep.best.values.size());
+  for (const auto& [name, v] : rep.best.values)
+    EXPECT_EQ(thr.get(name).as_double(), static_cast<double>(v)) << name;
+
+  const std::string& ds = b.datasets.front().name;
+  Json run = run_req("LocVolCalib", ds);
+  run.set("device", dev.name);
+  run.set("tuned", true);
+  const Json r = core.handle(run);
+  ASSERT_TRUE(r.get("ok").as_bool()) << r.str(-1);
+  const RunEstimate want =
+      plan_estimate_run(*c.plan, dev, dataset_sizes(b, ds), rep.best);
+  EXPECT_EQ(r.get("estimate_us").as_double(), want.time_us);
+  EXPECT_EQ(r.get("kernel_launches").as_double(),
+            static_cast<double>(want.kernel_launches));
+}
+
+TEST(Server, BadRunRequestsLeaveTheKeyServing) {
+  // A run can throw on user input (bad 'thresholds', 'tuned' with nothing
+  // published): each such request answers bad-request, and the key keeps
+  // serving.
   ServerCore core(small_opts());
   ASSERT_TRUE(core.handle(run_req("matmul", "square")).get("ok").as_bool());
   Json bad = run_req("matmul", "square");
@@ -758,15 +853,13 @@ TEST(Server, BatchLeaderSurvivesBadRunRequests) {
   const Json err2 = core.handle(tuned);
   EXPECT_FALSE(err2.get("ok").as_bool());
   EXPECT_EQ(err2.get("code").as_string(), "bad-request");
-  // The key is not wedged: leadership was released on every error path.
+  // The key is not wedged.
   const Json good = core.handle(run_req("matmul", "square"));
   EXPECT_TRUE(good.get("ok").as_bool());
 }
 
-TEST(Server, BadFollowerRequestFailsOnlyItsOwnTicket) {
-  // A leader executing a follower's bad request must attach the error to
-  // that follower's ticket, not surface it as its own failure or abort the
-  // batch.  Hammer good and bad requests concurrently: every bad request
+TEST(Server, ConcurrentBadRequestsFailOnlyThemselves) {
+  // Good and bad requests hammer one key concurrently: every bad request
   // answers bad-request, every good one answers ok.
   ServerCore core(small_opts());
   ASSERT_TRUE(core.handle(run_req("matmul", "square")).get("ok").as_bool());
@@ -882,61 +975,6 @@ TEST(SchedulerStress, CancelVsFinishRaceSeeded) {
     EXPECT_EQ(dropped.load(), st.cancelled + st.expired);
   }
   EXPECT_EQ(ran.load() + dropped.load(), kJobs);
-}
-
-TEST(Server, LeaderAbortFailsTicketsOpenAndRecovers) {
-  // Misuse-hook reconstruction of the PR-7 leader-wedge: the batch hook
-  // throws outside the per-ticket barriers, exactly where an unforeseen
-  // exception escaped the drain loop before the LeaderGuard existed.  The
-  // guard must fail the open tickets (error responses, not hangs) and
-  // release leadership so the key serves again.  Before the guard, the
-  // *second* request here parked forever as a follower of a dead leader.
-  ServerCore core(small_opts());
-  ASSERT_TRUE(core.handle(run_req("matmul", "square")).get("ok").as_bool());
-
-  static std::atomic<int> aborts_left{2};
-  serve::testing::batch_abort_hook.store(+[] {
-    if (aborts_left.fetch_sub(1) > 0)
-      throw std::runtime_error("injected leader abort");
-  });
-  const Json aborted = core.handle(run_req("matmul", "square"));
-  EXPECT_FALSE(aborted.get("ok").as_bool());
-  serve::testing::batch_abort_hook.store(nullptr);
-
-  // Not wedged: leadership was released by the guard, a new leader runs.
-  const Json after = core.handle(run_req("matmul", "square"));
-  EXPECT_TRUE(after.get("ok").as_bool());
-}
-
-TEST(Server, LeaderAbortFailsConcurrentFollowersOpen) {
-  // Same injection under concurrency: every request racing the aborted
-  // batch must come back *answered* — ok, or an injected/aborted error —
-  // and the key must serve normally afterwards.  A wedge shows up as this
-  // test hanging (followers waiting on a cv nobody will signal).
-  ServerCore core(small_opts());
-  ASSERT_TRUE(core.handle(run_req("matmul", "square")).get("ok").as_bool());
-
-  static std::atomic<int> hook_aborts{3};
-  serve::testing::batch_abort_hook.store(+[] {
-    if (hook_aborts.fetch_sub(1) > 0)
-      throw std::runtime_error("injected leader abort");
-  });
-  std::atomic<int> answered{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 10; ++i) {
-        const Json r = core.handle(run_req("matmul", "square"));
-        ASSERT_TRUE(r.find("ok") != nullptr);
-        ++answered;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  serve::testing::batch_abort_hook.store(nullptr);
-  EXPECT_EQ(answered.load(), 60);
-  const Json after = core.handle(run_req("matmul", "square"));
-  EXPECT_TRUE(after.get("ok").as_bool());
 }
 
 // ---------------------------------------------------------------------------

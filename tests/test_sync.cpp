@@ -91,19 +91,6 @@ TEST(SyncPrimitives, CondVarWakesExplicitWaitLoop) {
   EXPECT_TRUE(ready);
 }
 
-TEST(SyncPrimitives, ExclusiveRegionDetectsNestedEntry) {
-  sync::ExclusiveRegion region("TestComponent");
-  {
-    sync::ExclusiveRegion::Scope outer(region);
-    // Deterministic misuse: a second entry while the first is live is
-    // exactly what two threads racing into a TieredRuntime would do.
-    EXPECT_THROW(sync::ExclusiveRegion::Scope inner(region),
-                 std::logic_error);
-  }
-  // The failed entry must not have poisoned the region.
-  sync::ExclusiveRegion::Scope again(region);
-}
-
 TEST_F(LockdepTest, ConsistentOrderReportsNothing) {
   sync::Mutex a("test.order_a");
   sync::Mutex b("test.order_b");

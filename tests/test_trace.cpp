@@ -5,7 +5,6 @@
 // counters the instrumented compile/tune pipeline emits.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -14,9 +13,7 @@
 #include "src/autotune/autotune.h"
 #include "src/benchsuite/benchmark.h"
 #include "src/exec/exec.h"
-#include "src/exec/runtime.h"
 #include "src/gpusim/device.h"
-#include "src/gpusim/faults.h"
 #include "src/support/json.h"
 #include "src/support/trace.h"
 
@@ -70,55 +67,21 @@ TEST_F(TraceTest, CountersAggregateAcrossThreads) {
 
 TEST_F(TraceTest, CounterNamespacesAreSortedAndDistinct) {
   EXPECT_TRUE(trace::counter_namespaces().empty());
-  trace::count("spesh.dispatches");
-  trace::count("exec.deopts");
-  trace::count("profile.runs_recorded");
-  trace::count("exec.faults", 3);
-  trace::count("spesh.guards_folded", 2);
+  trace::count("tuner.alpha");
+  trace::count("exec.beta");
+  trace::count("serve.gamma");
+  trace::count("exec.delta", 3);
+  trace::count("tuner.epsilon", 2);
   trace::gauge("plan.depth", 4);
   trace::count("bare");  // no dot: its own namespace
   EXPECT_EQ(trace::counter_namespaces(),
-            (std::vector<std::string>{"bare", "exec", "plan", "profile",
-                                      "spesh"}));
+            (std::vector<std::string>{"bare", "exec", "plan", "serve",
+                                      "tuner"}));
   // The --stats summary lists them under the counter table.
   std::ostringstream os;
   trace::print_summary(os);
-  EXPECT_NE(os.str().find("namespaces: bare exec plan profile spesh"),
+  EXPECT_NE(os.str().find("namespaces: bare exec plan serve tuner"),
             std::string::npos);
-}
-
-TEST_F(TraceTest, TieredRuntimeEmitsProfileSpeshAndDeoptCounters) {
-  const Benchmark b = get_benchmark("Heston");
-  const Compiled c = compile(b.program, FlattenMode::Incremental);
-  const DeviceProfile dev = device_k40();
-  TierPolicy tp;
-  tp.hot_runs = 3;
-  TieredRuntime rt(dev, *c.plan, tp);
-  const SizeEnv sizes = b.datasets.at(0).sizes;
-  for (int i = 0; i < 5; ++i) {
-    FaultPlan faults;
-    rt.run(sizes, {}, faults);
-  }
-  // A threshold flip forces one deoptimization.
-  ThresholdEnv flipped;
-  flipped.default_threshold = 1;
-  FaultPlan faults;
-  rt.run(sizes, flipped, faults);
-
-  // Exactly the counters `incflatc --stats` surfaces.
-  const auto counters = trace::counters();
-  EXPECT_EQ(counters.at("profile.runs_recorded"), 3 + 1);
-  EXPECT_EQ(counters.at("spesh.specializations"), 1);
-  EXPECT_GT(counters.at("spesh.guards_folded") +
-                counters.at("spesh.guards_elided"),
-            0);
-  EXPECT_EQ(counters.at("spesh.dispatches"), 2);
-  EXPECT_EQ(counters.at("spesh.invalidations"), 1);
-  EXPECT_EQ(counters.at("exec.deopts"), 1);
-  const auto ns = trace::counter_namespaces();
-  for (const std::string want : {"exec", "profile", "spesh"}) {
-    EXPECT_NE(std::find(ns.begin(), ns.end(), want), ns.end()) << want;
-  }
 }
 
 TEST_F(TraceTest, GaugeOverwritesInsteadOfAccumulating) {

@@ -13,7 +13,6 @@
 // simulated device profiles.
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -71,19 +70,6 @@ struct Options {
   std::string run_policy;   // --run-policy SPEC
   std::string tune_journal; // --tune-journal FILE
   bool resume = false;
-  bool profile = false;        // --profile[=FILE]
-  std::string profile_file;    // persisted execution profile
-  bool specialize = false;     // --specialize
-  bool deopt_stats = false;    // --deopt-stats
-  int repeat = 1;              // --repeat N
-  int64_t hot_runs = 8;        // --hot-runs N
-
-  /// Any tiered-runtime surface requested: routes --dataset simulation
-  /// through TieredRuntime.  When false the classic single-tier path runs,
-  /// byte-identical to previous releases.
-  bool tiered() const {
-    return profile || specialize || deopt_stats || repeat > 1;
-  }
 };
 
 /// Route a CLI-level error through the structured diagnostics layer.
@@ -151,21 +137,6 @@ int usage() {
       "                              crash-safe journal\n"
       "  --resume                    resume --tune from --tune-journal to a\n"
       "                              bit-identical report\n"
-      "  --profile[=FILE]            record per-guard execution profiles\n"
-      "                              across --repeat runs; with =FILE, seed\n"
-      "                              from FILE when it exists and save back\n"
-      "                              atomically (also seeds --tune: cold\n"
-      "                              thresholds are pruned from the search)\n"
-      "  --specialize                speculatively specialize the plan once\n"
-      "                              every guard is stable for --hot-runs\n"
-      "                              runs; shape drift deoptimizes back to\n"
-      "                              the guard tree (implies --profile)\n"
-      "  --hot-runs N                stability window for --specialize\n"
-      "                              (default 8)\n"
-      "  --repeat N                  run the dataset N times through the\n"
-      "                              tiered runtime\n"
-      "  --deopt-stats               print tier dispatch, deoptimization and\n"
-      "                              per-guard profile tables after the runs\n"
       "exit codes: 0 success; 1 verification/lint/run failure; 2 usage;\n"
       "            3 input file missing, unreadable or malformed\n";
   return 2;
@@ -250,40 +221,6 @@ std::optional<Options> parse(int argc, char** argv) {
       else return std::nullopt;
     } else if (a == "--resume") {
       o.resume = true;
-    } else if (a == "--profile") {
-      o.profile = true;
-    } else if (a.rfind("--profile=", 0) == 0) {
-      o.profile = true;
-      o.profile_file = a.substr(std::string("--profile=").size());
-      if (o.profile_file.empty()) return std::nullopt;
-    } else if (a == "--specialize") {
-      o.specialize = true;
-    } else if (a == "--deopt-stats") {
-      o.deopt_stats = true;
-    } else if (a == "--repeat") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      try {
-        o.repeat = std::stoi(v);
-      } catch (const std::exception&) {
-        o.repeat = 0;
-      }
-      if (o.repeat < 1) {
-        cli_error("usage", std::string("bad --repeat: ") + v);
-        return std::nullopt;
-      }
-    } else if (a == "--hot-runs") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      try {
-        o.hot_runs = std::stoll(v);
-      } catch (const std::exception&) {
-        o.hot_runs = 0;
-      }
-      if (o.hot_runs < 1) {
-        cli_error("usage", std::string("bad --hot-runs: ") + v);
-        return std::nullopt;
-      }
     } else {
       cli_error("usage", "unknown option: " + a);
       return std::nullopt;
@@ -426,14 +363,6 @@ int run(const Options& o) {
   ThresholdEnv thresholds;
   if (!o.tuning_in.empty()) thresholds = load_tuning(o.tuning_in);
 
-  // Persisted execution profile (--profile=FILE): seeds the tiered runtime
-  // and the tuner's search-space pruning.  A missing file is not an error —
-  // it is created on save; a malformed one is (exit 3, with line/column).
-  std::optional<profile::ExecProfile> seeded_prof;
-  if (!o.profile_file.empty() && std::ifstream(o.profile_file).good()) {
-    seeded_prof = profile::load_profile(o.profile_file);
-  }
-
   // Fault injection: spec parse errors are input errors (exit 3, via the
   // IoError handler in main), like an unreadable tuning file.
   const FaultSpec fspec = parse_fault_spec(o.faults);
@@ -452,9 +381,6 @@ int run(const Options& o) {
     if (o.fault_seed_set) topts.measure_seed = o.fault_seed;
     topts.journal = o.tune_journal;
     topts.resume = o.resume;
-    if (seeded_prof && seeded_prof->device == dev.name) {
-      topts.profile = &*seeded_prof;
-    }
     TuningReport rep =
         o.exhaustive
             ? exhaustive_tune(dev, fr.program, fr.thresholds, train,
@@ -470,10 +396,6 @@ int run(const Options& o) {
       std::cout << "  " << rep.journal_replayed << " replayed from journal, "
                 << rep.infeasible << " infeasible"
                 << (rep.early_stopped ? ", stopped on budget" : "") << "\n";
-    }
-    if (rep.profile_seeded) {
-      std::cout << "  profile-seeded search: " << rep.cold_pruned
-                << " cold threshold(s) pruned\n";
     }
     if (!o.tuning_out.empty()) {
       save_tuning(o.tuning_out, thresholds);
@@ -492,82 +414,6 @@ int run(const Options& o) {
     if (!ds) {
       std::cerr << "unknown dataset " << o.dataset << "\n";
       return 2;
-    }
-
-    if (o.tiered()) {
-      // Tiered execution: profile the guard tree across --repeat runs,
-      // specialize once stable, deoptimize on drift.  Uses the kernel plan
-      // (--oracle has no tiered analogue).
-      if (!c.plan) {
-        cli_error("input", "tiered execution needs a kernel plan, but the "
-                           "pipeline did not run plan-build");
-        return 1;
-      }
-      TierPolicy tp;
-      tp.profile = true;
-      tp.specialize = o.specialize;
-      tp.hot_runs = o.hot_runs;
-      tp.run = policy;
-      TieredRuntime rt(dev, *c.plan, tp);
-      if (seeded_prof && !rt.seed_profile(*seeded_prof)) {
-        std::cerr << "note: profile " << o.profile_file
-                  << " was recorded on '" << seeded_prof->device << "', not '"
-                  << dev.name << "'; starting fresh\n";
-      }
-      FaultPlan fplan(fspec, o.fault_seed);
-      bool all_ok = true;
-      Json jruns = Json::array();
-      if (!o.json) {
-        std::cout << b.name << "/" << ds->name << " on " << dev.name
-                  << " (tiered, " << o.repeat << " run(s)):\n";
-      }
-      for (int r = 0; r < o.repeat; ++r) {
-        const TieredOutcome t = rt.run(ds->sizes, thresholds, fplan);
-        all_ok = all_ok && t.run.ok;
-        if (o.json) {
-          Json jr = Json::object();
-          jr.set("ok", t.run.ok)
-              .set("time_us", t.run.time_us)
-              .set("overhead_us", t.run.overhead_us)
-              .set("tier", t.specialized ? "specialized" : "tree")
-              .set("deopted", t.deopted)
-              .set("faults", t.run.faults)
-              .set("retries", t.run.retries)
-              .set("degradations", t.run.degradations);
-          if (t.deopted) jr.set("deopt_reason", t.deopt_reason);
-          jruns.push(std::move(jr));
-        } else {
-          std::cout << "  run " << (r + 1) << " ["
-                    << (t.specialized ? "spesh" : "tree")
-                    << "]: " << outcome_str(t.run);
-          if (t.deopted) std::cout << "  (deopt: " << t.deopt_reason << ")";
-          std::cout << "\n";
-          if (t.run.error) std::cout << "    " << t.run.error->str() << "\n";
-        }
-      }
-      const TierStats& ts = rt.stats();
-      if (o.json) {
-        Json j = Json::object();
-        j.set("benchmark", b.name)
-            .set("mode", mode_name(mode))
-            .set("device", dev.name)
-            .set("dataset", ds->name)
-            .set("runs", std::move(jruns))
-            .set("tiers", Json::object()
-                              .set("tree_runs", ts.tree_runs)
-                              .set("spec_runs", ts.spec_runs)
-                              .set("specializations", ts.specializations)
-                              .set("deopts", ts.deopts)
-                              .set("invalidations", ts.invalidations));
-        std::cout << j.str() << "\n";
-      } else if (o.deopt_stats) {
-        std::cout << rt.deopt_stats() << "\n";
-      }
-      if (!o.profile_file.empty()) {
-        profile::save_profile(o.profile_file, rt.prof());
-        if (!o.json) std::cout << "wrote " << o.profile_file << "\n";
-      }
-      return all_ok ? 0 : 1;
     }
 
     // simulate() prices via the kernel plan when one exists and falls back

@@ -2,8 +2,8 @@
 //
 // Serves compile / run / tune / stats requests over the length-prefixed
 // JSON protocol (src/serve/protocol.h) on a unix or tcp endpoint, with a
-// sharded LRU plan cache, a priority job scheduler, and same-plan request
-// batching (src/serve/).  See DESIGN.md, "Compile-and-serve daemon".
+// sharded LRU plan cache and a priority job scheduler (src/serve/).  See
+// DESIGN.md, "Compile-and-serve daemon".
 //
 //   incflatd --listen unix:/tmp/incflatd.sock
 //   incflatd --listen tcp:7465 --cache-mb 128 --workers 4
@@ -69,9 +69,6 @@ int usage(FILE* to) {
                "                     (also INCFLAT_FAULTS)\n"
                "  --fault-seed N     fault stream seed "
                "(also INCFLAT_FAULT_SEED)\n"
-               "  --no-specialize    disable tiered specialization\n"
-               "  --hot-runs N       specialization stability window "
-               "(default 8)\n"
                "  --tune-trials N    default tune trial budget (default 64)\n"
                "  --tune-timeout MS  drop tune jobs queued longer than MS\n"
                "  --max-conns N      connection cap: connections past it "
@@ -140,10 +137,6 @@ int main(int argc, char** argv) {
       opt.serve.faults = next();
     } else if (arg == "--fault-seed") {
       opt.serve.fault_seed = std::strtoull(next(), nullptr, 0);
-    } else if (arg == "--no-specialize") {
-      opt.serve.specialize = false;
-    } else if (arg == "--hot-runs") {
-      opt.serve.hot_runs = std::atoll(next());
     } else if (arg == "--tune-trials") {
       opt.serve.tune_trials = std::atoi(next());
     } else if (arg == "--tune-timeout") {

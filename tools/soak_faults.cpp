@@ -17,13 +17,6 @@
 //   * a noisy autotuning smoke on each program completes, journals, and
 //     resumes to a bit-identical report.
 //
-// A tiered phase drives the speculative runtime the same way: every
-// benchsuite program on both devices executes a drifting-shape stream under
-// injected faults through TieredRuntime, checking that deoptimized runs
-// re-execute interpreter-identical, that no specialized plan survives a
-// fault degradation, and that specialized-tier estimates stay bit-identical
-// to the tree's.
-//
 // A serve phase drives a fault-injected ServerCore from concurrent threads
 // — the daemon minus its sockets — with the lockdep lock-order validator
 // on for the whole soak; the run fails if any acquisition anywhere closed
@@ -43,7 +36,6 @@
 // ASan+UBSan, so memory errors in the fault paths also fail the job.
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -62,7 +54,6 @@
 #include "src/exec/exec.h"
 #include "src/exec/runtime.h"
 #include "src/gpusim/faults.h"
-#include "src/plan/plan.h"
 #include "src/serve/net.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
@@ -79,10 +70,6 @@ struct Tally {
   int faulted = 0;
   int degraded = 0;
   int unrecoverable = 0;
-  int tiered_runs = 0;
-  int spec_runs = 0;        // runs the specialized schedule completed
-  int specializations = 0;  // specialized plans built across all streams
-  int deopts = 0;           // deoptimizations across all streams
   int failures = 0;  // contract violations (crashes the job)
 };
 
@@ -135,98 +122,6 @@ void soak_one(Tally& t, const Benchmark& b, const Compiled& c,
   check(t, same, tag + ": degraded run is not value-identical to the source");
 }
 
-/// Tiered-runtime soak: a drifting-shape stream through TieredRuntime under
-/// injected faults.  A fault-free stable prefix lets the plan specialize;
-/// the tail drifts shapes (shrinking and restoring each size) and flips the
-/// threshold assignment once, forcing deopts.  Contracts: no run throws,
-/// every deoptimized ok-run re-executes interpreter-identical to the source
-/// under its effective thresholds, no specialized plan survives a
-/// degradation, and specialized-tier estimates match the tree oracle
-/// bit for bit.
-void soak_tiered(Tally& t, const Benchmark& b, const Compiled& c,
-                 const DeviceProfile& dev, const FaultSpec& spec,
-                 uint64_t seed) {
-  const KernelPlan& plan = *c.plan;
-  if (plan.legacy_fallback) return;
-  const std::string tag = b.name + "/" + dev.name + " tiered";
-
-  // Threshold 1 turns every guard on at interpreter sizes, so shape drift
-  // and degradation both have versions to move between.
-  ThresholdEnv all_on;
-  all_on.default_threshold = 1;
-  ThresholdEnv flipped;  // paper default: mostly sequentialised versions
-
-  TierPolicy tp;
-  tp.hot_runs = 3;
-  TieredRuntime rt(dev, plan, tp);
-  Rng drift_rng(seed ^ 0x7d1f7);
-  FaultPlan faults(spec, seed);
-
-  for (int i = 0; i < 14; ++i) {
-    // Stable fault-free prefix (runs 0-4), then drifting shapes under
-    // faults, then one threshold flip (run 12) and a recovery run.
-    SizeEnv sizes = b.test_sizes;
-    if (i >= 5 && i < 12 && drift_rng.flip(0.4)) {
-      for (auto& [n, v] : sizes) {
-        if (drift_rng.flip(0.5)) v = std::max<int64_t>(1, v >> 1);
-      }
-    }
-    const ThresholdEnv& thr = i == 12 ? flipped : all_on;
-    FaultPlan none;
-    FaultPlan& fp = i < 5 ? none : faults;
-
-    TieredOutcome out;
-    try {
-      out = rt.run(sizes, thr, fp);
-    } catch (const std::exception& e) {
-      check(t, false, tag + " run " + std::to_string(i) +
-                          ": TieredRuntime::run threw: " + e.what());
-      return;
-    }
-    ++t.tiered_runs;
-    if (out.specialized) ++t.spec_runs;
-    if (out.deopted) ++t.deopts;
-    if (out.run.degradations > 0) ++t.degraded;
-    const std::string rtag = tag + " run " + std::to_string(i);
-
-    if (!out.run.ok) {
-      ++t.unrecoverable;
-      check(t, out.run.error.has_value(), rtag + ": failed without a diagnostic");
-      continue;
-    }
-
-    // No specialization survives a degradation.
-    if (out.run.degradations > 0) {
-      check(t, rt.specialized() == nullptr,
-            rtag + ": a specialized plan survived a degradation");
-    }
-
-    // A specialized run's estimate is bit-identical to the tree descent.
-    if (out.specialized) {
-      const RunEstimate oracle = plan_estimate_run(plan, dev, sizes, thr);
-      check(t, out.run.estimate.time_us == oracle.time_us &&
-                   out.run.estimate.kernel_launches == oracle.kernel_launches,
-            rtag + ": specialized estimate diverged from the tree oracle");
-    }
-
-    // Every deoptimized run re-executes interpreter-identical: the values
-    // under its effective thresholds match the source program's.
-    if (out.deopted) {
-      Rng in_rng(0xabc);
-      const std::vector<Value> inputs = b.gen_inputs(in_rng, sizes);
-      const Values want = execute_source(c, sizes, inputs);
-      const Values got = execute(dev, c, sizes, out.run.thresholds, inputs);
-      bool same = got.size() == want.size();
-      for (size_t v = 0; same && v < got.size(); ++v) {
-        same = got[v].approx_equal(want[v], 0);
-      }
-      check(t, same, rtag + ": deoptimized run is not value-identical (" +
-                         out.deopt_reason + ")");
-    }
-  }
-  t.specializations += static_cast<int>(rt.stats().specializations);
-}
-
 /// Noisy, journaled tuning completes and resumes bit-identically.
 void soak_tuning(Tally& t, const Benchmark& b, const Compiled& c,
                  const DeviceProfile& dev, const FaultSpec& spec,
@@ -263,8 +158,8 @@ void soak_tuning(Tally& t, const Benchmark& b, const Compiled& c,
 
 /// Concurrent daemon-shape soak: several threads hammer one fault-injected
 /// ServerCore with run/compile/stats traffic.  The point is lock-graph
-/// coverage — batching (serve.entry), cache sharding, the scheduler and the
-/// stats paths all interleave here, and lockdep watches every acquisition.
+/// coverage — cache sharding, the shape table, the scheduler and the stats
+/// paths all interleave here, and lockdep watches every acquisition.
 void soak_serve(Tally& t, const std::string& spec_str) {
   // Tracing on: the X -> trace.state ordering edges (cache shards, the
   // scheduler, the pool all count under their locks) only exist while the
@@ -542,19 +437,10 @@ int soak(const std::string& spec_str, int n_seeds) {
         }
       }
       soak_tuning(t, b, c, dev, spec, 0xbeef + static_cast<uint64_t>(0));
-      for (int s = 0; s < std::max(1, n_seeds / 2); ++s) {
-        const std::string id = b.name + "/" + dev.name + "#tiered#" +
-                               std::to_string(s);
-        soak_tiered(t, b, c, dev, spec, journal_hash(id.data(), id.size()));
-      }
     }
   }
   soak_serve(t, spec_str);
   soak_chaos(t, /*heavy=*/false);
-  // The tiered streams must actually exercise both tiers, or their checks
-  // are vacuous.
-  check(t, t.specializations > 0, "tiered soak: no plan ever specialized");
-  check(t, t.deopts > 0, "tiered soak: no run ever deoptimized");
 
   // Lock-hierarchy certification: the entire soak — serve phase included —
   // ran with lockdep on; any acquisition that closed an ordering cycle is a
@@ -570,10 +456,8 @@ int soak(const std::string& spec_str, int n_seeds) {
             << (ls.violations == 0 ? "acyclic" : "CYCLIC") << "\n";
   std::cout << "soak: " << t.runs << " runs (" << t.faulted << " with faults, "
             << t.degraded << " degraded, " << t.unrecoverable
-            << " unrecoverable-but-structured), " << t.tiered_runs
-            << " tiered runs (" << t.spec_runs << " specialized, "
-            << t.specializations << " specializations, " << t.deopts
-            << " deopts), spec " << fault_spec_str(spec) << ", " << t.failures
+            << " unrecoverable-but-structured), spec "
+            << fault_spec_str(spec) << ", " << t.failures
             << " contract failure(s)\n";
   return t.failures == 0 ? 0 : 1;
 }
