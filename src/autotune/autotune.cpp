@@ -16,7 +16,6 @@
 #include "src/autotune/journal.h"
 #include "src/plan/plan.h"
 #include "src/support/error.h"
-#include "src/support/pool.h"
 #include "src/support/rng.h"
 #include "src/support/trace.h"
 
@@ -157,92 +156,29 @@ bool session_needed(const TunerOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy evaluation: IR walk per candidate, string dedup keys from the
-// threshold registry.  Kept as the debug oracle behind TunerOptions::use_plan
-// and as the fallback for programs the plan builder cannot lower.
-// ---------------------------------------------------------------------------
-
-/// Dedup key: the concatenated path signatures of all datasets.  Two
-/// assignments with equal keys drive every dataset through the same code
-/// versions, hence cost the same (paper Sec. 4.2).
-std::string signature_key(const ThresholdRegistry& reg,
-                          const std::vector<TuningDataset>& datasets,
-                          const std::map<std::string, int64_t>& assignment,
-                          int64_t default_value, int64_t max_group) {
-  std::string key;
-  for (const auto& d : datasets) {
-    for (bool b :
-         reg.path_signature(d.sizes, assignment, default_value, max_group)) {
-      key += b ? '1' : '0';
-    }
-    key += '|';
-  }
-  return key;
-}
-
-struct WalkMemoizer {
-  const DeviceProfile& dev;
-  const Program& p;
-  const ThresholdRegistry& reg;
-  const std::vector<TuningDataset>& datasets;
-  int64_t default_value;
-  MeasureSession* session = nullptr;
-  std::map<std::string, double> cache;
-  int evaluations = 0;
-  int dedup_hits = 0;
-
-  double cost(const std::map<std::string, int64_t>& assignment) {
-    const std::string key = signature_key(reg, datasets, assignment,
-                                          default_value, dev.max_group_size);
-    auto it = cache.find(key);
-    if (it != cache.end()) {
-      ++dedup_hits;
-      return it->second;
-    }
-    ++evaluations;
-    const auto true_cost = [&] {
-      return tuning_cost(dev, p, datasets, to_env(assignment, default_value));
-    };
-    const double c =
-        session ? session->evaluate(journal_hash(key.data(), key.size()),
-                                    true_cost)
-                : true_cost();
-    cache.emplace(key, c);
-    return c;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Plan-based evaluation: the program is lowered once, each dataset's sizes
-// are swept through the cost arena once, and every candidate afterwards is
-// a decision-tree descent.  Dedup keys are the concatenated guard-path
-// bitsets of all datasets, read off the same descent.
+// Evaluation: the program is lowered once, each dataset's sizes are swept
+// through the cost arena once, and every candidate afterwards is a
+// decision-tree descent.  Dedup keys are the concatenated guard-path
+// bitsets of all datasets.
 // ---------------------------------------------------------------------------
 
 struct PlanEval {
   KernelPlan plan;
-  std::vector<std::unique_ptr<PlanDatasetCache>> caches;
+  std::vector<PlanDatasetCache> caches;
   const std::vector<TuningDataset>* datasets = nullptr;
   int64_t default_value = 0;
 
-  bool ok() const { return !plan.legacy_fallback; }
-
   static PlanEval build(const DeviceProfile& dev, const Program& p,
                         const std::vector<TuningDataset>& datasets,
-                        int64_t default_value, WorkerPool& pool) {
+                        int64_t default_value) {
     trace::Span span("tune.plan_warm");
     PlanEval ev;
     ev.plan = build_kernel_plan(p);
     ev.datasets = &datasets;
     ev.default_value = default_value;
-    if (!ev.plan.legacy_fallback) {
-      // Warm the per-dataset caches concurrently: each is one independent
-      // forward sweep over the arena plus kernel pricing.
-      ev.caches.resize(datasets.size());
-      pool.run(static_cast<int>(datasets.size()), [&](int i) {
-        ev.caches[static_cast<size_t>(i)] = std::make_unique<PlanDatasetCache>(
-            ev.plan, dev, datasets[static_cast<size_t>(i)].sizes);
-      });
+    ev.caches.reserve(datasets.size());
+    for (const TuningDataset& d : datasets) {
+      ev.caches.emplace_back(ev.plan, dev, d.sizes);
     }
     return ev;
   }
@@ -250,8 +186,8 @@ struct PlanEval {
   /// Dedup key of an assignment across all datasets.
   std::vector<uint64_t> key(const ThresholdEnv& env) const {
     std::vector<uint64_t> k;
-    for (const auto& c : caches) {
-      const PathSig s = plan_signature(plan, *c, env);
+    for (const PlanDatasetCache& c : caches) {
+      const PathSig s = plan_signature(plan, c, env);
       k.insert(k.end(), s.bits.begin(), s.bits.end());
     }
     return k;
@@ -259,16 +195,18 @@ struct PlanEval {
 
   /// Weighted-sum cost; the same accumulation order as tuning_cost, and
   /// plan_cost is bit-identical to estimate_run().time_us, so this equals
-  /// the legacy cost exactly.
+  /// the reference cost exactly.
   double cost(const ThresholdEnv& env) const {
     double total = 0;
     for (size_t i = 0; i < caches.size(); ++i) {
-      total += (*datasets)[i].weight * plan_cost(plan, *caches[i], env);
+      total += (*datasets)[i].weight * plan_cost(plan, caches[i], env);
     }
     return total;
   }
 };
 
+/// Candidate costs memoized by dedup key: an assignment whose key was seen
+/// is a dedup hit and costs nothing to evaluate (paper Sec. 4.2).
 struct PlanMemoizer {
   const PlanEval& ev;
   MeasureSession* session = nullptr;
@@ -298,11 +236,11 @@ struct PlanMemoizer {
 };
 
 // ---------------------------------------------------------------------------
-// Search (shared between both evaluation back ends).
+// Search.
 // ---------------------------------------------------------------------------
 
-template <class Memo>
-void stochastic_search(Memo& memo, const std::vector<std::string>& names,
+void stochastic_search(PlanMemoizer& memo,
+                       const std::vector<std::string>& names,
                        const TunerOptions& opts, TuningReport& rep) {
   // The wall-clock budget is checked between trials: the search never
   // aborts mid-measurement, it stops gracefully and keeps the incumbent.
@@ -368,28 +306,6 @@ void stochastic_search(Memo& memo, const std::vector<std::string>& names,
   rep.dedup_hits = memo.dedup_hits;
 }
 
-/// All full assignments of `cands` values to `names`, in the legacy
-/// recursive enumeration order (innermost name varies fastest).
-std::vector<std::map<std::string, int64_t>> enumerate_assignments(
-    const std::vector<std::string>& names,
-    const std::vector<std::vector<int64_t>>& cands) {
-  std::vector<std::map<std::string, int64_t>> all;
-  std::map<std::string, int64_t> current;
-  std::function<void(size_t)> go = [&](size_t i) {
-    if (i == names.size()) {
-      all.push_back(current);
-      return;
-    }
-    for (int64_t v : cands[i]) {
-      current[names[i]] = v;
-      go(i + 1);
-    }
-    current.erase(names[i]);
-  };
-  go(0);
-  return all;
-}
-
 /// One-shot trace counters for a finished search: the hot candidate loop
 /// stays uninstrumented, the tallies it already keeps in the report are
 /// published at the end.
@@ -398,7 +314,6 @@ void trace_report(const TuningReport& rep) {
   trace::count("tuner.candidates", rep.trials);
   trace::count("tuner.evaluations", rep.evaluations);
   trace::count("tuner.dedup_hits", rep.dedup_hits);
-  if (rep.used_plan) trace::count("tuner.plan_searches");
 }
 
 }  // namespace
@@ -422,9 +337,7 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
   std::vector<std::string> names;
   for (const auto& ti : reg.all()) names.push_back(ti.name);
 
-  // Robust-measurement session (noise, failures, timeout, journal).  Held
-  // outside both back ends so a resumed journal replays identically
-  // whichever evaluation path the program selects.
+  // Robust-measurement session (noise, failures, timeout, journal).
   std::unique_ptr<MeasureSession> session;
   std::unique_ptr<TuneJournal> journal;
   if (session_needed(opts)) {
@@ -445,20 +358,9 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
     }
   }
 
-  if (opts.use_plan) {
-    WorkerPool pool(opts.workers);
-    PlanEval ev =
-        PlanEval::build(dev, p, datasets, opts.default_threshold, pool);
-    if (ev.ok()) {
-      PlanMemoizer memo{ev, session.get(), {}, 0, 0};
-      stochastic_search(memo, names, opts, rep);
-      rep.used_plan = true;
-      trace_report(rep);
-      return rep;
-    }
-  }
-  WalkMemoizer memo{dev,  p,           reg, datasets, opts.default_threshold,
-                    session.get(), {}, 0,   0};
+  const PlanEval ev =
+      PlanEval::build(dev, p, datasets, opts.default_threshold);
+  PlanMemoizer memo{ev, session.get(), {}, 0, 0};
   stochastic_search(memo, names, opts, rep);
   trace_report(rep);
   return rep;
@@ -467,8 +369,7 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
 TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
                              const ThresholdRegistry& reg,
                              const std::vector<TuningDataset>& datasets,
-                             int64_t default_threshold,
-                             const TunerOptions& opts) {
+                             int64_t default_threshold) {
   trace::Span span("tune.exhaustive");
   TuningReport rep;
 
@@ -484,93 +385,30 @@ TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
     names.push_back(ti.name);
     cands.emplace_back(c.begin(), c.end());
   }
-  const std::vector<std::map<std::string, int64_t>> all =
-      enumerate_assignments(names, cands);
 
-  if (opts.use_plan) {
-    WorkerPool pool(opts.workers);
-    PlanEval ev = PlanEval::build(dev, p, datasets, default_threshold, pool);
-    if (ev.ok()) {
-      rep.used_plan = true;
-      const int n = static_cast<int>(all.size());
-
-      // Phase 1: dedup keys for every candidate, concurrently.
-      std::vector<ThresholdEnv> envs(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        envs[static_cast<size_t>(i)] =
-            to_env(all[static_cast<size_t>(i)], default_threshold);
-      }
-      const ThresholdEnv default_env = to_env({}, default_threshold);
-      const std::vector<uint64_t> default_key = ev.key(default_env);
-      std::vector<std::vector<uint64_t>> keys(static_cast<size_t>(n));
-      pool.run(n, [&](int i) {
-        keys[static_cast<size_t>(i)] = ev.key(envs[static_cast<size_t>(i)]);
-      });
-
-      // Phase 2: one representative per distinct key (-1 = default env).
-      std::map<std::vector<uint64_t>, int> rep_ix;
-      rep_ix.emplace(default_key, -1);
-      for (int i = 0; i < n; ++i) {
-        rep_ix.emplace(keys[static_cast<size_t>(i)], i);
-      }
-
-      // Phase 3: price only the representatives, concurrently.
-      std::vector<std::pair<const std::vector<uint64_t>*, int>> uniq;
-      uniq.reserve(rep_ix.size());
-      for (const auto& [k, ix] : rep_ix) uniq.emplace_back(&k, ix);
-      std::vector<double> ucost(uniq.size());
-      pool.run(static_cast<int>(uniq.size()), [&](int u) {
-        const int ix = uniq[static_cast<size_t>(u)].second;
-        ucost[static_cast<size_t>(u)] =
-            ev.cost(ix < 0 ? default_env : envs[static_cast<size_t>(ix)]);
-      });
-      std::map<std::vector<uint64_t>, double> cost_of;
-      for (size_t u = 0; u < uniq.size(); ++u) {
-        cost_of.emplace(*uniq[u].first, ucost[u]);
-      }
-
-      // Phase 4: deterministic sequential replay of the legacy scan order,
-      // with the memoizer's counter semantics.
-      std::set<std::vector<uint64_t>> seen;
-      auto memo_cost = [&](const std::vector<uint64_t>& k) {
-        if (seen.insert(k).second) {
-          ++rep.evaluations;
-        } else {
-          ++rep.dedup_hits;
-        }
-        return cost_of.at(k);
-      };
-      rep.default_cost_us = memo_cost(default_key);
-      double best = memo_cost(default_key);
-      std::map<std::string, int64_t> best_assign;
-      for (int i = 0; i < n; ++i) {
-        ++rep.trials;
-        const double c = memo_cost(keys[static_cast<size_t>(i)]);
-        if (c < best) {
-          best = c;
-          best_assign = all[static_cast<size_t>(i)];
-        }
-      }
-      rep.best = to_env(best_assign, default_threshold);
-      rep.best_cost_us = best;
-      trace_report(rep);
-      return rep;
-    }
-  }
-
-  WalkMemoizer memo{dev, p,  reg, datasets, default_threshold,
-                    nullptr, {}, 0,   0};
+  const PlanEval ev = PlanEval::build(dev, p, datasets, default_threshold);
+  PlanMemoizer memo{ev, nullptr, {}, 0, 0};
   rep.default_cost_us = memo.cost({});
-  std::map<std::string, int64_t> best_assign;
   double best = memo.cost({});
-  for (const auto& a : all) {
-    ++rep.trials;
-    const double c = memo.cost(a);
-    if (c < best) {
-      best = c;
-      best_assign = a;
+  // Every full assignment, innermost name varying fastest.
+  std::map<std::string, int64_t> current, best_assign;
+  const std::function<void(size_t)> scan = [&](size_t i) {
+    if (i == names.size()) {
+      ++rep.trials;
+      const double c = memo.cost(current);
+      if (c < best) {
+        best = c;
+        best_assign = current;
+      }
+      return;
     }
-  }
+    for (int64_t v : cands[i]) {
+      current[names[i]] = v;
+      scan(i + 1);
+    }
+    current.erase(names[i]);
+  };
+  scan(0);
   rep.best = to_env(best_assign, default_threshold);
   rep.best_cost_us = best;
   rep.evaluations = memo.evaluations;

@@ -10,12 +10,9 @@
 //
 // Cost evaluation goes through the plan layer (src/plan/): the program is
 // lowered once into a KernelPlan decision tree, each training dataset gets
-// a PlanDatasetCache (warmed concurrently on a worker pool), and from then
-// on every candidate assignment costs one tree descent instead of an IR
-// walk.  Dedup keys are guard-path bitsets read off the same descent.  The
-// legacy IR-walking path is kept behind TunerOptions::use_plan as a debug
-// oracle (and as the automatic fallback for programs outside the plan
-// builder's fragment).
+// a PlanDatasetCache, and from then on every candidate assignment costs one
+// tree descent.  Dedup keys are guard-path bitsets from a structural
+// descent that prices nothing.  Both searches run on the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -45,13 +42,8 @@ struct TunerOptions {
   int log2_max = 31;
   int64_t default_threshold = int64_t{1} << 15;  // paper default
 
-  /// Evaluate candidates against the compile-once kernel plan (fast path).
-  /// false = price every candidate with the legacy IR walker; kept as a
-  /// debug oracle — results are bit-identical either way.
-  bool use_plan = true;
-
-  /// Worker threads for per-dataset cache warming and exhaustive candidate
-  /// batches; <= 0 picks a small default from hardware_concurrency.
+  /// No effect: the tuner runs on the calling thread.  Kept because
+  /// perfbench/bench/wl_tune.cpp sets it.
   int workers = 0;
 
   // --- robustness (fault-injected measurements; all off by default, in
@@ -96,7 +88,6 @@ struct TuningReport {
   int trials = 0;             // assignments attempted
   int evaluations = 0;        // cost-model evaluations actually performed
   int dedup_hits = 0;         // assignments resolved from the branching tree
-  bool used_plan = false;     // evaluated via KernelPlan (not the IR walker)
   int infeasible = 0;         // evaluations timed out / failed every retry
   int journal_replayed = 0;   // evaluations answered from a resumed journal
   bool early_stopped = false; // wall-clock budget exhausted; best = incumbent
@@ -110,17 +101,18 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
 
 /// Exhaustive search over the *distinct dynamic behaviours*: each threshold
 /// takes values from {1, 2^62} ∪ {per-dataset Par values}, so every
-/// reachable combination of code-version selections is visited.  Used as
-/// the oracle in tests and the "AIF with unlimited tuning budget" bound.
+/// reachable combination of code-version selections is visited, through
+/// the same dedup memo as autotune.  Used as the oracle in tests and the
+/// "AIF with unlimited tuning budget" bound.
 TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
                              const ThresholdRegistry& reg,
                              const std::vector<TuningDataset>& datasets,
-                             int64_t default_threshold = int64_t{1} << 15,
-                             const TunerOptions& opts = {});
+                             int64_t default_threshold = int64_t{1} << 15);
 
-/// The tuner's cost function: weighted sum over datasets of simulated
-/// runtime under the given assignment (always the legacy IR walker; the
-/// plan-based equivalent is plan_cost over per-dataset caches).
+/// The tuner's cost function priced by the reference IR walker
+/// (gpusim::estimate_run): weighted sum over datasets of simulated runtime
+/// under the given assignment.  The tuner itself prices candidates with
+/// plan_cost over per-dataset caches; tests and benches compare the two.
 double tuning_cost(const DeviceProfile& dev, const Program& p,
                    const std::vector<TuningDataset>& datasets,
                    const ThresholdEnv& thresholds);

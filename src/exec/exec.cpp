@@ -1,5 +1,6 @@
 #include "src/exec/exec.h"
 
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -59,12 +60,15 @@ Compiled compile(const Program& src, FlattenMode mode,
   return c;
 }
 
+std::shared_ptr<const KernelPlan> plan_of(const Compiled& c) {
+  if (c.plan) return c.plan;
+  return std::make_shared<const KernelPlan>(build_kernel_plan(c.flat.program));
+}
+
 RunEstimate simulate(const DeviceProfile& dev, const Compiled& c,
                      const SizeEnv& sizes, const ThresholdEnv& thresholds) {
   trace::Span span("exec.simulate");
-  RunEstimate est = c.plan ? plan_estimate_run(*c.plan, dev, sizes, thresholds)
-                           : estimate_run(dev, c.flat.program, sizes,
-                                          thresholds);
+  RunEstimate est = plan_estimate_run(*plan_of(c), dev, sizes, thresholds);
   trace_estimate(est);
   return est;
 }

@@ -34,8 +34,8 @@ struct CompileOptions {
   FlattenOptions flatten;
   /// Pass names (see pass_names()) to run instead of the canned pipeline.
   /// The name "transform" is an alias for the mode's transform pass.  If
-  /// "plan-build" is omitted, Compiled::plan stays null and simulate()
-  /// falls back to the legacy IR-walking estimator.
+  /// "plan-build" is omitted, Compiled::plan stays null and every
+  /// simulate() or run_with_faults() call builds a throwaway plan.
   std::vector<std::string> passes;
   /// Verify structural IR invariants after every pass (src/ir/verify.h).
   bool verify_each = false;
@@ -60,9 +60,12 @@ struct CompileOptions {
 Compiled compile(const Program& src, FlattenMode mode,
                  const CompileOptions& opts = {});
 
+/// The compiled program's kernel plan, or a throwaway one built from its
+/// target program when the pipeline did not run plan-build.
+std::shared_ptr<const KernelPlan> plan_of(const Compiled& c);
+
 /// Price one run of the compiled program on `dev` for dataset `sizes`, via
-/// the kernel plan (bit-identical to the legacy estimate_run IR walk, which
-/// remains available directly as the debug oracle).
+/// the kernel plan (bit-identical to the reference IR walk estimate_run).
 RunEstimate simulate(const DeviceProfile& dev, const Compiled& c,
                      const SizeEnv& sizes,
                      const ThresholdEnv& thresholds = {});

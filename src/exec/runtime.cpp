@@ -76,19 +76,11 @@ void mark_cancelled(RunOutcome& out, double wasted) {
 
 RunMemo::RunMemo(const DeviceProfile& dev, const KernelPlan& plan,
                  const SizeEnv& sizes, ThresholdEnv thresholds)
-    : RunMemo(dev, &plan, plan.program, sizes, std::move(thresholds)) {}
-
-RunMemo::RunMemo(const DeviceProfile& dev, const KernelPlan* plan,
-                 const Program& target, const SizeEnv& sizes,
-                 ThresholdEnv thresholds)
-    : dev_(dev),
-      plan_(plan && !plan->legacy_fallback ? plan : nullptr),
-      target_(target),
-      sizes_(sizes),
-      thresholds_(std::move(thresholds)) {
-  if (plan_) cache_.emplace(*plan_, dev_, sizes_);
-  schedule_ = price_schedule(thresholds_);
-  estimate_ = price_estimate(thresholds_);
+    : plan_(plan),
+      thresholds_(std::move(thresholds)),
+      cache_(plan, dev, sizes) {
+  plan_descend(plan_, cache_, thresholds_,
+               {.estimate = &estimate_, .schedule = &schedule_});
 }
 
 bool RunMemo::hit(const ThresholdEnv& thresholds) const {
@@ -99,38 +91,12 @@ bool RunMemo::hit(const ThresholdEnv& thresholds) const {
 const std::vector<LaunchInfo>& RunMemo::schedule(
     const ThresholdEnv& thresholds, std::vector<LaunchInfo>* scratch) const {
   if (hit(thresholds)) return schedule_;
-  *scratch = price_schedule(thresholds);
+  *scratch = plan_launch_schedule(plan_, cache_, thresholds);
   return *scratch;
 }
 
 RunEstimate RunMemo::estimate(const ThresholdEnv& thresholds) const {
-  return hit(thresholds) ? estimate_ : price_estimate(thresholds);
-}
-
-/// From the plan tree when the memo has a cache, else one entry per priced
-/// kernel of the legacy walker's estimate, each carrying the estimate's
-/// full guard list as its path (the innermost taken guard is still a
-/// correct degradation target — the legacy report cannot attribute guards
-/// to kernels more precisely).
-std::vector<LaunchInfo> RunMemo::price_schedule(
-    const ThresholdEnv& env) const {
-  if (cache_) return plan_launch_schedule(*plan_, *cache_, env);
-  const RunEstimate est = price_estimate(env);
-  std::vector<LaunchInfo> sched;
-  sched.reserve(est.kernels.size());
-  for (const KernelCost& k : est.kernels) {
-    LaunchInfo li;
-    li.what = k.what;
-    li.time_us = k.time_us;
-    li.guard_path = est.guards;
-    sched.push_back(std::move(li));
-  }
-  return sched;
-}
-
-RunEstimate RunMemo::price_estimate(const ThresholdEnv& env) const {
-  return cache_ ? plan_estimate(*plan_, *cache_, env)
-                : estimate_run(dev_, target_, sizes_, env);
+  return hit(thresholds) ? estimate_ : plan_estimate(plan_, cache_, thresholds);
 }
 
 RunOutcome run_with_faults(const RunMemo& memo,
@@ -314,7 +280,8 @@ RunOutcome run_with_faults(const DeviceProfile& dev, const Compiled& c,
                            const SizeEnv& sizes,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
                            const RunPolicy& policy) {
-  const RunMemo memo(dev, c.plan.get(), c.flat.program, sizes, thresholds);
+  const std::shared_ptr<const KernelPlan> plan = plan_of(c);
+  const RunMemo memo(dev, *plan, sizes, thresholds);
   return run_with_faults(memo, thresholds, faults, policy);
 }
 

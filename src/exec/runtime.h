@@ -169,29 +169,22 @@ struct RunOutcome {
 /// The fault-independent part of running one program on one dataset shape:
 /// the shape's PlanDatasetCache plus the launch schedule and estimate of
 /// one threshold assignment (the memo's own; the default one unless
-/// given).  Immutable once built, so any number of threads may run against
-/// one memo at once.  Plans outside the plan builder's fragment
-/// (legacy_fallback, or no plan at all) have no cache: the memo then holds
-/// the legacy walker's schedule and estimate, and other assignments are
-/// priced by the walker.  Holds references to the plan and target program;
-/// the caller keeps them alive.
+/// given), both from one plan descent.  Immutable once built, so any number
+/// of threads may run against one memo at once.  Holds a reference to the
+/// plan; the caller keeps it alive.
 class RunMemo {
  public:
   RunMemo(const DeviceProfile& dev, const KernelPlan& plan,
           const SizeEnv& sizes, ThresholdEnv thresholds = {});
-  /// `plan` may be null: every run then takes the walker over `target`.
-  RunMemo(const DeviceProfile& dev, const KernelPlan* plan,
-          const Program& target, const SizeEnv& sizes,
-          ThresholdEnv thresholds = {});
 
-  const DeviceProfile& dev() const { return dev_; }
-  const SizeEnv& sizes() const { return sizes_; }
+  const DeviceProfile& dev() const { return cache_.dev(); }
+  const SizeEnv& sizes() const { return cache_.sizes(); }
 
   /// Whether `thresholds` is the memo's own assignment (a memo hit).
   bool hit(const ThresholdEnv& thresholds) const;
 
   /// The launch schedule under `thresholds`: the memo's own on a hit,
-  /// otherwise a fresh descent (or walk) stored in `*scratch`.
+  /// otherwise a fresh descent stored in `*scratch`.
   const std::vector<LaunchInfo>& schedule(
       const ThresholdEnv& thresholds,
       std::vector<LaunchInfo>* scratch) const;
@@ -199,15 +192,9 @@ class RunMemo {
   RunEstimate estimate(const ThresholdEnv& thresholds) const;
 
  private:
-  std::vector<LaunchInfo> price_schedule(const ThresholdEnv& env) const;
-  RunEstimate price_estimate(const ThresholdEnv& env) const;
-
-  DeviceProfile dev_;
-  const KernelPlan* plan_;  // null unless the plan tree prices runs
-  const Program& target_;
-  SizeEnv sizes_;
+  const KernelPlan& plan_;
   ThresholdEnv thresholds_;
-  std::optional<PlanDatasetCache> cache_;
+  PlanDatasetCache cache_;
   std::vector<LaunchInfo> schedule_;
   RunEstimate estimate_;
 };
@@ -221,14 +208,14 @@ RunOutcome run_with_faults(const RunMemo& memo,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
                            const RunPolicy& policy = {});
 
-/// Same, for one run of the compiled program on `dev` (a throwaway memo).
+/// Same, for one run of the compiled program on `dev` (a throwaway memo;
+/// see plan_of for a Compiled without a plan).
 RunOutcome run_with_faults(const DeviceProfile& dev, const Compiled& c,
                            const SizeEnv& sizes,
                            const ThresholdEnv& thresholds, FaultPlan& faults,
                            const RunPolicy& policy = {});
 
-/// Same, over a bare kernel plan (bench harness entry point; uses the
-/// plan's embedded target program for the legacy-walker fallback).
+/// Same, over a bare kernel plan (bench harness entry point).
 RunOutcome run_with_faults(const DeviceProfile& dev, const KernelPlan& plan,
                            const SizeEnv& sizes,
                            const ThresholdEnv& thresholds, FaultPlan& faults,

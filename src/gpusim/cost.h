@@ -79,7 +79,7 @@ int64_t eval_size_scalar(const ExprP& e, const SizeEnv& sizes);
 double roofline_time(const DeviceProfile& dev, const Work& w, int64_t threads,
                      int launches);
 
-/// flop charge of a scalar unary / binary operator.  Shared by the legacy
+/// flop charge of a scalar unary / binary operator.  Shared by the
 /// walker and the plan builder (src/plan/) so the two models cannot drift.
 double unop_flop_cost(const std::string& op);
 double binop_flop_cost(const std::string& op);

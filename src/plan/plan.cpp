@@ -1,7 +1,7 @@
 #include "src/plan/plan.h"
 
 #include <algorithm>
-#include <functional>
+#include <iterator>
 #include <sstream>
 
 #include "src/support/error.h"
@@ -44,7 +44,7 @@ PlanDatasetCache::PlanDatasetCache(const KernelPlan& plan,
         gv.par = gi.par.eval(sizes_);
       } catch (const EvalError&) {
         // Only an error if the fit check does not already reject the guard
-        // (the legacy walker short-circuits on fit failure).
+        // (the walker short-circuits on fit failure).
         if (!gv.fit_fail) gv.error = true;
       }
     }
@@ -75,36 +75,29 @@ bool PlanDatasetCache::guard_taken(int guard_ix, int64_t threshold_value) const 
 
 namespace {
 
-struct Traversal {
+/// The state of one plan_descend call.  `est` and `sched` are the sinks of
+/// the subtree being descended: a DataCond points them at per-branch
+/// buffers while it descends its two sides, then appends the worse side's
+/// to its own.  The estimate is accumulated in exactly the walker's
+/// operation order, so it is bit-identical to estimate_run's.
+struct Descent {
   const KernelPlan& plan;
   const PlanDatasetCache& cache;
   const ThresholdEnv& thr;
-  PathSig* sig = nullptr;
+  const bool price;
+  PathSig* const sig;
+  RunEstimate* est;
+  std::vector<LaunchInfo>* sched;
+  /// Guard decisions from the root to the current node (kept for `sched`).
+  std::vector<std::pair<std::string, bool>> path;
 
-  // Evaluates node `id`, returning its simulated-time contribution.  When
-  // `out` is non-null the kernel/guard report vectors and work totals are
-  // accumulated with exactly the legacy walker's operation order, so the
-  // resulting RunEstimate is bit-identical to estimate_run's.
-  double eval(int id, RunEstimate* out) {
+  double node(int id) {
     const PlanNode& n = plan.nodes[static_cast<size_t>(id)];
     switch (n.kind) {
       case PlanNode::Kind::Block: {
         double t = 0;
         for (const PlanNode::Step& s : n.steps) {
-          if (s.is_kernel) {
-            const KernelDesc& d = plan.kernels[static_cast<size_t>(s.index)];
-            const auto& pk = cache.kernel(s.index);
-            if (out) {
-              out->kernel_launches += d.launches;
-              out->total += pk.work;
-              out->kernels.push_back(
-                  KernelCost{d.what, pk.time_us, pk.threads, pk.work,
-                             pk.fallback});
-            }
-            t += pk.time_us;
-          } else {
-            t += eval(s.index, out);
-          }
+          t += s.is_kernel ? kernel(s.index) : node(s.index);
         }
         return t;
       }
@@ -112,109 +105,135 @@ struct Traversal {
         const GuardInfo& g = plan.guards[static_cast<size_t>(n.guard)];
         const bool taken = cache.guard_taken(n.guard, thr.get(g.threshold));
         if (sig) sig->set(n.guard, taken);
-        if (out) out->guards.emplace_back(g.threshold, taken);
-        return eval(taken ? n.then_node : n.else_node, out);
+        if (est) est->guards.emplace_back(g.threshold, taken);
+        if (sched) path.emplace_back(g.threshold, taken);
+        const double t = node(taken ? n.then_node : n.else_node);
+        if (sched) path.pop_back();
+        return t;
       }
-      case PlanNode::Kind::DataCond: {
-        // The legacy walker prices both branches with fresh sub-walkers and
-        // merges the worse one's report.
-        RunEstimate ea, eb;
-        const double ta = eval(n.then_node, out ? &ea : nullptr);
-        const double tb = eval(n.else_node, out ? &eb : nullptr);
-        if (out) {
-          RunEstimate& worse = ta >= tb ? ea : eb;
-          out->kernel_launches += worse.kernel_launches;
-          out->total += worse.total;
-          out->kernels.insert(out->kernels.end(), worse.kernels.begin(),
-                              worse.kernels.end());
-          out->guards.insert(out->guards.end(), worse.guards.begin(),
-                             worse.guards.end());
-        }
-        return std::max(ta, tb);
-      }
-      case PlanNode::Kind::Scale: {
-        const int64_t count = cache.values().get_i(n.count);
-        const double trips = static_cast<double>(count);
-        if (!out) return eval(n.child, nullptr) * trips;
-        const int64_t k0 = out->kernel_launches;
-        const Work w0 = out->total;
-        const size_t kc0 = out->kernels.size();
-        const double body_t = eval(n.child, out);
-        out->kernel_launches =
-            k0 + (out->kernel_launches - k0) * static_cast<int64_t>(trips);
-        Work dw = out->total;
-        dw.flops = w0.flops + (dw.flops - w0.flops) * trips;
-        dw.gbytes = w0.gbytes + (dw.gbytes - w0.gbytes) * trips;
-        dw.lbytes = w0.lbytes + (dw.lbytes - w0.lbytes) * trips;
-        out->total = dw;
-        for (size_t k = kc0; k < out->kernels.size(); ++k) {
-          out->kernels[k].what +=
-              " x" + std::to_string(static_cast<int64_t>(trips));
-        }
-        return body_t * trips;
-      }
+      case PlanNode::Kind::DataCond:
+        return data_cond(n);
+      case PlanNode::Kind::Scale:
+        return scale(n);
     }
     INCFLAT_FAIL("plan: unknown node kind");
+  }
+
+  double kernel(int k) {
+    if (!price) return 0;
+    const KernelDesc& d = plan.kernels[static_cast<size_t>(k)];
+    const auto& pk = cache.kernel(k);
+    if (est) {
+      est->kernel_launches += d.launches;
+      est->total += pk.work;
+      est->kernels.push_back(
+          KernelCost{d.what, pk.time_us, pk.threads, pk.work, pk.fallback});
+    }
+    if (sched) {
+      sched->push_back(LaunchInfo{k, d.what, pk.time_us, d.launches, path});
+    }
+    return pk.time_us;
+  }
+
+  // The walker prices both branches with fresh sub-walkers and merges the
+  // worse one's report.
+  double data_cond(const PlanNode& n) {
+    RunEstimate* const est0 = est;
+    std::vector<LaunchInfo>* const sched0 = sched;
+    RunEstimate ea, eb;
+    std::vector<LaunchInfo> sa, sb;
+    if (est0) est = &ea;
+    if (sched0) sched = &sa;
+    const double ta = node(n.then_node);
+    if (est0) est = &eb;
+    if (sched0) sched = &sb;
+    const double tb = node(n.else_node);
+    est = est0;
+    sched = sched0;
+    const bool then_worse = ta >= tb;
+    if (est) {
+      const RunEstimate& worse = then_worse ? ea : eb;
+      est->kernel_launches += worse.kernel_launches;
+      est->total += worse.total;
+      est->kernels.insert(est->kernels.end(), worse.kernels.begin(),
+                          worse.kernels.end());
+      est->guards.insert(est->guards.end(), worse.guards.begin(),
+                         worse.guards.end());
+    }
+    if (sched) {
+      std::vector<LaunchInfo>& worse = then_worse ? sa : sb;
+      sched->insert(sched->end(), std::make_move_iterator(worse.begin()),
+                    std::make_move_iterator(worse.end()));
+    }
+    return std::max(ta, tb);
+  }
+
+  double scale(const PlanNode& n) {
+    if (!price) {
+      node(n.child);
+      return 0;
+    }
+    const int64_t count = cache.values().get_i(n.count);
+    const double trips = static_cast<double>(count);
+    const int64_t k0 = est ? est->kernel_launches : 0;
+    const Work w0 = est ? est->total : Work{};
+    const size_t kc0 = est ? est->kernels.size() : 0;
+    const size_t s0 = sched ? sched->size() : 0;
+    const double body_t = node(n.child);
+    if (est) {
+      est->kernel_launches =
+          k0 + (est->kernel_launches - k0) * static_cast<int64_t>(trips);
+      Work dw = est->total;
+      dw.flops = w0.flops + (dw.flops - w0.flops) * trips;
+      dw.gbytes = w0.gbytes + (dw.gbytes - w0.gbytes) * trips;
+      dw.lbytes = w0.lbytes + (dw.lbytes - w0.lbytes) * trips;
+      est->total = dw;
+      for (size_t k = kc0; k < est->kernels.size(); ++k) {
+        est->kernels[k].what +=
+            " x" + std::to_string(static_cast<int64_t>(trips));
+      }
+    }
+    if (sched) {
+      for (size_t i = s0; i < sched->size(); ++i) {
+        LaunchInfo& li = (*sched)[i];
+        li.time_us *= trips;
+        li.launches *= count;
+        li.what += " x" + std::to_string(count);
+      }
+    }
+    return body_t * trips;
   }
 };
 
 }  // namespace
 
+double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
+                    const ThresholdEnv& thresholds, const PlanDescent& want) {
+  INCFLAT_CHECK(want.price || (!want.estimate && !want.schedule),
+                "an unpriced plan descent can only record a signature");
+  Descent d{plan,           cache,         thresholds,    want.price,
+            want.signature, want.estimate, want.schedule, {}};
+  const double t = d.node(plan.root);
+  if (want.estimate) want.estimate->time_us = t;
+  return t;
+}
+
 RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
                           const ThresholdEnv& thresholds) {
-  if (plan.legacy_fallback) {
-    return estimate_run(cache.dev(), plan.program, cache.sizes(), thresholds);
-  }
   RunEstimate out;
-  Traversal tr{plan, cache, thresholds, nullptr};
-  out.time_us = tr.eval(plan.root, &out);
+  plan_descend(plan, cache, thresholds, {.estimate = &out});
   return out;
 }
 
 double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
                  const ThresholdEnv& thresholds, PathSig* sig) {
-  if (plan.legacy_fallback) {
-    return estimate_run(cache.dev(), plan.program, cache.sizes(), thresholds)
-        .time_us;
-  }
-  Traversal tr{plan, cache, thresholds, sig};
-  return tr.eval(plan.root, nullptr);
+  return plan_descend(plan, cache, thresholds, {.signature = sig});
 }
 
 PathSig plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
                        const ThresholdEnv& thresholds) {
-  INCFLAT_CHECK(!plan.legacy_fallback,
-                "plan_signature on a legacy-fallback plan");
   PathSig sig(plan.guards.size());
-  // Structural descent only: kernels are skipped, so this never prices
-  // anything and costs O(nodes-on-path).
-  const std::function<void(int)> walk = [&](int id) {
-    const PlanNode& n = plan.nodes[static_cast<size_t>(id)];
-    switch (n.kind) {
-      case PlanNode::Kind::Block:
-        for (const PlanNode::Step& s : n.steps) {
-          if (!s.is_kernel) walk(s.index);
-        }
-        return;
-      case PlanNode::Kind::Guard: {
-        const GuardInfo& g = plan.guards[static_cast<size_t>(n.guard)];
-        const bool taken = cache.guard_taken(n.guard, thresholds.get(g.threshold));
-        sig.set(n.guard, taken);
-        walk(taken ? n.then_node : n.else_node);
-        return;
-      }
-      case PlanNode::Kind::DataCond:
-        // Both branches contribute to the cost (worse-of-both), so both
-        // branches' guard decisions are part of the signature.
-        walk(n.then_node);
-        walk(n.else_node);
-        return;
-      case PlanNode::Kind::Scale:
-        walk(n.child);
-        return;
-    }
-  };
-  walk(plan.root);
+  plan_descend(plan, cache, thresholds, {.price = false, .signature = &sig});
   return sig;
 }
 
@@ -222,90 +241,19 @@ std::vector<LaunchInfo> plan_launch_schedule(const KernelPlan& plan,
                                              const PlanDatasetCache& cache,
                                              const ThresholdEnv& thresholds) {
   std::vector<LaunchInfo> out;
-  if (plan.legacy_fallback) return out;
-  std::vector<std::pair<std::string, bool>> path;
-  // Walks node `id`, appending its launches to `sched` and returning its
-  // simulated time (the same arithmetic as Traversal::eval, so entry times
-  // sum to plan_cost).
-  const std::function<double(int, std::vector<LaunchInfo>&)> walk =
-      [&](int id, std::vector<LaunchInfo>& sched) -> double {
-    const PlanNode& n = plan.nodes[static_cast<size_t>(id)];
-    switch (n.kind) {
-      case PlanNode::Kind::Block: {
-        double t = 0;
-        for (const PlanNode::Step& s : n.steps) {
-          if (s.is_kernel) {
-            const KernelDesc& d = plan.kernels[static_cast<size_t>(s.index)];
-            const auto& pk = cache.kernel(s.index);
-            LaunchInfo li;
-            li.kernel = s.index;
-            li.what = d.what;
-            li.time_us = pk.time_us;
-            li.launches = d.launches;
-            li.guard_path = path;
-            sched.push_back(std::move(li));
-            t += pk.time_us;
-          } else {
-            t += walk(s.index, sched);
-          }
-        }
-        return t;
-      }
-      case PlanNode::Kind::Guard: {
-        const GuardInfo& g = plan.guards[static_cast<size_t>(n.guard)];
-        const bool taken = cache.guard_taken(n.guard, thresholds.get(g.threshold));
-        path.emplace_back(g.threshold, taken);
-        const double t = walk(taken ? n.then_node : n.else_node, sched);
-        path.pop_back();
-        return t;
-      }
-      case PlanNode::Kind::DataCond: {
-        // The estimate merges the worse branch's report; the schedule takes
-        // the same branch (a deterministic stand-in for the data-dependent
-        // choice a real run would make).
-        std::vector<LaunchInfo> sa, sb;
-        const double ta = walk(n.then_node, sa);
-        const double tb = walk(n.else_node, sb);
-        std::vector<LaunchInfo>& worse = ta >= tb ? sa : sb;
-        sched.insert(sched.end(), std::make_move_iterator(worse.begin()),
-                     std::make_move_iterator(worse.end()));
-        return std::max(ta, tb);
-      }
-      case PlanNode::Kind::Scale: {
-        const int64_t count = cache.values().get_i(n.count);
-        std::vector<LaunchInfo> body;
-        const double body_t = walk(n.child, body);
-        for (LaunchInfo& li : body) {
-          li.time_us *= static_cast<double>(count);
-          li.launches *= count;
-          li.what += " x" + std::to_string(count);
-          sched.push_back(std::move(li));
-        }
-        return body_t * static_cast<double>(count);
-      }
-    }
-    INCFLAT_FAIL("plan: unknown node kind");
-  };
-  walk(plan.root, out);
+  plan_descend(plan, cache, thresholds, {.schedule = &out});
   return out;
 }
 
 RunEstimate plan_estimate_run(const KernelPlan& plan, const DeviceProfile& dev,
                               const SizeEnv& sizes,
                               const ThresholdEnv& thresholds) {
-  if (plan.legacy_fallback) {
-    return estimate_run(dev, plan.program, sizes, thresholds);
-  }
   PlanDatasetCache cache(plan, dev, sizes);
   return plan_estimate(plan, cache, thresholds);
 }
 
 std::string plan_stats(const KernelPlan& plan) {
   std::ostringstream os;
-  if (plan.legacy_fallback) {
-    os << "plan: legacy-walker fallback (" << plan.fallback_reason << ")";
-    return os.str();
-  }
   os << "plan: " << plan.nodes.size() << " tree nodes, " << plan.guards.size()
      << " guards, " << plan.kernels.size() << " kernels, "
      << plan.arena.size() << " cost-expression nodes";

@@ -5,20 +5,22 @@
 // `Par(e) >= t_i` (with `e` kept symbolic and evaluated against a SizeEnv),
 // and the code between/below guards is a flat table of KernelDesc entries —
 // flops, global/local bytes, thread counts, launch counts and scratchpad
-// need, everything the gpusim cost walker used to recompute by traversing
-// the target IR on every estimate.
+// need.
 //
 // PlanBuilder lowers a flattened program ONCE by partially evaluating the
-// cost walk: all size-dependent arithmetic is recorded into a CostArena,
-// threshold guards fork the tree, and data-dependent host branches become
-// worse-of-both nodes.  Per dataset, a PlanDatasetCache evaluates the whole
-// arena in one sweep and prices every kernel; after that, estimating a run
-// under any threshold assignment is a pure tree walk in O(kernels-on-path)
-// — the property the autotuner exploits (its per-assignment cost drops from
-// an IR walk to a decision-tree descent, Sec. 4.2).
+// gpusim cost model: all size-dependent arithmetic is recorded into a
+// CostArena, threshold guards fork the tree, and data-dependent host
+// branches become worse-of-both nodes.  A program outside that fragment is
+// a compile error, so every compiled program has a plan.  Per dataset, a
+// PlanDatasetCache evaluates the whole arena in one sweep and prices every
+// kernel; after that, one descent of the tree (plan_descend) prices a run
+// under any threshold assignment in O(kernels-on-path) and yields its
+// estimate, launch schedule and guard-path signature — the property the
+// autotuner exploits (Sec. 4.2).
 //
-// The legacy walker (gpusim::estimate_run) stays available as a debug
-// oracle; plan evaluation is bit-identical to it by construction
+// The plan is the only cost model simulation, runs and tuning use.  The IR
+// walker gpusim::estimate_run stays as the reference the tests compare the
+// plan against; plan evaluation is bit-identical to it by construction
 // (property-tested in tests/test_plan.cpp).
 #pragma once
 
@@ -47,8 +49,9 @@ struct KernelDesc {
 };
 
 /// Internal decision node: `Par(par) >= t` with the workgroup-feasibility
-/// bound `fit` (empty alts = unconstrained), exactly the legacy walker's
-/// guard_taken.  `bit` is this node's index in path signatures.
+/// bound `fit` (empty alts = unconstrained), exactly the walker's
+/// guard_taken.  A guard's index in KernelPlan::guards is its position in
+/// path signatures.
 struct GuardInfo {
   std::string threshold;
   SizeExpr par;
@@ -101,19 +104,16 @@ struct KernelPlan {
   /// Distinct threshold parameter names, in first-guard order.
   std::vector<std::string> thresholds;
 
-  /// Set when the program uses a construct the builder cannot lower exactly
-  /// (e.g. threshold guards nested inside a data-dependent branch of an
-  /// intra-group body); estimates then route through the legacy IR walker.
+  /// Always false: a program the builder cannot lower is a compile error.
+  /// Kept because perfbench/bench/wl_compile.cpp reads it and the daemon's
+  /// compile answer echoes it.
   bool legacy_fallback = false;
-  std::string fallback_reason;
-
-  /// The target program (cheap to retain: expression trees are shared), for
-  /// the legacy fallback and the debug oracle.
-  Program program;
 };
 
-/// Lower a flattened target program into a plan.  Never throws on exotic
-/// programs: constructs outside the supported fragment set legacy_fallback.
+/// Lower a flattened target program into a plan.  Throws CompilerError
+/// naming the construct when the program leaves the fragment the builder
+/// lowers exactly (e.g. a threshold guard inside a data-dependent branch of
+/// an intra-group body).
 KernelPlan build_kernel_plan(const Program& p);
 
 /// All per-dataset state: one forward sweep over the arena plus lazily
@@ -138,7 +138,7 @@ class PlanDatasetCache {
   /// Priced kernel `k`; throws EvalError if its sizes are unbound.
   const PricedKernel& kernel(int k) const;
 
-  /// Guard branch under a threshold value, mirroring the legacy
+  /// Guard branch under a threshold value, mirroring the walker's
   /// guard_taken: fit failure wins, else par >= threshold.
   bool guard_taken(int guard_ix, int64_t threshold_value) const;
 
@@ -169,25 +169,6 @@ class PlanDatasetCache {
   std::vector<GuardVals> guards_;
 };
 
-/// Full estimate via the plan: bit-identical to gpusim::estimate_run on the
-/// same program.  The cache must have been built for the same plan.
-RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
-                          const ThresholdEnv& thresholds);
-
-/// Tuner fast path: the run's total simulated time only, optionally
-/// recording the guard-path signature.  Same arithmetic as plan_estimate,
-/// minus the kernel/guard report vectors.
-double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
-                 const ThresholdEnv& thresholds, PathSig* sig = nullptr);
-
-/// Guard-path signature alone: which guards an assignment reaches and which
-/// branches they take, without pricing a single kernel.  This is the
-/// autotuner's dedup key — equal signatures select identical code versions
-/// and therefore cost the same (Sec. 4.2), so the cost evaluation can be
-/// skipped entirely.  Not available for legacy_fallback plans.
-PathSig plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
-                       const ThresholdEnv& thresholds);
-
 /// One entry of a run's kernel-launch schedule: a kernel step the estimate
 /// prices under a concrete threshold assignment, annotated with the guard
 /// decisions on its tree path (outermost first).  The guard path is the raw
@@ -205,12 +186,48 @@ struct LaunchInfo {
   std::vector<std::pair<std::string, bool>> guard_path;
 };
 
-/// The ordered launch schedule plan_estimate prices under `thresholds`:
-/// Guard nodes descend the selected branch, DataCond descends the worse
-/// branch (the one whose report plan_estimate merges), Scale multiplies
-/// time and launch counts.  Entry times sum to plan_cost.  Empty for
-/// legacy_fallback plans (the executor then degrades via the estimate's
-/// flat guard list instead).
+/// What one plan_descend call records besides the run's time.  Each output
+/// is filled only when non-null, by appending (pass empty ones).  With
+/// `price` false the descent is structural: it prices no kernel and reads
+/// no loop trip count, so it can only fill `signature`.
+struct PlanDescent {
+  bool price = true;
+  RunEstimate* estimate = nullptr;
+  PathSig* signature = nullptr;  // sized for plan.guards
+  std::vector<LaunchInfo>* schedule = nullptr;
+};
+
+/// The one descent of the plan tree under `thresholds`.  Guard nodes take
+/// the branch the assignment selects; DataCond nodes descend both branches
+/// and keep the worse one's time, report and launches (a deterministic
+/// stand-in for the data-dependent choice a real run would make), while
+/// both branches' guards enter the signature; Scale nodes multiply their
+/// child's time and launch counts by the loop trip count.  Returns the
+/// run's simulated time (0 when !want.price) and also stores it in
+/// `want.estimate->time_us`.  The cache must have been built for `plan`.
+double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
+                    const ThresholdEnv& thresholds, const PlanDescent& want);
+
+/// Full estimate via the plan: bit-identical to gpusim::estimate_run on the
+/// same program.
+RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
+                          const ThresholdEnv& thresholds);
+
+/// Tuner fast path: the run's total simulated time only, optionally
+/// recording the guard-path signature.
+double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
+                 const ThresholdEnv& thresholds, PathSig* sig = nullptr);
+
+/// Guard-path signature alone: which guards an assignment reaches and which
+/// branches they take, without pricing a single kernel.  This is the
+/// autotuner's dedup key — equal signatures select identical code versions
+/// and therefore cost the same (Sec. 4.2), so the cost evaluation can be
+/// skipped entirely.
+PathSig plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
+                       const ThresholdEnv& thresholds);
+
+/// The ordered launch schedule plan_estimate prices under `thresholds`.
+/// Entry times sum to plan_cost.
 std::vector<LaunchInfo> plan_launch_schedule(const KernelPlan& plan,
                                              const PlanDatasetCache& cache,
                                              const ThresholdEnv& thresholds);

@@ -15,8 +15,7 @@
 // continuation-passing style and the continuation is run once per branch.
 // Constructs whose walker semantics cannot be expressed as a tree (guards
 // under data-dependent intra-group branches, branches that rebind names)
-// abort the build via PlanUnsupported and the plan falls back to the
-// legacy walker.
+// fail the build with a CompilerError naming the construct.
 
 #include <algorithm>
 #include <functional>
@@ -32,11 +31,10 @@ namespace incflat {
 
 namespace {
 
-/// Raised when the program leaves the exactly-lowerable fragment; the
-/// caller converts it into KernelPlan::legacy_fallback.
-struct PlanUnsupported {
-  std::string reason;
-};
+/// The program leaves the exactly-lowerable fragment.
+[[noreturn]] void unsupported(const std::string& construct) {
+  throw CompilerError("plan-build: unsupported construct: " + construct);
+}
 
 /// Work with symbolic components (arena node ids of F nodes).
 struct SymWork {
@@ -364,7 +362,7 @@ struct Builder {
     for (const auto& [name, ty] : saved) {
       auto it = env.find(name);
       if (it == env.end() || !(it->second == ty)) {
-        throw PlanUnsupported{"branch rebinds name " + name};
+        unsupported("branch rebinds name " + name);
       }
     }
   }
@@ -663,8 +661,8 @@ struct Builder {
     if (auto* i = e->as<IfE>()) {
       if (auto* tc = i->cond->as<ThresholdCmpE>()) {
         if (fork_ban > 0) {
-          throw PlanUnsupported{
-              "threshold guard inside a data-dependent intra-group branch"};
+          unsupported(
+              "threshold guard inside a data-dependent intra-group branch");
         }
         const int gix = add_guard(*tc);
         TypeEnv saved = env;
@@ -683,9 +681,9 @@ struct Builder {
       sync_group_walk(i->then_e, a);
       sync_group_walk(i->else_e, b);
       if (a.local_names != b.local_names) {
-        throw PlanUnsupported{
+        unsupported(
             "data-dependent intra-group branches bind different "
-            "scratchpad-resident names"};
+            "scratchpad-resident names");
       }
       const int wa = A.addf(A.addf(a.per_group.flops, a.per_group.gbytes),
                             a.per_group.lbytes);
@@ -799,43 +797,20 @@ int tree_depth(const KernelPlan& plan, int id) {
 KernelPlan build_kernel_plan(const Program& p) {
   trace::Span span("plan.build");
   KernelPlan plan;
-  plan.program = p;
   Builder b(plan);
   for (const auto& in : p.inputs) b.env[in.name] = in.type;
   for (const auto& sp : p.size_params()) {
     b.env[sp] = Type::scalar(Scalar::I64);
   }
-  auto fall_back = [&plan](const std::string& reason) {
-    plan.arena = CostArena{};
-    plan.kernels.clear();
-    plan.guards.clear();
-    plan.nodes.clear();
-    plan.thresholds.clear();
-    plan.root = -1;
-    plan.legacy_fallback = true;
-    plan.fallback_reason = reason;
-  };
-  try {
-    plan.root = b.build_host(p.body);
-  } catch (const PlanUnsupported& u) {
-    fall_back(u.reason);
-  } catch (const std::exception& ex) {
-    // A build-time failure (malformed program, untyped name) would equally
-    // fail in the legacy walker at estimate time; defer to it.
-    fall_back(ex.what());
-  }
+  plan.root = b.build_host(p.body);
   if (trace::enabled()) {
     trace::count("plan.builds");
-    if (plan.legacy_fallback) {
-      trace::count("plan.legacy_fallbacks");
-    } else {
-      trace::count("plan.arena_nodes", static_cast<int64_t>(plan.arena.size()));
-      trace::count("plan.tree_nodes", static_cast<int64_t>(plan.nodes.size()));
-      trace::count("plan.kernels", static_cast<int64_t>(plan.kernels.size()));
-      trace::count("plan.guards", static_cast<int64_t>(plan.guards.size()));
-      trace::gauge("plan.tree_depth",
-                   static_cast<int64_t>(tree_depth(plan, plan.root)));
-    }
+    trace::count("plan.arena_nodes", static_cast<int64_t>(plan.arena.size()));
+    trace::count("plan.tree_nodes", static_cast<int64_t>(plan.nodes.size()));
+    trace::count("plan.kernels", static_cast<int64_t>(plan.kernels.size()));
+    trace::count("plan.guards", static_cast<int64_t>(plan.guards.size()));
+    trace::gauge("plan.tree_depth",
+                 static_cast<int64_t>(tree_depth(plan, plan.root)));
   }
   return plan;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/support/pool.h"
 #include "src/support/trace.h"
 
 namespace incflat::serve {
@@ -27,11 +26,20 @@ const char* job_state_name(JobState s) {
   return "?";
 }
 
+int JobScheduler::pick_width(int requested, unsigned hardware) {
+  if (requested > 0) return requested;
+  // The clamp also guards the unsigned->int cast against absurd platform
+  // values.
+  const int hw = hardware == 0
+                     ? 1
+                     : static_cast<int>(std::min(hardware, 1024u));
+  return std::min(hw, 8);
+}
+
 JobScheduler::JobScheduler(int workers, double promote_after_ms,
                            int64_t queue_cap)
     : promote_after_ms_(promote_after_ms), queue_cap_(queue_cap) {
-  const int n = WorkerPool::pick_width(
-      workers, std::thread::hardware_concurrency());
+  const int n = pick_width(workers, std::thread::hardware_concurrency());
   threads_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     threads_.emplace_back([this] { worker_loop(); });

@@ -1,13 +1,11 @@
-// Priority job scheduler: the WorkerPool, generalised for a long-lived
-// server.
+// Priority job scheduler for a long-lived server: the daemon's one thread
+// pool.
 //
-// WorkerPool (src/support/pool.h) runs one homogeneous batch and blocks the
-// caller — exactly what the autotuner wants and exactly what a daemon
-// cannot use: server work arrives continuously, tune jobs take seconds
-// while run jobs take microseconds, and a disconnecting client should be
-// able to abandon work it queued.  JobScheduler keeps the pool's
-// worker-loop skeleton (one mutex, condition-variable dispatch, the
-// pick_width() worker-count rule) and adds:
+// Server work arrives continuously, tune jobs take seconds while run jobs
+// take microseconds, and a disconnecting client should be able to abandon
+// work it queued.  JobScheduler runs a fixed set of workers (one mutex,
+// condition-variable dispatch, the pick_width() worker-count rule) and
+// adds:
 //
 //   * three priority classes (High = run, Normal = compile, Low = tune)
 //     drained in strict priority order, with age promotion — a job waiting
@@ -86,14 +84,21 @@ struct SchedulerStats {
 
 class JobScheduler {
  public:
-  /// `workers` <= 0 picks WorkerPool::pick_width's default: min(hardware
-  /// concurrency, 8), at least 1.  `promote_after_ms` is the age at which a
+  /// `workers` <= 0 picks pick_width's default: min(hardware concurrency,
+  /// 8), at least 1.  `promote_after_ms` is the age at which a
   /// waiting job is drained as if it were one priority class higher
   /// (anti-starvation); <= 0 disables promotion.  `queue_cap` bounds each
   /// priority class's waiting queue: a submit against a full class sheds
   /// the new job (see the header comment); <= 0 = unbounded.
   explicit JobScheduler(int workers = 0, double promote_after_ms = 1000.0,
                         int64_t queue_cap = 0);
+
+  /// The worker-count rule: a positive request wins verbatim; otherwise
+  /// min(hardware, 8) — where `hardware` is hardware_concurrency(), which
+  /// the standard allows to return 0 ("not computable") and which is
+  /// therefore clamped to >= 1 *before* the min pick, so the zero-CPU case
+  /// degrades to one worker instead of a nonsense width.
+  static int pick_width(int requested, unsigned hardware);
 
   /// Cancels every queued job, waits for running ones, joins the workers.
   ~JobScheduler();

@@ -308,8 +308,8 @@ std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
   }
 
   if (is_run) {
-    sp->memo = std::make_unique<const RunMemo>(
-        sp->dev, sp->compiled.plan.get(), sp->compiled.flat.program, sizes);
+    sp->memo = std::make_unique<const RunMemo>(sp->dev, *sp->compiled.plan,
+                                               sizes);
     // Per-entry fault seed, decorrelated across keys by the key hash so two
     // entries do not fault in lockstep.
     sp->fault_seed = opts_.fault_seed ^ journal_hash(key.data(), key.size());
@@ -457,7 +457,6 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
   // thresholds reflect the conditions runs will actually see.
   topts.noise = fspec_.noise;
   topts.measure_seed = opts_.fault_seed;
-  topts.workers = 1;  // the scheduler owns server parallelism
   if (cancel) {
     // Spend at most the request's remaining budget: the tuner's wall-clock
     // stop returns the incumbent gracefully, so a deadline-bounded tune

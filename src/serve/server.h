@@ -57,7 +57,7 @@ namespace incflat::serve {
 struct ServeOptions {
   size_t cache_bytes = size_t{64} << 20;
   int cache_shards = 8;
-  /// Scheduler width; <= 0 picks WorkerPool::pick_width's default.
+  /// Scheduler width; <= 0 picks JobScheduler::pick_width's default.
   int workers = 0;
   /// Fault spec (parse_fault_spec syntax) applied to run execution.
   std::string faults;

@@ -1,6 +1,6 @@
 // Annotated synchronization primitives: the one sanctioned way to lock.
 //
-// Every mutex in the long-lived layers (src/serve/, src/support/pool|trace,
+// Every mutex in the long-lived layers (src/serve/, src/support/trace,
 // src/exec/runtime) is one of the wrappers below, which buys two enforcing
 // tiers on top of plain std::mutex:
 //
@@ -14,7 +14,7 @@
 //     macros expand to nothing — gcc builds are unaffected.
 //
 //   * lockdep, a runtime lock-order validator: every Mutex registers a
-//     named *lock class* ("serve.stats", "pool.mu", ...), and when enabled
+//     named *lock class* ("serve.stats", "trace.state", ...), and when enabled
 //     (sync::lockdep::set_enabled, INCFLAT_LOCKDEP=1, or the
 //     INCFLAT_LOCKDEP CMake option) each thread keeps a held-lock stack and
 //     the process grows a global acquisition-order graph.  Acquiring B

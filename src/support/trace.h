@@ -86,7 +86,7 @@ std::map<std::string, int64_t> counters();
 
 /// Sorted distinct `<namespace>.` prefixes of every recorded counter and
 /// gauge — the layers that emitted telemetry this run (analysis, exec,
-/// flatten, plan, pool, serve, tuner, ...).  Names without a dot
+/// flatten, plan, serve, tuner, ...).  Names without a dot
 /// form their own namespace.
 std::vector<std::string> counter_namespaces();
 

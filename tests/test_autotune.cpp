@@ -1,5 +1,5 @@
-// Unit tests: the threshold registry, branching-tree signatures, and the
-// autotuner (stochastic + exhaustive) with its dedup cache.
+// Unit tests: the threshold registry and the autotuner (stochastic +
+// exhaustive) with its dedup cache.
 #include <gtest/gtest.h>
 
 #include "src/autotune/autotune.h"
@@ -28,33 +28,6 @@ TEST(ThresholdRegistry, TruncateRollsBack) {
   reg.fresh("b", SizeExpr::one(), SizeExpr{}, {});
   reg.truncate(mark);
   EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(ThresholdRegistry, PathSignatureTracksReachability) {
-  // t0 guards the root; t1 is only reachable when t0 is false.
-  ThresholdRegistry reg;
-  const SizeExpr n = SizeExpr::of(Dim::v("n"));
-  const std::string t0 = reg.fresh("t", n, SizeExpr{}, {});
-  const std::string t1 = reg.fresh("t", n, SizeExpr{}, {{t0, false}});
-  const SizeEnv sizes{{"n", 100}};
-  // t0 taken: t1 unreachable -> false in the signature.
-  auto sig = reg.path_signature(sizes, {{t0, 10}, {t1, 10}}, 1 << 15,
-                                1 << 30);
-  EXPECT_EQ(sig, (std::vector<bool>{true, false}));
-  // t0 not taken: t1 reachable and taken.
-  sig = reg.path_signature(sizes, {{t0, 1000}, {t1, 10}}, 1 << 15, 1 << 30);
-  EXPECT_EQ(sig, (std::vector<bool>{false, true}));
-}
-
-TEST(ThresholdRegistry, PathSignatureHonoursFit) {
-  ThresholdRegistry reg;
-  const std::string t0 = reg.fresh("t", SizeExpr::of(Dim::v("n")),
-                                   SizeExpr::of(Dim::v("g")), {});
-  const SizeEnv sizes{{"n", 100}, {"g", 2048}};
-  auto sig = reg.path_signature(sizes, {{t0, 1}}, 1 << 15, 1024);
-  EXPECT_FALSE(sig[0]);  // group does not fit
-  sig = reg.path_signature(sizes, {{t0, 1}}, 1 << 15, 4096);
-  EXPECT_TRUE(sig[0]);
 }
 
 TEST(Autotune, ImprovesMatmulOverDefault) {

@@ -8,7 +8,7 @@
 //    on the whole suite (and is recorded in PipelineState::history);
 //  * registry behaviour: mode_from_name round-trips, unknown pass/mode
 //    names fail with messages listing the valid ones, omitting plan-build
-//    leaves Compiled::plan null and simulate() falls back to the IR walker.
+//    leaves Compiled::plan null and simulate() prices on a throwaway plan.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -143,17 +143,29 @@ TEST(Pipeline, AfterPassObserverSeesEveryPassInOrder) {
                                             "tiling", "plan-build"}));
 }
 
-TEST(Pipeline, MissingPlanBuildFallsBackToWalker) {
+TEST(Pipeline, MissingPlanBuildSimulatesOnAThrowawayPlan) {
   const Benchmark b = get_benchmark("matmul");
   CompileOptions o;
   o.passes = {"fusion", "normalize", "transform", "prune-segbinds", "tiling"};
   const Compiled c = compile(b.program, FlattenMode::Incremental, o);
   EXPECT_EQ(c.plan, nullptr);
-  const SizeEnv sizes = b.datasets.front().sizes;
-  const RunEstimate via_facade = simulate(device_k40(), c, sizes);
-  const RunEstimate via_walker =
-      estimate_run(device_k40(), c.flat.program, sizes, {});
-  EXPECT_EQ(via_facade.time_us, via_walker.time_us);
+  for (const auto& d : b.datasets) {
+    const RunEstimate via_facade = simulate(device_k40(), c, d.sizes);
+    const RunEstimate via_walker =
+        estimate_run(device_k40(), c.flat.program, d.sizes, {});
+    EXPECT_EQ(via_facade.time_us, via_walker.time_us) << d.name;
+    EXPECT_EQ(via_facade.kernel_launches, via_walker.kernel_launches)
+        << d.name;
+    EXPECT_EQ(via_facade.total.flops, via_walker.total.flops) << d.name;
+    EXPECT_EQ(via_facade.total.gbytes, via_walker.total.gbytes) << d.name;
+    EXPECT_EQ(via_facade.total.lbytes, via_walker.total.lbytes) << d.name;
+    ASSERT_EQ(via_facade.kernels.size(), via_walker.kernels.size()) << d.name;
+    for (size_t k = 0; k < via_walker.kernels.size(); ++k) {
+      EXPECT_EQ(via_facade.kernels[k].what, via_walker.kernels[k].what);
+      EXPECT_EQ(via_facade.kernels[k].time_us, via_walker.kernels[k].time_us);
+    }
+    EXPECT_EQ(via_facade.guards, via_walker.guards) << d.name;
+  }
 }
 
 TEST(Pipeline, ModeFromNameRoundTripsAndRejectsUnknown) {

@@ -1,9 +1,10 @@
 // Property tests for the plan layer (src/plan/): traversing a KernelPlan
-// must reproduce the legacy IR-walking cost model *bit for bit* — same code
+// must reproduce the IR-walking cost model *bit for bit* — same code
 // version selected, same RunEstimate down to the last ulp — across the whole
 // benchmark suite, randomized dataset sizes and randomized threshold
-// assignments, including the local-memory fallback path.  The legacy walker
-// is the oracle; the plan is the production path.
+// assignments, including the local-memory fallback path.  The walker is the
+// reference; the plan is the only production cost path, and a program it
+// cannot lower fails to build.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -16,6 +17,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/typecheck.h"
 #include "src/plan/plan.h"
+#include "src/support/error.h"
 #include "src/support/rng.h"
 
 namespace incflat {
@@ -134,7 +136,7 @@ TEST(PlanLayer, LocalMemoryFallbackMatchesWalker) {
   p = typecheck_program(std::move(p));
   FlattenResult inc = flatten(p, FlattenMode::Incremental);
   const KernelPlan plan = build_kernel_plan(inc.program);
-  ASSERT_FALSE(plan.legacy_fallback) << plan.fallback_reason;
+  ASSERT_FALSE(plan.legacy_fallback);
 
   ThresholdEnv pick_middle;
   pick_middle.default_threshold = 1;
@@ -192,41 +194,81 @@ TEST(PlanLayer, SignatureDedupIsSound) {
   }
 }
 
-// The plan-evaluating tuner and the legacy IR-walking tuner are the same
-// search over the same costs, so they must return identical reports.
-TEST(PlanLayer, TunerEquivalentToWalkerTuner) {
+// Both searches price candidates on the plan; the costs they report must
+// equal the reference walker's cost function at the default and at the
+// reported assignments.
+TEST(PlanLayer, TunerCostsEqualTheReferenceCost) {
   for (const char* name : {"matmul", "LocVolCalib"}) {
     const Benchmark b = get_benchmark(name);
     FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
     for (const auto& dev : {device_k40(), device_vega64()}) {
-      TunerOptions plan_opts;
-      plan_opts.max_trials = 120;
-      TunerOptions walk_opts = plan_opts;
-      walk_opts.use_plan = false;
-      const TuningReport pr =
-          autotune(dev, inc.program, inc.thresholds, train, plan_opts);
-      const TuningReport wr =
-          autotune(dev, inc.program, inc.thresholds, train, walk_opts);
+      TunerOptions opts;
+      opts.max_trials = 120;
       const std::string ctx = std::string(name) + "/" + dev.name;
-      EXPECT_TRUE(pr.used_plan) << ctx;
-      EXPECT_FALSE(wr.used_plan) << ctx;
-      EXPECT_EQ(pr.best.values, wr.best.values) << ctx;
-      EXPECT_EQ(pr.best_cost_us, wr.best_cost_us) << ctx;
-      EXPECT_EQ(pr.default_cost_us, wr.default_cost_us) << ctx;
-      EXPECT_EQ(pr.trials, wr.trials) << ctx;
+      const ThresholdEnv defaults;  // every threshold at 2^15
+      const double default_cost =
+          tuning_cost(dev, inc.program, train, defaults);
 
-      const TuningReport pe = exhaustive_tune(dev, inc.program, inc.thresholds,
-                                              train, int64_t{1} << 15,
-                                              plan_opts);
-      const TuningReport we = exhaustive_tune(dev, inc.program, inc.thresholds,
-                                              train, int64_t{1} << 15,
-                                              walk_opts);
-      EXPECT_EQ(pe.best.values, we.best.values) << ctx;
-      EXPECT_EQ(pe.best_cost_us, we.best_cost_us) << ctx;
-      EXPECT_EQ(pe.trials, we.trials) << ctx;
+      const TuningReport st =
+          autotune(dev, inc.program, inc.thresholds, train, opts);
+      EXPECT_EQ(st.default_cost_us, default_cost) << ctx;
+      EXPECT_EQ(st.best_cost_us,
+                tuning_cost(dev, inc.program, train, st.best))
+          << ctx;
+
+      const TuningReport ex =
+          exhaustive_tune(dev, inc.program, inc.thresholds, train);
+      EXPECT_EQ(ex.default_cost_us, default_cost) << ctx;
+      EXPECT_EQ(ex.best_cost_us,
+                tuning_cost(dev, inc.program, train, ex.best))
+          << ctx;
+      EXPECT_LE(ex.best_cost_us, st.best_cost_us) << ctx;
     }
+  }
+}
+
+// A threshold guard inside a data-dependent branch of an intra-group body
+// has no decision-tree form: the guard would split one kernel's
+// accumulation on a value known only at run time.  The build must fail
+// naming the construct rather than hand back a plan that prices it wrong.
+TEST(PlanLayer, UnsupportedConstructFailsTheBuild) {
+  // segmap^1 <xs in xss>
+  //   if xs[0] < 0 then (if m >= suff_intra_par_0 then RED else RED)
+  //   else RED
+  // where RED = segred^0 <x in xs> (+) 0 (x), an intra-group body.
+  const auto red = [] {
+    SegOpE so;
+    so.op = SegOpE::Op::Red;
+    so.level = 0;
+    so.space = {SegBind{{"x"}, {"xs"}, Dim::v("m")}};
+    so.combine = binlam("+", Scalar::F32);
+    so.neutral = {cf32(0)};
+    so.body = var("x");
+    return mk(std::move(so));
+  };
+  const ExprP guard =
+      mk(ThresholdCmpE{"suff_intra_par_0", SizeExpr::of(Dim::v("m")),
+                       SizeExpr::of(Dim::v("m"))});
+  SegOpE outer;
+  outer.op = SegOpE::Op::Map;
+  outer.level = 1;
+  outer.space = {SegBind{{"xs"}, {"xss"}, Dim::v("n")}};
+  outer.body = iff(lt(index(var("xs"), {ci64(0)}), cf32(0)),
+                   iff(guard, red(), red()), red());
+  Program p;
+  p.name = "guard_under_data_branch";
+  p.inputs = {{"xss", Type::array(Scalar::F32, {Dim::v("n"), Dim::v("m")})}};
+  p.body = mk(std::move(outer));
+  try {
+    build_kernel_plan(p);
+    FAIL() << "expected CompilerError";
+  } catch (const CompilerError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "threshold guard inside a data-dependent intra-group branch"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -451,6 +451,31 @@ TEST(Scheduler, QueueCapShedsNewestWithDrop) {
   EXPECT_EQ(sched.stats().submitted, 4);
 }
 
+TEST(Scheduler, PickWidthClampsZeroHardwareToOne) {
+  // hardware_concurrency() == 0 means "not computable"; the derived width
+  // must still be a valid worker count, never 0 or negative.
+  EXPECT_EQ(JobScheduler::pick_width(0, 0u), 1);
+  EXPECT_EQ(JobScheduler::pick_width(-3, 0u), 1);
+  EXPECT_EQ(JobScheduler::pick_width(0, 1u), 1);
+  EXPECT_EQ(JobScheduler::pick_width(0, 4u), 4);
+  EXPECT_EQ(JobScheduler::pick_width(0, 64u), 8);   // capped at 8
+  EXPECT_EQ(JobScheduler::pick_width(0, ~0u), 8);   // absurd platform value
+  EXPECT_EQ(JobScheduler::pick_width(6, 0u), 6);    // explicit request wins
+}
+
+TEST(Scheduler, ZeroHardwareWidthStillRunsJobs) {
+  // The degraded width is one worker, which still drains every job.
+  JobScheduler sched(JobScheduler::pick_width(0, 0u));
+  ASSERT_EQ(sched.width(), 1);
+  std::atomic<int> ran{0};
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 16; ++i) {
+    ids.push_back(sched.submit([&](JobContext&) { ++ran; }));
+  }
+  for (uint64_t id : ids) EXPECT_EQ(sched.wait(id), JobState::Done);
+  EXPECT_EQ(ran.load(), 16);
+}
+
 TEST(SchedulerStress, ConcurrentEnqueueExpireExactlyOnceSeeded) {
   // Several producers enqueue jobs with sub-millisecond queue timeouts
   // while two workers drain concurrently, so expiry races execution on
@@ -806,7 +831,6 @@ TEST(Server, TuneTunesTheFlattenedProgram) {
   TunerOptions topts;
   topts.max_trials = small_opts().tune_trials;
   topts.measure_seed = small_opts().fault_seed;
-  topts.workers = 1;
   const TuningReport rep =
       autotune(dev, c.flat.program, c.flat.thresholds, train, topts);
   ASSERT_FALSE(rep.best.values.empty());

@@ -2,17 +2,14 @@
 // formatting, deterministic RNG, JSON round-trips.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "src/support/chart.h"
 #include "src/support/json.h"
-#include "src/support/pool.h"
 #include "src/support/rng.h"
 #include "src/support/str.h"
 #include "src/support/table.h"
@@ -229,94 +226,6 @@ TEST(Json, NestedDocumentRoundTrips) {
   EXPECT_TRUE(back.get("items").at(2).is_null());
   // Serializing the reparsed document is a fixed point.
   EXPECT_EQ(back.str(), j.str());
-}
-
-TEST(WorkerPool, RunsEveryTaskExactlyOnce) {
-  WorkerPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  for (auto& h : hits) h = 0;
-  pool.run(64, [&](int i) { ++hits[static_cast<size_t>(i)]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPool, SingleFailureRethrowsTheOriginalType) {
-  WorkerPool pool(4);
-  try {
-    pool.run(8, [&](int i) {
-      if (i == 3) throw std::invalid_argument("task 3 failed");
-    });
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "task 3 failed");
-  }
-}
-
-TEST(WorkerPool, AggregatesEveryWorkerFailure) {
-  // Four tasks on four execution slots rendezvous before throwing, so all
-  // of them are in flight when the first failure lands: the pool must
-  // collect every one into a single WorkerPoolError instead of dropping
-  // all but the first.
-  WorkerPool pool(4);
-  std::atomic<int> started{0};
-  try {
-    pool.run(4, [&](int i) {
-      ++started;
-      while (started.load() < 4) std::this_thread::yield();
-      throw std::runtime_error("boom " + std::to_string(i));
-    });
-    FAIL() << "expected WorkerPoolError";
-  } catch (const WorkerPoolError& e) {
-    EXPECT_EQ(e.failures(), 4u);
-    EXPECT_NE(std::string(e.what()).find("4 tasks failed"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
-  }
-}
-
-TEST(WorkerPool, StopsDispatchingAfterAFailure) {
-  // One early failure cancels the undispatched tail; with 4 workers and
-  // 10000 tasks, far fewer than all of them may start.
-  WorkerPool pool(4);
-  std::atomic<int> started{0};
-  EXPECT_THROW(pool.run(10000,
-                        [&](int i) {
-                          ++started;
-                          if (i == 0) throw std::runtime_error("first");
-                        }),
-               std::runtime_error);
-  EXPECT_LT(started.load(), 10000);
-}
-
-TEST(WorkerPool, PickWidthClampsZeroHardwareToOne) {
-  // hardware_concurrency() == 0 means "not computable"; the derived width
-  // must still be a valid pool size, never 0 or negative.
-  EXPECT_EQ(WorkerPool::pick_width(0, 0u), 1);
-  EXPECT_EQ(WorkerPool::pick_width(-3, 0u), 1);
-  EXPECT_EQ(WorkerPool::pick_width(0, 1u), 1);
-  EXPECT_EQ(WorkerPool::pick_width(0, 4u), 4);
-  EXPECT_EQ(WorkerPool::pick_width(0, 64u), 8);   // capped at 8
-  EXPECT_EQ(WorkerPool::pick_width(0, ~0u), 8);   // absurd platform value
-  EXPECT_EQ(WorkerPool::pick_width(6, 0u), 6);    // explicit request wins
-}
-
-TEST(WorkerPool, ZeroHardwareWidthStillRunsTasks) {
-  // The degraded width-1 pool executes inline on the calling thread.
-  WorkerPool pool(WorkerPool::pick_width(0, 0u));
-  std::atomic<int> ran{0};
-  pool.run(16, [&](int) { ++ran; });
-  EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(WorkerPool, ReentrantRunFailsLoudly) {
-  WorkerPool pool(2);
-  // run() from inside a task would deadlock on the batch state; it must
-  // throw logic_error instead (surfaced through the pool's own error path).
-  EXPECT_THROW(pool.run(1, [&](int) { pool.run(1, [](int) {}); }),
-               std::logic_error);
-  // The pool stays usable after the failed batch.
-  std::atomic<int> ran{0};
-  pool.run(4, [&](int) { ++ran; });
-  EXPECT_EQ(ran.load(), 4);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/support/pool.h"
 #include "src/support/sync.h"
 #include "src/support/trace.h"
 
@@ -317,25 +316,6 @@ TEST_F(LockdepTest, TraceFlushRaceStress) {
   for (const auto& [name, value] : trace::counters())
     if (name == "sync_stress.counter") bumps = value;
   EXPECT_EQ(bumps, int64_t{kThreads} * kIters);  // no lost updates
-  EXPECT_TRUE(sync::lockdep::violations().empty());
-  trace::set_enabled(false);
-  trace::reset();
-}
-
-// WorkerPool under tracing exercises the layer's one sanctioned cross-class
-// edge (pool.mu -> trace.state) from many threads at once; lockdep must
-// certify it and nothing else.
-TEST_F(LockdepTest, WorkerPoolWithTracingIsLockdepClean) {
-  trace::reset();
-  trace::set_enabled(true);
-  {
-    WorkerPool pool(4);
-    std::atomic<int> total{0};
-    for (int round = 0; round < 8; ++round) {
-      pool.run(32, [&](int) { total.fetch_add(1, std::memory_order_relaxed); });
-    }
-    EXPECT_EQ(total.load(), 8 * 32);
-  }
   EXPECT_TRUE(sync::lockdep::violations().empty());
   trace::set_enabled(false);
   trace::reset();

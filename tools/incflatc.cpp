@@ -55,7 +55,6 @@ struct Options {
   bool simplify = false;
   bool tune = false;
   bool exhaustive = false;
-  bool oracle = false;
   bool json = false;
   bool stats = false;
   bool trace = false;
@@ -114,8 +113,6 @@ int usage() {
       "  --verify-each               verify IR invariants after every pass\n"
       "  --print-after PASS          print the program after PASS ran\n"
       "                              ('all' = after every pass)\n"
-      "  --oracle                    price with the legacy IR walker instead\n"
-      "                              of the kernel plan (debug oracle)\n"
       "  --json                      machine-readable output\n"
       "  --trace[=FILE]              write a Chrome trace-event JSON of the\n"
       "                              pipeline (default trace.json); open in\n"
@@ -188,8 +185,6 @@ std::optional<Options> parse(int argc, char** argv) {
       if (const char* v = next()) o.passes = v; else return std::nullopt;
     } else if (a == "--print-after") {
       if (const char* v = next()) o.print_after = v; else return std::nullopt;
-    } else if (a == "--oracle") {
-      o.oracle = true;
     } else if (a == "--json") {
       o.json = true;
     } else if (a == "--stats") {
@@ -372,7 +367,6 @@ int run(const Options& o) {
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
     TunerOptions topts;
-    topts.use_plan = !o.oracle;
     // Fault-injected tuning: the spec's noise amplitude perturbs every
     // measurement and its launch rate makes individual measurements fail;
     // the tuner answers with median-of-k re-measurement.
@@ -384,11 +378,10 @@ int run(const Options& o) {
     TuningReport rep =
         o.exhaustive
             ? exhaustive_tune(dev, fr.program, fr.thresholds, train,
-                              topts.default_threshold, topts)
+                              topts.default_threshold)
             : autotune(dev, fr.program, fr.thresholds, train, topts);
     thresholds = rep.best;
-    std::cout << "tuned on " << train.size() << " datasets via "
-              << (rep.used_plan ? "kernel plan" : "IR walker") << ": "
+    std::cout << "tuned on " << train.size() << " datasets via kernel plan: "
               << fmt_us(rep.default_cost_us) << " -> "
               << fmt_us(rep.best_cost_us) << " (" << rep.evaluations
               << " evaluations, " << rep.dedup_hits << " dedup hits)\n";
@@ -416,18 +409,13 @@ int run(const Options& o) {
       return 2;
     }
 
-    // simulate() prices via the kernel plan when one exists and falls back
-    // to the legacy IR walker otherwise; --oracle forces the walker.
-    Compiled sim = c;
-    if (o.oracle) sim.plan = nullptr;
-
     if (fspec.faults_launches()) {
       // Fault-injected execution: retries and graceful degradation over the
       // guard tree; an unrecoverable run reports a structured diagnostic
       // and exits 1 instead of throwing.
       FaultPlan fplan(fspec, o.fault_seed);
       const RunOutcome out =
-          run_with_faults(dev, sim, ds->sizes, thresholds, fplan, policy);
+          run_with_faults(dev, c, ds->sizes, thresholds, fplan, policy);
       if (o.json) {
         Json j = Json::object();
         j.set("benchmark", b.name)
@@ -469,7 +457,7 @@ int run(const Options& o) {
       return out.ok ? 0 : 1;
     }
 
-    const RunEstimate est = simulate(dev, sim, ds->sizes, thresholds);
+    const RunEstimate est = simulate(dev, c, ds->sizes, thresholds);
     if (o.json) {
       Json j = Json::object();
       j.set("benchmark", b.name)

@@ -162,7 +162,7 @@ void soak_tuning(Tally& t, const Benchmark& b, const Compiled& c,
 /// paths all interleave here, and lockdep watches every acquisition.
 void soak_serve(Tally& t, const std::string& spec_str) {
   // Tracing on: the X -> trace.state ordering edges (cache shards, the
-  // scheduler, the pool all count under their locks) only exist while the
+  // scheduler all count under their locks) only exist while the
   // trace layer is enabled, and the certification should cover them.
   trace::set_enabled(true);
   serve::ServeOptions o;
