@@ -29,11 +29,7 @@ struct DefUseBuilder {
 
   void use(const std::string& name) {
     auto it = out.defs.find(name);
-    if (it == out.defs.end()) {
-      out.undefined.insert(name);
-    } else {
-      ++it->second.uses;
-    }
+    if (it != out.defs.end()) ++it->second.uses;
   }
 
   void use_dim(const Dim& d) {

@@ -1,45 +1,14 @@
-// Reusable dataflow framework over the SOAC IR.
+// Def-use chains and liveness over the SOAC IR.
 //
-// Two layers:
-//
-//  1. def-use chains and liveness (def_use / dead_defs): every binder in a
-//     program — inputs, size parameters, lets, loop params and indices,
-//     lambda and seg-space params — with its use count.  In a pure
-//     expression language with single-assignment binders, classic backward
-//     liveness degenerates to "is the binding referenced anywhere in its
-//     scope", so a zero use count *is* the dead-code verdict.
-//
-//  2. a forward abstract-interpretation driver (ForwardInterp<D>)
-//     parameterized by a lattice domain D.  The driver owns the traversal
-//     and environment plumbing (binders, branch joins, loop fixpoints with
-//     widening); the domain owns the value algebra.  Arrays are abstracted
-//     *elementwise*: the abstract value of an array is an over-approximation
-//     of every element, so indexing and SOAC element binding are sound
-//     without tracking per-index precision.
-//
-// The concrete instantiation used by the size analysis is RangeDomain
-// (src/analysis/range.h), whose Value is an integer interval.
-//
-// Domain requirements (duck-typed; see RangeDomain for a model):
-//
-//   using Value = ...;                          // lattice element
-//   Value top();                                // no information
-//   Value join(Value, Value);                   // least upper bound
-//   bool  leq(Value, Value);                    // a ⊑ b (fixpoint test)
-//   Value widen(Value old, Value next);         // forces loop termination
-//   Value constant(const ConstE&);              // literal
-//   Value binop(const std::string&, Value, Value);
-//   Value unop(const std::string&, Value);
-//   Value size_var(const std::string&);         // value of a size variable
-//   Value input(const Param&);                  // elementwise input value
-//   Value dim(const Dim&);                      // value of a Dim
-//   Value iota_elem(const Dim& count);          // element of iota(count)
-//   Value loop_index(Value count);              // ivar of `for i < count`
+// def_use records every binder in a program — inputs, size parameters,
+// lets, loop params and indices, lambda and seg-space params — with its
+// use count.  In a pure expression language with single-assignment
+// binders, classic backward liveness degenerates to "is the binding
+// referenced anywhere in its scope", so a zero use count *is* the
+// dead-code verdict (dead_defs), which lint reports as dead-binding.
 #pragma once
 
-#include <algorithm>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -71,7 +40,6 @@ struct DefInfo {
 /// merge their use counts, which only ever *over*-approximates liveness.
 struct DefUse {
   std::map<std::string, DefInfo> defs;
-  std::set<std::string> undefined;  // used but never defined
 };
 
 DefUse def_use(const Program& p);
@@ -80,205 +48,6 @@ DefUse def_use(const Program& p);
 /// Inputs and size parameters are excluded (an unused input is an API
 /// choice, not dead IR).
 std::vector<std::string> dead_defs(const DefUse& du);
-
-// ---------------------------------------------------------------------------
-
-/// Forward abstract interpretation of a program under domain D.  eval()
-/// returns one abstract value per result of the expression; run() seeds the
-/// environment from the program's size parameters and inputs.  Every binder
-/// encountered is recorded in bindings() (joined over multiple visits, e.g.
-/// loop iterations), giving the per-binding analysis table.
-template <typename D>
-class ForwardInterp {
- public:
-  using Value = typename D::Value;
-
-  explicit ForwardInterp(D dom) : d_(std::move(dom)) {}
-
-  std::vector<Value> run(const Program& p) {
-    env_.clear();
-    bindings_.clear();
-    for (const auto& sp : p.size_params()) bind(sp, d_.size_var(sp));
-    for (const auto& in : p.inputs) bind(in.name, d_.input(in));
-    return eval(p.body);
-  }
-
-  /// Abstract value of every binding encountered, keyed by name.
-  const std::map<std::string, Value>& bindings() const { return bindings_; }
-
-  std::vector<Value> eval(const ExprP& e) {
-    if (!e) return {};
-    if (auto* v = e->as<VarE>()) {
-      auto it = env_.find(v->name);
-      return {it == env_.end() ? d_.top() : it->second};
-    }
-    if (auto* c = e->as<ConstE>()) return {d_.constant(*c)};
-    if (auto* b = e->as<BinOpE>()) {
-      return {d_.binop(b->op, one(b->lhs), one(b->rhs))};
-    }
-    if (auto* u = e->as<UnOpE>()) return {d_.unop(u->op, one(u->e))};
-    if (auto* i = e->as<IfE>()) {
-      eval(i->cond);
-      return join_all(eval(i->then_e), eval(i->else_e));
-    }
-    if (auto* l = e->as<LetE>()) {
-      std::vector<Value> vs = eval(l->rhs);
-      for (size_t k = 0; k < l->vars.size(); ++k) {
-        bind(l->vars[k], k < vs.size() ? vs[k] : d_.top());
-      }
-      return eval(l->body);
-    }
-    if (auto* lp = e->as<LoopE>()) return eval_loop(*lp);
-    if (auto* m = e->as<MapE>()) {
-      bind_lambda(m->f, eval_list(m->arrays));
-      return eval(m->f.body);
-    }
-    if (auto* r = e->as<ReduceE>()) {
-      return eval_fold(r->op, eval_list(r->neutral), eval_list(r->arrays));
-    }
-    if (auto* s = e->as<ScanE>()) {
-      // Elementwise view of the partial-result array: every prefix fold.
-      std::vector<Value> acc =
-          eval_fold(s->op, eval_list(s->neutral), eval_list(s->arrays));
-      return join_all(acc, eval_list(s->neutral));
-    }
-    if (auto* rm = e->as<RedomapE>()) {
-      bind_lambda(rm->mapf, eval_list(rm->arrays));
-      return eval_fold(rm->red, eval_list(rm->neutral), eval(rm->mapf.body));
-    }
-    if (auto* sm = e->as<ScanomapE>()) {
-      bind_lambda(sm->mapf, eval_list(sm->arrays));
-      std::vector<Value> acc =
-          eval_fold(sm->red, eval_list(sm->neutral), eval(sm->mapf.body));
-      return join_all(acc, eval_list(sm->neutral));
-    }
-    if (auto* rp = e->as<ReplicateE>()) return eval(rp->elem);
-    if (auto* ra = e->as<RearrangeE>()) return eval(ra->e);
-    if (auto* io = e->as<IotaE>()) return {d_.iota_elem(io->count)};
-    if (auto* ix = e->as<IndexE>()) {
-      for (const auto& x : ix->idxs) eval(x);
-      return eval(ix->arr);  // elementwise: indexing loses nothing
-    }
-    if (auto* t = e->as<TupleE>()) {
-      std::vector<Value> out;
-      out.reserve(t->elems.size());
-      for (const auto& x : t->elems) out.push_back(one(x));
-      return out;
-    }
-    if (auto* so = e->as<SegOpE>()) return eval_segop(*so);
-    if (e->is<ThresholdCmpE>()) return {d_.top()};  // a runtime boolean
-    return {d_.top()};
-  }
-
- private:
-  Value one(const ExprP& e) {
-    std::vector<Value> vs = eval(e);
-    return vs.size() == 1 ? vs[0] : d_.top();
-  }
-
-  std::vector<Value> eval_list(const std::vector<ExprP>& es) {
-    std::vector<Value> out;
-    out.reserve(es.size());
-    for (const auto& x : es) out.push_back(one(x));
-    return out;
-  }
-
-  std::vector<Value> join_all(std::vector<Value> a,
-                              const std::vector<Value>& b) {
-    if (a.size() != b.size()) {
-      return std::vector<Value>(std::max(a.size(), b.size()), d_.top());
-    }
-    for (size_t i = 0; i < a.size(); ++i) a[i] = d_.join(a[i], b[i]);
-    return a;
-  }
-
-  void bind(const std::string& name, Value v) {
-    env_[name] = v;
-    auto it = bindings_.find(name);
-    if (it == bindings_.end()) {
-      bindings_.emplace(name, v);
-    } else {
-      it->second = d_.join(it->second, v);  // re-visited binder (loop body)
-    }
-  }
-
-  void bind_lambda(const Lambda& f, const std::vector<Value>& args) {
-    for (size_t i = 0; i < f.params.size(); ++i) {
-      bind(f.params[i].name, i < args.size() ? args[i] : d_.top());
-    }
-  }
-
-  /// Loop fixpoint: params start at the inits and are widened with each
-  /// abstract body evaluation until stable.  Interval widening jumps to
-  /// ±inf, so this converges in a couple of rounds; the iteration cap is a
-  /// safety net for ill-behaved domains.
-  std::vector<Value> eval_loop(const LoopE& lp) {
-    std::vector<Value> cur = eval_list(lp.inits);
-    cur.resize(lp.params.size(), d_.top());
-    bind(lp.ivar, d_.loop_index(one(lp.count)));
-    for (int round = 0; round < 8; ++round) {
-      for (size_t i = 0; i < lp.params.size(); ++i) bind(lp.params[i], cur[i]);
-      std::vector<Value> next = eval(lp.body);
-      next.resize(lp.params.size(), d_.top());
-      bool stable = true;
-      for (size_t i = 0; i < cur.size(); ++i) {
-        Value joined = d_.join(cur[i], next[i]);
-        if (!d_.leq(joined, cur[i])) {
-          stable = false;
-          cur[i] = d_.widen(cur[i], joined);
-        }
-      }
-      if (stable) break;
-    }
-    for (size_t i = 0; i < lp.params.size(); ++i) bind(lp.params[i], cur[i]);
-    return cur;
-  }
-
-  /// Reduction fixpoint: the accumulator absorbs elements through the
-  /// combine operator until stable under widening.  The operator binds its
-  /// 2k params as k accumulators followed by k elements.
-  std::vector<Value> eval_fold(const Lambda& op, std::vector<Value> acc,
-                               const std::vector<Value>& elems) {
-    const size_t k = op.params.size() / 2;
-    acc.resize(k, d_.top());
-    for (int round = 0; round < 8; ++round) {
-      for (size_t i = 0; i < k; ++i) bind(op.params[i].name, acc[i]);
-      for (size_t i = 0; i + k < op.params.size(); ++i) {
-        bind(op.params[k + i].name, i < elems.size() ? elems[i] : d_.top());
-      }
-      std::vector<Value> next = eval(op.body);
-      next.resize(k, d_.top());
-      bool stable = true;
-      for (size_t i = 0; i < k; ++i) {
-        Value joined = d_.join(acc[i], next[i]);
-        if (!d_.leq(joined, acc[i])) {
-          stable = false;
-          acc[i] = d_.widen(acc[i], joined);
-        }
-      }
-      if (stable) break;
-    }
-    return acc;
-  }
-
-  std::vector<Value> eval_segop(const SegOpE& so) {
-    for (const auto& lvl : so.space) {
-      for (size_t i = 0; i < lvl.params.size(); ++i) {
-        auto it = env_.find(lvl.arrays[i]);
-        bind(lvl.params[i], it == env_.end() ? d_.top() : it->second);
-      }
-    }
-    std::vector<Value> body = eval(so.body);
-    if (so.op == SegOpE::Op::Map) return body;
-    std::vector<Value> acc = eval_fold(so.combine, eval_list(so.neutral), body);
-    if (so.op == SegOpE::Op::Scan) return join_all(acc, eval_list(so.neutral));
-    return acc;
-  }
-
-  D d_;
-  std::map<std::string, Value> env_;
-  std::map<std::string, Value> bindings_;
-};
 
 }  // namespace analysis
 }  // namespace incflat

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "src/analysis/dataflow.h"
 #include "src/ir/traverse.h"
 
 namespace incflat {
@@ -200,8 +201,9 @@ std::vector<Diagnostic> lint_program(const Program& p,
     }
   }
 
-  for (const auto& name : dead_defs(def_use(p))) {
-    const auto& info = def_use(p).defs.at(name);
+  const DefUse du = def_use(p);
+  for (const auto& name : dead_defs(du)) {
+    const DefInfo& info = du.defs.at(name);
     ds.push_back(Diagnostic{
         Severity::Note, "dead-binding", "lint", "",
         std::string(def_kind_name(info.kind)) + " binding '" + name +

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "src/support/error.h"
-
 namespace incflat {
 namespace analysis {
 
@@ -12,12 +10,6 @@ namespace {
 
 constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
 constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-
-int64_t sat_add(int64_t a, int64_t b) {
-  if (a > 0 && b > kMax - a) return kMax;
-  if (a < 0 && b < kMin - a) return kMin;
-  return a + b;
-}
 
 int64_t sat_mul(int64_t a, int64_t b) {
   if (a == 0 || b == 0) return 0;
@@ -43,47 +35,6 @@ std::string IntInterval::str() const {
   return s;
 }
 
-IntInterval interval_join(const IntInterval& a, const IntInterval& b) {
-  IntInterval out;
-  out.lo_finite = a.lo_finite && b.lo_finite;
-  out.hi_finite = a.hi_finite && b.hi_finite;
-  if (out.lo_finite) out.lo = std::min(a.lo, b.lo);
-  if (out.hi_finite) out.hi = std::max(a.hi, b.hi);
-  return out;
-}
-
-bool interval_leq(const IntInterval& a, const IntInterval& b) {
-  if (b.lo_finite && (!a.lo_finite || a.lo < b.lo)) return false;
-  if (b.hi_finite && (!a.hi_finite || a.hi > b.hi)) return false;
-  return true;
-}
-
-IntInterval interval_widen(const IntInterval& old, const IntInterval& next) {
-  IntInterval out = next;
-  if (!old.lo_finite || (next.lo_finite && next.lo < old.lo)) {
-    out.lo_finite = false;
-  } else {
-    out.lo_finite = old.lo_finite;
-    out.lo = old.lo;
-  }
-  if (!old.hi_finite || (next.hi_finite && next.hi > old.hi)) {
-    out.hi_finite = false;
-  } else {
-    out.hi_finite = old.hi_finite;
-    out.hi = old.hi;
-  }
-  return out;
-}
-
-IntInterval interval_add(const IntInterval& a, const IntInterval& b) {
-  IntInterval out;
-  out.lo_finite = a.lo_finite && b.lo_finite;
-  out.hi_finite = a.hi_finite && b.hi_finite;
-  if (out.lo_finite) out.lo = sat_add(a.lo, b.lo);
-  if (out.hi_finite) out.hi = sat_add(a.hi, b.hi);
-  return desaturate(out);
-}
-
 IntInterval interval_neg(const IntInterval& a) {
   IntInterval out;
   out.lo_finite = a.hi_finite;
@@ -91,10 +42,6 @@ IntInterval interval_neg(const IntInterval& a) {
   if (out.lo_finite) out.lo = a.hi == kMin ? kMax : -a.hi;
   if (out.hi_finite) out.hi = a.lo == kMin ? kMax : -a.lo;
   return desaturate(out);
-}
-
-IntInterval interval_sub(const IntInterval& a, const IntInterval& b) {
-  return interval_add(a, interval_neg(b));
 }
 
 IntInterval interval_mul(const IntInterval& a, const IntInterval& b) {
@@ -285,97 +232,7 @@ GuardDecision decide_guard(const ThresholdCmpE& tc, const AnalysisLimits& lim,
 }
 
 // ---------------------------------------------------------------------------
-// RangeDomain transfer functions.
-
-IntInterval RangeDomain::constant(const ConstE& c) const {
-  switch (c.tag) {
-    case Scalar::I32:
-    case Scalar::I64:
-    case Scalar::Bool:
-      return IntInterval::point(c.i);
-    default:
-      return IntInterval::top();  // float payloads are not tracked
-  }
-}
-
-IntInterval RangeDomain::binop(const std::string& op, const IntInterval& a,
-                               const IntInterval& b) const {
-  if (op == "+") return interval_add(a, b);
-  if (op == "-") return interval_sub(a, b);
-  if (op == "*") return interval_mul(a, b);
-  if (op == "min") return interval_min(a, b);
-  if (op == "max") return interval_max(a, b);
-  if (op == "/") {
-    // Conservative: only the easy all-positive case.
-    if (a.lo_finite && a.lo >= 0 && b.lo_finite && b.lo >= 1) {
-      IntInterval out = IntInterval::at_least(0);
-      if (a.hi_finite) {
-        out.hi_finite = true;
-        out.hi = a.hi / b.lo;
-      }
-      return out;
-    }
-    return IntInterval::top();
-  }
-  if (op == "<" || op == "<=" || op == "==" || op == "&&" || op == "||") {
-    return IntInterval::range(0, 1);
-  }
-  return IntInterval::top();  // "pow" and anything unrecognised
-}
-
-IntInterval RangeDomain::unop(const std::string& op,
-                              const IntInterval& a) const {
-  if (op == "neg") return interval_neg(a);
-  if (op == "!") return IntInterval::range(0, 1);
-  if (op == "abs") {
-    if (a.lo_finite && a.lo >= 0) return a;
-    IntInterval out = IntInterval::at_least(0);
-    if (a.lo_finite && a.hi_finite) {
-      out.hi_finite = true;
-      out.hi = std::max(a.lo == kMin ? kMax : -a.lo, a.hi);
-    }
-    return desaturate(out);
-  }
-  if (op == "i2f") return a;  // value-preserving for tracked (integer) inputs
-  if (op == "f2i") {
-    // Truncation toward zero moves the value by strictly less than 1.
-    IntInterval out = a;
-    if (out.lo_finite) out.lo = sat_add(out.lo, -1);
-    if (out.hi_finite) out.hi = sat_add(out.hi, 1);
-    return desaturate(out);
-  }
-  return IntInterval::top();  // exp/log/sqrt: float-valued
-}
-
-IntInterval RangeDomain::input(const Param&) const {
-  return IntInterval::top();  // input data is unconstrained
-}
-
-IntInterval RangeDomain::dim(const Dim& d) const {
-  return d.is_const() ? IntInterval::point(d.cval) : size_var(d.var);
-}
-
-IntInterval RangeDomain::iota_elem(const Dim& count) const {
-  const IntInterval c = dim(count);
-  IntInterval out = IntInterval::at_least(0);
-  if (c.hi_finite) {
-    out.hi_finite = true;
-    out.hi = std::max<int64_t>(0, sat_add(c.hi, -1));
-  }
-  return out;
-}
-
-IntInterval RangeDomain::loop_index(const IntInterval& count) const {
-  IntInterval out = IntInterval::at_least(0);
-  if (count.hi_finite) {
-    out.hi_finite = true;
-    out.hi = std::max<int64_t>(0, sat_add(count.hi, -1));
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Par degrees and local-memory footprints.
+// Local-memory footprints.
 
 namespace {
 
@@ -383,73 +240,6 @@ SizeProd space_prod(const SegSpace& space) {
   SizeProd p;
   for (const auto& b : space) p *= b.dim;
   return p;
-}
-
-void par_walk(const ExprP& e, SizeExpr& acc);  // NOLINT(misc-no-recursion)
-
-void par_walk_all(const std::vector<ExprP>& es, SizeExpr& acc) {
-  for (const auto& x : es) par_walk(x, acc);
-}
-
-void par_walk(const ExprP& e, SizeExpr& acc) {
-  if (!e) return;
-  if (auto* so = e->as<SegOpE>()) {
-    SizeExpr inner;
-    par_walk(so->body, inner);
-    const SizeProd mine = space_prod(so->space);
-    const SizeExpr exposed = inner.alts.empty()
-                                 ? SizeExpr::of(mine)
-                                 : inner.times(mine);
-    acc = acc.max_with(exposed);
-    // Sequential SOACs inside the body were already covered by the walk;
-    // neutral elements run per segment, sequentially.
-    return;
-  }
-  if (auto* b = e->as<BinOpE>()) {
-    par_walk(b->lhs, acc);
-    par_walk(b->rhs, acc);
-  } else if (auto* u = e->as<UnOpE>()) {
-    par_walk(u->e, acc);
-  } else if (auto* i = e->as<IfE>()) {
-    par_walk(i->then_e, acc);
-    par_walk(i->else_e, acc);
-  } else if (auto* l = e->as<LetE>()) {
-    par_walk(l->rhs, acc);
-    par_walk(l->body, acc);
-  } else if (auto* lp = e->as<LoopE>()) {
-    par_walk_all(lp->inits, acc);
-    par_walk(lp->body, acc);
-  } else if (auto* t = e->as<TupleE>()) {
-    par_walk_all(t->elems, acc);
-  } else if (auto* rp = e->as<ReplicateE>()) {
-    par_walk(rp->elem, acc);
-  } else if (auto* ra = e->as<RearrangeE>()) {
-    par_walk(ra->e, acc);
-  } else if (auto* ix = e->as<IndexE>()) {
-    par_walk(ix->arr, acc);
-    par_walk_all(ix->idxs, acc);
-  } else if (auto* m = e->as<MapE>()) {
-    par_walk_all(m->arrays, acc);
-    par_walk(m->f.body, acc);
-  } else if (auto* r = e->as<ReduceE>()) {
-    par_walk_all(r->neutral, acc);
-    par_walk_all(r->arrays, acc);
-    par_walk(r->op.body, acc);
-  } else if (auto* s = e->as<ScanE>()) {
-    par_walk_all(s->neutral, acc);
-    par_walk_all(s->arrays, acc);
-    par_walk(s->op.body, acc);
-  } else if (auto* rm = e->as<RedomapE>()) {
-    par_walk_all(rm->neutral, acc);
-    par_walk_all(rm->arrays, acc);
-    par_walk(rm->red.body, acc);
-    par_walk(rm->mapf.body, acc);
-  } else if (auto* sm = e->as<ScanomapE>()) {
-    par_walk_all(sm->neutral, acc);
-    par_walk_all(sm->arrays, acc);
-    par_walk(sm->red.body, acc);
-    par_walk(sm->mapf.body, acc);
-  }
 }
 
 /// Per-point result bytes of a seg-op body, symbolically: scalars
@@ -513,104 +303,10 @@ void local_walk(const ExprP& e, bool in_group, SizeExpr& acc) {
 
 }  // namespace
 
-SizeExpr par_of(const ExprP& e) {
-  SizeExpr acc;
-  par_walk(e, acc);
-  return acc;
-}
-
 SizeExpr local_mem_of(const ExprP& e) {
   SizeExpr acc;
   local_walk(e, false, acc);
   return acc;
-}
-
-ProgramAnalysis analyze_program(const Program& p) {
-  ProgramAnalysis out;
-  out.defuse = def_use(p);
-
-  RangeDomain dom;
-  dom.bounds = p.size_bounds;
-  ForwardInterp<RangeDomain> interp(dom);
-  interp.run(p);
-  for (const auto& [name, interval] : interp.bindings()) {
-    out.bindings[name].range = interval;
-  }
-
-  // Shape / Par / local-memory facts come from the defining expressions of
-  // let bindings (the only binders whose right-hand side is a whole
-  // expression).
-  struct Walk {
-    ProgramAnalysis& out;
-    void visit(const ExprP& e) {  // NOLINT(misc-no-recursion)
-      if (!e) return;
-      if (auto* l = e->as<LetE>()) {
-        for (size_t i = 0; i < l->vars.size(); ++i) {
-          BindingFacts& f = out.bindings[l->vars[i]];
-          if (l->rhs && i < l->rhs->types.size()) {
-            f.types = {l->rhs->types[i]};
-          }
-          f.par = par_of(l->rhs);
-          f.local_mem = local_mem_of(l->rhs);
-          f.has_local = !f.local_mem.alts.empty();
-        }
-        visit(l->rhs);
-        visit(l->body);
-        return;
-      }
-      if (auto* b = e->as<BinOpE>()) {
-        visit(b->lhs);
-        visit(b->rhs);
-      } else if (auto* u = e->as<UnOpE>()) {
-        visit(u->e);
-      } else if (auto* i = e->as<IfE>()) {
-        visit(i->cond);
-        visit(i->then_e);
-        visit(i->else_e);
-      } else if (auto* lp = e->as<LoopE>()) {
-        for (const auto& x : lp->inits) visit(x);
-        visit(lp->count);
-        visit(lp->body);
-      } else if (auto* t = e->as<TupleE>()) {
-        for (const auto& x : t->elems) visit(x);
-      } else if (auto* rp = e->as<ReplicateE>()) {
-        visit(rp->elem);
-      } else if (auto* ra = e->as<RearrangeE>()) {
-        visit(ra->e);
-      } else if (auto* ix = e->as<IndexE>()) {
-        visit(ix->arr);
-        for (const auto& x : ix->idxs) visit(x);
-      } else if (auto* m = e->as<MapE>()) {
-        for (const auto& x : m->arrays) visit(x);
-        visit(m->f.body);
-      } else if (auto* r = e->as<ReduceE>()) {
-        for (const auto& x : r->neutral) visit(x);
-        for (const auto& x : r->arrays) visit(x);
-        visit(r->op.body);
-      } else if (auto* s = e->as<ScanE>()) {
-        for (const auto& x : s->neutral) visit(x);
-        for (const auto& x : s->arrays) visit(x);
-        visit(s->op.body);
-      } else if (auto* rm = e->as<RedomapE>()) {
-        for (const auto& x : rm->neutral) visit(x);
-        for (const auto& x : rm->arrays) visit(x);
-        visit(rm->red.body);
-        visit(rm->mapf.body);
-      } else if (auto* sm = e->as<ScanomapE>()) {
-        for (const auto& x : sm->neutral) visit(x);
-        for (const auto& x : sm->arrays) visit(x);
-        visit(sm->red.body);
-        visit(sm->mapf.body);
-      } else if (auto* so = e->as<SegOpE>()) {
-        for (const auto& x : so->neutral) visit(x);
-        if (so->op != SegOpE::Op::Map) visit(so->combine.body);
-        visit(so->body);
-      }
-    }
-  };
-  Walk w{out};
-  w.visit(p.body);
-  return out;
 }
 
 }  // namespace analysis

@@ -1,12 +1,9 @@
-// Symbolic size/range analysis over intervals in the program's size
-// variables.
-//
-// The domain has two cooperating halves:
+// Symbolic size algebra over the program's size variables, and the guard
+// decisions simplify-guards and lint build on it.
 //
 //  * IntInterval — a saturating integer interval [lo, hi] with open ends,
-//    the lattice Value of RangeDomain (plugged into ForwardInterp).  It
-//    abstracts integer-valued scalars; floats and opaque array elements
-//    degrade to top.
+//    with just the arithmetic (mul/min/max/neg) needed to concretize a
+//    size expression under the program's declared SizeBounds.
 //
 //  * symbolic SizeProd/SizeExpr comparison — `Par(...)` degrees and
 //    workgroup-fit bounds are *monomials* (max of products of size
@@ -18,10 +15,11 @@
 //
 // Soundness invariant (property-tested in tests/test_analysis.cpp): for
 // every size assignment satisfying the declared bounds — size variables
-// default to [1, inf) — every concrete evaluation lies inside the inferred
-// interval.  The guard decision procedure only answers AlwaysTrue /
-// AlwaysFalse when that holds for *all* in-bounds assignments and *all*
-// threshold values; everything else is Unknown.
+// default to [1, inf) — a size expression's value lies inside its
+// interval_of, and prod_leq / expr_leq answer true only when the
+// inequality holds pointwise.  The guard decision procedure only answers
+// AlwaysTrue / AlwaysFalse when that holds for *all* in-bounds
+// assignments and *all* threshold values; everything else is Unknown.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/dataflow.h"
 #include "src/gpusim/device.h"
 #include "src/ir/expr.h"
 #include "src/ir/size.h"
@@ -68,14 +65,6 @@ struct IntInterval {
   }
 };
 
-IntInterval interval_join(const IntInterval& a, const IntInterval& b);
-/// Containment a ⊆ b.
-bool interval_leq(const IntInterval& a, const IntInterval& b);
-/// Classic interval widening: bounds that grew become open.
-IntInterval interval_widen(const IntInterval& old, const IntInterval& next);
-
-IntInterval interval_add(const IntInterval& a, const IntInterval& b);
-IntInterval interval_sub(const IntInterval& a, const IntInterval& b);
 IntInterval interval_mul(const IntInterval& a, const IntInterval& b);
 IntInterval interval_min(const IntInterval& a, const IntInterval& b);
 IntInterval interval_max(const IntInterval& a, const IntInterval& b);
@@ -146,61 +135,7 @@ GuardDecision decide_guard(const ThresholdCmpE& tc, const AnalysisLimits& lim,
                            const SizeBounds& bounds, const GuardFacts& facts);
 
 // ---------------------------------------------------------------------------
-// Whole-program analysis table.
-
-/// RangeDomain: the interval instantiation of ForwardInterp (see
-/// src/analysis/dataflow.h for the interface contract).
-struct RangeDomain {
-  using Value = IntInterval;
-
-  SizeBounds bounds;
-
-  Value top() const { return IntInterval::top(); }
-  Value join(const Value& a, const Value& b) const {
-    return interval_join(a, b);
-  }
-  bool leq(const Value& a, const Value& b) const {
-    return interval_leq(a, b);
-  }
-  Value widen(const Value& old, const Value& next) const {
-    return interval_widen(old, next);
-  }
-  Value constant(const ConstE& c) const;
-  Value binop(const std::string& op, const Value& a, const Value& b) const;
-  Value unop(const std::string& op, const Value& a) const;
-  Value size_var(const std::string& name) const {
-    return size_var_interval(name, bounds);
-  }
-  Value input(const Param& p) const;
-  Value dim(const Dim& d) const;
-  Value iota_elem(const Dim& count) const;
-  Value loop_index(const Value& count) const;
-};
-
-/// Everything the size analysis knows about one binding.
-struct BindingFacts {
-  std::vector<Type> types;  // declared shape (from the type annotations)
-  IntInterval range;        // elementwise scalar interval
-  SizeExpr par;             // exposed parallel degree of the defining expr
-  SizeExpr local_mem;       // symbolic scratchpad footprint, bytes
-  bool has_local = false;   // local_mem is meaningful (intra-group def)
-};
-
-struct ProgramAnalysis {
-  std::map<std::string, BindingFacts> bindings;
-  DefUse defuse;
-};
-
-/// Run the dataflow framework over `p` (which must be type-annotated) under
-/// its declared size bounds, producing the per-binding table: shape, scalar
-/// interval, Par(...) degree, and — for bindings whose definition contains
-/// an intra-group seg-op — the symbolic local-memory footprint mirroring
-/// the cost model's `local_peak = 2 * points * elem_bytes`.
-ProgramAnalysis analyze_program(const Program& p);
-
-/// Exposed parallel degree of an expression: max over contained seg-ops of
-/// the product of their space dimensions (times nested seg-op degrees).
-SizeExpr par_of(const ExprP& e);
+// Local-memory footprints.
 
 /// Symbolic scratchpad footprint in bytes of the widest intra-group seg-op
 /// in `e` (the cost model's local_peak).  Empty alts = no intra-group work.

@@ -67,7 +67,6 @@ class CancelToken {
   /// share one via shared_ptr when several holders need it.
   explicit CancelToken(double deadline_ms) { set_deadline_ms(deadline_ms); }
 
-  void set_deadline(Clock::time_point tp) { deadline_ = tp; }
   void set_deadline_ms(double ms) {
     deadline_ = Clock::now() + std::chrono::microseconds(
                                    static_cast<int64_t>(ms * 1000.0));

@@ -48,7 +48,6 @@ struct SizeProd {
   SizeProd& operator*=(const SizeProd& o);
 
   int64_t eval(const SizeEnv& env) const;
-  bool is_one() const { return konst == 1 && vars.empty(); }
   std::string str() const;
   bool operator==(const SizeProd& o) const;
 };

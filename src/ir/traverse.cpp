@@ -185,8 +185,6 @@ bool has_soacs(const ExprP& e) {
   });
 }
 
-bool has_exploitable_parallelism(const ExprP& e) { return has_soacs(e); }
-
 namespace {
 
 Lambda rename_lambda(const Lambda& l,

@@ -21,10 +21,6 @@ std::set<std::string> free_vars(const ExprP& e);
 /// the "has inner SOACs" test of rules G2/G3.
 bool has_soacs(const ExprP& e);
 
-/// True if `e` contains a *parallel recurrence* worth exploiting: any SOAC,
-/// or a loop whose body has SOACs (rule G7's side condition).
-bool has_exploitable_parallelism(const ExprP& e);
-
 /// Capture-avoiding renaming of free variables according to `sub`.  Bound
 /// names shadow entries of `sub`.  The input tree is not modified.
 ExprP rename(const ExprP& e, const std::map<std::string, std::string>& sub);

@@ -13,7 +13,9 @@
 //     burst of High traffic delays Low jobs but never starves them;
 //   * cancellation: cancel(id) unschedules a still-queued job, and flips a
 //     cooperative flag a *running* job can poll via JobContext::cancelled()
-//     (the tuner's budget hook polls it between evaluations);
+//     (no daemon job polls it: a served tune stops through
+//     TunerOptions::budget_ms, which ServerCore::do_tune derives from the
+//     request's CancelToken);
 //   * per-job queue timeouts: a job still queued past its deadline is
 //     completed as Expired instead of run — a tune job that sat behind a
 //     run burst for too long is dropped, not executed against a client

@@ -426,19 +426,4 @@ Json Json::parse(const std::string& text) {
   return v;
 }
 
-std::string json_error_position(const std::string& text, size_t offset) {
-  if (offset > text.size()) offset = text.size();
-  size_t line = 1;
-  size_t col = 1;
-  for (size_t i = 0; i < offset; ++i) {
-    if (text[i] == '\n') {
-      ++line;
-      col = 1;
-    } else {
-      ++col;
-    }
-  }
-  return "line " + std::to_string(line) + ", column " + std::to_string(col);
-}
-
 }  // namespace incflat

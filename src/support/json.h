@@ -16,10 +16,9 @@
 
 namespace incflat {
 
-/// Parse failure carrying the byte offset of the error, so callers that
-/// still hold the source text can report line/column positions (see
-/// json_error_position).  what() keeps the legacy "json parse error at
-/// offset N: ..." message, so existing handlers are unaffected.
+/// Parse failure carrying the byte offset of the error.  what() keeps the
+/// legacy "json parse error at offset N: ..." message, so existing
+/// handlers are unaffected.
 class JsonParseError : public std::runtime_error {
  public:
   JsonParseError(const std::string& msg, size_t offset)
@@ -29,10 +28,6 @@ class JsonParseError : public std::runtime_error {
  private:
   size_t offset_;
 };
-
-/// 1-based "line N, column M" of a byte offset in `text` (clamped to the
-/// end of the text), for human-readable parse diagnostics.
-std::string json_error_position(const std::string& text, size_t offset);
 
 /// A JSON value: null, bool, number, string, array, or object.  Objects
 /// preserve insertion order (stable, diffable output).
