@@ -58,7 +58,7 @@ int main() {
             << rep.dedup_hits << " branching-tree dedup hits\n\n";
 
   // ------------------------------------------------ 4. Simulate both shapes
-  for (const SizeEnv sizes :
+  for (const SizeEnv& sizes :
        {SizeEnv{{"rows", 1 << 16}, {"cols", 64}},
         SizeEnv{{"rows", 8}, {"cols", 1 << 19}}}) {
     RunEstimate est = simulate(dev, c, sizes, rep.best);

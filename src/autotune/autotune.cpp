@@ -23,10 +23,19 @@ namespace incflat {
 
 namespace {
 
-ThresholdEnv to_env(const std::map<std::string, int64_t>& assignment,
-                    int64_t default_value) {
+/// A candidate assignment: one value per registry threshold, in registry
+/// order, where kUnset leaves that threshold at the default.  The search
+/// runs on these flat vectors; a ThresholdEnv is built only for the report.
+using Candidate = std::vector<int64_t>;
+constexpr int64_t kUnset = std::numeric_limits<int64_t>::min();
+
+/// The report's assignment: exactly the thresholds the candidate sets.
+ThresholdEnv to_env(const std::vector<std::string>& names,
+                    const Candidate& assignment, int64_t default_value) {
   ThresholdEnv env;
-  env.values = assignment;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (assignment[i] != kUnset) env.values.emplace(names[i], assignment[i]);
+  }
   env.default_threshold = default_value;
   return env;
 }
@@ -158,8 +167,8 @@ bool session_needed(const TunerOptions& opts) {
 // ---------------------------------------------------------------------------
 // Evaluation: the program is lowered once, each dataset's sizes are swept
 // through the cost arena once, and every candidate afterwards is a
-// decision-tree descent.  Dedup keys are the concatenated guard-path
-// bitsets of all datasets.
+// decision-tree descent on the plan's threshold slots.  Dedup keys are the
+// concatenated guard-path bitsets of all datasets.
 // ---------------------------------------------------------------------------
 
 struct PlanEval {
@@ -167,8 +176,12 @@ struct PlanEval {
   std::vector<PlanDatasetCache> caches;
   const std::vector<TuningDataset>* datasets = nullptr;
   int64_t default_value = 0;
+  /// Registry index -> plan threshold slot; -1 when no guard of the plan
+  /// compares against that threshold.
+  std::vector<int> slot_of;
 
   static PlanEval build(const DeviceProfile& dev, const Program& p,
+                        const std::vector<std::string>& names,
                         const std::vector<TuningDataset>& datasets,
                         int64_t default_value) {
     trace::Span span("tune.plan_warm");
@@ -176,61 +189,74 @@ struct PlanEval {
     ev.plan = build_kernel_plan(p);
     ev.datasets = &datasets;
     ev.default_value = default_value;
+    const std::vector<std::string>& slot_names = ev.plan.thresholds;
+    for (const std::string& n : names) {
+      const auto it = std::find(slot_names.begin(), slot_names.end(), n);
+      ev.slot_of.push_back(it == slot_names.end()
+                               ? -1
+                               : static_cast<int>(it - slot_names.begin()));
+    }
     ev.caches.reserve(datasets.size());
     for (const TuningDataset& d : datasets) {
       ev.caches.emplace_back(ev.plan, dev, d.sizes);
     }
     return ev;
   }
-
-  /// Dedup key of an assignment across all datasets.
-  std::vector<uint64_t> key(const ThresholdEnv& env) const {
-    std::vector<uint64_t> k;
-    for (const PlanDatasetCache& c : caches) {
-      const PathSig s = plan_signature(plan, c, env);
-      k.insert(k.end(), s.bits.begin(), s.bits.end());
-    }
-    return k;
-  }
-
-  /// Weighted-sum cost; the same accumulation order as tuning_cost, and
-  /// plan_cost is bit-identical to estimate_run().time_us, so this equals
-  /// the reference cost exactly.
-  double cost(const ThresholdEnv& env) const {
-    double total = 0;
-    for (size_t i = 0; i < caches.size(); ++i) {
-      total += (*datasets)[i].weight * plan_cost(plan, caches[i], env);
-    }
-    return total;
-  }
 };
 
 /// Candidate costs memoized by dedup key: an assignment whose key was seen
-/// is a dedup hit and costs nothing to evaluate (paper Sec. 4.2).
+/// is a dedup hit and costs nothing to evaluate (paper Sec. 4.2).  The slot
+/// and key buffers are reused across trials.
 struct PlanMemoizer {
   const PlanEval& ev;
   MeasureSession* session = nullptr;
   std::map<std::vector<uint64_t>, double> cache;
   int evaluations = 0;
   int dedup_hits = 0;
+  std::vector<int64_t> slots;
+  std::vector<uint64_t> key;
+  PathSig sig;
 
-  double cost(const std::map<std::string, int64_t>& assignment) {
-    const ThresholdEnv env = to_env(assignment, ev.default_value);
-    std::vector<uint64_t> k = ev.key(env);
-    auto it = cache.find(k);
+  PlanMemoizer(const PlanEval& e, MeasureSession* s)
+      : ev(e), session(s), sig(e.plan.guards.size()) {}
+
+  double cost(const Candidate& cand) {
+    slots.assign(ev.plan.thresholds.size(), ev.default_value);
+    for (size_t i = 0; i < cand.size(); ++i) {
+      if (cand[i] != kUnset && ev.slot_of[i] >= 0) {
+        slots[static_cast<size_t>(ev.slot_of[i])] = cand[i];
+      }
+    }
+    key.clear();
+    for (const PlanDatasetCache& c : ev.caches) {
+      std::fill(sig.bits.begin(), sig.bits.end(), 0);
+      plan_descend(ev.plan, c, slots, {.price = false, .signature = &sig});
+      key.insert(key.end(), sig.bits.begin(), sig.bits.end());
+    }
+    auto it = cache.find(key);
     if (it != cache.end()) {
       ++dedup_hits;
       return it->second;
     }
     ++evaluations;
-    const auto true_cost = [&] { return ev.cost(env); };
+    // Weighted-sum cost in tuning_cost's accumulation order; the descent's
+    // time is bit-identical to estimate_run().time_us, so this equals the
+    // reference cost exactly.
+    const auto true_cost = [&] {
+      double total = 0;
+      for (size_t i = 0; i < ev.caches.size(); ++i) {
+        total += (*ev.datasets)[i].weight *
+                 plan_descend(ev.plan, ev.caches[i], slots, {});
+      }
+      return total;
+    };
     const double c =
         session
             ? session->evaluate(
-                  journal_hash(k.data(), k.size() * sizeof(uint64_t)),
+                  journal_hash(key.data(), key.size() * sizeof(uint64_t)),
                   true_cost)
             : true_cost();
-    cache.emplace(std::move(k), c);
+    cache.emplace(key, c);
     return c;
   }
 };
@@ -252,34 +278,33 @@ void stochastic_search(PlanMemoizer& memo,
     return static_cast<double>(elapsed.count()) / 1000.0 > opts.budget_ms;
   };
 
-  std::map<std::string, int64_t> incumbent;  // empty = all defaults
+  Candidate incumbent(names.size(), kUnset);  // all defaults
   double best = memo.cost(incumbent);
   rep.default_cost_us = best;
   rep.trials = 1;
 
   if (!names.empty()) {
     Rng rng(opts.seed);
+    Candidate cand(names.size());
     auto random_assignment = [&] {
-      std::map<std::string, int64_t> a;
-      for (const auto& n : names) {
-        a[n] = int64_t{1} << rng.uniform_int(opts.log2_min, opts.log2_max);
+      for (int64_t& v : cand) {
+        v = int64_t{1} << rng.uniform_int(opts.log2_min, opts.log2_max);
       }
-      return a;
     };
-    auto mutate = [&](std::map<std::string, int64_t> a) {
+    auto mutate = [&] {
+      cand = incumbent;
       const int n_mut = static_cast<int>(
           rng.uniform_int(1, std::max<size_t>(names.size() / 2, 1)));
       for (int k = 0; k < n_mut; ++k) {
-        const auto& n = names[static_cast<size_t>(
+        int64_t& v = cand[static_cast<size_t>(
             rng.uniform_int(0, static_cast<int64_t>(names.size()) - 1))];
-        int64_t cur = a.count(n) ? a[n] : opts.default_threshold;
+        const int64_t cur = v == kUnset ? opts.default_threshold : v;
         int exp = 0;
         while ((int64_t{1} << exp) < cur && exp < 62) ++exp;
         exp += static_cast<int>(rng.uniform_int(-4, 4));
         exp = std::clamp(exp, opts.log2_min, opts.log2_max);
-        a[n] = int64_t{1} << exp;
+        v = int64_t{1} << exp;
       }
-      return a;
     };
 
     for (int t = 1; t < opts.max_trials; ++t) {
@@ -289,18 +314,21 @@ void stochastic_search(PlanMemoizer& memo,
       }
       // Ensemble: half random exploration, half hill climbing on the
       // incumbent (OpenTuner's technique mixture, simplified).
-      std::map<std::string, int64_t> cand =
-          rng.flip(0.5) ? random_assignment() : mutate(incumbent);
+      if (rng.flip(0.5)) {
+        random_assignment();
+      } else {
+        mutate();
+      }
       ++rep.trials;
       const double c = memo.cost(cand);
       if (c < best) {
         best = c;
-        incumbent = std::move(cand);
+        std::swap(incumbent, cand);
       }
     }
   }
 
-  rep.best = to_env(incumbent, opts.default_threshold);
+  rep.best = to_env(names, incumbent, opts.default_threshold);
   rep.best_cost_us = best;
   rep.evaluations = memo.evaluations;
   rep.dedup_hits = memo.dedup_hits;
@@ -359,8 +387,8 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
   }
 
   const PlanEval ev =
-      PlanEval::build(dev, p, datasets, opts.default_threshold);
-  PlanMemoizer memo{ev, session.get(), {}, 0, 0};
+      PlanEval::build(dev, p, names, datasets, opts.default_threshold);
+  PlanMemoizer memo(ev, session.get());
   stochastic_search(memo, names, opts, rep);
   trace_report(rep);
   return rep;
@@ -386,12 +414,13 @@ TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
     cands.emplace_back(c.begin(), c.end());
   }
 
-  const PlanEval ev = PlanEval::build(dev, p, datasets, default_threshold);
-  PlanMemoizer memo{ev, nullptr, {}, 0, 0};
-  rep.default_cost_us = memo.cost({});
-  double best = memo.cost({});
-  // Every full assignment, innermost name varying fastest.
-  std::map<std::string, int64_t> current, best_assign;
+  const PlanEval ev =
+      PlanEval::build(dev, p, names, datasets, default_threshold);
+  PlanMemoizer memo(ev, nullptr);
+  // Every full assignment, innermost threshold varying fastest.
+  Candidate current(names.size(), kUnset), best_assign = current;
+  rep.default_cost_us = memo.cost(current);
+  double best = memo.cost(current);
   const std::function<void(size_t)> scan = [&](size_t i) {
     if (i == names.size()) {
       ++rep.trials;
@@ -403,13 +432,13 @@ TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
       return;
     }
     for (int64_t v : cands[i]) {
-      current[names[i]] = v;
+      current[i] = v;
       scan(i + 1);
     }
-    current.erase(names[i]);
+    current[i] = kUnset;
   };
   scan(0);
-  rep.best = to_env(best_assign, default_threshold);
+  rep.best = to_env(names, best_assign, default_threshold);
   rep.best_cost_us = best;
   rep.evaluations = memo.evaluations;
   rep.dedup_hits = memo.dedup_hits;

@@ -12,7 +12,11 @@
 // lowered once into a KernelPlan decision tree, each training dataset gets
 // a PlanDatasetCache, and from then on every candidate assignment costs one
 // tree descent.  Dedup keys are guard-path bitsets from a structural
-// descent that prices nothing.  Both searches run on the calling thread.
+// descent that prices nothing.  Both searches hold each candidate as a flat
+// vector in registry order (a sentinel leaves a threshold at its default),
+// map registry indices to the plan's threshold slots once per call, and
+// descend on reused slot and key buffers: no trial builds a name-keyed map,
+// and only the report is a ThresholdEnv.  Both run on the calling thread.
 #pragma once
 
 #include <cstdint>

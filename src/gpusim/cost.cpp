@@ -267,7 +267,7 @@ struct CostWalker {
       for (const auto& x : t->elems) tt += host(x);
       return tt;
     }
-    if (auto* rp = e->as<ReplicateE>()) {
+    if (e->is<ReplicateE>()) {
       // Device-side fill of the replicated array.
       Work w;
       w.gbytes = bytes_of(e->types, sizes);

@@ -83,7 +83,7 @@ namespace {
 struct Descent {
   const KernelPlan& plan;
   const PlanDatasetCache& cache;
-  const ThresholdEnv& thr;
+  const std::span<const int64_t> slots;
   const bool price;
   PathSig* const sig;
   RunEstimate* est;
@@ -103,7 +103,8 @@ struct Descent {
       }
       case PlanNode::Kind::Guard: {
         const GuardInfo& g = plan.guards[static_cast<size_t>(n.guard)];
-        const bool taken = cache.guard_taken(n.guard, thr.get(g.threshold));
+        const bool taken =
+            cache.guard_taken(n.guard, slots[static_cast<size_t>(g.slot)]);
         if (sig) sig->set(n.guard, taken);
         if (est) est->guards.emplace_back(g.threshold, taken);
         if (sched) path.emplace_back(g.threshold, taken);
@@ -208,14 +209,26 @@ struct Descent {
 }  // namespace
 
 double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
-                    const ThresholdEnv& thresholds, const PlanDescent& want) {
+                    std::span<const int64_t> slots, const PlanDescent& want) {
   INCFLAT_CHECK(want.price || (!want.estimate && !want.schedule),
                 "an unpriced plan descent can only record a signature");
-  Descent d{plan,           cache,         thresholds,    want.price,
+  INCFLAT_CHECK(slots.size() == plan.thresholds.size(),
+                "plan descent needs one value per threshold slot");
+  Descent d{plan,           cache,         slots,         want.price,
             want.signature, want.estimate, want.schedule, {}};
   const double t = d.node(plan.root);
   if (want.estimate) want.estimate->time_us = t;
   return t;
+}
+
+double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
+                    const ThresholdEnv& thresholds, const PlanDescent& want) {
+  std::vector<int64_t> slots;
+  slots.reserve(plan.thresholds.size());
+  for (const std::string& name : plan.thresholds) {
+    slots.push_back(thresholds.get(name));
+  }
+  return plan_descend(plan, cache, slots, want);
 }
 
 RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,

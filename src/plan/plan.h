@@ -16,7 +16,9 @@
 // kernel; after that, one descent of the tree (plan_descend) prices a run
 // under any threshold assignment in O(kernels-on-path) and yields its
 // estimate, launch schedule and guard-path signature — the property the
-// autotuner exploits (Sec. 4.2).
+// autotuner exploits (Sec. 4.2).  Thresholds are interned to dense slots at
+// build, so a descent reads each guard's threshold from a flat vector;
+// named assignments (ThresholdEnv) are resolved to slots once per call.
 //
 // The plan is the only cost model simulation, runs and tuning use.  The IR
 // walker gpusim::estimate_run stays as the reference the tests compare the
@@ -26,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,9 +54,12 @@ struct KernelDesc {
 /// Internal decision node: `Par(par) >= t` with the workgroup-feasibility
 /// bound `fit` (empty alts = unconstrained), exactly the walker's
 /// guard_taken.  A guard's index in KernelPlan::guards is its position in
-/// path signatures.
+/// path signatures.  `slot` is the threshold's dense index, interned at plan
+/// build: KernelPlan::thresholds[slot] == threshold, and a descent reads the
+/// guard's threshold value as slots[slot] without a name lookup.
 struct GuardInfo {
   std::string threshold;
+  int slot = -1;
   SizeExpr par;
   SizeExpr fit;
 };
@@ -101,7 +107,8 @@ struct KernelPlan {
   std::vector<PlanNode> nodes;
   int root = -1;
 
-  /// Distinct threshold parameter names, in first-guard order.
+  /// Distinct threshold parameter names, in first-guard order: the plan's
+  /// threshold slots.
   std::vector<std::string> thresholds;
 
   /// Always false: a program the builder cannot lower is a compile error.
@@ -197,14 +204,24 @@ struct PlanDescent {
   std::vector<LaunchInfo>* schedule = nullptr;
 };
 
-/// The one descent of the plan tree under `thresholds`.  Guard nodes take
-/// the branch the assignment selects; DataCond nodes descend both branches
-/// and keep the worse one's time, report and launches (a deterministic
-/// stand-in for the data-dependent choice a real run would make), while
-/// both branches' guards enter the signature; Scale nodes multiply their
-/// child's time and launch counts by the loop trip count.  Returns the
-/// run's simulated time (0 when !want.price) and also stores it in
-/// `want.estimate->time_us`.  The cache must have been built for `plan`.
+/// The one descent of the plan tree under a threshold assignment given by
+/// slot (`slots[g.slot]` is guard g's threshold value; one entry per
+/// KernelPlan::thresholds).  Guard nodes take the branch the assignment
+/// selects; DataCond nodes descend both branches and keep the worse one's
+/// time, report and launches (a deterministic stand-in for the
+/// data-dependent choice a real run would make), while both branches'
+/// guards enter the signature; Scale nodes multiply their child's time and
+/// launch counts by the loop trip count.  Returns the run's simulated time
+/// (0 when !want.price) and also stores it in `want.estimate->time_us`.
+/// The cache must have been built for `plan`.  The autotuner calls this
+/// form on flat candidate vectors.
+double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
+                    std::span<const int64_t> slots, const PlanDescent& want);
+
+/// The same descent under a named assignment, resolved to slots once per
+/// call: slot i takes `thresholds.get(plan.thresholds[i])`, and names the
+/// plan has no guard for are ignored.  Every ThresholdEnv entry point below
+/// is a call of it.
 double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
                     const ThresholdEnv& thresholds, const PlanDescent& want);
 
@@ -213,15 +230,16 @@ double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
 RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
                           const ThresholdEnv& thresholds);
 
-/// Tuner fast path: the run's total simulated time only, optionally
-/// recording the guard-path signature.
+/// The run's total simulated time only, optionally recording the guard-path
+/// signature.
 double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
                  const ThresholdEnv& thresholds, PathSig* sig = nullptr);
 
 /// Guard-path signature alone: which guards an assignment reaches and which
 /// branches they take, without pricing a single kernel.  This is the
-/// autotuner's dedup key — equal signatures select identical code versions
-/// and therefore cost the same (Sec. 4.2), so the cost evaluation can be
+/// autotuner's dedup key (which it takes from the slot form of
+/// plan_descend) — equal signatures select identical code versions and
+/// therefore cost the same (Sec. 4.2), so the cost evaluation can be
 /// skipped entirely.
 PathSig plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
                        const ThresholdEnv& thresholds);

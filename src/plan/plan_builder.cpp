@@ -90,11 +90,10 @@ struct Builder {
 
   std::map<std::string, int> thr_ix_;
   int add_guard(const ThresholdCmpE& tc) {
-    if (!thr_ix_.count(tc.threshold)) {
-      thr_ix_[tc.threshold] = static_cast<int>(plan.thresholds.size());
-      plan.thresholds.push_back(tc.threshold);
-    }
-    plan.guards.push_back(GuardInfo{tc.threshold, tc.par, tc.fit});
+    const auto [it, fresh] = thr_ix_.emplace(
+        tc.threshold, static_cast<int>(plan.thresholds.size()));
+    if (fresh) plan.thresholds.push_back(tc.threshold);
+    plan.guards.push_back(GuardInfo{tc.threshold, it->second, tc.par, tc.fit});
     return static_cast<int>(plan.guards.size()) - 1;
   }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -449,9 +451,15 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
   TunerOptions topts;
   topts.max_trials = opts_.tune_trials;
   if (const Json* tv = req.find("trials")) {
-    if (!tv->is_number() || tv->as_double() < 1)
-      throw CompilerError("'trials' must be a positive number");
-    topts.max_trials = static_cast<int>(tv->as_double());
+    // Range-check before converting: a double outside int's range has no
+    // defined conversion.
+    const double t = tv->is_number() ? tv->as_double() : 0;
+    if (!(t >= 1 && t <= std::numeric_limits<int>::max()) ||
+        t != std::floor(t))
+      throw CompilerError("'trials' must be an integer in [1, " +
+                          std::to_string(std::numeric_limits<int>::max()) +
+                          "]");
+    topts.max_trials = static_cast<int>(t);
   }
   // Served tuning measures under the daemon's fault regime, so published
   // thresholds reflect the conditions runs will actually see.

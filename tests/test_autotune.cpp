@@ -2,8 +2,12 @@
 // exhaustive) with its dedup cache.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "src/autotune/autotune.h"
 #include "src/benchsuite/benchmark.h"
+#include "src/exec/exec.h"
 #include "src/flatten/flatten.h"
 
 namespace incflat {
@@ -135,6 +139,88 @@ TEST(Autotune, TunedOnTrainingGeneralisesToEvaluation) {
       const double dflt = estimate_run(dev, inc.program, d.sizes, {}).time_us;
       EXPECT_LE(tuned, dflt * 1.5) << name << "/" << d.name;
     }
+  }
+}
+
+/// A search's whole result, as the pinned reports below record it.
+struct PinnedReport {
+  std::map<std::string, int64_t> values;
+  double best_cost_us;
+  double default_cost_us;
+  int trials;
+  int evaluations;
+  int dedup_hits;
+};
+
+void expect_report(const TuningReport& rep, const PinnedReport& want,
+                   const std::string& ctx) {
+  EXPECT_EQ(rep.best.values, want.values) << ctx;
+  EXPECT_EQ(rep.best.default_threshold, int64_t{1} << 15) << ctx;
+  EXPECT_EQ(rep.best_cost_us, want.best_cost_us) << ctx;
+  EXPECT_EQ(rep.default_cost_us, want.default_cost_us) << ctx;
+  EXPECT_EQ(rep.trials, want.trials) << ctx;
+  EXPECT_EQ(rep.evaluations, want.evaluations) << ctx;
+  EXPECT_EQ(rep.dedup_hits, want.dedup_hits) << ctx;
+}
+
+TEST(Autotune, ReportsArePinned) {
+  // The search trajectory, pinned bit for bit on the compiled suite
+  // programs with default options (the repository benchmark's golden
+  // tuning rows, plus their dedup counts).  The stochastic reports pin the
+  // RNG draw order and which thresholds the incumbent sets: LavaMD's sets
+  // 3 of its 4, because mutating an all-default incumbent sets only the
+  // thresholds it draws.  SRAD's exhaustive scan visits 12,288 full
+  // assignments.
+  constexpr int64_t kOff = int64_t{1} << 62;
+  struct Case {
+    const char* bench;
+    DeviceProfile dev;
+    PinnedReport stochastic, exhaustive;
+  };
+  const Case cases[] = {
+      {"LocVolCalib",
+       device_vega64(),
+       {{{"suff_intra_par_1", 1024},
+         {"suff_intra_par_3", 128},
+         {"suff_intra_par_5", 2048},
+         {"suff_outer_par_0", 16777216},
+         {"suff_outer_par_2", 2147483648},
+         {"suff_outer_par_4", 262144}},
+        12985.589376352618, 88733.93318435262, 400, 66, 334},
+       {{{"suff_intra_par_1", 1},
+         {"suff_intra_par_3", 1},
+         {"suff_intra_par_5", 1},
+         {"suff_outer_par_0", kOff},
+         {"suff_outer_par_2", kOff},
+         {"suff_outer_par_4", kOff}},
+        12985.589376352618, 88733.93318435262, 15625, 146, 15481}},
+      {"LavaMD",
+       device_k40(),
+       {{{"suff_intra_par_3", 2048},
+         {"suff_outer_par_0", 131072},
+         {"suff_outer_par_2", 4096}},
+        98.16771428571428, 994.2382222222222, 400, 10, 390},
+       {{{"suff_intra_par_1", 1},
+         {"suff_intra_par_3", 1},
+         {"suff_outer_par_0", kOff},
+         {"suff_outer_par_2", 25600}},
+        98.16771428571428, 994.2382222222222, 256, 10, 248}},
+      {"SRAD",
+       device_k40(),
+       {{}, 138.55377, 138.55377, 400, 59, 341},
+       {{}, 138.55377, 138.55377, 12288, 85, 12205}},
+  };
+  for (const Case& k : cases) {
+    const Benchmark b = get_benchmark(k.bench);
+    const Compiled c = compile(b.program, FlattenMode::Incremental);
+    std::vector<TuningDataset> train;
+    for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
+    const std::string ctx = std::string(k.bench) + "|" + k.dev.name;
+    expect_report(autotune(k.dev, c.flat.program, c.flat.thresholds, train),
+                  k.stochastic, ctx + " stochastic");
+    expect_report(
+        exhaustive_tune(k.dev, c.flat.program, c.flat.thresholds, train),
+        k.exhaustive, ctx + " exhaustive");
   }
 }
 

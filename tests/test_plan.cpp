@@ -119,6 +119,42 @@ TEST(PlanLayer, MatchesWalkerAcrossSuite) {
   EXPECT_EQ(fallbacks, 0) << "of " << programs << " programs";
 }
 
+// Every guard's slot indexes its own threshold, so a descent reading
+// slots[g.slot] compares against the same value the walker looks up by
+// name.  Named assignments resolve to slots as ThresholdEnv::get does: a
+// name the plan has no guard for is ignored, and every unnamed threshold
+// takes the default, including the "always off" default 2^62.
+TEST(PlanLayer, GuardSlotsIndexPlanThresholds) {
+  const DeviceProfile dev = device_k40();
+  ThresholdEnv stray;
+  stray.values["no_such_threshold"] = 1;
+  ThresholdEnv off;
+  off.default_threshold = int64_t{1} << 62;
+  int guards = 0;
+  for (const auto& name : all_benchmark_names()) {
+    const Benchmark b = get_benchmark(name);
+    for (FlattenMode mode : {FlattenMode::Moderate, FlattenMode::Incremental,
+                             FlattenMode::Full}) {
+      FlattenResult fr = flatten(b.program, mode);
+      const KernelPlan plan = build_kernel_plan(fr.program);
+      const std::string ctx = name + "/" + mode_name(mode);
+      for (const GuardInfo& g : plan.guards) {
+        ASSERT_GE(g.slot, 0) << ctx;
+        ASSERT_LT(static_cast<size_t>(g.slot), plan.thresholds.size()) << ctx;
+        EXPECT_EQ(plan.thresholds[static_cast<size_t>(g.slot)], g.threshold)
+            << ctx;
+        ++guards;
+      }
+      const SizeEnv& sizes = b.datasets.front().sizes;
+      for (const ThresholdEnv& thr : {stray, off}) {
+        expect_same_estimate(plan_estimate_run(plan, dev, sizes, thr),
+                             estimate_run(dev, fr.program, sizes, thr), ctx);
+      }
+    }
+  }
+  EXPECT_GT(guards, 0);
+}
+
 // The local-memory fallback (paper Sec. 4.1): an intra-group kernel whose
 // scratchpad need exceeds the device limit is repriced against global
 // memory.  The plan bakes the spill condition into select nodes; the choice
@@ -147,7 +183,7 @@ TEST(PlanLayer, LocalMemoryFallbackMatchesWalker) {
   }
   DeviceProfile fat = device_k40();
   fat.max_group_size = 1 << 22;
-  for (const SizeEnv sizes :
+  for (const SizeEnv& sizes :
        {SizeEnv{{"n", 64}, {"m", 512}}, SizeEnv{{"n", 4}, {"m", 1 << 20}}}) {
     const RunEstimate walk = estimate_run(fat, inc.program, sizes, pick_middle);
     const RunEstimate via_plan =

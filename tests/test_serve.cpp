@@ -861,6 +861,23 @@ TEST(Server, TuneTunesTheFlattenedProgram) {
             static_cast<double>(want.kernel_launches));
 }
 
+TEST(Server, TuneRejectsTrialsOutsideIntRange) {
+  // 'trials' becomes an int budget: a value outside [1, INT_MAX] or with a
+  // fraction answers bad-request instead of converting out of range or
+  // truncating.  An in-range integer still tunes with exactly that budget.
+  ServerCore core(small_opts());
+  const std::string head =
+      R"({"op":"tune","benchmark":"matmul","device":"k40","trials":)";
+  for (const char* bad : {"1e300", "3000000000", "2.5", "0", "-4", "\"9\""}) {
+    const Json ans = Json::parse(core.handle_text(head + bad + "}"));
+    EXPECT_FALSE(ans.get("ok").as_bool()) << bad << ": " << ans.str(-1);
+    EXPECT_EQ(ans.get("code").as_string(), "bad-request") << bad;
+  }
+  const Json ok = Json::parse(core.handle_text(head + "3}"));
+  ASSERT_TRUE(ok.get("ok").as_bool()) << ok.str(-1);
+  EXPECT_EQ(ok.get("trials").as_double(), 3.0);
+}
+
 TEST(Server, BadRunRequestsLeaveTheKeyServing) {
   // A run can throw on user input (bad 'thresholds', 'tuned' with nothing
   // published): each such request answers bad-request, and the key keeps

@@ -4,7 +4,7 @@
 //   incflatc --benchmark matmul --mode incremental --print-ir --tree
 //   incflatc --benchmark LocVolCalib --device vega64 --dataset small
 //   incflatc --benchmark Heston --device k40 --tune --out heston.tuning
-//   incflatc --benchmark Heston --device k40 --dataset D1 \
+//   incflatc --benchmark Heston --device k40 --dataset D1
 //            --tuning heston.tuning --json
 //
 // This is the "downstream user" entry point: compile a benchmark (or all of
