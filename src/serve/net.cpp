@@ -17,6 +17,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <optional>
 #include <system_error>
 #include <vector>
 
@@ -353,11 +354,7 @@ struct ServeSocket::Impl {
       req = Json::parse(payload);
     } catch (const JsonParseError& e) {
       // Malformed JSON fails this one request; framing is still intact.
-      dq->push(id, seq,
-               error_response(code::kBadRequest,
-                              std::string("malformed request json: ") +
-                                  e.what())
-                   .str(-1));
+      answer_inline(*conn, seq, core.reject_malformed(e));
       return;
     }
     std::string op;
@@ -401,14 +398,21 @@ struct ServeSocket::Impl {
       if (trace::enabled()) trace::count("serve.inflight_shed");
       return;
     }
-    // End-to-end deadline: minted here (frame decode time) so queue wait,
-    // batch wait and execution all burn the same budget.  The shared_ptr
-    // keeps the token alive for the job lambda regardless of how the
-    // request ends; ServerCore borrows it only inside handle().
+    // End-to-end deadline: minted here (frame decode time) so queue wait
+    // and execution burn the same budget.  The shared_ptr keeps the token
+    // alive for the job lambda regardless of how the request ends;
+    // ServerCore borrows it only inside the call.
     std::shared_ptr<CancelToken> token;
     if (const Json* dl = req.find("deadline_ms");
         dl && dl->is_number() && dl->as_double() > 0) {
       token = std::make_shared<CancelToken>(dl->as_double());
+    }
+    // A run or compile whose entry is resident costs microseconds: answer
+    // it here rather than pay two thread wake-ups and a pipe round trip.
+    // Everything that could compile, fault or wait goes to the scheduler.
+    if (std::optional<Json> resp = core.try_handle_cached(req, token.get())) {
+      answer_inline(*conn, seq, *resp);
+      return;
     }
     const JobPriority pri = ServerCore::priority_for(op);
     // The request deadline bounds the queue wait for *every* priority; the
@@ -422,16 +426,17 @@ struct ServeSocket::Impl {
     // Jobs capture the shared queue and the core — never Impl, which a
     // still-running job may outlive.  The drop hook substitutes a timeout /
     // overloaded / cancelled response so the connection's in-order writer
-    // never stalls on a job that was dropped from the queue.
+    // never stalls on a job that was dropped from the queue; of the request
+    // it needs only the id to echo.
     std::shared_ptr<DoneQueue> q = dq;
     ServerCore* corep = &core;
-    Json req_copy = std::move(req);
+    std::optional<Json> rid;
+    if (const Json* v = req.find("id")) rid = *v;
     core.scheduler().submit(
-        [q, corep, id, seq, req_copy, token](JobContext&) {
-          q->push(id, seq,
-                  corep->handle(req_copy, token.get()).str(-1));
+        [q, corep, id, seq, req = std::move(req), token] {
+          q->push(id, seq, corep->handle(req, token.get()).str(-1));
         },
-        pri, timeout, [q, id, seq, req_copy](JobState st) {
+        pri, timeout, [q, id, seq, rid = std::move(rid)](JobState st) {
           const char* c = st == JobState::Expired    ? code::kTimeout
                           : st == JobState::Shed     ? code::kOverloaded
                                                      : code::kCancelled;
@@ -441,42 +446,47 @@ struct ServeSocket::Impl {
           Json resp = retriable_error(
               c, std::string("request ") + job_state_name(st) +
                      " before execution");
-          echo_id(req_copy, resp);
+          if (rid) resp.set("id", *rid);
           q->push(id, seq, resp.str(-1));
         });
   }
 
+  /// One read per poll round, at most one buffer's worth: requests answered
+  /// inline free their in-flight slots at once, so reading until EAGAIN
+  /// would let one pipelining client hold the loop.  Whatever is left in
+  /// the kernel buffer keeps the fd readable for the next round.
   void on_readable(uint64_t id, const std::shared_ptr<Conn>& conn) {
     char buf[64 * 1024];
-    for (;;) {
-      size_t want = sizeof(buf);
-      if (chaos.enabled()) {
-        if (chaos.reset_conn()) {  // mid-stream RST: visibly severed
-          close_conn(id);
-          return;
-        }
-        if (const double us = chaos.stall_us(); us > 0) {
-          // Go quiet: leave whatever else arrived in the kernel buffer and
-          // revisit after the stall (the loop skips stalled connections).
-          conn->stalled_until =
-              Clock::now() +
-              std::chrono::microseconds(static_cast<int64_t>(us));
-          break;
-        }
-        want = chaos.read_cap(want);
-      }
-      const ssize_t n = ::read(conn->fd, buf, want);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    size_t want = sizeof(buf);
+    if (chaos.enabled()) {
+      if (chaos.reset_conn()) {  // mid-stream RST: visibly severed
         close_conn(id);
         return;
       }
-      if (n == 0) {  // peer closed; flush what we owe, then drop
-        conn->closing = true;
-        if (conn->outbuf.empty() && conn->inflight == 0) close_conn(id);
+      if (const double us = chaos.stall_us(); us > 0) {
+        // Go quiet: leave what arrived in the kernel buffer and revisit
+        // after the stall (the loop skips stalled connections).
+        conn->stalled_until =
+            Clock::now() + std::chrono::microseconds(static_cast<int64_t>(us));
+        flush(id, *conn);
         return;
       }
+      want = chaos.read_cap(want);
+    }
+    ssize_t n;
+    do {
+      n = ::read(conn->fd, buf, want);
+    } while (n < 0 && errno == EINTR);
+    if (n < 0) {
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        close_conn(id);
+        return;
+      }
+    } else if (n == 0) {  // peer closed; flush what we owe, then drop
+      conn->closing = true;
+      if (conn->outbuf.empty() && conn->inflight == 0) close_conn(id);
+      return;
+    } else {
       try {
         // Both feed() and next() can surface a poisoned length prefix:
         // feed() when it heads the buffer, next() when draining a valid
@@ -496,10 +506,7 @@ struct ServeSocket::Impl {
                             error_response(code::kProtocol, e.what()).str(-1));
         conn->closing = true;
         drain_ready(*conn);
-        flush(id, *conn);
-        return;
       }
-      if (static_cast<size_t>(n) < want) break;
     }
     flush(id, *conn);
   }

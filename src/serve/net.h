@@ -4,16 +4,26 @@
 // ("unix:/tmp/incflatd.sock") or a TCP loopback port ("tcp:127.0.0.1:7465",
 // host optional) — and pumps a poll(2) event loop: accept connections, slice
 // the byte stream into frames (serve::FrameReader), hand each payload to
-// ServerCore through the JobScheduler at the op's priority class, and write
-// back length-prefixed responses in request order per connection.
+// ServerCore, and write back length-prefixed responses in request order per
+// connection.
 //
-// Threading: the poll loop runs on the caller of serve_forever(); request
-// execution runs on the scheduler's workers.  Responses are handed back to
-// the loop through a completion queue + self-pipe wakeup (the standard trick
-// for unblocking poll() from another thread).  A connection that sends a
-// malformed frame (oversized or garbled length prefix) is answered with one
-// "protocol" error and closed — the stream offset can no longer be trusted;
-// a frame that is merely malformed JSON fails only that request.
+// Threading: the poll loop runs on the caller of serve_forever().  It
+// answers on its own thread whatever costs microseconds: ping, shutdown,
+// malformed JSON, admission rejections, and — through
+// ServerCore::try_handle_cached — a run or compile whose cache entry is
+// resident (no fault spec set, for a run).  Everything else (cold misses,
+// fault-injected runs, tune, stats) goes to the JobScheduler at the op's
+// priority class, and its response comes back to the loop through a
+// completion queue + self-pipe wakeup (the standard trick for unblocking
+// poll() from another thread).  Both kinds of answer pass through one
+// per-connection in-order drain, so a warm answer never overtakes a cold
+// request sent before it.  The loop reads at most one buffer per
+// connection per poll round, so one pipelining client cannot hold it.
+//
+// A connection that sends a malformed frame (oversized or garbled length
+// prefix) is answered with one "protocol" error and closed — the stream
+// offset can no longer be trusted; a frame that is merely malformed JSON
+// fails only that request, with "bad-request".
 //
 // The "shutdown" op stops the loop after its response drains, so tests and
 // the CI smoke job can wind the daemon down cleanly from a client.

@@ -32,11 +32,13 @@ std::shared_ptr<CacheValue> PlanCache::find(const std::string& key,
     return nullptr;
   }
   s.lru.splice(s.lru.begin(), s.lru, it->second);
-  if (count) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (trace::enabled()) trace::count("serve.cache_hit");
-  }
+  if (count) count_hit();
   return it->second->value;
+}
+
+void PlanCache::count_hit() {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  if (trace::enabled()) trace::count("serve.cache_hit");
 }
 
 void PlanCache::evict_locked(Shard& s, size_t need) {

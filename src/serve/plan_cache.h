@@ -57,6 +57,10 @@ class PlanCache {
   /// the hit rate the smoke test asserts on).
   std::shared_ptr<CacheValue> find(const std::string& key, bool count = true);
 
+  /// Count the hit of an entry an uncounted find(key, false) returned, for
+  /// callers that probe first and commit to answering from it later.
+  void count_hit();
+
   /// Insert `value` (of `bytes` bytes) under `key`, evicting from the
   /// shard's LRU tail until the shard budget holds.  When another thread
   /// inserted `key` first, the existing entry wins and is returned — the

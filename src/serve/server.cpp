@@ -142,45 +142,61 @@ std::string ServerCore::handle_text(const std::string& payload) {
   try {
     req = Json::parse(payload);
   } catch (const JsonParseError& e) {
-    {
-      sync::MutexLock lk(stats_mu_);
-      ++rstats_.total;
-      ++rstats_.errors;
-    }
-    return error_response(code::kBadRequest,
-                          std::string("malformed request json: ") + e.what())
-        .str(-1);
+    return reject_malformed(e).str(-1);
   }
   return handle(req).str(-1);
 }
 
+Json ServerCore::reject_malformed(const JsonParseError& e) {
+  {
+    sync::MutexLock lk(stats_mu_);
+    ++rstats_.total;
+    ++rstats_.errors;
+  }
+  return error_response(code::kBadRequest,
+                        std::string("malformed request json: ") + e.what());
+}
+
 Json ServerCore::handle(const Json& request, const CancelToken* cancel) {
+  return answer(request, cancel, nullptr);
+}
+
+std::optional<Json> ServerCore::try_handle_cached(const Json& request,
+                                                  const CancelToken* cancel) {
+  const Json* opv = request.find("op");
+  if (!opv || !opv->is_string()) return std::nullopt;
+  const bool run = opv->as_string() == "run";
+  if (!run && opv->as_string() != "compile") return std::nullopt;
+  if (run && fspec_.enabled()) return std::nullopt;
+  std::shared_ptr<ServedPlan> hit = probe(request, run);
+  if (!hit) return std::nullopt;
+  return answer(request, cancel, std::move(hit));
+}
+
+Json ServerCore::answer(const Json& request, const CancelToken* cancel,
+                        std::shared_ptr<ServedPlan> hit) {
+  const bool inlined = hit != nullptr;
+  const bool expired = cancel && cancel->expired();
   Json resp;
-  if (cancel && cancel->expired()) {
+  if (expired) {
     // The deadline passed before any work started (typically: the job sat
-    // in the scheduler queue).  Answer without touching the cache.
+    // in the scheduler queue).  Answer without work and without counting a
+    // cache hit.
     resp = retriable_error(code::kTimeout,
                            "deadline expired before the request ran");
-    echo_id(request, resp);
-    {
-      sync::MutexLock lk(stats_mu_);
-      ++rstats_.total;
-      ++rstats_.errors;
-      ++rstats_.deadline_expired;
-    }
     if (trace::enabled()) trace::count("serve.deadline_expired");
-    return resp;
-  }
-  try {
-    resp = dispatch(request, cancel);
-  } catch (const JsonParseError& e) {
-    resp = error_response(code::kBadRequest, e.what());
-  } catch (const CompilerError& e) {
-    resp = error_response(code::kBadRequest, e.what());
-  } catch (const EvalError& e) {
-    resp = error_response(code::kBadRequest, e.what());
-  } catch (const std::exception& e) {
-    resp = error_response(code::kInternal, e.what());
+  } else {
+    try {
+      resp = dispatch(request, cancel, std::move(hit));
+    } catch (const JsonParseError& e) {
+      resp = error_response(code::kBadRequest, e.what());
+    } catch (const CompilerError& e) {
+      resp = error_response(code::kBadRequest, e.what());
+    } catch (const EvalError& e) {
+      resp = error_response(code::kBadRequest, e.what());
+    } catch (const std::exception& e) {
+      resp = error_response(code::kInternal, e.what());
+    }
   }
   echo_id(request, resp);
   {
@@ -188,11 +204,14 @@ Json ServerCore::handle(const Json& request, const CancelToken* cancel) {
     ++rstats_.total;
     const Json* ok = resp.find("ok");
     if (!ok || !ok->is_bool() || !ok->as_bool()) ++rstats_.errors;
+    if (expired) ++rstats_.deadline_expired;
+    if (inlined) ++rstats_.inlined;
   }
   return resp;
 }
 
-Json ServerCore::dispatch(const Json& req, const CancelToken* cancel) {
+Json ServerCore::dispatch(const Json& req, const CancelToken* cancel,
+                          std::shared_ptr<ServedPlan> hit) {
   if (!req.is_object())
     return error_response(code::kBadRequest, "request must be a json object");
   const Json* opv = req.find("op");
@@ -200,8 +219,8 @@ Json ServerCore::dispatch(const Json& req, const CancelToken* cancel) {
     return error_response(code::kBadRequest, "missing string field 'op'");
   const std::string& op = opv->as_string();
 
-  if (op == "compile") return do_compile(req);
-  if (op == "run") return do_run(req, cancel);
+  if (op == "compile") return do_compile(req, std::move(hit));
+  if (op == "run") return do_run(req, cancel, std::move(hit));
   if (op == "tune") return do_tune(req, cancel);
   if (op == "stats") return do_stats();
   if (op == "ping") {
@@ -323,7 +342,33 @@ std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
   return std::static_pointer_cast<ServedPlan>(winner);
 }
 
-Json ServerCore::do_compile(const Json& req) {
+std::shared_ptr<ServerCore::ServedPlan> ServerCore::probe(const Json& req,
+                                                          bool run) {
+  // The same key lookup_or_compile builds, from the same defaults — but
+  // never from get_benchmark, and never throwing.
+  const Json* bench = req.find("benchmark");
+  const Json* dataset = run ? req.find("dataset") : nullptr;
+  const Json* mode = req.find("mode");
+  const Json* device = req.find("device");
+  if (!bench || !bench->is_string() ||
+      (run && (!dataset || !dataset->is_string())) ||
+      (mode && !mode->is_string()) || (device && !device->is_string()))
+    return nullptr;
+  std::string key =
+      program_key(bench->as_string(), mode ? mode->as_string() : "incremental",
+                  device ? device->as_string() : "k40");
+  if (run) {
+    sync::ReaderMutexLock lk(shapes_mu_);
+    auto it = shapes_.find(bench->as_string() + "|" + dataset->as_string());
+    if (it == shapes_.end()) return nullptr;
+    key += "|";
+    key += shape_fingerprint(it->second);
+  }
+  return std::static_pointer_cast<ServedPlan>(cache_.find(key, false));
+}
+
+Json ServerCore::do_compile(const Json& req,
+                            std::shared_ptr<ServedPlan> entry) {
   {
     sync::MutexLock lk(stats_mu_);
     ++rstats_.compiles;
@@ -333,8 +378,11 @@ Json ServerCore::do_compile(const Json& req) {
   const std::string device = opt_string(req, "device", "k40");
   mode_from_name(mode);  // validate before keying
 
-  bool cached = false;
-  auto entry = lookup_or_compile(bench, mode, device, "", &cached);
+  bool cached = entry != nullptr;
+  if (cached)
+    cache_.count_hit();
+  else
+    entry = lookup_or_compile(bench, mode, device, "", &cached);
 
   Json r = Json::object();
   r.set("ok", true);
@@ -352,7 +400,8 @@ Json ServerCore::do_compile(const Json& req) {
   return r;
 }
 
-Json ServerCore::do_run(const Json& req, const CancelToken* cancel) {
+Json ServerCore::do_run(const Json& req, const CancelToken* cancel,
+                        std::shared_ptr<ServedPlan> entry) {
   {
     sync::MutexLock lk(stats_mu_);
     ++rstats_.runs;
@@ -363,8 +412,11 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel) {
   const std::string device = opt_string(req, "device", "k40");
   mode_from_name(mode);
 
-  bool cached = false;
-  auto entry = lookup_or_compile(bench, mode, device, dataset, &cached);
+  bool cached = entry != nullptr;
+  if (cached)
+    cache_.count_hit();
+  else
+    entry = lookup_or_compile(bench, mode, device, dataset, &cached);
 
   ThresholdEnv thr;
   if (const Json* tv = req.find("thresholds")) {
@@ -549,6 +601,7 @@ Json ServerCore::do_stats() {
   reqs.set("stats", rs.stats_calls);
   reqs.set("errors", rs.errors);
   reqs.set("deadline_expired", rs.deadline_expired);
+  reqs.set("inline", rs.inlined);
 
   Json r = Json::object();
   r.set("ok", true);

@@ -6,6 +6,13 @@
 // plain threads with no sockets at all — both exercise exactly the code
 // the daemon runs.
 //
+// ServerCore::try_handle_cached() is the non-blocking fast path in front of
+// it: a run or compile whose cache entry already exists (and, for a run,
+// with no fault spec set) is answered on the calling thread through the
+// same op bodies; anything else returns nullopt with nothing counted.  The
+// socket layer tries it on its loop thread before scheduling a request, so
+// a warm request never pays the scheduler hop.
+//
 // Request flow:
 //
 //   compile  -> PlanCache lookup under (program, mode, device); miss
@@ -39,6 +46,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/gpusim/faults.h"
@@ -81,6 +89,9 @@ struct RequestStats {
   int64_t tunes = 0;
   int64_t stats_calls = 0;
   int64_t errors = 0;  // responses with ok=false
+  /// Run and compile requests answered from a resident entry by
+  /// try_handle_cached (the socket layer's loop thread), not scheduled.
+  int64_t inlined = 0;
   /// Requests answered "timeout" because their end-to-end deadline expired
   /// (at entry, or mid-run via the CancelToken).
   /// Scheduler-queue expiries are counted by SchedulerStats::expired.
@@ -103,9 +114,26 @@ class ServerCore {
   /// tuner's budget hook.
   Json handle(const Json& request, const CancelToken* cancel = nullptr);
 
+  /// handle(), but only if answering takes no compile and no wait: a "run"
+  /// or "compile" whose entry is already resident, and for "run" no fault
+  /// spec set (a faulting run may sleep in retry backoff).  The entry is
+  /// probed once without counting; only a request answered from it counts,
+  /// exactly as handle() would count it (one cache hit, or — when `cancel`
+  /// has already expired — a "timeout" with no hit), plus
+  /// requests.inline.  Anything else returns nullopt with nothing counted,
+  /// for the caller to hand to handle().  The answer comes from the probed
+  /// entry, so an eviction racing the call can never turn it into a
+  /// compile.
+  std::optional<Json> try_handle_cached(const Json& request,
+                                        const CancelToken* cancel = nullptr);
+
   /// Parse + handle + serialise (compact).  Malformed JSON answers a
-  /// structured "protocol" error; this never throws either.
+  /// structured "bad-request" error; this never throws either.
   std::string handle_text(const std::string& payload);
+
+  /// The answer to a payload that is not JSON: "bad-request", counted in
+  /// requests.total and errors like any failed request.
+  Json reject_malformed(const JsonParseError& e);
 
   /// Scheduler priority class for an op ("run"/"stats"/"ping"/"shutdown"
   /// High, "compile" Normal, "tune" Low): the socket layer's dispatch rule.
@@ -119,9 +147,17 @@ class ServerCore {
  private:
   struct ServedPlan;
 
-  Json dispatch(const Json& req, const CancelToken* cancel);
-  Json do_compile(const Json& req);
-  Json do_run(const Json& req, const CancelToken* cancel);
+  /// handle()'s body: the deadline check, dispatch, error mapping and
+  /// tallies.  `hit`, when set, is the entry try_handle_cached probed.
+  Json answer(const Json& req, const CancelToken* cancel,
+              std::shared_ptr<ServedPlan> hit);
+  Json dispatch(const Json& req, const CancelToken* cancel,
+                std::shared_ptr<ServedPlan> hit);
+  /// The compile and run ops.  `entry` null looks the entry up (compiling
+  /// on a miss); set, it is a probed resident entry, counted as the hit.
+  Json do_compile(const Json& req, std::shared_ptr<ServedPlan> entry);
+  Json do_run(const Json& req, const CancelToken* cancel,
+              std::shared_ptr<ServedPlan> entry);
   Json do_tune(const Json& req, const CancelToken* cancel);
   Json do_stats();
 
@@ -132,6 +168,12 @@ class ServerCore {
                                                 const std::string& device,
                                                 const std::string& dataset,
                                                 bool* cached);
+
+  /// The resident entry a run (`run`) or compile request names, found by
+  /// an uncounted probe; null when it is not resident, or when naming it
+  /// would take work or fail (a malformed field, a dataset shape not yet
+  /// memoised).
+  std::shared_ptr<ServedPlan> probe(const Json& req, bool run);
 
   ServeOptions opts_;
   FaultSpec fspec_;

@@ -7,6 +7,7 @@
 // bit-identically to freshly compiled ones.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -15,7 +16,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -41,7 +44,6 @@ namespace {
 using serve::CacheStats;
 using serve::CacheValue;
 using serve::FrameReader;
-using serve::JobContext;
 using serve::JobPriority;
 using serve::JobScheduler;
 using serve::JobState;
@@ -258,157 +260,135 @@ TEST(Cache, ShardedConcurrentChurnKeepsBudget) {
 // Job scheduler
 // ---------------------------------------------------------------------------
 
+/// Yields until `done()` holds; fails the test after 30 s instead of hanging
+/// it.
+template <class Pred>
+void spin_until(Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) {
+      ADD_FAILURE() << "condition still false after 30 s";
+      return;
+    }
+    std::this_thread::yield();
+  }
+}
+
+// Each test below declares what its jobs touch before the scheduler, so the
+// scheduler's destructor joins the workers before any of it dies.
+
 TEST(Scheduler, DrainsInPriorityOrder) {
-  JobScheduler sched(1, /*promote_after_ms=*/0);
   std::mutex mu;
   std::vector<int> order;
   std::atomic<bool> release{false};
+  std::latch done(5);
+  JobScheduler sched(1, /*promote_after_ms=*/0);
   // Occupy the single worker so the queue builds up behind it.
-  const uint64_t gate = sched.submit([&](JobContext&) {
+  sched.submit([&] {
     while (!release.load()) std::this_thread::yield();
+    done.count_down();
   });
   auto rec = [&](int tag) {
-    return [&, tag](JobContext&) {
-      std::lock_guard<std::mutex> lk(mu);
-      order.push_back(tag);
+    return [&, tag] {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        order.push_back(tag);
+      }
+      done.count_down();
     };
   };
-  std::vector<uint64_t> ids;
-  ids.push_back(sched.submit(rec(2), JobPriority::Low));
-  ids.push_back(sched.submit(rec(1), JobPriority::Normal));
-  ids.push_back(sched.submit(rec(0), JobPriority::High));
-  ids.push_back(sched.submit(rec(10), JobPriority::High));
+  sched.submit(rec(2), JobPriority::Low);
+  sched.submit(rec(1), JobPriority::Normal);
+  sched.submit(rec(0), JobPriority::High);
+  sched.submit(rec(10), JobPriority::High);
   release.store(true);
-  EXPECT_EQ(sched.wait(gate), JobState::Done);
-  for (uint64_t id : ids) EXPECT_EQ(sched.wait(id), JobState::Done);
+  done.wait();
   // High jobs first (FIFO within a class), then Normal, then Low.
   EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 2}));
 }
 
-TEST(Scheduler, CancelUnschedulesQueuedJobs) {
-  JobScheduler sched(1);
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  sched.submit([&](JobContext&) {
-    while (!release.load()) std::this_thread::yield();
-  });
-  const uint64_t victim = sched.submit([&](JobContext&) { ++ran; });
-  EXPECT_TRUE(sched.cancel(victim));
-  EXPECT_FALSE(sched.cancel(victim));  // already terminal
-  release.store(true);
-  EXPECT_EQ(sched.wait(victim), JobState::Cancelled);
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(sched.stats().cancelled, 1);
-}
-
-TEST(Scheduler, RunningJobSeesCooperativeCancel) {
-  JobScheduler sched(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> observed{false};
-  const uint64_t id = sched.submit([&](JobContext& ctx) {
-    started.store(true);
-    while (!ctx.cancelled()) std::this_thread::yield();
-    observed.store(true);
-  });
-  while (!started.load()) std::this_thread::yield();
-  EXPECT_FALSE(sched.cancel(id));  // running: cooperative only
-  EXPECT_EQ(sched.wait(id), JobState::Done);
-  EXPECT_TRUE(observed.load());
-}
-
 TEST(Scheduler, QueueTimeoutExpiresAndNotifiesDrop) {
-  JobScheduler sched(1, /*promote_after_ms=*/0);
   std::atomic<bool> release{false};
-  sched.submit([&](JobContext&) {
+  std::atomic<int> dropped{0};
+  JobState drop_state = JobState::Cancelled;
+  std::latch resolved(1);
+  JobScheduler sched(1, /*promote_after_ms=*/0);
+  sched.submit([&] {
     while (!release.load()) std::this_thread::yield();
   });
-  std::atomic<int> dropped{0};
-  JobState drop_state = JobState::Done;
-  const uint64_t id = sched.submit(
-      [&](JobContext&) { ADD_FAILURE() << "expired job must not run"; },
-      JobPriority::Low, /*queue_timeout_ms=*/5, [&](JobState st) {
-        drop_state = st;
-        ++dropped;
-      });
+  sched.submit([&] { ADD_FAILURE() << "expired job must not run"; },
+               JobPriority::Low, /*queue_timeout_ms=*/5, [&](JobState st) {
+                 drop_state = st;
+                 ++dropped;
+                 resolved.count_down();
+               });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   release.store(true);
-  EXPECT_EQ(sched.wait(id), JobState::Expired);
+  resolved.wait();  // the worker drops it on its next scan
   EXPECT_EQ(dropped.load(), 1);
   EXPECT_EQ(drop_state, JobState::Expired);
   EXPECT_EQ(sched.stats().expired, 1);
 }
 
-TEST(Scheduler, CancelNotifiesDropToo) {
-  JobScheduler sched(1);
-  std::atomic<bool> release{false};
-  sched.submit([&](JobContext&) {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::atomic<int> dropped{0};
-  const uint64_t id = sched.submit(
-      [&](JobContext&) {}, JobPriority::Normal, 0,
-      [&](JobState st) { dropped += st == JobState::Cancelled ? 1 : 100; });
-  sched.cancel(id);
-  release.store(true);
-  EXPECT_EQ(sched.wait(id), JobState::Cancelled);
-  EXPECT_EQ(dropped.load(), 1);
-}
-
 TEST(Scheduler, AgePromotionBeatsStarvation) {
   // One worker, promotion after 10 ms.  A Low job enqueued first and aged
   // past the threshold is drained ahead of a fresh High job.
-  JobScheduler sched(1, /*promote_after_ms=*/10);
   std::atomic<bool> release{false};
   std::mutex mu;
   std::vector<char> order;
-  sched.submit([&](JobContext&) {
+  std::latch done(2);
+  JobScheduler sched(1, /*promote_after_ms=*/10);
+  sched.submit([&] {
     while (!release.load()) std::this_thread::yield();
   });
-  const uint64_t low = sched.submit([&](JobContext&) {
-    std::lock_guard<std::mutex> lk(mu);
-    order.push_back('L');
-  }, JobPriority::Low);
+  auto rec = [&](char tag) {
+    return [&, tag] {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        order.push_back(tag);
+      }
+      done.count_down();
+    };
+  };
+  sched.submit(rec('L'), JobPriority::Low);
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   // Aged 40 ms: Low promotes through Normal to High, tying the fresh High
   // job's class — and it is older, so it drains first.
-  const uint64_t high = sched.submit([&](JobContext&) {
-    std::lock_guard<std::mutex> lk(mu);
-    order.push_back('H');
-  }, JobPriority::High);
+  sched.submit(rec('H'), JobPriority::High);
   release.store(true);
-  sched.wait(low);
-  sched.wait(high);
+  done.wait();
   EXPECT_EQ(order, (std::vector<char>{'L', 'H'}));
 }
 
-TEST(Scheduler, FailedJobRethrowsOnWait) {
+TEST(Scheduler, ThrowingJobCountsFailedAndWorkerSurvives) {
+  // An exception stays inside the scheduler: the job counts as failed and
+  // the only worker goes on to run the next job.
+  std::latch ran(1);
   JobScheduler sched(1);
-  const uint64_t id = sched.submit(
-      [](JobContext&) { throw std::invalid_argument("job boom"); });
-  try {
-    sched.wait(id);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "job boom");
-  }
-  EXPECT_EQ(sched.stats().failed, 1);
+  sched.submit([] { throw std::invalid_argument("job boom"); });
+  sched.submit([&] { ran.count_down(); });
+  ran.wait();
+  const serve::SchedulerStats st = sched.stats();
+  EXPECT_EQ(st.failed, 1);
+  EXPECT_GE(st.executed, 1);
 }
 
 TEST(Scheduler, DestructorCancelsQueuedJobs) {
   std::atomic<int> ran{0};
   std::atomic<int> dropped{0};
   {
-    JobScheduler sched(1);
     std::atomic<bool> started{false};
     std::atomic<bool> release{false};
-    sched.submit([&](JobContext&) {
+    JobScheduler sched(1);
+    sched.submit([&] {
       started.store(true);
       while (!release.load()) std::this_thread::yield();
     });
     // Wait for the gate to occupy the worker so the 8 jobs genuinely queue.
     while (!started.load()) std::this_thread::yield();
     for (int i = 0; i < 8; ++i)
-      sched.submit([&](JobContext&) { ++ran; }, JobPriority::Normal, 0,
+      sched.submit([&] { ++ran; }, JobPriority::Normal, 0,
                    [&](JobState) { ++dropped; });
     release.store(true);
     // Destructor: the running gate finishes; each queued job either gets a
@@ -421,31 +401,32 @@ TEST(Scheduler, QueueCapShedsNewestWithDrop) {
   // One worker occupied by a gate, cap 2: two jobs fill the Normal queue
   // and the third is rejected-newest — its DropFn fires with Shed before
   // submit even returns, and it never runs.
-  JobScheduler sched(1, /*promote_after_ms=*/1000.0, /*queue_cap=*/2);
   std::atomic<bool> release{false};
   std::atomic<bool> started{false};
-  sched.submit([&](JobContext&) {
+  std::atomic<int> ran{0};
+  std::atomic<int> dropped{0};
+  JobState drop_state = JobState::Cancelled;
+  std::latch done(2);
+  JobScheduler sched(1, /*promote_after_ms=*/1000.0, /*queue_cap=*/2);
+  sched.submit([&] {
     started.store(true);
     while (!release.load()) std::this_thread::yield();
   });
   while (!started.load()) std::this_thread::yield();
-  std::atomic<int> ran{0};
-  const uint64_t a = sched.submit([&](JobContext&) { ++ran; });
-  const uint64_t b = sched.submit([&](JobContext&) { ++ran; });
-  std::atomic<int> dropped{0};
-  JobState drop_state = JobState::Done;
-  const uint64_t c = sched.submit(
-      [&](JobContext&) { ADD_FAILURE() << "shed job must not run"; },
-      JobPriority::Normal, 0, [&](JobState st) {
-        drop_state = st;
-        ++dropped;
-      });
+  for (int i = 0; i < 2; ++i)
+    sched.submit([&] {
+      ++ran;
+      done.count_down();
+    });
+  sched.submit([&] { ADD_FAILURE() << "shed job must not run"; },
+               JobPriority::Normal, 0, [&](JobState st) {
+                 drop_state = st;
+                 ++dropped;
+               });
   EXPECT_EQ(dropped.load(), 1);
   EXPECT_EQ(drop_state, JobState::Shed);
-  EXPECT_EQ(sched.wait(c), JobState::Shed);
   release.store(true);
-  EXPECT_EQ(sched.wait(a), JobState::Done);
-  EXPECT_EQ(sched.wait(b), JobState::Done);
+  done.wait();
   EXPECT_EQ(ran.load(), 2);
   EXPECT_EQ(sched.stats().shed, 1);
   EXPECT_EQ(sched.stats().submitted, 4);
@@ -465,14 +446,17 @@ TEST(Scheduler, PickWidthClampsZeroHardwareToOne) {
 
 TEST(Scheduler, ZeroHardwareWidthStillRunsJobs) {
   // The degraded width is one worker, which still drains every job.
+  std::atomic<int> ran{0};
+  std::latch done(16);
   JobScheduler sched(JobScheduler::pick_width(0, 0u));
   ASSERT_EQ(sched.width(), 1);
-  std::atomic<int> ran{0};
-  std::vector<uint64_t> ids;
   for (int i = 0; i < 16; ++i) {
-    ids.push_back(sched.submit([&](JobContext&) { ++ran; }));
+    sched.submit([&] {
+      ++ran;
+      done.count_down();
+    });
   }
-  for (uint64_t id : ids) EXPECT_EQ(sched.wait(id), JobState::Done);
+  done.wait();
   EXPECT_EQ(ran.load(), 16);
 }
 
@@ -481,12 +465,13 @@ TEST(SchedulerStress, ConcurrentEnqueueExpireExactlyOnceSeeded) {
   // while two workers drain concurrently, so expiry races execution on
   // every job.  Contracts: each job resolves to exactly one of
   // {ran, dropped} (the DropFn fires exactly once, never alongside the
-  // body), and the expired counter matches the Expired waits exactly.
+  // body), and the scheduler's expired/executed counters match the drops
+  // and bodies observed.
   constexpr int kThreads = 4, kPerThread = 64;
   constexpr int kN = kThreads * kPerThread;
-  JobScheduler sched(2, /*promote_after_ms=*/1000.0);
   std::vector<std::atomic<int>> events(kN);
-  std::vector<uint64_t> ids(kN);
+  std::atomic<int64_t> drops{0};
+  JobScheduler sched(2, /*promote_after_ms=*/1000.0);
   std::vector<std::thread> producers;
   producers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -495,33 +480,33 @@ TEST(SchedulerStress, ConcurrentEnqueueExpireExactlyOnceSeeded) {
       for (int i = 0; i < kPerThread; ++i) {
         const int ix = t * kPerThread + i;
         const double tmo = 0.05 + static_cast<double>(rng() % 30) / 20.0;
-        ids[ix] = sched.submit(
-            [&events, ix](JobContext&) {
+        sched.submit(
+            [&events, ix] {
               ++events[ix];
               std::this_thread::sleep_for(std::chrono::microseconds(200));
             },
-            JobPriority::Normal, tmo, [&events, ix](JobState st) {
+            JobPriority::Normal, tmo, [&events, &drops, ix](JobState st) {
               EXPECT_EQ(st, JobState::Expired);
               ++events[ix];
+              ++drops;
             });
       }
     });
   }
   for (auto& p : producers) p.join();
-  int64_t expired_waits = 0;
-  for (int i = 0; i < kN; ++i) {
-    const JobState st = sched.wait(ids[i]);
-    EXPECT_TRUE(st == JobState::Done || st == JobState::Expired)
-        << "job " << i << " ended " << serve::job_state_name(st);
-    if (st == JobState::Expired) ++expired_waits;
-  }
+  // Wait until the scheduler has accounted for every job.
+  spin_until([&] {
+    const serve::SchedulerStats st = sched.stats();
+    return st.executed + st.expired >= kN;
+  });
   for (int i = 0; i < kN; ++i) {
     EXPECT_EQ(events[i].load(), 1)
         << "job " << i << " fired its body/drop " << events[i].load()
         << " times";
   }
-  EXPECT_EQ(sched.stats().expired, expired_waits);
-  EXPECT_EQ(sched.stats().executed, kN - expired_waits);
+  const serve::SchedulerStats st = sched.stats();
+  EXPECT_EQ(st.expired, drops.load());
+  EXPECT_EQ(st.executed, kN - drops.load());
 }
 
 // ---------------------------------------------------------------------------
@@ -977,47 +962,6 @@ TEST(CacheStress, EvictionWhileReferencedSeeded) {
   EXPECT_LE(s.bytes, 2u * 1024u);
 }
 
-TEST(SchedulerStress, CancelVsFinishRaceSeeded) {
-  // The PR-7 use-after-free: cancel() raced a worker finishing the same
-  // job, and finish_locked dropping the jobs_ entry could free the Job out
-  // from under cancel's reference.  Hammer exactly that window — submit
-  // fast jobs while a seeded canceller fires at random ids — and check the
-  // terminal-state accounting balances: every submitted job ends exactly
-  // one of executed / cancelled / expired, nothing is lost or doubled.
-  constexpr int kJobs = 600;
-  std::atomic<int64_t> ran{0};
-  std::atomic<int64_t> dropped{0};
-  std::vector<uint64_t> ids;
-  ids.reserve(kJobs);
-  {
-    JobScheduler sched(3, /*promote_after_ms=*/0);
-    std::mt19937 rng(0xABCDu);
-    for (int i = 0; i < kJobs; ++i) {
-      ids.push_back(sched.submit(
-          [&](JobContext&) { ran.fetch_add(1, std::memory_order_relaxed); },
-          JobPriority::Normal, 0,
-          [&](JobState) { dropped.fetch_add(1, std::memory_order_relaxed); }));
-      // Fire cancels into the racing window: some hit queued jobs, some hit
-      // running ones, some hit already-finished ids — all must be safe.
-      if (i % 3 == 0) sched.cancel(ids[rng() % ids.size()]);
-    }
-    for (uint64_t id : ids) {
-      const JobState st = sched.wait(id);
-      EXPECT_TRUE(st == JobState::Done || st == JobState::Cancelled)
-          << job_state_name(st);
-    }
-    const serve::SchedulerStats st = sched.stats();
-    EXPECT_EQ(st.submitted, kJobs);
-    EXPECT_EQ(st.executed + st.cancelled + st.expired, kJobs);
-    EXPECT_EQ(st.queued, 0);
-    EXPECT_EQ(st.running, 0);
-    EXPECT_EQ(st.failed, 0);
-    EXPECT_EQ(ran.load(), st.executed);
-    EXPECT_EQ(dropped.load(), st.cancelled + st.expired);
-  }
-  EXPECT_EQ(ran.load() + dropped.load(), kJobs);
-}
-
 // ---------------------------------------------------------------------------
 // Property: cache-served plans are bit-identical to fresh compiles
 // ---------------------------------------------------------------------------
@@ -1060,8 +1004,9 @@ struct SocketFixture {
   std::thread loop;
 
   explicit SocketFixture(const serve::Endpoint& ep,
-                         serve::SocketOptions sopts = {})
-      : core(small_opts()), sock(core, ep, sopts) {
+                         serve::SocketOptions sopts = {},
+                         ServeOptions opts = small_opts())
+      : core(std::move(opts)), sock(core, ep, sopts) {
     loop = std::thread([this] { sock.serve_forever(); });
   }
   ~SocketFixture() {
@@ -1069,6 +1014,70 @@ struct SocketFixture {
     loop.join();
   }
 };
+
+/// Occupies every scheduler worker of `core` until release() or
+/// destruction, so requests the socket layer schedules wait behind it.
+/// release() returns once every gate job has returned: nothing a gate job
+/// touches dies before it.
+class WorkerGate {
+ public:
+  explicit WorkerGate(ServerCore& core) : left_(core.scheduler().width()) {
+    for (int i = 0; i < core.scheduler().width(); ++i) {
+      core.scheduler().submit(
+          [this] {
+            while (!open_.load()) std::this_thread::yield();
+            --left_;  // the job's last touch of the gate
+          },
+          JobPriority::High);
+    }
+  }
+  ~WorkerGate() { release(); }
+  WorkerGate(const WorkerGate&) = delete;
+  WorkerGate& operator=(const WorkerGate&) = delete;
+
+  void release() {
+    open_.store(true);
+    while (left_.load() > 0) std::this_thread::yield();
+  }
+
+ private:
+  std::atomic<bool> open_{false};
+  std::atomic<int> left_;
+};
+
+/// A raw connected socket, for tests that pipeline frames or watch what
+/// the daemon has (not) written.
+int raw_connect(const serve::Endpoint& ep) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, ep.path.c_str(), sizeof(addr.sun_path) - 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+void send_all(int fd, const std::string& bytes) {
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+/// Read frames until `n` responses arrived or the daemon closed the
+/// connection.
+std::vector<Json> read_responses(int fd, size_t n) {
+  std::vector<Json> resps;
+  FrameReader reader;
+  char buf[4096];
+  while (resps.size() < n) {
+    const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
+    if (got <= 0) break;
+    reader.feed(buf, static_cast<size_t>(got));
+    std::string payload;
+    while (reader.next(&payload)) resps.push_back(Json::parse(payload));
+  }
+  return resps;
+}
 
 TEST(Socket, UnixRoundTripWithPipelinedIds) {
   const serve::Endpoint ep =
@@ -1092,6 +1101,10 @@ TEST(Socket, UnixRoundTripWithPipelinedIds) {
   EXPECT_EQ(bad.get("code").as_string(), "bad-request");
   const Json again = client.call(ping);
   EXPECT_TRUE(again.get("ok").as_bool());
+  // The malformed frame counts like any failed request.
+  const Json stats = client.call(Json::object().set("op", "stats"));
+  EXPECT_EQ(stats.get("requests").get("total").as_double(), 4.0);
+  EXPECT_EQ(stats.get("requests").get("errors").as_double(), 1.0);
 }
 
 TEST(Socket, TcpEphemeralPortAndConcurrentClients) {
@@ -1145,17 +1158,10 @@ TEST(Socket, ProtocolErrorDrainsAfterInflightResponses) {
   const serve::Endpoint ep =
       serve::parse_endpoint("unix:/tmp/incflat_test_poison.sock");
   SocketFixture fx(ep);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, ep.path.c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  const int fd = raw_connect(ep);
   std::string bytes = serve::encode_frame(run_req("matmul", "square").str(-1));
   bytes.append("\xff\xff\xff\xff", 4);  // hostile 4 GiB length prefix
-  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
-            static_cast<ssize_t>(bytes.size()));
+  send_all(fd, bytes);
   std::string got;
   char buf[4096];
   for (;;) {  // the server closes the connection once both responses drain
@@ -1198,16 +1204,9 @@ TEST(Socket, DeadlineExpiresInQueueOverTheWire) {
   const serve::Endpoint ep =
       serve::parse_endpoint("unix:/tmp/incflat_test_deadline.sock");
   SocketFixture fx(ep);
-  // Occupy both workers so the run sits in the queue past its deadline.
-  std::atomic<bool> release{false};
-  std::vector<uint64_t> gates;
-  for (int i = 0; i < 2; ++i) {
-    gates.push_back(fx.core.scheduler().submit(
-        [&](JobContext&) {
-          while (!release.load()) std::this_thread::yield();
-        },
-        JobPriority::High));
-  }
+  // Occupy both workers so the (cold) run sits in the queue past its
+  // deadline.
+  WorkerGate gate(fx.core);
   ServeClient client(ep);
   Json req = run_req("matmul", "square");
   req.set("deadline_ms", 20.0);
@@ -1217,7 +1216,7 @@ TEST(Socket, DeadlineExpiresInQueueOverTheWire) {
   // call() blocks until the timeout answer arrives.
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    release.store(true);
+    gate.release();
   });
   const Json resp = client.call(req);
   releaser.join();
@@ -1226,7 +1225,6 @@ TEST(Socket, DeadlineExpiresInQueueOverTheWire) {
   EXPECT_TRUE(serve::is_retriable(resp));
   // The drop-path answer still correlates: the request id is echoed.
   EXPECT_EQ(resp.get("id").as_string(), "dl");
-  for (const uint64_t g : gates) fx.core.scheduler().wait(g);
 }
 
 TEST(Socket, ConnCapAnswersOverloadedThenCloses) {
@@ -1256,48 +1254,24 @@ TEST(Socket, InflightCapShedsPipelinedRequests) {
   serve::SocketOptions so;
   so.max_inflight_per_conn = 1;
   SocketFixture fx(ep, so);
-  // Gate both workers so the first request stays in flight while the
-  // second arrives pipelined on the same connection.
-  std::atomic<bool> release{false};
-  std::vector<uint64_t> gates;
-  for (int i = 0; i < 2; ++i) {
-    gates.push_back(fx.core.scheduler().submit(
-        [&](JobContext&) {
-          while (!release.load()) std::this_thread::yield();
-        },
-        JobPriority::High));
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, ep.path.c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  // Gate both workers so the first (cold) request stays in flight while
+  // the second arrives pipelined on the same connection.
+  WorkerGate gate(fx.core);
+  const int fd = raw_connect(ep);
   Json r1 = run_req("matmul", "square");
   r1.set("id", "a");
   Json r2 = run_req("matmul", "square");
   r2.set("id", "b");
-  const std::string bytes =
-      serve::encode_frame(r1.str(-1)) + serve::encode_frame(r2.str(-1));
-  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
-            static_cast<ssize_t>(bytes.size()));
+  send_all(fd, serve::encode_frame(r1.str(-1)) +
+                   serve::encode_frame(r2.str(-1)));
   // Give the loop time to decode both frames (the second sheds while the
   // first is still in flight), then let the first run.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  release.store(true);
-  std::string got;
-  char buf[4096];
-  std::vector<Json> resps;
-  FrameReader reader;
-  while (resps.size() < 2) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0) << "connection closed before both responses arrived";
-    reader.feed(buf, static_cast<size_t>(n));
-    std::string payload;
-    while (reader.next(&payload)) resps.push_back(Json::parse(payload));
-  }
+  gate.release();
+  const std::vector<Json> resps = read_responses(fd, 2);
   ::close(fd);
+  ASSERT_EQ(resps.size(), 2u)
+      << "connection closed before both responses arrived";
   // In order: the admitted run's answer first, then the shed answer.
   EXPECT_TRUE(resps[0].get("ok").as_bool());
   EXPECT_EQ(resps[0].get("id").as_string(), "a");
@@ -1305,7 +1279,6 @@ TEST(Socket, InflightCapShedsPipelinedRequests) {
   EXPECT_EQ(resps[1].get("code").as_string(), "overloaded");
   EXPECT_TRUE(serve::is_retriable(resps[1]));
   EXPECT_EQ(resps[1].get("id").as_string(), "b");
-  for (const uint64_t g : gates) fx.core.scheduler().wait(g);
 }
 
 TEST(Socket, GracefulDrainFinishesInflightAndRejectsNew) {
@@ -1316,39 +1289,21 @@ TEST(Socket, GracefulDrainFinishesInflightAndRejectsNew) {
   so.drain_ms = 4000;
   ServeSocket sock(core, ep, so);
   std::thread loop([&] { sock.serve_forever(); });
-  std::atomic<bool> release{false};
-  std::vector<uint64_t> gates;
-  for (int i = 0; i < 2; ++i) {
-    gates.push_back(core.scheduler().submit(
-        [&](JobContext&) {
-          while (!release.load()) std::this_thread::yield();
-        },
-        JobPriority::High));
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, ep.path.c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  WorkerGate gate(core);
+  const int fd = raw_connect(ep);
   // One request admitted before the drain...
   Json keep = run_req("matmul", "square");
   keep.set("id", "keep");
-  std::string bytes = serve::encode_frame(keep.str(-1));
-  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
-            static_cast<ssize_t>(bytes.size()));
+  send_all(fd, serve::encode_frame(keep.str(-1)));
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   sock.request_drain();
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   // ...and one sent after it began: fail-fast "draining", retriable.
   Json late = run_req("matmul", "square");
   late.set("id", "late");
-  bytes = serve::encode_frame(late.str(-1));
-  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
-            static_cast<ssize_t>(bytes.size()));
+  send_all(fd, serve::encode_frame(late.str(-1)));
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  release.store(true);
+  gate.release();
   // The drain finishes the in-flight run, answers both in order, then
   // closes the connection and exits the loop — clean, nothing forced.
   std::string got;
@@ -1380,26 +1335,234 @@ TEST(Socket, GracefulDrainFinishesInflightAndRejectsNew) {
   EXPECT_EQ(ds.forced_conns, 0);
   // The listen socket is gone: new connections are refused.
   EXPECT_THROW(ServeClient{ep}, IoError);
-  for (const uint64_t g : gates) core.scheduler().wait(g);
 }
 
 TEST(Socket, ClientResponseTimeoutThrowsIoError) {
   const serve::Endpoint ep =
       serve::parse_endpoint("unix:/tmp/incflat_test_clienttimeout.sock");
   SocketFixture fx(ep);
-  std::atomic<bool> release{false};
-  std::vector<uint64_t> gates;
-  for (int i = 0; i < 2; ++i) {
-    gates.push_back(fx.core.scheduler().submit(
-        [&](JobContext&) {
-          while (!release.load()) std::this_thread::yield();
-        },
-        JobPriority::High));
-  }
+  WorkerGate gate(fx.core);
   ServeClient client(ep, /*timeout_ms=*/60);
   EXPECT_THROW(client.call(run_req("matmul", "square")), IoError);
-  release.store(true);
-  for (const uint64_t g : gates) fx.core.scheduler().wait(g);
+}
+
+// ---------------------------------------------------------------------------
+// Warm requests answered on the loop thread (try_handle_cached)
+// ---------------------------------------------------------------------------
+
+TEST(Server, TryHandleCachedAnswersOnlyResidentEntries) {
+  // Declines (nullopt, nothing counted) until the entry exists; then
+  // answers exactly what handle() answers, counting what handle() counts
+  // plus requests.inline.
+  ServerCore core(small_opts());
+  Json compile_req = Json::object();
+  compile_req.set("op", "compile");
+  compile_req.set("benchmark", "matmul");
+  Json tune_req = compile_req;
+  tune_req.set("op", "tune");
+  for (const Json& req :
+       {run_req("matmul", "square"), compile_req, tune_req,
+        Json::object().set("op", "stats"), Json::object().set("op", "ping"),
+        Json::parse("[1]")})
+    EXPECT_FALSE(core.try_handle_cached(req)) << req.str(-1);
+  EXPECT_EQ(core.request_stats().total, 0);
+  EXPECT_EQ(core.cache().stats().hits + core.cache().stats().misses, 0);
+
+  const Json cold = core.handle(run_req("matmul", "square"));
+  const Json warm = core.handle(run_req("matmul", "square"));
+  const std::optional<Json> fast = core.try_handle_cached(
+      run_req("matmul", "square"));
+  ASSERT_TRUE(fast);
+  EXPECT_EQ(fast->str(-1), warm.str(-1));
+  // The run published the program entry, so a compile answers too.
+  const std::optional<Json> compiled = core.try_handle_cached(compile_req);
+  ASSERT_TRUE(compiled);
+  EXPECT_TRUE(compiled->get("cached").as_bool());
+  EXPECT_FALSE(core.try_handle_cached(tune_req));
+  const serve::RequestStats rs = core.request_stats();
+  EXPECT_EQ(rs.total, 4);
+  EXPECT_EQ(rs.runs, 3);
+  EXPECT_EQ(rs.compiles, 1);
+  EXPECT_EQ(rs.inlined, 2);
+  EXPECT_EQ(core.cache().stats().hits, 3);
+}
+
+TEST(Server, TryHandleCachedLeavesFaultInjectedRunsToTheScheduler) {
+  ServeOptions o = small_opts();
+  o.faults = "all=0.01";
+  ServerCore core(o);
+  core.handle(run_req("matmul", "square"));
+  EXPECT_FALSE(core.try_handle_cached(run_req("matmul", "square")));
+  // A compile never faults: it still answers.
+  Json compile_req = Json::object();
+  compile_req.set("op", "compile");
+  compile_req.set("benchmark", "matmul");
+  EXPECT_TRUE(core.try_handle_cached(compile_req));
+}
+
+TEST(Socket, WarmRequestsAnswerWhileEveryWorkerIsGated) {
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_warm.sock");
+  SocketFixture fx(ep);
+  ServeClient client(ep, /*timeout_ms=*/5000);
+  ASSERT_TRUE(client.call(run_req("matmul", "square")).get("ok").as_bool());
+  WorkerGate gate(fx.core);
+  const Json r = client.call(run_req("matmul", "square"));
+  EXPECT_TRUE(r.get("ok").as_bool());
+  EXPECT_TRUE(r.get("cached").as_bool());
+  Json compile_req = Json::object();
+  compile_req.set("op", "compile");
+  compile_req.set("benchmark", "matmul");
+  EXPECT_TRUE(client.call(compile_req).get("cached").as_bool());
+  EXPECT_EQ(fx.core.request_stats().inlined, 2);
+}
+
+TEST(Socket, WarmRunPipelinedBehindAColdRequestAnswersSecond) {
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_warmorder.sock");
+  SocketFixture fx(ep);
+  ASSERT_TRUE(fx.core.handle(run_req("matmul", "square")).get("ok").as_bool());
+  WorkerGate gate(fx.core);
+  const int fd = raw_connect(ep);
+  Json cold = run_req("matmul", "skinny");
+  cold.set("id", "cold");
+  Json warm = run_req("matmul", "square");
+  warm.set("id", "warm");
+  send_all(fd, serve::encode_frame(cold.str(-1)) +
+                   serve::encode_frame(warm.str(-1)));
+  // The warm run is answered at once, but its answer must wait for the
+  // cold one, which waits for a worker.
+  spin_until([&] { return fx.core.request_stats().inlined == 1; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT), -1)
+      << "an answer was written before the cold request's";
+  gate.release();
+  const std::vector<Json> resps = read_responses(fd, 2);
+  ::close(fd);
+  ASSERT_EQ(resps.size(), 2u);
+  EXPECT_EQ(resps[0].get("id").as_string(), "cold");
+  EXPECT_FALSE(resps[0].get("cached").as_bool());
+  EXPECT_EQ(resps[1].get("id").as_string(), "warm");
+  EXPECT_TRUE(resps[1].get("cached").as_bool());
+}
+
+TEST(Socket, WarmRunWithSpentDeadlineAnswersTimeoutInline) {
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_warmdeadline.sock");
+  SocketFixture fx(ep);
+  ASSERT_TRUE(fx.core.handle(run_req("matmul", "square")).get("ok").as_bool());
+  WorkerGate gate(fx.core);
+  ServeClient client(ep, /*timeout_ms=*/5000);
+  Json req = run_req("matmul", "square");
+  req.set("id", "spent");
+  req.set("deadline_ms", 1e-4);  // rounds to a deadline of "now"
+  const Json resp = client.call(req);
+  EXPECT_FALSE(resp.get("ok").as_bool());
+  EXPECT_EQ(resp.get("code").as_string(), "timeout");
+  EXPECT_TRUE(serve::is_retriable(resp));
+  EXPECT_EQ(resp.get("id").as_string(), "spent");
+  const serve::RequestStats rs = fx.core.request_stats();
+  EXPECT_EQ(rs.deadline_expired, 1);
+  EXPECT_EQ(rs.inlined, 1);
+  EXPECT_EQ(fx.core.cache().stats().hits, 0);  // like handle(): no hit
+}
+
+TEST(Socket, FaultSpecKeepsWarmRunsOnTheScheduler) {
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_warmfaults.sock");
+  ServeOptions o = small_opts();
+  o.faults = "all=0.01";
+  SocketFixture fx(ep, {}, o);
+  fx.core.handle(run_req("matmul", "square"));
+  WorkerGate gate(fx.core);
+  const int fd = raw_connect(ep);
+  send_all(fd, serve::encode_frame(run_req("matmul", "square").str(-1)));
+  pollfd p{fd, POLLIN, 0};
+  EXPECT_EQ(::poll(&p, 1, 100), 0) << "a fault-injected run was not queued";
+  EXPECT_EQ(fx.core.request_stats().inlined, 0);
+  gate.release();
+  EXPECT_EQ(read_responses(fd, 1).size(), 1u);
+  ::close(fd);
+}
+
+TEST(Socket, TalliesMatchHandleOnAMixedSequence) {
+  // One request sequence, sent over the socket (warm runs and compiles
+  // answer on the loop thread) and through handle(): the answers and every
+  // cache and request tally agree; only requests.inline differs.
+  const std::string lvc_ds =
+      get_benchmark("LocVolCalib").datasets.front().name;
+  const std::vector<std::string> seq = {
+      R"({"op":"compile","benchmark":"matmul"})",
+      R"({"op":"compile","benchmark":"matmul","id":1})",
+      R"({"op":"run","benchmark":"matmul","dataset":"square"})",
+      R"({"op":"run","benchmark":"matmul","dataset":"square","id":"w"})",
+      R"({"op":"run","benchmark":"matmul","dataset":"square",)"
+      R"("thresholds":{"suff_outer_par_0":1}})",
+      R"({"op":"run","benchmark":"matmul","dataset":"square",)"
+      R"("thresholds":"bad"})",
+      R"({"op":"run","benchmark":"matmul","dataset":"square","tuned":true})",
+      R"({"op":"run","benchmark":"matmul","dataset":"square",)"
+      R"("deadline_ms":0.0001})",
+      R"({"op":"run","benchmark":"matmul","dataset":"skinny",)"
+      R"("deadline_ms":0.0001})",
+      R"({"op":"run","benchmark":"matmul","dataset":"nosuch"})",
+      R"({"op":"run","benchmark":"nosuch","dataset":"square"})",
+      R"({"op":"compile","benchmark":"matmul","mode":"bogus"})",
+      R"({"op":"compile","benchmark":"matmul","device":7})",
+      R"({oops)",
+      R"([1,2])",
+      R"({"op":"ping"})",
+      R"({"op":"tune","benchmark":"matmul","trials":3})",
+      R"({"op":"run","benchmark":"matmul","dataset":"square","tuned":true})",
+      R"({"op":"compile","benchmark":"LocVolCalib","device":"vega64"})",
+      R"({"op":"run","benchmark":"LocVolCalib","device":"vega64",)"
+      R"("dataset":")" + lvc_ds + R"("})",
+      R"({"op":"run","benchmark":"LocVolCalib","device":"vega64",)"
+      R"("dataset":")" + lvc_ds + R"("})",
+  };
+  // A cold compile's wall-clock cost is the one field that may differ.
+  const auto comparable = [](const std::string& text) {
+    Json j = Json::parse(text);
+    if (j.find("compile_us")) j.set("compile_us", 0.0);
+    return j.str(-1);
+  };
+  const auto stats_of = [](Json stats) {
+    Json reqs = stats.get("requests");
+    const double inlined = reqs.get("inline").as_double();
+    reqs.set("inline", 0);
+    return std::make_pair(
+        stats.get("cache").str(-1) + reqs.str(-1), inlined);
+  };
+
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_parity.sock");
+  SocketFixture fx(ep);
+  ServeClient client(ep, /*timeout_ms=*/30000);
+  ServerCore direct(small_opts());
+  for (const std::string& payload : seq) {
+    const std::string wire = client.call_text(payload);
+    std::string local;
+    try {
+      const Json req = Json::parse(payload);
+      std::unique_ptr<CancelToken> token;
+      if (const Json* dl = req.find("deadline_ms"))
+        token = std::make_unique<CancelToken>(dl->as_double());
+      local = direct.handle(req, token.get()).str(-1);
+    } catch (const JsonParseError&) {
+      local = direct.handle_text(payload);
+    }
+    EXPECT_EQ(comparable(wire), comparable(local)) << payload;
+  }
+  const auto [wire_tallies, wire_inline] =
+      stats_of(client.call(Json::object().set("op", "stats")));
+  const auto [local_tallies, local_inline] =
+      stats_of(direct.handle(Json::object().set("op", "stats")));
+  EXPECT_EQ(wire_tallies, local_tallies);
+  // The warm compile, run, override, two bad warm runs, spent-deadline
+  // run, tuned run and LocVolCalib rerun: eight answers on the loop thread.
+  EXPECT_EQ(wire_inline, 8);
+  EXPECT_EQ(local_inline, 0);
 }
 
 TEST(Socket, EndpointParsing) {
