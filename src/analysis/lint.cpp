@@ -10,13 +10,6 @@ namespace analysis {
 
 namespace {
 
-std::string segop_label(const SegOpE& so) {
-  const char* kind = so.op == SegOpE::Op::Map
-                         ? "segmap"
-                         : so.op == SegOpE::Op::Red ? "segred" : "segscan";
-  return std::string(kind) + "^" + std::to_string(so.level);
-}
-
 struct Linter {
   const LintOptions& opts;
   const SizeBounds& bounds;
@@ -70,10 +63,6 @@ struct Linter {
         pop(tc->threshold);
         return;
       }
-      walk(i->cond, at + ".cond");
-      walk(i->then_e, at + ".then");
-      walk(i->else_e, at + ".else");
-      return;
     }
     if (auto* so = e->as<SegOpE>()) {
       const std::string here = at + "." + segop_label(*so);
@@ -92,57 +81,8 @@ struct Linter {
         }
       }
       check_segbinds(*so, here);
-      for (const auto& n : so->neutral) walk(n, here + ".neutral");
-      if (so->op != SegOpE::Op::Map) walk(so->combine.body, here + ".combine");
-      walk(so->body, here + ".body");
-      return;
     }
-    if (auto* b = e->as<BinOpE>()) {
-      walk(b->lhs, at);
-      walk(b->rhs, at);
-    } else if (auto* u = e->as<UnOpE>()) {
-      walk(u->e, at);
-    } else if (auto* l = e->as<LetE>()) {
-      const std::string v = l->vars.empty() ? std::string("_") : l->vars[0];
-      walk(l->rhs, at + "." + v + "=");
-      walk(l->body, at);
-    } else if (auto* lp = e->as<LoopE>()) {
-      for (const auto& x : lp->inits) walk(x, at);
-      walk(lp->count, at);
-      walk(lp->body, at + ".loop");
-    } else if (auto* t = e->as<TupleE>()) {
-      for (size_t i = 0; i < t->elems.size(); ++i) {
-        walk(t->elems[i], at + "[" + std::to_string(i) + "]");
-      }
-    } else if (auto* rp = e->as<ReplicateE>()) {
-      walk(rp->elem, at);
-    } else if (auto* ra = e->as<RearrangeE>()) {
-      walk(ra->e, at);
-    } else if (auto* ix = e->as<IndexE>()) {
-      walk(ix->arr, at);
-      for (const auto& x : ix->idxs) walk(x, at);
-    } else if (auto* m = e->as<MapE>()) {
-      for (const auto& x : m->arrays) walk(x, at);
-      walk(m->f.body, at + ".map");
-    } else if (auto* r = e->as<ReduceE>()) {
-      for (const auto& x : r->neutral) walk(x, at);
-      for (const auto& x : r->arrays) walk(x, at);
-      walk(r->op.body, at + ".reduce");
-    } else if (auto* s = e->as<ScanE>()) {
-      for (const auto& x : s->neutral) walk(x, at);
-      for (const auto& x : s->arrays) walk(x, at);
-      walk(s->op.body, at + ".scan");
-    } else if (auto* rm = e->as<RedomapE>()) {
-      for (const auto& x : rm->neutral) walk(x, at);
-      for (const auto& x : rm->arrays) walk(x, at);
-      walk(rm->red.body, at + ".redomap");
-      walk(rm->mapf.body, at + ".redomap");
-    } else if (auto* sm = e->as<ScanomapE>()) {
-      for (const auto& x : sm->neutral) walk(x, at);
-      for (const auto& x : sm->arrays) walk(x, at);
-      walk(sm->red.body, at + ".scanomap");
-      walk(sm->mapf.body, at + ".scanomap");
-    }
+    for_each_child(*e, [&](const Child& c) { walk(c.expr, c.path(at)); });
   }
 
   /// Same used-set construction as prune-segbinds (innermost level first):

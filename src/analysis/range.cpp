@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "src/ir/traverse.h"
+
 namespace incflat {
 namespace analysis {
 
@@ -257,9 +259,7 @@ SizeExpr point_bytes(const SegOpE& so) {
 }
 
 void local_walk(const ExprP& e, bool in_group,
-                SizeExpr& acc);  // NOLINT(misc-no-recursion)
-
-void local_walk(const ExprP& e, bool in_group, SizeExpr& acc) {
+                SizeExpr& acc) {  // NOLINT(misc-no-recursion)
   if (!e) return;
   if (auto* so = e->as<SegOpE>()) {
     if (in_group) {
@@ -274,31 +274,10 @@ void local_walk(const ExprP& e, bool in_group, SizeExpr& acc) {
     local_walk(so->body, in_group || so->level >= 1, acc);
     return;
   }
-  if (auto* b = e->as<BinOpE>()) {
-    local_walk(b->lhs, in_group, acc);
-    local_walk(b->rhs, in_group, acc);
-  } else if (auto* u = e->as<UnOpE>()) {
-    local_walk(u->e, in_group, acc);
-  } else if (auto* i = e->as<IfE>()) {
-    local_walk(i->then_e, in_group, acc);
-    local_walk(i->else_e, in_group, acc);
-  } else if (auto* l = e->as<LetE>()) {
-    local_walk(l->rhs, in_group, acc);
-    local_walk(l->body, in_group, acc);
-  } else if (auto* lp = e->as<LoopE>()) {
-    for (const auto& x : lp->inits) local_walk(x, in_group, acc);
-    local_walk(lp->body, in_group, acc);
-  } else if (auto* t = e->as<TupleE>()) {
-    for (const auto& x : t->elems) local_walk(x, in_group, acc);
-  } else if (auto* rp = e->as<ReplicateE>()) {
-    local_walk(rp->elem, in_group, acc);
-  } else if (auto* ra = e->as<RearrangeE>()) {
-    local_walk(ra->e, in_group, acc);
-  } else if (auto* ix = e->as<IndexE>()) {
-    local_walk(ix->arr, in_group, acc);
-    for (const auto& x : ix->idxs) local_walk(x, in_group, acc);
-  }
   // Sequential SOACs do not stage intermediates in scratchpad.
+  if (is_soac(*e)) return;
+  for_each_child(*e,
+                 [&](const Child& c) { local_walk(c.expr, in_group, acc); });
 }
 
 }  // namespace

@@ -53,44 +53,15 @@ struct GuardFolder {
         return mk(IfE{i->cond, std::move(then_e), std::move(else_e)},
                   e->types);
       }
-      ExprP then_e = fold(i->then_e, facts);
-      ExprP else_e = fold(i->else_e, facts);
-      if (then_e == i->then_e && else_e == i->else_e) return e;
-      return mk(IfE{i->cond, std::move(then_e), std::move(else_e)}, e->types);
     }
-    if (auto* l = e->as<LetE>()) {
-      ExprP rhs = fold(l->rhs, facts);
-      ExprP body = fold(l->body, facts);
-      if (rhs == l->rhs && body == l->body) return e;
-      return mk(LetE{l->vars, std::move(rhs), std::move(body)}, e->types);
+    // Guards sit only on the spine of ifs, lets, loops, tuples and seg-op
+    // bodies (intra-group versions nest them), so the walk stops elsewhere.
+    if (!e->is<IfE>() && !e->is<LetE>() && !e->is<LoopE>() &&
+        !e->is<TupleE>() && !e->is<SegOpE>()) {
+      return e;
     }
-    if (auto* lp = e->as<LoopE>()) {
-      ExprP body = fold(lp->body, facts);
-      if (body == lp->body) return e;
-      return mk(LoopE{lp->params, lp->inits, lp->ivar, lp->count,
-                      std::move(body)},
-                e->types);
-    }
-    if (auto* t = e->as<TupleE>()) {
-      std::vector<ExprP> elems;
-      elems.reserve(t->elems.size());
-      bool changed = false;
-      for (const auto& x : t->elems) {
-        elems.push_back(fold(x, facts));
-        changed = changed || elems.back() != x;
-      }
-      if (!changed) return e;
-      return mk(TupleE{std::move(elems)}, e->types);
-    }
-    if (auto* so = e->as<SegOpE>()) {
-      // Guards can sit inside intra-group bodies (data-dependent nests).
-      ExprP body = fold(so->body, facts);
-      if (body == so->body) return e;
-      SegOpE out = *so;
-      out.body = std::move(body);
-      return mk(std::move(out), e->types);
-    }
-    return e;
+    auto fold_child = [&](const Child& c) { return fold(c.expr, facts); };
+    return map_children(e, fold_child);
   }
 
   static void push_fact(GuardFacts& facts, const ThresholdCmpE& tc,

@@ -1,7 +1,6 @@
 #include "src/flatten/fusion.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "src/ir/traverse.h"
 #include "src/ir/typecheck.h"
@@ -26,17 +25,6 @@ bool any_var_free(const std::vector<std::string>& vars, const ExprP& e) {
   const auto fv = free_vars(e);
   return std::any_of(vars.begin(), vars.end(),
                      [&](const std::string& v) { return fv.count(v) > 0; });
-}
-
-ExprP fuse(const ExprP& e);
-
-Lambda fuse_lambda(const Lambda& l) { return Lambda{l.params, fuse(l.body)}; }
-
-std::vector<ExprP> fuse_list(const std::vector<ExprP>& es) {
-  std::vector<ExprP> out;
-  out.reserve(es.size());
-  for (const auto& x : es) out.push_back(fuse(x));
-  return out;
 }
 
 /// Try to fuse `let vars = map f xs in consumer`; returns null on no match.
@@ -67,57 +55,13 @@ ExprP try_fuse_let(const std::vector<std::string>& vars, const MapE& producer,
 
 ExprP fuse(const ExprP& e) {
   if (!e) return e;
-  if (auto* l = e->as<LetE>()) {
-    ExprP rhs = fuse(l->rhs);
-    ExprP body = fuse(l->body);
-    if (auto* m = rhs->as<MapE>()) {
-      if (ExprP fused = try_fuse_let(l->vars, *m, body)) {
-        return fused;
-      }
+  ExprP out = map_children(e, [](const Child& c) { return fuse(c.expr); });
+  if (auto* l = out->as<LetE>()) {
+    if (auto* m = l->rhs->as<MapE>()) {
+      if (ExprP fused = try_fuse_let(l->vars, *m, l->body)) return fused;
     }
-    return mk(LetE{l->vars, rhs, body});
   }
-  if (auto* b = e->as<BinOpE>()) {
-    return mk(BinOpE{b->op, fuse(b->lhs), fuse(b->rhs)});
-  }
-  if (auto* u = e->as<UnOpE>()) return mk(UnOpE{u->op, fuse(u->e)});
-  if (auto* i = e->as<IfE>()) {
-    return mk(IfE{fuse(i->cond), fuse(i->then_e), fuse(i->else_e)});
-  }
-  if (auto* lp = e->as<LoopE>()) {
-    return mk(LoopE{lp->params, fuse_list(lp->inits), lp->ivar,
-                    fuse(lp->count), fuse(lp->body)});
-  }
-  if (auto* m = e->as<MapE>()) {
-    return mk(MapE{fuse_lambda(m->f), fuse_list(m->arrays)});
-  }
-  if (auto* r = e->as<ReduceE>()) {
-    return mk(ReduceE{fuse_lambda(r->op), fuse_list(r->neutral),
-                      fuse_list(r->arrays)});
-  }
-  if (auto* s = e->as<ScanE>()) {
-    return mk(ScanE{fuse_lambda(s->op), fuse_list(s->neutral),
-                    fuse_list(s->arrays)});
-  }
-  if (auto* rm = e->as<RedomapE>()) {
-    return mk(RedomapE{fuse_lambda(rm->red), fuse_lambda(rm->mapf),
-                       fuse_list(rm->neutral), fuse_list(rm->arrays)});
-  }
-  if (auto* sm = e->as<ScanomapE>()) {
-    return mk(ScanomapE{fuse_lambda(sm->red), fuse_lambda(sm->mapf),
-                        fuse_list(sm->neutral), fuse_list(sm->arrays)});
-  }
-  if (auto* rp = e->as<ReplicateE>()) {
-    return mk(ReplicateE{rp->count, fuse(rp->elem)});
-  }
-  if (auto* ra = e->as<RearrangeE>()) {
-    return mk(RearrangeE{ra->perm, fuse(ra->e)});
-  }
-  if (auto* ix = e->as<IndexE>()) {
-    return mk(IndexE{fuse(ix->arr), fuse_list(ix->idxs)});
-  }
-  if (auto* t = e->as<TupleE>()) return mk(TupleE{fuse_list(t->elems)});
-  return e;  // atoms
+  return out;
 }
 
 }  // namespace
@@ -130,38 +74,9 @@ Program fuse_program(Program p) {
 }
 
 int64_t count_fused(const ExprP& e) {
-  int64_t n = 0;
-  // count via free_vars-style walk: reuse count_nodes pattern cheaply.
-  std::function<void(const ExprP&)> walk = [&](const ExprP& x) {
-    if (!x) return;
-    if (x->is<RedomapE>() || x->is<ScanomapE>()) ++n;
-    if (auto* l = x->as<LetE>()) {
-      walk(l->rhs);
-      walk(l->body);
-    } else if (auto* lp = x->as<LoopE>()) {
-      for (const auto& i : lp->inits) walk(i);
-      walk(lp->body);
-    } else if (auto* i = x->as<IfE>()) {
-      walk(i->cond);
-      walk(i->then_e);
-      walk(i->else_e);
-    } else if (auto* m = x->as<MapE>()) {
-      walk(m->f.body);
-      for (const auto& a : m->arrays) walk(a);
-    } else if (auto* r = x->as<ReduceE>()) {
-      walk(r->op.body);
-      for (const auto& a : r->arrays) walk(a);
-    } else if (auto* rm = x->as<RedomapE>()) {
-      walk(rm->mapf.body);
-      for (const auto& a : rm->arrays) walk(a);
-    } else if (auto* sm = x->as<ScanomapE>()) {
-      walk(sm->mapf.body);
-      for (const auto& a : sm->arrays) walk(a);
-    } else if (auto* t = x->as<TupleE>()) {
-      for (const auto& y : t->elems) walk(y);
-    }
-  };
-  walk(e);
+  if (!e) return 0;
+  int64_t n = e->is<RedomapE>() || e->is<ScanomapE>() ? 1 : 0;
+  for_each_child(*e, [&](const Child& c) { n += count_fused(c.expr); });
   return n;
 }
 

@@ -21,7 +21,8 @@ namespace incflat {
 /// re-annotated.
 Program fuse_program(Program p);
 
-/// Expression-level entry point (exposed for tests); output is unannotated.
+/// Expression-level entry point (exposed for tests); fused nodes are
+/// unannotated.
 ExprP fuse_expr(const ExprP& e);
 
 /// Number of redomap/scanomap nodes (fusion effectiveness metric).

@@ -85,33 +85,44 @@ struct Normalizer {
                            norm(lp->body)}));
     }
     if (auto* m = e->as<MapE>()) {
-      return mk(MapE{norm_lambda(m->f), norm_list(m->arrays)});
+      Binds binds;
+      Lambda f = norm_lambda(m->f);
+      std::vector<ExprP> arrays = operands(m->arrays, binds);
+      return wrap(binds, mk(MapE{std::move(f), std::move(arrays)}));
     }
     if (auto* r = e->as<ReduceE>()) {
       Binds binds;
       std::vector<ExprP> neutral = operands(r->neutral, binds);
-      return wrap(binds, mk(ReduceE{norm_lambda(r->op), neutral,
-                                    norm_list(r->arrays)}));
+      Lambda op = norm_lambda(r->op);
+      std::vector<ExprP> arrays = operands(r->arrays, binds);
+      return wrap(binds, mk(ReduceE{std::move(op), std::move(neutral),
+                                    std::move(arrays)}));
     }
     if (auto* s = e->as<ScanE>()) {
       Binds binds;
       std::vector<ExprP> neutral = operands(s->neutral, binds);
-      return wrap(binds, mk(ScanE{norm_lambda(s->op), neutral,
-                                  norm_list(s->arrays)}));
+      Lambda op = norm_lambda(s->op);
+      std::vector<ExprP> arrays = operands(s->arrays, binds);
+      return wrap(binds, mk(ScanE{std::move(op), std::move(neutral),
+                                  std::move(arrays)}));
     }
     if (auto* rm = e->as<RedomapE>()) {
       Binds binds;
       std::vector<ExprP> neutral = operands(rm->neutral, binds);
-      return wrap(binds,
-                  mk(RedomapE{norm_lambda(rm->red), norm_lambda(rm->mapf),
-                              neutral, norm_list(rm->arrays)}));
+      Lambda red = norm_lambda(rm->red);
+      Lambda mapf = norm_lambda(rm->mapf);
+      std::vector<ExprP> arrays = operands(rm->arrays, binds);
+      return wrap(binds, mk(RedomapE{std::move(red), std::move(mapf),
+                                     std::move(neutral), std::move(arrays)}));
     }
     if (auto* sm = e->as<ScanomapE>()) {
       Binds binds;
       std::vector<ExprP> neutral = operands(sm->neutral, binds);
-      return wrap(binds,
-                  mk(ScanomapE{norm_lambda(sm->red), norm_lambda(sm->mapf),
-                               neutral, norm_list(sm->arrays)}));
+      Lambda red = norm_lambda(sm->red);
+      Lambda mapf = norm_lambda(sm->mapf);
+      std::vector<ExprP> arrays = operands(sm->arrays, binds);
+      return wrap(binds, mk(ScanomapE{std::move(red), std::move(mapf),
+                                      std::move(neutral), std::move(arrays)}));
     }
     if (auto* rp = e->as<ReplicateE>()) {
       Binds binds;

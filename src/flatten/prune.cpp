@@ -38,41 +38,14 @@ SegOpE prune_segop(const SegOpE& so) {
   return out;
 }
 
-std::vector<ExprP> prune_list(const std::vector<ExprP>& es) {
-  std::vector<ExprP> out;
-  out.reserve(es.size());
-  for (const auto& x : es) out.push_back(prune_seg_spaces(x));
-  return out;
-}
-
 }  // namespace
 
 ExprP prune_seg_spaces(const ExprP& e) {
   if (!e) return e;
-  if (auto* so = e->as<SegOpE>()) {
-    SegOpE inner = *so;
-    inner.body = prune_seg_spaces(so->body);
-    return mk(prune_segop(inner), e->types);
-  }
-  if (auto* l = e->as<LetE>()) {
-    return mk(
-        LetE{l->vars, prune_seg_spaces(l->rhs), prune_seg_spaces(l->body)},
-        e->types);
-  }
-  if (auto* lp = e->as<LoopE>()) {
-    return mk(LoopE{lp->params, prune_list(lp->inits), lp->ivar, lp->count,
-                    prune_seg_spaces(lp->body)},
-              e->types);
-  }
-  if (auto* i = e->as<IfE>()) {
-    return mk(
-        IfE{i->cond, prune_seg_spaces(i->then_e), prune_seg_spaces(i->else_e)},
-        e->types);
-  }
-  if (auto* t = e->as<TupleE>()) {
-    return mk(TupleE{prune_list(t->elems)}, e->types);
-  }
-  return e;
+  auto prune = [](const Child& c) { return prune_seg_spaces(c.expr); };
+  ExprP out = map_children(e, prune);
+  if (auto* so = out->as<SegOpE>()) return mk(prune_segop(*so), out->types);
+  return out;
 }
 
 }  // namespace incflat

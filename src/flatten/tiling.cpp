@@ -1,6 +1,5 @@
 #include "src/flatten/tiling.h"
 
-#include <functional>
 #include <set>
 
 #include "src/ir/traverse.h"
@@ -22,23 +21,18 @@ bool body_has_tileable_redomap(const ExprP& e) {
     }
     return true;
   }
-  if (auto* l = e->as<LetE>()) {
-    return body_has_tileable_redomap(l->rhs) ||
-           body_has_tileable_redomap(l->body);
-  }
-  if (auto* lp = e->as<LoopE>()) return body_has_tileable_redomap(lp->body);
-  if (auto* i = e->as<IfE>()) {
-    return body_has_tileable_redomap(i->then_e) ||
-           body_has_tileable_redomap(i->else_e);
-  }
-  if (auto* m = e->as<MapE>()) return body_has_tileable_redomap(m->f.body);
-  if (auto* t = e->as<TupleE>()) {
-    for (const auto& x : t->elems) {
-      if (body_has_tileable_redomap(x)) return true;
-    }
+  // Only lets, loops, ifs, maps and tuples are searched through: a redomap
+  // nested in a scalar operator, an index or a reduction's operator is not
+  // tiled.
+  if (!e->is<LetE>() && !e->is<LoopE>() && !e->is<IfE>() && !e->is<MapE>() &&
+      !e->is<TupleE>()) {
     return false;
   }
-  return false;
+  bool found = false;
+  for_each_child(*e, [&](const Child& c) {
+    found = found || body_has_tileable_redomap(c.expr);
+  });
+  return found;
 }
 
 bool segmap_is_tileable(const SegOpE& so) {
@@ -48,43 +42,14 @@ bool segmap_is_tileable(const SegOpE& so) {
   return body_has_tileable_redomap(so.body);
 }
 
-ExprP mark(const ExprP& e);
-
-Lambda mark_lambda(const Lambda& l) { return Lambda{l.params, mark(l.body)}; }
-
-std::vector<ExprP> mark_list(const std::vector<ExprP>& es) {
-  std::vector<ExprP> out;
-  out.reserve(es.size());
-  for (const auto& x : es) out.push_back(mark(x));
-  return out;
-}
-
 ExprP mark(const ExprP& e) {
   if (!e) return e;
-  if (auto* so = e->as<SegOpE>()) {
-    SegOpE out = *so;
-    out.body = mark(so->body);
-    out.block_tiled = segmap_is_tileable(*so);
-    return mk(std::move(out), e->types);
-  }
-  if (auto* l = e->as<LetE>()) {
-    return mk(LetE{l->vars, mark(l->rhs), mark(l->body)}, e->types);
-  }
-  if (auto* lp = e->as<LoopE>()) {
-    return mk(LoopE{lp->params, mark_list(lp->inits), lp->ivar, lp->count,
-                    mark(lp->body)},
-              e->types);
-  }
-  if (auto* i = e->as<IfE>()) {
-    return mk(IfE{i->cond, mark(i->then_e), mark(i->else_e)}, e->types);
-  }
-  if (auto* t = e->as<TupleE>()) {
-    return mk(TupleE{mark_list(t->elems)}, e->types);
-  }
-  if (auto* m = e->as<MapE>()) {
-    return mk(MapE{mark_lambda(m->f), m->arrays}, e->types);
-  }
-  return e;  // other nodes cannot contain seg-ops in flattened programs
+  ExprP out = map_children(e, [](const Child& c) { return mark(c.expr); });
+  auto* so = out->as<SegOpE>();
+  if (!so || segmap_is_tileable(*so) == so->block_tiled) return out;
+  SegOpE marked = *so;
+  marked.block_tiled = !so->block_tiled;
+  return mk(std::move(marked), out->types);
 }
 
 }  // namespace
@@ -95,27 +60,10 @@ Program apply_tiling(Program p) {
 }
 
 int64_t count_tiled(const ExprP& e) {
-  int64_t n = 0;
-  std::function<void(const ExprP&)> walk = [&](const ExprP& x) {
-    if (!x) return;
-    if (auto* so = x->as<SegOpE>()) {
-      if (so->block_tiled) ++n;
-      walk(so->body);
-      return;
-    }
-    if (auto* l = x->as<LetE>()) {
-      walk(l->rhs);
-      walk(l->body);
-    } else if (auto* lp = x->as<LoopE>()) {
-      walk(lp->body);
-    } else if (auto* i = x->as<IfE>()) {
-      walk(i->then_e);
-      walk(i->else_e);
-    } else if (auto* t = x->as<TupleE>()) {
-      for (const auto& y : t->elems) walk(y);
-    }
-  };
-  walk(e);
+  if (!e) return 0;
+  auto* so = e->as<SegOpE>();
+  int64_t n = so && so->block_tiled ? 1 : 0;
+  for_each_child(*e, [&](const Child& c) { n += count_tiled(c.expr); });
   return n;
 }
 

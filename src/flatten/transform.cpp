@@ -42,16 +42,6 @@ SizeExpr par_of_space(const SegSpace& sigma) {
   return SizeExpr::of(p);
 }
 
-/// Maximal degree of parallelism exposed by the seg-ops inside `e` (used
-/// for Par(e_middle): the intra-group parallelism of the flattened body).
-SizeExpr max_segop_par(const ExprP& e);
-
-void collect_segop_pars(const ExprP& e, SizeExpr& acc);
-
-void collect_list(const std::vector<ExprP>& es, SizeExpr& acc) {
-  for (const auto& x : es) collect_segop_pars(x, acc);
-}
-
 void collect_segop_pars(const ExprP& e, SizeExpr& acc) {
   if (!e) return;
   if (auto* so = e->as<SegOpE>()) {
@@ -59,26 +49,11 @@ void collect_segop_pars(const ExprP& e, SizeExpr& acc) {
     collect_segop_pars(so->body, acc);
     return;
   }
-  if (auto* b = e->as<BinOpE>()) {
-    collect_segop_pars(b->lhs, acc);
-    collect_segop_pars(b->rhs, acc);
-  } else if (auto* u = e->as<UnOpE>()) {
-    collect_segop_pars(u->e, acc);
-  } else if (auto* i = e->as<IfE>()) {
-    collect_segop_pars(i->then_e, acc);
-    collect_segop_pars(i->else_e, acc);
-  } else if (auto* l = e->as<LetE>()) {
-    collect_segop_pars(l->rhs, acc);
-    collect_segop_pars(l->body, acc);
-  } else if (auto* lp = e->as<LoopE>()) {
-    collect_list(lp->inits, acc);
-    collect_segop_pars(lp->body, acc);
-  } else if (auto* t = e->as<TupleE>()) {
-    collect_list(t->elems, acc);
-  }
-  // Other nodes cannot contain seg-ops directly after flattening at level 0.
+  for_each_child(*e, [&](const Child& c) { collect_segop_pars(c.expr, acc); });
 }
 
+/// Maximal degree of parallelism exposed by the seg-ops inside `e` (used
+/// for Par(e_middle): the intra-group parallelism of the flattened body).
 SizeExpr max_segop_par(const ExprP& e) {
   SizeExpr acc;
   collect_segop_pars(e, acc);

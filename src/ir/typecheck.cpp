@@ -380,15 +380,8 @@ struct Checker {
   }
 };
 
-// Level-discipline walk: returns true if `e` contains any seg-op; checks
-// that seg-ops at level l contain only seg-ops at level l-1 and that level-0
-// bodies are fully sequential.
-void level_walk(const ExprP& e, int enclosing);
-
-void level_list(const std::vector<ExprP>& es, int enclosing) {
-  for (const auto& x : es) level_walk(x, enclosing);
-}
-
+// Level-discipline walk: checks that seg-ops at level l contain only seg-ops
+// at level l-1 and that level-0 bodies are fully sequential.
 void level_walk(const ExprP& e, int enclosing) {
   if (!e) return;
   if (auto* so = e->as<SegOpE>()) {
@@ -400,59 +393,17 @@ void level_walk(const ExprP& e, int enclosing) {
                    " directly inside construct at level " +
                    std::to_string(enclosing));
     }
-    if (so->level == 0) {
-      // Body must have no parallel constructs at all.
-      if (count_segops(so->body) > 0) {
-        INCFLAT_FAIL("level-0 seg-op with parallel body");
-      }
-    } else {
-      level_walk(so->body, so->level);
+    if (so->level == 0 && count_segops(so->body) > 0) {
+      INCFLAT_FAIL("level-0 seg-op with parallel body");
     }
-    level_list(so->neutral, enclosing);
+    // The body and combine operator run at this seg-op's level; the
+    // neutral elements at the enclosing one.
+    for_each_child(*e, [&](const Child& c) {
+      level_walk(c.expr, c.step == Step::SegNeutral ? enclosing : so->level);
+    });
     return;
   }
-  if (auto* b = e->as<BinOpE>()) {
-    level_walk(b->lhs, enclosing);
-    level_walk(b->rhs, enclosing);
-  } else if (auto* u = e->as<UnOpE>()) {
-    level_walk(u->e, enclosing);
-  } else if (auto* i = e->as<IfE>()) {
-    level_walk(i->cond, enclosing);
-    level_walk(i->then_e, enclosing);
-    level_walk(i->else_e, enclosing);
-  } else if (auto* l = e->as<LetE>()) {
-    level_walk(l->rhs, enclosing);
-    level_walk(l->body, enclosing);
-  } else if (auto* lp = e->as<LoopE>()) {
-    level_list(lp->inits, enclosing);
-    level_walk(lp->body, enclosing);
-  } else if (auto* m = e->as<MapE>()) {
-    level_list(m->arrays, enclosing);
-    level_walk(m->f.body, enclosing);
-  } else if (auto* r = e->as<ReduceE>()) {
-    level_list(r->arrays, enclosing);
-    level_walk(r->op.body, enclosing);
-  } else if (auto* s = e->as<ScanE>()) {
-    level_list(s->arrays, enclosing);
-    level_walk(s->op.body, enclosing);
-  } else if (auto* rm = e->as<RedomapE>()) {
-    level_list(rm->arrays, enclosing);
-    level_walk(rm->red.body, enclosing);
-    level_walk(rm->mapf.body, enclosing);
-  } else if (auto* sm = e->as<ScanomapE>()) {
-    level_list(sm->arrays, enclosing);
-    level_walk(sm->red.body, enclosing);
-    level_walk(sm->mapf.body, enclosing);
-  } else if (auto* rp = e->as<ReplicateE>()) {
-    level_walk(rp->elem, enclosing);
-  } else if (auto* ra = e->as<RearrangeE>()) {
-    level_walk(ra->e, enclosing);
-  } else if (auto* ix = e->as<IndexE>()) {
-    level_walk(ix->arr, enclosing);
-    level_list(ix->idxs, enclosing);
-  } else if (auto* t = e->as<TupleE>()) {
-    level_list(t->elems, enclosing);
-  }
+  for_each_child(*e, [&](const Child& c) { level_walk(c.expr, enclosing); });
 }
 
 }  // namespace

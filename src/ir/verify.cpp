@@ -24,13 +24,6 @@ std::string render(const std::vector<Diagnostic>& ds) {
   return s;
 }
 
-std::string segop_label(const SegOpE& so) {
-  const char* kind = so.op == SegOpE::Op::Map
-                         ? "segmap"
-                         : so.op == SegOpE::Op::Red ? "segred" : "segscan";
-  return std::string(kind) + "^" + std::to_string(so.level);
-}
-
 struct Verifier {
   const std::string& context;
   std::vector<Diagnostic>& out;
@@ -63,81 +56,23 @@ struct Verifier {
         check_guards(i->else_e, fit_guarded, at + ".else");
         return;
       }
-      check_guards(i->cond, fit_guarded, at + ".cond");
-      check_guards(i->then_e, fit_guarded, at + ".then");
-      check_guards(i->else_e, fit_guarded, at + ".else");
-      return;
     }
     if (e->is<ThresholdCmpE>()) {
       note("guards", at, "threshold comparison outside an if-condition", e);
       return;
     }
     if (auto* so = e->as<SegOpE>()) {
-      const std::string here = at + "." + segop_label(*so);
       if (!fit_guarded && so->level >= 1 && count_segops(so->body) > 0) {
-        note("guards", here,
+        note("guards", at + "." + segop_label(*so),
              "intra-group version (level-" + std::to_string(so->level) +
                  " seg-op with parallel body) reachable without a "
                  "workgroup-fit guard: no feasible fallback arm",
              e);
       }
-      check_guards(so->body, fit_guarded, here + ".body");
-      for (const auto& n : so->neutral) {
-        check_guards(n, fit_guarded, here + ".neutral");
-      }
-      if (so->op != SegOpE::Op::Map) {
-        check_guards(so->combine.body, fit_guarded, here + ".combine");
-      }
-      return;
     }
-    if (auto* b = e->as<BinOpE>()) {
-      check_guards(b->lhs, fit_guarded, at);
-      check_guards(b->rhs, fit_guarded, at);
-    } else if (auto* u = e->as<UnOpE>()) {
-      check_guards(u->e, fit_guarded, at);
-    } else if (auto* l = e->as<LetE>()) {
-      const std::string v = l->vars.empty() ? std::string("_") : l->vars[0];
-      check_guards(l->rhs, fit_guarded, at + "." + v + "=");
-      check_guards(l->body, fit_guarded, at);
-    } else if (auto* lp = e->as<LoopE>()) {
-      for (const auto& x : lp->inits) check_guards(x, fit_guarded, at);
-      check_guards(lp->count, fit_guarded, at);
-      check_guards(lp->body, fit_guarded, at + ".loop");
-    } else if (auto* t = e->as<TupleE>()) {
-      for (size_t i = 0; i < t->elems.size(); ++i) {
-        check_guards(t->elems[i], fit_guarded,
-                     at + "[" + std::to_string(i) + "]");
-      }
-    } else if (auto* rp = e->as<ReplicateE>()) {
-      check_guards(rp->elem, fit_guarded, at);
-    } else if (auto* ra = e->as<RearrangeE>()) {
-      check_guards(ra->e, fit_guarded, at);
-    } else if (auto* ix = e->as<IndexE>()) {
-      check_guards(ix->arr, fit_guarded, at);
-      for (const auto& x : ix->idxs) check_guards(x, fit_guarded, at);
-    } else if (auto* m = e->as<MapE>()) {
-      for (const auto& x : m->arrays) check_guards(x, fit_guarded, at);
-      check_guards(m->f.body, fit_guarded, at + ".map");
-    } else if (auto* r = e->as<ReduceE>()) {
-      for (const auto& x : r->neutral) check_guards(x, fit_guarded, at);
-      for (const auto& x : r->arrays) check_guards(x, fit_guarded, at);
-      check_guards(r->op.body, fit_guarded, at + ".reduce");
-    } else if (auto* s = e->as<ScanE>()) {
-      for (const auto& x : s->neutral) check_guards(x, fit_guarded, at);
-      for (const auto& x : s->arrays) check_guards(x, fit_guarded, at);
-      check_guards(s->op.body, fit_guarded, at + ".scan");
-    } else if (auto* rm = e->as<RedomapE>()) {
-      for (const auto& x : rm->neutral) check_guards(x, fit_guarded, at);
-      for (const auto& x : rm->arrays) check_guards(x, fit_guarded, at);
-      check_guards(rm->red.body, fit_guarded, at + ".redomap");
-      check_guards(rm->mapf.body, fit_guarded, at + ".redomap");
-    } else if (auto* sm = e->as<ScanomapE>()) {
-      for (const auto& x : sm->neutral) check_guards(x, fit_guarded, at);
-      for (const auto& x : sm->arrays) check_guards(x, fit_guarded, at);
-      check_guards(sm->red.body, fit_guarded, at + ".scanomap");
-      check_guards(sm->mapf.body, fit_guarded, at + ".scanomap");
-    }
-    // VarE / ConstE / IotaE: leaves.
+    for_each_child(*e, [&](const Child& c) {
+      check_guards(c.expr, fit_guarded, c.path(at));
+    });
   }
 
   // -- segbinds -------------------------------------------------------------
@@ -145,7 +80,7 @@ struct Verifier {
   /// Scope-tracking walk: `scope` holds every name bound at this point.
   /// For each seg-op, each level's source arrays must resolve to the scope
   /// extended with the params of strictly outer levels of the same space.
-  void check_segbinds(const ExprP& e, std::set<std::string> scope,
+  void check_segbinds(const ExprP& e, const std::set<std::string>& scope,
                       const std::string& at) const {
     if (!e) return;
     if (auto* so = e->as<SegOpE>()) {
@@ -179,84 +114,13 @@ struct Verifier {
           inner.insert(p);
         }
       }
-      for (const auto& n : so->neutral) {
-        check_segbinds(n, scope, here + ".neutral");
-      }
-      if (so->op != SegOpE::Op::Map) {
-        std::set<std::string> cs = inner;
-        for (const auto& p : so->combine.params) cs.insert(p.name);
-        check_segbinds(so->combine.body, cs, here + ".combine");
-      }
-      check_segbinds(so->body, inner, here + ".body");
-      return;
     }
-    if (auto* b = e->as<BinOpE>()) {
-      check_segbinds(b->lhs, scope, at);
-      check_segbinds(b->rhs, scope, at);
-    } else if (auto* u = e->as<UnOpE>()) {
-      check_segbinds(u->e, scope, at);
-    } else if (auto* i = e->as<IfE>()) {
-      check_segbinds(i->cond, scope, at + ".cond");
-      check_segbinds(i->then_e, scope, at + ".then");
-      check_segbinds(i->else_e, scope, at + ".else");
-    } else if (auto* l = e->as<LetE>()) {
-      const std::string v = l->vars.empty() ? std::string("_") : l->vars[0];
-      check_segbinds(l->rhs, scope, at + "." + v + "=");
-      std::set<std::string> s2 = scope;
-      s2.insert(l->vars.begin(), l->vars.end());
-      check_segbinds(l->body, std::move(s2), at);
-    } else if (auto* lp = e->as<LoopE>()) {
-      for (const auto& x : lp->inits) check_segbinds(x, scope, at);
-      check_segbinds(lp->count, scope, at);
-      std::set<std::string> s2 = scope;
-      s2.insert(lp->params.begin(), lp->params.end());
-      s2.insert(lp->ivar);
-      check_segbinds(lp->body, std::move(s2), at + ".loop");
-    } else if (auto* t = e->as<TupleE>()) {
-      for (size_t i = 0; i < t->elems.size(); ++i) {
-        check_segbinds(t->elems[i], scope, at + "[" + std::to_string(i) + "]");
-      }
-    } else if (auto* rp = e->as<ReplicateE>()) {
-      check_segbinds(rp->elem, scope, at);
-    } else if (auto* ra = e->as<RearrangeE>()) {
-      check_segbinds(ra->e, scope, at);
-    } else if (auto* ix = e->as<IndexE>()) {
-      check_segbinds(ix->arr, scope, at);
-      for (const auto& x : ix->idxs) check_segbinds(x, scope, at);
-    } else if (auto* m = e->as<MapE>()) {
-      for (const auto& x : m->arrays) check_segbinds(x, scope, at);
-      check_segbinds(m->f.body, with_params(scope, m->f.params), at + ".map");
-    } else if (auto* r = e->as<ReduceE>()) {
-      soac_lambda(r->neutral, r->arrays, r->op, scope, at + ".reduce");
-    } else if (auto* s = e->as<ScanE>()) {
-      soac_lambda(s->neutral, s->arrays, s->op, scope, at + ".scan");
-    } else if (auto* rm = e->as<RedomapE>()) {
-      soac_lambda(rm->neutral, rm->arrays, rm->red, scope, at + ".redomap");
-      check_segbinds(rm->mapf.body, with_params(scope, rm->mapf.params),
-                     at + ".redomap");
-    } else if (auto* sm = e->as<ScanomapE>()) {
-      soac_lambda(sm->neutral, sm->arrays, sm->red, scope, at + ".scanomap");
-      check_segbinds(sm->mapf.body, with_params(scope, sm->mapf.params),
-                     at + ".scanomap");
-    }
-    // VarE / ConstE / IotaE / ThresholdCmpE: nothing to resolve here (plain
-    // unbound variables are the types check's job).
-  }
-
-  static std::set<std::string> with_params(const std::set<std::string>& scope,
-                                           const std::vector<Param>& ps) {
-    std::set<std::string> out = scope;
-    for (const auto& p : ps) out.insert(p.name);
-    return out;
-  }
-
-  void soac_lambda(const std::vector<ExprP>& neutral,
-                   const std::vector<ExprP>& arrays, const Lambda& op,
-                   const std::set<std::string>& scope,
-                   const std::string& at) const {
-    for (const auto& x : neutral) check_segbinds(x, scope, at);
-    for (const auto& x : arrays) check_segbinds(x, scope, at);
-    check_segbinds(op.body, with_params(scope, op.params), at);
+    for_each_child(*e, [&](const Child& c) {
+      if (c.binds.empty()) return check_segbinds(c.expr, scope, c.path(at));
+      std::set<std::string> inner = scope;
+      c.binds.each([&](const std::string& n) { inner.insert(n); });
+      check_segbinds(c.expr, inner, c.path(at));
+    });
   }
 };
 
@@ -300,7 +164,7 @@ std::vector<Diagnostic> verify_diagnostics(const Program& p,
     std::set<std::string> scope;
     for (const auto& in : p.inputs) scope.insert(in.name);
     for (const auto& sp : p.size_params()) scope.insert(sp);
-    v.check_segbinds(p.body, std::move(scope), "body");
+    v.check_segbinds(p.body, scope, "body");
   }
   return ds;
 }

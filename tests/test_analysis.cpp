@@ -274,10 +274,9 @@ struct ProgGen {
                      {ci64(0)});
       }
       case 9: {
-        // map (\x -> let t = map (\y -> x + y + c) (iota n)
-        //             in reduce (+) 0 t) (iota n), indexed at 0.  The inner
-        // map stays let-bound: written inline as the reduce operand,
-        // compile rejects it as a context-variant SOAC operand.
+        // map (\x -> reduce (+) 0 (map (\y -> x + y + c) (iota n))) (iota n),
+        // indexed at 0, with the inner map written inline as the reduce
+        // operand or let-bound as t.
         const std::string x = names.fresh("x");
         const std::string y = names.fresh("y");
         const std::string t = names.fresh("t");
@@ -285,9 +284,12 @@ struct ProgGen {
         ExprP inner =
             map1(lam({ib::p(y, i64)}, add(add(var(x), var(y)), gen(0))),
                  iota(Dim::v("n")));
-        ExprP row =
-            let1(t, std::move(inner),
-                 reduce(binlam("+", Scalar::I64), {ci64(0)}, {var(t)}));
+        auto sum = [](ExprP xs) {
+          return reduce(binlam("+", Scalar::I64), {ci64(0)}, {std::move(xs)});
+        };
+        ExprP row = rng.uniform_int(0, 1)
+                        ? sum(std::move(inner))
+                        : let1(t, std::move(inner), sum(var(t)));
         return index(map1(lam({ib::p(x, i64)}, std::move(row)),
                           iota(Dim::v("n"))),
                      {ci64(0)});

@@ -2,6 +2,7 @@
 // and producer-consumer fusion — plus block-tiling detection.
 #include <gtest/gtest.h>
 
+#include "src/exec/exec.h"
 #include "src/flatten/fusion.h"
 #include "src/flatten/normalize.h"
 #include "src/flatten/tiling.h"
@@ -74,6 +75,55 @@ TEST(Normalize, PreservesSemantics) {
   EXPECT_TRUE(a[0].approx_equal(b[0]));
 }
 
+TEST(Normalize, LetBindsInlineSoacArrayOperands) {
+  // map (\x -> reduce (+) 0 (map (\y -> x + y) (iota n))) (iota n): the
+  // inner map is an array operand that depends on x, so the flattener cannot
+  // hoist it out of the map-nest context; normalize let-binds it instead.
+  const Type i64 = Type::scalar(Scalar::I64);
+  ExprP inner = map1(lam({p("y", i64)}, add(var("x"), var("y"))),
+                     iota(Dim::v("n")));
+  Program prog;
+  prog.name = "inline_operand";
+  prog.extra_sizes = {"n"};
+  prog.body = map1(lam({p("x", i64)}, reduce(binlam("+", Scalar::I64),
+                                             {ci64(0)}, {std::move(inner)})),
+                   iota(Dim::v("n")));
+  prog = typecheck_program(std::move(prog));
+
+  const ExprP n = normalize_expr(prog.body);
+  const auto* m = n->as<MapE>();
+  ASSERT_NE(m, nullptr) << pretty(n);
+  const auto* l = m->f.body->as<LetE>();
+  ASSERT_NE(l, nullptr) << pretty(n);
+  EXPECT_TRUE(l->rhs->is<MapE>()) << pretty(n);
+  const auto* r = l->body->as<ReduceE>();
+  ASSERT_NE(r, nullptr) << pretty(n);
+  EXPECT_TRUE(r->arrays[0]->is<VarE>()) << pretty(n);
+
+  for (FlattenMode mode : {FlattenMode::Moderate, FlattenMode::Incremental,
+                           FlattenMode::Full}) {
+    for (bool fuse : {true, false}) {
+      CompileOptions o;
+      o.flatten.fuse = fuse;
+      const Compiled c = compile(prog, mode, o);
+      for (int64_t size : {1, 3, 17}) {
+        for (int64_t t : {int64_t{1}, int64_t{64}, int64_t{1} << 40}) {
+          const SizeEnv sizes{{"n", size}};
+          ThresholdEnv te;
+          te.default_threshold = t;
+          const Values want = execute_source(c, sizes, {});
+          const Values got = execute(device_k40(), c, sizes, te, {});
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_TRUE(got[0].approx_equal(want[0], 0))
+              << mode_name(mode) << " fuse=" << fuse << " n=" << size
+              << " t=" << t << ": " << got[0].str() << " != "
+              << want[0].str();
+        }
+      }
+    }
+  }
+}
+
 TEST(Fusion, MapIntoReduceBecomesRedomap) {
   ExprP e = let1("ys",
                  map1(lam({p("x", f32s())}, mul(var("x"), var("x"))),
@@ -141,6 +191,21 @@ TEST(Fusion, PreservesSemantics) {
   for (int64_t i = 0; i < 4; ++i) xs.fset(i, static_cast<double>(i));
   EXPECT_TRUE(run_program(ctx, p, {xs})[0].approx_equal(
       run_program(ctx, fp, {xs})[0]));
+}
+
+TEST(Fusion, CountsFusedSoacsInsideOperators) {
+  // A redomap fused inside a scan operator: count_fused enters scans and
+  // operator lambdas, so both the outer scanomap and the inner redomap count.
+  const Type f32 = f32s();
+  ExprP inner = let1(
+      "zs", map1(lam({p("z", f32)}, mul(var("z"), var("a"))), var("ws")),
+      reduce(binlam("+", Scalar::F32), {cf32(0)}, {var("zs")}));
+  Lambda op = lam({p("a", f32), p("b", f32)}, add(inner, var("b")));
+  ExprP e = let1("ys", map1(lam({p("x", f32)}, var("x")), var("xs")),
+                 scan(std::move(op), {cf32(0)}, {var("ys")}));
+  const ExprP f = fuse_expr(e);
+  ASSERT_TRUE(f->is<ScanomapE>()) << pretty(f);
+  EXPECT_EQ(count_fused(f), 2) << pretty(f);
 }
 
 TEST(Tiling, MarksMatmulStyleSegmap) {

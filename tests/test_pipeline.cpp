@@ -4,6 +4,8 @@
 //    modes, the canned flatten() pipeline, an explicitly composed pass
 //    list, and exec::compile() produce the same pretty-printed target IR,
 //    the same threshold tree, and bit-identical plan estimates;
+//  * pinned output — one hash per benchmark and mode over the target IR,
+//    the threshold tree and the lint findings on both devices;
 //  * --verify-each equivalent: verification passes clean after every pass
 //    on the whole suite (and is recorded in PipelineState::history);
 //  * registry behaviour: mode_from_name round-trips, unknown pass/mode
@@ -11,15 +13,19 @@
 //    leaves Compiled::plan null and simulate() prices on a throwaway plan.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "src/analysis/lint.h"
+#include "src/autotune/journal.h"
 #include "src/benchsuite/benchmark.h"
 #include "src/exec/exec.h"
 #include "src/gpusim/device.h"
 #include "src/ir/print.h"
 #include "src/pass/pass.h"
+#include "src/support/diag.h"
 #include "src/support/error.h"
 
 namespace incflat {
@@ -54,6 +60,56 @@ TEST(Pipeline, CannedFlattenMatchesExplicitPassComposition) {
                 explicit_c.flat.thresholds.tree_str())
           << name << " / " << mode_name(mode);
       EXPECT_EQ(explicit_c.plan, nullptr);  // plan-build was not requested
+    }
+  }
+}
+
+TEST(Pipeline, SuiteOutputIsPinned) {
+  // FNV-1a over pretty(target IR) + threshold tree + lint findings on k40
+  // and vega64, per benchmark and mode (moderate, incremental, full): a
+  // pass or lint change that alters any output byte fails here.
+  struct Pin {
+    const char* bench;
+    uint64_t hash[3];
+  };
+  const Pin pins[] = {
+      {"matmul",
+       {0x7a83cbcf222b6e3aULL, 0xe683651a05658056ULL, 0xd71194a607011446ULL}},
+      {"LocVolCalib",
+       {0x10e0deb1b55318abULL, 0x5e7125c336c1e02fULL, 0x10e0deb1b55318abULL}},
+      {"Heston",
+       {0x462068357581c448ULL, 0x94a586f49d8186beULL, 0x5846828c15b67781ULL}},
+      {"OptionPricing",
+       {0xae7489ae6b9056f5ULL, 0xcf508f6fa116a44aULL, 0xfa8f8374b77e9c61ULL}},
+      {"Backprop",
+       {0x8fae8b9f9fd73c8fULL, 0x63b0c3d8f5d0406eULL, 0xf3450d1bc6323fd3ULL}},
+      {"LavaMD",
+       {0x634fc62e03f7cc8dULL, 0xa22c0463ee18abddULL, 0x72ef9efaa7ea4b54ULL}},
+      {"NW",
+       {0x7964d70fac90e884ULL, 0xf9d641e557b95a04ULL, 0x7964d70fac90e884ULL}},
+      {"NN",
+       {0x8aa85980c4c705aeULL, 0x5fd035d8455dc726ULL, 0x35705d2deb99b008ULL}},
+      {"SRAD",
+       {0x8049d56d7d60faccULL, 0x9065f02971022923ULL, 0xab6ccccb57236c60ULL}},
+      {"Pathfinder",
+       {0x63ba3c4754d13a6aULL, 0x2b93bfba3096635eULL, 0x63ba3c4754d13a6aULL}},
+  };
+  for (const Pin& pin : pins) {
+    const Benchmark b = get_benchmark(pin.bench);
+    for (size_t m = 0; m < kModes.size(); ++m) {
+      const Compiled c = compile(b.program, kModes[m], opts_for(b, kModes[m]));
+      std::string text = pretty(c.flat.program) + c.flat.thresholds.tree_str();
+      for (const DeviceProfile& dev : {device_k40(), device_vega64()}) {
+        analysis::LintOptions lo;
+        lo.limits = analysis::limits_for(dev);
+        lo.device_name = dev.name;
+        text += diagnostics_str(
+            analysis::lint_program(c.flat.program, c.flat.thresholds, lo));
+      }
+      const std::string ctx =
+          std::string(pin.bench) + " / " + mode_name(kModes[m]);
+      const uint64_t got = journal_hash(text.data(), text.size());
+      EXPECT_EQ(got, pin.hash[m]) << ctx << ": 0x" << std::hex << got;
     }
   }
 }

@@ -1,6 +1,11 @@
-// Unit tests: structural traversals — free variables, SOAC detection,
-// renaming, substitution, counting.
+// Unit tests: structural traversals — the child walker and mapper, free
+// variables, SOAC detection, substitution, counting.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "src/ir/builder.h"
 #include "src/ir/print.h"
@@ -10,6 +15,146 @@ namespace incflat {
 namespace {
 
 using namespace ib;
+
+// ------------------------------------------------------ child walker/mapper
+
+/// One expected child: the placeholder, the names bound over it (in
+/// Binders::each order) and its path under "at".
+struct WantChild {
+  ExprP expr;
+  std::vector<std::string> binds;
+  std::string path;
+};
+
+struct NodeCase {
+  ExprP node;
+  std::vector<WantChild> children;
+};
+
+std::vector<std::string> bound_names(const Binders& b) {
+  std::vector<std::string> out;
+  b.each([&](const std::string& n) { out.push_back(n); });
+  return out;
+}
+
+TEST(Traverse, EachNodeKindListsItsChildren) {
+  std::vector<ExprP> c;  // distinct placeholder children
+  for (int i = 0; i < 4; ++i) c.push_back(var("c" + std::to_string(i)));
+  const Type i64 = Type::scalar(Scalar::I64);
+  const Lambda op{{p("a", i64), p("b", i64)}, c[2]};
+  const Lambda f{{p("x", i64)}, c[3]};
+  const std::vector<std::string> none;
+  const std::vector<std::string> ab{"a", "b"};
+  SegOpE red;
+  red.op = SegOpE::Op::Red;
+  red.level = 1;
+  red.space = {SegBind{{"x"}, {"xs"}, Dim::v("n")},
+               SegBind{{"y"}, {"x"}, Dim::v("m")}};
+  red.combine = Lambda{{p("a", i64), p("b", i64)}, c[1]};
+  red.neutral = {c[0]};
+  red.body = c[2];
+  SegOpE segmap = red;  // a segmap's combine operator is not a child
+  segmap.op = SegOpE::Op::Map;
+  segmap.level = 0;
+  segmap.neutral = {};
+
+  const std::vector<NodeCase> cases = {
+      {var("v"), {}},
+      {ci64(1), {}},
+      {add(c[0], c[1]), {{c[0], none, "at"}, {c[1], none, "at"}}},
+      {neg(c[0]), {{c[0], none, "at"}}},
+      {iff(c[0], c[1], c[2]),
+       {{c[0], none, "at.cond"},
+        {c[1], none, "at.then"},
+        {c[2], none, "at.else"}}},
+      {letn({"u", "w"}, c[0], c[1]),
+       {{c[0], none, "at.u="}, {c[1], {"u", "w"}, "at"}}},
+      {loop({"s", "t"}, {c[0], c[1]}, "i", c[2], c[3]),
+       {{c[0], none, "at"},
+        {c[1], none, "at"},
+        {c[2], none, "at"},
+        {c[3], {"s", "t", "i"}, "at.loop"}}},
+      {map(f, {c[0], c[1]}),
+       {{c[0], none, "at"}, {c[1], none, "at"}, {c[3], {"x"}, "at.map"}}},
+      {reduce(op, {c[0]}, {c[1]}),
+       {{c[0], none, "at"}, {c[1], none, "at"}, {c[2], ab, "at.reduce"}}},
+      {scan(op, {c[0]}, {c[1]}),
+       {{c[0], none, "at"}, {c[1], none, "at"}, {c[2], ab, "at.scan"}}},
+      {redomap(op, f, {c[0]}, {c[1]}),
+       {{c[0], none, "at"},
+        {c[1], none, "at"},
+        {c[2], ab, "at.redomap"},
+        {c[3], {"x"}, "at.redomap"}}},
+      {scanomap(op, f, {c[0]}, {c[1]}),
+       {{c[0], none, "at"},
+        {c[1], none, "at"},
+        {c[2], ab, "at.scanomap"},
+        {c[3], {"x"}, "at.scanomap"}}},
+      {replicate(Dim::v("n"), c[0]), {{c[0], none, "at"}}},
+      {rearrange({1, 0}, c[0]), {{c[0], none, "at"}}},
+      {iota(Dim::v("n")), {}},
+      {index(c[0], {c[1], c[2]}),
+       {{c[0], none, "at"}, {c[1], none, "at"}, {c[2], none, "at"}}},
+      {tuple({c[0], c[1]}), {{c[0], none, "at[0]"}, {c[1], none, "at[1]"}}},
+      {mk(red),
+       {{c[0], none, "at.segred^1.neutral"},
+        {c[1], {"x", "y", "a", "b"}, "at.segred^1.combine"},
+        {c[2], {"x", "y"}, "at.segred^1.body"}}},
+      {mk(segmap), {{c[2], {"x", "y"}, "at.segmap^0.body"}}},
+      {mk(ThresholdCmpE{"t0", SizeExpr::one(), SizeExpr{}}), {}},
+  };
+
+  std::set<size_t> kinds;
+  for (const NodeCase& k : cases) {
+    const ExprP node = mk(k.node->node, {i64});
+    kinds.insert(node->node.index());
+    const std::string ctx = pretty(node);
+
+    size_t n = 0;
+    for_each_child(*node, [&](const Child& ch) {
+      ASSERT_LT(n, k.children.size()) << ctx;
+      const WantChild& want = k.children[n++];
+      EXPECT_EQ(ch.expr, want.expr) << ctx;
+      EXPECT_EQ(&ch.parent, node.get()) << ctx;
+      EXPECT_EQ(bound_names(ch.binds), want.binds) << ctx;
+      EXPECT_EQ(ch.binds.empty(), want.binds.empty()) << ctx;
+      EXPECT_EQ(ch.path("at"), want.path) << ctx;
+    });
+    EXPECT_EQ(n, k.children.size()) << ctx;
+
+    EXPECT_EQ(map_children(node, [](const Child& ch) { return ch.expr; }),
+              node)
+        << ctx;
+
+    std::vector<ExprP> fresh;
+    const ExprP mapped = map_children(node, [&](const Child&) {
+      fresh.push_back(var("r" + std::to_string(fresh.size())));
+      return fresh.back();
+    });
+    ASSERT_EQ(fresh.size(), k.children.size()) << ctx;
+    EXPECT_EQ(mapped->node.index(), node->node.index()) << ctx;
+    EXPECT_EQ(mapped->types, node->types) << ctx;
+    if (!fresh.empty()) {
+      EXPECT_NE(mapped, node) << ctx;
+    }
+    // Everything but the children is kept: the text differs only in the
+    // placeholder names.
+    std::string want_text = ctx;
+    for (size_t j = 0; j < fresh.size(); ++j) {
+      const std::string& from = k.children[j].expr->as<VarE>()->name;
+      want_text.replace(want_text.find(from), from.size(),
+                        fresh[j]->as<VarE>()->name);
+    }
+    EXPECT_EQ(pretty(mapped), want_text);
+    size_t m = 0;
+    for_each_child(*mapped, [&](const Child& ch) {
+      ASSERT_LT(m, fresh.size()) << ctx;
+      EXPECT_EQ(ch.expr, fresh[m++]) << ctx;
+    });
+    EXPECT_EQ(m, fresh.size()) << ctx;
+  }
+  EXPECT_EQ(kinds.size(), std::variant_size_v<ExprNode>);
+}
 
 TEST(FreeVars, BindersShadow) {
   // let x = y in x + z : free = {y, z}
@@ -71,29 +216,6 @@ TEST(HasSoacs, DetectsNestedParallelism) {
   EXPECT_TRUE(has_soacs(in_loop));
   EXPECT_FALSE(has_soacs(iota(Dim::v("n"))));
   EXPECT_FALSE(has_soacs(rearrange({1, 0}, var("m"))));
-}
-
-TEST(Rename, RenamesFreeRespectsShadowing) {
-  // let x = a in x + a   with a -> b
-  ExprP e = let1("x", var("a"), add(var("x"), var("a")));
-  ExprP r = rename(e, {{"a", "b"}});
-  auto fv = free_vars(r);
-  EXPECT_TRUE(fv.count("b"));
-  EXPECT_FALSE(fv.count("a"));
-  // renaming a bound name has no effect inside its scope
-  ExprP r2 = rename(e, {{"x", "y"}});
-  EXPECT_EQ(pretty(r2), pretty(e));
-}
-
-TEST(Rename, SegSpaceArraysRenamed) {
-  SegOpE so;
-  so.op = SegOpE::Op::Map;
-  so.level = 1;
-  so.space = {SegBind{{"x"}, {"xs"}, Dim::v("n")}};
-  so.body = var("x");
-  ExprP r = rename(mk(std::move(so)), {{"xs", "ys"}});
-  EXPECT_TRUE(free_vars(r).count("ys"));
-  EXPECT_FALSE(free_vars(r).count("xs"));
 }
 
 TEST(Subst, ReplacesVarWithExpression) {
