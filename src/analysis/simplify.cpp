@@ -3,7 +3,6 @@
 #include <set>
 #include <utility>
 
-#include "src/ir/print.h"
 #include "src/ir/traverse.h"
 #include "src/support/trace.h"
 
@@ -44,7 +43,7 @@ struct GuardFolder {
         push_fact(facts, *tc, false);
         ExprP else_e = fold(i->else_e, facts);
         pop_fact(facts, tc->threshold);
-        if (pretty(then_e) == pretty(else_e)) {
+        if (same_ir(then_e, else_e)) {
           // F3: the guard distinguishes nothing.
           ++stats.guards_folded;
           return then_e;

@@ -11,8 +11,9 @@
 //   F2 (dominance)             — a guard over threshold t nested under an
 //      enclosing guard over the *same* t whose outcome already determines
 //      this one (par/fit dominance): keep the determined branch.
-//   F3 (degenerate versions)   — both arms print identically: the guard
-//      distinguishes nothing, keep the then-arm.
+//   F3 (degenerate versions)   — both arms are the same IR (same_ir in
+//      src/ir/traverse.h): the guard distinguishes nothing, keep the
+//      then-arm.
 //
 // Because all code versions are semantically equivalent by construction,
 // folding never changes program results — only which version the plan can
@@ -41,7 +42,7 @@ struct SimplifyStats {
 /// and the given device limits, then drop unreferenced thresholds from
 /// `reg` (their registry paths are rewritten to skip the folded guards).
 /// Unknown limits (negative fields) restrict folding to device-independent
-/// rules.  The caller re-runs prune-segbinds / typecheck afterwards.
+/// rules.  The caller re-runs prune-segbinds afterwards.
 SimplifyStats simplify_guards(Program& p, ThresholdRegistry& reg,
                               const AnalysisLimits& lim);
 

@@ -26,6 +26,7 @@ void trace_estimate(const RunEstimate& est) {
 
 Compiled compile(const Program& src, FlattenMode mode,
                  const CompileOptions& opts) {
+  require_typed_source(src);
   trace::Span span("compile");
 
   PassManager pm;

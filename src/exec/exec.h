@@ -54,9 +54,9 @@ struct CompileOptions {
       after_pass;
 };
 
-/// Compile `src` (which must be type-annotated) under `mode`: run the pass
-/// pipeline, producing the flattened program, its thresholds and the
-/// KernelPlan.
+/// Compile `src` (which must be type-annotated: see require_typed_source)
+/// under `mode`: run the pass pipeline, producing the flattened program,
+/// its thresholds and the KernelPlan.
 Compiled compile(const Program& src, FlattenMode mode,
                  const CompileOptions& opts = {});
 

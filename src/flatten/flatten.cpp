@@ -25,6 +25,7 @@ FlattenMode mode_from_name(const std::string& name) {
 
 FlattenResult flatten(const Program& src, FlattenMode mode,
                       const FlattenOptions& opts) {
+  require_typed_source(src);
   trace::Span span_all("flatten");
   PipelineState st;
   st.program = src;
@@ -32,6 +33,14 @@ FlattenResult flatten(const Program& src, FlattenMode mode,
   st.options = opts;
   flatten_pipeline(mode).run(st);
   return FlattenResult{std::move(st.program), std::move(st.thresholds)};
+}
+
+void require_typed_source(const Program& src) {
+  if (!src.body || src.body->types.empty()) {
+    INCFLAT_FAIL("program '" + src.name +
+                 "' is not type-annotated: run typecheck_program on it "
+                 "before compiling");
+  }
 }
 
 }  // namespace incflat

@@ -54,4 +54,9 @@ struct FlattenOptions {
 FlattenResult flatten(const Program& src, FlattenMode mode,
                       const FlattenOptions& opts = {});
 
+/// Throws CompilerError unless `src`'s body carries types (an O(1) check).
+/// flatten() and compile() call it on entry: the passes keep the caller's
+/// annotations and never re-typecheck, so run typecheck_program first.
+void require_typed_source(const Program& src);
+
 }  // namespace incflat

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/ir/traverse.h"
-#include "src/ir/typecheck.h"
 #include "src/support/error.h"
 
 namespace incflat {
@@ -28,17 +27,20 @@ bool any_var_free(const std::vector<std::string>& vars, const ExprP& e) {
 }
 
 /// Try to fuse `let vars = map f xs in consumer`; returns null on no match.
+/// The fused node computes the consumer's results, so it takes its types.
 ExprP try_fuse_let(const std::vector<std::string>& vars, const MapE& producer,
                    const ExprP& consumer) {
   // Direct consumer: reduce/scan over exactly the produced arrays.
   if (auto* r = consumer->as<ReduceE>()) {
     if (arrays_are_vars(r->arrays, vars)) {
-      return mk(RedomapE{r->op, producer.f, r->neutral, producer.arrays});
+      return mk(RedomapE{r->op, producer.f, r->neutral, producer.arrays},
+                consumer->types);
     }
   }
   if (auto* s = consumer->as<ScanE>()) {
     if (arrays_are_vars(s->arrays, vars)) {
-      return mk(ScanomapE{s->op, producer.f, s->neutral, producer.arrays});
+      return mk(ScanomapE{s->op, producer.f, s->neutral, producer.arrays},
+                consumer->types);
     }
   }
   // Interposed let: `let zs = reduce ... vars in rest`, vars dead in rest.
@@ -46,7 +48,7 @@ ExprP try_fuse_let(const std::vector<std::string>& vars, const MapE& producer,
     if (!any_var_free(vars, l->body)) {
       ExprP fused_rhs = try_fuse_let(vars, producer, l->rhs);
       if (fused_rhs) {
-        return mk(LetE{l->vars, fused_rhs, l->body});
+        return mk(LetE{l->vars, fused_rhs, l->body}, consumer->types);
       }
     }
   }
@@ -70,7 +72,7 @@ ExprP fuse_expr(const ExprP& e) { return fuse(e); }
 
 Program fuse_program(Program p) {
   p.body = fuse(p.body);
-  return typecheck_program(std::move(p));
+  return p;
 }
 
 int64_t count_fused(const ExprP& e) {

@@ -17,12 +17,11 @@
 
 namespace incflat {
 
-/// Fuse map-into-reduce/scan chains; input must be annotated, output is
-/// re-annotated.
+/// Fuse map-into-reduce/scan chains in an annotated program; each fused
+/// node takes the types of the consumer it replaces.
 Program fuse_program(Program p);
 
-/// Expression-level entry point (exposed for tests); fused nodes are
-/// unannotated.
+/// Expression-level entry point (exposed for tests).
 ExprP fuse_expr(const ExprP& e);
 
 /// Number of redomap/scanomap nodes (fusion effectiveness metric).

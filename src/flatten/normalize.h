@@ -16,7 +16,9 @@
 
 namespace incflat {
 
-/// Normalise a type-annotated program; the result is re-annotated.
+/// Normalise a type-annotated program.  Each new variable takes the bound
+/// expression's types, each new `let` its body's, and every rebuilt node
+/// keeps its own.
 Program normalize_program(Program p);
 
 /// Expression-level entry point (exposed for tests).

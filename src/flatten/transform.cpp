@@ -5,7 +5,6 @@
 #include <set>
 
 #include "src/ir/builder.h"
-#include "src/ir/print.h"
 #include "src/ir/traverse.h"
 #include "src/ir/typecheck.h"
 #include "src/support/error.h"
@@ -33,6 +32,53 @@ std::vector<Dim> space_dims(const SegSpace& sigma) {
   std::vector<Dim> out;
   for (const auto& b : sigma) out.push_back(b.dim);
   return out;
+}
+
+// Typed constructors: every node the transform builds carries the types the
+// checker would give it, so the target program needs no re-typecheck.
+
+/// `ts`, each with the extra outer dimensions `outer` (rules G6/G7).
+std::vector<Type> expand_all(const std::vector<Type>& ts,
+                             const std::vector<Dim>& outer) {
+  std::vector<Type> out;
+  out.reserve(ts.size());
+  for (const auto& t : ts) out.push_back(t.expand(outer));
+  return out;
+}
+
+ExprP typed_var(const TypeEnv& env, const std::string& name) {
+  return mk(VarE{name}, {type_of(env, name)});
+}
+
+ExprP typed_let(std::vector<std::string> vars, ExprP rhs, ExprP body) {
+  std::vector<Type> ts = body->types;
+  return mk(LetE{std::move(vars), std::move(rhs), std::move(body)},
+            std::move(ts));
+}
+
+/// A guard or branch: typed as its arms.
+ExprP typed_if(ExprP cond, ExprP then_e, ExprP else_e) {
+  std::vector<Type> ts = then_e->types;
+  return mk(IfE{std::move(cond), std::move(then_e), std::move(else_e)},
+            std::move(ts));
+}
+
+ExprP typed_replicate(const Dim& count, const ExprP& x) {
+  return mk(ReplicateE{count, x}, {x->type().expand({count})});
+}
+
+ExprP typed_guard(const std::string& threshold, SizeExpr par, SizeExpr fit) {
+  return mk(ThresholdCmpE{threshold, std::move(par), std::move(fit)},
+            {Type::scalar(Scalar::Bool)});
+}
+
+/// A seg-op's results are its body's types expanded by the space's dims;
+/// a segred reduces its innermost level away.
+ExprP typed_segop(SegOpE so) {
+  std::vector<Dim> dims = space_dims(so.space);
+  if (so.op == SegOpE::Op::Red) dims.pop_back();
+  std::vector<Type> ts = expand_all(so.body->types, dims);
+  return mk(std::move(so), std::move(ts));
 }
 
 /// Par(Σ): the product of the context's dimensions (paper Sec. 3.2).
@@ -98,7 +144,7 @@ struct Flattener {
   static ExprP wrap_hoists(
       const std::vector<std::pair<std::string, ExprP>>& hoists, ExprP e) {
     for (auto it = hoists.rbegin(); it != hoists.rend(); ++it) {
-      e = mk(LetE{{it->first}, it->second, e});
+      e = typed_let({it->first}, it->second, e);
     }
     return e;
   }
@@ -135,22 +181,25 @@ struct Flattener {
   }
 
   /// Collapse a Var (or tuple of Vars) that fully chains through sigma.
-  ExprP collapse_chain(const ExprP& e, const SegSpace& sigma) {
+  static ExprP collapse_chain(const ExprP& e, const SegSpace& sigma,
+                              const TypeEnv& env) {
     auto collapse1 = [&](const ExprP& x) -> ExprP {
       auto* v = x->as<VarE>();
       if (!v) return nullptr;
       const std::string* top = chain_top(v->name, sigma);
-      return top ? ib::var(*top) : nullptr;
+      return top ? typed_var(env, *top) : nullptr;
     };
     if (e->is<VarE>()) return collapse1(e);
     if (auto* t = e->as<TupleE>()) {
       std::vector<ExprP> elems;
+      std::vector<Type> ts;
       for (const auto& x : t->elems) {
         ExprP c = collapse1(x);
         if (!c) return nullptr;
-        elems.push_back(c);
+        ts.push_back(c->type());
+        elems.push_back(std::move(c));
       }
-      return ib::tuple(elems);
+      return mk(TupleE{std::move(elems)}, std::move(ts));
     }
     return nullptr;
   }
@@ -165,7 +214,7 @@ struct Flattener {
     so.level = level;
     so.space = sigma;
     so.body = body;
-    return mk(std::move(so));
+    return typed_segop(std::move(so));
   }
 
   /// Thread an expanded array (`top`, with |sigma| extra outer dims) down
@@ -186,6 +235,20 @@ struct Flattener {
     return out;
   }
 
+  /// The body of a perfect reduce/scan nest: its element variables, or the
+  /// tuple of them.
+  static ExprP elements(const std::vector<std::string>& names,
+                        const TypeEnv& env) {
+    if (names.size() == 1) return typed_var(env, names[0]);
+    std::vector<ExprP> elems;
+    std::vector<Type> ts;
+    for (const auto& n : names) {
+      elems.push_back(typed_var(env, n));
+      ts.push_back(elems.back()->type());
+    }
+    return mk(TupleE{std::move(elems)}, std::move(ts));
+  }
+
   // -- the transformation ---------------------------------------------------
 
   ExprP transform(const SegSpace& sigma, int level, const ExprP& e,
@@ -201,7 +264,7 @@ struct Flattener {
       // Identity nests: manifesting a variable that chains through every
       // context level just reproduces the underlying whole array — emit
       // that array instead of a copy kernel.
-      if (ExprP collapsed = collapse_chain(e, sigma)) return collapsed;
+      if (ExprP collapsed = collapse_chain(e, sigma, env)) return collapsed;
       // G5 applies to rearranges even without inner SOACs.
       if (auto* ra = e->as<RearrangeE>()) {
         return rearrange_case(*ra, e, sigma, level, env);
@@ -218,19 +281,23 @@ struct Flattener {
     }
     if (auto* r = e->as<ReduceE>()) return reduce_case(*r, sigma, level, env);
     if (auto* rm = e->as<RedomapE>()) {
-      return redomap_case(*rm, sigma, level, env);
+      return redomap_case(*rm, e, sigma, level, env);
     }
-    if (auto* lp = e->as<LoopE>()) return loop_case(*lp, sigma, level, env);
-    if (auto* i = e->as<IfE>()) return if_case(*i, sigma, level, env);
+    if (auto* lp = e->as<LoopE>()) {
+      return loop_case(*lp, e, sigma, level, env);
+    }
+    if (auto* i = e->as<IfE>()) return if_case(*i, e, sigma, level, env);
     if (auto* ra = e->as<RearrangeE>()) {
       return rearrange_case(*ra, e, sigma, level, env);
     }
     if (auto* t = e->as<TupleE>()) {
       std::vector<ExprP> elems;
+      std::vector<Type> ts;
       for (const auto& x : t->elems) {
         elems.push_back(transform(sigma, level, x, env));
+        ts.push_back(elems.back()->type());
       }
-      return mk(TupleE{std::move(elems)});
+      return mk(TupleE{std::move(elems)}, std::move(ts));
     }
 
     // Fallback: sequentialise under the context.
@@ -252,7 +319,7 @@ struct Flattener {
         env2[l.vars[i]] = l.rhs->types[i];
       }
       ExprP body2 = transform(sigma, level, l.body, env2);
-      return mk(LetE{l.vars, rhs2, body2});
+      return typed_let(l.vars, rhs2, body2);
     }
 
     if (!has_soacs(l.rhs)) {
@@ -310,7 +377,7 @@ struct Flattener {
       tops.push_back(top);
     }
     ExprP body2 = transform(sigma2, level, l.body, env2);
-    return mk(LetE{tops, rhs2, body2});
+    return typed_let(tops, rhs2, body2);
   }
 
   // G2 / G3 (and the moderate/full recursion) at a map.
@@ -368,8 +435,7 @@ struct Flattener {
     path = saved_path;
 
     ExprP guarded;
-    const bool flat_is_top = pretty(e_flat) == pretty(e_top);
-    if (!e_middle && flat_is_top) {
+    if (!e_middle && same_ir(e_flat, e_top)) {
       // Degenerate: no inner parallelism was actually exploitable.
       // Roll back the threshold and emit the single version.
       thresholds.truncate(reg_mark);
@@ -380,12 +446,12 @@ struct Flattener {
       trace::count("flatten.versions", e_middle ? 3 : 2);
       ExprP rest = e_flat;
       if (e_middle) {
-        ExprP cmp_intra = mk(
-            ThresholdCmpE{t_intra, thresholds.info(t_intra).par, fit_intra});
-        rest = mk(IfE{cmp_intra, e_middle, e_flat});
+        ExprP cmp_intra =
+            typed_guard(t_intra, thresholds.info(t_intra).par, fit_intra);
+        rest = typed_if(cmp_intra, e_middle, e_flat);
       }
-      ExprP cmp_top = mk(ThresholdCmpE{t_top, par_outer, SizeExpr{}});
-      guarded = mk(IfE{cmp_top, e_top, rest});
+      ExprP cmp_top = typed_guard(t_top, par_outer, SizeExpr{});
+      guarded = typed_if(cmp_top, e_top, rest);
     }
     return wrap_hoists(hoists, guarded);
   }
@@ -398,12 +464,7 @@ struct Flattener {
     TypeEnv env1 = env;
     std::vector<std::string> arrs = ensure_vars(s.arrays, sigma, env1, hoists);
     std::vector<std::string> params;
-    std::vector<ExprP> elems;
-    for (size_t i = 0; i < arrs.size(); ++i) {
-      std::string p = ng.fresh("e");
-      params.push_back(p);
-      elems.push_back(ib::var(p));
-    }
+    for (size_t i = 0; i < arrs.size(); ++i) params.push_back(ng.fresh("e"));
     TypeEnv envp = env1;
     SegSpace sigmap = add_level(sigma, params, arrs, envp);
     SegOpE so;
@@ -412,8 +473,8 @@ struct Flattener {
     so.space = sigmap;
     so.combine = s.op;
     so.neutral = s.neutral;
-    so.body = elems.size() == 1 ? elems[0] : ib::tuple(elems);
-    return wrap_hoists(hoists, mk(std::move(so)));
+    so.body = elements(params, envp);
+    return wrap_hoists(hoists, typed_segop(std::move(so)));
   }
 
   ExprP scanomap_case(const ScanomapE& s, const SegSpace& sigma, int level,
@@ -433,7 +494,7 @@ struct Flattener {
     so.combine = s.red;
     so.neutral = s.neutral;
     so.body = s.mapf.body;
-    return wrap_hoists(hoists, mk(std::move(so)));
+    return wrap_hoists(hoists, typed_segop(std::move(so)));
   }
 
   // G4 + perfect reduce nest -> segred.
@@ -448,12 +509,7 @@ struct Flattener {
     TypeEnv env1 = env;
     std::vector<std::string> arrs = ensure_vars(r.arrays, sigma, env1, hoists);
     std::vector<std::string> params;
-    std::vector<ExprP> elems;
-    for (size_t i = 0; i < arrs.size(); ++i) {
-      std::string p = ng.fresh("e");
-      params.push_back(p);
-      elems.push_back(ib::var(p));
-    }
+    for (size_t i = 0; i < arrs.size(); ++i) params.push_back(ng.fresh("e"));
     TypeEnv envp = env1;
     SegSpace sigmap = add_level(sigma, params, arrs, envp);
     SegOpE so;
@@ -462,8 +518,8 @@ struct Flattener {
     so.space = sigmap;
     so.combine = r.op;
     so.neutral = r.neutral;
-    so.body = elems.size() == 1 ? elems[0] : ib::tuple(elems);
-    return wrap_hoists(hoists, mk(std::move(so)));
+    so.body = elements(params, envp);
+    return wrap_hoists(hoists, typed_segop(std::move(so)));
   }
 
   /// G4: reduce (map g) (replicate k d) zss  ==>
@@ -491,8 +547,8 @@ struct Flattener {
   }
 
   // Redomap: mode-dependent treatment (G9 under incremental flattening).
-  ExprP redomap_case(const RedomapE& rm, const SegSpace& sigma, int level,
-                     TypeEnv env) {
+  ExprP redomap_case(const RedomapE& rm, const ExprP& e, const SegSpace& sigma,
+                     int level, TypeEnv env) {
     check_invariant_neutral(rm.neutral, sigma);
     const bool inner_par = has_soacs(rm.mapf.body);
 
@@ -500,9 +556,7 @@ struct Flattener {
       if (!sigma.empty()) {
         // The moderate heuristic: sequentialise inner redomaps (enables
         // tiling) — manifest the whole nest.
-        return manifest(sigma, level,
-                        mk(RedomapE{rm.red, rm.mapf, rm.neutral, rm.arrays},
-                           std::vector<Type>()));
+        return manifest(sigma, level, e);
       }
       return segred_of(rm, sigma, level, env);
     }
@@ -535,7 +589,7 @@ struct Flattener {
     top.combine = rm.red;
     top.neutral = rm.neutral;
     top.body = rm.mapf.body;
-    ExprP e_top = mk(std::move(top));
+    ExprP e_top = typed_segop(std::move(top));
 
     const SizeExpr par_outer = par_of_space(sigmap);
     const std::string t = thresholds.fresh("suff_outer_par", par_outer,
@@ -545,24 +599,25 @@ struct Flattener {
     ExprP e_rec = decompose_redomap(rm, sigma, level, env);
     path = saved_path;
 
-    ExprP cmp = mk(ThresholdCmpE{t, par_outer, SizeExpr{}});
-    return wrap_hoists(hoists, mk(IfE{cmp, e_top, e_rec}));
+    ExprP cmp = typed_guard(t, par_outer, SizeExpr{});
+    return wrap_hoists(hoists, typed_if(cmp, e_top, e_rec));
   }
 
   /// Decompose redomap ⊕ f d̄ x̄s into `let ys = map f xs in reduce ⊕ d̄ ys`
   /// and flatten the result (G9's recursive arm).
   ExprP decompose_redomap(const RedomapE& rm, const SegSpace& sigma,
                           int level, const TypeEnv& env) {
+    const std::vector<Type>& elem_tys = rm.mapf.body->types;
+    const Dim outer = rm.arrays.at(0)->type().shape.at(0);
     std::vector<std::string> ys;
     std::vector<ExprP> yvars;
-    for (size_t i = 0; i < rm.mapf.body->types.size(); ++i) {
+    for (const auto& t : elem_tys) {
       ys.push_back(ng.fresh("y"));
-      yvars.push_back(ib::var(ys.back()));
+      yvars.push_back(mk(VarE{ys.back()}, {t.expand({outer})}));
     }
-    ExprP decomposed =
-        ib::letn(ys, ib::map(rm.mapf, rm.arrays),
-                 ib::reduce(rm.red, rm.neutral, yvars));
-    decomposed = typecheck_expr(decomposed, env);
+    ExprP ys_map = mk(MapE{rm.mapf, rm.arrays}, expand_all(elem_tys, {outer}));
+    ExprP reduced = mk(ReduceE{rm.red, rm.neutral, std::move(yvars)}, elem_tys);
+    ExprP decomposed = typed_let(std::move(ys), ys_map, std::move(reduced));
     return transform(sigma, level, decomposed, env);
   }
 
@@ -582,12 +637,12 @@ struct Flattener {
     so.combine = rm.red;
     so.neutral = rm.neutral;
     so.body = rm.mapf.body;
-    return wrap_hoists(hoists, mk(std::move(so)));
+    return wrap_hoists(hoists, typed_segop(std::move(so)));
   }
 
   // G7: interchange a map-nest context into a loop.
-  ExprP loop_case(const LoopE& lp, const SegSpace& sigma, int level,
-                  TypeEnv env) {
+  ExprP loop_case(const LoopE& lp, const ExprP& e, const SegSpace& sigma,
+                  int level, TypeEnv env) {
     if (sigma.empty()) {
       // Host level: flatten the body; the loop itself stays sequential.
       TypeEnv env2 = env;
@@ -598,7 +653,7 @@ struct Flattener {
       }
       env2[lp.ivar] = Type::scalar(Scalar::I64);
       ExprP body2 = transform(sigma, level, lp.body, env2);
-      return mk(LoopE{lp.params, lp.inits, lp.ivar, lp.count, body2});
+      return mk(LoopE{lp.params, lp.inits, lp.ivar, lp.count, body2}, ptys);
     }
 
     // The loop count must be invariant to the context.
@@ -606,10 +661,7 @@ struct Flattener {
     for (const auto& fvn : free_vars(lp.count)) {
       if (dom.count(fvn)) {
         // Cannot interchange: sequentialise the whole nest.
-        return manifest(sigma, level,
-                        mk(LoopE{lp.params, lp.inits, lp.ivar, lp.count,
-                                 lp.body},
-                           std::vector<Type>()));
+        return manifest(sigma, level, e);
       }
     }
 
@@ -619,17 +671,20 @@ struct Flattener {
     SegSpace sigma2 = sigma;
     std::vector<std::string> new_params;
     std::vector<ExprP> new_inits;
+    std::vector<Type> new_tys;
     for (size_t i = 0; i < lp.params.size(); ++i) {
       const Type init_ty = lp.inits[i]->type();
       std::string top = ng.fresh(lp.params[i] + "_exp");
       env2[top] = init_ty.expand(dims);
       new_params.push_back(top);
       new_inits.push_back(expand_init(lp.inits[i], sigma, env));
+      new_tys.push_back(new_inits.back()->type());
       sigma2 = chain_through(sigma2, top, lp.params[i], env2);
     }
     env2[lp.ivar] = Type::scalar(Scalar::I64);
     ExprP body2 = transform(sigma2, level, lp.body, env2);
-    return mk(LoopE{new_params, new_inits, lp.ivar, lp.count, body2});
+    return mk(LoopE{new_params, new_inits, lp.ivar, lp.count, body2},
+              std::move(new_tys));
   }
 
   /// The expansion z^r of a loop initialiser across the context (rule G7):
@@ -656,9 +711,9 @@ struct Flattener {
                 b.params.end(),
             "loop initialiser bound at a non-innermost context level");
       }
-      ExprP out = typecheck_expr(ib::var(name), env);
+      ExprP out = typed_var(env, name);
       for (size_t k = levels; k > 0; --k) {
-        out = mk(ReplicateE{sigma[k - 1].dim, out});
+        out = typed_replicate(sigma[k - 1].dim, out);
       }
       return out;
     }
@@ -669,31 +724,24 @@ struct Flattener {
     }
     ExprP out = init;
     for (size_t k = sigma.size(); k > 0; --k) {
-      out = mk(ReplicateE{sigma[k - 1].dim, out});
+      out = typed_replicate(sigma[k - 1].dim, out);
     }
     return out;
   }
 
   // G8: push the context's innermost map into invariant branches
   // (incremental and full flattening only; moderate manifests).
-  ExprP if_case(const IfE& i, const SegSpace& sigma, int level, TypeEnv env) {
+  ExprP if_case(const IfE& i, const ExprP& e, const SegSpace& sigma, int level,
+                TypeEnv env) {
     if (sigma.empty()) {
       ExprP t = transform(sigma, level, i.then_e, env);
       ExprP f = transform(sigma, level, i.else_e, env);
-      return mk(IfE{i.cond, t, f});
+      return typed_if(i.cond, t, f);
     }
-    if (mode == FlattenMode::Moderate) {
-      return manifest(sigma, level,
-                      mk(IfE{i.cond, i.then_e, i.else_e},
-                         std::vector<Type>()));
-    }
+    if (mode == FlattenMode::Moderate) return manifest(sigma, level, e);
     const auto dom = space_dom(sigma);
     for (const auto& fvn : free_vars(i.cond)) {
-      if (dom.count(fvn)) {
-        return manifest(sigma, level,
-                        mk(IfE{i.cond, i.then_e, i.else_e},
-                           std::vector<Type>()));
-      }
+      if (dom.count(fvn)) return manifest(sigma, level, e);
     }
     // Take the innermost binder out and re-derive each branch as a map, so
     // rule G3 immediately sees the whole inner parallelism.
@@ -704,17 +752,17 @@ struct Flattener {
       std::vector<Param> params;
       std::vector<ExprP> arrays;
       for (size_t k = 0; k < inner.params.size(); ++k) {
-        params.push_back(ib::p(inner.params[k],
-                               type_of(env, inner.arrays[k]).row()));
-        arrays.push_back(typecheck_expr(ib::var(inner.arrays[k]), env));
+        arrays.push_back(typed_var(env, inner.arrays[k]));
+        params.push_back(ib::p(inner.params[k], arrays.back()->type().row()));
       }
-      ExprP m = mk(MapE{Lambda{params, branch}, arrays});
-      m = typecheck_expr(m, env);
+      const Dim dim = arrays.at(0)->type().shape.at(0);
+      ExprP m = mk(MapE{Lambda{params, branch}, arrays},
+                   expand_all(branch->types, {dim}));
       return transform(outer, level, m, env);
     };
     ExprP t = remap(i.then_e);
     ExprP f = remap(i.else_e);
-    return mk(IfE{i.cond, t, f});
+    return typed_if(i.cond, t, f);
   }
 
   // G5: rearrange of the innermost context-bound array becomes a rearrange

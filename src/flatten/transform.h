@@ -4,9 +4,11 @@
 // A-normalised, type-annotated source program and produces the target-IR
 // body (seg-ops with map-nest contexts; guarded multi-versioned code under
 // incremental flattening) plus the registry of threshold parameters created
-// for the guards.  It does not prune dead seg-space bindings, re-annotate,
-// or run tiling detection — those are separate downstream passes (see
-// src/pass/).
+// for the guards.  Every node it builds carries the types the checker would
+// give it: a seg-op's are its body's expanded by the space's dims (segred
+// reduces the innermost level away), as rules G6/G7 expand a distributed
+// binding's.  It does not prune dead seg-space bindings or run tiling
+// detection — those are separate downstream passes (see src/pass/).
 #pragma once
 
 #include "src/flatten/flatten.h"
@@ -16,7 +18,7 @@
 namespace incflat {
 
 struct TransformResult {
-  ExprP body;                    // target body, not yet re-annotated
+  ExprP body;                    // target body, type-annotated
   ThresholdRegistry thresholds;  // empty for Moderate/Full
 };
 

@@ -3,7 +3,8 @@
 // Benchmark programs and tests build IR through these helpers rather than a
 // parser; the names mirror the paper's surface syntax.  All constructors
 // produce *untyped* nodes — run typecheck_program/typecheck_expr to annotate
-// result types before flattening or interpretation.
+// result types before flattening or interpretation.  compile() and flatten()
+// reject a program whose body carries no types; no pass re-annotates one.
 #pragma once
 
 #include <cstdint>

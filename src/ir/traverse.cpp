@@ -1,5 +1,7 @@
 #include "src/ir/traverse.h"
 
+#include <algorithm>
+#include <bit>
 #include <type_traits>
 #include <variant>
 
@@ -173,6 +175,92 @@ std::string segop_label(const SegOpE& so) {
 bool is_soac(const Expr& e) {
   return e.is<MapE>() || e.is<ReduceE>() || e.is<ScanE>() ||
          e.is<RedomapE>() || e.is<ScanomapE>();
+}
+
+namespace {
+
+/// The fields of two nodes of one kind, children aside.  No default branch,
+/// so a new node kind fails to compile here.
+bool same_fields(const ExprNode& a, const ExprNode& b) {
+  // as(x): b's payload, of x's kind.
+  auto as = [&b](const auto& x) -> const auto& {
+    return std::get<std::decay_t<decltype(x)>>(b);
+  };
+  auto same_space = [](const SegSpace& x, const SegSpace& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](const SegBind& p, const SegBind& q) {
+                        return p.params == q.params && p.arrays == q.arrays &&
+                               p.dim == q.dim;
+                      });
+  };
+  return std::visit(
+      traverse_detail::Overload{
+          [&](const VarE& x) { return x.name == as(x).name; },
+          [&](const ConstE& x) {
+            const ConstE& y = as(x);
+            return x.tag == y.tag && x.i == y.i &&
+                   std::bit_cast<uint64_t>(x.f) ==
+                       std::bit_cast<uint64_t>(y.f);
+          },
+          [&](const BinOpE& x) { return x.op == as(x).op; },
+          [&](const UnOpE& x) { return x.op == as(x).op; },
+          [](const IfE&) { return true; },
+          [&](const LetE& x) { return x.vars == as(x).vars; },
+          [&](const LoopE& x) {
+            return x.params == as(x).params && x.ivar == as(x).ivar;
+          },
+          [](const MapE&) { return true; },
+          [](const ReduceE&) { return true; },
+          [](const ScanE&) { return true; },
+          [](const RedomapE&) { return true; },
+          [](const ScanomapE&) { return true; },
+          [&](const ReplicateE& x) { return x.count == as(x).count; },
+          [&](const RearrangeE& x) { return x.perm == as(x).perm; },
+          [&](const IotaE& x) { return x.count == as(x).count; },
+          [](const IndexE&) { return true; },
+          [](const TupleE&) { return true; },
+          [&](const SegOpE& x) {
+            const SegOpE& y = as(x);
+            return x.op == y.op && x.level == y.level &&
+                   x.block_tiled == y.block_tiled &&
+                   same_space(x.space, y.space);
+          },
+          [&](const ThresholdCmpE& x) {
+            const ThresholdCmpE& y = as(x);
+            return x.threshold == y.threshold && x.par == y.par &&
+                   x.fit == y.fit;
+          },
+      },
+      a);
+}
+
+}  // namespace
+
+bool same_ir(const ExprP& a, const ExprP& b) {
+  if (a == b) return true;
+  if (!a || !b || a->node.index() != b->node.index() ||
+      !same_fields(a->node, b->node)) {
+    return false;
+  }
+  // Nodes of one kind with equal fields list their children alike: the
+  // same runs, each with its lambda's parameter names.
+  const auto x = traverse_detail::slots(a->node);
+  const auto y = traverse_detail::slots(b->node);
+  auto same_name = [](const Param& p, const Param& q) {
+    return p.name == q.name;
+  };
+  for (size_t r = 0; r < x.size; ++r) {
+    const auto& rx = x.runs[r];
+    const auto& ry = y.runs[r];
+    const auto& px = rx.binds.params;
+    const auto& py = ry.binds.params;
+    if (rx.count != ry.count ||
+        !std::equal(px.begin(), px.end(), py.begin(), py.end(), same_name) ||
+        !std::equal(rx.first, rx.first + rx.count, ry.first, same_ir)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 namespace {

@@ -9,7 +9,8 @@
 // specially and hands the rest to these two.  The type checker, the
 // interpreter, the printer, normalize, the flattening rules, the cost
 // walker and the plan builder keep their own recursion: their visit order
-// or per-kind rebuild decides their output.
+// or per-kind rebuild decides their output.  same_ir adds one exhaustive
+// visit of its own, over the fields that are not children.
 #pragma once
 
 #include <array>
@@ -151,6 +152,13 @@ ExprP map_children(const ExprP& e, F&& f) {
   });
   return changed.empty() ? e : traverse_detail::rebuild(e, changed);
 }
+
+/// True if `a` and `b` are the same IR: equal in every field but the `types`
+/// annotations and lambda parameter types, which are derived from the rest
+/// (and a segmap's unused combine operator).  A shared pointer is equal
+/// without a walk.  This is the one test of code version identity (rule
+/// G3's degenerate case, simplify-guards' F3).
+bool same_ir(const ExprP& a, const ExprP& b);
 
 /// Free variable names of `e`.  Size variables inside Dims (iota/replicate
 /// counts) are included, since datasets bind them in the value environment

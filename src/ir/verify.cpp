@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "src/ir/print.h"
@@ -38,6 +39,56 @@ struct Verifier {
     d.message = detail;
     if (site) d.message += "\n  in: " + pretty(site).substr(0, 300);
     out.push_back(std::move(d));
+  }
+
+  // -- types ----------------------------------------------------------------
+
+  /// Walks `have` and `want`, the same tree as a fresh typecheck rebuilt
+  /// it, in lockstep and notes the first annotation that differs; returns
+  /// false once it has.
+  bool check_annotations(const ExprP& have, const ExprP& want,
+                         const std::string& at) const {
+    if (!have || !want) return true;
+    if (have->types != want->types) {
+      note("types", at,
+           "node annotated " + types_str(have->types) +
+               " but the type checker computes " + types_str(want->types),
+           have);
+      return false;
+    }
+    struct Wanted {
+      const ExprP* expr;
+      std::span<const Param> params;
+    };
+    std::vector<Wanted> wanted;
+    for_each_child(*want, [&](const Child& c) {
+      wanted.push_back({&c.expr, c.binds.params});
+    });
+    size_t k = 0;
+    bool ok = true;
+    for_each_child(*have, [&](const Child& c) {
+      if (!ok || k == wanted.size()) return;
+      const Wanted& w = wanted[k++];
+      const std::string here = c.path(at);
+      for (size_t i = 0; i < c.binds.params.size() && ok; ++i) {
+        const Param& p = c.binds.params[i];
+        if (i < w.params.size() && p.type != w.params[i].type) {
+          note("types", here,
+               "lambda parameter " + p.name + " annotated " + p.type.str() +
+                   " but the type checker computes " + w.params[i].type.str(),
+               c.expr);
+          ok = false;
+        }
+      }
+      ok = ok && check_annotations(c.expr, *w.expr, here);
+    });
+    return ok;
+  }
+
+  static std::string types_str(const std::vector<Type>& ts) {
+    std::string s = "(";
+    for (const auto& t : ts) s += (s.size() > 1 ? ", " : "") + t.str();
+    return s + ")";
   }
 
   // -- guards ---------------------------------------------------------------
@@ -141,11 +192,13 @@ std::vector<Diagnostic> verify_diagnostics(const Program& p,
   std::vector<Diagnostic> ds;
   Verifier v{context, ds};
   if (opts.types) {
-    // The type checker is fail-fast, so this check contributes at most one
-    // diagnostic; the structural checks below still run on an ill-typed
-    // program (they never consult types).
+    // The type checker is fail-fast, and the annotation walk stops at its
+    // first mismatch, so this check contributes at most one diagnostic; the
+    // structural checks below still run on an ill-typed program (they never
+    // consult types).
     try {
-      typecheck_program(p);
+      const Program checked = typecheck_program(p);
+      v.check_annotations(p.body, checked.body, "body");
     } catch (const CompilerError& e) {
       ds.push_back(
           Diagnostic{Severity::Error, "types", context, "", e.what()});

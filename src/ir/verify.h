@@ -5,7 +5,11 @@
 // verify_program promotes the structural parts of those invariants into
 // checks that any pipeline stage can run on its current program:
 //
-//   * types   — the program re-typechecks from scratch (source or target);
+//   * types   — the program re-typechecks from scratch (source or target),
+//               and every node's `types` and every lambda parameter's type
+//               equal those the fresh check computes: the passes annotate
+//               what they build and never re-typecheck, so a wrong
+//               annotation would otherwise reach the plan builder;
 //   * levels  — target level discipline: a level-0 seg-op is fully
 //               sequential, a level-l seg-op directly contains only
 //               level-(l-1) seg-ops;

@@ -67,7 +67,6 @@ struct PruneSegbindsPass final : Pass {
   const char* span_name() const override { return "pass.prune-segbinds"; }
   void run(PipelineState& st) const override {
     st.program.body = prune_seg_spaces(st.program.body);
-    st.program = typecheck_program(std::move(st.program));
   }
 };
 
@@ -185,7 +184,7 @@ PassManager compile_pipeline(FlattenMode mode, bool simplify) {
   PassManager pm = flatten_pipeline(mode);
   if (simplify) {
     // The prune rerun removes seg-space bindings whose only consumer was a
-    // version simplify-guards deleted (and re-typechecks).
+    // version simplify-guards deleted.
     pm.add("simplify-guards").add("prune-segbinds");
   }
   pm.add("plan-build");

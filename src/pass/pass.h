@@ -16,12 +16,17 @@
 //   moderate        the mode transform, one pass per mode; fills
 //   incremental       state.thresholds with the guard thresholds it
 //   full              creates (empty for moderate/full)
-//   prune-segbinds  drop dead seg-space bindings, re-typecheck
+//   prune-segbinds  drop dead seg-space bindings
 //   tiling          mark block-tilable segmaps, check level discipline
 //   simplify-guards fold guards decided by the size analysis (opt-in; see
 //                     src/analysis/simplify.h), drop dead versions and
 //                     their thresholds
 //   plan-build      lower the target program into a KernelPlan
+//
+// Every pass keeps the program type-annotated: it gives each node it
+// builds the types the checker would, so no pass re-typechecks.  The
+// whole-program checker runs only in the verifier, which compares every
+// annotation with a fresh check.
 #pragma once
 
 #include <functional>

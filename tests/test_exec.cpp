@@ -2,6 +2,8 @@
 // the underlying APIs, and runtime failure injection in the interpreter.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/exec/exec.h"
 #include "src/ir/builder.h"
 #include "src/ir/typecheck.h"
@@ -21,6 +23,29 @@ Program square_program() {
                     mul(var("x"), var("x"))),
                 var("xs"));
   return typecheck_program(std::move(p));
+}
+
+TEST(Exec, CompileRejectsUntypedSource) {
+  // The passes keep the caller's annotations and never re-typecheck, so an
+  // unchecked program is refused on entry, naming the missing step, rather
+  // than crashing in a later pass that reads its types.
+  Program p = square_program();
+  p.body = map1(lam({ib::p("x", Type::scalar(Scalar::F32))},
+                    mul(var("x"), var("x"))),
+                var("xs"));  // as built, before typecheck_program
+  for (FlattenMode mode : {FlattenMode::Moderate, FlattenMode::Incremental,
+                           FlattenMode::Full}) {
+    try {
+      compile(p, mode);
+      ADD_FAILURE() << mode_name(mode) << ": expected CompilerError";
+    } catch (const CompilerError& e) {
+      EXPECT_NE(std::string(e.what()).find("typecheck_program"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(flatten(p, mode), CompilerError);
+  }
+  EXPECT_NO_THROW(compile(typecheck_program(p), FlattenMode::Incremental));
 }
 
 TEST(Exec, CompileMatchesDirectFlatten) {

@@ -3,6 +3,9 @@
 // the generated structure plus its semantics are verified.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "src/exec/exec.h"
 #include "src/flatten/flatten.h"
 #include "src/interp/interp.h"
 #include "src/ir/builder.h"
@@ -10,6 +13,7 @@
 #include "src/ir/traverse.h"
 #include "src/ir/typecheck.h"
 #include "src/support/rng.h"
+#include "src/support/trace.h"
 
 namespace incflat {
 namespace {
@@ -114,6 +118,46 @@ TEST(RuleG3, ModerateProducesNoGuards) {
   FlattenResult fr = flatten(p, FlattenMode::Moderate);
   EXPECT_EQ(fr.thresholds.size(), 0u);
   EXPECT_TRUE(collect_thresholds(fr.program.body).empty());
+}
+
+TEST(RuleG3, DegenerateVersionsCollapseToOneSegmap) {
+  // map (\xs -> transpose (map (\x -> replicate 4 x) xs)) xss: the body
+  // has inner parallelism that no version exploits.  The intra-group body
+  // has no seg-op, and flattening on just manifests the outer-only segmap
+  // again (G5 cannot lift a rearrange of a map), so G3 emits that single
+  // version and rolls back its threshold.
+  Program p = make_program(
+      "g3degenerate",
+      {{"xss", Type::array(Scalar::F32, {Dim::v("n"), Dim::v("m")})}},
+      map1(lam({ib::p("xs", Type())},
+               transpose(map1(lam({ib::p("x", f32s())},
+                                  replicate(Dim::c(4), var("x"))),
+                              var("xs")))),
+           var("xss")));
+  trace::reset();
+  trace::set_enabled(true);
+  const Compiled c = compile(p, FlattenMode::Incremental);
+  const auto counters = trace::counters();
+  trace::set_enabled(false);
+  trace::reset();
+  EXPECT_EQ(counters.at("flatten.rule.G3.degenerate"), 1);
+  EXPECT_EQ(counters.count("flatten.rule.G3"), 0u);
+  EXPECT_EQ(c.flat.thresholds.size(), 0u);
+  const auto* so = c.flat.program.body->as<SegOpE>();
+  ASSERT_NE(so, nullptr) << pretty(c.flat.program);
+  EXPECT_EQ(so->op, SegOpE::Op::Map);
+  EXPECT_EQ(so->level, 1);
+  EXPECT_EQ(count_segops(c.flat.program.body), 1);
+
+  Rng rng(15);
+  for (const auto& [n, m] : {std::pair{1, 1}, std::pair{3, 2}}) {
+    const SizeEnv sizes{{"n", n}, {"m", m}};
+    const std::vector<Value> in{rand_arr(rng, {n, m})};
+    const Values want = execute_source(c, sizes, in);
+    const Values got = execute(device_k40(), c, sizes, {}, in);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_TRUE(got[0].approx_equal(want[0], 0)) << n << "x" << m;
+  }
 }
 
 // --------------------------------------------------------------- Rule G4

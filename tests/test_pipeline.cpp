@@ -6,8 +6,9 @@
 //    the same threshold tree, and bit-identical plan estimates;
 //  * pinned output — one hash per benchmark and mode over the target IR,
 //    the threshold tree and the lint findings on both devices;
-//  * --verify-each equivalent: verification passes clean after every pass
-//    on the whole suite (and is recorded in PipelineState::history);
+//  * --verify-each equivalent: verification, annotations included, passes
+//    clean after every pass on the whole suite, with and without
+//    simplify-guards (and is recorded in PipelineState::history);
 //  * registry behaviour: mode_from_name round-trips, unknown pass/mode
 //    names fail with messages listing the valid ones, omitting plan-build
 //    leaves Compiled::plan null and simulate() prices on a throwaway plan.
@@ -145,14 +146,30 @@ TEST(Pipeline, CompileEstimatesAreBitIdenticalAcrossCompositions) {
   }
 }
 
-TEST(Pipeline, VerifyEachPassesCleanOnWholeSuite) {
+TEST(Pipeline, EveryPassEmitsExactTypes) {
+  // No pass re-typechecks: each types the nodes it builds.  verify_each
+  // compares every annotation with a fresh typecheck after every pass, so
+  // a type a pass got wrong fails here, with and without simplify-guards.
   for (const auto& name : all_benchmark_names()) {
     const Benchmark b = get_benchmark(name);
     for (FlattenMode mode : kModes) {
-      CompileOptions o = opts_for(b, mode);
-      o.verify_each = true;
-      EXPECT_NO_THROW(compile(b.program, mode, o))
-          << name << " / " << mode_name(mode);
+      // Run 0 without simplify-guards, runs 1 and 2 with it on each device.
+      for (int run = 0; run < 3; ++run) {
+        CompileOptions o = opts_for(b, mode);
+        o.verify_each = true;
+        std::string ctx = name + " / " + mode_name(mode);
+        if (run > 0) {
+          const DeviceProfile dev = run == 1 ? device_k40() : device_vega64();
+          o.simplify = true;
+          o.limits = analysis::limits_for(dev);
+          ctx += " --simplify --device " + dev.name;
+        }
+        try {
+          compile(b.program, mode, o);
+        } catch (const CompilerError& e) {
+          ADD_FAILURE() << ctx << ": " << e.what();
+        }
+      }
     }
   }
 }

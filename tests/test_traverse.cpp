@@ -1,5 +1,5 @@
-// Unit tests: structural traversals — the child walker and mapper, free
-// variables, SOAC detection, substitution, counting.
+// Unit tests: structural traversals — the child walker and mapper, IR
+// equality, free variables, SOAC detection, substitution, counting.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,6 +15,83 @@ namespace incflat {
 namespace {
 
 using namespace ib;
+
+// ------------------------------------------------------------- IR equality
+
+/// The fields a SameIr tree is built from: one of each kind same_ir
+/// compares, plus the two annotations it ignores.
+struct IrKnobs {
+  std::string name = "x";
+  std::string op = "+";
+  double konst = 1.0;
+  std::vector<int> perm{1, 0};
+  Dim dim = Dim::v("m");
+  int level = 1;
+  bool tiled = false;
+  std::string threshold = "t0";
+  SizeExpr par = SizeExpr::of(Dim::v("n"));
+  SizeExpr fit = SizeExpr::of(Dim::v("m"));
+  std::vector<Type> types;  // ignored
+  Type param_type = Type::scalar(Scalar::F32);  // ignored
+};
+
+/// segred^l <xs in xss> <x in xs> (\a b -> a + b) (0)
+///   (if par >= t then (x op konst) else (rearrange perm zss)[0])
+ExprP ir_of(const IrKnobs& k) {
+  ExprP version = mk(BinOpE{k.op, var(k.name), cf32(k.konst)}, k.types);
+  ExprP other = index(rearrange(k.perm, var("zss")), {ci64(0)});
+  ExprP guard = mk(ThresholdCmpE{k.threshold, k.par, k.fit});
+  SegOpE so;
+  so.op = SegOpE::Op::Red;
+  so.level = k.level;
+  so.block_tiled = k.tiled;
+  so.space = {SegBind{{"xs"}, {"xss"}, Dim::v("n")},
+              SegBind{{"x"}, {"xs"}, k.dim}};
+  so.combine = lam({p("a", k.param_type), p("b", k.param_type)},
+                   add(var("a"), var("b")));
+  so.neutral = {cf32(0)};
+  so.body = iff(guard, version, other);
+  return mk(std::move(so));
+}
+
+TEST(Traverse, SameIrIgnoresOnlyAnnotations) {
+  const IrKnobs base;
+  const ExprP e = ir_of(base);
+  EXPECT_TRUE(same_ir(e, e));  // shared pointer
+  EXPECT_TRUE(same_ir(e, ir_of(base)));
+  EXPECT_FALSE(same_ir(e, nullptr));
+
+  IrKnobs k = base;
+  k.types = {Type::scalar(Scalar::F32)};
+  EXPECT_TRUE(same_ir(e, ir_of(k))) << "node types";
+  k = base;
+  k.param_type = Type::scalar(Scalar::I64);
+  EXPECT_TRUE(same_ir(e, ir_of(k))) << "lambda parameter types";
+
+  auto differs = [&](const char* what, auto set) {
+    IrKnobs v = base;
+    set(v);
+    EXPECT_FALSE(same_ir(e, ir_of(v))) << what;
+    EXPECT_FALSE(same_ir(ir_of(v), e)) << what;
+  };
+  differs("name", [](IrKnobs& v) { v.name = "y"; });
+  differs("op", [](IrKnobs& v) { v.op = "*"; });
+  differs("constant", [](IrKnobs& v) { v.konst = 2.0; });
+  differs("perm", [](IrKnobs& v) { v.perm = {0, 1}; });
+  differs("dim", [](IrKnobs& v) { v.dim = Dim::v("k"); });
+  differs("level", [](IrKnobs& v) { v.level = 0; });
+  differs("block_tiled", [](IrKnobs& v) { v.tiled = true; });
+  differs("threshold", [](IrKnobs& v) { v.threshold = "t1"; });
+  differs("par", [](IrKnobs& v) { v.par = SizeExpr::of(Dim::v("k")); });
+  differs("fit", [](IrKnobs& v) { v.fit = SizeExpr{}; });
+
+  // 1e-9 and 2e-9 print alike ("0.0000f32"), yet are different constants.
+  IrKnobs tiny = base, tinier = base;
+  tiny.konst = 1e-9;
+  tinier.konst = 2e-9;
+  EXPECT_EQ(pretty(ir_of(tiny)), pretty(ir_of(tinier)));
+  EXPECT_FALSE(same_ir(ir_of(tiny), ir_of(tinier)));
+}
 
 // ------------------------------------------------------ child walker/mapper
 

@@ -1,8 +1,9 @@
 // Negative tests for the on-demand IR verifier (src/ir/verify.h): programs
-// seeded with deliberate structural violations — level-discipline breakage,
-// an intra-group code version with no feasible fallback arm, dangling or
-// malformed seg-space bindings — must each be caught with a diagnostic that
-// names the failed check and the pipeline position it is attributed to.
+// seeded with deliberate structural violations — a wrong type annotation,
+// level-discipline breakage, an intra-group code version with no feasible
+// fallback arm, dangling or malformed seg-space bindings — must each be
+// caught with a diagnostic that names the failed check and the pipeline
+// position it is attributed to.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -82,6 +83,48 @@ TEST(Verify, TypeErrorIsAttributed) {
     EXPECT_NE(std::string(e.what()).find("after pass 'normalize'"),
               std::string::npos);
   }
+}
+
+TEST(Verify, CatchesWrongAnnotation) {
+  // let ys = segmap^1 <xs in xss> (map (\x -> x + 1) xs) in ys, typechecked.
+  // The passes annotate what they build, so the types check must also
+  // catch a well-typed program that carries a wrong annotation.
+  const Lambda inc = lam({ib::p("x", Type())}, add(var("x"), cf32(1)));
+  Program p = target_program(let1("ys", seg1(map1(inc, var("xs"))), var("ys")));
+  p = typecheck_program(std::move(p));
+  ASSERT_TRUE(verify_diagnostics(p).empty());
+  const auto* l = p.body->as<LetE>();
+  const ExprP& seg = l->rhs;
+
+  // The segmap annotated with its body's type, lacking the space's outer
+  // dim n: reported at the segmap itself, not at its correct children.
+  const Type lacking = seg->type().row();
+  Program bad = p;
+  bad.body =
+      mk(LetE{l->vars, mk(seg->node, {lacking}), l->body}, p.body->types);
+  std::vector<Diagnostic> ds =
+      verify_diagnostics(bad, "after pass 'incremental'",
+                         only(true, false, false, false));
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].check, "types");
+  EXPECT_EQ(ds[0].context, "after pass 'incremental'");
+  EXPECT_EQ(ds[0].path, "body.ys=");
+  EXPECT_NE(ds[0].message.find(lacking.str()), std::string::npos);
+  EXPECT_NE(ds[0].message.find(seg->type().str()), std::string::npos);
+  EXPECT_THROW(verify_program(bad), VerifyError);
+
+  // The inner map's lambda parameter annotated i64 instead of f32.
+  SegOpE so = *seg->as<SegOpE>();
+  MapE m = *so.body->as<MapE>();
+  m.f.params[0].type = Type::scalar(Scalar::I64);
+  so.body = mk(std::move(m), so.body->types);
+  bad.body = mk(LetE{l->vars, mk(std::move(so), seg->types), l->body},
+                p.body->types);
+  ds = verify_diagnostics(bad, "verify", only(true, false, false, false));
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].check, "types");
+  EXPECT_EQ(ds[0].path, "body.ys=.segmap^1.body.map");
+  EXPECT_NE(ds[0].message.find("lambda parameter x"), std::string::npos);
 }
 
 TEST(Verify, LevelDisciplineViolationCaught) {
