@@ -14,7 +14,6 @@ struct Linter {
   const LintOptions& opts;
   const SizeBounds& bounds;
   std::vector<Diagnostic>& out;
-  GuardFacts facts;
 
   void emit(Severity sev, const char* check, const std::string& at,
             const std::string& msg) {
@@ -34,34 +33,23 @@ struct Linter {
 
   void walk(const ExprP& e, const std::string& at) {  // NOLINT(misc-no-recursion)
     if (!e) return;
-    if (auto* i = e->as<IfE>()) {
-      if (auto* tc = i->cond->as<ThresholdCmpE>()) {
-        const GuardDecision d = decide_guard(*tc, opts.limits, bounds, facts);
-        if (d != GuardDecision::Unknown) {
-          const bool taken = d == GuardDecision::AlwaysTrue;
-          emit(Severity::Warning, "dead-version", at,
-               "guard on '" + tc->threshold + "' is " +
-                   guard_decision_name(d) + " for every in-bounds dataset on " +
-                   on_device() + ": the " + (taken ? "else" : "then") +
-                   "-arm (" +
-                   std::to_string(count_segops(taken ? i->else_e : i->then_e)) +
-                   " seg-op version(s)) is dead code; "
-                   "simplify-guards removes it");
-        } else if (fit_vacuous(tc->fit)) {
-          emit(Severity::Note, "guard-constant-fit", at,
-               "workgroup-fit bound " + tc->fit.str() + " of guard '" +
-                   tc->threshold + "' always fits " + on_device() +
-                   " (max_group_size " +
-                   std::to_string(opts.limits.max_group_size) +
-                   "): the comparison degenerates to a pure threshold test");
-        }
-        push(*tc, true);
-        walk(i->then_e, at + ".then");
-        pop(tc->threshold);
-        push(*tc, false);
-        walk(i->else_e, at + ".else");
-        pop(tc->threshold);
-        return;
+    const auto* i = e->as<IfE>();
+    if (const auto* tc = i ? i->cond->as<ThresholdCmpE>() : nullptr) {
+      if (guard_never_taken(*tc, opts.limits, bounds)) {
+        emit(Severity::Warning, "dead-version", at,
+             "guard on '" + tc->threshold +
+                 "' is always-false for every in-bounds dataset on " +
+                 on_device() + ": the then-arm (" +
+                 std::to_string(count_segops(i->then_e)) +
+                 " seg-op version(s)) is dead code; "
+                 "simplify-guards removes it");
+      } else if (fit_vacuous(tc->fit)) {
+        emit(Severity::Note, "guard-constant-fit", at,
+             "workgroup-fit bound " + tc->fit.str() + " of guard '" +
+                 tc->threshold + "' always fits " + on_device() +
+                 " (max_group_size " +
+                 std::to_string(opts.limits.max_group_size) +
+                 "): the comparison degenerates to a pure threshold test");
       }
     }
     if (auto* so = e->as<SegOpE>()) {
@@ -109,37 +97,15 @@ struct Linter {
       }
     }
   }
-
-  void push(const ThresholdCmpE& tc, bool taken) {
-    facts[tc.threshold].push_back(GuardFact{tc.par, tc.fit, taken});
-  }
-  void pop(const std::string& name) {
-    auto it = facts.find(name);
-    it->second.pop_back();
-    if (it->second.empty()) facts.erase(it);
-  }
 };
 
 }  // namespace
 
 std::vector<Diagnostic> lint_program(const Program& p,
-                                     const ThresholdRegistry& reg,
                                      const LintOptions& opts) {
   std::vector<Diagnostic> ds;
-  Linter lint{opts, p.size_bounds, ds, {}};
+  Linter lint{opts, p.size_bounds, ds};
   lint.walk(p.body, "body");
-
-  std::set<std::string> mentioned;
-  for (const auto& name : collect_thresholds(p.body)) mentioned.insert(name);
-  for (const auto& ti : reg.all()) {
-    if (!mentioned.count(ti.name)) {
-      ds.push_back(Diagnostic{
-          Severity::Warning, "unused-threshold", "lint", "",
-          "threshold parameter '" + ti.name + "' (par " + ti.par.str() +
-              ") is mentioned by no guard in the IR: it only widens the "
-              "autotuner's search space"});
-    }
-  }
 
   const DefUse du = def_use(p);
   for (const auto& name : dead_defs(du)) {

@@ -18,9 +18,6 @@
 //                   used neither by the body nor by deeper bindings
 //                   (prune-segbinds should have removed it; firing means a
 //                   pass regressed).
-//   unused-threshold (warning) — a registry threshold parameter mentioned
-//                   by no guard in the IR: it only widens the autotuner's
-//                   search space.
 //   guard-constant-fit (note) — a guard whose workgroup-fit conjunct is
 //                   vacuously true on this device (fit's upper bound <=
 //                   max_group_size): the comparison degenerates to a pure
@@ -32,7 +29,6 @@
 #include <vector>
 
 #include "src/analysis/range.h"
-#include "src/flatten/thresholds.h"
 #include "src/ir/expr.h"
 #include "src/support/diag.h"
 
@@ -44,11 +40,10 @@ struct LintOptions {
   std::string device_name;  // named in device-dependent messages
 };
 
-/// Lint `p` (a compiled target program, type-annotated) against its
-/// threshold registry under the program's declared size bounds.
-/// Diagnostics come back in IR-walk order, errors first within a site.
+/// Lint `p` (a compiled target program, type-annotated) under its declared
+/// size bounds.  Diagnostics come back in IR-walk order, errors first
+/// within a site.
 std::vector<Diagnostic> lint_program(const Program& p,
-                                     const ThresholdRegistry& reg,
                                      const LintOptions& opts = {});
 
 }  // namespace analysis

@@ -116,54 +116,6 @@ IntInterval interval_of(const SizeExpr& e, const SizeBounds& b) {
   return out;
 }
 
-bool prod_leq(const SizeProd& p, const SizeProd& q, const SizeBounds& b) {
-  // q's variable multiset must cover p's; the leftover variables' lower
-  // bounds (each >= 1) plus the constants must absorb p's constant:
-  //   p = kp * Πv,  q = kq * Πv * Πextra  >=  kq * Πlo(extra) * Πv.
-  std::vector<std::string> pv, qv;
-  for (const auto& d : p.vars) pv.push_back(d.var);
-  for (const auto& d : q.vars) qv.push_back(d.var);
-  std::sort(pv.begin(), pv.end());
-  std::sort(qv.begin(), qv.end());
-  int64_t slack = q.konst;
-  size_t i = 0;
-  for (const auto& v : qv) {
-    if (i < pv.size() && pv[i] == v) {
-      ++i;
-    } else {
-      const IntInterval vi = size_var_interval(v, b);
-      slack = sat_mul(slack, vi.lo_finite ? vi.lo : 1);
-    }
-  }
-  if (i < pv.size()) return false;  // p has a variable q lacks
-  return p.konst <= slack;
-}
-
-bool expr_leq(const SizeExpr& a, const SizeExpr& b, const SizeBounds& b_env) {
-  const std::vector<SizeProd> one{SizeProd::one()};
-  const auto& alts_a = a.alts.empty() ? one : a.alts;
-  const auto& alts_b = b.alts.empty() ? one : b.alts;
-  bool all = true;
-  for (const auto& pa : alts_a) {
-    bool dominated = false;
-    for (const auto& pb : alts_b) {
-      if (prod_leq(pa, pb, b_env)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) {
-      all = false;
-      break;
-    }
-  }
-  if (all) return true;
-  // Fallback: the concrete intervals may already separate the expressions.
-  const IntInterval ia = interval_of(a, b_env);
-  const IntInterval ib = interval_of(b, b_env);
-  return ia.hi_finite && ib.lo_finite && ia.hi <= ib.lo;
-}
-
 // ---------------------------------------------------------------------------
 
 AnalysisLimits limits_for(const DeviceProfile& dev) {
@@ -173,64 +125,11 @@ AnalysisLimits limits_for(const DeviceProfile& dev) {
   return lim;
 }
 
-const char* guard_decision_name(GuardDecision d) {
-  switch (d) {
-    case GuardDecision::AlwaysTrue: return "always-true";
-    case GuardDecision::AlwaysFalse: return "always-false";
-    case GuardDecision::Unknown: return "unknown";
-  }
-  return "?";
-}
-
-namespace {
-
-/// The fit conjunct `fit <= max_group_size` is vacuously true for every
-/// in-bounds assignment (or there is no fit bound at all).
-bool fit_always_ok(const SizeExpr& fit, const AnalysisLimits& lim,
-                   const SizeBounds& bounds) {
-  if (fit.alts.empty()) return true;
-  if (lim.max_group_size < 0) return false;
-  const IntInterval fi = interval_of(fit, bounds);
-  return fi.hi_finite && fi.hi <= lim.max_group_size;
-}
-
-}  // namespace
-
-GuardDecision decide_guard(const ThresholdCmpE& tc, const AnalysisLimits& lim,
-                           const SizeBounds& bounds, const GuardFacts& facts) {
-  // Device infeasibility: the fit bound's lower bound already exceeds the
-  // workgroup limit, so the intra-group version can never be selected.
-  if (!tc.fit.alts.empty() && lim.max_group_size >= 0) {
-    const IntInterval fi = interval_of(tc.fit, bounds);
-    if (fi.lo_finite && fi.lo > lim.max_group_size) {
-      return GuardDecision::AlwaysFalse;
-    }
-  }
-  // Dominance by enclosing guards over the same threshold parameter.  The
-  // threshold's value t is shared, so one observed comparison constrains t
-  // relative to its par.
-  auto it = facts.find(tc.threshold);
-  if (it != facts.end()) {
-    for (const GuardFact& f : it->second) {
-      if (f.taken) {
-        // f.par >= t and f's fit passed.  If our par dominates f's and our
-        // fit is implied, the comparison repeats an established truth.
-        const bool par_ok = expr_leq(f.par, tc.par, bounds);
-        const bool fit_ok =
-            fit_always_ok(tc.fit, lim, bounds) ||
-            (!f.fit.alts.empty() && expr_leq(tc.fit, f.fit, bounds));
-        if (par_ok && fit_ok) return GuardDecision::AlwaysTrue;
-      } else {
-        // !(f.par >= t && f's fit ok).  Only if f's fit conjunct could not
-        // have been the failing part do we learn f.par < t.
-        if (fit_always_ok(f.fit, lim, bounds) &&
-            expr_leq(tc.par, f.par, bounds)) {
-          return GuardDecision::AlwaysFalse;  // tc.par <= f.par < t
-        }
-      }
-    }
-  }
-  return GuardDecision::Unknown;
+bool guard_never_taken(const ThresholdCmpE& tc, const AnalysisLimits& lim,
+                       const SizeBounds& bounds) {
+  if (tc.fit.alts.empty() || lim.max_group_size < 0) return false;
+  const IntInterval fi = interval_of(tc.fit, bounds);
+  return fi.lo_finite && fi.lo > lim.max_group_size;
 }
 
 // ---------------------------------------------------------------------------

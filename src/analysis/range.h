@@ -1,31 +1,24 @@
 // Symbolic size algebra over the program's size variables, and the guard
-// decisions simplify-guards and lint build on it.
+// decision simplify-guards and lint build on it.
 //
 //  * IntInterval — a saturating integer interval [lo, hi] with open ends,
 //    with just the arithmetic (mul/min/max/neg) needed to concretize a
 //    size expression under the program's declared SizeBounds.
 //
-//  * symbolic SizeProd/SizeExpr comparison — `Par(...)` degrees and
-//    workgroup-fit bounds are *monomials* (max of products of size
-//    variables, src/ir/size.h), so questions like "is this fit bound ever
-//    <= max_group_size" reduce to (a) concretizing the monomial to an
-//    interval under the program's declared SizeBounds, and (b) a sound
-//    monomial dominance test (prod_leq / expr_leq) for guard-vs-guard
-//    comparisons that stay symbolic.
+//  * interval_of — `Par(...)` degrees and workgroup-fit bounds are
+//    *monomials* (max of products of size variables, src/ir/size.h), so a
+//    question like "is this fit bound ever <= max_group_size" reduces to
+//    concretizing the monomial to an interval under the declared bounds.
 //
 // Soundness invariant (property-tested in tests/test_analysis.cpp): for
 // every size assignment satisfying the declared bounds — size variables
 // default to [1, inf) — a size expression's value lies inside its
-// interval_of, and prod_leq / expr_leq answer true only when the
-// inequality holds pointwise.  The guard decision procedure only answers
-// AlwaysTrue / AlwaysFalse when that holds for *all* in-bounds
-// assignments and *all* threshold values; everything else is Unknown.
+// interval_of.  guard_never_taken answers true only when the guard fails
+// for *all* in-bounds assignments and *all* threshold values.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "src/gpusim/device.h"
 #include "src/ir/expr.h"
@@ -82,15 +75,6 @@ IntInterval size_var_interval(const std::string& name, const SizeBounds& b);
 IntInterval interval_of(const SizeProd& p, const SizeBounds& b);
 IntInterval interval_of(const SizeExpr& e, const SizeBounds& b);
 
-/// Sound monomial dominance: true only if p <= q for *every* in-bounds
-/// assignment.  Holds when q's variable multiset covers p's and the
-/// constant slack does, too; incomplete (false means "don't know").
-bool prod_leq(const SizeProd& p, const SizeProd& q, const SizeBounds& b);
-
-/// expr_leq(a, b): every alternative of a is dominated by some alternative
-/// of b, or the concrete intervals already separate them.
-bool expr_leq(const SizeExpr& a, const SizeExpr& b, const SizeBounds& b_env);
-
 // ---------------------------------------------------------------------------
 // Guard decisions.
 
@@ -103,36 +87,14 @@ struct AnalysisLimits {
 
 AnalysisLimits limits_for(const DeviceProfile& dev);
 
-enum class GuardDecision { AlwaysTrue, AlwaysFalse, Unknown };
-
-const char* guard_decision_name(GuardDecision d);
-
-/// A guard comparison known to have evaluated to `taken` on the current
-/// path (an enclosing guard over the same threshold parameter).
-struct GuardFact {
-  SizeExpr par;
-  SizeExpr fit;
-  bool taken = false;
-};
-using GuardFacts = std::map<std::string, std::vector<GuardFact>>;
-
-/// Decide `par >= t && (fit empty || fit <= max_group_size)` for all
-/// in-bounds size assignments and all values of threshold t:
-///
-///   AlwaysFalse — the fit bound's *lower* bound exceeds max_group_size
-///                 (the intra-group version can never fit a workgroup), or
-///                 an enclosing guard over the same t failed with a
-///                 dominating par (par' >= par, fit' vacuous), so
-///                 par >= par' >= ... is impossible here too.
-///   AlwaysTrue  — an enclosing guard over the same t succeeded with a
-///                 dominated par (par' <= par) and this guard's fit is
-///                 implied (empty, <= the enclosing fit, or provably
-///                 <= max_group_size).
-///   Unknown     — everything else.  In particular a guard with no fit
-///                 bound is *never* AlwaysTrue/False on its own: t is a
-///                 free tuning parameter, so both branches are reachable.
-GuardDecision decide_guard(const ThresholdCmpE& tc, const AnalysisLimits& lim,
-                           const SizeBounds& bounds, const GuardFacts& facts);
+/// True if `par >= t && (fit empty || fit <= max_group_size)` is false for
+/// all in-bounds size assignments and all values of threshold t: the fit
+/// bound's *lower* bound exceeds max_group_size, so the intra-group version
+/// can never fit a workgroup (rule F1).  A guard with no fit bound is never
+/// decided: t is a free tuning parameter, so both branches are reachable.
+/// No guard is ever always taken, for the same reason.
+bool guard_never_taken(const ThresholdCmpE& tc, const AnalysisLimits& lim,
+                       const SizeBounds& bounds);
 
 // ---------------------------------------------------------------------------
 // Local-memory footprints.

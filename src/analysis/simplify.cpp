@@ -1,8 +1,8 @@
 #include "src/analysis/simplify.h"
 
-#include <set>
 #include <utility>
 
+#include "src/flatten/thresholds.h"
 #include "src/ir/traverse.h"
 #include "src/support/trace.h"
 
@@ -16,33 +16,22 @@ struct GuardFolder {
   const SizeBounds& bounds;
   SimplifyStats& stats;
 
-  /// Fold guards under the established facts about enclosing guard
-  /// outcomes.  Only the spine positions where guards can occur (verified
-  /// by src/ir/verify.cpp: if-conditions) are rewritten; everything that
-  /// cannot contain a guard is returned unchanged, preserving sharing so a
-  /// disabled pass is bit-identical by construction.
-  ExprP fold(const ExprP& e, GuardFacts& facts) {  // NOLINT(misc-no-recursion)
+  /// Fold decidable guards.  Only the spine positions where guards can
+  /// occur (verified by src/ir/verify.cpp: if-conditions) are rewritten;
+  /// everything that cannot contain a guard is returned unchanged,
+  /// preserving sharing so a disabled pass is bit-identical by construction.
+  ExprP fold(const ExprP& e) {  // NOLINT(misc-no-recursion)
     if (!e) return e;
     if (auto* i = e->as<IfE>()) {
       if (auto* tc = i->cond->as<ThresholdCmpE>()) {
-        const GuardDecision d = decide_guard(*tc, lim, bounds, facts);
-        if (d != GuardDecision::Unknown) {
-          const bool taken = d == GuardDecision::AlwaysTrue;
-          const ExprP& kept = taken ? i->then_e : i->else_e;
-          const ExprP& dropped = taken ? i->else_e : i->then_e;
+        if (guard_never_taken(*tc, lim, bounds)) {
+          // F1: only the else-version can run.
           ++stats.guards_folded;
-          stats.versions_pruned += count_segops(dropped);
-          push_fact(facts, *tc, taken);
-          ExprP out = fold(kept, facts);
-          pop_fact(facts, tc->threshold);
-          return out;
+          stats.versions_pruned += count_segops(i->then_e);
+          return fold(i->else_e);
         }
-        push_fact(facts, *tc, true);
-        ExprP then_e = fold(i->then_e, facts);
-        pop_fact(facts, tc->threshold);
-        push_fact(facts, *tc, false);
-        ExprP else_e = fold(i->else_e, facts);
-        pop_fact(facts, tc->threshold);
+        ExprP then_e = fold(i->then_e);
+        ExprP else_e = fold(i->else_e);
         if (same_ir(then_e, else_e)) {
           // F3: the guard distinguishes nothing.
           ++stats.guards_folded;
@@ -59,35 +48,19 @@ struct GuardFolder {
         !e->is<TupleE>() && !e->is<SegOpE>()) {
       return e;
     }
-    auto fold_child = [&](const Child& c) { return fold(c.expr, facts); };
-    return map_children(e, fold_child);
-  }
-
-  static void push_fact(GuardFacts& facts, const ThresholdCmpE& tc,
-                        bool taken) {
-    facts[tc.threshold].push_back(GuardFact{tc.par, tc.fit, taken});
-  }
-
-  static void pop_fact(GuardFacts& facts, const std::string& name) {
-    auto it = facts.find(name);
-    it->second.pop_back();
-    if (it->second.empty()) facts.erase(it);
+    return map_children(e, [&](const Child& c) { return fold(c.expr); });
   }
 };
 
 }  // namespace
 
-SimplifyStats simplify_guards(Program& p, ThresholdRegistry& reg,
-                              const AnalysisLimits& lim) {
+SimplifyStats simplify_guards(Program& p, const AnalysisLimits& lim) {
   SimplifyStats stats;
   GuardFolder folder{lim, p.size_bounds, stats};
-  GuardFacts facts;
-  p.body = folder.fold(p.body, facts);
-
-  std::set<std::string> surviving;
-  for (const auto& name : collect_thresholds(p.body)) surviving.insert(name);
+  const size_t before = ThresholdRegistry(p.body).size();
+  p.body = folder.fold(p.body);
   stats.thresholds_dropped =
-      static_cast<int64_t>(reg.retain(surviving));
+      static_cast<int64_t>(before - ThresholdRegistry(p.body).size());
 
   if (trace::enabled()) {
     trace::count("analysis.guards_folded", stats.guards_folded);

@@ -56,7 +56,8 @@ Compiled compile(const Program& src, FlattenMode mode,
   Compiled c;
   c.source = src;
   c.mode = mode;
-  c.flat = FlattenResult{std::move(st.program), std::move(st.thresholds)};
+  ThresholdRegistry thresholds(st.program.body);
+  c.flat = FlattenResult{std::move(st.program), std::move(thresholds)};
   c.plan = std::move(st.plan);
   return c;
 }

@@ -67,9 +67,20 @@ class CancelToken {
   /// share one via shared_ptr when several holders need it.
   explicit CancelToken(double deadline_ms) { set_deadline_ms(deadline_ms); }
 
+  /// A deadline past the clock's range is no deadline at all.
   void set_deadline_ms(double ms) {
-    deadline_ = Clock::now() + std::chrono::microseconds(
-                                   static_cast<int64_t>(ms * 1000.0));
+    const Clock::time_point now = Clock::now();
+    const double us = ms * 1000.0;
+    // Range-check both sides before converting to whole microseconds.
+    if (!(us > 0)) {
+      deadline_ = now;
+      return;
+    }
+    const auto room = std::chrono::duration_cast<std::chrono::microseconds>(
+        Clock::time_point::max() - now);
+    deadline_ = us < static_cast<double>(room.count())
+                    ? now + std::chrono::microseconds(static_cast<int64_t>(us))
+                    : Clock::time_point::max();
   }
 
   /// Flip the flag; every subsequent expired() answers true.

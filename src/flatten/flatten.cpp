@@ -32,7 +32,8 @@ FlattenResult flatten(const Program& src, FlattenMode mode,
   st.mode = mode;
   st.options = opts;
   flatten_pipeline(mode).run(st);
-  return FlattenResult{std::move(st.program), std::move(st.thresholds)};
+  ThresholdRegistry thresholds(st.program.body);
+  return FlattenResult{std::move(st.program), std::move(thresholds)};
 }
 
 void require_typed_source(const Program& src) {

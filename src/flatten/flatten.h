@@ -39,7 +39,7 @@ FlattenMode mode_from_name(const std::string& name);
 
 struct FlattenResult {
   Program program;               // target program, type-annotated
-  ThresholdRegistry thresholds;  // empty for Moderate/Full
+  ThresholdRegistry thresholds;  // program's guards; empty for Moderate/Full
 };
 
 struct FlattenOptions {

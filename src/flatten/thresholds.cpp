@@ -2,50 +2,35 @@
 
 #include <sstream>
 
-#include "src/support/error.h"
+#include "src/ir/traverse.h"
 
 namespace incflat {
 
-std::string ThresholdRegistry::fresh(const std::string& kind,
-                                     const SizeExpr& par, const SizeExpr& fit,
-                                     const GuardPath& path) {
-  std::string name = kind + "_" + std::to_string(counter_++);
-  index_[name] = infos_.size();
-  infos_.push_back(ThresholdInfo{name, par, fit, path});
-  return name;
-}
+namespace {
 
-void ThresholdRegistry::truncate(size_t mark) {
-  INCFLAT_CHECK(mark <= infos_.size(), "threshold truncate beyond size");
-  while (infos_.size() > mark) {
-    index_.erase(infos_.back().name);
-    infos_.pop_back();
-  }
-}
-
-size_t ThresholdRegistry::retain(const std::set<std::string>& keep) {
-  std::vector<ThresholdInfo> kept;
-  kept.reserve(infos_.size());
-  for (auto& ti : infos_) {
-    if (!keep.count(ti.name)) continue;
-    GuardPath path;
-    for (const auto& step : ti.path) {
-      if (keep.count(step.first)) path.push_back(step);
+void collect_guards(const ExprP& e, GuardPath& path,
+                    std::vector<ThresholdInfo>& out) {
+  if (!e) return;
+  if (auto* i = e->as<IfE>()) {
+    if (auto* tc = i->cond->as<ThresholdCmpE>()) {
+      out.push_back(ThresholdInfo{tc->threshold, tc->par, tc->fit, path});
+      for (const bool taken : {true, false}) {
+        path.emplace_back(tc->threshold, taken);
+        collect_guards(taken ? i->then_e : i->else_e, path, out);
+        path.pop_back();
+      }
+      return;
     }
-    ti.path = std::move(path);
-    kept.push_back(std::move(ti));
   }
-  const size_t removed = infos_.size() - kept.size();
-  infos_ = std::move(kept);
-  index_.clear();
-  for (size_t i = 0; i < infos_.size(); ++i) index_[infos_[i].name] = i;
-  return removed;
+  for_each_child(*e,
+                 [&](const Child& c) { collect_guards(c.expr, path, out); });
 }
 
-const ThresholdInfo& ThresholdRegistry::info(const std::string& name) const {
-  auto it = index_.find(name);
-  INCFLAT_CHECK(it != index_.end(), "unknown threshold " + name);
-  return infos_[it->second];
+}  // namespace
+
+ThresholdRegistry::ThresholdRegistry(const ExprP& body) {
+  GuardPath path;
+  collect_guards(body, path, infos_);
 }
 
 std::string ThresholdRegistry::tree_str() const {

@@ -1,19 +1,21 @@
 // Threshold parameters and the branching tree of guarded code versions.
 //
 // Incremental flattening guards each generated code version with a predicate
-// `Par(...) >= t` over a fresh threshold parameter t (rules G3/G9).  The
-// registry records, for every threshold, the symbolic size it is compared
-// against and the guard *path* (ancestor thresholds and branch directions)
-// under which the comparison is reachable.  This is the paper's Fig. 5
-// branching tree; the autotuner's deduplication of equivalent parameter
-// assignments (Sec. 4.2) reads the same tree off the KernelPlan.
+// `Par(...) >= t` over a fresh threshold parameter t (rules G3/G9), and each
+// threshold is compared by exactly one guard (the verifier's guards check).
+// The registry is read off a target body: one pre-order walk records, for
+// every guard, its threshold, the symbolic size it compares, its
+// workgroup-fit bound, and its *path* (the enclosing guards and the branch
+// taken under each).  This is the paper's Fig. 5 branching tree; the
+// autotuner's deduplication of equivalent parameter assignments (Sec. 4.2)
+// reads the same tree off the KernelPlan.
 #pragma once
 
-#include <map>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/ir/expr.h"
 #include "src/ir/size.h"
 
 namespace incflat {
@@ -30,39 +32,25 @@ struct ThresholdInfo {
   GuardPath path;    // guards that must evaluate as recorded to reach this one
 };
 
-/// Registry of all thresholds created while flattening one program.
+/// The thresholds of one target program, in the pre-order of their guards.
 class ThresholdRegistry {
  public:
-  /// Create a fresh threshold of the given kind ("suff_outer_par" /
-  /// "suff_intra_par") compared against `par`, reachable under `path`.
-  /// `fit` carries the guarded version's workgroup-size requirement (empty
-  /// for versions without intra-group parallelism).
-  std::string fresh(const std::string& kind, const SizeExpr& par,
-                    const SizeExpr& fit, const GuardPath& path);
+  ThresholdRegistry() = default;
+
+  /// Every guard of `body` (an `if` whose condition is a threshold
+  /// comparison), in for_each_child's pre-order: a guard, then the guards
+  /// of its then-arm, then those of its else-arm.
+  explicit ThresholdRegistry(const ExprP& body);
 
   const std::vector<ThresholdInfo>& all() const { return infos_; }
-  const ThresholdInfo& info(const std::string& name) const;
   bool empty() const { return infos_.empty(); }
   size_t size() const { return infos_.size(); }
-
-  /// Roll back to `mark` thresholds (used when a guarded group degenerates
-  /// to a single version and its guards are discarded).
-  void truncate(size_t mark);
-
-  /// Keep only the thresholds in `keep` (those still mentioned by guards in
-  /// the IR after simplify-guards folded some away), preserving relative
-  /// order.  Guard-path steps referencing dropped thresholds are erased:
-  /// a folded guard takes a constant branch, so it no longer constrains
-  /// reachability.  Returns the number of thresholds removed.
-  size_t retain(const std::set<std::string>& keep);
 
   /// Render the branching tree (indented text), Fig. 5 style.
   std::string tree_str() const;
 
  private:
   std::vector<ThresholdInfo> infos_;
-  std::map<std::string, size_t> index_;
-  int counter_ = 0;
 };
 
 }  // namespace incflat

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "src/flatten/thresholds.h"
 #include "src/ir/builder.h"
 #include "src/ir/traverse.h"
 #include "src/ir/typecheck.h"
@@ -110,10 +111,15 @@ SizeExpr max_segop_par(const ExprP& e) {
 struct Flattener {
   FlattenMode mode;
   ib::NameGen ng;
-  ThresholdRegistry thresholds;
-  GuardPath path;
+  int thresholds_named = 0;  // G3's degenerate case does not give names back
 
   bool incremental() const { return mode == FlattenMode::Incremental; }
+
+  /// A fresh threshold name of the given kind ("suff_outer_par" /
+  /// "suff_intra_par"), numbered across both kinds in creation order.
+  std::string fresh_threshold(const char* kind) {
+    return std::string(kind) + "_" + std::to_string(thresholds_named++);
+  }
 
   // -- small helpers --------------------------------------------------------
 
@@ -408,48 +414,35 @@ struct Flattener {
     }
 
     // G3: three guarded versions.
-    const size_t reg_mark = thresholds.size();
     ExprP e_top = manifest(sigmap, level, body);
     const SizeExpr par_outer = par_of_space(sigmap);
-    const std::string t_top = thresholds.fresh("suff_outer_par", par_outer,
-                                               SizeExpr{}, path);
-    const GuardPath saved_path = path;
-    path.emplace_back(t_top, false);
+    const std::string t_top = fresh_threshold("suff_outer_par");
 
     // e_intra: the body flattened at the next hardware level down, with an
     // empty context (one workgroup per instance of the current nest).
     ExprP e_intra_body = transform({}, level - 1, body, envp);
     ExprP e_middle;
-    std::string t_intra;
-    SizeExpr fit_intra;
+    ExprP cmp_intra;
     if (count_segops(e_intra_body) > 0) {
       e_middle = manifest(sigmap, level, e_intra_body);
-      fit_intra = max_segop_par(e_intra_body);
-      const SizeExpr par_middle = fit_intra.times(par_outer.alts.at(0));
-      t_intra = thresholds.fresh("suff_intra_par", par_middle, fit_intra,
-                                 path);
-      path.emplace_back(t_intra, false);
+      SizeExpr fit_intra = max_segop_par(e_intra_body);
+      SizeExpr par_middle = fit_intra.times(par_outer.alts.at(0));
+      cmp_intra = typed_guard(fresh_threshold("suff_intra_par"),
+                              std::move(par_middle), std::move(fit_intra));
     }
 
     ExprP e_flat = transform(sigmap, level, body, envp);
-    path = saved_path;
 
     ExprP guarded;
     if (!e_middle && same_ir(e_flat, e_top)) {
       // Degenerate: no inner parallelism was actually exploitable.
-      // Roll back the threshold and emit the single version.
-      thresholds.truncate(reg_mark);
+      // Emit the single version, with no guard on t_top.
       trace::count("flatten.rule.G3.degenerate");
       guarded = e_top;
     } else {
       trace::count("flatten.rule.G3");
       trace::count("flatten.versions", e_middle ? 3 : 2);
-      ExprP rest = e_flat;
-      if (e_middle) {
-        ExprP cmp_intra =
-            typed_guard(t_intra, thresholds.info(t_intra).par, fit_intra);
-        rest = typed_if(cmp_intra, e_middle, e_flat);
-      }
+      ExprP rest = e_middle ? typed_if(cmp_intra, e_middle, e_flat) : e_flat;
       ExprP cmp_top = typed_guard(t_top, par_outer, SizeExpr{});
       guarded = typed_if(cmp_top, e_top, rest);
     }
@@ -591,15 +584,10 @@ struct Flattener {
     top.body = rm.mapf.body;
     ExprP e_top = typed_segop(std::move(top));
 
-    const SizeExpr par_outer = par_of_space(sigmap);
-    const std::string t = thresholds.fresh("suff_outer_par", par_outer,
-                                           SizeExpr{}, path);
-    const GuardPath saved_path = path;
-    path.emplace_back(t, false);
+    const std::string t = fresh_threshold("suff_outer_par");
     ExprP e_rec = decompose_redomap(rm, sigma, level, env);
-    path = saved_path;
 
-    ExprP cmp = typed_guard(t, par_outer, SizeExpr{});
+    ExprP cmp = typed_guard(t, par_of_space(sigmap), SizeExpr{});
     return wrap_hoists(hoists, typed_if(cmp, e_top, e_rec));
   }
 
@@ -802,7 +790,7 @@ struct Flattener {
 
 }  // namespace
 
-TransformResult transform_program(const Program& anf, FlattenMode mode) {
+ExprP transform_program(const Program& anf, FlattenMode mode) {
   Flattener fl;
   fl.mode = mode;
 
@@ -814,9 +802,9 @@ TransformResult transform_program(const Program& anf, FlattenMode mode) {
   ExprP body = fl.transform({}, 1, anf.body, env);
   if (trace::enabled()) {
     trace::count("flatten.thresholds",
-                 static_cast<int64_t>(fl.thresholds.size()));
+                 static_cast<int64_t>(ThresholdRegistry(body).size()));
   }
-  return TransformResult{std::move(body), std::move(fl.thresholds)};
+  return body;
 }
 
 }  // namespace incflat

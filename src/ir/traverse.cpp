@@ -367,17 +367,4 @@ int64_t count_segops(const ExprP& e) {
   return n;
 }
 
-std::vector<std::string> collect_thresholds(const ExprP& e) {
-  std::vector<std::string> out;
-  std::set<std::string> seen;
-  auto pred = [&](const Expr& x) {
-    if (auto* tc = x.as<ThresholdCmpE>()) {
-      if (seen.insert(tc->threshold).second) out.push_back(tc->threshold);
-    }
-    return false;
-  };
-  any_node(e, pred);
-  return out;
-}
-
 }  // namespace incflat

@@ -183,8 +183,4 @@ int64_t count_nodes(const ExprP& e);
 /// Number of seg-op nodes (generated kernel versions metric).
 int64_t count_segops(const ExprP& e);
 
-/// Names of all threshold parameters occurring in guard predicates, in
-/// left-to-right discovery order.
-std::vector<std::string> collect_thresholds(const ExprP& e);
-
 }  // namespace incflat

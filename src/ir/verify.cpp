@@ -96,15 +96,22 @@ struct Verifier {
   /// `fit_guarded` is true while inside the then-arm of a guard whose
   /// comparison carries a workgroup-fit bound; only there may intra-group
   /// versions appear, because every other position is reachable when the
-  /// inner parallelism does not fit the device's workgroups.
-  void check_guards(const ExprP& e, bool fit_guarded,
-                    const std::string& at) const {
+  /// inner parallelism does not fit the device's workgroups.  `compared`
+  /// collects the thresholds of the guards walked so far.
+  void check_guards(const ExprP& e, bool fit_guarded, const std::string& at,
+                    std::set<std::string>& compared) const {
     if (!e) return;
     if (auto* i = e->as<IfE>()) {
       if (auto* tc = i->cond->as<ThresholdCmpE>()) {
+        if (!compared.insert(tc->threshold).second) {
+          note("guards", at,
+               "threshold '" + tc->threshold +
+                   "' is compared by more than one guard",
+               e);
+        }
         check_guards(i->then_e, fit_guarded || !tc->fit.alts.empty(),
-                     at + ".then");
-        check_guards(i->else_e, fit_guarded, at + ".else");
+                     at + ".then", compared);
+        check_guards(i->else_e, fit_guarded, at + ".else", compared);
         return;
       }
     }
@@ -122,7 +129,7 @@ struct Verifier {
       }
     }
     for_each_child(*e, [&](const Child& c) {
-      check_guards(c.expr, fit_guarded, c.path(at));
+      check_guards(c.expr, fit_guarded, c.path(at), compared);
     });
   }
 
@@ -212,7 +219,10 @@ std::vector<Diagnostic> verify_diagnostics(const Program& p,
           Diagnostic{Severity::Error, "levels", context, "", e.what()});
     }
   }
-  if (opts.guards) v.check_guards(p.body, false, "body");
+  if (opts.guards) {
+    std::set<std::string> compared;
+    v.check_guards(p.body, false, "body", compared);
+  }
   if (opts.segbinds) {
     std::set<std::string> scope;
     for (const auto& in : p.inputs) scope.insert(in.name);

@@ -14,11 +14,14 @@
 //               sequential, a level-l seg-op directly contains only
 //               level-(l-1) seg-ops;
 //   * guards  — guard exhaustiveness: threshold comparisons appear only as
-//               `if` conditions, and every intra-group code version (a
-//               level>=1 seg-op with parallel body, which must fit a
-//               hardware workgroup) sits in the then-arm of a guard that
-//               carries the matching workgroup-fit bound — so the else-most
-//               fallback arm of every guard chain is feasible on any device;
+//               `if` conditions, each threshold is compared by at most one
+//               guard (so the registry read off the guards names each
+//               tuning parameter once, src/flatten/thresholds.h), and every
+//               intra-group code version (a level>=1 seg-op with parallel
+//               body, which must fit a hardware workgroup) sits in the
+//               then-arm of a guard that carries the matching workgroup-fit
+//               bound — so the else-most fallback arm of every guard chain
+//               is feasible on any device;
 //   * segbinds — seg-space well-formedness: per-level params/arrays arity
 //               match, no duplicate parameter within a space, and every
 //               source array resolves to an enclosing binding or an outer

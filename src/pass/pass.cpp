@@ -52,10 +52,8 @@ struct TransformPass final : Pass {
     return "pass.?";
   }
   void run(PipelineState& st) const override {
-    TransformResult r = transform_program(st.program, mode_);
     st.mode = mode_;
-    st.program.body = std::move(r.body);
-    st.thresholds = std::move(r.thresholds);
+    st.program.body = transform_program(st.program, mode_);
   }
 
  private:
@@ -88,7 +86,7 @@ struct SimplifyGuardsPass final : Pass {
   const char* name() const override { return "simplify-guards"; }
   const char* span_name() const override { return "pass.simplify-guards"; }
   void run(PipelineState& st) const override {
-    analysis::simplify_guards(st.program, st.thresholds, st.limits);
+    analysis::simplify_guards(st.program, st.limits);
   }
 };
 

@@ -13,15 +13,19 @@
 //
 //   fusion          producer-consumer fusion (skipped if !options.fuse)
 //   normalize       A-normalisation w.r.t. parallelism
-//   moderate        the mode transform, one pass per mode; fills
-//   incremental       state.thresholds with the guard thresholds it
-//   full              creates (empty for moderate/full)
+//   moderate        the mode transform, one pass per mode; incremental
+//   incremental       flattening guards its versions with threshold
+//   full              comparisons
 //   prune-segbinds  drop dead seg-space bindings
 //   tiling          mark block-tilable segmaps, check level discipline
 //   simplify-guards fold guards decided by the size analysis (opt-in; see
-//                     src/analysis/simplify.h), drop dead versions and
-//                     their thresholds
+//                     src/analysis/simplify.h) and drop dead versions
 //   plan-build      lower the target program into a KernelPlan
+//
+// The program is the only state the passes share about guards: the
+// threshold registry is read off the final program's guards
+// (src/flatten/thresholds.h), so a pass that folds a guard drops its
+// threshold with it.
 //
 // Every pass keeps the program type-annotated: it gives each node it
 // builds the types the checker would, so no pass re-typechecks.  The
@@ -36,7 +40,6 @@
 
 #include "src/analysis/range.h"
 #include "src/flatten/flatten.h"
-#include "src/flatten/thresholds.h"
 #include "src/ir/expr.h"
 #include "src/plan/plan.h"
 
@@ -52,12 +55,11 @@ struct PassRecord {
 
 /// The state a pipeline threads through its passes.  `program` starts as
 /// the type-annotated source program and ends as the target program;
-/// `thresholds` is filled by the mode transform; `plan` by plan-build.
+/// `plan` is filled by plan-build.
 struct PipelineState {
   Program program;
   FlattenMode mode = FlattenMode::Incremental;
   FlattenOptions options;
-  ThresholdRegistry thresholds;
   std::shared_ptr<const KernelPlan> plan;
   std::vector<PassRecord> history;  // diagnostics, appended by PassManager
   /// Device limits consulted by simplify-guards; negative fields (the

@@ -423,8 +423,17 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel,
     if (!tv->is_object())
       throw CompilerError("'thresholds' must be an object");
     for (const auto& info : entry->compiled.flat.thresholds.all()) {
-      if (const Json* v = tv->find(info.name))
-        thr.values[info.name] = static_cast<int64_t>(v->as_double());
+      const Json* v = tv->find(info.name);
+      if (!v) continue;
+      // Range-check before converting: a double outside int64's range
+      // has no defined conversion (2^63 itself is just outside).
+      const double t = v->is_number()
+                           ? v->as_double()
+                           : std::numeric_limits<double>::quiet_NaN();
+      if (!(t >= -0x1p63 && t < 0x1p63) || t != std::floor(t))
+        throw CompilerError("threshold '" + info.name +
+                            "' must be an integer in int64's range");
+      thr.values[info.name] = static_cast<int64_t>(t);
     }
   } else if (const Json* tuned = req.find("tuned");
              tuned && tuned->is_bool() && tuned->as_bool()) {

@@ -1,7 +1,7 @@
 // Tests for the static analysis layer (src/analysis/): interval arithmetic
-// and monomial dominance soundness (property-tested against concrete
-// evaluation), def-use chains, guard decisions, the simplify-guards pass
-// (fold correctness, interpreter equivalence, registry shrinking, estimate
+// soundness (property-tested against concrete evaluation), def-use chains,
+// guard decisions, the threshold registry read off a guard nest, the
+// simplify-guards pass (fold correctness, interpreter equivalence, estimate
 // identity on the benchsuite), the prune-segbinds bottom-up fix, and the
 // lint catalogue.  Also a differential property on generated programs:
 // every flattening mode computes the source program's values.
@@ -33,7 +33,6 @@ namespace {
 
 using namespace ib;
 using analysis::AnalysisLimits;
-using analysis::GuardDecision;
 using analysis::IntInterval;
 
 // ---------------------------------------------------------------- intervals
@@ -113,76 +112,6 @@ TEST(SizeIntervals, MirrorEvalClamp) {
   // Products multiply the per-variable ranges.
   const SizeExpr nn = n.times(prod_of(2, {"n"}));
   EXPECT_EQ(analysis::interval_of(nn, bounds), IntInterval::range(32, 512));
-}
-
-TEST(SizeAlgebra, ProdLeqSoundnessProperty) {
-  const std::vector<std::string> names = {"a", "b", "c"};
-  Rng rng(11);
-  int decided = 0;
-  for (int iter = 0; iter < 3000; ++iter) {
-    SizeBounds bounds;
-    for (const auto& v : names) {
-      const int64_t lo = rng.uniform_int(1, 5);
-      bounds[v] = rng.uniform_int(0, 1) ? SizeBound{lo, -1}
-                                        : SizeBound{lo, lo + rng.uniform_int(0, 8)};
-    }
-    auto rand_prod = [&] {
-      std::vector<std::string> vs;
-      for (const auto& v : names) {
-        for (int64_t r = rng.uniform_int(0, 2); r > 0; --r) vs.push_back(v);
-      }
-      return prod_of(rng.uniform_int(1, 8), vs);
-    };
-    const SizeProd p = rand_prod();
-    const SizeProd q = rand_prod();
-    if (!analysis::prod_leq(p, q, bounds)) continue;
-    ++decided;
-    for (int s = 0; s < 10; ++s) {
-      SizeEnv env;
-      for (const auto& v : names) {
-        const SizeBound& sb = bounds[v];
-        const int64_t hi = sb.bounded_above() ? sb.hi : sb.lo + 20;
-        env[v] = rng.uniform_int(sb.lo, hi);
-      }
-      EXPECT_LE(p.eval(env), q.eval(env))
-          << p.str() << " !<= " << q.str();
-    }
-  }
-  // The dominance test must not be vacuous.
-  EXPECT_GT(decided, 100);
-}
-
-TEST(SizeAlgebra, ExprLeqSoundnessProperty) {
-  const std::vector<std::string> names = {"a", "b"};
-  Rng rng(13);
-  int decided = 0;
-  for (int iter = 0; iter < 2000; ++iter) {
-    SizeBounds bounds;
-    for (const auto& v : names) {
-      bounds[v] = SizeBound{rng.uniform_int(1, 6), -1};
-    }
-    auto rand_expr = [&] {
-      SizeExpr e;
-      for (int64_t alts = rng.uniform_int(1, 3); alts > 0; --alts) {
-        std::vector<std::string> vs;
-        for (const auto& v : names) {
-          for (int64_t r = rng.uniform_int(0, 2); r > 0; --r) vs.push_back(v);
-        }
-        e = e.max_with(SizeExpr::of(prod_of(rng.uniform_int(1, 6), vs)));
-      }
-      return e;
-    };
-    const SizeExpr x = rand_expr();
-    const SizeExpr y = rand_expr();
-    if (!analysis::expr_leq(x, y, bounds)) continue;
-    ++decided;
-    for (int s = 0; s < 10; ++s) {
-      SizeEnv env;
-      for (const auto& v : names) env[v] = rng.uniform_int(bounds[v].lo, 25);
-      EXPECT_LE(x.eval(env), y.eval(env)) << x.str() << " !<= " << y.str();
-    }
-  }
-  EXPECT_GT(decided, 50);
 }
 
 // ------------------------------------------------- dataflow: def-use chains
@@ -358,14 +287,11 @@ TEST(DecideGuard, FitInfeasibilityF1) {
   const ThresholdCmpE tc =
       guard("t0", SizeExpr::of(Dim::v("np")), fit);
   AnalysisLimits k40{1024, 48 * 1024};
-  EXPECT_EQ(analysis::decide_guard(tc, k40, bounds, {}),
-            GuardDecision::AlwaysFalse);
+  EXPECT_TRUE(analysis::guard_never_taken(tc, k40, bounds));
   // Without the bounds the fit's lower bound is 1: undecidable.
-  EXPECT_EQ(analysis::decide_guard(tc, k40, {}, {}),
-            GuardDecision::Unknown);
+  EXPECT_FALSE(analysis::guard_never_taken(tc, k40, {}));
   // Without device limits nothing device-dependent is decided.
-  EXPECT_EQ(analysis::decide_guard(tc, {}, bounds, {}),
-            GuardDecision::Unknown);
+  EXPECT_FALSE(analysis::guard_never_taken(tc, {}, bounds));
 }
 
 TEST(DecideGuard, ThresholdAloneIsNeverDecided) {
@@ -374,30 +300,7 @@ TEST(DecideGuard, ThresholdAloneIsNeverDecided) {
   SizeBounds bounds;
   bounds["n"] = SizeBound{1 << 20, 1 << 20};
   const ThresholdCmpE tc = guard("t0", SizeExpr::of(Dim::v("n")), SizeExpr{});
-  EXPECT_EQ(analysis::decide_guard(tc, {1024, 48 * 1024}, bounds, {}),
-            GuardDecision::Unknown);
-}
-
-TEST(DecideGuard, SameThresholdDominanceF2) {
-  SizeBounds bounds;  // all vars [1, inf)
-  const SizeExpr n = SizeExpr::of(Dim::v("n"));
-  const SizeExpr nm = SizeExpr::of(prod_of(1, {"n", "m"}));
-  analysis::GuardFacts facts;
-  // Enclosing `nm >= t` (no fit) failed; n <= n*m, so `n >= t` must fail
-  // here too.
-  facts["t"] = {analysis::GuardFact{nm, SizeExpr{}, false}};
-  EXPECT_EQ(analysis::decide_guard(guard("t", n, SizeExpr{}), {}, bounds,
-                                   facts),
-            GuardDecision::AlwaysFalse);
-  // Enclosing `n >= t` (no fit) succeeded; n*m >= n, so `n*m >= t` holds.
-  facts["t"] = {analysis::GuardFact{n, SizeExpr{}, true}};
-  EXPECT_EQ(analysis::decide_guard(guard("t", nm, SizeExpr{}), {}, bounds,
-                                   facts),
-            GuardDecision::AlwaysTrue);
-  // Different threshold name: no relation.
-  EXPECT_EQ(analysis::decide_guard(guard("u", nm, SizeExpr{}), {}, bounds,
-                                   facts),
-            GuardDecision::Unknown);
+  EXPECT_FALSE(analysis::guard_never_taken(tc, {1024, 48 * 1024}, bounds));
 }
 
 TEST(DecideGuard, DecisionsMatchConcreteEvaluationProperty) {
@@ -423,8 +326,7 @@ TEST(DecideGuard, DecisionsMatchConcreteEvaluationProperty) {
     const ThresholdCmpE tc =
         guard("t", rand_expr(false), rand_expr(true));
     const AnalysisLimits lim{rng.uniform_int(16, 2048), 48 * 1024};
-    const GuardDecision d = analysis::decide_guard(tc, lim, bounds, {});
-    if (d == GuardDecision::Unknown) continue;
+    if (!analysis::guard_never_taken(tc, lim, bounds)) continue;
     ++decided;
     for (int s = 0; s < 8; ++s) {
       SizeEnv env;
@@ -437,8 +339,7 @@ TEST(DecideGuard, DecisionsMatchConcreteEvaluationProperty) {
       const bool taken =
           tc.par.eval(env) >= t &&
           (tc.fit.alts.empty() || tc.fit.eval(env) <= lim.max_group_size);
-      EXPECT_EQ(taken, d == GuardDecision::AlwaysTrue)
-          << "par=" << tc.par.str() << " fit=" << tc.fit.str();
+      EXPECT_FALSE(taken) << "par=" << tc.par.str() << " fit=" << tc.fit.str();
     }
   }
   EXPECT_GT(decided, 20);
@@ -533,24 +434,62 @@ TEST(Prune, Idempotent) {
   EXPECT_EQ(out->space[0].params, std::vector<std::string>{"xs"});
 }
 
-// --------------------------------------------------------- threshold retain
+// ------------------------------------------------------- threshold registry
 
-TEST(Registry, RetainDropsThresholdsAndPathSteps) {
-  ThresholdRegistry reg;
-  const std::string t0 =
-      reg.fresh("suff_outer_par", SizeExpr::of(Dim::v("n")), SizeExpr{}, {});
-  const std::string t1 = reg.fresh("suff_intra_par", SizeExpr::of(Dim::v("n")),
-                                   SizeExpr::of(Dim::v("m")), {{t0, false}});
-  const std::string t2 =
-      reg.fresh("suff_outer_par", SizeExpr::of(Dim::v("m")), SizeExpr{},
-                {{t0, false}, {t1, false}});
-  EXPECT_EQ(reg.retain({t0, t2}), 1u);
-  EXPECT_EQ(reg.size(), 2u);
-  EXPECT_EQ(reg.all()[0].name, t0);
-  EXPECT_EQ(reg.all()[1].name, t2);
-  // t2's path step through the folded t1 is stripped; the t0 step remains.
-  ASSERT_EQ(reg.info(t2).path.size(), 1u);
-  EXPECT_EQ(reg.info(t2).path[0].first, t0);
+TEST(Registry, ReadOffTheGuardNestInPreOrder) {
+  //   if t0 then (if t1 then 1 else 2)
+  //   else if t2 then (if t3 then 3 else 4)
+  //        else (if t4 then 5 else 6)
+  // t2's fit bound m never fits a 2-wide workgroup when m >= 4.
+  const SizeExpr n = SizeExpr::of(Dim::v("n"));
+  const SizeExpr m = SizeExpr::of(Dim::v("m"));
+  const SizeExpr nm = SizeExpr::of(prod_of(1, {"n", "m"}));
+  auto g = [](const char* t, const SizeExpr& par, const SizeExpr& fit) {
+    return mk(guard(t, par, fit));
+  };
+  Program p;
+  p.name = "nest";
+  p.size_bounds["m"] = SizeBound{4, -1};
+  p.body = iff(g("t0", n, SizeExpr{}),
+               iff(g("t1", nm, n), cf32(1), cf32(2)),
+               iff(g("t2", m, m), iff(g("t3", m, SizeExpr{}), cf32(3), cf32(4)),
+                   iff(g("t4", nm, SizeExpr{}), cf32(5), cf32(6))));
+  auto names = [](const ThresholdRegistry& reg) {
+    std::vector<std::string> out;
+    for (const auto& ti : reg.all()) out.push_back(ti.name);
+    return out;
+  };
+
+  const ThresholdRegistry reg(p.body);
+  ASSERT_EQ(names(reg),
+            (std::vector<std::string>{"t0", "t1", "t2", "t3", "t4"}));
+  const std::vector<ThresholdInfo>& all = reg.all();
+  EXPECT_EQ(all[0].path, GuardPath{});
+  EXPECT_EQ(all[1].path, (GuardPath{{"t0", true}}));
+  EXPECT_EQ(all[2].path, (GuardPath{{"t0", false}}));
+  EXPECT_EQ(all[3].path, (GuardPath{{"t0", false}, {"t2", true}}));
+  EXPECT_EQ(all[4].path, (GuardPath{{"t0", false}, {"t2", false}}));
+  // par and fit are the guard's own.
+  EXPECT_EQ(all[1].par, nm);
+  EXPECT_EQ(all[1].fit, n);
+  EXPECT_EQ(all[2].par, m);
+  EXPECT_EQ(all[2].fit, m);
+  EXPECT_TRUE(all[4].fit.alts.empty());
+
+  // Folding t2 (F1) drops it and the then-arm's t3 from the registry, and
+  // t2's step from t4's path.
+  const analysis::SimplifyStats stats =
+      analysis::simplify_guards(p, AnalysisLimits{2, 1024});
+  EXPECT_EQ(stats.guards_folded, 1);
+  EXPECT_EQ(stats.thresholds_dropped, 2);
+  const ThresholdRegistry folded(p.body);
+  ASSERT_EQ(names(folded), (std::vector<std::string>{"t0", "t1", "t4"}));
+  EXPECT_EQ(folded.all()[1].path, (GuardPath{{"t0", true}}));
+  EXPECT_EQ(folded.all()[2].path, (GuardPath{{"t0", false}}));
+  EXPECT_EQ(folded.tree_str(),
+            "t0: n >= ?\n"
+            "  t1: " + nm.str() + " >= ?   [under t0=T]\n"
+            "  t4: " + nm.str() + " >= ?   [under t0=F]\n");
 }
 
 // -------------------------------------------------------- simplify-guards
@@ -558,14 +497,13 @@ TEST(Registry, RetainDropsThresholdsAndPathSteps) {
 /// A two-version target program whose intra-group arm requires fit = m:
 /// `if (m >= t && fit m) then intra else flat` where both arms compute the
 /// per-row sums of xss.
-Program guarded_program(ThresholdRegistry& reg) {
+constexpr const char* kGuardT = "suff_intra_par_0";
+
+Program guarded_program() {
   Program p;
   p.name = "guarded";
   p.inputs = {{"xss", Type::array(Scalar::F32, {Dim::v("n"), Dim::v("m")})}};
-  const std::string t =
-      reg.fresh("suff_intra_par", SizeExpr::of(Dim::v("m")),
-                SizeExpr::of(Dim::v("m")), {});
-  ExprP cmp = mk(ThresholdCmpE{t, SizeExpr::of(Dim::v("m")),
+  ExprP cmp = mk(ThresholdCmpE{kGuardT, SizeExpr::of(Dim::v("m")),
                                SizeExpr::of(Dim::v("m"))});
   ExprP intra = seg1_body(segred0());
   ExprP flat = seg1_body(redomap(binlam("+", Scalar::F32),
@@ -577,20 +515,17 @@ Program guarded_program(ThresholdRegistry& reg) {
 }
 
 TEST(SimplifyGuards, FoldsInfeasibleIntraVersionAndPreservesValues) {
-  ThresholdRegistry reg;
-  Program plain = guarded_program(reg);
+  Program plain = guarded_program();
   // Declared: m >= 4.  On a device with max_group_size = 2 the fit bound
   // can never hold, so the guard is always-false -> keep the flat arm.
   Program simplified = plain;
   simplified.size_bounds["m"] = SizeBound{4, -1};
-  ThresholdRegistry sreg = reg;
   const analysis::SimplifyStats stats =
-      analysis::simplify_guards(simplified, sreg, AnalysisLimits{2, 1024});
+      analysis::simplify_guards(simplified, AnalysisLimits{2, 1024});
   EXPECT_EQ(stats.guards_folded, 1);
   EXPECT_EQ(stats.versions_pruned, 2);  // the segmap^1 and its segred^0
   EXPECT_EQ(stats.thresholds_dropped, 1);
-  EXPECT_TRUE(sreg.empty());
-  EXPECT_EQ(collect_thresholds(simplified.body).size(), 0u);
+  EXPECT_TRUE(ThresholdRegistry(simplified.body).empty());
 
   // Semantics are bounds-independent: even on sizes *violating* the
   // declared bounds the two programs compute identical values (all guarded
@@ -605,7 +540,7 @@ TEST(SimplifyGuards, FoldsInfeasibleIntraVersionAndPreservesValues) {
       xss.fset(i, static_cast<double>(rng.uniform_int(-4, 9)));
     }
     for (const int64_t t : {int64_t{1}, int64_t{4}, int64_t{1} << 20}) {
-      ctx.thresholds.values = {{reg.all()[0].name, t}};
+      ctx.thresholds.values = {{kGuardT, t}};
       const Values a = run_program(ctx, plain, {xss});
       const Values b = run_program(ctx, simplified, {xss});
       ASSERT_EQ(a.size(), b.size());
@@ -615,12 +550,10 @@ TEST(SimplifyGuards, FoldsInfeasibleIntraVersionAndPreservesValues) {
 }
 
 TEST(SimplifyGuards, NoBoundsNoLimitsMeansNoFolds) {
-  ThresholdRegistry reg;
-  Program p = guarded_program(reg);
+  Program p = guarded_program();
   const std::string before = pretty(p.body);
-  ThresholdRegistry reg2 = reg;
   const analysis::SimplifyStats stats =
-      analysis::simplify_guards(p, reg2, AnalysisLimits{});
+      analysis::simplify_guards(p, AnalysisLimits{});
   EXPECT_EQ(stats.guards_folded, 0);
   EXPECT_EQ(stats.versions_pruned, 0);
   EXPECT_EQ(stats.thresholds_dropped, 0);
@@ -695,12 +628,9 @@ TEST(SimplifyGuards, TargetValuesUnchangedOnBenchsuite) {
 
 // ------------------------------------------------------------------- lint
 
-TEST(Lint, FindsDeadVersionUnusedThresholdAndDeadBinding) {
-  ThresholdRegistry reg;
-  Program p = guarded_program(reg);
+TEST(Lint, FindsDeadVersionAndDeadBinding) {
+  Program p = guarded_program();
   p.size_bounds["m"] = SizeBound{4, -1};
-  // A threshold no guard mentions.
-  reg.fresh("suff_outer_par", SizeExpr::of(Dim::v("n")), SizeExpr{}, {});
   // A dead let binding.
   p.body = let1("unused", cf32(0), p.body);
   p = typecheck_program(std::move(p));
@@ -708,7 +638,7 @@ TEST(Lint, FindsDeadVersionUnusedThresholdAndDeadBinding) {
   analysis::LintOptions lopts;
   lopts.limits = AnalysisLimits{2, 1024};
   lopts.device_name = "tiny";
-  const std::vector<Diagnostic> ds = analysis::lint_program(p, reg, lopts);
+  const std::vector<Diagnostic> ds = analysis::lint_program(p, lopts);
   auto has = [&](const std::string& check) {
     for (const auto& d : ds) {
       if (d.check == check) return true;
@@ -716,16 +646,14 @@ TEST(Lint, FindsDeadVersionUnusedThresholdAndDeadBinding) {
     return false;
   };
   EXPECT_TRUE(has("dead-version"));
-  EXPECT_TRUE(has("unused-threshold"));
   EXPECT_TRUE(has("dead-binding"));
   EXPECT_EQ(count_at_least(ds, Severity::Error), 0);
-  EXPECT_GE(count_at_least(ds, Severity::Warning), 2);
+  EXPECT_GE(count_at_least(ds, Severity::Warning), 1);
 
   // After simplify + prune the dead-version finding disappears.
-  analysis::simplify_guards(p, reg, lopts.limits);
+  analysis::simplify_guards(p, lopts.limits);
   p.body = prune_seg_spaces(p.body);
-  const std::vector<Diagnostic> after =
-      analysis::lint_program(p, reg, lopts);
+  const std::vector<Diagnostic> after = analysis::lint_program(p, lopts);
   for (const auto& d : after) EXPECT_NE(d.check, "dead-version") << d.str();
 }
 
@@ -738,7 +666,7 @@ TEST(Lint, FlagsStaticallyOverflowingLocalMemory) {
   analysis::LintOptions lopts;
   lopts.limits = AnalysisLimits{1 << 20, 48 * 1024};
   const std::vector<Diagnostic> ds =
-      analysis::lint_program(p, ThresholdRegistry{}, lopts);
+      analysis::lint_program(p, lopts);
   ASSERT_EQ(count_at_least(ds, Severity::Error), 1);
   EXPECT_EQ(ds[0].check, "local-mem-overflow");
   EXPECT_NE(ds[0].path.find("segmap^1"), std::string::npos) << ds[0].path;
@@ -755,7 +683,7 @@ TEST(Lint, BenchsuiteProgramsHaveNoErrorFindings) {
       const Benchmark b = get_benchmark(name);
       const Compiled c = compile(b.program, FlattenMode::Incremental);
       const std::vector<Diagnostic> ds =
-          analysis::lint_program(c.flat.program, c.flat.thresholds, lopts);
+          analysis::lint_program(c.flat.program, lopts);
       EXPECT_EQ(count_at_least(ds, Severity::Error), 0)
           << name << " on " << dev.name << "\n" << diagnostics_str(ds);
     }

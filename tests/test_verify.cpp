@@ -1,9 +1,9 @@
 // Negative tests for the on-demand IR verifier (src/ir/verify.h): programs
 // seeded with deliberate structural violations — a wrong type annotation,
 // level-discipline breakage, an intra-group code version with no feasible
-// fallback arm, dangling or malformed seg-space bindings — must each be
-// caught with a diagnostic that names the failed check and the pipeline
-// position it is attributed to.
+// fallback arm, a threshold compared by two guards, dangling or malformed
+// seg-space bindings — must each be caught with a diagnostic that names the
+// failed check and the pipeline position it is attributed to.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -211,6 +211,32 @@ TEST(Verify, ThresholdCmpOutsideIfConditionCaught) {
   } catch (const VerifyError& e) {
     EXPECT_EQ(e.check(), "guards");
   }
+}
+
+TEST(Verify, ThresholdComparedByTwoGuardsCaught) {
+  // Each threshold names one guard's tuning parameter; a second guard on
+  // the same name would make the registry read off the guards list it
+  // twice, and the two comparisons could not be tuned apart.
+  auto guard = [](const char* t) {
+    return mk(ThresholdCmpE{t, SizeExpr::of(Dim::v("n")), SizeExpr{}});
+  };
+  const ExprP inner = iff(guard("suff_outer_par_0"), cf32(1), cf32(2));
+  Program p = target_program(iff(guard("suff_outer_par_0"), cf32(0), inner));
+  try {
+    verify_program(p, "verify", only(false, false, true, false));
+    FAIL() << "expected VerifyError";
+  } catch (const VerifyError& e) {
+    EXPECT_EQ(e.check(), "guards");
+    EXPECT_EQ(e.diagnostics().size(), 1u);
+    EXPECT_EQ(e.diagnostics()[0].path, "body.else");
+    EXPECT_NE(std::string(e.what()).find("compared by more than one guard"),
+              std::string::npos);
+  }
+  // Distinct names verify.
+  const ExprP other = iff(guard("suff_outer_par_1"), cf32(1), cf32(2));
+  Program ok = target_program(iff(guard("suff_outer_par_0"), cf32(0), other));
+  EXPECT_NO_THROW(
+      verify_program(ok, "verify", only(false, false, true, false)));
 }
 
 TEST(Verify, DanglingSegBindingCaught) {

@@ -334,7 +334,7 @@ int run(const Options& o) {
     lopts.limits = analysis::limits_for(dev);
     lopts.device_name = dev.name;
     const std::vector<Diagnostic> findings =
-        analysis::lint_program(fr.program, fr.thresholds, lopts);
+        analysis::lint_program(fr.program, lopts);
     if (o.lint_json || o.json) {
       Json j = Json::object();
       j.set("benchmark", b.name)
