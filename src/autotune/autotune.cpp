@@ -176,10 +176,10 @@ struct PlanEval {
   std::vector<PlanDatasetCache> caches;
   const std::vector<TuningDataset>* datasets = nullptr;
   int64_t default_value = 0;
-  /// Registry index -> plan threshold slot; -1 when no guard of the plan
-  /// compares against that threshold.
-  std::vector<int> slot_of;
 
+  /// `names` is the registry's threshold order.  Both the registry and the
+  /// plan list the program's guards in pre-order, so registry index i is
+  /// plan guard i and a candidate is already a slot vector.
   static PlanEval build(const DeviceProfile& dev, const Program& p,
                         const std::vector<std::string>& names,
                         const std::vector<TuningDataset>& datasets,
@@ -189,13 +189,13 @@ struct PlanEval {
     ev.plan = build_kernel_plan(p);
     ev.datasets = &datasets;
     ev.default_value = default_value;
-    const std::vector<std::string>& slot_names = ev.plan.thresholds;
-    for (const std::string& n : names) {
-      const auto it = std::find(slot_names.begin(), slot_names.end(), n);
-      ev.slot_of.push_back(it == slot_names.end()
-                               ? -1
-                               : static_cast<int>(it - slot_names.begin()));
-    }
+    INCFLAT_CHECK(
+        std::equal(names.begin(), names.end(), ev.plan.guards.begin(),
+                   ev.plan.guards.end(),
+                   [](const std::string& n, const GuardInfo& g) {
+                     return n == g.threshold;
+                   }),
+        "the threshold registry must list the plan's guards in order");
     ev.caches.reserve(datasets.size());
     for (const TuningDataset& d : datasets) {
       ev.caches.emplace_back(ev.plan, dev, d.sizes);
@@ -221,11 +221,9 @@ struct PlanMemoizer {
       : ev(e), session(s), sig(e.plan.guards.size()) {}
 
   double cost(const Candidate& cand) {
-    slots.assign(ev.plan.thresholds.size(), ev.default_value);
+    slots.resize(cand.size());
     for (size_t i = 0; i < cand.size(); ++i) {
-      if (cand[i] != kUnset && ev.slot_of[i] >= 0) {
-        slots[static_cast<size_t>(ev.slot_of[i])] = cand[i];
-      }
+      slots[i] = cand[i] == kUnset ? ev.default_value : cand[i];
     }
     key.clear();
     for (const PlanDatasetCache& c : ev.caches) {

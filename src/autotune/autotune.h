@@ -13,10 +13,12 @@
 // a PlanDatasetCache, and from then on every candidate assignment costs one
 // tree descent.  Dedup keys are guard-path bitsets from a structural
 // descent that prices nothing.  Both searches hold each candidate as a flat
-// vector in registry order (a sentinel leaves a threshold at its default),
-// map registry indices to the plan's threshold slots once per call, and
-// descend on reused slot and key buffers: no trial builds a name-keyed map,
-// and only the report is a ThresholdEnv.  Both run on the calling thread.
+// vector in registry order (a sentinel leaves a threshold at its default).
+// The registry and the plan both list the program's guards in pre-order,
+// which the tuner checks once per call, so registry index i is the plan's
+// threshold slot i and a trial descends on reused slot and key buffers: no
+// trial builds a name-keyed map, and only the report is a ThresholdEnv.
+// Both run on the calling thread.
 #pragma once
 
 #include <cstdint>

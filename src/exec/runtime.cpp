@@ -1,6 +1,8 @@
 #include "src/exec/runtime.h"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -13,15 +15,24 @@ namespace incflat {
 
 namespace {
 
+/// A finite number spanning all of `text`.
 double parse_num(const std::string& key, const std::string& text) {
   try {
     size_t consumed = 0;
     const double v = std::stod(text, &consumed);
-    if (consumed != text.size()) throw IoError("trailing junk");
-    return v;
+    if (consumed == text.size() && std::isfinite(v)) return v;
   } catch (const std::exception&) {
-    throw IoError("run-policy: bad value for '" + key + "': '" + text + "'");
   }
+  throw IoError("run-policy: bad value for '" + key + "': '" + text + "'");
+}
+
+/// `v` as an int in [0, max]; range-checked before converting.
+int parse_count(const std::string& key, double v, int max) {
+  if (!(v >= 0 && v <= max) || v != std::floor(v)) {
+    throw IoError("run-policy: " + key + " must be an integer in [0, " +
+                  std::to_string(max) + "]");
+  }
+  return static_cast<int>(v);
 }
 
 /// Simulated time one failed attempt burns before the fault is observed.
@@ -196,7 +207,7 @@ RunOutcome run_with_faults(const RunMemo& memo,
       wasted += completed;  // partial progress is thrown away
       const auto taken = std::find_if(
           li.guard_path.rbegin(), li.guard_path.rend(),
-          [](const std::pair<std::string, bool>& g) { return g.second; });
+          [](const std::pair<int, bool>& g) { return g.second; });
       if (taken == li.guard_path.rend()) {
         abort_run(li, kind, "no surviving sibling version remains");
         return out;
@@ -205,11 +216,13 @@ RunOutcome run_with_faults(const RunMemo& memo,
         abort_run(li, kind, "the degradation budget is exhausted");
         return out;
       }
-      out.thresholds.values[taken->first] = int64_t{1} << 62;
+      const std::string& name =
+          memo.plan().guards[static_cast<size_t>(taken->first)].threshold;
+      out.thresholds.values[name] = int64_t{1} << 62;
       ++out.degradations;
-      out.degraded.push_back(taken->first);
+      out.degraded.push_back(name);
       out.events.push_back(FaultEvent{faults.launches() - 1, li.what, kind,
-                                      attempt, "degrade", taken->first});
+                                      attempt, "degrade", name});
       restart = true;
       break;
     }
@@ -240,10 +253,7 @@ RunPolicy parse_run_policy(const std::string& spec) {
     const std::string key = item.substr(0, eq);
     const double v = parse_num(key, item.substr(eq + 1));
     if (key == "retries") {
-      if (v < 0 || v != static_cast<int>(v)) {
-        throw IoError("run-policy: retries must be a non-negative integer");
-      }
-      p.max_attempts = 1 + static_cast<int>(v);
+      p.max_attempts = 1 + parse_count(key, v, INT_MAX - 1);
     } else if (key == "backoff") {
       if (v < 0) throw IoError("run-policy: backoff must be >= 0");
       p.backoff_us = v;
@@ -254,11 +264,7 @@ RunPolicy parse_run_policy(const std::string& spec) {
       if (v < 0) throw IoError("run-policy: timeout must be >= 0");
       p.kernel_timeout_us = v;
     } else if (key == "degradations") {
-      if (v < 0 || v != static_cast<int>(v)) {
-        throw IoError(
-            "run-policy: degradations must be a non-negative integer");
-      }
-      p.max_degradations = static_cast<int>(v);
+      p.max_degradations = parse_count(key, v, INT_MAX);
     } else {
       throw IoError("run-policy: unknown key '" + key + "'");
     }

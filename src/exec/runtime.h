@@ -189,6 +189,7 @@ class RunMemo {
 
   const DeviceProfile& dev() const { return cache_.dev(); }
   const SizeEnv& sizes() const { return cache_.sizes(); }
+  const KernelPlan& plan() const { return plan_; }
 
   /// Whether `thresholds` is the memo's own assignment (a memo hit).
   bool hit(const ThresholdEnv& thresholds) const;

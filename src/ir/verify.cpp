@@ -96,13 +96,21 @@ struct Verifier {
   /// `fit_guarded` is true while inside the then-arm of a guard whose
   /// comparison carries a workgroup-fit bound; only there may intra-group
   /// versions appear, because every other position is reachable when the
-  /// inner parallelism does not fit the device's workgroups.  `compared`
+  /// inner parallelism does not fit the device's workgroups.  `in_kernel`
+  /// is true inside a seg-op, where no guard may appear.  `compared`
   /// collects the thresholds of the guards walked so far.
-  void check_guards(const ExprP& e, bool fit_guarded, const std::string& at,
+  void check_guards(const ExprP& e, bool fit_guarded, bool in_kernel,
+                    const std::string& at,
                     std::set<std::string>& compared) const {
     if (!e) return;
     if (auto* i = e->as<IfE>()) {
       if (auto* tc = i->cond->as<ThresholdCmpE>()) {
+        if (in_kernel) {
+          note("guards", at,
+               "threshold guard on '" + tc->threshold +
+                   "' inside a kernel: code versions are chosen on the host",
+               e);
+        }
         if (!compared.insert(tc->threshold).second) {
           note("guards", at,
                "threshold '" + tc->threshold +
@@ -110,8 +118,9 @@ struct Verifier {
                e);
         }
         check_guards(i->then_e, fit_guarded || !tc->fit.alts.empty(),
-                     at + ".then", compared);
-        check_guards(i->else_e, fit_guarded, at + ".else", compared);
+                     in_kernel, at + ".then", compared);
+        check_guards(i->else_e, fit_guarded, in_kernel, at + ".else",
+                     compared);
         return;
       }
     }
@@ -119,17 +128,17 @@ struct Verifier {
       note("guards", at, "threshold comparison outside an if-condition", e);
       return;
     }
-    if (auto* so = e->as<SegOpE>()) {
-      if (!fit_guarded && so->level >= 1 && count_segops(so->body) > 0) {
-        note("guards", at + "." + segop_label(*so),
-             "intra-group version (level-" + std::to_string(so->level) +
-                 " seg-op with parallel body) reachable without a "
-                 "workgroup-fit guard: no feasible fallback arm",
-             e);
-      }
+    auto* so = e->as<SegOpE>();
+    if (so && !fit_guarded && so->level >= 1 && count_segops(so->body) > 0) {
+      note("guards", at + "." + segop_label(*so),
+           "intra-group version (level-" + std::to_string(so->level) +
+               " seg-op with parallel body) reachable without a "
+               "workgroup-fit guard: no feasible fallback arm",
+           e);
     }
     for_each_child(*e, [&](const Child& c) {
-      check_guards(c.expr, fit_guarded, c.path(at), compared);
+      check_guards(c.expr, fit_guarded, in_kernel || so, c.path(at),
+                   compared);
     });
   }
 
@@ -221,7 +230,7 @@ std::vector<Diagnostic> verify_diagnostics(const Program& p,
   }
   if (opts.guards) {
     std::set<std::string> compared;
-    v.check_guards(p.body, false, "body", compared);
+    v.check_guards(p.body, false, false, "body", compared);
   }
   if (opts.segbinds) {
     std::set<std::string> scope;

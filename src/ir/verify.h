@@ -14,9 +14,13 @@
 //               sequential, a level-l seg-op directly contains only
 //               level-(l-1) seg-ops;
 //   * guards  — guard exhaustiveness: threshold comparisons appear only as
-//               `if` conditions, each threshold is compared by at most one
+//               `if` conditions, and never inside a seg-op (every code
+//               version is chosen on the host before any launch, which is
+//               what lets the plan builder lower each guard to a tree node,
+//               src/plan/plan.h); each threshold is compared by at most one
 //               guard (so the registry read off the guards names each
-//               tuning parameter once, src/flatten/thresholds.h), and every
+//               tuning parameter once, src/flatten/thresholds.h, and a
+//               plan guard's index is its threshold's slot); and every
 //               intra-group code version (a level>=1 seg-op with parallel
 //               body, which must fit a hardware workgroup) sits in the
 //               then-arm of a guard that carries the matching workgroup-fit

@@ -59,11 +59,6 @@ const PlanDatasetCache::PricedKernel& PlanDatasetCache::kernel(int k) const {
   return pk;
 }
 
-PlanDatasetCache::GuardObs PlanDatasetCache::guard_obs(int guard_ix) const {
-  const GuardVals& gv = guards_[static_cast<size_t>(guard_ix)];
-  return GuardObs{gv.par, gv.fit_fail, gv.error};
-}
-
 bool PlanDatasetCache::guard_taken(int guard_ix, int64_t threshold_value) const {
   const GuardVals& gv = guards_[static_cast<size_t>(guard_ix)];
   if (gv.error) {
@@ -89,7 +84,7 @@ struct Descent {
   RunEstimate* est;
   std::vector<LaunchInfo>* sched;
   /// Guard decisions from the root to the current node (kept for `sched`).
-  std::vector<std::pair<std::string, bool>> path;
+  std::vector<std::pair<int, bool>> path;
 
   double node(int id) {
     const PlanNode& n = plan.nodes[static_cast<size_t>(id)];
@@ -102,12 +97,11 @@ struct Descent {
         return t;
       }
       case PlanNode::Kind::Guard: {
-        const GuardInfo& g = plan.guards[static_cast<size_t>(n.guard)];
-        const bool taken =
-            cache.guard_taken(n.guard, slots[static_cast<size_t>(g.slot)]);
+        const size_t g = static_cast<size_t>(n.guard);
+        const bool taken = cache.guard_taken(n.guard, slots[g]);
         if (sig) sig->set(n.guard, taken);
-        if (est) est->guards.emplace_back(g.threshold, taken);
-        if (sched) path.emplace_back(g.threshold, taken);
+        if (est) est->guards.emplace_back(plan.guards[g].threshold, taken);
+        if (sched) path.emplace_back(n.guard, taken);
         const double t = node(taken ? n.then_node : n.else_node);
         if (sched) path.pop_back();
         return t;
@@ -212,8 +206,8 @@ double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
                     std::span<const int64_t> slots, const PlanDescent& want) {
   INCFLAT_CHECK(want.price || (!want.estimate && !want.schedule),
                 "an unpriced plan descent can only record a signature");
-  INCFLAT_CHECK(slots.size() == plan.thresholds.size(),
-                "plan descent needs one value per threshold slot");
+  INCFLAT_CHECK(slots.size() == plan.guards.size(),
+                "plan descent needs one threshold value per guard");
   Descent d{plan,           cache,         slots,         want.price,
             want.signature, want.estimate, want.schedule, {}};
   const double t = d.node(plan.root);
@@ -224,9 +218,9 @@ double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
 double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
                     const ThresholdEnv& thresholds, const PlanDescent& want) {
   std::vector<int64_t> slots;
-  slots.reserve(plan.thresholds.size());
-  for (const std::string& name : plan.thresholds) {
-    slots.push_back(thresholds.get(name));
+  slots.reserve(plan.guards.size());
+  for (const GuardInfo& g : plan.guards) {
+    slots.push_back(thresholds.get(g.threshold));
   }
   return plan_descend(plan, cache, slots, want);
 }

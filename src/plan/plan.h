@@ -9,16 +9,17 @@
 //
 // PlanBuilder lowers a flattened program ONCE by partially evaluating the
 // gpusim cost model: all size-dependent arithmetic is recorded into a
-// CostArena, threshold guards fork the tree, and data-dependent host
-// branches become worse-of-both nodes.  A program outside that fragment is
-// a compile error, so every compiled program has a plan.  Per dataset, a
-// PlanDatasetCache evaluates the whole arena in one sweep and prices every
-// kernel; after that, one descent of the tree (plan_descend) prices a run
-// under any threshold assignment in O(kernels-on-path) and yields its
-// estimate, launch schedule and guard-path signature — the property the
-// autotuner exploits (Sec. 4.2).  Thresholds are interned to dense slots at
-// build, so a descent reads each guard's threshold from a flat vector;
-// named assignments (ThresholdEnv) are resolved to slots once per call.
+// CostArena, host-level threshold guards fork the tree, and data-dependent
+// host branches become worse-of-both nodes.  A program outside that
+// fragment (such as a guard inside a kernel) is a compile error, so every
+// compiled program has a plan.  Per dataset, a PlanDatasetCache evaluates
+// the whole arena in one sweep and prices every kernel; after that, one
+// descent of the tree (plan_descend) prices a run under any threshold
+// assignment in O(kernels-on-path) and yields its estimate, launch
+// schedule and guard-path signature — the property the autotuner exploits
+// (Sec. 4.2).  Each guard compares its own threshold, so a guard's index is
+// its threshold's slot: a descent reads guard g's value as slots[g], and a
+// named assignment (ThresholdEnv) is resolved to slots once per call.
 //
 // The plan is the only cost model simulation, runs and tuning use.  The IR
 // walker gpusim::estimate_run stays as the reference the tests compare the
@@ -54,12 +55,11 @@ struct KernelDesc {
 /// Internal decision node: `Par(par) >= t` with the workgroup-feasibility
 /// bound `fit` (empty alts = unconstrained), exactly the walker's
 /// guard_taken.  A guard's index in KernelPlan::guards is its position in
-/// path signatures.  `slot` is the threshold's dense index, interned at plan
-/// build: KernelPlan::thresholds[slot] == threshold, and a descent reads the
-/// guard's threshold value as slots[slot] without a name lookup.
+/// path signatures and its threshold's slot in a descent.  Guards are
+/// listed in the pre-order of the program's guards, the order of the
+/// ThresholdRegistry read off the same program.
 struct GuardInfo {
   std::string threshold;
-  int slot = -1;
   SizeExpr par;
   SizeExpr fit;
 };
@@ -107,10 +107,6 @@ struct KernelPlan {
   std::vector<PlanNode> nodes;
   int root = -1;
 
-  /// Distinct threshold parameter names, in first-guard order: the plan's
-  /// threshold slots.
-  std::vector<std::string> thresholds;
-
   /// Always false: a program the builder cannot lower is a compile error.
   /// Kept because perfbench/bench/wl_compile.cpp reads it and the daemon's
   /// compile answer echoes it.
@@ -119,8 +115,7 @@ struct KernelPlan {
 
 /// Lower a flattened target program into a plan.  Throws CompilerError
 /// naming the construct when the program leaves the fragment the builder
-/// lowers exactly (e.g. a threshold guard inside a data-dependent branch of
-/// an intra-group body).
+/// lowers exactly (e.g. a threshold guard inside a kernel).
 KernelPlan build_kernel_plan(const Program& p);
 
 /// All per-dataset state: one forward sweep over the arena plus lazily
@@ -148,17 +143,6 @@ class PlanDatasetCache {
   /// Guard branch under a threshold value, mirroring the walker's
   /// guard_taken: fit failure wins, else par >= threshold.
   bool guard_taken(int guard_ix, int64_t threshold_value) const;
-
-  /// Raw observed guard operands for this dataset: the evaluated Par value
-  /// (0 when it could not be evaluated — Par values are always >= 1
-  /// otherwise) and whether the workgroup-fit bound failed.  `error`
-  /// mirrors guard_taken's unbound-variable condition.
-  struct GuardObs {
-    int64_t par = 0;
-    bool fit_fail = false;
-    bool error = false;
-  };
-  GuardObs guard_obs(int guard_ix) const;
 
   /// The evaluated arena (loop trip counts live here alongside kernel work).
   const CostValues& values() const { return values_; }
@@ -188,9 +172,10 @@ struct LaunchInfo {
   std::string what;    // kernel label, with the Scale "xN" suffix applied
   double time_us = 0;  // total simulated time of this entry
   int64_t launches = 1;  // physical launches it represents (static x trips)
-  /// Threshold guards on the path from the root to this kernel, with the
-  /// branch each takes under the assignment.
-  std::vector<std::pair<std::string, bool>> guard_path;
+  /// Threshold guards on the path from the root to this kernel, as
+  /// KernelPlan::guards indices, with the branch each takes under the
+  /// assignment.
+  std::vector<std::pair<int, bool>> guard_path;
 };
 
 /// What one plan_descend call records besides the run's time.  Each output
@@ -205,8 +190,8 @@ struct PlanDescent {
 };
 
 /// The one descent of the plan tree under a threshold assignment given by
-/// slot (`slots[g.slot]` is guard g's threshold value; one entry per
-/// KernelPlan::thresholds).  Guard nodes take the branch the assignment
+/// slot (`slots[g]` is guard g's threshold value; one entry per
+/// KernelPlan::guards).  Guard nodes take the branch the assignment
 /// selects; DataCond nodes descend both branches and keep the worse one's
 /// time, report and launches (a deterministic stand-in for the
 /// data-dependent choice a real run would make), while both branches'
@@ -219,9 +204,9 @@ double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
                     std::span<const int64_t> slots, const PlanDescent& want);
 
 /// The same descent under a named assignment, resolved to slots once per
-/// call: slot i takes `thresholds.get(plan.thresholds[i])`, and names the
-/// plan has no guard for are ignored.  Every ThresholdEnv entry point below
-/// is a call of it.
+/// call: slot i takes `thresholds.get(plan.guards[i].threshold)`, and names
+/// the plan has no guard for are ignored.  Every ThresholdEnv entry point
+/// below is a call of it.
 double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
                     const ThresholdEnv& thresholds, const PlanDescent& want);
 

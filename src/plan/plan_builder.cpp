@@ -8,17 +8,15 @@
 // order, the same double/int64 conversions, the same lazy error points.
 // When editing cost.cpp, edit the corresponding mirror here.
 //
-// Threshold guards fork the tree.  At host level the walk is structured
-// enough that both branches can simply be built against the pre-branch
-// environment; inside an intra-group walk a guard splits the *remainder* of
-// the enclosing kernel's accumulation, so the walk is written in
-// continuation-passing style and the continuation is run once per branch.
-// Constructs whose walker semantics cannot be expressed as a tree (guards
-// under data-dependent intra-group branches, branches that rebind names)
-// fail the build with a CompilerError naming the construct.
+// Threshold guards fork the tree, and only at host level: G3 and G9 version
+// level-1 nests and flatten intra-group bodies at level 0, so every guard
+// is decided before any launch and both branches are built against the
+// pre-branch environment.  The kernel walks (seqp, group_walk) are direct
+// mirrors of the walker's; a guard inside a kernel would split one
+// kernel's accumulation, which no tree node expresses, so it fails the
+// build with a CompilerError, as does a branch that rebinds a name.
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <utility>
 
@@ -34,6 +32,10 @@ namespace {
 /// The program leaves the exactly-lowerable fragment.
 [[noreturn]] void unsupported(const std::string& construct) {
   throw CompilerError("plan-build: unsupported construct: " + construct);
+}
+
+[[noreturn]] void guard_in_kernel() {
+  unsupported("threshold guard inside a kernel");
 }
 
 /// Work with symbolic components (arena node ids of F nodes).
@@ -88,12 +90,8 @@ struct Builder {
     return block({PlanNode::Step{true, k}});
   }
 
-  std::map<std::string, int> thr_ix_;
   int add_guard(const ThresholdCmpE& tc) {
-    const auto [it, fresh] = thr_ix_.emplace(
-        tc.threshold, static_cast<int>(plan.thresholds.size()));
-    if (fresh) plan.thresholds.push_back(tc.threshold);
-    plan.guards.push_back(GuardInfo{tc.threshold, it->second, tc.par, tc.fit});
+    plan.guards.push_back(GuardInfo{tc.threshold, tc.par, tc.fit});
     return static_cast<int>(plan.guards.size()) - 1;
   }
 
@@ -230,11 +228,9 @@ struct Builder {
   /// Mirrors CostWalker::seqp.  `tile_div` is an F node.
   SymWork seqp(const ExprP& e, int tile_div, Privates priv) {
     if (!e) return wzero();
+    if (e->is<ThresholdCmpE>()) guard_in_kernel();
     SymWork w = wzero();
-    if (e->is<VarE>() || e->is<ConstE>() || e->is<ThresholdCmpE>() ||
-        e->is<IotaE>()) {
-      return w;
-    }
+    if (e->is<VarE>() || e->is<ConstE>() || e->is<IotaE>()) return w;
     if (auto* b = e->as<BinOpE>()) {
       w = wadd(w, seqp(b->lhs, tile_div, priv));
       w = wadd(w, seqp(b->rhs, tile_div, priv));
@@ -566,19 +562,9 @@ struct Builder {
     std::set<std::string> local_names;
   };
 
-  /// Continuation receiving the accumulated group state; builds the rest of
-  /// the enclosing kernel and returns a plan node id.
-  using Cont = std::function<int(SymGroupAcc)>;
-
-  /// > 0 while synchronously walking a data-dependent intra-group branch,
-  /// where a forking guard has no tree representation.
-  int fork_ban = 0;
-
-  /// Mirrors group_walk in CPS: `k` consumes the final accumulator.  A
-  /// guard builds both branches (running `k` once per branch) and returns a
-  /// Guard node.
-  int build_group_walk(const ExprP& e, SymGroupAcc acc, const Cont& k) {
-    if (!e) return k(std::move(acc));
+  /// Mirrors group_walk.
+  void group_walk(const ExprP& e, SymGroupAcc& acc) {
+    if (!e) return;
     if (auto* so = e->as<SegOpE>()) {
       const int pts = space_points_i(so->space);
       acc.max_inner = A.maxi(acc.max_inner, pts);
@@ -620,19 +606,16 @@ struct Builder {
       acc.per_group = wadd(acc.per_group, w);
       acc.local_peak = A.maxf(
           acc.local_peak, A.mulf(A.mulf(A.constf(2.0), pts_f), elem_bytes));
-      return k(std::move(acc));
+      return;
     }
     if (auto* l = e->as<LetE>()) {
-      const ExprP rhs = l->rhs, body = l->body;
-      const std::vector<std::string> vars = l->vars;
-      return build_group_walk(
-          rhs, std::move(acc), Cont([this, rhs, body, vars, k](SymGroupAcc a) {
-            for (size_t i = 0; i < vars.size(); ++i) {
-              env[vars[i]] = rhs->types[i];
-              a.local_names.insert(vars[i]);
-            }
-            return build_group_walk(body, std::move(a), k);
-          }));
+      group_walk(l->rhs, acc);
+      for (size_t i = 0; i < l->vars.size(); ++i) {
+        env[l->vars[i]] = l->rhs->types[i];
+        acc.local_names.insert(l->vars[i]);
+      }
+      group_walk(l->body, acc);
+      return;
     }
     if (auto* lp = e->as<LoopE>()) {
       for (size_t i = 0; i < lp->params.size(); ++i) {
@@ -646,39 +629,19 @@ struct Builder {
       inner.max_inner = acc.max_inner;
       inner.local_peak = A.constf(0.0);
       inner.local_names = acc.local_names;
-      const SymGroupAcc outer = acc;
-      return build_group_walk(
-          lp->body, std::move(inner),
-          Cont([this, outer, trips, k](SymGroupAcc in) {
-            SymGroupAcc a = outer;
-            a.per_group = wadd(outer.per_group, wscale(in.per_group, trips));
-            a.max_inner = A.maxi(outer.max_inner, in.max_inner);
-            a.local_peak = A.maxf(outer.local_peak, in.local_peak);
-            return k(std::move(a));
-          }));
+      group_walk(lp->body, inner);
+      acc.per_group = wadd(acc.per_group, wscale(inner.per_group, trips));
+      acc.max_inner = A.maxi(acc.max_inner, inner.max_inner);
+      acc.local_peak = A.maxf(acc.local_peak, inner.local_peak);
+      return;
     }
     if (auto* i = e->as<IfE>()) {
-      if (auto* tc = i->cond->as<ThresholdCmpE>()) {
-        if (fork_ban > 0) {
-          unsupported(
-              "threshold guard inside a data-dependent intra-group branch");
-        }
-        const int gix = add_guard(*tc);
-        TypeEnv saved = env;
-        const int tn = build_group_walk(i->then_e, acc, k);
-        check_no_rebind(saved);
-        env = saved;
-        const int en = build_group_walk(i->else_e, acc, k);
-        check_no_rebind(saved);
-        env = saved;
-        return guard_node(gix, tn, en);
-      }
+      if (i->cond->is<ThresholdCmpE>()) guard_in_kernel();
       // Data-dependent branch: the walker accumulates both sides into
-      // copies and keeps the heavier one; the merge happens inside one
-      // kernel, so both sides are walked synchronously here.
+      // copies and keeps the heavier one.
       SymGroupAcc a = acc, b = acc;
-      sync_group_walk(i->then_e, a);
-      sync_group_walk(i->else_e, b);
+      group_walk(i->then_e, a);
+      group_walk(i->else_e, b);
       if (a.local_names != b.local_names) {
         unsupported(
             "data-dependent intra-group branches bind different "
@@ -689,42 +652,20 @@ struct Builder {
       const int wb = A.addf(A.addf(b.per_group.flops, b.per_group.gbytes),
                             b.per_group.lbytes);
       const int c = A.gef(wa, wb);
-      SymGroupAcc m;
-      m.per_group = {A.self(c, a.per_group.flops, b.per_group.flops),
-                     A.self(c, a.per_group.gbytes, b.per_group.gbytes),
-                     A.self(c, a.per_group.lbytes, b.per_group.lbytes)};
-      m.max_inner = A.seli(c, a.max_inner, b.max_inner);
-      m.local_peak = A.self(c, a.local_peak, b.local_peak);
-      m.local_names = std::move(a.local_names);
-      return k(std::move(m));
+      acc.per_group = {A.self(c, a.per_group.flops, b.per_group.flops),
+                       A.self(c, a.per_group.gbytes, b.per_group.gbytes),
+                       A.self(c, a.per_group.lbytes, b.per_group.lbytes)};
+      acc.max_inner = A.seli(c, a.max_inner, b.max_inner);
+      acc.local_peak = A.self(c, a.local_peak, b.local_peak);
+      acc.local_names = std::move(a.local_names);
+      return;
     }
     if (auto* t = e->as<TupleE>()) {
-      return walk_elems(t->elems, 0, std::move(acc), k);
+      for (const auto& x : t->elems) group_walk(x, acc);
+      return;
     }
     // Sequential code inside the group.
     acc.per_group = wadd(acc.per_group, seqp(e, A.constf(1.0), Privates{}));
-    return k(std::move(acc));
-  }
-
-  int walk_elems(const std::vector<ExprP>& elems, size_t i, SymGroupAcc acc,
-                 const Cont& k) {
-    if (i == elems.size()) return k(std::move(acc));
-    return build_group_walk(
-        elems[i], std::move(acc),
-        Cont([this, &elems, i, k](SymGroupAcc a) {
-          return walk_elems(elems, i + 1, std::move(a), k);
-        }));
-  }
-
-  /// Walk with forking disabled, mutating `acc` in place (the walker's
-  /// plain group_walk(e, acc) shape).
-  void sync_group_walk(const ExprP& e, SymGroupAcc& acc) {
-    ++fork_ban;
-    build_group_walk(e, acc, Cont([&acc](SymGroupAcc r) {
-                       acc = std::move(r);
-                       return -1;
-                     }));
-    --fork_ban;
   }
 
   /// Mirrors group_kernel.
@@ -740,31 +681,27 @@ struct Builder {
     for (const auto& lvl : so.space) {
       acc.local_names.insert(lvl.params.begin(), lvl.params.end());
     }
-    const std::string what = "segmap^" + std::to_string(so.level) + "{intra}";
-    const int node = build_group_walk(
-        so.body, std::move(acc),
-        Cont([this, staged_in, groups, what, &so](SymGroupAcc a) {
-          const int group_size =
-              A.mini(A.maxi(a.max_inner, A.consti(1)), dev_maxg());
-          SymWork per = a.per_group;
-          per.gbytes = A.addf(per.gbytes, staged_in);
-          const int out_bytes = bytes_of_f(so.body->types);
-          per.gbytes = A.addf(per.gbytes, out_bytes);
-
-          const int fb = A.gtf(a.local_peak, dev_lmem());
-          const int gb = A.self(
-              fb, A.addf(per.gbytes, A.mulf(per.lbytes, A.constf(1.2))),
-              per.gbytes);
-          const int lb = A.self(fb, A.constf(0.0), per.lbytes);
-
-          const int groups_f = A.i2f(groups);
-          const SymWork total{A.mulf(per.flops, groups_f),
-                              A.mulf(gb, groups_f), A.mulf(lb, groups_f)};
-          const int threads = A.muli(groups, group_size);
-          return add_kernel(what, total, threads, 1, fb);
-        }));
+    group_walk(so.body, acc);
     env = saved;
-    return node;
+
+    const int group_size =
+        A.mini(A.maxi(acc.max_inner, A.consti(1)), dev_maxg());
+    SymWork per = acc.per_group;
+    per.gbytes = A.addf(per.gbytes, staged_in);
+    const int out_bytes = bytes_of_f(so.body->types);
+    per.gbytes = A.addf(per.gbytes, out_bytes);
+
+    const int fb = A.gtf(acc.local_peak, dev_lmem());
+    const int gb = A.self(
+        fb, A.addf(per.gbytes, A.mulf(per.lbytes, A.constf(1.2))), per.gbytes);
+    const int lb = A.self(fb, A.constf(0.0), per.lbytes);
+
+    const int groups_f = A.i2f(groups);
+    const SymWork total{A.mulf(per.flops, groups_f), A.mulf(gb, groups_f),
+                        A.mulf(lb, groups_f)};
+    const int threads = A.muli(groups, group_size);
+    return add_kernel("segmap^" + std::to_string(so.level) + "{intra}", total,
+                      threads, 1, fb);
   }
 };
 

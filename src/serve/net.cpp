@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <deque>
@@ -64,12 +65,19 @@ void set_blocking(int fd) {
     sys_fail("fcntl(~O_NONBLOCK)");
 }
 
+/// poll(2)'s int timeout for `ms` (not NaN) milliseconds, a caller's double
+/// such as incflat_client's --timeout-ms: clamped to [1, INT_MAX] before
+/// converting, so a wait past INT_MAX ms (about 24 days) stops there.
+int poll_ms(double ms) {
+  return static_cast<int>(std::clamp(ms, 1.0, static_cast<double>(INT_MAX)));
+}
+
 /// Finish a nonblocking connect within `timeout_ms` (must be > 0): poll for
 /// writability, then read the final verdict from SO_ERROR.  Throws IoError
 /// (closing `fd`) on timeout or failure.
 void await_connect(int fd, double timeout_ms, const std::string& where) {
   pollfd p{fd, POLLOUT, 0};
-  const int rc = ::poll(&p, 1, std::max(1, static_cast<int>(timeout_ms)));
+  const int rc = ::poll(&p, 1, poll_ms(timeout_ms));
   if (rc == 0) {
     ::close(fd);
     throw IoError("timed out connecting to " + where);
@@ -819,9 +827,9 @@ std::string ServeClient::call_text(const std::string& payload) {
                             .count();
       if (left <= 0)
         throw IoError("timed out waiting for response (" +
-                      std::to_string(static_cast<int>(timeout_ms_)) + "ms)");
+                      std::to_string(poll_ms(timeout_ms_)) + "ms)");
       pollfd p{fd_, POLLIN, 0};
-      const int rc = ::poll(&p, 1, std::max(1, static_cast<int>(left)));
+      const int rc = ::poll(&p, 1, poll_ms(left));
       if (rc == 0) continue;  // re-check the deadline
       if (rc < 0) {
         if (errno == EINTR) continue;

@@ -60,10 +60,15 @@ void JobScheduler::submit(JobFn fn, JobPriority pri, double queue_timeout_ms,
   job.on_drop = std::move(on_drop);
   job.pri = pri;
   job.enqueued = now;
+  // Range-check before converting: a timeout past the clock's range, such
+  // as the 1e18 ms a CancelToken with no reachable deadline has left, is
+  // no timeout.
+  const double us = queue_timeout_ms * 1000.0;
+  const auto room = std::chrono::duration_cast<std::chrono::microseconds>(
+      Clock::time_point::max() - now);
   job.deadline =
-      queue_timeout_ms > 0
-          ? now + std::chrono::microseconds(
-                      static_cast<int64_t>(queue_timeout_ms * 1000.0))
+      us > 0 && us < static_cast<double>(room.count())
+          ? now + std::chrono::microseconds(static_cast<int64_t>(us))
           : Clock::time_point::max();
   {
     sync::MutexLock lk(mu_);

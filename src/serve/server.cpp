@@ -56,7 +56,7 @@ size_t approx_entry_bytes(const Compiled& c, bool has_memo) {
     b += p.kernels.size() * 256;
     b += p.nodes.size() * 64;
     b += p.guards.size() * 128;
-    for (const auto& t : p.thresholds) b += t.size() + 32;
+    for (const auto& g : p.guards) b += g.threshold.size() + 32;
     // A run entry's memo keeps a per-shape dataset cache (one priced cost
     // row per arena node) plus the default schedule and estimate.
     if (has_memo) b += p.arena.size() * 16 + 1024;
@@ -394,7 +394,7 @@ Json ServerCore::do_compile(const Json& req,
     const KernelPlan& p = *entry->compiled.plan;
     r.set("kernels", p.kernels.size());
     r.set("guards", p.guards.size());
-    r.set("thresholds", p.thresholds.size());
+    r.set("thresholds", p.guards.size());
     r.set("legacy_fallback", p.legacy_fallback);
   }
   return r;
@@ -422,18 +422,22 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel,
   if (const Json* tv = req.find("thresholds")) {
     if (!tv->is_object())
       throw CompilerError("'thresholds' must be an object");
-    for (const auto& info : entry->compiled.flat.thresholds.all()) {
-      const Json* v = tv->find(info.name);
-      if (!v) continue;
+    const auto& known = entry->compiled.flat.thresholds.all();
+    for (const std::string& name : tv->keys()) {
+      const bool listed =
+          std::any_of(known.begin(), known.end(),
+                      [&](const ThresholdInfo& ti) { return ti.name == name; });
+      if (!listed)
+        throw CompilerError("the program has no threshold '" + name + "'");
       // Range-check before converting: a double outside int64's range
       // has no defined conversion (2^63 itself is just outside).
-      const double t = v->is_number()
-                           ? v->as_double()
-                           : std::numeric_limits<double>::quiet_NaN();
+      const Json& v = tv->get(name);
+      const double t = v.is_number() ? v.as_double()
+                                     : std::numeric_limits<double>::quiet_NaN();
       if (!(t >= -0x1p63 && t < 0x1p63) || t != std::floor(t))
-        throw CompilerError("threshold '" + info.name +
+        throw CompilerError("threshold '" + name +
                             "' must be an integer in int64's range");
-      thr.values[info.name] = static_cast<int64_t>(t);
+      thr.values[name] = static_cast<int64_t>(t);
     }
   } else if (const Json* tuned = req.find("tuned");
              tuned && tuned->is_bool() && tuned->as_bool()) {

@@ -70,6 +70,14 @@ const Json* Json::find(const std::string& key) const {
   return nullptr;
 }
 
+std::vector<std::string> Json::keys() const {
+  std::vector<std::string> out;
+  if (auto* o = std::get_if<Obj>(&node_)) {
+    for (const auto& [k, v] : o->fields) out.push_back(k);
+  }
+  return out;
+}
+
 const Json& Json::get(const std::string& key) const {
   const Json* v = find(key);
   if (!v) throw std::logic_error("Json::get: no field '" + key + "'");

@@ -86,6 +86,9 @@ class Json {
   /// Object field lookup; null when absent / not an object.
   const Json* find(const std::string& key) const;
 
+  /// An object's keys in insertion order (empty when not an object).
+  std::vector<std::string> keys() const;
+
   /// Object field lookup; throws std::logic_error when absent.
   const Json& get(const std::string& key) const;
 

@@ -232,6 +232,8 @@ TEST(GeneratedPrograms, FlatteningPreservesValuesProperty) {
   // Every mode's target program computes the source's value for random
   // sizes, power-of-two thresholds and device, and prices to a finite,
   // non-negative time (0 for scalar-only programs: no kernel launches).
+  // Its guards pass the verifier's guards check (none inside a kernel),
+  // and plan guard i is registry entry i.
   Rng rng(101);
   int guarded = 0;
   for (int iter = 0; iter < 40; ++iter) {
@@ -248,6 +250,18 @@ TEST(GeneratedPrograms, FlatteningPreservesValuesProperty) {
                                    FlattenMode::Full}) {
       const Compiled c = compile(p, mode);
       if (!c.flat.thresholds.empty()) ++guarded;
+      const VerifyOptions guards_only{
+          .types = false, .levels = false, .segbinds = false};
+      EXPECT_TRUE(verify_diagnostics(c.flat.program, "generated", guards_only)
+                      .empty())
+          << pretty(c.flat.program);
+      const auto& reg = c.flat.thresholds.all();
+      ASSERT_EQ(c.plan->guards.size(), reg.size()) << pretty(p);
+      for (size_t i = 0; i < reg.size(); ++i) {
+        EXPECT_EQ(c.plan->guards[i].threshold, reg[i].name) << pretty(p);
+        EXPECT_EQ(c.plan->guards[i].par, reg[i].par) << pretty(p);
+        EXPECT_EQ(c.plan->guards[i].fit, reg[i].fit) << pretty(p);
+      }
       const SizeEnv sizes{{"n", rng.uniform_int(2, 40)}};
       ThresholdEnv te;
       for (const auto& ti : c.flat.thresholds.all()) {

@@ -144,10 +144,17 @@ TEST(RunPolicy, DefaultsAndErrors) {
   const RunPolicy d = parse_run_policy("");
   EXPECT_EQ(d.max_attempts, 4);
   EXPECT_EQ(parse_run_policy("default").max_attempts, d.max_attempts);
-  EXPECT_THROW(parse_run_policy("retries=-1"), IoError);
-  EXPECT_THROW(parse_run_policy("retries=1.5"), IoError);
-  EXPECT_THROW(parse_run_policy("nonsense"), IoError);
-  EXPECT_THROW(parse_run_policy("unknown=1"), IoError);
+  // Counts are range-checked before they become ints.
+  for (const char* bad :
+       {"retries=-1", "retries=1.5", "retries=1e300", "retries=nan",
+        "retries=2147483647", "degradations=1e300", "backoff=inf",
+        "nonsense", "unknown=1"}) {
+    EXPECT_THROW(parse_run_policy(bad), IoError) << bad;
+  }
+  const int most = std::numeric_limits<int>::max();
+  EXPECT_EQ(parse_run_policy("retries=2147483646").max_attempts, most);
+  EXPECT_EQ(parse_run_policy("degradations=2147483647").max_degradations,
+            most);
 }
 
 // ---------------------------------------------------------------------------
@@ -245,10 +252,13 @@ TEST(LaunchSchedule, SumsToPlanCostAndCarriesGuardPaths) {
   }
 
   // Under the all-on assignment the selected kernels sit below taken
-  // guards: the degradation chain must be visible on their paths.
+  // guards: the degradation chain must be visible on their paths, each
+  // step naming one of the plan's guards.
   bool some_taken = false;
   for (const LaunchInfo& li : plan_launch_schedule(*c.plan, cache, all_on)) {
-    for (const auto& [name, taken] : li.guard_path) {
+    for (const auto& [guard, taken] : li.guard_path) {
+      EXPECT_GE(guard, 0);
+      EXPECT_LT(static_cast<size_t>(guard), c.plan->guards.size());
       if (taken) some_taken = true;
     }
   }

@@ -151,8 +151,8 @@ TEST(Pipeline, EveryPassEmitsExactTypes) {
   // No pass re-typechecks: each types the nodes it builds.  verify_each
   // compares every annotation with a fresh typecheck after every pass, so
   // a type a pass got wrong fails here, with and without simplify-guards.
-  // The plan's threshold slots follow the registry's order: the tuner's
-  // slot map and its report keys rest on that.
+  // Plan guard i is registry entry i: the tuner's candidate vectors and its
+  // report keys rest on that.
   for (const auto& name : all_benchmark_names()) {
     const Benchmark b = get_benchmark(name);
     for (FlattenMode mode : kModes) {
@@ -169,11 +169,14 @@ TEST(Pipeline, EveryPassEmitsExactTypes) {
         }
         try {
           const Compiled c = compile(b.program, mode, o);
-          std::vector<std::string> names;
-          for (const auto& ti : c.flat.thresholds.all()) {
-            names.push_back(ti.name);
+          const auto& reg = c.flat.thresholds.all();
+          ASSERT_EQ(c.plan->guards.size(), reg.size()) << ctx;
+          for (size_t i = 0; i < reg.size(); ++i) {
+            const GuardInfo& g = c.plan->guards[i];
+            EXPECT_EQ(g.threshold, reg[i].name) << ctx;
+            EXPECT_EQ(g.par, reg[i].par) << ctx;
+            EXPECT_EQ(g.fit, reg[i].fit) << ctx;
           }
-          EXPECT_EQ(c.plan->thresholds, names) << ctx;
         } catch (const CompilerError& e) {
           ADD_FAILURE() << ctx << ": " << e.what();
         }

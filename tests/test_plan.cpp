@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -119,8 +120,8 @@ TEST(PlanLayer, MatchesWalkerAcrossSuite) {
   EXPECT_EQ(fallbacks, 0) << "of " << programs << " programs";
 }
 
-// Every guard's slot indexes its own threshold, so a descent reading
-// slots[g.slot] compares against the same value the walker looks up by
+// Every guard compares its own threshold, in registry order, so a descent
+// reading slots[g] compares against the same value the walker looks up by
 // name.  Named assignments resolve to slots as ThresholdEnv::get does: a
 // name the plan has no guard for is ignored, and every unnamed threshold
 // takes the default, including the "always off" default 2^62.
@@ -138,11 +139,12 @@ TEST(PlanLayer, GuardSlotsIndexPlanThresholds) {
       FlattenResult fr = flatten(b.program, mode);
       const KernelPlan plan = build_kernel_plan(fr.program);
       const std::string ctx = name + "/" + mode_name(mode);
-      for (const GuardInfo& g : plan.guards) {
-        ASSERT_GE(g.slot, 0) << ctx;
-        ASSERT_LT(static_cast<size_t>(g.slot), plan.thresholds.size()) << ctx;
-        EXPECT_EQ(plan.thresholds[static_cast<size_t>(g.slot)], g.threshold)
-            << ctx;
+      const auto& reg = fr.thresholds.all();
+      ASSERT_EQ(plan.guards.size(), reg.size()) << ctx;
+      std::set<std::string> distinct;
+      for (size_t i = 0; i < plan.guards.size(); ++i) {
+        EXPECT_EQ(plan.guards[i].threshold, reg[i].name) << ctx;
+        EXPECT_TRUE(distinct.insert(plan.guards[i].threshold).second) << ctx;
         ++guards;
       }
       const SizeEnv& sizes = b.datasets.front().sizes;
@@ -265,15 +267,13 @@ TEST(PlanLayer, TunerCostsEqualTheReferenceCost) {
   }
 }
 
-// A threshold guard inside a data-dependent branch of an intra-group body
-// has no decision-tree form: the guard would split one kernel's
-// accumulation on a value known only at run time.  The build must fail
-// naming the construct rather than hand back a plan that prices it wrong.
+// Every code version is chosen on the host: a threshold guard inside a
+// kernel would split one kernel's accumulation on a tuning parameter, which
+// no tree node expresses.  The build fails naming the construct, wherever
+// in the kernel the guard sits, rather than hand back a plan that prices it
+// wrong.
 TEST(PlanLayer, UnsupportedConstructFailsTheBuild) {
-  // segmap^1 <xs in xss>
-  //   if xs[0] < 0 then (if m >= suff_intra_par_0 then RED else RED)
-  //   else RED
-  // where RED = segred^0 <x in xs> (+) 0 (x), an intra-group body.
+  // RED = segred^0 <x in xs> (+) 0 (x), an intra-group body.
   const auto red = [] {
     SegOpE so;
     so.op = SegOpE::Op::Red;
@@ -287,24 +287,41 @@ TEST(PlanLayer, UnsupportedConstructFailsTheBuild) {
   const ExprP guard =
       mk(ThresholdCmpE{"suff_intra_par_0", SizeExpr::of(Dim::v("m")),
                        SizeExpr::of(Dim::v("m"))});
-  SegOpE outer;
-  outer.op = SegOpE::Op::Map;
-  outer.level = 1;
-  outer.space = {SegBind{{"xs"}, {"xss"}, Dim::v("n")}};
-  outer.body = iff(lt(index(var("xs"), {ci64(0)}), cf32(0)),
-                   iff(guard, red(), red()), red());
-  Program p;
-  p.name = "guard_under_data_branch";
-  p.inputs = {{"xss", Type::array(Scalar::F32, {Dim::v("n"), Dim::v("m")})}};
-  p.body = mk(std::move(outer));
-  try {
-    build_kernel_plan(p);
-    FAIL() << "expected CompilerError";
-  } catch (const CompilerError& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "threshold guard inside a data-dependent intra-group branch"),
-              std::string::npos)
-        << e.what();
+  const ExprP data_cond = lt(index(var("xs"), {ci64(0)}), cf32(0));
+  // segmap^1 <xs in xss> BODY
+  const auto outer = [](ExprP body) {
+    SegOpE so;
+    so.op = SegOpE::Op::Map;
+    so.level = 1;
+    so.space = {SegBind{{"xs"}, {"xss"}, Dim::v("n")}};
+    so.body = std::move(body);
+    Program p;
+    p.name = "guard_in_kernel";
+    p.inputs = {
+        {"xss", Type::array(Scalar::F32, {Dim::v("n"), Dim::v("m")})}};
+    p.body = mk(std::move(so));
+    return p;
+  };
+  const std::vector<std::pair<std::string, Program>> cases{
+      // Directly in an intra-group body.
+      {"intra-group", outer(iff(guard, red(), red()))},
+      // Under a data-dependent branch of an intra-group body.
+      {"intra-group data branch",
+       outer(iff(data_cond, iff(guard, red(), red()), red()))},
+      // In a per-thread kernel body.
+      {"per-thread", outer(iff(guard, cf32(1), cf32(2)))},
+  };
+  for (const auto& [what, p] : cases) {
+    try {
+      build_kernel_plan(p);
+      ADD_FAILURE() << what << ": expected CompilerError";
+    } catch (const CompilerError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "plan-build: unsupported construct: threshold guard "
+                    "inside a kernel"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <random>
@@ -329,6 +330,27 @@ TEST(Scheduler, QueueTimeoutExpiresAndNotifiesDrop) {
   EXPECT_EQ(dropped.load(), 1);
   EXPECT_EQ(drop_state, JobState::Expired);
   EXPECT_EQ(sched.stats().expired, 1);
+}
+
+TEST(Scheduler, TimeoutPastTheClockRangeIsNoTimeout) {
+  // The steady clock counts int64 nanoseconds: a queue timeout of 1e13 ms
+  // or more (a request deadline with none left passes about 1e18 ms) lies
+  // past its range.  Such a job never expires; it runs.
+  std::atomic<int> dropped{0};
+  const std::vector<double> far{1e13, 1e18, 1e300,
+                                std::numeric_limits<double>::infinity()};
+  std::latch resolved(static_cast<std::ptrdiff_t>(far.size()));
+  JobScheduler sched(1, /*promote_after_ms=*/0);
+  for (const double ms : far) {
+    sched.submit([&] { resolved.count_down(); }, JobPriority::Normal, ms,
+                 [&](JobState) {
+                   ++dropped;
+                   resolved.count_down();
+                 });
+  }
+  resolved.wait();
+  EXPECT_EQ(dropped.load(), 0);
+  EXPECT_EQ(sched.stats().expired, 0);
 }
 
 TEST(Scheduler, AgePromotionBeatsStarvation) {
@@ -885,6 +907,15 @@ TEST(Server, RunRejectsBadThresholdValues) {
   }
   const Json ok = Json::parse(core.handle_text(head + "1024}}"));
   EXPECT_TRUE(ok.get("ok").as_bool()) << ok.str(-1);
+  // A name the program has no threshold for, such as a misspelt one, is
+  // rejected too, naming the first unknown key.
+  const Json unknown = Json::parse(core.handle_text(
+      head + R"(1024,"no_such_threshold":"x","also_unknown":1}})"));
+  EXPECT_FALSE(unknown.get("ok").as_bool()) << unknown.str(-1);
+  EXPECT_EQ(unknown.get("code").as_string(), "bad-request");
+  EXPECT_NE(unknown.get("error").as_string().find("'no_such_threshold'"),
+            std::string::npos)
+      << unknown.str(-1);
 }
 
 TEST(Server, BadRunRequestsLeaveTheKeyServing) {
@@ -1267,6 +1298,24 @@ TEST(Socket, DeadlineExpiresInQueueOverTheWire) {
   EXPECT_TRUE(serve::is_retriable(resp));
   // The drop-path answer still correlates: the request id is echoed.
   EXPECT_EQ(resp.get("id").as_string(), "dl");
+}
+
+TEST(Socket, FarDeadlineIsNoDeadlineOverTheWire) {
+  // A deadline past the steady clock's range leaves the request no
+  // deadline: the cold compile waits in the scheduler's queue without
+  // expiring, and answers.  The client's own timeout past int's range of
+  // milliseconds is no timeout either.
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_fardeadline.sock");
+  SocketFixture fx(ep);
+  ServeClient client(ep, /*timeout_ms=*/1e300);
+  Json req = Json::object();
+  req.set("op", "compile");
+  req.set("benchmark", "matmul");
+  req.set("deadline_ms", 1e15);
+  const Json resp = client.call(req);
+  EXPECT_TRUE(resp.get("ok").as_bool()) << resp.str(-1);
+  EXPECT_EQ(fx.core.scheduler().stats().expired, 0);
 }
 
 TEST(Socket, ConnCapAnswersOverloadedThenCloses) {

@@ -1,9 +1,10 @@
 // Negative tests for the on-demand IR verifier (src/ir/verify.h): programs
 // seeded with deliberate structural violations — a wrong type annotation,
 // level-discipline breakage, an intra-group code version with no feasible
-// fallback arm, a threshold compared by two guards, dangling or malformed
-// seg-space bindings — must each be caught with a diagnostic that names the
-// failed check and the pipeline position it is attributed to.
+// fallback arm, a threshold compared by two guards, a guard inside a
+// kernel, dangling or malformed seg-space bindings — must each be caught
+// with a diagnostic that names the failed check and the pipeline position
+// it is attributed to.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -235,6 +236,27 @@ TEST(Verify, ThresholdComparedByTwoGuardsCaught) {
   // Distinct names verify.
   const ExprP other = iff(guard("suff_outer_par_1"), cf32(1), cf32(2));
   Program ok = target_program(iff(guard("suff_outer_par_0"), cf32(0), other));
+  EXPECT_NO_THROW(
+      verify_program(ok, "verify", only(false, false, true, false)));
+}
+
+TEST(Verify, GuardInsideSegOpCaught) {
+  // Code versions are chosen on the host, before any launch: a guard
+  // inside a kernel would split one launch's work on a tuning parameter,
+  // which no plan tree node expresses.  The finding names the guard's path.
+  const ExprP cmp = mk(ThresholdCmpE{"suff_outer_par_0",
+                                     SizeExpr::of(Dim::v("m")), SizeExpr{}});
+  const ExprP data_cond = lt(index(var("xs"), {ci64(0)}), cf32(0));
+  Program p = target_program(
+      seg1(iff(data_cond, iff(cmp, cf32(1), cf32(2)), cf32(3))));
+  const std::vector<Diagnostic> ds =
+      verify_diagnostics(p, "verify", only(false, false, true, false));
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].check, "guards");
+  EXPECT_EQ(ds[0].path, "body.segmap^1.body.then");
+  EXPECT_NE(ds[0].message.find("inside a kernel"), std::string::npos);
+  // The same guard on the host, choosing between two kernels, verifies.
+  Program ok = target_program(iff(cmp, seg1(cf32(1)), seg1(cf32(2))));
   EXPECT_NO_THROW(
       verify_program(ok, "verify", only(false, false, true, false)));
 }
