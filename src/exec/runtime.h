@@ -47,6 +47,21 @@
 
 namespace incflat {
 
+/// `ms` milliseconds after `now`, range-checked before converting to whole
+/// microseconds: `ms <= 0` (or NaN) is `now` itself, and a bound past the
+/// clock's range is `time_point::max()`, i.e. no deadline at all.
+inline std::chrono::steady_clock::time_point deadline_after_ms(
+    std::chrono::steady_clock::time_point now, double ms) {
+  using Clock = std::chrono::steady_clock;
+  const double us = ms * 1000.0;
+  if (!(us > 0)) return now;
+  const auto room = std::chrono::duration_cast<std::chrono::microseconds>(
+      Clock::time_point::max() - now);
+  return us < static_cast<double>(room.count())
+             ? now + std::chrono::microseconds(static_cast<int64_t>(us))
+             : Clock::time_point::max();
+}
+
 /// Cooperative end-to-end cancellation: an optional wall-clock deadline
 /// plus an externally flippable flag, checked at safe points (between
 /// kernel launches, between tuner evaluations).  The serve layer mints one
@@ -69,18 +84,7 @@ class CancelToken {
 
   /// A deadline past the clock's range is no deadline at all.
   void set_deadline_ms(double ms) {
-    const Clock::time_point now = Clock::now();
-    const double us = ms * 1000.0;
-    // Range-check both sides before converting to whole microseconds.
-    if (!(us > 0)) {
-      deadline_ = now;
-      return;
-    }
-    const auto room = std::chrono::duration_cast<std::chrono::microseconds>(
-        Clock::time_point::max() - now);
-    deadline_ = us < static_cast<double>(room.count())
-                    ? now + std::chrono::microseconds(static_cast<int64_t>(us))
-                    : Clock::time_point::max();
+    deadline_ = deadline_after_ms(Clock::now(), ms);
   }
 
   /// Flip the flag; every subsequent expired() answers true.

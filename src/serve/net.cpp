@@ -195,7 +195,7 @@ namespace {
 /// (possibly a scheduler worker) frees it.
 struct DoneQueue {
   int wake_r = -1, wake_w = -1;
-  sync::Mutex mu{"serve.done_queue"};
+  sync::Mutex mu{"serve.done_queue", sync::Level::Leaf};
   std::deque<std::tuple<uint64_t, uint64_t, std::string>> q GUARDED_BY(mu);
 
   DoneQueue() {
@@ -590,10 +590,7 @@ struct ServeSocket::Impl {
   void begin_drain(Clock::time_point now) {
     draining = true;
     dstats.requested = true;
-    drain_deadline =
-        now + std::chrono::microseconds(
-                  static_cast<int64_t>(std::max(0.0, sopts.drain_ms) *
-                                       1000.0));
+    drain_deadline = deadline_after_ms(now, sopts.drain_ms);
     if (listen_fd >= 0) {
       ::close(listen_fd);
       listen_fd = -1;

@@ -75,7 +75,8 @@ struct SocketOptions {
   /// <= 0 = unlimited.
   int max_inflight_per_conn = 0;
   /// Bound on a graceful drain (milliseconds): connections still alive
-  /// this long after request_drain() are severed.
+  /// this long after request_drain() are severed.  `<= 0` severs them at
+  /// once; a bound past the clock's range means no bound.
   double drain_ms = 5000;
   /// Network chaos plan (disabled by default).
   NetChaosSpec chaos;

@@ -33,7 +33,7 @@ int64_t clock_us() {
 }
 
 struct State {
-  sync::Mutex mu{"trace.state"};
+  sync::Mutex mu{"trace.state", sync::Level::Leaf};
   // Base timestamp in raw clock microseconds.  Atomic because Span
   // construction reads it *without* the mutex (a disabled-path-cheap
   // design constraint) while reset() writes it — with a plain

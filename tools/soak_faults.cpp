@@ -18,9 +18,9 @@
 //     resumes to a bit-identical report.
 //
 // A serve phase drives a fault-injected ServerCore from concurrent threads
-// — the daemon minus its sockets — with the lockdep lock-order validator
-// on for the whole soak; the run fails if any acquisition anywhere closed
-// an ordering cycle, certifying the daemon's lock hierarchy acyclic.
+// — the daemon minus its sockets — with tracing on.  Every acquisition
+// checks the two-level lock rule (src/support/sync.h), which aborts the
+// soak on the first violation.
 //
 // A network-chaos phase runs a real ServeSocket under deterministic
 // socket-level chaos (dribbled reads, partial writes, stalls, mid-stream
@@ -59,7 +59,6 @@
 #include "src/serve/server.h"
 #include "src/support/json.h"
 #include "src/support/rng.h"
-#include "src/support/sync.h"
 #include "src/support/trace.h"
 
 namespace incflat {
@@ -157,13 +156,13 @@ void soak_tuning(Tally& t, const Benchmark& b, const Compiled& c,
 }
 
 /// Concurrent daemon-shape soak: several threads hammer one fault-injected
-/// ServerCore with run/compile/stats traffic.  The point is lock-graph
-/// coverage — cache sharding, the shape table, the scheduler and the stats
-/// paths all interleave here, and lockdep watches every acquisition.
+/// ServerCore with run/compile/stats traffic.  The point is lock coverage —
+/// cache sharding, the shape table, the scheduler and the stats paths all
+/// interleave here, and the lock rule checks every acquisition.
 void soak_serve(Tally& t, const std::string& spec_str) {
-  // Tracing on: the X -> trace.state ordering edges (cache shards, the
-  // scheduler all count under their locks) only exist while the
-  // trace layer is enabled, and the certification should cover them.
+  // Tracing on: the cache shards and the scheduler take trace.state under
+  // their own locks only while the trace layer is enabled, and the soak
+  // should cover those paths.
   trace::set_enabled(true);
   serve::ServeOptions o;
   o.workers = 4;
@@ -393,14 +392,10 @@ void soak_chaos(Tally& t, bool heavy) {
   std::remove(ep.path.c_str());
 }
 
-/// `soak_faults chaos`: the heavy network-chaos phase alone, still under
-/// the lock-order validator.
+/// `soak_faults chaos`: the heavy network-chaos phase alone.
 int chaos_soak() {
   Tally t;
   soak_chaos(t, /*heavy=*/true);
-  const auto violations = sync::lockdep::violations();
-  for (const auto& v : violations) std::cerr << "FAIL: " << v.str() << "\n";
-  check(t, violations.empty(), "lockdep: lock-order inversion(s) detected");
   std::cout << "chaos soak: " << t.failures << " contract failure(s)\n";
   return t.failures == 0 ? 0 : 1;
 }
@@ -441,19 +436,6 @@ int soak(const std::string& spec_str, int n_seeds) {
   }
   soak_serve(t, spec_str);
   soak_chaos(t, /*heavy=*/false);
-
-  // Lock-hierarchy certification: the entire soak — serve phase included —
-  // ran with lockdep on; any acquisition that closed an ordering cycle is a
-  // deadlock waiting for the right interleaving and fails the job.
-  const auto violations = sync::lockdep::violations();
-  for (const auto& v : violations) std::cerr << "FAIL: " << v.str() << "\n";
-  check(t, violations.empty(), "lockdep: lock-order inversion(s) detected");
-  const auto ls = sync::lockdep::stats();
-  check(t, ls.acquisitions > 0, "lockdep: validator saw no acquisitions");
-  std::cout << "lockdep: " << ls.classes << " lock classes, " << ls.edges
-            << " order edges, " << ls.acquisitions << " acquisitions, "
-            << ls.violations << " violation(s) — hierarchy "
-            << (ls.violations == 0 ? "acyclic" : "CYCLIC") << "\n";
   std::cout << "soak: " << t.runs << " runs (" << t.faulted << " with faults, "
             << t.degraded << " degraded, " << t.unrecoverable
             << " unrecoverable-but-structured), spec "
@@ -468,9 +450,6 @@ int soak(const std::string& spec_str, int n_seeds) {
 int main(int argc, char** argv) {
   const std::string spec = argc > 1 ? argv[1] : "all=0.01";
   const int seeds = argc > 2 ? std::atoi(argv[2]) : 10;
-  // The soak always runs under the lock-order validator: its whole job is
-  // to interleave the paths production traffic takes.
-  incflat::sync::lockdep::set_enabled(true);
   try {
     if (spec == "chaos") return incflat::chaos_soak();
     return incflat::soak(spec, seeds);
