@@ -18,8 +18,9 @@
 //     takes nothing while it holds a leaf.  An acquisition that breaks the
 //     rule aborts before it blocks, printing
 //     "sync: acquiring 'X' while holding 'Y'" — so a self-relock aborts
-//     instead of hanging.  Under this rule no cycle among these locks can
-//     form, so no lock-order graph is needed.  The check is two
+//     instead of hanging.  CondVar::wait checks the re-acquisition it makes
+//     on waking before it sleeps.  Under this rule no cycle among these
+//     locks can form, so no lock-order graph is needed.  The check is two
 //     thread-local slots; it never calls into the trace layer (trace's own
 //     mutex is a leaf sync::Mutex).
 #pragma once
@@ -88,11 +89,8 @@ class CAPABILITY("mutex") Mutex {
     note_release(level_);
   }
 
-  /// The wrapped handle, for CondVar only (bypassing the wrapper anywhere
-  /// else would skip both checks).
-  std::mutex& native() { return mu_; }
-
  private:
+  friend class CondVar;  // waits on mu_ directly, checking the rule first
   std::mutex mu_;
   const char* name_;
   Level level_;
@@ -209,10 +207,13 @@ class CondVar {
 
   /// Atomically release `mu`, wait, re-acquire.  The caller must hold `mu`
   /// (and still does when this returns); spurious wakeups are the caller's
-  /// loop to absorb.  The lock rule needs no update: a waiting thread takes
-  /// nothing while it sleeps, and it holds the same lock when it wakes.
+  /// loop to absorb.  Waking re-acquires `mu`, so the rule is checked for
+  /// that acquisition before sleeping: waiting on an ordinary lock while
+  /// holding a leaf aborts, as taking the ordinary lock there would.
   void wait(Mutex& mu) REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.native(), std::adopt_lock);
+    note_release(mu.level_);
+    note_acquire(mu.name_, mu.level_);
+    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
     cv_.wait(native);
     native.release();  // ownership returns to the caller's scope
   }

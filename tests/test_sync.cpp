@@ -1,8 +1,8 @@
 // Tests for the annotated sync layer (src/support/sync.h): primitive
 // semantics, the two-level lock rule (death tests for each way to break
 // it, plain tests for the nestings it allows), and a seeded multi-thread
-// stress reconstructing the PR-7 trace-flush bug shape.  The stress test
-// doubles as ThreadSanitizer fodder: the TSan CI job runs this binary.
+// stress of counter bumps racing a trace flush.  The stress test doubles
+// as ThreadSanitizer fodder: the TSan CI job runs this binary.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +31,11 @@ TEST(SyncPrimitives, SharedMutexAllowsConcurrentReaders) {
 }
 
 TEST(SyncPrimitives, CondVarWakesExplicitWaitLoop) {
+  // The waiter holds `mu` again when it wakes, and a leaf under it is
+  // still allowed: the scheduler's shape (wait for work, count under the
+  // lock).  The final relock aborts unless every release cleared its slot.
   sync::Mutex mu("test.cv");
+  sync::Mutex leaf("test.cv_leaf", sync::Level::Leaf);
   sync::CondVar cv;
   bool ready = false;
   std::thread t([&] {
@@ -42,9 +46,11 @@ TEST(SyncPrimitives, CondVarWakesExplicitWaitLoop) {
   {
     sync::MutexLock lk(mu);
     while (!ready) cv.wait(mu);
+    sync::MutexLock ll(leaf);
   }
   t.join();
   EXPECT_TRUE(ready);
+  sync::MutexLock after(mu);
 }
 
 // ---------------------------------------------------------------------------
@@ -71,12 +77,15 @@ TEST_F(LockRuleDeathTest, OrdinaryUnderOrdinaryAborts) {
 }
 
 TEST_F(LockRuleDeathTest, SameMutexTwiceAborts) {
-  // On a plain std::mutex this would hang forever.
+  // On a plain std::mutex this would hang forever.  The second lock is
+  // taken in a lambda, which clang's thread-safety analysis checks as a
+  // separate function, so -Werror=thread-safety does not reject the
+  // deliberate double acquisition.
   sync::Mutex a("test.self");
   EXPECT_DEATH(
       {
         sync::MutexLock l1(a);
-        sync::MutexLock l2(a);
+        [&] { sync::MutexLock l2(a); }();
       },
       "sync: acquiring 'test\\.self' while holding 'test\\.self'");
 }
@@ -98,6 +107,16 @@ TEST_F(LockRuleDeathTest, AnythingUnderALeafAborts) {
         sync::MutexLock l2(other_leaf);
       },
       "sync: acquiring 'test\\.leaf2' while holding 'test\\.leaf'");
+  // Waking from a wait re-takes the ordinary lock, so waiting on it with
+  // a leaf held aborts before the thread sleeps.
+  sync::CondVar cv;
+  EXPECT_DEATH(
+      {
+        sync::MutexLock lo(ordinary);
+        sync::MutexLock ll(leaf);
+        cv.wait(ordinary);
+      },
+      "sync: acquiring 'test\\.ordinary' while holding 'test\\.leaf'");
 }
 
 TEST_F(LockRuleDeathTest, OrdinaryUnderReaderLockAborts) {
@@ -140,32 +159,7 @@ TEST(LockRule, UniqueLockUnlockAndRelockPasses) {
   sync::MutexLock lb(b);
 }
 
-TEST(LockRule, CondVarWaitThenLeafPasses) {
-  // The waiter holds its ordinary lock again when it wakes, and a leaf
-  // under it is still allowed — the scheduler's shape: wait for work,
-  // then count under the lock.
-  sync::Mutex mu("test.cv_rule");
-  sync::Mutex leaf("test.cv_leaf", sync::Level::Leaf);
-  sync::CondVar cv;
-  bool ready = false;
-  bool counted = false;
-  std::thread waiter([&] {
-    sync::MutexLock lk(mu);
-    while (!ready) cv.wait(mu);
-    sync::MutexLock ll(leaf);
-    counted = true;
-  });
-  {
-    sync::MutexLock lk(mu);
-    ready = true;
-  }
-  cv.notify_all();
-  waiter.join();
-  EXPECT_TRUE(counted);
-  sync::MutexLock after(mu);
-}
-
-// The PR-7 trace bug shape: counter bumps racing a concurrent span flush
+// An earlier trace bug: counter bumps racing a concurrent span flush
 // corrupted the aggregate buffers.  Reconstructed as a seeded stress —
 // fixed thread count and iteration schedule — so a regression fails
 // deterministically under TSan.
