@@ -69,12 +69,11 @@ class TuneJournal {
   ///
   /// The file is opened O_APPEND and every line is issued as ONE write(2):
   /// POSIX makes O_APPEND writes atomic with respect to the file offset, so
-  /// concurrent appenders (two tuner processes sharing a journal path, the
-  /// daemon journaling from several workers) interleave only at line
-  /// granularity — never mid-line.  A buffered stream cannot promise that:
-  /// a line straddling the stream's buffer boundary flushes as two writes,
-  /// and the gap is exactly where another process's line lands, tearing
-  /// both.
+  /// concurrent appenders (two tuner processes sharing a journal path)
+  /// interleave only at line granularity — never mid-line.  A buffered
+  /// stream cannot promise that: a line straddling the stream's buffer
+  /// boundary flushes as two writes, and the gap is exactly where another
+  /// process's line lands, tearing both.
   static TuneJournal open(const std::string& path, const JournalMeta& meta,
                           bool resume, std::vector<JournalEntry>* replay);
 

@@ -33,7 +33,7 @@ Benchmark get_benchmark(const std::string& name) {
   for (const auto& b : bulk_benchmarks()) {
     if (b.name == name) return b;
   }
-  INCFLAT_FAIL("unknown benchmark: " + name);
+  throw CompilerError("unknown benchmark: " + name);
 }
 
 std::vector<std::string> all_benchmark_names() {

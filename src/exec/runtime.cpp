@@ -17,12 +17,7 @@ namespace {
 
 /// A finite number spanning all of `text`.
 double parse_num(const std::string& key, const std::string& text) {
-  try {
-    size_t consumed = 0;
-    const double v = std::stod(text, &consumed);
-    if (consumed == text.size() && std::isfinite(v)) return v;
-  } catch (const std::exception&) {
-  }
+  if (const std::optional<double> v = parse_finite(text)) return *v;
   throw IoError("run-policy: bad value for '" + key + "': '" + text + "'");
 }
 

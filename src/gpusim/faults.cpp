@@ -21,14 +21,8 @@ const char* fault_kind_name(FaultKind k) {
 namespace {
 
 double parse_rate(const std::string& key, const std::string& text) {
-  try {
-    size_t consumed = 0;
-    const double v = std::stod(text, &consumed);
-    if (consumed != text.size()) throw IoError("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw IoError("faults: bad rate for '" + key + "': '" + text + "'");
-  }
+  if (const std::optional<double> v = parse_finite(text)) return *v;
+  throw IoError("faults: bad rate for '" + key + "': '" + text + "'");
 }
 
 FaultKind scriptable_kind(const std::string& key) {

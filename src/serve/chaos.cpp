@@ -12,16 +12,10 @@ namespace {
 
 double parse_rate(const std::string& key, const std::string& text,
                   double hi = 1.0) {
-  try {
-    size_t consumed = 0;
-    const double v = std::stod(text, &consumed);
-    if (consumed != text.size()) throw IoError("trailing junk");
-    if (v < 0 || v > hi) throw IoError("out of range");
-    return v;
-  } catch (const std::exception&) {
-    throw IoError("net-chaos: bad value for '" + key + "': '" + text +
-                  "' (want a number in [0, " + fmt_double(hi, 0) + "])");
-  }
+  const std::optional<double> v = parse_finite(text);
+  if (v && *v >= 0 && *v <= hi) return *v;
+  throw IoError("net-chaos: bad value for '" + key + "': '" + text +
+                "' (want a number in [0, " + fmt_double(hi, 0) + "])");
 }
 
 }  // namespace

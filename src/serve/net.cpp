@@ -417,20 +417,13 @@ struct ServeSocket::Impl {
     }
     // A run or compile whose entry is resident costs microseconds: answer
     // it here rather than pay two thread wake-ups and a pipe round trip.
-    // Everything that could compile, fault or wait goes to the scheduler.
+    // Everything that could compile, tune or wait goes to the scheduler.
     if (std::optional<Json> resp = core.try_handle_cached(req, token.get())) {
       answer_inline(*conn, seq, *resp);
       return;
     }
-    const JobPriority pri = ServerCore::priority_for(op);
-    // The request deadline bounds the queue wait for *every* priority; the
-    // server-wide tune queue timeout still applies to Low jobs, and the
-    // tighter of the two wins.
-    double timeout = token ? token->remaining_ms() : 0;
-    if (pri == JobPriority::Low) {
-      const double tq = core.options().tune_queue_timeout_ms;
-      if (tq > 0) timeout = timeout > 0 ? std::min(timeout, tq) : tq;
-    }
+    // The request deadline bounds the queue wait for every priority.
+    const double timeout = token ? token->remaining_ms() : 0;
     // Jobs capture the shared queue and the core — never Impl, which a
     // still-running job may outlive.  The drop hook substitutes a timeout /
     // overloaded / cancelled response so the connection's in-order writer
@@ -444,7 +437,8 @@ struct ServeSocket::Impl {
         [q, corep, id, seq, req = std::move(req), token] {
           q->push(id, seq, corep->handle(req, token.get()).str(-1));
         },
-        pri, timeout, [q, id, seq, rid = std::move(rid)](JobState st) {
+        ServerCore::priority_for(op), timeout,
+        [q, id, seq, rid = std::move(rid)](JobState st) {
           const char* c = st == JobState::Expired    ? code::kTimeout
                           : st == JobState::Shed     ? code::kOverloaded
                                                      : code::kCancelled;

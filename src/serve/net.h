@@ -11,14 +11,14 @@
 // answers on its own thread whatever costs microseconds: ping, shutdown,
 // malformed JSON, admission rejections, and — through
 // ServerCore::try_handle_cached — a run or compile whose cache entry is
-// resident (no fault spec set, for a run).  Everything else (cold misses,
-// fault-injected runs, tune, stats) goes to the JobScheduler at the op's
-// priority class, and its response comes back to the loop through a
-// completion queue + self-pipe wakeup (the standard trick for unblocking
-// poll() from another thread).  Both kinds of answer pass through one
-// per-connection in-order drain, so a warm answer never overtakes a cold
-// request sent before it.  The loop reads at most one buffer per
-// connection per poll round, so one pipelining client cannot hold it.
+// resident.  Everything else (cold misses, tune, stats) goes to the
+// JobScheduler at the op's priority class, and its response comes back to
+// the loop through a completion queue + self-pipe wakeup (the standard
+// trick for unblocking poll() from another thread).  Both kinds of answer
+// pass through one per-connection in-order drain, so a warm answer never
+// overtakes a cold request sent before it.  The loop reads at most one
+// buffer per connection per poll round, so one pipelining client cannot
+// hold it.
 //
 // A connection that sends a malformed frame (oversized or garbled length
 // prefix) is answered with one "protocol" error and closed — the stream

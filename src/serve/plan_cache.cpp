@@ -1,37 +1,21 @@
 #include "src/serve/plan_cache.h"
 
-#include <algorithm>
-#include <functional>
-
 #include "src/support/trace.h"
 
 namespace incflat::serve {
 
-PlanCache::PlanCache(size_t byte_budget, int shards) : byte_budget_(byte_budget) {
-  const int n = std::max(shards, 1);
-  shard_budget_ = byte_budget == 0 ? 0 : std::max(byte_budget / n, size_t{1});
-  shards_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
-PlanCache::Shard& PlanCache::shard_for(const std::string& key) {
-  const size_t h = std::hash<std::string>{}(key);
-  return *shards_[h % shards_.size()];
-}
-
 std::shared_ptr<CacheValue> PlanCache::find(const std::string& key,
                                             bool count) {
-  Shard& s = shard_for(key);
-  sync::MutexLock lk(s.mu);
-  auto it = s.index.find(key);
-  if (it == s.index.end()) {
+  sync::MutexLock lk(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
     if (count) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       if (trace::enabled()) trace::count("serve.cache_miss");
     }
     return nullptr;
   }
-  s.lru.splice(s.lru.begin(), s.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   if (count) count_hit();
   return it->second->value;
 }
@@ -41,16 +25,16 @@ void PlanCache::count_hit() {
   if (trace::enabled()) trace::count("serve.cache_hit");
 }
 
-void PlanCache::evict_locked(Shard& s, size_t need) {
-  if (shard_budget_ == 0) return;
+void PlanCache::evict_locked(size_t need) {
+  if (byte_budget_ == 0) return;
   // Evict cold entries until `need` more bytes fit; never below zero
   // entries (an oversized value is admitted alone and evicted by the next
   // insert — refusing it would make its key recompile forever).
-  while (!s.lru.empty() && s.bytes + need > shard_budget_) {
-    const Entry& victim = s.lru.back();
-    s.bytes -= victim.bytes;
-    s.index.erase(victim.key);
-    s.lru.pop_back();
+  while (!lru_.empty() && bytes_ + need > byte_budget_) {
+    const Entry& victim = lru_.back();
+    bytes_ -= victim.bytes;
+    index_.erase(victim.key);
+    lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
     if (trace::enabled()) trace::count("serve.evictions");
   }
@@ -59,43 +43,20 @@ void PlanCache::evict_locked(Shard& s, size_t need) {
 std::shared_ptr<CacheValue> PlanCache::insert(const std::string& key,
                                               std::shared_ptr<CacheValue> value,
                                               size_t bytes) {
-  Shard& s = shard_for(key);
-  sync::MutexLock lk(s.mu);
-  auto it = s.index.find(key);
-  if (it != s.index.end()) {
+  sync::MutexLock lk(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
     // Lost a compile race: the first insert wins so every requester shares
-    // one entry (and its runtime / batch queue).
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    // one entry (and its run counter).
+    lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->value;
   }
-  evict_locked(s, bytes);
-  s.lru.push_front(Entry{key, std::move(value), bytes});
-  s.index.emplace(key, s.lru.begin());
-  s.bytes += bytes;
+  evict_locked(bytes);
+  lru_.push_front(Entry{key, std::move(value), bytes});
+  index_.emplace(key, lru_.begin());
+  bytes_ += bytes;
   inserts_.fetch_add(1, std::memory_order_relaxed);
-  return s.lru.front().value;
-}
-
-bool PlanCache::erase(const std::string& key) {
-  Shard& s = shard_for(key);
-  sync::MutexLock lk(s.mu);
-  auto it = s.index.find(key);
-  if (it == s.index.end()) return false;
-  s.bytes -= it->second->bytes;
-  s.lru.erase(it->second);
-  s.index.erase(it);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  if (trace::enabled()) trace::count("serve.evictions");
-  return true;
-}
-
-void PlanCache::clear() {
-  for (auto& sp : shards_) {
-    sync::MutexLock lk(sp->mu);
-    sp->lru.clear();
-    sp->index.clear();
-    sp->bytes = 0;
-  }
+  return lru_.front().value;
 }
 
 CacheStats PlanCache::stats() const {
@@ -104,11 +65,9 @@ CacheStats PlanCache::stats() const {
   st.misses = misses_.load(std::memory_order_relaxed);
   st.evictions = evictions_.load(std::memory_order_relaxed);
   st.inserts = inserts_.load(std::memory_order_relaxed);
-  for (const auto& sp : shards_) {
-    sync::MutexLock lk(sp->mu);
-    st.bytes += sp->bytes;
-    st.entries += sp->lru.size();
-  }
+  sync::MutexLock lk(mu_);
+  st.bytes = bytes_;
+  st.entries = lru_.size();
   return st;
 }
 

@@ -1,12 +1,10 @@
-// Sharded in-memory LRU cache for served kernel plans.
+// In-memory LRU cache for served kernel plans.
 //
 // The daemon's value proposition is that a plan is compiled and tuned once
 // and then selected cheaply forever (ROADMAP item 1): every client request
-// keyed by (program hash, device profile, dataset shape) after the first
-// answers from this cache.  The cache is sharded by key hash so concurrent
-// server threads rarely contend on one mutex, each shard keeps an intrusive
-// LRU list, and a global byte budget (spread evenly over the shards) bounds
-// resident plan memory — eviction walks a shard's LRU tail until the new
+// keyed by (program, device profile, dataset) after the first answers from
+// this cache.  One mutex guards one LRU list and one byte budget, which
+// bounds resident plan memory — eviction walks the LRU tail until the new
 // entry fits.
 //
 // Values are shared_ptrs to a CacheValue subclass: eviction only drops the
@@ -24,7 +22,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/support/sync.h"
 
@@ -47,38 +44,32 @@ struct CacheStats {
 
 class PlanCache {
  public:
-  /// `byte_budget` caps the sum of entry byte sizes (split evenly across
-  /// shards); 0 means unlimited.  `shards` is clamped to >= 1.
-  explicit PlanCache(size_t byte_budget = size_t{64} << 20, int shards = 8);
+  /// `byte_budget` caps the sum of entry byte sizes; 0 means unlimited.
+  explicit PlanCache(size_t byte_budget = size_t{64} << 20)
+      : byte_budget_(byte_budget) {}
 
   /// Look up `key`, refreshing its LRU position.  Counts a hit or a miss
   /// unless `count` is false (internal probes — e.g. the server reusing a
-  /// program-level plan while building a shape entry — must not inflate
+  /// program-level plan while building a run entry — must not inflate
   /// the hit rate the smoke test asserts on).
-  std::shared_ptr<CacheValue> find(const std::string& key, bool count = true);
+  std::shared_ptr<CacheValue> find(const std::string& key, bool count = true)
+      EXCLUDES(mu_);
 
   /// Count the hit of an entry an uncounted find(key, false) returned, for
   /// callers that probe first and commit to answering from it later.
   void count_hit();
 
-  /// Insert `value` (of `bytes` bytes) under `key`, evicting from the
-  /// shard's LRU tail until the shard budget holds.  When another thread
-  /// inserted `key` first, the existing entry wins and is returned — the
-  /// compile race loser adopts the winner's plan, keeping one entry per
-  /// key.  The returned pointer is therefore the entry callers must use.
+  /// Insert `value` (of `bytes` bytes) under `key`, evicting from the LRU
+  /// tail until the budget holds.  When another thread inserted `key`
+  /// first, the existing entry wins and is returned — the compile race
+  /// loser adopts the winner's plan, keeping one entry per key.  The
+  /// returned pointer is therefore the entry callers must use.
   std::shared_ptr<CacheValue> insert(const std::string& key,
                                      std::shared_ptr<CacheValue> value,
-                                     size_t bytes);
+                                     size_t bytes) EXCLUDES(mu_);
 
-  /// Drop one key; false when absent.  (Counts as an eviction.)
-  bool erase(const std::string& key);
-
-  /// Drop everything (bytes/entries to zero; counters keep accumulating).
-  void clear();
-
-  CacheStats stats() const;
+  CacheStats stats() const EXCLUDES(mu_);
   size_t byte_budget() const { return byte_budget_; }
-  int shards() const { return static_cast<int>(shards_.size()); }
 
  private:
   struct Entry {
@@ -86,24 +77,19 @@ class PlanCache {
     std::shared_ptr<CacheValue> value;
     size_t bytes = 0;
   };
-  struct Shard {
-    sync::Mutex mu{"serve.cache_shard"};
-    // Most-recently-used at the front; eviction pops from the back.
-    std::list<Entry> lru GUARDED_BY(mu);
-    std::unordered_map<std::string, std::list<Entry>::iterator> index
-        GUARDED_BY(mu);
-    size_t bytes GUARDED_BY(mu) = 0;
-  };
 
-  Shard& shard_for(const std::string& key);
-  void evict_locked(Shard& s, size_t need) REQUIRES(s.mu);
+  void evict_locked(size_t need) REQUIRES(mu_);
 
-  size_t byte_budget_;
-  size_t shard_budget_;  // byte_budget_ / shards (0 = unlimited)
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t byte_budget_;
+  mutable sync::Mutex mu_{"serve.cache"};
+  // Most-recently-used at the front; eviction pops from the back.
+  std::list<Entry> lru_ GUARDED_BY(mu_);
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_
+      GUARDED_BY(mu_);
+  size_t bytes_ GUARDED_BY(mu_) = 0;
 
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> evictions_{0};
   std::atomic<int64_t> inserts_{0};
 };

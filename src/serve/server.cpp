@@ -19,6 +19,7 @@
 #include "src/ir/print.h"
 #include "src/support/error.h"
 #include "src/support/rng.h"
+#include "src/support/str.h"
 #include "src/support/trace.h"
 
 namespace incflat::serve {
@@ -80,31 +81,66 @@ std::string opt_string(const Json& req, const std::string& key,
   return v->as_string();
 }
 
+/// The dataset `name` of `b`: an evaluation dataset, else a tuning one.
+const BenchDataset& find_dataset(const Benchmark& b, const std::string& name) {
+  const BenchDataset* found = nullptr;
+  for (const auto& d : b.datasets)
+    if (d.name == name) found = &d;
+  if (!found)
+    for (const auto& d : b.tuning)
+      if (d.name == name) found = &d;
+  if (!found)
+    throw CompilerError("benchmark '" + b.name + "' has no dataset '" + name +
+                        "'");
+  return *found;
+}
+
+/// The RequestStats field that counts `req`'s op; null for an op without
+/// one (ping, shutdown, unknown or missing).
+int64_t RequestStats::*op_tally(const Json& req) {
+  const Json* op = req.find("op");
+  if (!op || !op->is_string()) return nullptr;
+  const std::string& s = op->as_string();
+  if (s == "compile") return &RequestStats::compiles;
+  if (s == "run") return &RequestStats::runs;
+  if (s == "tune") return &RequestStats::tunes;
+  if (s == "stats") return &RequestStats::stats_calls;
+  return nullptr;
+}
+
 }  // namespace
 
-std::string program_key(const std::string& benchmark, const std::string& mode,
-                        const std::string& device) {
-  return benchmark + "|" + mode + "|" + device;
-}
+/// The names a request keys its cache entry by, with their defaults.  Read
+/// in the order the fields are checked, so a request with several bad
+/// fields is answered about the first.
+struct ServerCore::EntryNames {
+  bool run;  // a run entry, keyed by dataset too
+  std::string benchmark;
+  std::string dataset;  // empty for a program entry
+  std::string mode;
+  std::string device;
+  std::string program_key;  // "bench|mode|device"
+  std::string key;          // program_key, plus "|dataset" for a run entry
 
-std::string shape_fingerprint(const std::map<std::string, int64_t>& sizes) {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& [k, v] : sizes) {
-    if (!first) os << ",";
-    first = false;
-    os << k << "=" << v;
-  }
-  return os.str();
-}
+  /// Throws CompilerError on a missing or non-string field; a run request
+  /// also names its dataset.
+  EntryNames(const Json& req, bool run)
+      : run(run),
+        benchmark(req_string(req, "benchmark")),
+        dataset(run ? req_string(req, "dataset") : std::string()),
+        mode(opt_string(req, "mode", "incremental")),
+        device(opt_string(req, "device", "k40")),
+        program_key(benchmark + "|" + mode + "|" + device),
+        key(run ? program_key + "|" + dataset : program_key) {}
+};
 
-/// One cache entry: the compiled plan plus — for shape-keyed run entries —
-/// the shape's RunMemo and fault seed.  Everything but the run counter is
-/// set before the entry is inserted and never changes after, so runs read
-/// the entry without a lock.
+/// One cache entry: the compiled plan plus — for dataset-keyed run entries
+/// — the dataset's RunMemo and fault seed.  Everything but the run counter
+/// is set before the entry is inserted and never changes after, so runs
+/// read the entry without a lock.
 struct ServerCore::ServedPlan : CacheValue {
   std::string key;
-  std::string benchmark, mode, device;
+  std::string program_key;  // also names the entry's tuned thresholds
   uint64_t program_hash = 0;
   Compiled compiled;
   DeviceProfile dev;
@@ -120,7 +156,7 @@ struct ServerCore::ServedPlan : CacheValue {
 ServerCore::ServerCore(ServeOptions opts)
     : opts_(std::move(opts)),
       fspec_(parse_fault_spec(opts_.faults)),
-      cache_(opts_.cache_bytes, opts_.cache_shards),
+      cache_(opts_.cache_bytes),
       sched_(opts_.workers, /*promote_after_ms=*/1000.0, opts_.queue_cap) {}
 
 ServerCore::~ServerCore() = default;
@@ -167,7 +203,6 @@ std::optional<Json> ServerCore::try_handle_cached(const Json& request,
   if (!opv || !opv->is_string()) return std::nullopt;
   const bool run = opv->as_string() == "run";
   if (!run && opv->as_string() != "compile") return std::nullopt;
-  if (run && fspec_.enabled()) return std::nullopt;
   std::shared_ptr<ServedPlan> hit = probe(request, run);
   if (!hit) return std::nullopt;
   return answer(request, cancel, std::move(hit));
@@ -184,7 +219,6 @@ Json ServerCore::answer(const Json& request, const CancelToken* cancel,
     // cache hit.
     resp = retriable_error(code::kTimeout,
                            "deadline expired before the request ran");
-    if (trace::enabled()) trace::count("serve.deadline_expired");
   } else {
     try {
       resp = dispatch(request, cancel, std::move(hit));
@@ -199,12 +233,20 @@ Json ServerCore::answer(const Json& request, const CancelToken* cancel,
     }
   }
   echo_id(request, resp);
+  // A request expired on arrival was never dispatched, so its op is not
+  // counted; a "timeout" answer, whenever the deadline passed, is.
+  int64_t RequestStats::*const op = expired ? nullptr : op_tally(request);
+  const Json* ok = resp.find("ok");
+  const bool failed = !ok || !ok->is_bool() || !ok->as_bool();
+  const Json* c = resp.find("code");
+  const bool timeout = c && c->is_string() && c->as_string() == code::kTimeout;
+  if (timeout && trace::enabled()) trace::count("serve.deadline_expired");
   {
     sync::MutexLock lk(stats_mu_);
     ++rstats_.total;
-    const Json* ok = resp.find("ok");
-    if (!ok || !ok->is_bool() || !ok->as_bool()) ++rstats_.errors;
-    if (expired) ++rstats_.deadline_expired;
+    if (op) ++(rstats_.*op);
+    if (failed) ++rstats_.errors;
+    if (timeout) ++rstats_.deadline_expired;
     if (inlined) ++rstats_.inlined;
   }
   return resp;
@@ -241,70 +283,40 @@ Json ServerCore::dispatch(const Json& req, const CancelToken* cancel,
 }
 
 std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
-    const std::string& benchmark, const std::string& mode,
-    const std::string& device, const std::string& dataset, bool* cached) {
-  const std::string pkey = program_key(benchmark, mode, device);
-  std::string key = pkey;
-  SizeEnv sizes;
-  const bool is_run = !dataset.empty();
-  if (is_run) {
-    // The shape fingerprint needs the dataset's SizeEnv, which lives on the
-    // Benchmark; memoise it so warm-path lookups skip get_benchmark().
-    {
-      sync::ReaderMutexLock lk(shapes_mu_);
-      auto it = shapes_.find(benchmark + "|" + dataset);
-      if (it != shapes_.end()) sizes = it->second;
-    }
-    if (sizes.empty()) {
-      Benchmark b = get_benchmark(benchmark);
-      const BenchDataset* found = nullptr;
-      for (const auto& d : b.datasets)
-        if (d.name == dataset) found = &d;
-      if (!found)
-        for (const auto& d : b.tuning)
-          if (d.name == dataset) found = &d;
-      if (!found) {
-        std::string msg = "benchmark '";
-        msg += benchmark;
-        msg += "' has no dataset '";
-        msg += dataset;
-        msg += "'";
-        throw CompilerError(msg);
-      }
-      sizes = found->sizes;
-      sync::WriterMutexLock lk(shapes_mu_);
-      shapes_.emplace(benchmark + "|" + dataset, sizes);
-    }
-    key += "|";
-    key += shape_fingerprint(sizes);
-  }
-
-  if (auto hit = cache_.find(key)) {
+    const EntryNames& names, bool* cached) {
+  if (auto hit = cache_.find(names.key)) {
     *cached = true;
     return std::static_pointer_cast<ServedPlan>(hit);
   }
   *cached = false;
 
   auto sp = std::make_shared<ServedPlan>();
-  sp->key = key;
-  sp->benchmark = benchmark;
-  sp->mode = mode;
-  sp->device = device;
-  sp->dev = device_from_name(device);
+  sp->key = names.key;
+  sp->program_key = names.program_key;
+  // One get_benchmark per miss.  A run needs it first, for the dataset's
+  // sizes; a compile needs it only to compile, after the device is known.
+  Benchmark b;
+  const BenchDataset* data = nullptr;
+  if (names.run) {
+    b = get_benchmark(names.benchmark);
+    data = &find_dataset(b, names.dataset);
+  }
+  sp->dev = device_from_name(names.device);
 
   // A run miss first tries to adopt the program-level entry's plan — the
-  // compile-once promise: a new dataset shape costs a runtime, never a
-  // re-flatten.  The probe is uncounted (it is bookkeeping, not traffic).
+  // compile-once promise: a new dataset costs a memo, never a re-flatten.
+  // The probe is uncounted (it is bookkeeping, not traffic).
   std::shared_ptr<ServedPlan> base;
-  if (is_run)
-    base = std::static_pointer_cast<ServedPlan>(cache_.find(pkey, false));
+  if (names.run)
+    base = std::static_pointer_cast<ServedPlan>(
+        cache_.find(names.program_key, false));
   if (base) {
     sp->compiled = base->compiled;
     sp->program_hash = base->program_hash;
     sp->plan_reused = true;
   } else {
-    Benchmark b = get_benchmark(benchmark);
-    const FlattenMode m = mode_from_name(mode);
+    if (!names.run) b = get_benchmark(names.benchmark);
+    const FlattenMode m = mode_from_name(names.mode);
     const double t0 = now_us();
     {
       trace::Span span("serve.compile", "serve");
@@ -313,76 +325,61 @@ std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
     sp->compile_us = now_us() - t0;
     const std::string canon = pretty(sp->compiled.flat.program);
     sp->program_hash = journal_hash(canon.data(), canon.size());
-    if (is_run) {
-      // Also publish the program-level entry so future shapes reuse it.
+    if (names.run) {
+      // Also publish the program-level entry so future datasets reuse it.
       auto pe = std::make_shared<ServedPlan>();
-      pe->key = pkey;
-      pe->benchmark = benchmark;
-      pe->mode = mode;
-      pe->device = device;
+      pe->key = names.program_key;
+      pe->program_key = names.program_key;
       pe->dev = sp->dev;
       pe->compiled = sp->compiled;
       pe->program_hash = sp->program_hash;
       pe->compile_us = sp->compile_us;
-      cache_.insert(pkey, pe, approx_entry_bytes(pe->compiled, false));
+      cache_.insert(names.program_key, pe,
+                    approx_entry_bytes(pe->compiled, false));
     }
   }
 
-  if (is_run) {
+  if (names.run) {
     sp->memo = std::make_unique<const RunMemo>(sp->dev, *sp->compiled.plan,
-                                               sizes);
-    // Per-entry fault seed, decorrelated across keys by the key hash so two
-    // entries do not fault in lockstep.
-    sp->fault_seed = opts_.fault_seed ^ journal_hash(key.data(), key.size());
+                                               data->sizes);
+    // Per-entry fault seed, decorrelated across entries by a hash of the
+    // program key and the dataset's sizes so two entries do not fault in
+    // lockstep.
+    const std::string seed_key =
+        names.program_key + "|" +
+        join_map(data->sizes, ",", [](const auto& kv) {
+          return kv.first + "=" + std::to_string(kv.second);
+        });
+    sp->fault_seed =
+        opts_.fault_seed ^ journal_hash(seed_key.data(), seed_key.size());
   }
 
   // Insert; on a compile race the first entry wins and we adopt it.
-  auto winner =
-      cache_.insert(key, sp, approx_entry_bytes(sp->compiled, is_run));
+  auto winner = cache_.insert(names.key, sp,
+                              approx_entry_bytes(sp->compiled, names.run));
   return std::static_pointer_cast<ServedPlan>(winner);
 }
 
 std::shared_ptr<ServerCore::ServedPlan> ServerCore::probe(const Json& req,
                                                           bool run) {
-  // The same key lookup_or_compile builds, from the same defaults — but
-  // never from get_benchmark, and never throwing.
-  const Json* bench = req.find("benchmark");
-  const Json* dataset = run ? req.find("dataset") : nullptr;
-  const Json* mode = req.find("mode");
-  const Json* device = req.find("device");
-  if (!bench || !bench->is_string() ||
-      (run && (!dataset || !dataset->is_string())) ||
-      (mode && !mode->is_string()) || (device && !device->is_string()))
-    return nullptr;
-  std::string key =
-      program_key(bench->as_string(), mode ? mode->as_string() : "incremental",
-                  device ? device->as_string() : "k40");
-  if (run) {
-    sync::ReaderMutexLock lk(shapes_mu_);
-    auto it = shapes_.find(bench->as_string() + "|" + dataset->as_string());
-    if (it == shapes_.end()) return nullptr;
-    key += "|";
-    key += shape_fingerprint(it->second);
+  try {
+    return std::static_pointer_cast<ServedPlan>(
+        cache_.find(EntryNames(req, run).key, /*count=*/false));
+  } catch (const CompilerError&) {
+    return nullptr;  // a malformed field: handle() answers the error
   }
-  return std::static_pointer_cast<ServedPlan>(cache_.find(key, false));
 }
 
 Json ServerCore::do_compile(const Json& req,
                             std::shared_ptr<ServedPlan> entry) {
-  {
-    sync::MutexLock lk(stats_mu_);
-    ++rstats_.compiles;
-  }
-  const std::string& bench = req_string(req, "benchmark");
-  const std::string mode = opt_string(req, "mode", "incremental");
-  const std::string device = opt_string(req, "device", "k40");
-  mode_from_name(mode);  // validate before keying
-
   bool cached = entry != nullptr;
-  if (cached)
+  if (cached) {
     cache_.count_hit();
-  else
-    entry = lookup_or_compile(bench, mode, device, "", &cached);
+  } else {
+    const EntryNames names(req, /*run=*/false);
+    mode_from_name(names.mode);  // validate before keying
+    entry = lookup_or_compile(names, &cached);
+  }
 
   Json r = Json::object();
   r.set("ok", true);
@@ -402,21 +399,14 @@ Json ServerCore::do_compile(const Json& req,
 
 Json ServerCore::do_run(const Json& req, const CancelToken* cancel,
                         std::shared_ptr<ServedPlan> entry) {
-  {
-    sync::MutexLock lk(stats_mu_);
-    ++rstats_.runs;
-  }
-  const std::string& bench = req_string(req, "benchmark");
-  const std::string& dataset = req_string(req, "dataset");
-  const std::string mode = opt_string(req, "mode", "incremental");
-  const std::string device = opt_string(req, "device", "k40");
-  mode_from_name(mode);
-
   bool cached = entry != nullptr;
-  if (cached)
+  if (cached) {
     cache_.count_hit();
-  else
-    entry = lookup_or_compile(bench, mode, device, dataset, &cached);
+  } else {
+    const EntryNames names(req, /*run=*/true);
+    mode_from_name(names.mode);  // validate before keying
+    entry = lookup_or_compile(names, &cached);
+  }
 
   ThresholdEnv thr;
   if (const Json* tv = req.find("thresholds")) {
@@ -441,12 +431,11 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel,
     }
   } else if (const Json* tuned = req.find("tuned");
              tuned && tuned->is_bool() && tuned->as_bool()) {
-    const std::string pkey = program_key(bench, mode, device);
     sync::MutexLock lk(tuned_mu_);
-    auto it = tuned_.find(pkey);
+    auto it = tuned_.find(entry->program_key);
     if (it == tuned_.end())
-      throw CompilerError("no tuned thresholds published for " + pkey +
-                          " (tune first)");
+      throw CompilerError("no tuned thresholds published for " +
+                          entry->program_key + " (tune first)");
     thr.values = it->second;
   }
 
@@ -466,11 +455,6 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel,
   if (out.cancelled) {
     // Expired mid-execution: a scheduling outcome, answered retriable —
     // the request itself was fine, the daemon just ran out of its budget.
-    {
-      sync::MutexLock lk(stats_mu_);
-      ++rstats_.deadline_expired;
-    }
-    if (trace::enabled()) trace::count("serve.deadline_expired");
     r = retriable_error(code::kTimeout, "deadline expired during execution");
   } else {
     r = Json::object();
@@ -495,23 +479,17 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel,
 }
 
 Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
-  {
-    sync::MutexLock lk(stats_mu_);
-    ++rstats_.tunes;
-  }
-  const std::string& bench = req_string(req, "benchmark");
-  const std::string mode = opt_string(req, "mode", "incremental");
-  const std::string device = opt_string(req, "device", "k40");
-
+  const EntryNames names(req, /*run=*/false);
   bool cached = false;
-  auto entry = lookup_or_compile(bench, mode, device, "", &cached);
+  auto entry = lookup_or_compile(names, &cached);
 
-  Benchmark b = get_benchmark(bench);
+  Benchmark b = get_benchmark(names.benchmark);
   std::vector<TuningDataset> train;
   train.reserve(b.tuning.size());
   for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
   if (train.empty())
-    throw CompilerError("benchmark '" + bench + "' has no tuning datasets");
+    throw CompilerError("benchmark '" + names.benchmark +
+                        "' has no tuning datasets");
 
   TunerOptions topts;
   topts.max_trials = opts_.tune_trials;
@@ -539,9 +517,6 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
       topts.budget_ms = std::max(1.0, left);
       if (topts.budget_ms < 1.5) {
         // Effectively nothing left; answer timeout instead of a 1ms farce.
-        sync::MutexLock lk(stats_mu_);
-        ++rstats_.deadline_expired;
-        if (trace::enabled()) trace::count("serve.deadline_expired");
         return retriable_error(code::kTimeout,
                                "deadline expired before tuning started");
       }
@@ -555,10 +530,9 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
                    entry->compiled.flat.thresholds, train, topts);
   }
 
-  const std::string pkey = program_key(bench, mode, device);
   {
     sync::MutexLock lk(tuned_mu_);
-    tuned_[pkey] = rep.best.values;
+    tuned_[names.program_key] = rep.best.values;
   }
 
   Json thrj = Json::object();
@@ -575,15 +549,11 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
 }
 
 Json ServerCore::do_stats() {
-  // Snapshot before tallying this call: the report uniformly covers
-  // requests completed before it (handle() counts "total" the same way).
+  // answer() tallies this call after it returns, so the report uniformly
+  // covers requests completed before it.
   const CacheStats cs = cache_.stats();
   const SchedulerStats ss = sched_.stats();
   const RequestStats rs = request_stats();
-  {
-    sync::MutexLock lk(stats_mu_);
-    ++rstats_.stats_calls;
-  }
 
   Json cache = Json::object();
   cache.set("hits", cs.hits);

@@ -7,11 +7,11 @@
 // the daemon runs.
 //
 // ServerCore::try_handle_cached() is the non-blocking fast path in front of
-// it: a run or compile whose cache entry already exists (and, for a run,
-// with no fault spec set) is answered on the calling thread through the
-// same op bodies; anything else returns nullopt with nothing counted.  The
-// socket layer tries it on its loop thread before scheduling a request, so
-// a warm request never pays the scheduler hop.
+// it: a run or compile whose cache entry already exists is answered on the
+// calling thread through the same op bodies; anything else returns nullopt
+// with nothing counted.  The socket layer tries it on its loop thread
+// before scheduling a request, so a warm request never pays the scheduler
+// hop.
 //
 // Request flow:
 //
@@ -20,10 +20,10 @@
 //               reports `cached`, the flattened-program content hash, and
 //               the cold compile cost, so clients (and the bench's 50x
 //               cold-vs-warm gate) can see amortization happen.
-//   run      -> lookup under (program, mode, device, dataset shape); a miss
+//   run      -> lookup under (program, mode, device, dataset); a miss
 //               reuses the program-level entry's plan when one exists (the
-//               compile-once promise: a new shape never re-flattens) and
-//               builds the shape's RunMemo (src/exec/runtime.h) once,
+//               compile-once promise: a new dataset never re-flattens) and
+//               builds the dataset's RunMemo (src/exec/runtime.h) once,
 //               before inserting the entry.  The memo is immutable, so
 //               concurrent runs against one entry need no lock: each
 //               replays the memo's default-threshold schedule, or descends
@@ -64,7 +64,6 @@ namespace incflat::serve {
 
 struct ServeOptions {
   size_t cache_bytes = size_t{64} << 20;
-  int cache_shards = 8;
   /// Scheduler width; <= 0 picks JobScheduler::pick_width's default.
   int workers = 0;
   /// Fault spec (parse_fault_spec syntax) applied to run execution.
@@ -72,9 +71,6 @@ struct ServeOptions {
   uint64_t fault_seed = 0xfa0175eedULL;
   /// Default trial budget of a `tune` request (overridable per request).
   int tune_trials = 64;
-  /// Queue timeout for Low-priority (tune) jobs submitted by the socket
-  /// layer; 0 = none.  A request's own deadline_ms, when tighter, wins.
-  double tune_queue_timeout_ms = 0;
   /// Per-priority-class bound on the scheduler's waiting queue; a submit
   /// against a full class is shed (answered "overloaded", retriable).
   /// <= 0 = unbounded.
@@ -115,9 +111,8 @@ class ServerCore {
   Json handle(const Json& request, const CancelToken* cancel = nullptr);
 
   /// handle(), but only if answering takes no compile and no wait: a "run"
-  /// or "compile" whose entry is already resident, and for "run" no fault
-  /// spec set (a faulting run may sleep in retry backoff).  The entry is
-  /// probed once without counting; only a request answered from it counts,
+  /// or "compile" whose entry is already resident.  The entry is probed
+  /// once without counting; only a request answered from it counts,
   /// exactly as handle() would count it (one cache hit, or — when `cancel`
   /// has already expired — a "timeout" with no hit), plus
   /// requests.inline.  Anything else returns nullopt with nothing counted,
@@ -146,9 +141,11 @@ class ServerCore {
 
  private:
   struct ServedPlan;
+  struct EntryNames;
 
   /// handle()'s body: the deadline check, dispatch, error mapping and
-  /// tallies.  `hit`, when set, is the entry try_handle_cached probed.
+  /// every request tally, taken under one serve.stats acquisition.  `hit`,
+  /// when set, is the entry try_handle_cached probed.
   Json answer(const Json& req, const CancelToken* cancel,
               std::shared_ptr<ServedPlan> hit);
   Json dispatch(const Json& req, const CancelToken* cancel,
@@ -161,18 +158,13 @@ class ServerCore {
   Json do_tune(const Json& req, const CancelToken* cancel);
   Json do_stats();
 
-  /// Find or build the (program, mode, device[, shape]) entry.  `sizes`
-  /// null = compile-only entry.
-  std::shared_ptr<ServedPlan> lookup_or_compile(const std::string& benchmark,
-                                                const std::string& mode,
-                                                const std::string& device,
-                                                const std::string& dataset,
+  /// Find or build the run or program entry `names` keys.
+  std::shared_ptr<ServedPlan> lookup_or_compile(const EntryNames& names,
                                                 bool* cached);
 
   /// The resident entry a run (`run`) or compile request names, found by
-  /// an uncounted probe; null when it is not resident, or when naming it
-  /// would take work or fail (a malformed field, a dataset shape not yet
-  /// memoised).
+  /// an uncounted probe; null when it is not resident or a field is
+  /// malformed.
   std::shared_ptr<ServedPlan> probe(const Json& req, bool run);
 
   ServeOptions opts_;
@@ -184,13 +176,6 @@ class ServerCore {
   std::map<std::string, std::map<std::string, int64_t>> tuned_
       GUARDED_BY(tuned_mu_);
 
-  /// Memoised dataset shapes ("bench|dataset" -> SizeEnv), so warm-path run
-  /// lookups never pay get_benchmark() just to compute the cache key.
-  /// Reader/writer: the warm path only reads; a miss upgrades to a writer.
-  sync::SharedMutex shapes_mu_{"serve.shapes"};
-  std::map<std::string, std::map<std::string, int64_t>> shapes_
-      GUARDED_BY(shapes_mu_);
-
   mutable sync::Mutex stats_mu_{"serve.stats"};
   RequestStats rstats_ GUARDED_BY(stats_mu_);
 
@@ -200,11 +185,5 @@ class ServerCore {
   /// first.
   JobScheduler sched_;
 };
-
-/// Cache key helpers (exposed for tests): "bench|mode|dev" for the program
-/// entry, plus "|k=v,k=v" of the dataset's SizeEnv for a run entry.
-std::string program_key(const std::string& benchmark, const std::string& mode,
-                        const std::string& device);
-std::string shape_fingerprint(const std::map<std::string, int64_t>& sizes);
 
 }  // namespace incflat::serve

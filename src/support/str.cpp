@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iomanip>
+#include <stdexcept>
 
 namespace incflat {
 
@@ -23,6 +24,16 @@ std::string repeat(const std::string& s, int n) {
   out.reserve(s.size() * static_cast<size_t>(n > 0 ? n : 0));
   for (int i = 0; i < n; ++i) out += s;
   return out;
+}
+
+std::optional<double> parse_finite(const std::string& text) {
+  try {
+    size_t consumed = 0;
+    const double v = std::stod(text, &consumed);
+    if (consumed == text.size() && std::isfinite(v)) return v;
+  } catch (const std::exception&) {  // no number, or out of double's range
+  }
+  return std::nullopt;
 }
 
 }  // namespace incflat

@@ -2,6 +2,7 @@
 // reports, and the benchmark tables.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,5 +40,10 @@ std::string fmt_us(double us);
 
 /// Repeat a string n times.
 std::string repeat(const std::string& s, int n);
+
+/// The finite number spelling all of `text` (std::stod's syntax), else
+/// nullopt.  Spec parsers read numbers through it so that NaN, which fails
+/// no range check because every comparison with it is false, is refused.
+std::optional<double> parse_finite(const std::string& text);
 
 }  // namespace incflat

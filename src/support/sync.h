@@ -27,7 +27,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // ---------------------------------------------------------------------------
 // Clang Thread Safety Analysis attribute macros (the spellings from the
@@ -44,11 +43,7 @@
 #define GUARDED_BY(x) INCFLAT_TSA_ATTR(guarded_by(x))
 #define REQUIRES(...) INCFLAT_TSA_ATTR(requires_capability(__VA_ARGS__))
 #define ACQUIRE(...) INCFLAT_TSA_ATTR(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  INCFLAT_TSA_ATTR(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) INCFLAT_TSA_ATTR(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  INCFLAT_TSA_ATTR(release_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) INCFLAT_TSA_ATTR(locks_excluded(__VA_ARGS__))
 
 namespace incflat::sync {
@@ -96,36 +91,6 @@ class CAPABILITY("mutex") Mutex {
   Level level_;
 };
 
-/// A std::shared_mutex with capability annotations.  Always an ordinary
-/// lock, whether held by a reader or by the writer.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(const char* name) : name_(name) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() {
-    note_acquire(name_, Level::Ordinary);
-    mu_.lock();
-  }
-  void unlock() RELEASE() {
-    mu_.unlock();
-    note_release(Level::Ordinary);
-  }
-  void lock_shared() ACQUIRE_SHARED() {
-    note_acquire(name_, Level::Ordinary);
-    mu_.lock_shared();
-  }
-  void unlock_shared() RELEASE_SHARED() {
-    mu_.unlock_shared();
-    note_release(Level::Ordinary);
-  }
-
- private:
-  std::shared_mutex mu_;
-  const char* name_;
-};
-
 /// RAII exclusive lock, std::lock_guard-shaped: no unlock before scope end.
 class SCOPED_CAPABILITY MutexLock {
  public:
@@ -164,34 +129,6 @@ class SCOPED_CAPABILITY UniqueLock {
  private:
   Mutex& mu_;
   bool owns_;
-};
-
-/// RAII shared (reader) lock on a SharedMutex.
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderMutexLock() RELEASE() { mu_.unlock_shared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII exclusive (writer) lock on a SharedMutex.
-class SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterMutexLock() RELEASE() { mu_.unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable for sync::Mutex.  Deliberately pred-less: callers

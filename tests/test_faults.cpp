@@ -91,6 +91,10 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
                IoError);
   // Noise is a relative amplitude in [0, 1).
   EXPECT_THROW(parse_fault_spec("noise=1.0"), IoError);
+  // NaN fails every range check by comparing false, so the reader itself
+  // must refuse it.
+  EXPECT_THROW(parse_fault_spec("launch-failed=nan"), IoError);
+  EXPECT_THROW(parse_fault_spec("noise=nan"), IoError);
   // Scripted entries need a known kind and a non-negative integer index.
   EXPECT_THROW(parse_fault_spec("bogus@0"), IoError);
   EXPECT_THROW(parse_fault_spec("local-alloc@-1"), IoError);

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -15,20 +14,6 @@
 
 namespace incflat {
 namespace {
-
-TEST(SyncPrimitives, SharedMutexAllowsConcurrentReaders) {
-  sync::SharedMutex mu("test.shared");
-  mu.lock_shared();
-  std::atomic<bool> second_reader_entered{false};
-  std::thread t([&] {
-    sync::ReaderMutexLock lk(mu);
-    second_reader_entered.store(true);
-  });
-  t.join();
-  EXPECT_TRUE(second_reader_entered.load());
-  mu.unlock_shared();
-  sync::WriterMutexLock wlk(mu);  // and a writer still gets through
-}
 
 TEST(SyncPrimitives, CondVarWakesExplicitWaitLoop) {
   // The waiter holds `mu` again when it wakes, and a leaf under it is
@@ -117,18 +102,6 @@ TEST_F(LockRuleDeathTest, AnythingUnderALeafAborts) {
         cv.wait(ordinary);
       },
       "sync: acquiring 'test\\.ordinary' while holding 'test\\.leaf'");
-}
-
-TEST_F(LockRuleDeathTest, OrdinaryUnderReaderLockAborts) {
-  // A reader lock holds the ordinary slot as fully as a writer lock does.
-  sync::SharedMutex shared("test.shared_outer");
-  sync::Mutex inner("test.inner");
-  EXPECT_DEATH(
-      {
-        sync::ReaderMutexLock lr(shared);
-        sync::MutexLock li(inner);
-      },
-      "sync: acquiring 'test\\.inner' while holding 'test\\.shared_outer'");
 }
 
 // ---------------------------------------------------------------------------

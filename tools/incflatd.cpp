@@ -1,13 +1,13 @@
 // incflatd — the compile-and-serve daemon.
 //
 // Serves compile / run / tune / stats requests over the length-prefixed
-// JSON protocol (src/serve/protocol.h) on a unix or tcp endpoint, with a
-// sharded LRU plan cache and a priority job scheduler (src/serve/).  See
+// JSON protocol (src/serve/protocol.h) on a unix or tcp endpoint, with an
+// LRU plan cache and a priority job scheduler (src/serve/).  See
 // DESIGN.md, "Compile-and-serve daemon".
 //
 //   incflatd --listen unix:/tmp/incflatd.sock
 //   incflatd --listen tcp:7465 --cache-mb 128 --workers 4
-//            --faults launch=1e-4 --tune-trials 128
+//            --faults launch-failed=1e-4 --tune-trials 128
 //   incflatd --listen tcp:0 --max-conns 256 --queue-cap 512
 //            --net-chaos all=0.05 --drain-ms 3000
 //
@@ -60,7 +60,6 @@ int usage(FILE* to) {
                "                     tcp port 0 picks an ephemeral port)\n"
                "  --cache-mb N       plan cache byte budget in MiB "
                "(default 64)\n"
-               "  --cache-shards N   plan cache shard count (default 8)\n"
                "  --workers N        scheduler worker threads "
                "(default: min(cores, 8))\n"
                "  --faults SPEC      fault injection for served runs\n"
@@ -68,7 +67,6 @@ int usage(FILE* to) {
                "  --fault-seed N     fault stream seed "
                "(also INCFLAT_FAULT_SEED)\n"
                "  --tune-trials N    default tune trial budget (default 64)\n"
-               "  --tune-timeout MS  drop tune jobs queued longer than MS\n"
                "  --max-conns N      connection cap: connections past it "
                "get one\n"
                "                     'overloaded' (retriable) frame and are "
@@ -122,8 +120,6 @@ int main(int argc, char** argv) {
       opt.listen = next();
     } else if (arg == "--cache-mb") {
       opt.serve.cache_bytes = static_cast<size_t>(std::atoll(next())) << 20;
-    } else if (arg == "--cache-shards") {
-      opt.serve.cache_shards = std::atoi(next());
     } else if (arg == "--workers") {
       opt.serve.workers = std::atoi(next());
     } else if (arg == "--faults") {
@@ -132,8 +128,6 @@ int main(int argc, char** argv) {
       opt.serve.fault_seed = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--tune-trials") {
       opt.serve.tune_trials = std::atoi(next());
-    } else if (arg == "--tune-timeout") {
-      opt.serve.tune_queue_timeout_ms = std::atof(next());
     } else if (arg == "--max-conns") {
       opt.sock.max_conns = std::atoi(next());
     } else if (arg == "--max-inflight") {

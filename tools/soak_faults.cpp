@@ -30,6 +30,10 @@
 // (in-order, exactly-once), shed / deadline-expired outcomes are structured
 // and retriable, a fresh client still gets a ping answered after the storm
 // (nothing wedged), and a requested drain completes clean within its bound.
+// Whether the storm sheds or expires a job is left to timing, so a chaos-free
+// socket on the same core then expires one queued request for certain: the
+// scheduler's drop callback, which answers it, is the one path that takes
+// the done queue's lock under the scheduler's.
 // `soak_faults chaos` runs a heavier version of just this phase.
 //
 // Exit code 0 only when every check passes — CI runs this under
@@ -157,10 +161,10 @@ void soak_tuning(Tally& t, const Benchmark& b, const Compiled& c,
 
 /// Concurrent daemon-shape soak: several threads hammer one fault-injected
 /// ServerCore with run/compile/stats traffic.  The point is lock coverage —
-/// cache sharding, the shape table, the scheduler and the stats paths all
-/// interleave here, and the lock rule checks every acquisition.
+/// the plan cache, the scheduler and the stats paths all interleave here,
+/// and the lock rule checks every acquisition.
 void soak_serve(Tally& t, const std::string& spec_str) {
-  // Tracing on: the cache shards and the scheduler take trace.state under
+  // Tracing on: the plan cache and the scheduler take trace.state under
   // their own locks only while the trace layer is enabled, and the soak
   // should cover those paths.
   trace::set_enabled(true);
@@ -202,6 +206,67 @@ void soak_serve(Tally& t, const std::string& spec_str) {
   trace::reset();
   check(t, bad.load() == 0, "serve soak: response without an ok field");
   t.runs += kThreads * kReqs;
+}
+
+/// Expire one queued request on a chaos-free socket over `core`: gate every
+/// scheduler worker, send a cold compile with a 20 ms deadline, and open the
+/// gate 40 ms after its submit.  The next worker scan drops the job as
+/// Expired, and the drop callback answers it "timeout".
+void expire_in_queue(Tally& t, serve::ServerCore& core) {
+  serve::Endpoint ep;
+  ep.kind = serve::Endpoint::Kind::Unix;
+  ep.path = "/tmp/incflat_soak_expire_" + std::to_string(::getpid()) + ".sock";
+  serve::ServeSocket sock(core, ep);
+  std::thread loop([&] { sock.serve_forever(); });
+
+  serve::JobScheduler& sched = core.scheduler();
+  std::atomic<bool> open{false};
+  std::atomic<int> gated{sched.width()};
+  for (int i = 0; i < sched.width(); ++i) {
+    sched.submit(
+        [&] {
+          while (!open.load()) std::this_thread::yield();
+          --gated;
+        },
+        serve::JobPriority::High);
+  }
+  const serve::SchedulerStats before = sched.stats();
+  std::atomic<bool> called{false};
+  std::thread opener([&] {
+    while (sched.stats().submitted == before.submitted && !called.load())
+      std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    open.store(true);
+  });
+
+  // Not a request the storm makes, so it is not resident: it is scheduled.
+  Json req = Json::object();
+  req.set("op", "compile");
+  req.set("benchmark", "matmul");
+  req.set("mode", "full");
+  req.set("device", "vega64");
+  req.set("deadline_ms", 20.0);
+  std::string code = "(none)";
+  try {
+    serve::ServeClient cli(ep, 10000);
+    const Json resp = cli.call(req);
+    if (const Json* c = resp.find("code"); c && c->is_string())
+      code = c->as_string();
+  } catch (const std::exception& e) {
+    code = e.what();
+  }
+  called.store(true);
+  opener.join();
+  while (gated.load() > 0) std::this_thread::yield();
+  sock.stop();
+  loop.join();
+  std::remove(ep.path.c_str());
+
+  check(t, code == "timeout",
+        "chaos soak: a request expired in the queue answered '" + code +
+            "', not 'timeout'");
+  check(t, sched.stats().expired > before.expired,
+        "chaos soak: the scheduler expired no job");
 }
 
 /// Network-chaos soak: a real ServeSocket under deterministic socket-level
@@ -363,6 +428,7 @@ void soak_chaos(Tally& t, bool heavy) {
   check(t, ds.clean && ds.forced_conns == 0,
         "chaos soak: drain was not clean (" +
             std::to_string(ds.forced_conns) + " forced)");
+  expire_in_queue(t, core);
 
   const int total_sent = kThreads * kReqs;
   check(t, protocol_bad.load() == 0,
