@@ -168,7 +168,8 @@ bool session_needed(const TunerOptions& opts) {
 // Evaluation: the program is lowered once, each dataset's sizes are swept
 // through the cost arena once, and every candidate afterwards is a
 // decision-tree descent on the plan's threshold slots.  Dedup keys are the
-// concatenated guard-path bitsets of all datasets.
+// concatenated guard-path bitsets of all datasets, each one forward pass
+// over the plan's guard list.
 // ---------------------------------------------------------------------------
 
 struct PlanEval {
@@ -205,8 +206,8 @@ struct PlanEval {
 };
 
 /// Candidate costs memoized by dedup key: an assignment whose key was seen
-/// is a dedup hit and costs nothing to evaluate (paper Sec. 4.2).  The slot
-/// and key buffers are reused across trials.
+/// is a dedup hit and costs nothing to evaluate (paper Sec. 4.2).  The slot,
+/// key and signature buffers are reused across trials.
 struct PlanMemoizer {
   const PlanEval& ev;
   MeasureSession* session = nullptr;
@@ -217,8 +218,7 @@ struct PlanMemoizer {
   std::vector<uint64_t> key;
   PathSig sig;
 
-  PlanMemoizer(const PlanEval& e, MeasureSession* s)
-      : ev(e), session(s), sig(e.plan.guards.size()) {}
+  PlanMemoizer(const PlanEval& e, MeasureSession* s) : ev(e), session(s) {}
 
   double cost(const Candidate& cand) {
     slots.resize(cand.size());
@@ -227,8 +227,7 @@ struct PlanMemoizer {
     }
     key.clear();
     for (const PlanDatasetCache& c : ev.caches) {
-      std::fill(sig.bits.begin(), sig.bits.end(), 0);
-      plan_descend(ev.plan, c, slots, {.price = false, .signature = &sig});
+      plan_signature(ev.plan, c, slots, sig);
       key.insert(key.end(), sig.bits.begin(), sig.bits.end());
     }
     auto it = cache.find(key);

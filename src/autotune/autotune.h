@@ -11,8 +11,9 @@
 // Cost evaluation goes through the plan layer (src/plan/): the program is
 // lowered once into a KernelPlan decision tree, each training dataset gets
 // a PlanDatasetCache, and from then on every candidate assignment costs one
-// tree descent.  Dedup keys are guard-path bitsets from a structural
-// descent that prices nothing.  Both searches hold each candidate as a flat
+// tree descent.  Dedup keys are guard-path bitsets, one forward pass over
+// the plan's guard list per dataset (plan_signature), which prices nothing
+// and walks no tree.  Both searches hold each candidate as a flat
 // vector in registry order (a sentinel leaves a threshold at its default).
 // The registry and the plan both list the program's guards in pre-order,
 // which the tuner checks once per call, so registry index i is the plan's

@@ -19,8 +19,8 @@ FlattenMode mode_from_name(const std::string& name) {
   if (name == "moderate") return FlattenMode::Moderate;
   if (name == "incremental") return FlattenMode::Incremental;
   if (name == "full") return FlattenMode::Full;
-  INCFLAT_FAIL("unknown flattening mode '" + name +
-               "' (valid modes: moderate, incremental, full)");
+  throw CompilerError("unknown flattening mode '" + name +
+                      "' (valid modes: moderate, incremental, full)");
 }
 
 FlattenResult flatten(const Program& src, FlattenMode mode,

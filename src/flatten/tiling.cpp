@@ -38,7 +38,7 @@ bool body_has_tileable_redomap(const ExprP& e) {
 bool segmap_is_tileable(const SegOpE& so) {
   if (so.op != SegOpE::Op::Map || so.level < 1) return false;
   if (so.space.size() < 2) return false;
-  if (count_segops(so.body) > 0) return false;  // intra-group kernels: no
+  if (has_segops(so.body)) return false;  // intra-group kernels: no
   return body_has_tileable_redomap(so.body);
 }
 

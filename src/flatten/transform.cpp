@@ -423,7 +423,7 @@ struct Flattener {
     ExprP e_intra_body = transform({}, level - 1, body, envp);
     ExprP e_middle;
     ExprP cmp_intra;
-    if (count_segops(e_intra_body) > 0) {
+    if (has_segops(e_intra_body)) {
       e_middle = manifest(sigmap, level, e_intra_body);
       SizeExpr fit_intra = max_segop_par(e_intra_body);
       SizeExpr par_middle = fit_intra.times(par_outer.alts.at(0));

@@ -370,7 +370,7 @@ struct CostWalker {
   double kernel(const SegOpE& so) {
     TypeEnv saved = env;
     const int64_t points = space_points(so.space);
-    const bool has_inner = count_segops(so.body) > 0;
+    const bool has_inner = has_segops(so.body);
     double t;
     if (has_inner) {
       INCFLAT_CHECK(so.op == SegOpE::Op::Map,

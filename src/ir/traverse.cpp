@@ -367,4 +367,9 @@ int64_t count_segops(const ExprP& e) {
   return n;
 }
 
+bool has_segops(const ExprP& e) {
+  auto pred = [](const Expr& x) { return x.is<SegOpE>(); };
+  return any_node(e, pred);
+}
+
 }  // namespace incflat

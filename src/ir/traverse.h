@@ -183,4 +183,7 @@ int64_t count_nodes(const ExprP& e);
 /// Number of seg-op nodes (generated kernel versions metric).
 int64_t count_segops(const ExprP& e);
 
+/// True if `e` contains a seg-op; stops at the first one.
+bool has_segops(const ExprP& e);
+
 }  // namespace incflat

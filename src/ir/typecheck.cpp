@@ -393,7 +393,7 @@ void level_walk(const ExprP& e, int enclosing) {
                    " directly inside construct at level " +
                    std::to_string(enclosing));
     }
-    if (so->level == 0 && count_segops(so->body) > 0) {
+    if (so->level == 0 && has_segops(so->body)) {
       INCFLAT_FAIL("level-0 seg-op with parallel body");
     }
     // The body and combine operator run at this seg-op's level; the

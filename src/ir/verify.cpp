@@ -129,7 +129,7 @@ struct Verifier {
       return;
     }
     auto* so = e->as<SegOpE>();
-    if (so && !fit_guarded && so->level >= 1 && count_segops(so->body) > 0) {
+    if (so && !fit_guarded && so->level >= 1 && has_segops(so->body)) {
       note("guards", at + "." + segop_label(*so),
            "intra-group version (level-" + std::to_string(so->level) +
                " seg-op with parallel body) reachable without a "

@@ -129,7 +129,8 @@ std::unique_ptr<Pass> make_pass(const std::string& name) {
     if (!known.empty()) known += ", ";
     known += n;
   }
-  INCFLAT_FAIL("unknown pass '" + name + "' (known passes: " + known + ")");
+  throw CompilerError("unknown pass '" + name + "' (known passes: " + known +
+                      ")");
 }
 
 std::vector<std::string> pass_names() {

@@ -79,8 +79,6 @@ struct Descent {
   const KernelPlan& plan;
   const PlanDatasetCache& cache;
   const std::span<const int64_t> slots;
-  const bool price;
-  PathSig* const sig;
   RunEstimate* est;
   std::vector<LaunchInfo>* sched;
   /// Guard decisions from the root to the current node (kept for `sched`).
@@ -99,7 +97,6 @@ struct Descent {
       case PlanNode::Kind::Guard: {
         const size_t g = static_cast<size_t>(n.guard);
         const bool taken = cache.guard_taken(n.guard, slots[g]);
-        if (sig) sig->set(n.guard, taken);
         if (est) est->guards.emplace_back(plan.guards[g].threshold, taken);
         if (sched) path.emplace_back(n.guard, taken);
         const double t = node(taken ? n.then_node : n.else_node);
@@ -115,7 +112,6 @@ struct Descent {
   }
 
   double kernel(int k) {
-    if (!price) return 0;
     const KernelDesc& d = plan.kernels[static_cast<size_t>(k)];
     const auto& pk = cache.kernel(k);
     if (est) {
@@ -164,10 +160,6 @@ struct Descent {
   }
 
   double scale(const PlanNode& n) {
-    if (!price) {
-      node(n.child);
-      return 0;
-    }
     const int64_t count = cache.values().get_i(n.count);
     const double trips = static_cast<double>(count);
     const int64_t k0 = est ? est->kernel_launches : 0;
@@ -200,16 +192,24 @@ struct Descent {
   }
 };
 
+/// Slot i takes the named assignment's value for guard i's threshold.
+std::vector<int64_t> resolve_slots(const KernelPlan& plan,
+                                   const ThresholdEnv& thresholds) {
+  std::vector<int64_t> slots;
+  slots.reserve(plan.guards.size());
+  for (const GuardInfo& g : plan.guards) {
+    slots.push_back(thresholds.get(g.threshold));
+  }
+  return slots;
+}
+
 }  // namespace
 
 double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
                     std::span<const int64_t> slots, const PlanDescent& want) {
-  INCFLAT_CHECK(want.price || (!want.estimate && !want.schedule),
-                "an unpriced plan descent can only record a signature");
   INCFLAT_CHECK(slots.size() == plan.guards.size(),
                 "plan descent needs one threshold value per guard");
-  Descent d{plan,           cache,         slots,         want.price,
-            want.signature, want.estimate, want.schedule, {}};
+  Descent d{plan, cache, slots, want.estimate, want.schedule, {}};
   const double t = d.node(plan.root);
   if (want.estimate) want.estimate->time_us = t;
   return t;
@@ -217,12 +217,7 @@ double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
 
 double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
                     const ThresholdEnv& thresholds, const PlanDescent& want) {
-  std::vector<int64_t> slots;
-  slots.reserve(plan.guards.size());
-  for (const GuardInfo& g : plan.guards) {
-    slots.push_back(thresholds.get(g.threshold));
-  }
-  return plan_descend(plan, cache, slots, want);
+  return plan_descend(plan, cache, resolve_slots(plan, thresholds), want);
 }
 
 RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
@@ -233,14 +228,30 @@ RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
 }
 
 double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
-                 const ThresholdEnv& thresholds, PathSig* sig) {
-  return plan_descend(plan, cache, thresholds, {.signature = sig});
+                 const ThresholdEnv& thresholds) {
+  return plan_descend(plan, cache, thresholds, {});
+}
+
+void plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
+                    std::span<const int64_t> slots, PathSig& sig) {
+  INCFLAT_CHECK(slots.size() == plan.guards.size(),
+                "plan signature needs one threshold value per guard");
+  sig.bits.assign((2 * plan.guards.size() + 63) / 64, 0);
+  for (size_t g = 0; g < plan.guards.size(); ++g) {
+    const GuardInfo& gi = plan.guards[g];
+    if (gi.parent >= 0 && !(sig.reached(gi.parent) &&
+                            sig.taken(gi.parent) == gi.in_then)) {
+      continue;
+    }
+    const int ix = static_cast<int>(g);
+    sig.set(ix, cache.guard_taken(ix, slots[g]));
+  }
 }
 
 PathSig plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
                        const ThresholdEnv& thresholds) {
-  PathSig sig(plan.guards.size());
-  plan_descend(plan, cache, thresholds, {.price = false, .signature = &sig});
+  PathSig sig;
+  plan_signature(plan, cache, resolve_slots(plan, thresholds), sig);
   return sig;
 }
 

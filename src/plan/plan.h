@@ -15,11 +15,13 @@
 // compiled program has a plan.  Per dataset, a PlanDatasetCache evaluates
 // the whole arena in one sweep and prices every kernel; after that, one
 // descent of the tree (plan_descend) prices a run under any threshold
-// assignment in O(kernels-on-path) and yields its estimate, launch
-// schedule and guard-path signature — the property the autotuner exploits
+// assignment in O(kernels-on-path) and yields its estimate and launch
+// schedule.  Which guards an assignment reaches, and which arms they take,
+// is one forward pass over the guard list (plan_signature), since each
+// guard records its enclosing guard — the dedup key the autotuner exploits
 // (Sec. 4.2).  Each guard compares its own threshold, so a guard's index is
-// its threshold's slot: a descent reads guard g's value as slots[g], and a
-// named assignment (ThresholdEnv) is resolved to slots once per call.
+// its threshold's slot: guard g's value is slots[g], and a named assignment
+// (ThresholdEnv) is resolved to slots once per call.
 //
 // The plan is the only cost model simulation, runs and tuning use.  The IR
 // walker gpusim::estimate_run stays as the reference the tests compare the
@@ -57,11 +59,18 @@ struct KernelDesc {
 /// guard_taken.  A guard's index in KernelPlan::guards is its position in
 /// path signatures and its threshold's slot in a descent.  Guards are
 /// listed in the pre-order of the program's guards, the order of the
-/// ThresholdRegistry read off the same program.
+/// ThresholdRegistry read off the same program, so a guard's `parent`
+/// comes before it.
 struct GuardInfo {
   std::string threshold;
   SizeExpr par;
   SizeExpr fit;
+  /// The nearest enclosing guard (-1 at the root) and the arm of it that
+  /// holds this guard.  DataCond and Scale nodes are transparent: a guard
+  /// under a data-dependent branch or a loop is reached whenever the node
+  /// above it is.
+  int parent = -1;
+  bool in_then = false;
 };
 
 struct PlanNode {
@@ -80,10 +89,10 @@ struct PlanNode {
   int child = -1;           // Scale
 };
 
-/// Path signature: for every guard node, whether it was visited and which
-/// branch it took — two bits per guard, packed.  Replaces the autotuner's
-/// string-concatenated signature keys: equal signatures select the same
-/// code versions, hence cost the same (paper Sec. 4.2 dedup).
+/// Path signature: for every guard, whether an assignment reaches it and
+/// which branch it takes — two bits per guard, packed (bit 2g: reached,
+/// bit 2g+1: taken).  Equal signatures select the same code versions, hence
+/// cost the same (paper Sec. 4.2 dedup).
 struct PathSig {
   std::vector<uint64_t> bits;
 
@@ -93,10 +102,16 @@ struct PathSig {
     bits[b / 64] |= uint64_t{1} << (b % 64);
     if (taken) bits[(b + 1) / 64] |= uint64_t{1} << ((b + 1) % 64);
   }
-  void merge(const PathSig& o) {
-    for (size_t i = 0; i < bits.size(); ++i) bits[i] |= o.bits[i];
+  bool reached(int guard_ix) const {
+    return bit(2 * static_cast<size_t>(guard_ix));
+  }
+  bool taken(int guard_ix) const {
+    return bit(2 * static_cast<size_t>(guard_ix) + 1);
   }
   bool operator==(const PathSig& o) const { return bits == o.bits; }
+
+ private:
+  bool bit(size_t b) const { return (bits[b / 64] >> (b % 64)) & 1; }
 };
 
 /// The compile-once plan for one target program.
@@ -179,13 +194,9 @@ struct LaunchInfo {
 };
 
 /// What one plan_descend call records besides the run's time.  Each output
-/// is filled only when non-null, by appending (pass empty ones).  With
-/// `price` false the descent is structural: it prices no kernel and reads
-/// no loop trip count, so it can only fill `signature`.
+/// is filled only when non-null, by appending (pass empty ones).
 struct PlanDescent {
-  bool price = true;
   RunEstimate* estimate = nullptr;
-  PathSig* signature = nullptr;  // sized for plan.guards
   std::vector<LaunchInfo>* schedule = nullptr;
 };
 
@@ -194,12 +205,11 @@ struct PlanDescent {
 /// KernelPlan::guards).  Guard nodes take the branch the assignment
 /// selects; DataCond nodes descend both branches and keep the worse one's
 /// time, report and launches (a deterministic stand-in for the
-/// data-dependent choice a real run would make), while both branches'
-/// guards enter the signature; Scale nodes multiply their child's time and
-/// launch counts by the loop trip count.  Returns the run's simulated time
-/// (0 when !want.price) and also stores it in `want.estimate->time_us`.
-/// The cache must have been built for `plan`.  The autotuner calls this
-/// form on flat candidate vectors.
+/// data-dependent choice a real run would make); Scale nodes multiply
+/// their child's time and launch counts by the loop trip count.  Returns
+/// the run's simulated time and also stores it in
+/// `want.estimate->time_us`.  The cache must have been built for `plan`.
+/// The autotuner calls this form on flat candidate vectors.
 double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
                     std::span<const int64_t> slots, const PlanDescent& want);
 
@@ -215,17 +225,24 @@ double plan_descend(const KernelPlan& plan, const PlanDatasetCache& cache,
 RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
                           const ThresholdEnv& thresholds);
 
-/// The run's total simulated time only, optionally recording the guard-path
-/// signature.
+/// The run's total simulated time only.
 double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
-                 const ThresholdEnv& thresholds, PathSig* sig = nullptr);
+                 const ThresholdEnv& thresholds);
 
-/// Guard-path signature alone: which guards an assignment reaches and which
-/// branches they take, without pricing a single kernel.  This is the
-/// autotuner's dedup key (which it takes from the slot form of
-/// plan_descend) — equal signatures select identical code versions and
-/// therefore cost the same (Sec. 4.2), so the cost evaluation can be
-/// skipped entirely.
+/// Guard-path signature: which guards an assignment reaches and which
+/// branches they take, without pricing a single kernel or walking the
+/// tree.  One forward pass over KernelPlan::guards: guard g is reached if
+/// it has no parent, or if its parent was reached and took the arm
+/// `in_then` names, exactly the guards a descent visits (both arms of a
+/// DataCond, every loop body).  Throws EvalError if a reached guard's
+/// sizes are unbound.  This is the autotuner's dedup key — equal
+/// signatures select identical code versions and therefore cost the same
+/// (Sec. 4.2), so the cost evaluation can be skipped entirely.  `sig` is
+/// reset to the plan's guard count first, so one buffer serves every call.
+void plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
+                    std::span<const int64_t> slots, PathSig& sig);
+
+/// The same signature under a named assignment, resolved to slots first.
 PathSig plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
                        const ThresholdEnv& thresholds);
 

@@ -15,8 +15,13 @@
 // mirrors of the walker's; a guard inside a kernel would split one
 // kernel's accumulation, which no tree node expresses, so it fails the
 // build with a CompilerError, as does a branch that rebinds a name.
+//
+// The walker copies its type environment at every branch and kernel; the
+// builder keeps one TypeEnv and an undo log instead (bind/mark/restore),
+// which leaves the same bindings visible at every point of the walk.
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -53,6 +58,47 @@ struct Builder {
   using Privates = std::set<std::string>;
 
   explicit Builder(KernelPlan& p) : plan(p), A(p.arena) {}
+
+  // ------------------------------------------------------ type environment
+
+  /// One binding made since some mark: the entry it wrote and the type the
+  /// name had before (none if the binding inserted it).  A std::map
+  /// iterator stays valid until its own record is undone, because restore
+  /// undoes records newest first and erases only entries their records
+  /// inserted.
+  struct Undo {
+    TypeEnv::iterator at;
+    std::optional<Type> old;
+  };
+  std::vector<Undo> undo_;
+
+  void bind(const std::string& name, Type t) {
+    auto it = env.lower_bound(name);
+    if (it == env.end() || it->first != name) {
+      undo_.push_back({env.emplace_hint(it, name, std::move(t)), {}});
+    } else {
+      undo_.push_back({it, std::exchange(it->second, std::move(t))});
+    }
+  }
+
+  size_t mark() const { return undo_.size(); }
+
+  /// Undo every binding made since `m`.
+  void restore(size_t m) {
+    while (undo_.size() > m) {
+      Undo& u = undo_.back();
+      if (u.old) {
+        u.at->second = std::move(*u.old);
+      } else {
+        env.erase(u.at);
+      }
+      undo_.pop_back();
+    }
+  }
+
+  /// Where a guard being added sits: its nearest enclosing guard and arm.
+  int guard_parent_ = -1;
+  bool guard_in_then_ = false;
 
   // ---------------------------------------------------------------- nodes
 
@@ -91,7 +137,8 @@ struct Builder {
   }
 
   int add_guard(const ThresholdCmpE& tc) {
-    plan.guards.push_back(GuardInfo{tc.threshold, tc.par, tc.fit});
+    plan.guards.push_back(GuardInfo{tc.threshold, tc.par, tc.fit,
+                                    guard_parent_, guard_in_then_});
     return static_cast<int>(plan.guards.size()) - 1;
   }
 
@@ -225,8 +272,9 @@ struct Builder {
 
   // ------------------------------------------------- sequential (per-thread)
 
-  /// Mirrors CostWalker::seqp.  `tile_div` is an F node.
-  SymWork seqp(const ExprP& e, int tile_div, Privates priv) {
+  /// Mirrors CostWalker::seqp.  `tile_div` is an F node.  `priv` is copied
+  /// only at the binders that add names to it.
+  SymWork seqp(const ExprP& e, int tile_div, const Privates& priv) {
     if (!e) return wzero();
     if (e->is<ThresholdCmpE>()) guard_in_kernel();
     SymWork w = wzero();
@@ -250,16 +298,18 @@ struct Builder {
     }
     if (auto* l = e->as<LetE>()) {
       w = seqp(l->rhs, tile_div, priv);
-      priv.insert(l->vars.begin(), l->vars.end());
-      w = wadd(w, seqp(l->body, tile_div, priv));
+      Privates priv2 = priv;
+      priv2.insert(l->vars.begin(), l->vars.end());
+      w = wadd(w, seqp(l->body, tile_div, priv2));
       return w;
     }
     if (auto* lp = e->as<LoopE>()) {
       for (const auto& in : lp->inits) w = wadd(w, seqp(in, tile_div, priv));
       const int trips = A.i2f(size_scalar_i(lp->count));
-      priv.insert(lp->params.begin(), lp->params.end());
-      priv.insert(lp->ivar);
-      w = wadd(w, wscale(seqp(lp->body, tile_div, priv), trips));
+      Privates priv2 = priv;
+      priv2.insert(lp->params.begin(), lp->params.end());
+      priv2.insert(lp->ivar);
+      w = wadd(w, wscale(seqp(lp->body, tile_div, priv2), trips));
       return w;
     }
     if (auto* m = e->as<MapE>()) {
@@ -353,13 +403,22 @@ struct Builder {
   /// A branch of the walk that rebinds an already-typed name to a different
   /// type would make later lookups branch-dependent, which a tree cannot
   /// express; the flattener never emits such programs, but guard against it.
-  void check_no_rebind(const TypeEnv& saved) {
-    for (const auto& [name, ty] : saved) {
-      auto it = env.find(name);
-      if (it == env.end() || !(it->second == ty)) {
-        unsupported("branch rebinds name " + name);
-      }
+  /// Reads only the bindings made since mark `m`: a name bound at the mark
+  /// has its old type in its first record since then, and must hold it
+  /// still.  Reports the first such name in name order.
+  void check_no_rebind(size_t m) {
+    const std::string* bad = nullptr;
+    for (size_t i = m; i < undo_.size(); ++i) {
+      const Undo& u = undo_[i];
+      if (!u.old || u.at->second == *u.old) continue;
+      // A later record of a name holds a type bound inside the branch.
+      const bool first = std::none_of(
+          undo_.begin() + static_cast<std::ptrdiff_t>(m),
+          undo_.begin() + static_cast<std::ptrdiff_t>(i),
+          [&](const Undo& v) { return v.at == u.at; });
+      if (first && (!bad || u.at->first < *bad)) bad = &u.at->first;
     }
+    if (bad) unsupported("branch rebinds name " + *bad);
   }
 
   /// Mirrors CostWalker::host; returns a plan node id.
@@ -372,7 +431,7 @@ struct Builder {
     if (auto* l = e->as<LetE>()) {
       const int rhs_n = build_host(l->rhs);
       for (size_t i = 0; i < l->vars.size(); ++i) {
-        env[l->vars[i]] = l->rhs->types[i];
+        bind(l->vars[i], l->rhs->types[i]);
       }
       const int body_n = build_host(l->body);
       return block({child_step(rhs_n), child_step(body_n)});
@@ -381,32 +440,39 @@ struct Builder {
       std::vector<PlanNode::Step> steps;
       for (size_t i = 0; i < lp->params.size(); ++i) {
         steps.push_back(child_step(build_host(lp->inits[i])));
-        env[lp->params[i]] = lp->inits[i]->types.at(0);
+        bind(lp->params[i], lp->inits[i]->types.at(0));
       }
-      env[lp->ivar] = Type::scalar(Scalar::I64);
+      bind(lp->ivar, Type::scalar(Scalar::I64));
       const int count = size_scalar_i(lp->count);
       const int body_n = build_host(lp->body);
       steps.push_back(child_step(scale_node(count, body_n)));
       return block(std::move(steps));
     }
     if (auto* i = e->as<IfE>()) {
-      TypeEnv saved = env;
+      const size_t m = mark();
       if (auto* tc = i->cond->as<ThresholdCmpE>()) {
         const int gix = add_guard(*tc);
+        const int parent = guard_parent_;
+        const bool in_then = guard_in_then_;
+        guard_parent_ = gix;
+        guard_in_then_ = true;
         const int tn = build_host(i->then_e);
-        check_no_rebind(saved);
-        env = saved;
+        check_no_rebind(m);
+        restore(m);
+        guard_in_then_ = false;
         const int en = build_host(i->else_e);
-        check_no_rebind(saved);
-        env = saved;
+        check_no_rebind(m);
+        restore(m);
+        guard_parent_ = parent;
+        guard_in_then_ = in_then;
         return guard_node(gix, tn, en);
       }
       // Data-dependent host branch: the walker prices both sides with fresh
       // sub-walkers and merges the worse; the tree keeps both children.
       const int tn = build_host(i->then_e);
-      env = saved;
+      restore(m);
       const int en = build_host(i->else_e);
-      env = saved;
+      restore(m);
       return data_node(tn, en);
     }
     if (auto* so = e->as<SegOpE>()) return build_kernel(*so);
@@ -442,17 +508,18 @@ struct Builder {
   /// only).  Computed with the walker's exact double accumulation.
   double scalar_param_bytes(const SegSpace& space) {
     double b = 0;
-    TypeEnv scratch = env;
+    const size_t m = mark();
     for (const auto& lvl : space) {
       for (size_t i = 0; i < lvl.params.size(); ++i) {
-        auto it = scratch.find(lvl.arrays[i]);
-        INCFLAT_CHECK(it != scratch.end(),
+        auto it = env.find(lvl.arrays[i]);
+        INCFLAT_CHECK(it != env.end(),
                       "plan: seg array untyped: " + lvl.arrays[i]);
         const Type row = it->second.row();
-        scratch[lvl.params[i]] = row;
+        bind(lvl.params[i], row);
         if (row.is_scalar()) b += scalar_bytes(row.elem);
       }
     }
+    restore(m);
     return b;
   }
 
@@ -463,25 +530,26 @@ struct Builder {
       pass_through.insert(lvl.arrays.begin(), lvl.arrays.end());
     }
     int b = A.constf(0.0);
-    TypeEnv scratch = env;
+    const size_t m = mark();
     for (const auto& lvl : space) {
       for (size_t i = 0; i < lvl.params.size(); ++i) {
-        auto it = scratch.find(lvl.arrays[i]);
-        INCFLAT_CHECK(it != scratch.end(), "plan: seg array untyped");
+        auto it = env.find(lvl.arrays[i]);
+        INCFLAT_CHECK(it != env.end(), "plan: seg array untyped");
         const Type row = it->second.row();
-        scratch[lvl.params[i]] = row;
+        bind(lvl.params[i], row);
         if (row.is_array() && !pass_through.count(lvl.params[i])) {
           b = A.addf(b, bytes_of_f(row));
         }
       }
     }
+    restore(m);
     return b;
   }
 
   void bind_space(const SegSpace& space) {
     for (const auto& lvl : space) {
       for (size_t i = 0; i < lvl.params.size(); ++i) {
-        env[lvl.params[i]] = env.at(lvl.arrays[i]).row();
+        bind(lvl.params[i], env.at(lvl.arrays[i]).row());
       }
     }
   }
@@ -499,9 +567,9 @@ struct Builder {
 
   /// Mirrors CostWalker::kernel.
   int build_kernel(const SegOpE& so) {
-    TypeEnv saved = env;
+    const size_t m = mark();
     const int points = space_points_i(so.space);
-    const bool has_inner = count_segops(so.body) > 0;
+    const bool has_inner = has_segops(so.body);
     int node;
     if (has_inner) {
       INCFLAT_CHECK(so.op == SegOpE::Op::Map,
@@ -510,7 +578,7 @@ struct Builder {
     } else {
       node = build_thread_kernel(so, points);
     }
-    env = saved;
+    restore(m);
     return node;
   }
 
@@ -568,13 +636,13 @@ struct Builder {
     if (auto* so = e->as<SegOpE>()) {
       const int pts = space_points_i(so->space);
       acc.max_inner = A.maxi(acc.max_inner, pts);
-      TypeEnv saved = env;
+      const size_t m = mark();
       SymWork w = wzero();
       const int pts_f = A.i2f(pts);
       for (const auto& lvl : so->space) {
         for (size_t i = 0; i < lvl.params.size(); ++i) {
           const Type row = env.at(lvl.arrays[i]).row();
-          env[lvl.params[i]] = row;
+          bind(lvl.params[i], row);
           const int b = A.mulf(pts_f, bytes_of_f(row));
           if (acc.local_names.count(lvl.arrays[i])) {
             w.lbytes = A.addf(w.lbytes, b);
@@ -584,7 +652,7 @@ struct Builder {
         }
       }
       SymWork body = seqp(so->body, A.constf(1.0), Privates{});
-      env = saved;
+      restore(m);
       const int elem_bytes = bytes_per_point_results_f(*so);
       w = wadd(w, wscale(body, pts_f));
       if (so->op == SegOpE::Op::Scan) {
@@ -611,7 +679,7 @@ struct Builder {
     if (auto* l = e->as<LetE>()) {
       group_walk(l->rhs, acc);
       for (size_t i = 0; i < l->vars.size(); ++i) {
-        env[l->vars[i]] = l->rhs->types[i];
+        bind(l->vars[i], l->rhs->types[i]);
         acc.local_names.insert(l->vars[i]);
       }
       group_walk(l->body, acc);
@@ -619,10 +687,10 @@ struct Builder {
     }
     if (auto* lp = e->as<LoopE>()) {
       for (size_t i = 0; i < lp->params.size(); ++i) {
-        env[lp->params[i]] = lp->inits[i]->types.at(0);
+        bind(lp->params[i], lp->inits[i]->types.at(0));
         acc.local_names.insert(lp->params[i]);
       }
-      env[lp->ivar] = Type::scalar(Scalar::I64);
+      bind(lp->ivar, Type::scalar(Scalar::I64));
       const int trips = A.i2f(size_scalar_i(lp->count));
       SymGroupAcc inner;
       inner.per_group = wzero();
@@ -670,7 +738,7 @@ struct Builder {
 
   /// Mirrors group_kernel.
   int build_group_kernel(const SegOpE& so, int groups) {
-    TypeEnv saved = env;
+    const size_t m = mark();
     bind_space(so.space);
     const int staged_in = A.addf(array_param_bytes_f(so.space),
                                  A.constf(scalar_param_bytes(so.space)));
@@ -682,7 +750,7 @@ struct Builder {
       acc.local_names.insert(lvl.params.begin(), lvl.params.end());
     }
     group_walk(so.body, acc);
-    env = saved;
+    restore(m);
 
     const int group_size =
         A.mini(A.maxi(acc.max_inner, A.consti(1)), dev_maxg());
@@ -734,9 +802,9 @@ KernelPlan build_kernel_plan(const Program& p) {
   trace::Span span("plan.build");
   KernelPlan plan;
   Builder b(plan);
-  for (const auto& in : p.inputs) b.env[in.name] = in.type;
+  for (const auto& in : p.inputs) b.bind(in.name, in.type);
   for (const auto& sp : p.size_params()) {
-    b.env[sp] = Type::scalar(Scalar::I64);
+    b.bind(sp, Type::scalar(Scalar::I64));
   }
   plan.root = b.build_host(p.body);
   if (trace::enabled()) {

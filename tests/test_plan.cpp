@@ -7,9 +7,13 @@
 // cannot lower fails to build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/autotune/autotune.h"
@@ -206,30 +210,204 @@ TEST(PlanLayer, LocalMemoryFallbackMatchesWalker) {
 }
 
 // Equal guard-path signatures must imply equal cost (the dedup soundness
-// property the autotuner relies on, paper Sec. 4.2).
+// property the autotuner relies on, paper Sec. 4.2), on every suite
+// program the tuner searches.
 TEST(PlanLayer, SignatureDedupIsSound) {
-  const Benchmark b = get_benchmark("matmul");
-  FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
-  const KernelPlan plan = build_kernel_plan(inc.program);
-  ASSERT_FALSE(plan.legacy_fallback);
-  const DeviceProfile dev = device_k40();
   Rng rng(0xdedc0de);
-  for (const auto& d : b.datasets) {
-    PlanDatasetCache cache(plan, dev, d.sizes);
-    std::map<std::vector<uint64_t>, double> seen;
-    int collisions = 0;
-    for (int i = 0; i < 200; ++i) {
-      const ThresholdEnv thr = random_thresholds(inc.thresholds, rng);
-      const PathSig sig = plan_signature(plan, cache, thr);
-      const double c = plan_cost(plan, cache, thr);
-      auto [it, fresh] = seen.emplace(sig.bits, c);
-      if (!fresh) {
-        ++collisions;
-        EXPECT_EQ(it->second, c) << d.name << " trial " << i;
+  for (const auto& name : all_benchmark_names()) {
+    const Benchmark b = get_benchmark(name);
+    FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+    const KernelPlan plan = build_kernel_plan(inc.program);
+    for (const auto& dev : {device_k40(), device_vega64()}) {
+      for (const auto& d : b.datasets) {
+        const std::string ctx = name + "/" + dev.name + "/" + d.name;
+        PlanDatasetCache cache(plan, dev, d.sizes);
+        std::map<std::vector<uint64_t>, double> seen;
+        int collisions = 0;
+        for (int i = 0; i < 200; ++i) {
+          const ThresholdEnv thr = random_thresholds(inc.thresholds, rng);
+          const PathSig sig = plan_signature(plan, cache, thr);
+          const double c = plan_cost(plan, cache, thr);
+          auto [it, fresh] = seen.emplace(sig.bits, c);
+          if (!fresh) {
+            ++collisions;
+            EXPECT_EQ(it->second, c) << ctx << " trial " << i;
+          }
+        }
+        EXPECT_GT(collisions, 0) << ctx;  // the property was actually tested
       }
     }
-    EXPECT_GT(collisions, 0) << d.name;  // the property was actually tested
   }
+}
+
+/// The signature as a descent of the tree computes it: a Guard sets its
+/// bits and follows the arm it takes, a DataCond enters both arms, a Scale
+/// its body, and kernels add nothing.
+void walk_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
+                    std::span<const int64_t> slots, int id, PathSig& sig) {
+  const PlanNode& n = plan.nodes[static_cast<size_t>(id)];
+  switch (n.kind) {
+    case PlanNode::Kind::Block:
+      for (const PlanNode::Step& s : n.steps) {
+        if (!s.is_kernel) walk_signature(plan, cache, slots, s.index, sig);
+      }
+      return;
+    case PlanNode::Kind::Guard: {
+      const bool taken =
+          cache.guard_taken(n.guard, slots[static_cast<size_t>(n.guard)]);
+      sig.set(n.guard, taken);
+      walk_signature(plan, cache, slots, taken ? n.then_node : n.else_node,
+                     sig);
+      return;
+    }
+    case PlanNode::Kind::DataCond:
+      walk_signature(plan, cache, slots, n.then_node, sig);
+      walk_signature(plan, cache, slots, n.else_node, sig);
+      return;
+    case PlanNode::Kind::Scale:
+      walk_signature(plan, cache, slots, n.child, sig);
+      return;
+  }
+}
+
+/// Checks the guard-list signature against the walk under one assignment:
+/// the same bits, or EvalError from both.  Returns whether the walk threw.
+bool expect_signature_matches_walk(const KernelPlan& plan,
+                                   const PlanDatasetCache& cache,
+                                   const std::vector<int64_t>& slots,
+                                   const std::string& ctx) {
+  PathSig want(plan.guards.size()), got;
+  bool want_threw = false, got_threw = false;
+  try {
+    walk_signature(plan, cache, slots, plan.root, want);
+  } catch (const EvalError&) {
+    want_threw = true;
+  }
+  try {
+    plan_signature(plan, cache, slots, got);
+  } catch (const EvalError&) {
+    got_threw = true;
+  }
+  EXPECT_EQ(got_threw, want_threw) << ctx;
+  if (!want_threw && !got_threw) {
+    EXPECT_EQ(got.bits, want.bits) << ctx;
+  }
+  return want_threw;
+}
+
+/// Seeded random slot vectors for `plan`, led by all-taken and all-off.
+std::vector<std::vector<int64_t>> random_slots(const KernelPlan& plan,
+                                               Rng& rng, int n) {
+  const size_t g = plan.guards.size();
+  std::vector<std::vector<int64_t>> out{
+      std::vector<int64_t>(g, 1), std::vector<int64_t>(g, int64_t{1} << 62)};
+  for (int i = 0; i < n; ++i) {
+    std::vector<int64_t>& v = out.emplace_back(g);
+    for (int64_t& x : v) x = int64_t{1} << rng.uniform_int(0, 31);
+  }
+  return out;
+}
+
+/// The deep-nest program of tests/test_deepnest.cpp: `depth` nested maps
+/// over a[d0]..[d(depth-1)] with a scalar body.
+Program deep_program(int depth) {
+  std::function<ExprP(int, const std::string&)> nest =
+      [&](int d, const std::string& arr) -> ExprP {
+    if (d == 0) return add(var(arr), cf32(1));
+    const std::string inner = arr + "r";
+    return map1(lam({ib::p(inner, Type())}, nest(d - 1, inner)), var(arr));
+  };
+  Program p;
+  p.name = "deep" + std::to_string(depth);
+  std::vector<Dim> shape;
+  for (int i = 0; i < depth; ++i) {
+    shape.push_back(Dim::v("d" + std::to_string(i)));
+  }
+  p.inputs = {{"a", Type::array(Scalar::F32, shape)}};
+  p.body = nest(depth, "a");
+  return typecheck_program(std::move(p));
+}
+
+// The tuner's dedup key is one pass over the guard list.  It must reach
+// exactly the guards a descent of the tree visits, with the same branches,
+// and throw exactly when a reached guard's sizes are unbound: across the
+// suite, the deep nests, and a data-dependent branch over guards.
+TEST(PlanLayer, GuardListSignatureMatchesTheTreeWalk) {
+  Rng rng(0x516e);
+  int checks = 0, throws = 0;
+  const auto check = [&](const KernelPlan& plan, const DeviceProfile& dev,
+                         const SizeEnv& sizes, const std::string& ctx) {
+    const PlanDatasetCache cache(plan, dev, sizes);
+    for (const auto& slots : random_slots(plan, rng, 20)) {
+      throws += expect_signature_matches_walk(plan, cache, slots, ctx);
+      ++checks;
+    }
+  };
+  const std::vector<DeviceProfile> devices{device_k40(), device_vega64()};
+  for (const auto& name : all_benchmark_names()) {
+    const Benchmark b = get_benchmark(name);
+    for (FlattenMode mode : {FlattenMode::Moderate, FlattenMode::Incremental,
+                             FlattenMode::Full}) {
+      const KernelPlan plan =
+          build_kernel_plan(flatten(b.program, mode).program);
+      for (const auto& dev : devices) {
+        for (const auto* set : {&b.datasets, &b.tuning}) {
+          for (const auto& d : *set) {
+            check(plan, dev, d.sizes,
+                  name + "/" + mode_name(mode) + "/" + dev.name + "/" + d.name);
+          }
+        }
+      }
+    }
+  }
+  for (int depth = 2; depth <= 5; ++depth) {
+    const KernelPlan plan = build_kernel_plan(
+        flatten(deep_program(depth), FlattenMode::Incremental).program);
+    SizeEnv sizes;
+    for (int i = 0; i < depth; ++i) {
+      sizes["d" + std::to_string(i)] = int64_t{1} << rng.uniform_int(1, 12);
+    }
+    for (const auto& dev : devices) {
+      check(plan, dev, sizes, "deep" + std::to_string(depth) + "/" + dev.name);
+    }
+  }
+
+  // if c < 0 then map (reduce (+)) xss else map (reduce max) xss: one
+  // DataCond over two guard spines.  A dataset without m leaves the inner
+  // guards unbound, so an assignment throws exactly when it reaches one.
+  Program p;
+  p.name = "data_cond_over_guards";
+  p.inputs = {{"c", Type::scalar(Scalar::F32)},
+              {"xss", Type::array(Scalar::F32, {Dim::v("n"), Dim::v("m")})}};
+  const auto map_reduce = [](const std::string& op, const std::string& xs) {
+    return map1(lam({ib::p(xs, Type())},
+                    reduce(binlam(op, Scalar::F32), {cf32(0)}, {var(xs)})),
+                var("xss"));
+  };
+  p.body = iff(lt(var("c"), cf32(0)), map_reduce("+", "xs"),
+               map_reduce("max", "ys"));
+  const KernelPlan plan = build_kernel_plan(
+      flatten(typecheck_program(std::move(p)), FlattenMode::Incremental)
+          .program);
+  ASSERT_EQ(plan.guards.size(), 4u);
+  ASSERT_EQ(std::count_if(plan.nodes.begin(), plan.nodes.end(),
+                          [](const PlanNode& n) {
+                            return n.kind == PlanNode::Kind::DataCond;
+                          }),
+            1);
+  const int before = throws;
+  for (const auto& dev : devices) {
+    check(plan, dev, {{"n", 1 << 10}, {"m", 1 << 8}}, "datacond/" + dev.name);
+    check(plan, dev, {{"n", 1 << 10}}, "datacond/no m/" + dev.name);
+  }
+  EXPECT_GT(throws, before);  // the unbound dataset threw somewhere
+  EXPECT_LT(throws, checks);  // ...and not everywhere
+  PathSig all_taken;
+  plan_signature(plan, PlanDatasetCache(plan, devices[0], {{"n", 4}}),
+                 std::vector<int64_t>(4, 1), all_taken);
+  EXPECT_TRUE(all_taken.reached(0) && all_taken.reached(2))
+      << "both arms of the DataCond are entered";
+  EXPECT_GT(checks, 5000);
 }
 
 // Both searches price candidates on the plan; the costs they report must
@@ -302,26 +480,47 @@ TEST(PlanLayer, UnsupportedConstructFailsTheBuild) {
     p.body = mk(std::move(so));
     return p;
   };
-  const std::vector<std::pair<std::string, Program>> cases{
+  // if GUARD then THEN else ELSE over an input xss, at host level.
+  const auto guarded = [&](ExprP then_e, ExprP else_e) {
+    Program p;
+    p.name = "rebind";
+    p.inputs = {
+        {"xss", Type::array(Scalar::F32, {Dim::v("n"), Dim::v("m")})}};
+    p.body = iff(guard, std::move(then_e), std::move(else_e));
+    return typecheck_program(std::move(p));
+  };
+  const std::string in_kernel = "threshold guard inside a kernel";
+  const std::vector<std::tuple<std::string, Program, std::string>> cases{
       // Directly in an intra-group body.
-      {"intra-group", outer(iff(guard, red(), red()))},
+      {"intra-group", outer(iff(guard, red(), red())), in_kernel},
       // Under a data-dependent branch of an intra-group body.
       {"intra-group data branch",
-       outer(iff(data_cond, iff(guard, red(), red()), red()))},
+       outer(iff(data_cond, iff(guard, red(), red()), red())), in_kernel},
       // In a per-thread kernel body.
-      {"per-thread", outer(iff(guard, cf32(1), cf32(2)))},
+      {"per-thread", outer(iff(guard, cf32(1), cf32(2))), in_kernel},
+      // A guarded arm rebinding an input at another type: later lookups
+      // would depend on the branch.
+      {"rebind", guarded(let1("xss", cf32(0), var("xss")), cf32(1)),
+       "branch rebinds name xss"},
   };
-  for (const auto& [what, p] : cases) {
+  for (const auto& [what, p, construct] : cases) {
     try {
       build_kernel_plan(p);
       ADD_FAILURE() << what << ": expected CompilerError";
     } catch (const CompilerError& e) {
-      EXPECT_NE(std::string(e.what()).find(
-                    "plan-build: unsupported construct: threshold guard "
-                    "inside a kernel"),
+      EXPECT_NE(std::string(e.what()).find("plan-build: unsupported "
+                                           "construct: " + construct),
                 std::string::npos)
           << what << ": " << e.what();
     }
+  }
+  // The same rebind at the same type builds, and so does a name first
+  // bound inside the arm, whatever types it takes there.
+  for (const ExprP& then_e :
+       {let1("xss", var("xss"), var("xss")),
+        let1("y", cf32(0), let1("y", var("xss"), var("y")))}) {
+    EXPECT_EQ(build_kernel_plan(guarded(then_e, var("xss"))).guards.size(),
+              1u);
   }
 }
 

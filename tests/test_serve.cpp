@@ -636,11 +636,21 @@ TEST(Server, ErrorResponsesCarryCodes) {
   // A user-facing error names the benchmark, not a source location.
   EXPECT_EQ(unknown_resp.get("error").as_string(),
             "unknown benchmark: no-such-benchmark");
+  // So does an unknown mode: the valid modes, no source location.
+  Json bad_mode = Json::object();
+  bad_mode.set("op", "compile");
+  bad_mode.set("benchmark", "matmul");
+  bad_mode.set("mode", "bogus");
+  const Json bad_mode_resp = core.handle(bad_mode);
+  EXPECT_EQ(bad_mode_resp.get("code").as_string(), "bad-request");
+  EXPECT_EQ(bad_mode_resp.get("error").as_string(),
+            "unknown flattening mode 'bogus' (valid modes: moderate, "
+            "incremental, full)");
   // handle_text: malformed JSON fails the request, not the process.
   const Json parsed = Json::parse(core.handle_text("{not json"));
   EXPECT_FALSE(parsed.get("ok").as_bool());
   EXPECT_EQ(parsed.get("code").as_string(), "bad-request");
-  EXPECT_EQ(core.request_stats().errors, 4);
+  EXPECT_EQ(core.request_stats().errors, 5);
 }
 
 TEST(Server, CompileCachesByProgramKey) {
