@@ -117,10 +117,8 @@ int run() {
     // best cost over the same training data.
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
-    const TuningReport ra = exhaustive_tune(dev, plain.flat.program,
-                                            plain.flat.thresholds, train);
-    const TuningReport rs = exhaustive_tune(dev, simp.flat.program,
-                                            simp.flat.thresholds, train);
+    const TuningReport ra = exhaustive_tune(dev, *plain.plan, train);
+    const TuningReport rs = exhaustive_tune(dev, *simp.plan, train);
     const bool tuned_match = ra.best_cost_us == rs.best_cost_us;
     all_tuned_match = all_tuned_match && tuned_match;
 

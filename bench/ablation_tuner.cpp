@@ -21,17 +21,16 @@ int run() {
              "dedup-hits", "cost vs optimum", "vs default"});
   for (const auto& name : all_benchmark_names()) {
     Benchmark b = get_benchmark(name);
-    FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+    const Compiled inc = compile(b.program, FlattenMode::Incremental);
+    const KernelPlan& plan = *inc.plan;
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
-    TuningReport oracle =
-        exhaustive_tune(dev, inc.program, inc.thresholds, train);
+    TuningReport oracle = exhaustive_tune(dev, plan, train);
     for (int budget : {50, 400}) {
       TunerOptions opts;
       opts.max_trials = budget;
-      TuningReport rep =
-          autotune(dev, inc.program, inc.thresholds, train, opts);
-      tab.row({name, std::to_string(inc.thresholds.size()),
+      TuningReport rep = autotune(dev, plan, train, opts);
+      tab.row({name, std::to_string(plan.guards.size()),
                std::to_string(budget), std::to_string(rep.trials),
                std::to_string(rep.evaluations),
                std::to_string(rep.dedup_hits),
@@ -41,7 +40,7 @@ int run() {
         checks.expect(rep.best_cost_us <= 1.25 * oracle.best_cost_us,
                       name + ": stochastic tuner within 25% of the "
                       "branch-complete optimum at 400 trials");
-        if (inc.thresholds.size() >= 2) {
+        if (plan.guards.size() >= 2) {
           checks.expect(rep.dedup_hits > 0,
                         name + ": branching-tree dedup resolves repeated "
                         "assignments without re-measurement");

@@ -41,8 +41,7 @@ int run() {
 
   Checks checks;
   for (const auto& dev : devices) {
-    TuningReport rep =
-        exhaustive_tune(dev, inc.flat.program, inc.flat.thresholds, train);
+    TuningReport rep = exhaustive_tune(dev, inc_plan, train);
     for (int k_total : {20, 25}) {
       std::cout << "\n=== Figure 2: matmul, constant work 2^" << k_total
                 << ", device " << dev.name << " ===\n";

@@ -173,12 +173,9 @@ inline TunedBench prepare(const Benchmark& b,
   std::vector<TuningDataset> train;
   for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
   for (const auto& dev : devices) {
-    TuningReport rep =
-        exhaustive
-            ? exhaustive_tune(dev, t.incremental.flat.program,
-                              t.incremental.flat.thresholds, train)
-            : autotune(dev, t.incremental.flat.program,
-                       t.incremental.flat.thresholds, train);
+    const KernelPlan& plan = *t.incremental.plan;
+    TuningReport rep = exhaustive ? exhaustive_tune(dev, plan, train)
+                                  : autotune(dev, plan, train);
     t.tuned[dev.name] = rep.best;
     t.reports[dev.name] = rep;
   }

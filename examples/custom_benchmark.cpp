@@ -58,8 +58,7 @@ int main() {
 
   Table t({"device", "dataset", "default", "tuned", "speedup"});
   for (const DeviceProfile& dev : {device_k40(), device_vega64()}) {
-    TuningReport rep =
-        exhaustive_tune(dev, c.flat.program, c.flat.thresholds, train);
+    TuningReport rep = exhaustive_tune(dev, *c.plan, train);
     for (const auto& d : train) {
       const double t0 = simulate(dev, c, d.sizes, {}).time_us;
       const double t1 = simulate(dev, c, d.sizes, rep.best).time_us;

@@ -32,8 +32,7 @@ int main() {
                       {"k", int64_t{1} << n}},
                      1.0});
   }
-  TuningReport rep =
-      exhaustive_tune(dev, c.flat.program, c.flat.thresholds, train);
+  TuningReport rep = exhaustive_tune(dev, *c.plan, train);
   std::cout << "tuned thresholds (trained on the k=20 sweep):\n";
   for (const auto& [name, v] : rep.best.values) {
     std::cout << "  " << name << " = " << v << "\n";

@@ -51,7 +51,7 @@ int main() {
       {"tall", {{"rows", 1 << 18}, {"cols", 16}}, 1.0},
       {"wide", {{"rows", 4}, {"cols", 1 << 20}}, 1.0},
   };
-  TuningReport rep = autotune(dev, c.flat.program, c.flat.thresholds, train);
+  TuningReport rep = autotune(dev, *c.plan, train);
   std::cout << "autotuned on " << train.size() << " datasets: cost "
             << rep.default_cost_us << "us (default) -> " << rep.best_cost_us
             << "us (tuned), " << rep.evaluations << " evaluations, "

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -23,20 +21,30 @@ namespace incflat {
 
 namespace {
 
-/// A candidate assignment: one value per registry threshold, in registry
-/// order, where kUnset leaves that threshold at the default.  The search
-/// runs on these flat vectors; a ThresholdEnv is built only for the report.
+/// The search space and measurement settings no caller varies: thresholds
+/// range over [2^kLog2Min, 2^kLog2Max], and a noisy or failing measurement
+/// is the median of kMeasureK re-measurements.
+constexpr int kLog2Min = 0;
+constexpr int kLog2Max = 31;
+constexpr int kMeasureK = 5;
+
+/// The value of a threshold the search leaves unset (the paper's 2^15).
+const int64_t kDefaultThreshold = ThresholdEnv{}.default_threshold;
+
+/// A candidate assignment: one value per plan guard, in guard order, where
+/// kUnset leaves that threshold at the default.  The search runs on these
+/// flat vectors; a ThresholdEnv is built only for the report.
 using Candidate = std::vector<int64_t>;
 constexpr int64_t kUnset = std::numeric_limits<int64_t>::min();
 
 /// The report's assignment: exactly the thresholds the candidate sets.
-ThresholdEnv to_env(const std::vector<std::string>& names,
-                    const Candidate& assignment, int64_t default_value) {
+ThresholdEnv to_env(const KernelPlan& plan, const Candidate& assignment) {
   ThresholdEnv env;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (assignment[i] != kUnset) env.values.emplace(names[i], assignment[i]);
+  for (size_t i = 0; i < plan.guards.size(); ++i) {
+    if (assignment[i] != kUnset) {
+      env.values.emplace(plan.guards[i].threshold, assignment[i]);
+    }
   }
-  env.default_threshold = default_value;
   return env;
 }
 
@@ -66,7 +74,7 @@ struct Measurer {
       : noise(opts.noise),
         failure_rate(opts.failure_rate),
         active(opts.noise > 0 || opts.failure_rate > 0),
-        k(active ? std::max(1, opts.measure_k) : 1),
+        k(active ? kMeasureK : 1),
         rng(opts.measure_seed) {}
 
   /// Median-of-k measurement of a candidate with true cost `t`.  Consumes
@@ -165,43 +173,23 @@ bool session_needed(const TunerOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
-// Evaluation: the program is lowered once, each dataset's sizes are swept
-// through the cost arena once, and every candidate afterwards is a
-// decision-tree descent on the plan's threshold slots.  Dedup keys are the
-// concatenated guard-path bitsets of all datasets, each one forward pass
-// over the plan's guard list.
+// Evaluation: each dataset's sizes are swept through the plan's cost arena
+// once, and every candidate afterwards is a decision-tree descent on the
+// plan's threshold slots.  Dedup keys are the concatenated guard-path
+// bitsets of all datasets, each one forward pass over the guard list.
 // ---------------------------------------------------------------------------
 
 struct PlanEval {
-  KernelPlan plan;
+  const KernelPlan& plan;
+  const std::vector<TuningDataset>& datasets;
   std::vector<PlanDatasetCache> caches;
-  const std::vector<TuningDataset>* datasets = nullptr;
-  int64_t default_value = 0;
 
-  /// `names` is the registry's threshold order.  Both the registry and the
-  /// plan list the program's guards in pre-order, so registry index i is
-  /// plan guard i and a candidate is already a slot vector.
-  static PlanEval build(const DeviceProfile& dev, const Program& p,
-                        const std::vector<std::string>& names,
-                        const std::vector<TuningDataset>& datasets,
-                        int64_t default_value) {
+  PlanEval(const DeviceProfile& dev, const KernelPlan& p,
+           const std::vector<TuningDataset>& ds)
+      : plan(p), datasets(ds) {
     trace::Span span("tune.plan_warm");
-    PlanEval ev;
-    ev.plan = build_kernel_plan(p);
-    ev.datasets = &datasets;
-    ev.default_value = default_value;
-    INCFLAT_CHECK(
-        std::equal(names.begin(), names.end(), ev.plan.guards.begin(),
-                   ev.plan.guards.end(),
-                   [](const std::string& n, const GuardInfo& g) {
-                     return n == g.threshold;
-                   }),
-        "the threshold registry must list the plan's guards in order");
-    ev.caches.reserve(datasets.size());
-    for (const TuningDataset& d : datasets) {
-      ev.caches.emplace_back(ev.plan, dev, d.sizes);
-    }
-    return ev;
+    caches.reserve(ds.size());
+    for (const TuningDataset& d : ds) caches.emplace_back(plan, dev, d.sizes);
   }
 };
 
@@ -223,7 +211,7 @@ struct PlanMemoizer {
   double cost(const Candidate& cand) {
     slots.resize(cand.size());
     for (size_t i = 0; i < cand.size(); ++i) {
-      slots[i] = cand[i] == kUnset ? ev.default_value : cand[i];
+      slots[i] = cand[i] == kUnset ? kDefaultThreshold : cand[i];
     }
     key.clear();
     for (const PlanDatasetCache& c : ev.caches) {
@@ -242,7 +230,7 @@ struct PlanMemoizer {
     const auto true_cost = [&] {
       double total = 0;
       for (size_t i = 0; i < ev.caches.size(); ++i) {
-        total += (*ev.datasets)[i].weight *
+        total += ev.datasets[i].weight *
                  plan_descend(ev.plan, ev.caches[i], slots, {});
       }
       return total;
@@ -262,9 +250,8 @@ struct PlanMemoizer {
 // Search.
 // ---------------------------------------------------------------------------
 
-void stochastic_search(PlanMemoizer& memo,
-                       const std::vector<std::string>& names,
-                       const TunerOptions& opts, TuningReport& rep) {
+void stochastic_search(PlanMemoizer& memo, const TunerOptions& opts,
+                       TuningReport& rep) {
   // The wall-clock budget is checked between trials: the search never
   // aborts mid-measurement, it stops gracefully and keeps the incumbent.
   const auto start = std::chrono::steady_clock::now();
@@ -275,31 +262,33 @@ void stochastic_search(PlanMemoizer& memo,
     return static_cast<double>(elapsed.count()) / 1000.0 > opts.budget_ms;
   };
 
-  Candidate incumbent(names.size(), kUnset);  // all defaults
+  const KernelPlan& plan = memo.ev.plan;
+  const size_t n = plan.guards.size();
+  Candidate incumbent(n, kUnset);  // all defaults
   double best = memo.cost(incumbent);
   rep.default_cost_us = best;
   rep.trials = 1;
 
-  if (!names.empty()) {
+  if (n > 0) {
     Rng rng(opts.seed);
-    Candidate cand(names.size());
+    Candidate cand(n);
     auto random_assignment = [&] {
       for (int64_t& v : cand) {
-        v = int64_t{1} << rng.uniform_int(opts.log2_min, opts.log2_max);
+        v = int64_t{1} << rng.uniform_int(kLog2Min, kLog2Max);
       }
     };
     auto mutate = [&] {
       cand = incumbent;
       const int n_mut = static_cast<int>(
-          rng.uniform_int(1, std::max<size_t>(names.size() / 2, 1)));
+          rng.uniform_int(1, std::max<size_t>(n / 2, 1)));
       for (int k = 0; k < n_mut; ++k) {
         int64_t& v = cand[static_cast<size_t>(
-            rng.uniform_int(0, static_cast<int64_t>(names.size()) - 1))];
-        const int64_t cur = v == kUnset ? opts.default_threshold : v;
+            rng.uniform_int(0, static_cast<int64_t>(n) - 1))];
+        const int64_t cur = v == kUnset ? kDefaultThreshold : v;
         int exp = 0;
         while ((int64_t{1} << exp) < cur && exp < 62) ++exp;
         exp += static_cast<int>(rng.uniform_int(-4, 4));
-        exp = std::clamp(exp, opts.log2_min, opts.log2_max);
+        exp = std::clamp(exp, kLog2Min, kLog2Max);
         v = int64_t{1} << exp;
       }
     };
@@ -325,7 +314,7 @@ void stochastic_search(PlanMemoizer& memo,
     }
   }
 
-  rep.best = to_env(names, incumbent, opts.default_threshold);
+  rep.best = to_env(plan, incumbent);
   rep.best_cost_us = best;
   rep.evaluations = memo.evaluations;
   rep.dedup_hits = memo.dedup_hits;
@@ -353,14 +342,11 @@ double tuning_cost(const DeviceProfile& dev, const Program& p,
   return total;
 }
 
-TuningReport autotune(const DeviceProfile& dev, const Program& p,
-                      const ThresholdRegistry& reg,
+TuningReport autotune(const DeviceProfile& dev, const KernelPlan& plan,
                       const std::vector<TuningDataset>& datasets,
                       const TunerOptions& opts) {
   trace::Span span("tune.stochastic");
   TuningReport rep;
-  std::vector<std::string> names;
-  for (const auto& ti : reg.all()) names.push_back(ti.name);
 
   // Robust-measurement session (noise, failures, timeout, journal).
   std::unique_ptr<MeasureSession> session;
@@ -369,12 +355,12 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
     session = std::make_unique<MeasureSession>(opts, &rep);
     if (!opts.journal.empty()) {
       JournalMeta meta;
-      meta.program = p.name;
+      meta.program = plan.program;
       meta.device = dev.name;
       meta.search_seed = opts.seed;
       meta.max_trials = opts.max_trials;
       meta.measure_seed = opts.measure_seed;
-      meta.measure_k = opts.measure_k;
+      meta.measure_k = kMeasureK;
       meta.noise_bits = double_bits(opts.noise);
       journal = std::make_unique<TuneJournal>(
           TuneJournal::open(opts.journal, meta, opts.resume,
@@ -383,43 +369,38 @@ TuningReport autotune(const DeviceProfile& dev, const Program& p,
     }
   }
 
-  const PlanEval ev =
-      PlanEval::build(dev, p, names, datasets, opts.default_threshold);
+  const PlanEval ev(dev, plan, datasets);
   PlanMemoizer memo(ev, session.get());
-  stochastic_search(memo, names, opts, rep);
+  stochastic_search(memo, opts, rep);
   trace_report(rep);
   return rep;
 }
 
-TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
-                             const ThresholdRegistry& reg,
-                             const std::vector<TuningDataset>& datasets,
-                             int64_t default_threshold) {
+TuningReport exhaustive_tune(const DeviceProfile& dev, const KernelPlan& plan,
+                             const std::vector<TuningDataset>& datasets) {
   trace::Span span("tune.exhaustive");
   TuningReport rep;
 
   // Candidate values per threshold: "always on", "always off", and every
   // boundary that separates the training datasets.
-  std::vector<std::string> names;
+  const size_t n = plan.guards.size();
   std::vector<std::vector<int64_t>> cands;
-  for (const auto& ti : reg.all()) {
+  for (const GuardInfo& g : plan.guards) {
     std::set<int64_t> c{int64_t{1}, int64_t{1} << 62};
     for (const auto& d : datasets) {
-      c.insert(ti.par.eval(d.sizes));
+      c.insert(g.par.eval(d.sizes));
     }
-    names.push_back(ti.name);
     cands.emplace_back(c.begin(), c.end());
   }
 
-  const PlanEval ev =
-      PlanEval::build(dev, p, names, datasets, default_threshold);
+  const PlanEval ev(dev, plan, datasets);
   PlanMemoizer memo(ev, nullptr);
   // Every full assignment, innermost threshold varying fastest.
-  Candidate current(names.size(), kUnset), best_assign = current;
+  Candidate current(n, kUnset), best_assign = current;
   rep.default_cost_us = memo.cost(current);
   double best = memo.cost(current);
   const std::function<void(size_t)> scan = [&](size_t i) {
-    if (i == names.size()) {
+    if (i == n) {
       ++rep.trials;
       const double c = memo.cost(current);
       if (c < best) {
@@ -435,12 +416,25 @@ TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
     current[i] = kUnset;
   };
   scan(0);
-  rep.best = to_env(names, best_assign, default_threshold);
+  rep.best = to_env(plan, best_assign);
   rep.best_cost_us = best;
   rep.evaluations = memo.evaluations;
   rep.dedup_hits = memo.dedup_hits;
   trace_report(rep);
   return rep;
+}
+
+TuningReport autotune(const DeviceProfile& dev, const Program& p,
+                      const ThresholdRegistry&,
+                      const std::vector<TuningDataset>& datasets,
+                      const TunerOptions& opts) {
+  return autotune(dev, build_kernel_plan(p), datasets, opts);
+}
+
+TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
+                             const ThresholdRegistry&,
+                             const std::vector<TuningDataset>& datasets) {
+  return exhaustive_tune(dev, build_kernel_plan(p), datasets);
 }
 
 }  // namespace incflat

@@ -8,18 +8,17 @@
 // paper's branching-tree deduplication — assignments that select the same
 // code version on every training dataset share one (simulated) measurement.
 //
-// Cost evaluation goes through the plan layer (src/plan/): the program is
-// lowered once into a KernelPlan decision tree, each training dataset gets
-// a PlanDatasetCache, and from then on every candidate assignment costs one
-// tree descent.  Dedup keys are guard-path bitsets, one forward pass over
-// the plan's guard list per dataset (plan_signature), which prices nothing
-// and walks no tree.  Both searches hold each candidate as a flat
-// vector in registry order (a sentinel leaves a threshold at its default).
-// The registry and the plan both list the program's guards in pre-order,
-// which the tuner checks once per call, so registry index i is the plan's
-// threshold slot i and a trial descends on reused slot and key buffers: no
-// trial builds a name-keyed map, and only the report is a ThresholdEnv.
-// Both run on the calling thread.
+// Both searches tune a compiled KernelPlan (src/plan/), the branching tree
+// of guarded versions (Fig. 5) that compile() already built: the plan's
+// guards are the thresholds, its guard i compares threshold i, and its Par
+// values give the exhaustive search's candidates.  Each training dataset
+// gets a PlanDatasetCache, and from then on every candidate assignment
+// costs one tree descent.  Dedup keys are guard-path bitsets, one forward
+// pass over the guard list per dataset (plan_signature), which prices
+// nothing and walks no tree.  A candidate is a flat vector of guard slots
+// (a sentinel leaves a threshold at its default), so a trial descends on
+// reused slot and key buffers: no trial builds a name-keyed map, and only
+// the report is a ThresholdEnv.  Both run on the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +29,7 @@
 #include "src/gpusim/cost.h"
 #include "src/gpusim/device.h"
 #include "src/interp/interp.h"
+#include "src/plan/plan.h"
 
 namespace incflat {
 
@@ -42,12 +42,11 @@ struct TuningDataset {
   double weight = 1.0;
 };
 
+/// Thresholds range over [2^0, 2^31]; one left unset takes ThresholdEnv's
+/// default, the paper's 2^15.
 struct TunerOptions {
   int max_trials = 400;        // parameter assignments attempted
   uint64_t seed = 0xf00dcafe;  // deterministic search
-  int log2_min = 0;            // thresholds range over [2^min, 2^max]
-  int log2_max = 31;
-  int64_t default_threshold = int64_t{1} << 15;  // paper default
 
   /// No effect: the tuner runs on the calling thread.  Kept because
   /// perfbench/bench/wl_tune.cpp sets it.
@@ -58,7 +57,9 @@ struct TunerOptions {
 
   /// Relative amplitude of multiplicative measurement noise: each single
   /// measurement is the true cost scaled by a uniform factor in
-  /// [1-noise, 1+noise] (FaultPlan::noise_factor's distribution).
+  /// [1-noise, 1+noise] (FaultPlan::noise_factor's distribution).  With
+  /// noise or failures enabled, each evaluation draws 5 measurements and
+  /// keeps the median of the ones that survived.
   double noise = 0;
   /// Probability an individual measurement fails outright (a crashed or
   /// lost run).  Failed measurements are discarded; a candidate whose every
@@ -66,10 +67,6 @@ struct TunerOptions {
   double failure_rate = 0;
   /// Seed of the measurement stream (noise + failure draws).
   uint64_t measure_seed = 0x5eedf417;
-  /// Median-of-k re-measurement when noise or failures are enabled: each
-  /// evaluation draws k measurements and keeps the median of the ones that
-  /// survived.  Ignored (single exact measurement) when both are zero.
-  int measure_k = 5;
   /// A candidate whose measured cost exceeds this is marked infeasible
   /// rather than aborting the search; 0 disables.  (Simulated microseconds
   /// — the per-candidate timeout of a real measurement harness.)
@@ -100,26 +97,33 @@ struct TuningReport {
   bool early_stopped = false; // wall-clock budget exhausted; best = incumbent
 };
 
-/// Tune `p`'s thresholds for `dev` over the training datasets.
-TuningReport autotune(const DeviceProfile& dev, const Program& p,
-                      const ThresholdRegistry& reg,
+/// Tune `plan`'s thresholds for `dev` over the training datasets.
+TuningReport autotune(const DeviceProfile& dev, const KernelPlan& plan,
                       const std::vector<TuningDataset>& datasets,
                       const TunerOptions& opts = {});
 
 /// Exhaustive search over the *distinct dynamic behaviours*: each threshold
-/// takes values from {1, 2^62} ∪ {per-dataset Par values}, so every
-/// reachable combination of code-version selections is visited, through
-/// the same dedup memo as autotune.  Used as the oracle in tests and the
-/// "AIF with unlimited tuning budget" bound.
+/// takes values from {1, 2^62} ∪ {its guard's Par value on each dataset},
+/// so every reachable combination of code-version selections is visited,
+/// through the same dedup memo as autotune.  Used as the oracle in tests
+/// and the "AIF with unlimited tuning budget" bound.
+TuningReport exhaustive_tune(const DeviceProfile& dev, const KernelPlan& plan,
+                             const std::vector<TuningDataset>& datasets);
+
+/// Forwarders for callers that still hold only the target program: each
+/// builds `p`'s plan and tunes it.  The registry is not read.
+TuningReport autotune(const DeviceProfile& dev, const Program& p,
+                      const ThresholdRegistry&,
+                      const std::vector<TuningDataset>& datasets,
+                      const TunerOptions& opts = {});
 TuningReport exhaustive_tune(const DeviceProfile& dev, const Program& p,
-                             const ThresholdRegistry& reg,
-                             const std::vector<TuningDataset>& datasets,
-                             int64_t default_threshold = int64_t{1} << 15);
+                             const ThresholdRegistry&,
+                             const std::vector<TuningDataset>& datasets);
 
 /// The tuner's cost function priced by the reference IR walker
 /// (gpusim::estimate_run): weighted sum over datasets of simulated runtime
 /// under the given assignment.  The tuner itself prices candidates with
-/// plan_cost over per-dataset caches; tests and benches compare the two.
+/// plan_descend over per-dataset caches; tests and benches compare the two.
 double tuning_cost(const DeviceProfile& dev, const Program& p,
                    const std::vector<TuningDataset>& datasets,
                    const ThresholdEnv& thresholds);

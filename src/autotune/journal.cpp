@@ -5,10 +5,13 @@
 
 #include <cerrno>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "src/support/error.h"
+#include "src/support/str.h"
 
 namespace incflat {
 
@@ -40,6 +43,14 @@ bool parse_hex(const std::string& s, uint64_t* out) {
   return true;
 }
 
+/// An int field: all of `s`, in int's range.
+bool parse_int_field(const std::string& s, int* out) {
+  const std::optional<int> n = parse_int(s, std::numeric_limits<int>::min(),
+                                         std::numeric_limits<int>::max());
+  if (n) *out = *n;
+  return n.has_value();
+}
+
 std::string meta_line(const JournalMeta& m) {
   std::ostringstream os;
   os << "meta program=" << m.program << " device=" << m.device
@@ -68,19 +79,11 @@ bool parse_meta(const std::string& line, JournalMeta* m) {
     } else if (key == "seed" && parse_hex(val, &u)) {
       m->search_seed = u;
     } else if (key == "trials") {
-      try {
-        m->max_trials = std::stoi(val);
-      } catch (const std::exception&) {
-        return false;
-      }
+      if (!parse_int_field(val, &m->max_trials)) return false;
     } else if (key == "mseed" && parse_hex(val, &u)) {
       m->measure_seed = u;
     } else if (key == "k") {
-      try {
-        m->measure_k = std::stoi(val);
-      } catch (const std::exception&) {
-        return false;
-      }
+      if (!parse_int_field(val, &m->measure_k)) return false;
     } else if (key == "noise" && parse_hex(val, &u)) {
       m->noise_bits = u;
     } else {

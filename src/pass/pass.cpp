@@ -1,6 +1,5 @@
 #include "src/pass/pass.h"
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -151,23 +150,14 @@ PassManager& PassManager::add(const std::string& name) {
 void PassManager::run(PipelineState& st, const PassManagerOptions& opts) const {
   const bool verify_each = opts.verify_each || env_verify_each();
   for (const auto& p : passes_) {
-    PassRecord rec;
-    rec.name = p->name();
-    const auto t0 = std::chrono::steady_clock::now();
     {
       trace::Span span(p->span_name(), "pass");
       p->run(st);
     }
-    rec.wall_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
     if (verify_each) {
       verify_program(st.program,
                      "after pass '" + std::string(p->name()) + "'");
-      rec.verified = true;
     }
-    st.history.push_back(rec);
     if (opts.after_pass) opts.after_pass(*p, st);
   }
 }

@@ -45,14 +45,6 @@
 
 namespace incflat {
 
-/// What one finished pass looked like: name, wall time, whether the
-/// verifier ran (and passed) afterwards.
-struct PassRecord {
-  const char* name = nullptr;
-  double wall_us = 0.0;
-  bool verified = false;
-};
-
 /// The state a pipeline threads through its passes.  `program` starts as
 /// the type-annotated source program and ends as the target program;
 /// `plan` is filled by plan-build.
@@ -61,7 +53,6 @@ struct PipelineState {
   FlattenMode mode = FlattenMode::Incremental;
   FlattenOptions options;
   std::shared_ptr<const KernelPlan> plan;
-  std::vector<PassRecord> history;  // diagnostics, appended by PassManager
   /// Device limits consulted by simplify-guards; negative fields (the
   /// default) make every device-dependent fold rule inapplicable.
   analysis::AnalysisLimits limits;
@@ -99,7 +90,7 @@ class PassManager {
   PassManager& add(std::unique_ptr<Pass> p);
   PassManager& add(const std::string& name);  // via make_pass
 
-  /// Run all passes in order over `st`, recording a PassRecord per pass.
+  /// Run all passes in order over `st`.
   void run(PipelineState& st, const PassManagerOptions& opts = {}) const;
 
   const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }

@@ -116,6 +116,7 @@ struct PathSig {
 
 /// The compile-once plan for one target program.
 struct KernelPlan {
+  std::string program;  // the target program's name
   CostArena arena;
   std::vector<KernelDesc> kernels;
   std::vector<GuardInfo> guards;

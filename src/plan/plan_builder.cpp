@@ -801,6 +801,7 @@ int tree_depth(const KernelPlan& plan, int id) {
 KernelPlan build_kernel_plan(const Program& p) {
   trace::Span span("plan.build");
   KernelPlan plan;
+  plan.program = p.name;
   Builder b(plan);
   for (const auto& in : p.inputs) b.bind(in.name, in.type);
   for (const auto& sp : p.size_params()) {

@@ -24,6 +24,7 @@
 
 #include "src/exec/runtime.h"
 #include "src/support/error.h"
+#include "src/support/str.h"
 #include "src/support/sync.h"
 #include "src/support/trace.h"
 
@@ -170,13 +171,9 @@ Endpoint parse_endpoint(const std::string& spec) {
       ep.host = rest.substr(0, colon);
       rest = rest.substr(colon + 1);
     }
-    try {
-      const int port = std::stoi(rest);
-      if (port < 0 || port > 65535) throw std::out_of_range("port");
-      ep.port = static_cast<uint16_t>(port);
-    } catch (const std::exception&) {
-      throw IoError("bad tcp port in '" + spec + "'");
-    }
+    const std::optional<int> port = parse_int(rest, 0, 65535);
+    if (!port) throw IoError("bad tcp port in '" + spec + "'");
+    ep.port = static_cast<uint16_t>(*port);
     return ep;
   }
   throw IoError("endpoint must be unix:PATH or tcp:[HOST:]PORT, got '" +

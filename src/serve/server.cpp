@@ -49,19 +49,16 @@ DeviceProfile device_from_name(const std::string& name) {
 /// Resident-byte estimate of a served entry.  Plans are in-memory object
 /// graphs, not flat buffers, so this is an approximation — what matters for
 /// the budget is that it is monotone in plan size and stable per key.
-size_t approx_entry_bytes(const Compiled& c, bool has_memo) {
+size_t approx_entry_bytes(const KernelPlan& p, bool has_memo) {
   size_t b = 4096;  // entry fixed cost (key, memo scaffolding)
-  if (c.plan) {
-    const KernelPlan& p = *c.plan;
-    b += p.arena.size() * 48;
-    b += p.kernels.size() * 256;
-    b += p.nodes.size() * 64;
-    b += p.guards.size() * 128;
-    for (const auto& g : p.guards) b += g.threshold.size() + 32;
-    // A run entry's memo keeps a per-shape dataset cache (one priced cost
-    // row per arena node) plus the default schedule and estimate.
-    if (has_memo) b += p.arena.size() * 16 + 1024;
-  }
+  b += p.arena.size() * 48;
+  b += p.kernels.size() * 256;
+  b += p.nodes.size() * 64;
+  b += p.guards.size() * 128;
+  for (const auto& g : p.guards) b += g.threshold.size() + 32;
+  // A run entry's memo keeps a per-shape dataset cache (one priced cost
+  // row per arena node) plus the default schedule and estimate.
+  if (has_memo) b += p.arena.size() * 16 + 1024;
   return b;
 }
 
@@ -134,15 +131,17 @@ struct ServerCore::EntryNames {
         key(run ? program_key + "|" + dataset : program_key) {}
 };
 
-/// One cache entry: the compiled plan plus — for dataset-keyed run entries
-/// — the dataset's RunMemo and fault seed.  Everything but the run counter
-/// is set before the entry is inserted and never changes after, so runs
-/// read the entry without a lock.
+/// One cache entry: the compiled program's plan plus — for dataset-keyed
+/// run entries — the dataset's RunMemo and fault seed.  Runs, tuning and
+/// threshold-name checks all read the plan; the flattened program is
+/// dropped once it has been hashed.  Everything but the run counter is set
+/// before the entry is inserted and never changes after, so runs read the
+/// entry without a lock.
 struct ServerCore::ServedPlan : CacheValue {
   std::string key;
   std::string program_key;  // also names the entry's tuned thresholds
   uint64_t program_hash = 0;
-  Compiled compiled;
+  std::shared_ptr<const KernelPlan> plan;
   DeviceProfile dev;
   double compile_us = 0;    // cold cost; 0 when the plan was reused
   bool plan_reused = false; // run entry adopted the program entry's plan
@@ -311,19 +310,21 @@ std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
     base = std::static_pointer_cast<ServedPlan>(
         cache_.find(names.program_key, false));
   if (base) {
-    sp->compiled = base->compiled;
+    sp->plan = base->plan;
     sp->program_hash = base->program_hash;
     sp->plan_reused = true;
   } else {
     if (!names.run) b = get_benchmark(names.benchmark);
     const FlattenMode m = mode_from_name(names.mode);
     const double t0 = now_us();
+    Compiled c;
     {
       trace::Span span("serve.compile", "serve");
-      sp->compiled = compile(b.program, m);
+      c = compile(b.program, m);
     }
     sp->compile_us = now_us() - t0;
-    const std::string canon = pretty(sp->compiled.flat.program);
+    sp->plan = c.plan;
+    const std::string canon = pretty(c.flat.program);
     sp->program_hash = journal_hash(canon.data(), canon.size());
     if (names.run) {
       // Also publish the program-level entry so future datasets reuse it.
@@ -331,17 +332,17 @@ std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
       pe->key = names.program_key;
       pe->program_key = names.program_key;
       pe->dev = sp->dev;
-      pe->compiled = sp->compiled;
+      pe->plan = sp->plan;
       pe->program_hash = sp->program_hash;
       pe->compile_us = sp->compile_us;
       cache_.insert(names.program_key, pe,
-                    approx_entry_bytes(pe->compiled, false));
+                    approx_entry_bytes(*pe->plan, false));
     }
   }
 
   if (names.run) {
-    sp->memo = std::make_unique<const RunMemo>(sp->dev, *sp->compiled.plan,
-                                               data->sizes);
+    sp->memo =
+        std::make_unique<const RunMemo>(sp->dev, *sp->plan, data->sizes);
     // Per-entry fault seed, decorrelated across entries by a hash of the
     // program key and the dataset's sizes so two entries do not fault in
     // lockstep.
@@ -355,8 +356,8 @@ std::shared_ptr<ServerCore::ServedPlan> ServerCore::lookup_or_compile(
   }
 
   // Insert; on a compile race the first entry wins and we adopt it.
-  auto winner = cache_.insert(names.key, sp,
-                              approx_entry_bytes(sp->compiled, names.run));
+  auto winner =
+      cache_.insert(names.key, sp, approx_entry_bytes(*sp->plan, names.run));
   return std::static_pointer_cast<ServedPlan>(winner);
 }
 
@@ -387,13 +388,11 @@ Json ServerCore::do_compile(const Json& req,
   r.set("key", entry->key);
   r.set("program_hash", hex64(entry->program_hash));
   r.set("compile_us", cached ? 0.0 : entry->compile_us);
-  if (entry->compiled.plan) {
-    const KernelPlan& p = *entry->compiled.plan;
-    r.set("kernels", p.kernels.size());
-    r.set("guards", p.guards.size());
-    r.set("thresholds", p.guards.size());
-    r.set("legacy_fallback", p.legacy_fallback);
-  }
+  const KernelPlan& p = *entry->plan;
+  r.set("kernels", p.kernels.size());
+  r.set("guards", p.guards.size());
+  r.set("thresholds", p.guards.size());
+  r.set("legacy_fallback", p.legacy_fallback);
   return r;
 }
 
@@ -412,11 +411,11 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel,
   if (const Json* tv = req.find("thresholds")) {
     if (!tv->is_object())
       throw CompilerError("'thresholds' must be an object");
-    const auto& known = entry->compiled.flat.thresholds.all();
+    const auto& known = entry->plan->guards;
     for (const std::string& name : tv->keys()) {
       const bool listed =
           std::any_of(known.begin(), known.end(),
-                      [&](const ThresholdInfo& ti) { return ti.name == name; });
+                      [&](const GuardInfo& g) { return g.threshold == name; });
       if (!listed)
         throw CompilerError("the program has no threshold '" + name + "'");
       // Range-check before converting: a double outside int64's range
@@ -526,8 +525,7 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
   TuningReport rep;
   {
     trace::Span span("serve.tune", "serve");
-    rep = autotune(entry->dev, entry->compiled.flat.program,
-                   entry->compiled.flat.thresholds, train, topts);
+    rep = autotune(entry->dev, *entry->plan, train, topts);
   }
 
   {

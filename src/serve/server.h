@@ -28,10 +28,11 @@
 //               concurrent runs against one entry need no lock: each
 //               replays the memo's default-threshold schedule, or descends
 //               the plan on the memo's cache for other thresholds.
-//   tune     -> autotunes the program's thresholds on its training
-//               datasets and publishes them; runs with "tuned":true select
-//               them.  The socket layer queues tune jobs at Low priority
-//               so they never starve run traffic.
+//   tune     -> autotunes the program-level entry's plan (compiling it on a
+//               miss, never rebuilding a resident one) on the program's
+//               training datasets and publishes the thresholds; runs with
+//               "tuned":true select them.  The socket layer queues tune
+//               jobs at Low priority so they never starve run traffic.
 //   stats    -> cache / request / scheduler counters, plus a trace-layer
 //               span flush (trace::flush_spans) so a traced daemon's event
 //               buffer stays bounded over months of uptime.

@@ -36,4 +36,10 @@ std::optional<double> parse_finite(const std::string& text) {
   return std::nullopt;
 }
 
+std::optional<int> parse_int(const std::string& text, int lo, int hi) {
+  const std::optional<double> v = parse_finite(text);
+  if (!v || *v != std::floor(*v) || *v < lo || *v > hi) return std::nullopt;
+  return static_cast<int>(*v);
+}
+
 }  // namespace incflat

@@ -46,4 +46,9 @@ std::string repeat(const std::string& s, int n);
 /// no range check because every comparison with it is false, is refused.
 std::optional<double> parse_finite(const std::string& text);
 
+/// The integer in [lo, hi] that all of `text` spells (parse_finite's
+/// syntax), else nullopt: "80abc" and "8080.9" are refused, not read as a
+/// prefix or truncated.
+std::optional<int> parse_int(const std::string& text, int lo, int hi);
+
 }  // namespace incflat

@@ -14,7 +14,7 @@ namespace {
 
 TEST(Autotune, ImprovesMatmulOverDefault) {
   Benchmark b = get_benchmark("matmul");
-  FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+  const Compiled inc = compile(b.program, FlattenMode::Incremental);
   const DeviceProfile dev = device_k40();
   // The mid-range of the Fig. 2 sweep, where the default 2^15 threshold
   // picks the wrong version (the n=6..7 regime).
@@ -22,20 +22,20 @@ TEST(Autotune, ImprovesMatmulOverDefault) {
       {"n6", {{"n", 64}, {"m", 256}, {"k", 64}}, 1.0},
       {"n7", {{"n", 128}, {"m", 64}, {"k", 128}}, 1.0},
   };
-  TuningReport rep = autotune(dev, inc.program, inc.thresholds, train);
+  TuningReport rep = autotune(dev, *inc.plan, train);
   EXPECT_LT(rep.best_cost_us, rep.default_cost_us);
 }
 
 TEST(Autotune, DeterministicUnderSeed) {
   Benchmark b = get_benchmark("matmul");
-  FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+  const Compiled inc = compile(b.program, FlattenMode::Incremental);
   const DeviceProfile dev = device_k40();
   std::vector<TuningDataset> train = {
       {"d", {{"n", 64}, {"m", 256}, {"k", 64}}, 1.0}};
   TunerOptions opts;
   opts.seed = 7;
-  TuningReport r1 = autotune(dev, inc.program, inc.thresholds, train, opts);
-  TuningReport r2 = autotune(dev, inc.program, inc.thresholds, train, opts);
+  TuningReport r1 = autotune(dev, *inc.plan, train, opts);
+  TuningReport r2 = autotune(dev, *inc.plan, train, opts);
   EXPECT_EQ(r1.best_cost_us, r2.best_cost_us);
   EXPECT_EQ(r1.best.values, r2.best.values);
 }
@@ -44,13 +44,13 @@ TEST(Autotune, DedupAvoidsRedundantEvaluations) {
   // The search space is highly repetitive (Sec. 4.2); most random
   // assignments repeat an existing path signature.
   Benchmark b = get_benchmark("matmul");
-  FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+  const Compiled inc = compile(b.program, FlattenMode::Incremental);
   const DeviceProfile dev = device_k40();
   std::vector<TuningDataset> train = {
       {"d", {{"n", 64}, {"m", 256}, {"k", 64}}, 1.0}};
   TunerOptions opts;
   opts.max_trials = 300;
-  TuningReport rep = autotune(dev, inc.program, inc.thresholds, train, opts);
+  TuningReport rep = autotune(dev, *inc.plan, train, opts);
   EXPECT_GT(rep.dedup_hits, rep.evaluations)
       << "most assignments should repeat a known dynamic behaviour";
   EXPECT_EQ(rep.trials, 300);
@@ -59,13 +59,12 @@ TEST(Autotune, DedupAvoidsRedundantEvaluations) {
 TEST(Autotune, ExhaustiveIsAtLeastAsGoodAsStochastic) {
   for (const char* name : {"matmul", "Heston", "NW"}) {
     Benchmark b = get_benchmark(name);
-    FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+    const Compiled inc = compile(b.program, FlattenMode::Incremental);
     const DeviceProfile dev = device_vega64();
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
-    TuningReport sto = autotune(dev, inc.program, inc.thresholds, train);
-    TuningReport exh = exhaustive_tune(dev, inc.program, inc.thresholds,
-                                       train);
+    TuningReport sto = autotune(dev, *inc.plan, train);
+    TuningReport exh = exhaustive_tune(dev, *inc.plan, train);
     EXPECT_LE(exh.best_cost_us, sto.best_cost_us * 1.0001) << name;
   }
 }
@@ -91,11 +90,11 @@ TEST(Autotune, WeightsBiasTheCostFunction) {
 
 TEST(Autotune, NoThresholdsIsANoOp) {
   Benchmark b = get_benchmark("matmul");
-  FlattenResult mf = flatten(b.program, FlattenMode::Moderate);
+  const Compiled mf = compile(b.program, FlattenMode::Moderate);
   const DeviceProfile dev = device_k40();
   std::vector<TuningDataset> train = {
       {"d", {{"n", 64}, {"m", 64}, {"k", 64}}, 1.0}};
-  TuningReport rep = autotune(dev, mf.program, mf.thresholds, train);
+  TuningReport rep = autotune(dev, *mf.plan, train);
   EXPECT_EQ(rep.best_cost_us, rep.default_cost_us);
   EXPECT_TRUE(rep.best.values.empty());
 }
@@ -105,16 +104,16 @@ TEST(Autotune, TunedOnTrainingGeneralisesToEvaluation) {
   // tuned program must not lose to the default on the evaluation sets.
   for (const char* name : {"LocVolCalib", "Heston", "LavaMD"}) {
     Benchmark b = get_benchmark(name);
-    FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+    const Compiled inc = compile(b.program, FlattenMode::Incremental);
     const DeviceProfile dev = device_k40();
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
-    TuningReport rep = exhaustive_tune(dev, inc.program, inc.thresholds,
-                                       train);
+    TuningReport rep = exhaustive_tune(dev, *inc.plan, train);
     for (const auto& d : b.datasets) {
       const double tuned =
-          estimate_run(dev, inc.program, d.sizes, rep.best).time_us;
-      const double dflt = estimate_run(dev, inc.program, d.sizes, {}).time_us;
+          estimate_run(dev, inc.flat.program, d.sizes, rep.best).time_us;
+      const double dflt =
+          estimate_run(dev, inc.flat.program, d.sizes, {}).time_us;
       EXPECT_LE(tuned, dflt * 1.5) << name << "/" << d.name;
     }
   }
@@ -194,11 +193,38 @@ TEST(Autotune, ReportsArePinned) {
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
     const std::string ctx = std::string(k.bench) + "|" + k.dev.name;
-    expect_report(autotune(k.dev, c.flat.program, c.flat.thresholds, train),
-                  k.stochastic, ctx + " stochastic");
-    expect_report(
-        exhaustive_tune(k.dev, c.flat.program, c.flat.thresholds, train),
-        k.exhaustive, ctx + " exhaustive");
+    expect_report(autotune(k.dev, *c.plan, train), k.stochastic,
+                  ctx + " stochastic");
+    expect_report(exhaustive_tune(k.dev, *c.plan, train), k.exhaustive,
+                  ctx + " exhaustive");
+  }
+}
+
+void expect_same_report(const TuningReport& got, const TuningReport& want,
+                        const std::string& ctx) {
+  expect_report(got,
+                {want.best.values, want.best_cost_us, want.default_cost_us,
+                 want.trials, want.evaluations, want.dedup_hits},
+                ctx);
+}
+
+TEST(Autotune, ProgramFormForwardsToThePlanForm) {
+  // The (Program, ThresholdRegistry) overloads build the program's plan and
+  // tune it, so on every suite program both forms report the same search.
+  for (const auto& name : all_benchmark_names()) {
+    const Benchmark b = get_benchmark(name);
+    const Compiled c = compile(b.program, FlattenMode::Incremental);
+    std::vector<TuningDataset> train;
+    for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
+    for (const DeviceProfile& dev : {device_k40(), device_vega64()}) {
+      const std::string ctx = name + "|" + dev.name;
+      expect_same_report(
+          autotune(dev, c.flat.program, c.flat.thresholds, train),
+          autotune(dev, *c.plan, train), ctx + " stochastic");
+      expect_same_report(
+          exhaustive_tune(dev, c.flat.program, c.flat.thresholds, train),
+          exhaustive_tune(dev, *c.plan, train), ctx + " exhaustive");
+    }
   }
 }
 

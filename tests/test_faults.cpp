@@ -23,10 +23,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/autotune/autotune.h"
@@ -650,22 +652,21 @@ std::vector<TuningDataset> training_sets(const Benchmark& b) {
 
 TEST(NoisyTuner, StillFindsTheExhaustiveOracleQualityOnMatmul) {
   const Benchmark b = bench_matmul();
-  const FlattenResult fr = flatten(b.program, FlattenMode::Incremental);
+  const Compiled fr = compile(b.program, FlattenMode::Incremental);
   const DeviceProfile dev = device_k40();
   const auto train = training_sets(b);
 
-  const TuningReport oracle =
-      exhaustive_tune(dev, fr.program, fr.thresholds, train);
+  const TuningReport oracle = exhaustive_tune(dev, *fr.plan, train);
 
   TunerOptions topts;
   topts.noise = 0.05;        // +-5% multiplicative measurement noise
   topts.failure_rate = 0.02; // 2% of measurements crash outright
-  topts.measure_k = 5;
-  TuningReport noisy = autotune(dev, fr.program, fr.thresholds, train, topts);
+  TuningReport noisy = autotune(dev, *fr.plan, train, topts);
 
   // Judge the noisy search by the *true* cost of its chosen assignment:
   // median-of-5 re-measurement keeps it at the oracle's quality.
-  const double true_best = tuning_cost(dev, fr.program, train, noisy.best);
+  const double true_best =
+      tuning_cost(dev, fr.flat.program, train, noisy.best);
   EXPECT_LE(true_best, oracle.best_cost_us * 1.02)
       << "noisy tuner lost more than 2% to the exhaustive oracle";
 }
@@ -673,17 +674,15 @@ TEST(NoisyTuner, StillFindsTheExhaustiveOracleQualityOnMatmul) {
 TEST(NoisyTuner, NoiseFreeOptionsAreBitIdenticalToTheDefaultSearch) {
   // A session with a journal but no noise must not change the search.
   const Benchmark b = bench_matmul();
-  const FlattenResult fr = flatten(b.program, FlattenMode::Incremental);
+  const Compiled fr = compile(b.program, FlattenMode::Incremental);
   const DeviceProfile dev = device_k40();
   const auto train = training_sets(b);
 
-  const TuningReport plain =
-      autotune(dev, fr.program, fr.thresholds, train, {});
+  const TuningReport plain = autotune(dev, *fr.plan, train, {});
   TunerOptions jopts;
   const std::string path = "/tmp/incflat_test_plainjournal.journal";
   jopts.journal = path;
-  const TuningReport journaled =
-      autotune(dev, fr.program, fr.thresholds, train, jopts);
+  const TuningReport journaled = autotune(dev, *fr.plan, train, jopts);
   std::remove(path.c_str());
 
   EXPECT_EQ(journaled.best_cost_us, plain.best_cost_us);
@@ -695,14 +694,13 @@ TEST(NoisyTuner, NoiseFreeOptionsAreBitIdenticalToTheDefaultSearch) {
 
 TEST(NoisyTuner, CandidateTimeoutMarksInfeasibleInsteadOfAborting) {
   const Benchmark b = bench_matmul();
-  const FlattenResult fr = flatten(b.program, FlattenMode::Incremental);
+  const Compiled fr = compile(b.program, FlattenMode::Incremental);
   const DeviceProfile dev = device_k40();
   const auto train = training_sets(b);
 
   TunerOptions topts;
   topts.candidate_timeout_us = 1.0;  // far below any real assignment's cost
-  const TuningReport rep =
-      autotune(dev, fr.program, fr.thresholds, train, topts);
+  const TuningReport rep = autotune(dev, *fr.plan, train, topts);
   EXPECT_GT(rep.infeasible, 0);
   EXPECT_EQ(rep.infeasible, rep.evaluations);
   // Nothing was adoptable: the incumbent stays the default assignment.
@@ -712,15 +710,14 @@ TEST(NoisyTuner, CandidateTimeoutMarksInfeasibleInsteadOfAborting) {
 
 TEST(NoisyTuner, WallClockBudgetStopsGracefully) {
   const Benchmark b = bench_matmul();
-  const FlattenResult fr = flatten(b.program, FlattenMode::Incremental);
+  const Compiled fr = compile(b.program, FlattenMode::Incremental);
   const DeviceProfile dev = device_k40();
   const auto train = training_sets(b);
 
   TunerOptions topts;
   topts.max_trials = 200000;  // would take far longer than the budget
   topts.budget_ms = 5;
-  const TuningReport rep =
-      autotune(dev, fr.program, fr.thresholds, train, topts);
+  const TuningReport rep = autotune(dev, *fr.plan, train, topts);
   EXPECT_TRUE(rep.early_stopped);
   EXPECT_LT(rep.trials, topts.max_trials);
   // The incumbent is still a valid report.
@@ -734,7 +731,7 @@ TEST(NoisyTuner, WallClockBudgetStopsGracefully) {
 
 TEST(Journal, ResumeAfterCrashIsBitIdentical) {
   const Benchmark b = bench_matmul();
-  const FlattenResult fr = flatten(b.program, FlattenMode::Incremental);
+  const Compiled fr = compile(b.program, FlattenMode::Incremental);
   const DeviceProfile dev = device_k40();
   const auto train = training_sets(b);
   const std::string path = "/tmp/incflat_test_resume.journal";
@@ -745,8 +742,7 @@ TEST(Journal, ResumeAfterCrashIsBitIdentical) {
   topts.journal = path;
 
   // Reference: one uninterrupted journaled run.
-  const TuningReport full =
-      autotune(dev, fr.program, fr.thresholds, train, topts);
+  const TuningReport full = autotune(dev, *fr.plan, train, topts);
 
   // Simulate the crash: keep the header and roughly half the evaluation
   // lines, tearing the final kept line mid-token (as an interrupted append
@@ -767,8 +763,7 @@ TEST(Journal, ResumeAfterCrashIsBitIdentical) {
 
   TunerOptions ropts = topts;
   ropts.resume = true;
-  const TuningReport resumed =
-      autotune(dev, fr.program, fr.thresholds, train, ropts);
+  const TuningReport resumed = autotune(dev, *fr.plan, train, ropts);
   std::remove(path.c_str());
 
   EXPECT_EQ(resumed.best_cost_us, full.best_cost_us);
@@ -836,7 +831,7 @@ TEST(Journal, InterleavedAppendersNeverTearLines) {
 
 TEST(Journal, ResumeRefusesAMismatchedSearch) {
   const Benchmark b = bench_matmul();
-  const FlattenResult fr = flatten(b.program, FlattenMode::Incremental);
+  const Compiled fr = compile(b.program, FlattenMode::Incremental);
   const DeviceProfile dev = device_k40();
   const auto train = training_sets(b);
   const std::string path = "/tmp/incflat_test_mismatch.journal";
@@ -844,22 +839,54 @@ TEST(Journal, ResumeRefusesAMismatchedSearch) {
   TunerOptions topts;
   topts.noise = 0.05;
   topts.journal = path;
-  autotune(dev, fr.program, fr.thresholds, train, topts);
+  autotune(dev, *fr.plan, train, topts);
 
   // A different search seed must refuse the resume rather than silently
   // replaying another search's measurements.
   TunerOptions other = topts;
   other.resume = true;
   other.seed = topts.seed + 1;
-  EXPECT_THROW(autotune(dev, fr.program, fr.thresholds, train, other),
-               IoError);
+  EXPECT_THROW(autotune(dev, *fr.plan, train, other), IoError);
   // Resuming from a missing journal is an input error too.
   TunerOptions missing = topts;
   missing.resume = true;
   missing.journal = "/tmp/incflat_test_missing.journal";
   std::remove(missing.journal.c_str());
-  EXPECT_THROW(autotune(dev, fr.program, fr.thresholds, train, missing),
-               IoError);
+  EXPECT_THROW(autotune(dev, *fr.plan, train, missing), IoError);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, ResumeRefusesAHeaderIntegerWithTrailingBytes) {
+  // The header's integers are read whole: "trials=64x" is a corrupt header,
+  // not a header for 64 trials.
+  const std::string path = "/tmp/incflat_test_trailing.journal";
+  JournalMeta meta;
+  meta.program = "matmul";
+  meta.device = "k40";
+  meta.max_trials = 64;
+  meta.measure_k = 5;
+  for (const auto& [field, bad] :
+       {std::pair<std::string, std::string>{" trials=64 ", " trials=64x "},
+        {" k=5 ", " k=5x "}}) {
+    TuneJournal::open(path, meta, false, nullptr);
+    std::string text;
+    {
+      std::ifstream in(path);
+      text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, field.size(), bad);
+    std::ofstream(path, std::ios::trunc) << text;
+    try {
+      TuneJournal::open(path, meta, true, nullptr);
+      ADD_FAILURE() << "resumed a header with" << bad;
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt header"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -7,6 +7,7 @@
 
 #include "src/autotune/autotune.h"
 #include "src/benchsuite/benchmark.h"
+#include "src/exec/exec.h"
 #include "src/flatten/flatten.h"
 
 namespace incflat {
@@ -34,18 +35,19 @@ TEST(Multicore, OuterParallelismSufficesMuchEarlier) {
   // the multicore picks an outer (or version-2) mapping for shapes where
   // the K40 still needs the fully flattened version.
   Benchmark b = get_benchmark("matmul");
-  FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+  const Compiled inc = compile(b.program, FlattenMode::Incremental);
   std::vector<TuningDataset> train = {
       {"mid", {{"n", 32}, {"m", 1024}, {"k", 32}}, 1.0},
   };
   const DeviceProfile k40 = device_k40();
   const DeviceProfile mc = device_multicore();
-  TuningReport rk = exhaustive_tune(k40, inc.program, inc.thresholds, train);
-  TuningReport rm = exhaustive_tune(mc, inc.program, inc.thresholds, train);
+  TuningReport rk = exhaustive_tune(k40, *inc.plan, train);
+  TuningReport rm = exhaustive_tune(mc, *inc.plan, train);
   // 32*32 = 1024 threads: double the multicore's saturation point, a
   // thirtieth of the K40's.
-  RunEstimate ek = estimate_run(k40, inc.program, train[0].sizes, rk.best);
-  RunEstimate em = estimate_run(mc, inc.program, train[0].sizes, rm.best);
+  RunEstimate ek =
+      estimate_run(k40, inc.flat.program, train[0].sizes, rk.best);
+  RunEstimate em = estimate_run(mc, inc.flat.program, train[0].sizes, rm.best);
   // A "suff_outer_par" guard firing means the tuned program declared the
   // outer parallelism sufficient and sequentialised the rest.
   auto outer_sequentialised = [](const RunEstimate& e) {
@@ -64,11 +66,10 @@ TEST(Multicore, TuningImprovesOrMatchesDefaultEverywhere) {
   const DeviceProfile mc = device_multicore();
   for (const auto& name : all_benchmark_names()) {
     Benchmark b = get_benchmark(name);
-    FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+    const Compiled inc = compile(b.program, FlattenMode::Incremental);
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
-    TuningReport rep =
-        exhaustive_tune(mc, inc.program, inc.thresholds, train);
+    TuningReport rep = exhaustive_tune(mc, *inc.plan, train);
     EXPECT_LE(rep.best_cost_us, rep.default_cost_us * 1.0001) << name;
   }
 }

@@ -8,8 +8,9 @@
 //    the threshold tree and the lint findings on both devices;
 //  * --verify-each equivalent: verification, annotations included, passes
 //    clean after every pass on the whole suite, with and without
-//    simplify-guards (and is recorded in PipelineState::history), and the
-//    plan's threshold slots list the registry's names in order;
+//    simplify-guards, and the plan's threshold slots list the registry's
+//    names in order; a pass that mistypes a node fails verification under
+//    verify_each or INCFLAT_VERIFY_EACH, attributed to that pass;
 //  * registry behaviour: mode_from_name round-trips, unknown pass/mode
 //    names fail with messages listing the valid ones, omitting plan-build
 //    leaves Compiled::plan null and simulate() prices on a throwaway plan.
@@ -17,6 +18,8 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "src/exec/exec.h"
 #include "src/gpusim/device.h"
 #include "src/ir/print.h"
+#include "src/ir/verify.h"
 #include "src/pass/pass.h"
 #include "src/support/diag.h"
 #include "src/support/error.h"
@@ -185,33 +189,57 @@ TEST(Pipeline, EveryPassEmitsExactTypes) {
   }
 }
 
-TEST(Pipeline, HistoryRecordsPassesAndVerification) {
-  const Benchmark b = get_benchmark("matmul");
+/// A test-only pass that gives the program's body a wrong result type, as
+/// a pass that mistyped a node it built would.
+class MistypeBodyPass : public Pass {
+ public:
+  const char* name() const override { return "mistype-body"; }
+  const char* span_name() const override { return "pass.mistype-body"; }
+  void run(PipelineState& st) const override {
+    st.program.body = mk(st.program.body->node, {Type::scalar(Scalar::Bool)});
+  }
+};
+
+/// Runs the incremental pipeline's first three passes and then the
+/// mistyping pass over matmul; returns the VerifyError it raised, if any.
+std::optional<VerifyError> run_mistyped(const PassManagerOptions& po) {
+  PassManager pm;
+  pm.add("fusion").add("normalize").add("incremental");
+  pm.add(std::make_unique<MistypeBodyPass>());
   PipelineState st;
-  st.program = b.program;
-  st.mode = FlattenMode::Incremental;
+  st.program = get_benchmark("matmul").program;
+  try {
+    pm.run(st, po);
+  } catch (const VerifyError& e) {
+    return e;
+  }
+  return std::nullopt;
+}
+
+TEST(Pipeline, VerifyEachNamesThePassThatMistypedANode) {
   PassManagerOptions po;
   po.verify_each = true;
-  flatten_pipeline(FlattenMode::Incremental).run(st, po);
-  ASSERT_EQ(st.history.size(), 5u);
-  const std::vector<std::string> expect{"fusion", "normalize", "incremental",
-                                        "prune-segbinds", "tiling"};
-  for (size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_EQ(st.history[i].name, expect[i]);
-    EXPECT_TRUE(st.history[i].verified);
-    EXPECT_GE(st.history[i].wall_us, 0.0);
-  }
+  const std::optional<VerifyError> e = run_mistyped(po);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->check(), "types");
+  EXPECT_EQ(e->context(), "after pass 'mistype-body'");
 }
 
 TEST(Pipeline, VerifyEachEnvironmentVariableForcesVerification) {
+  // The caller's setting is restored afterwards: CI's sanitize job runs
+  // every test with INCFLAT_VERIFY_EACH=1.
+  const char* prev = std::getenv("INCFLAT_VERIFY_EACH");
+  const std::string saved = prev ? prev : "";
   ::setenv("INCFLAT_VERIFY_EACH", "1", 1);
-  const Benchmark b = get_benchmark("matmul");
-  PipelineState st;
-  st.program = b.program;
-  flatten_pipeline(FlattenMode::Moderate).run(st);
-  ::unsetenv("INCFLAT_VERIFY_EACH");
-  ASSERT_FALSE(st.history.empty());
-  for (const auto& rec : st.history) EXPECT_TRUE(rec.verified);
+  const std::optional<VerifyError> e = run_mistyped({});
+  if (prev) {
+    ::setenv("INCFLAT_VERIFY_EACH", saved.c_str(), 1);
+  } else {
+    ::unsetenv("INCFLAT_VERIFY_EACH");
+  }
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->check(), "types");
+  EXPECT_EQ(e->context(), "after pass 'mistype-body'");
 }
 
 TEST(Pipeline, AfterPassObserverSeesEveryPassInOrder) {

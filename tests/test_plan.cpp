@@ -18,6 +18,7 @@
 
 #include "src/autotune/autotune.h"
 #include "src/benchsuite/benchmark.h"
+#include "src/exec/exec.h"
 #include "src/flatten/flatten.h"
 #include "src/ir/builder.h"
 #include "src/ir/typecheck.h"
@@ -416,7 +417,7 @@ TEST(PlanLayer, GuardListSignatureMatchesTheTreeWalk) {
 TEST(PlanLayer, TunerCostsEqualTheReferenceCost) {
   for (const char* name : {"matmul", "LocVolCalib"}) {
     const Benchmark b = get_benchmark(name);
-    FlattenResult inc = flatten(b.program, FlattenMode::Incremental);
+    const Compiled inc = compile(b.program, FlattenMode::Incremental);
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
     for (const auto& dev : {device_k40(), device_vega64()}) {
@@ -425,20 +426,18 @@ TEST(PlanLayer, TunerCostsEqualTheReferenceCost) {
       const std::string ctx = std::string(name) + "/" + dev.name;
       const ThresholdEnv defaults;  // every threshold at 2^15
       const double default_cost =
-          tuning_cost(dev, inc.program, train, defaults);
+          tuning_cost(dev, inc.flat.program, train, defaults);
 
-      const TuningReport st =
-          autotune(dev, inc.program, inc.thresholds, train, opts);
+      const TuningReport st = autotune(dev, *inc.plan, train, opts);
       EXPECT_EQ(st.default_cost_us, default_cost) << ctx;
       EXPECT_EQ(st.best_cost_us,
-                tuning_cost(dev, inc.program, train, st.best))
+                tuning_cost(dev, inc.flat.program, train, st.best))
           << ctx;
 
-      const TuningReport ex =
-          exhaustive_tune(dev, inc.program, inc.thresholds, train);
+      const TuningReport ex = exhaustive_tune(dev, *inc.plan, train);
       EXPECT_EQ(ex.default_cost_us, default_cost) << ctx;
       EXPECT_EQ(ex.best_cost_us,
-                tuning_cost(dev, inc.program, train, ex.best))
+                tuning_cost(dev, inc.flat.program, train, ex.best))
           << ctx;
       EXPECT_LE(ex.best_cost_us, st.best_cost_us) << ctx;
     }

@@ -36,6 +36,7 @@
 #include "src/serve/server.h"
 #include "src/support/error.h"
 #include "src/support/json.h"
+#include "src/support/trace.h"
 
 namespace incflat {
 namespace {
@@ -824,8 +825,7 @@ TEST(Server, TuneTunesTheFlattenedProgram) {
   TunerOptions topts;
   topts.max_trials = small_opts().tune_trials;
   topts.measure_seed = small_opts().fault_seed;
-  const TuningReport rep =
-      autotune(dev, c.flat.program, c.flat.thresholds, train, topts);
+  const TuningReport rep = autotune(dev, *c.plan, train, topts);
   ASSERT_FALSE(rep.best.values.empty());
 
   Json req = Json::object();
@@ -852,6 +852,29 @@ TEST(Server, TuneTunesTheFlattenedProgram) {
   EXPECT_EQ(r.get("estimate_us").as_double(), want.time_us);
   EXPECT_EQ(r.get("kernel_launches").as_double(),
             static_cast<double>(want.kernel_launches));
+}
+
+TEST(Server, TuneTunesTheResidentPlanWithoutRebuildingIt) {
+  // A tune request for a resident program tunes its entry's plan: with
+  // tracing on, compiling builds the one plan and tuning builds none.
+  ServerCore core(small_opts());
+  Json req = Json::object();
+  req.set("op", "compile");
+  req.set("benchmark", "LocVolCalib");
+  trace::set_enabled(true);
+  trace::reset();
+  const Json compiled = core.handle(req);
+  const int64_t builds = trace::counters()["plan.builds"];
+  req.set("op", "tune");
+  const Json tuned = core.handle(req);
+  const int64_t after = trace::counters()["plan.builds"];
+  trace::set_enabled(false);
+  trace::reset();
+  ASSERT_TRUE(compiled.get("ok").as_bool()) << compiled.str(-1);
+  ASSERT_TRUE(tuned.get("ok").as_bool()) << tuned.str(-1);
+  EXPECT_TRUE(tuned.get("cached").as_bool());
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(after, builds);
 }
 
 TEST(Server, TuneRejectsTrialsOutsideIntRange) {
@@ -1656,6 +1679,13 @@ TEST(Socket, EndpointParsing) {
   EXPECT_THROW(serve::parse_endpoint("unix:"), IoError);
   EXPECT_THROW(serve::parse_endpoint("tcp:notaport"), IoError);
   EXPECT_THROW(serve::parse_endpoint("smoke:signals"), IoError);
+  // The port is all of the text after the last colon, read as one number:
+  // no prefix of it, no truncated fraction.
+  EXPECT_THROW(serve::parse_endpoint("tcp:80abc"), IoError);
+  EXPECT_THROW(serve::parse_endpoint("tcp:8080.9"), IoError);
+  EXPECT_EQ(serve::parse_endpoint("tcp:1e3").port, 1000);
+  EXPECT_EQ(serve::parse_endpoint("tcp:65535").port, 65535);
+  EXPECT_THROW(serve::parse_endpoint("tcp:65536"), IoError);
 }
 
 }  // namespace

@@ -151,8 +151,7 @@ TEST_F(TraceTest, PipelineEmitsPhaseSpansAndCounters) {
   const Compiled c = compile(b.program, FlattenMode::Incremental);
   std::vector<TuningDataset> train;
   for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
-  const TuningReport rep =
-      exhaustive_tune(device_k40(), c.flat.program, c.flat.thresholds, train);
+  const TuningReport rep = exhaustive_tune(device_k40(), *c.plan, train);
   simulate(device_k40(), c, b.tuning.front().sizes, rep.best);
 
   const auto counters = trace::counters();

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -375,11 +376,9 @@ int run(const Options& o) {
     if (o.fault_seed_set) topts.measure_seed = o.fault_seed;
     topts.journal = o.tune_journal;
     topts.resume = o.resume;
-    TuningReport rep =
-        o.exhaustive
-            ? exhaustive_tune(dev, fr.program, fr.thresholds, train,
-                              topts.default_threshold)
-            : autotune(dev, fr.program, fr.thresholds, train, topts);
+    const std::shared_ptr<const KernelPlan> plan = plan_of(c);
+    TuningReport rep = o.exhaustive ? exhaustive_tune(dev, *plan, train)
+                                    : autotune(dev, *plan, train, topts);
     thresholds = rep.best;
     std::cout << "tuned on " << train.size() << " datasets via kernel plan: "
               << fmt_us(rep.default_cost_us) << " -> "

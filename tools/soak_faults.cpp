@@ -141,11 +141,9 @@ void soak_tuning(Tally& t, const Benchmark& b, const Compiled& c,
   topts.journal = journal;
   const std::string tag = b.name + "/" + dev.name + " tuning";
   try {
-    const TuningReport first = autotune(dev, c.flat.program,
-                                        c.flat.thresholds, train, topts);
+    const TuningReport first = autotune(dev, *c.plan, train, topts);
     topts.resume = true;
-    const TuningReport again = autotune(dev, c.flat.program,
-                                        c.flat.thresholds, train, topts);
+    const TuningReport again = autotune(dev, *c.plan, train, topts);
     check(t, again.best_cost_us == first.best_cost_us &&
                  again.best.values == first.best.values &&
                  again.trials == first.trials &&
