@@ -101,7 +101,7 @@ class FaultSession {
       spec_ = parse_fault_spec(f);
       uint64_t seed = 0xb0a7f001ULL;
       if (const char* s = std::getenv("INCFLAT_FAULT_SEED")) {
-        seed = std::stoull(s, nullptr, 0);
+        seed = read_seed("INCFLAT_FAULT_SEED", s);
       }
       if (const char* p = std::getenv("INCFLAT_RUN_POLICY")) {
         policy_ = parse_run_policy(p);

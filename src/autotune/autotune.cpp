@@ -54,13 +54,11 @@ ThresholdEnv to_env(const KernelPlan& plan, const Candidate& assignment) {
 // When any robustness option is enabled, every memoizer cache miss routes
 // through a MeasureSession: the true (simulated) cost is re-measured
 // median-of-k under multiplicative noise, individual measurements can fail
-// (discarded; all-k-failed marks the candidate infeasible), candidates
-// beyond the per-candidate timeout are marked infeasible instead of
-// aborting, and each final measured value is appended to the journal as a
-// single flushed write.  A resumed search answers evaluations from the
-// journal in order — advancing the measurement RNG by exactly the draws a
-// live measurement consumes, so the continuation is bit-identical to an
-// uninterrupted run.
+// (discarded; all-k-failed marks the candidate infeasible), and each final
+// measured value is appended to the journal as a single flushed write.  A
+// resumed search answers evaluations from the journal in order — advancing
+// the measurement RNG by exactly the draws a live measurement consumes, so
+// the continuation is bit-identical to an uninterrupted run.
 // ---------------------------------------------------------------------------
 
 struct Measurer {
@@ -110,19 +108,14 @@ struct MeasureSession {
   TuneJournal* journal = nullptr;
   std::vector<JournalEntry> replay;
   size_t replay_ix = 0;
-  double timeout_us = 0;
   TuningReport* rep = nullptr;
 
   MeasureSession(const TunerOptions& opts, TuningReport* report)
-      : meas(opts), timeout_us(opts.candidate_timeout_us), rep(report) {}
+      : meas(opts), rep(report) {}
 
-  /// Timed-out and failed-every-retry candidates get an infinite cost:
-  /// counted infeasible, never adopted, never fatal.  The *journaled* value
-  /// is post-finalize, so replayed evaluations count identically.
-  double finalize(double c) {
-    if (timeout_us > 0 && c > timeout_us) {
-      c = std::numeric_limits<double>::infinity();
-    }
+  /// A candidate whose every measurement failed has an infinite cost:
+  /// counted infeasible, never adopted, never fatal.
+  double count(double c) {
     if (!(c < std::numeric_limits<double>::infinity())) ++rep->infeasible;
     return c;
   }
@@ -141,9 +134,7 @@ struct MeasureSession {
       ++replay_ix;
       meas.skip_draws();
       ++rep->journal_replayed;
-      const double c = e.cost();
-      if (!(c < std::numeric_limits<double>::infinity())) ++rep->infeasible;
-      return c;
+      return count(e.cost());
     }
     double c;
     try {
@@ -152,9 +143,8 @@ struct MeasureSession {
       meas.skip_draws();
       c = std::numeric_limits<double>::infinity();
     }
-    c = finalize(c);
     if (journal) journal->append(JournalEntry::of(key_hash, c));
-    return c;
+    return count(c);
   }
 };
 
@@ -168,8 +158,7 @@ uint64_t double_bits(double d) {
 /// bypass the MeasureSession entirely and the search is bit-identical to
 /// previous releases.
 bool session_needed(const TunerOptions& opts) {
-  return opts.noise > 0 || opts.failure_rate > 0 ||
-         opts.candidate_timeout_us > 0 || !opts.journal.empty();
+  return opts.noise > 0 || opts.failure_rate > 0 || !opts.journal.empty();
 }
 
 // ---------------------------------------------------------------------------
@@ -348,7 +337,7 @@ TuningReport autotune(const DeviceProfile& dev, const KernelPlan& plan,
   trace::Span span("tune.stochastic");
   TuningReport rep;
 
-  // Robust-measurement session (noise, failures, timeout, journal).
+  // Robust-measurement session (noise, failures, journal).
   std::unique_ptr<MeasureSession> session;
   std::unique_ptr<TuneJournal> journal;
   if (session_needed(opts)) {

@@ -67,10 +67,6 @@ struct TunerOptions {
   double failure_rate = 0;
   /// Seed of the measurement stream (noise + failure draws).
   uint64_t measure_seed = 0x5eedf417;
-  /// A candidate whose measured cost exceeds this is marked infeasible
-  /// rather than aborting the search; 0 disables.  (Simulated microseconds
-  /// — the per-candidate timeout of a real measurement harness.)
-  double candidate_timeout_us = 0;
   /// Wall-clock budget in milliseconds; when exceeded the search stops
   /// gracefully and returns the incumbent (early_stopped in the report).
   /// 0 = unlimited.  The only nondeterministic knob — leave at 0 for
@@ -92,7 +88,7 @@ struct TuningReport {
   int trials = 0;             // assignments attempted
   int evaluations = 0;        // cost-model evaluations actually performed
   int dedup_hits = 0;         // assignments resolved from the branching tree
-  int infeasible = 0;         // evaluations timed out / failed every retry
+  int infeasible = 0;         // evaluations whose every measurement failed
   int journal_replayed = 0;   // evaluations answered from a resumed journal
   bool early_stopped = false; // wall-clock budget exhausted; best = incumbent
 };

@@ -4,8 +4,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -23,32 +23,6 @@ std::string hex(uint64_t v) {
   std::ostringstream os;
   os << std::hex << v;
   return os.str();
-}
-
-bool parse_hex(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  uint64_t v = 0;
-  for (char c : s) {
-    int d = 0;
-    if (c >= '0' && c <= '9') {
-      d = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      d = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    v = (v << 4) | static_cast<uint64_t>(d);
-  }
-  *out = v;
-  return true;
-}
-
-/// An int field: all of `s`, in int's range.
-bool parse_int_field(const std::string& s, int* out) {
-  const std::optional<int> n = parse_int(s, std::numeric_limits<int>::min(),
-                                         std::numeric_limits<int>::max());
-  if (n) *out = *n;
-  return n.has_value();
 }
 
 std::string meta_line(const JournalMeta& m) {
@@ -71,21 +45,22 @@ bool parse_meta(const std::string& line, JournalMeta* m) {
     if (eq == std::string::npos) return false;
     const std::string key = tok.substr(0, eq);
     const std::string val = tok.substr(eq + 1);
-    uint64_t u = 0;
+    const std::optional<uint64_t> u = parse_uint(val, 16);
+    const std::optional<int64_t> n = parse_int(val, INT_MIN, INT_MAX);
     if (key == "program") {
       m->program = val;
     } else if (key == "device") {
       m->device = val;
-    } else if (key == "seed" && parse_hex(val, &u)) {
-      m->search_seed = u;
-    } else if (key == "trials") {
-      if (!parse_int_field(val, &m->max_trials)) return false;
-    } else if (key == "mseed" && parse_hex(val, &u)) {
-      m->measure_seed = u;
-    } else if (key == "k") {
-      if (!parse_int_field(val, &m->measure_k)) return false;
-    } else if (key == "noise" && parse_hex(val, &u)) {
-      m->noise_bits = u;
+    } else if (key == "seed" && u) {
+      m->search_seed = *u;
+    } else if (key == "trials" && n) {
+      m->max_trials = static_cast<int>(*n);
+    } else if (key == "mseed" && u) {
+      m->measure_seed = *u;
+    } else if (key == "k" && n) {
+      m->measure_k = static_cast<int>(*n);
+    } else if (key == "noise" && u) {
+      m->noise_bits = *u;
     } else {
       return false;
     }
@@ -170,14 +145,15 @@ TuneJournal TuneJournal::open(const std::string& path,
       }
       std::istringstream ls(line);
       std::string tag, key_s, cost_s;
-      JournalEntry e;
-      if (!(ls >> tag >> key_s >> cost_s) || tag != "E" ||
-          !parse_hex(key_s, &e.key_hash) || !parse_hex(cost_s, &e.cost_bits)) {
+      ls >> tag >> key_s >> cost_s;
+      const std::optional<uint64_t> key = parse_uint(key_s, 16);
+      const std::optional<uint64_t> cost = parse_uint(cost_s, 16);
+      if (tag != "E" || !key || !cost) {
         // A torn write that still got its newline out: stop replaying here;
         // everything from this point is re-measured.
         break;
       }
-      if (replay) replay->push_back(e);
+      if (replay) replay->push_back({*key, *cost});
     }
     if (!saw_magic || !saw_meta) {
       throw IoError("tuning journal is missing its header: " + path);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/support/error.h"
+#include "src/support/str.h"
 
 namespace incflat {
 
@@ -47,30 +48,19 @@ ThresholdEnv tuning_from_string(const std::string& text) {
     }
     // Keys and values are trimmed on both sides ("default = 16" assigns
     // the key "default", not "default "), and a value must be one whole
-    // integer — stoll's silent acceptance of trailing garbage ("16abc")
-    // previously stored 16.
+    // int64 ("16abc" is refused, not read as 16).
     const std::string name = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
     if (name.empty()) {
       throw EvalError("tuning file: empty key on line " +
                       std::to_string(lineno));
     }
-    int64_t v = 0;
-    try {
-      size_t consumed = 0;
-      v = std::stoll(value, &consumed);
-      if (consumed != value.size()) {
-        throw EvalError("trailing junk");
-      }
-    } catch (const std::exception&) {
+    const std::optional<int64_t> v = parse_int(value, INT64_MIN, INT64_MAX);
+    if (!v) {
       throw EvalError("tuning file: bad value on line " +
                       std::to_string(lineno) + ": '" + value + "'");
     }
-    if (name == "default") {
-      env.default_threshold = v;
-    } else {
-      env.values[name] = v;
-    }
+    (name == "default" ? env.default_threshold : env.values[name]) = *v;
   }
   return env;
 }

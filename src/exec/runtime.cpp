@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -14,21 +15,6 @@
 namespace incflat {
 
 namespace {
-
-/// A finite number spanning all of `text`.
-double parse_num(const std::string& key, const std::string& text) {
-  if (const std::optional<double> v = parse_finite(text)) return *v;
-  throw IoError("run-policy: bad value for '" + key + "': '" + text + "'");
-}
-
-/// `v` as an int in [0, max]; range-checked before converting.
-int parse_count(const std::string& key, double v, int max) {
-  if (!(v >= 0 && v <= max) || v != std::floor(v)) {
-    throw IoError("run-policy: " + key + " must be an integer in [0, " +
-                  std::to_string(max) + "]");
-  }
-  return static_cast<int>(v);
-}
 
 /// Simulated time one failed attempt burns before the fault is observed.
 double attempt_cost(const DeviceProfile& dev, const RunPolicy& policy,
@@ -234,34 +220,23 @@ RunOutcome run_with_faults(const RunMemo& memo,
 RunPolicy parse_run_policy(const std::string& spec) {
   RunPolicy p;
   if (spec.empty() || spec == "default") return p;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw IoError("run-policy: expected key=value, got '" + item + "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const double v = parse_num(key, item.substr(eq + 1));
-    if (key == "retries") {
-      p.max_attempts = 1 + parse_count(key, v, INT_MAX - 1);
-    } else if (key == "backoff") {
-      if (v < 0) throw IoError("run-policy: backoff must be >= 0");
-      p.backoff_us = v;
-    } else if (key == "backoff-cap") {
-      if (v < 0) throw IoError("run-policy: backoff-cap must be >= 0");
-      p.backoff_cap_us = v;
-    } else if (key == "timeout") {
-      if (v < 0) throw IoError("run-policy: timeout must be >= 0");
-      p.kernel_timeout_us = v;
-    } else if (key == "degradations") {
-      p.max_degradations = parse_count(key, v, INT_MAX);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const SpecItem& it : split_spec(spec, "run-policy")) {
+    const std::string what = "run-policy: " + it.key;
+    if (it.key == "retries") {
+      p.max_attempts =
+          1 + static_cast<int>(read_int(what, it.value, 0, INT_MAX - 1));
+    } else if (it.key == "backoff") {
+      p.backoff_us = read_real(what, it.value, 0, kInf);
+    } else if (it.key == "backoff-cap") {
+      p.backoff_cap_us = read_real(what, it.value, 0, kInf);
+    } else if (it.key == "timeout") {
+      p.kernel_timeout_us = read_real(what, it.value, 0, kInf);
+    } else if (it.key == "degradations") {
+      p.max_degradations =
+          static_cast<int>(read_int(what, it.value, 0, INT_MAX));
     } else {
-      throw IoError("run-policy: unknown key '" + key + "'");
+      throw IoError("run-policy: unknown key '" + it.key + "'");
     }
   }
   return p;

@@ -20,11 +20,6 @@ const char* fault_kind_name(FaultKind k) {
 
 namespace {
 
-double parse_rate(const std::string& key, const std::string& text) {
-  if (const std::optional<double> v = parse_finite(text)) return *v;
-  throw IoError("faults: bad rate for '" + key + "': '" + text + "'");
-}
-
 FaultKind scriptable_kind(const std::string& key) {
   if (key == "launch-failed") return FaultKind::LaunchFailed;
   if (key == "launch-timeout") return FaultKind::LaunchTimeout;
@@ -49,59 +44,30 @@ const char* scriptable_key(FaultKind k) {
 FaultSpec parse_fault_spec(const std::string& spec) {
   FaultSpec s;
   if (spec.empty() || spec == "off" || spec == "none") return s;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const size_t eq = item.find('=');
-    const size_t at = item.find('@');
-    if (at != std::string::npos && (eq == std::string::npos || at < eq)) {
-      // Scripted entry: kind@launch-index.
-      const std::string key = item.substr(0, at);
-      const std::string ix_text = item.substr(at + 1);
-      int64_t ix = 0;
-      try {
-        size_t consumed = 0;
-        ix = std::stoll(ix_text, &consumed);
-        if (consumed != ix_text.size() || ix < 0) throw IoError("bad index");
-      } catch (const std::exception&) {
-        throw IoError("faults: bad launch index in '" + item + "'");
-      }
-      s.script.emplace_back(ix, scriptable_kind(key));
+  for (const SpecItem& it : split_spec(spec, "faults", "=@")) {
+    const std::string what = "faults: " + it.text;
+    if (it.sep == '@') {  // scripted entry: kind@launch-index
+      const int64_t ix = read_int(what, it.value, 0, INT64_MAX);
+      s.script.emplace_back(ix, scriptable_kind(it.key));
       continue;
     }
-    if (eq == std::string::npos) {
-      throw IoError("faults: expected key=rate or kind@index, got '" + item +
-                    "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const double v = parse_rate(key, item.substr(eq + 1));
-    if (key == "noise") {
-      if (v < 0 || v >= 1) {
-        throw IoError("faults: noise must be in [0, 1): " + item);
-      }
+    const double v = read_real(what, it.value, 0, 1);
+    if (it.key == "noise") {
+      if (v >= 1) throw IoError("faults: noise must be in [0, 1): " + it.text);
       s.noise = v;
-      continue;
-    }
-    if (v < 0 || v > 1) {
-      throw IoError("faults: rate must be in [0, 1]: " + item);
-    }
-    if (key == "launch-failed") {
+    } else if (it.key == "launch-failed") {
       s.launch_failed = v;
-    } else if (key == "launch-timeout") {
+    } else if (it.key == "launch-timeout") {
       s.launch_timeout = v;
-    } else if (key == "local-alloc") {
+    } else if (it.key == "local-alloc") {
       s.local_alloc = v;
-    } else if (key == "device-lost") {
+    } else if (it.key == "device-lost") {
       s.device_lost = v;
-    } else if (key == "all") {
+    } else if (it.key == "all") {
       s.launch_failed = s.launch_timeout = s.local_alloc = s.device_lost =
           v / 4;
     } else {
-      throw IoError("faults: unknown fault kind '" + key + "'");
+      throw IoError("faults: unknown fault kind '" + it.key + "'");
     }
   }
   if (s.launch_rate() > 1.0) {

@@ -8,54 +8,33 @@
 
 namespace incflat::serve {
 
-namespace {
-
-double parse_rate(const std::string& key, const std::string& text,
-                  double hi = 1.0) {
-  const std::optional<double> v = parse_finite(text);
-  if (v && *v >= 0 && *v <= hi) return *v;
-  throw IoError("net-chaos: bad value for '" + key + "': '" + text +
-                "' (want a number in [0, " + fmt_double(hi, 0) + "])");
-}
-
-}  // namespace
-
 NetChaosSpec parse_net_chaos(const std::string& spec) {
   NetChaosSpec s;
   if (spec.empty() || spec == "off") return s;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw IoError("net-chaos: expected key=value, got '" + item + "'");
+  for (const SpecItem& it : split_spec(spec, "net-chaos")) {
+    const std::string what = "net-chaos: " + it.key;
+    if (it.key == "stall-us") {
+      s.stall_us = read_real(what, it.value, 0, 1e9);
+      continue;
     }
-    const std::string key = item.substr(0, eq);
-    const std::string val = item.substr(eq + 1);
-    if (key == "dribble") {
-      s.dribble = parse_rate(key, val);
-    } else if (key == "partial-write") {
-      s.partial_write = parse_rate(key, val);
-    } else if (key == "stall") {
-      s.stall = parse_rate(key, val);
-    } else if (key == "reset") {
-      s.reset = parse_rate(key, val);
-    } else if (key == "accept-fail") {
-      s.accept_fail = parse_rate(key, val);
-    } else if (key == "stall-us") {
-      s.stall_us = parse_rate(key, val, 1e9);
-    } else if (key == "all") {
+    const double r = read_real(what, it.value, 0, 1);
+    if (it.key == "dribble") {
+      s.dribble = r;
+    } else if (it.key == "partial-write") {
+      s.partial_write = r;
+    } else if (it.key == "stall") {
+      s.stall = r;
+    } else if (it.key == "reset") {
+      s.reset = r;
+    } else if (it.key == "accept-fail") {
+      s.accept_fail = r;
+    } else if (it.key == "all") {
       // Re-chunking kinds at the full rate, destructive kinds at a tenth:
       // "all=0.3" is a usefully hostile network, not an unusable one.
-      const double r = parse_rate(key, val);
       s.dribble = s.partial_write = r;
       s.stall = s.reset = s.accept_fail = r / 10;
     } else {
-      throw IoError("net-chaos: unknown key '" + key + "'");
+      throw IoError("net-chaos: unknown key '" + it.key + "'");
     }
   }
   return s;

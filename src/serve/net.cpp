@@ -171,9 +171,8 @@ Endpoint parse_endpoint(const std::string& spec) {
       ep.host = rest.substr(0, colon);
       rest = rest.substr(colon + 1);
     }
-    const std::optional<int> port = parse_int(rest, 0, 65535);
-    if (!port) throw IoError("bad tcp port in '" + spec + "'");
-    ep.port = static_cast<uint16_t>(*port);
+    ep.port = static_cast<uint16_t>(
+        read_int("tcp port in '" + spec + "'", rest, 0, 65535));
     return ep;
   }
   throw IoError("endpoint must be unix:PATH or tcp:[HOST:]PORT, got '" +

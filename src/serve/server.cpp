@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <limits>
+#include <climits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -418,15 +417,14 @@ Json ServerCore::do_run(const Json& req, const CancelToken* cancel,
                       [&](const GuardInfo& g) { return g.threshold == name; });
       if (!listed)
         throw CompilerError("the program has no threshold '" + name + "'");
-      // Range-check before converting: a double outside int64's range
-      // has no defined conversion (2^63 itself is just outside).
       const Json& v = tv->get(name);
-      const double t = v.is_number() ? v.as_double()
-                                     : std::numeric_limits<double>::quiet_NaN();
-      if (!(t >= -0x1p63 && t < 0x1p63) || t != std::floor(t))
+      const std::optional<int64_t> t =
+          v.is_number() ? exact_int(v.as_double(), INT64_MIN, INT64_MAX)
+                        : std::nullopt;
+      if (!t)
         throw CompilerError("threshold '" + name +
                             "' must be an integer in int64's range");
-      thr.values[name] = static_cast<int64_t>(t);
+      thr.values[name] = *t;
     }
   } else if (const Json* tuned = req.find("tuned");
              tuned && tuned->is_bool() && tuned->as_bool()) {
@@ -493,15 +491,13 @@ Json ServerCore::do_tune(const Json& req, const CancelToken* cancel) {
   TunerOptions topts;
   topts.max_trials = opts_.tune_trials;
   if (const Json* tv = req.find("trials")) {
-    // Range-check before converting: a double outside int's range has no
-    // defined conversion.
-    const double t = tv->is_number() ? tv->as_double() : 0;
-    if (!(t >= 1 && t <= std::numeric_limits<int>::max()) ||
-        t != std::floor(t))
+    const std::optional<int64_t> t =
+        tv->is_number() ? exact_int(tv->as_double(), 1, INT_MAX)
+                        : std::nullopt;
+    if (!t)
       throw CompilerError("'trials' must be an integer in [1, " +
-                          std::to_string(std::numeric_limits<int>::max()) +
-                          "]");
-    topts.max_trials = static_cast<int>(t);
+                          std::to_string(INT_MAX) + "]");
+    topts.max_trials = static_cast<int>(*t);
   }
   // Served tuning measures under the daemon's fault regime, so published
   // thresholds reflect the conditions runs will actually see.

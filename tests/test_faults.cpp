@@ -692,14 +692,14 @@ TEST(NoisyTuner, NoiseFreeOptionsAreBitIdenticalToTheDefaultSearch) {
   EXPECT_EQ(journaled.dedup_hits, plain.dedup_hits);
 }
 
-TEST(NoisyTuner, CandidateTimeoutMarksInfeasibleInsteadOfAborting) {
+TEST(NoisyTuner, EveryMeasurementFailingMarksInfeasibleInsteadOfAborting) {
   const Benchmark b = bench_matmul();
   const Compiled fr = compile(b.program, FlattenMode::Incremental);
   const DeviceProfile dev = device_k40();
   const auto train = training_sets(b);
 
   TunerOptions topts;
-  topts.candidate_timeout_us = 1.0;  // far below any real assignment's cost
+  topts.failure_rate = 1.0;  // every measurement of every candidate fails
   const TuningReport rep = autotune(dev, *fr.plan, train, topts);
   EXPECT_GT(rep.infeasible, 0);
   EXPECT_EQ(rep.infeasible, rep.evaluations);

@@ -1,5 +1,5 @@
 // Unit tests: support utilities — table printer, chart renderer, string
-// formatting, deterministic RNG, JSON round-trips.
+// formatting, the number readers, deterministic RNG, JSON round-trips.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -7,7 +7,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "src/autotune/tuning_file.h"
 #include "src/support/chart.h"
 #include "src/support/json.h"
 #include "src/support/rng.h"
@@ -68,6 +70,131 @@ TEST(Str, Formatting) {
   EXPECT_EQ(fmt_us(3.2e6), "3.200s");
   EXPECT_EQ(repeat("ab", 3), "ababab");
   EXPECT_EQ(join(std::vector<std::string>{"a", "b"}, ","), "a,b");
+}
+
+// ---------------------------------------------------------------------------
+// The number readers (src/support/str.h): every number from a flag, an
+// environment variable, a spec, a file or a request goes through them.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+TEST(Reader, RefusesNonNumbersAndTrailingBytes) {
+  for (const char* bad :
+       {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "", " ", "12abc",
+        "1.5x", "7 ", "--1", "+-1", "1e999", "0x"}) {
+    EXPECT_FALSE(parse_finite(bad)) << bad;
+    EXPECT_FALSE(parse_int(bad, kMin, kMax)) << bad;
+    EXPECT_THROW(read_real("x", bad, -1e300, 1e300), IoError) << bad;
+    EXPECT_THROW(read_int("x", bad, kMin, kMax), IoError) << bad;
+  }
+  // A fraction where an integer is wanted is refused, not truncated; an
+  // integral spelling in another form is the integer it spells.
+  for (const char* frac : {"2.5", "8080.9", "-0.5", "1e-3"}) {
+    EXPECT_FALSE(parse_int(frac, kMin, kMax)) << frac;
+  }
+  EXPECT_EQ(parse_int("1e3", 0, 65535), 1000);
+  EXPECT_EQ(parse_int("8.0", 0, 10), 8);
+  EXPECT_EQ(parse_int("+3", 0, 10), 3);
+  EXPECT_EQ(parse_finite("0.25"), 0.25);
+  EXPECT_EQ(parse_finite("-1e-3"), -1e-3);
+  // An underflow is the zero it rounds to, as in Json::parse.
+  EXPECT_EQ(parse_finite("1e-400"), 0.0);
+  EXPECT_EQ(read_real("--drain-ms", "1e-400", 0, 1), 0.0);
+}
+
+TEST(Reader, BoundsAreInclusiveAndOnePastIsRefused) {
+  EXPECT_EQ(parse_int("0", 0, 1024), 0);
+  EXPECT_EQ(parse_int("1024", 0, 1024), 1024);
+  EXPECT_FALSE(parse_int("-1", 0, 1024));
+  EXPECT_FALSE(parse_int("1025", 0, 1024));
+  EXPECT_EQ(parse_int("1", 1, 2147483647), 1);
+  EXPECT_EQ(parse_int("2147483647", 1, 2147483647), 2147483647);
+  EXPECT_FALSE(parse_int("0", 1, 2147483647));
+  EXPECT_FALSE(parse_int("2147483648", 1, 2147483647));
+  EXPECT_EQ(read_real("x", "0", 0, 1), 0.0);
+  EXPECT_EQ(read_real("x", "1", 0, 1), 1.0);
+  EXPECT_THROW(read_real("x", "-1e-9", 0, 1), IoError);
+  EXPECT_THROW(read_real("x", "1.000001", 0, 1), IoError);
+  // The JSON form: the same bounds, checked before converting.
+  EXPECT_EQ(exact_int(1.0, 1, 2147483647), 1);
+  EXPECT_EQ(exact_int(2147483647.0, 1, 2147483647), 2147483647);
+  EXPECT_FALSE(exact_int(0.0, 1, 2147483647));
+  EXPECT_FALSE(exact_int(2147483648.0, 1, 2147483647));
+  EXPECT_FALSE(exact_int(2.5, 1, 10));
+  EXPECT_FALSE(exact_int(std::numeric_limits<double>::quiet_NaN(), kMin, kMax));
+  EXPECT_FALSE(exact_int(std::numeric_limits<double>::infinity(), kMin, kMax));
+  EXPECT_EQ(exact_int(-0x1p63, kMin, kMax), kMin);
+  EXPECT_FALSE(exact_int(0x1p63, kMin, kMax));  // 2^63 is just outside
+  // The message names what was read, the range and the text.
+  try {
+    read_int("--workers", "3x", 0, 1024);
+    ADD_FAILURE() << "3x was accepted";
+  } catch (const IoError& e) {
+    EXPECT_STREQ(e.what(), "--workers: want an integer in [0, 1024], got '3x'");
+  }
+}
+
+TEST(Reader, Int64ExtremesReadExactly) {
+  EXPECT_EQ(parse_int("-9223372036854775808", kMin, kMax), kMin);
+  EXPECT_EQ(parse_int("9223372036854775807", kMin, kMax), kMax);
+  // 2^62 - 1 is not a double: a reader rounding through double reads 2^62.
+  EXPECT_EQ(parse_int("4611686018427387903", kMin, kMax),
+            (int64_t{1} << 62) - 1);
+  EXPECT_FALSE(parse_int("9223372036854775808", kMin, kMax));
+  EXPECT_FALSE(parse_int("-9223372036854775809", kMin, kMax));
+  EXPECT_FALSE(parse_int("99999999999999999999999", kMin, kMax));
+}
+
+TEST(Reader, SeedsTakeStrtoullFormsWithoutSign) {
+  EXPECT_EQ(parse_uint("7"), 7u);
+  EXPECT_EQ(parse_uint("0"), 0u);
+  EXPECT_EQ(parse_uint("0xfa0175eed"), 0xfa0175eedULL);
+  EXPECT_EQ(parse_uint("0XFF"), 255u);
+  EXPECT_EQ(parse_uint("017"), 15u);
+  EXPECT_EQ(parse_uint("18446744073709551615"),
+            std::numeric_limits<uint64_t>::max());
+  for (const char* bad : {"-1", "+7", "12abc", "18446744073709551616",
+                          "0x10000000000000000", "", "0x", "08", "1e3",
+                          "7.0"}) {
+    EXPECT_FALSE(parse_uint(bad)) << bad;
+    EXPECT_THROW(read_seed("INCFLAT_FAULT_SEED", bad), IoError) << bad;
+  }
+  // Base 16 is bare hex, as the tuning journal writes it.
+  EXPECT_EQ(parse_uint("fa0175eed", 16), 0xfa0175eedULL);
+  EXPECT_FALSE(parse_uint("0xff", 16));
+  EXPECT_FALSE(parse_uint("10000000000000000", 16));
+}
+
+TEST(Reader, SplitSpecSkipsEmptyItemsAndNamesTheBadOne) {
+  const std::vector<SpecItem> items =
+      split_spec(",a=1,,b@2,c=x=y,", "faults", "=@");
+  ASSERT_EQ(items.size(), 3u);
+  EXPECT_EQ(items[0].key, "a");
+  EXPECT_EQ(items[0].sep, '=');
+  EXPECT_EQ(items[0].value, "1");
+  EXPECT_EQ(items[1].key, "b");
+  EXPECT_EQ(items[1].sep, '@');
+  EXPECT_EQ(items[1].value, "2");
+  EXPECT_EQ(items[2].value, "x=y");  // split at the first separator only
+  EXPECT_TRUE(split_spec("", "run-policy").empty());
+  try {
+    split_spec("a=1,b", "run-policy");
+    ADD_FAILURE() << "an item without '=' was accepted";
+  } catch (const IoError& e) {
+    EXPECT_STREQ(e.what(), "run-policy: expected key=value, got 'b'");
+  }
+}
+
+TEST(Reader, TuningFileRoundTripsTwoToTheSixtySecondMinusOne) {
+  ThresholdEnv env;
+  env.default_threshold = (int64_t{1} << 62) - 1;
+  env.values["suff_outer_par_0"] = (int64_t{1} << 62) - 1;
+  env.values["suff_intra_par_1"] = kMin;
+  const ThresholdEnv back = tuning_from_string(tuning_to_string(env));
+  EXPECT_EQ(back.default_threshold, env.default_threshold);
+  EXPECT_EQ(back.values, env.values);
 }
 
 TEST(Rng, DeterministicAndInRange) {

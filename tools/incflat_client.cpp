@@ -15,10 +15,10 @@
 // backoff (fresh connection per attempt) — and also retries responses the
 // daemon marked "retriable":true (shed, draining, deadline-expired).
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -28,29 +28,34 @@
 #include "src/serve/protocol.h"
 #include "src/support/error.h"
 #include "src/support/json.h"
+#include "src/support/str.h"
 
 using namespace incflat;
 
 namespace {
 
 int usage(FILE* to) {
-  std::fprintf(
-      to,
-      "usage: incflat_client [--connect SPEC] OP [args] [options]\n"
-      "\n"
-      "  ops: ping | stats | shutdown\n"
-      "       compile BENCH            [--mode M] [--device D]\n"
-      "       run BENCH DATASET        [--mode M] [--device D] [--tuned]\n"
-      "                                [--threshold NAME=V]...\n"
-      "       tune BENCH               [--mode M] [--device D] [--trials N]\n"
-      "       raw JSON                 send a verbatim request payload\n"
-      "\n"
-      "  --connect SPEC   unix:PATH or tcp:[HOST:]PORT\n"
-      "                   (default unix:/tmp/incflatd.sock)\n"
-      "  --timeout-ms MS  bound the connect and each response wait\n"
-      "  --deadline-ms MS end-to-end server-side deadline for the request\n"
-      "  --retries N      retry refused/timed-out/retriable calls up to N\n"
-      "                   times with jittered exponential backoff\n");
+  std::fputs(R"(usage: incflat_client [--connect SPEC] OP [args] [options]
+
+  ops: ping | stats | shutdown
+       compile BENCH            [--mode M] [--device D]
+       run BENCH DATASET        [--mode M] [--device D] [--tuned]
+                                [--threshold NAME=V]...
+       tune BENCH               [--mode M] [--device D] [--trials N]
+       raw JSON                 send a verbatim request payload
+
+  --connect SPEC   unix:PATH or tcp:[HOST:]PORT
+                   (default unix:/tmp/incflatd.sock)
+  --trials N       tune trial budget, 0..2147483647 (0: the daemon's)
+  --threshold NAME=V  override one threshold; V an integer in int64's range
+  --timeout-ms MS  bound the connect and each response wait, MS >= 0
+                   (default 0: none)
+  --deadline-ms MS end-to-end server-side deadline for the request, MS >= 0
+                   (default 0: none)
+  --retries N      retry refused/timed-out/retriable calls up to N times,
+                   0..2147483646, with jittered exponential backoff
+)",
+             to);
   return to == stdout ? 0 : 2;
 }
 
@@ -82,43 +87,36 @@ int main(int argc, char** argv) {
   // A server going away mid-write must surface as EPIPE, not kill us.
   std::signal(SIGPIPE, SIG_IGN);
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "incflat_client: %s needs a value\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ArgReader args("incflat_client", argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.arg();
     if (arg == "--help" || arg == "-h") return usage(stdout);
     if (arg == "--connect") {
-      connect = next();
+      connect = args.value();
     } else if (arg == "--mode") {
-      mode = next();
+      mode = args.value();
     } else if (arg == "--device") {
-      device = next();
+      device = args.value();
     } else if (arg == "--trials") {
-      trials = std::atoi(next());
+      trials = static_cast<int>(args.integer(0, INT_MAX));
     } else if (arg == "--tuned") {
       tuned = true;
     } else if (arg == "--timeout-ms") {
-      timeout_ms = std::atof(next());
+      timeout_ms = args.real(0, kInf);
     } else if (arg == "--deadline-ms") {
-      deadline_ms = std::atof(next());
+      deadline_ms = args.real(0, kInf);
     } else if (arg == "--retries") {
-      retries = std::atoi(next());
+      retries = static_cast<int>(args.integer(0, INT_MAX - 1));
     } else if (arg == "--threshold") {
-      const std::string kv = next();
+      const std::string kv = args.value();
       const size_t eq = kv.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr,
-                     "incflat_client: --threshold wants NAME=VALUE\n");
-        return 2;
-      }
-      thresholds.emplace_back(kv.substr(0, eq),
-                              std::atoll(kv.c_str() + eq + 1));
+      if (eq == std::string::npos) args.fail("--threshold: want NAME=VALUE");
+      thresholds.emplace_back(
+          kv.substr(0, eq), args.check([&] {
+            return read_int("--threshold " + kv.substr(0, eq),
+                            kv.substr(eq + 1), INT64_MIN, INT64_MAX);
+          }));
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "incflat_client: unknown option '%s'\n",
                    arg.c_str());
@@ -164,7 +162,8 @@ int main(int argc, char** argv) {
   }
 
   const std::string payload = raw_payload.empty() ? req.str(-1) : raw_payload;
-  const serve::Endpoint ep = serve::parse_endpoint(connect);
+  const serve::Endpoint ep =
+      args.check([&] { return serve::parse_endpoint(connect); });
   std::mt19937_64 rng(std::random_device{}());
 
   // Each attempt uses a fresh connection: a timed-out call leaves the old

@@ -12,9 +12,8 @@
 // autotune, persist/load `.tuning` files, and price datasets on the two
 // simulated device profiles.
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <memory>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -72,16 +71,6 @@ struct Options {
   bool resume = false;
 };
 
-/// Route a CLI-level error through the structured diagnostics layer.
-void cli_error(const std::string& check, const std::string& message) {
-  Diagnostic d;
-  d.severity = Severity::Error;
-  d.check = check;
-  d.context = "cli";
-  d.message = message;
-  std::cerr << d.str() << "\n";
-}
-
 int usage() {
   std::cerr <<
       "usage: incflatc [options]\n"
@@ -127,8 +116,9 @@ int usage() {
       "                              over the four launch kinds) and\n"
       "                              scripted kind@launch-index entries;\n"
       "                              also read from INCFLAT_FAULTS\n"
-      "  --fault-seed N              fault/noise RNG seed (decimal or 0x..;\n"
-      "                              also INCFLAT_FAULT_SEED)\n"
+      "  --fault-seed N              fault/noise RNG seed, 0..2^64-1:\n"
+      "                              decimal, 0x hex or 0 octal (also\n"
+      "                              INCFLAT_FAULT_SEED)\n"
       "  --run-policy SPEC           fault handling: retries, backoff,\n"
       "                              backoff-cap, timeout, degradations\n"
       "  --tune-journal FILE         append every tuner evaluation to a\n"
@@ -142,83 +132,41 @@ int usage() {
 
 std::optional<Options> parse(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--list") {
-      o.list = true;
-    } else if (a == "--benchmark") {
-      if (const char* v = next()) o.benchmark = v; else return std::nullopt;
-    } else if (a == "--mode") {
-      if (const char* v = next()) o.mode = v; else return std::nullopt;
-    } else if (a == "--device") {
-      if (const char* v = next()) o.device = v; else return std::nullopt;
-    } else if (a == "--dataset") {
-      if (const char* v = next()) o.dataset = v; else return std::nullopt;
-    } else if (a == "--tuning") {
-      if (const char* v = next()) o.tuning_in = v; else return std::nullopt;
-    } else if (a == "--out") {
-      if (const char* v = next()) o.tuning_out = v; else return std::nullopt;
-    } else if (a == "--tune") {
-      o.tune = true;
-    } else if (a == "--exhaustive") {
-      o.exhaustive = true;
-    } else if (a == "--print-ir") {
-      o.print_ir = true;
-    } else if (a == "--tree") {
-      o.print_tree = true;
-    } else if (a == "--plan") {
-      o.print_plan = true;
-    } else if (a == "--lint") {
-      o.lint = true;
+  const std::map<std::string, std::string*> values = {
+      {"--benchmark", &o.benchmark}, {"--mode", &o.mode},
+      {"--device", &o.device}, {"--dataset", &o.dataset},
+      {"--tuning", &o.tuning_in}, {"--out", &o.tuning_out},
+      {"--passes", &o.passes}, {"--print-after", &o.print_after},
+      {"--faults", &o.faults}, {"--run-policy", &o.run_policy},
+      {"--tune-journal", &o.tune_journal}};
+  const std::map<std::string, bool*> switches = {
+      {"--list", &o.list}, {"--tune", &o.tune},
+      {"--exhaustive", &o.exhaustive}, {"--print-ir", &o.print_ir},
+      {"--tree", &o.print_tree}, {"--plan", &o.print_plan},
+      {"--lint", &o.lint}, {"--simplify", &o.simplify},
+      {"--no-fuse", &o.no_fuse}, {"--verify-each", &o.verify_each},
+      {"--json", &o.json}, {"--stats", &o.stats}, {"--trace", &o.trace},
+      {"--resume", &o.resume}};
+  ArgReader args("incflatc", argc, argv);
+  while (args.next()) {
+    const std::string& a = args.arg();
+    if (const auto v = values.find(a); v != values.end()) {
+      *v->second = args.value();
+    } else if (const auto b = switches.find(a); b != switches.end()) {
+      *b->second = true;
     } else if (a == "--lint-json") {
-      o.lint = true;
-      o.lint_json = true;
-    } else if (a == "--simplify") {
-      o.simplify = true;
-    } else if (a == "--no-fuse") {
-      o.no_fuse = true;
-    } else if (a == "--verify-each") {
-      o.verify_each = true;
-    } else if (a == "--passes") {
-      if (const char* v = next()) o.passes = v; else return std::nullopt;
-    } else if (a == "--print-after") {
-      if (const char* v = next()) o.print_after = v; else return std::nullopt;
-    } else if (a == "--json") {
-      o.json = true;
-    } else if (a == "--stats") {
-      o.stats = true;
-    } else if (a == "--trace") {
-      o.trace = true;
+      o.lint = o.lint_json = true;
     } else if (a.rfind("--trace=", 0) == 0) {
       o.trace = true;
       o.trace_out = a.substr(std::string("--trace=").size());
       if (o.trace_out.empty()) return std::nullopt;
-    } else if (a == "--faults") {
-      if (const char* v = next()) o.faults = v; else return std::nullopt;
     } else if (a.rfind("--faults=", 0) == 0) {
       o.faults = a.substr(std::string("--faults=").size());
     } else if (a == "--fault-seed") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      try {
-        o.fault_seed = std::stoull(v, nullptr, 0);
-      } catch (const std::exception&) {
-        cli_error("usage", std::string("bad --fault-seed: ") + v);
-        return std::nullopt;
-      }
+      o.fault_seed = args.seed();
       o.fault_seed_set = true;
-    } else if (a == "--run-policy") {
-      if (const char* v = next()) o.run_policy = v; else return std::nullopt;
-    } else if (a == "--tune-journal") {
-      if (const char* v = next()) o.tune_journal = v;
-      else return std::nullopt;
-    } else if (a == "--resume") {
-      o.resume = true;
     } else {
-      cli_error("usage", "unknown option: " + a);
+      std::cerr << "incflatc: unknown option '" << a << "'\n";
       return std::nullopt;
     }
   }
@@ -228,15 +176,9 @@ std::optional<Options> parse(int argc, char** argv) {
     if (const char* env = std::getenv("INCFLAT_FAULTS")) o.faults = env;
   }
   if (!o.fault_seed_set) {
-    if (const char* env = std::getenv("INCFLAT_FAULT_SEED")) {
-      try {
-        o.fault_seed = std::stoull(env, nullptr, 0);
-        o.fault_seed_set = true;
-      } catch (const std::exception&) {
-        cli_error("usage",
-                  std::string("bad INCFLAT_FAULT_SEED: ") + env);
-        return std::nullopt;
-      }
+    if (const auto seed = args.env_seed("INCFLAT_FAULT_SEED")) {
+      o.fault_seed = *seed;
+      o.fault_seed_set = true;
     }
   }
   return o;
@@ -310,8 +252,7 @@ int run(const Options& o) {
       }
     };
   }
-  // The plan is built once per compile and shared by simulation and tuning.
-  const Compiled c = compile(b.program, mode, copts);
+  Compiled c = compile(b.program, mode, copts);
   const FlattenResult& fr = c.flat;
 
   if (o.print_ir) {
@@ -364,6 +305,10 @@ int run(const Options& o) {
   const FaultSpec fspec = parse_fault_spec(o.faults);
   const RunPolicy policy = parse_run_policy(o.run_policy);
 
+  // compile() builds the plan unless --passes leaves out plan-build; then it
+  // is built here, once, for tuning and simulation to share.
+  if (!c.plan && (o.tune || !o.dataset.empty())) c.plan = plan_of(c);
+
   if (o.tune) {
     std::vector<TuningDataset> train;
     for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
@@ -376,9 +321,8 @@ int run(const Options& o) {
     if (o.fault_seed_set) topts.measure_seed = o.fault_seed;
     topts.journal = o.tune_journal;
     topts.resume = o.resume;
-    const std::shared_ptr<const KernelPlan> plan = plan_of(c);
-    TuningReport rep = o.exhaustive ? exhaustive_tune(dev, *plan, train)
-                                    : autotune(dev, *plan, train, topts);
+    TuningReport rep = o.exhaustive ? exhaustive_tune(dev, *c.plan, train)
+                                    : autotune(dev, *c.plan, train, topts);
     thresholds = rep.best;
     std::cout << "tuned on " << train.size() << " datasets via kernel plan: "
               << fmt_us(rep.default_cost_us) << " -> "

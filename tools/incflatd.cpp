@@ -18,16 +18,18 @@
 //
 // Exit codes: 0 clean shutdown/drain, 2 usage error, 3 bind/IO failure.
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/serve/chaos.h"
 #include "src/serve/net.h"
 #include "src/serve/server.h"
 #include "src/support/error.h"
+#include "src/support/str.h"
 #include "src/support/trace.h"
 
 using namespace incflat;
@@ -52,45 +54,36 @@ extern "C" void on_term_signal(int) {
 }
 
 int usage(FILE* to) {
-  std::fprintf(to,
-               "usage: incflatd [options]\n"
-               "\n"
-               "  --listen SPEC      endpoint: unix:PATH or tcp:[HOST:]PORT\n"
-               "                     (default unix:/tmp/incflatd.sock;\n"
-               "                     tcp port 0 picks an ephemeral port)\n"
-               "  --cache-mb N       plan cache byte budget in MiB "
-               "(default 64)\n"
-               "  --workers N        scheduler worker threads "
-               "(default: min(cores, 8))\n"
-               "  --faults SPEC      fault injection for served runs\n"
-               "                     (also INCFLAT_FAULTS)\n"
-               "  --fault-seed N     fault stream seed "
-               "(also INCFLAT_FAULT_SEED)\n"
-               "  --tune-trials N    default tune trial budget (default 64)\n"
-               "  --max-conns N      connection cap: connections past it "
-               "get one\n"
-               "                     'overloaded' (retriable) frame and are "
-               "closed\n"
-               "  --max-inflight N   per-connection pipelined-request cap "
-               "(shed past it)\n"
-               "  --queue-cap N      per-priority-class scheduler queue "
-               "bound\n"
-               "                     (reject-newest, 'overloaded' "
-               "retriable)\n"
-               "  --drain-ms MS      graceful-drain bound on SIGTERM/SIGINT "
-               "(default 5000)\n"
-               "  --net-chaos SPEC   network chaos injection "
-               "(also INCFLAT_NET_CHAOS);\n"
-               "                     keys dribble, partial-write, stall, "
-               "reset,\n"
-               "                     accept-fail, stall-us; 'all=R' "
-               "shorthand\n"
-               "  --net-chaos-seed N chaos stream seed "
-               "(also INCFLAT_NET_CHAOS_SEED)\n"
-               "  --trace            enable the trace layer (stats op "
-               "reports spans)\n"
-               "  --ready            print 'READY <endpoint>' on stdout "
-               "once listening\n");
+  std::fputs(R"(usage: incflatd [options]
+
+  --listen SPEC      endpoint: unix:PATH or tcp:[HOST:]PORT, port 0..65535
+                     (default unix:/tmp/incflatd.sock; tcp port 0 picks an
+                     ephemeral port)
+  --cache-mb N       plan cache byte budget in MiB, 0..1048576 (default 64)
+  --workers N        scheduler worker threads, 0..1024 (default 0:
+                     min(cores, 8))
+  --faults SPEC      fault injection for served runs (also INCFLAT_FAULTS)
+  --fault-seed N     fault stream seed, 0..2^64-1 in decimal, 0x hex or 0
+                     octal (also INCFLAT_FAULT_SEED)
+  --tune-trials N    default tune trial budget, 1..2147483647 (default 64)
+  --max-conns N      connection cap, 0..2147483647 (default 0: none):
+                     connections past it get one 'overloaded' (retriable)
+                     frame and are closed
+  --max-inflight N   per-connection pipelined-request cap (shed past it),
+                     0..2147483647 (default 0: none)
+  --queue-cap N      per-priority-class scheduler queue bound, 0..2^63-1
+                     (default 0: none; reject-newest, 'overloaded' retriable)
+  --drain-ms MS      graceful-drain bound on SIGTERM/SIGINT, MS >= 0
+                     (default 5000; 0 severs at once)
+  --net-chaos SPEC   network chaos injection (also INCFLAT_NET_CHAOS); keys
+                     dribble, partial-write, stall, reset, accept-fail (rates
+                     in [0, 1]), stall-us (0..1e9); 'all=R' shorthand
+  --net-chaos-seed N chaos stream seed, as --fault-seed (also
+                     INCFLAT_NET_CHAOS_SEED)
+  --trace            enable the trace layer (stats op reports spans)
+  --ready            print 'READY <endpoint>' on stdout once listening
+)",
+             to);
   return to == stdout ? 0 : 2;
 }
 
@@ -98,48 +91,45 @@ int usage(FILE* to) {
 
 int main(int argc, char** argv) {
   Options opt;
+  ArgReader args("incflatd", argc, argv);
   if (const char* env = std::getenv("INCFLAT_FAULTS")) opt.serve.faults = env;
-  if (const char* env = std::getenv("INCFLAT_FAULT_SEED"))
-    opt.serve.fault_seed = std::strtoull(env, nullptr, 0);
+  if (auto seed = args.env_seed("INCFLAT_FAULT_SEED"))
+    opt.serve.fault_seed = *seed;
   std::string chaos_spec;
   if (const char* env = std::getenv("INCFLAT_NET_CHAOS")) chaos_spec = env;
-  if (const char* env = std::getenv("INCFLAT_NET_CHAOS_SEED"))
-    opt.sock.chaos_seed = std::strtoull(env, nullptr, 0);
+  if (auto seed = args.env_seed("INCFLAT_NET_CHAOS_SEED"))
+    opt.sock.chaos_seed = *seed;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "incflatd: %s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  while (args.next()) {
+    const std::string& arg = args.arg();
     if (arg == "--help" || arg == "-h") return usage(stdout);
     if (arg == "--listen") {
-      opt.listen = next();
+      opt.listen = args.value();
     } else if (arg == "--cache-mb") {
-      opt.serve.cache_bytes = static_cast<size_t>(std::atoll(next())) << 20;
+      opt.serve.cache_bytes = static_cast<size_t>(args.integer(0, 1 << 20))
+                              << 20;
     } else if (arg == "--workers") {
-      opt.serve.workers = std::atoi(next());
+      opt.serve.workers = static_cast<int>(args.integer(0, 1024));
     } else if (arg == "--faults") {
-      opt.serve.faults = next();
+      opt.serve.faults = args.value();
     } else if (arg == "--fault-seed") {
-      opt.serve.fault_seed = std::strtoull(next(), nullptr, 0);
+      opt.serve.fault_seed = args.seed();
     } else if (arg == "--tune-trials") {
-      opt.serve.tune_trials = std::atoi(next());
+      opt.serve.tune_trials = static_cast<int>(args.integer(1, INT_MAX));
     } else if (arg == "--max-conns") {
-      opt.sock.max_conns = std::atoi(next());
+      opt.sock.max_conns = static_cast<int>(args.integer(0, INT_MAX));
     } else if (arg == "--max-inflight") {
-      opt.sock.max_inflight_per_conn = std::atoi(next());
+      opt.sock.max_inflight_per_conn =
+          static_cast<int>(args.integer(0, INT_MAX));
     } else if (arg == "--queue-cap") {
-      opt.serve.queue_cap = std::atoll(next());
+      opt.serve.queue_cap = args.integer(0, INT64_MAX);
     } else if (arg == "--drain-ms") {
-      opt.sock.drain_ms = std::atof(next());
+      opt.sock.drain_ms = args.real(0, kInf);
     } else if (arg == "--net-chaos") {
-      chaos_spec = next();
+      chaos_spec = args.value();
     } else if (arg == "--net-chaos-seed") {
-      opt.sock.chaos_seed = std::strtoull(next(), nullptr, 0);
+      opt.sock.chaos_seed = args.seed();
     } else if (arg == "--trace") {
       opt.trace = true;
     } else if (arg == "--ready") {

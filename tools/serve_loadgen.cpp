@@ -26,11 +26,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -44,6 +44,7 @@
 #include "src/support/error.h"
 #include "src/support/json.h"
 #include "src/support/rng.h"
+#include "src/support/str.h"
 
 using namespace incflat;
 
@@ -63,23 +64,23 @@ struct Options {
 };
 
 int usage(FILE* to) {
-  std::fprintf(to,
-               "usage: serve_loadgen [options]\n"
-               "  --connect SPEC    unix:PATH or tcp:[HOST:]PORT\n"
-               "  --clients N       concurrent connections (default 16)\n"
-               "  --requests N      requests per client (default 100)\n"
-               "  --zipf S          zipfian skew exponent over keys "
-               "(default 1.1; 0 = uniform)\n"
-               "  --mix SPEC        op mix, e.g. run=0.9,compile=0.1\n"
-               "                    (ops: run, compile, stats)\n"
-               "  --device D        device profile for requests "
-               "(default k40)\n"
-               "  --seed N          workload seed\n"
-               "  --deadline-ms MS  attach an end-to-end deadline to every "
-               "request\n"
-               "  --timeout-ms MS   client-side connect/response bound "
-               "(reconnect on breach)\n"
-               "  --json FILE       write the report as JSON\n");
+  std::fputs(R"(usage: serve_loadgen [options]
+  --connect SPEC    unix:PATH or tcp:[HOST:]PORT
+  --clients N       concurrent connections, 0..1024 (default 16)
+  --requests N      requests per client, 0..2147483647 (default 100)
+  --zipf S          zipfian skew exponent over keys, S >= 0 (default 1.1;
+                    0 = uniform)
+  --mix SPEC        op mix, e.g. run=0.9,compile=0.1 (ops: run, compile,
+                    stats; fractions in [0, 1])
+  --device D        device profile for requests (default k40)
+  --seed N          workload seed, 0..2^64-1 in decimal, 0x hex or 0 octal
+  --deadline-ms MS  attach an end-to-end deadline to every request, MS >= 0
+                    (default 0: none)
+  --timeout-ms MS   client-side connect/response bound (reconnect on
+                    breach), MS >= 0 (default 0: none)
+  --json FILE       write the report as JSON
+)",
+             to);
   return to == stdout ? 0 : 2;
 }
 
@@ -123,61 +124,41 @@ double now_us() {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "serve_loadgen: %s needs a value\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ArgReader args("serve_loadgen", argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.arg();
     if (arg == "--help" || arg == "-h") return usage(stdout);
     if (arg == "--connect") {
-      opt.connect = next();
+      opt.connect = args.value();
     } else if (arg == "--clients") {
-      opt.clients = std::atoi(next());
+      opt.clients = static_cast<int>(args.integer(0, 1024));
     } else if (arg == "--requests") {
-      opt.requests = std::atoi(next());
+      opt.requests = static_cast<int>(args.integer(0, INT_MAX));
     } else if (arg == "--zipf") {
-      opt.zipf = std::atof(next());
+      opt.zipf = args.real(0, kInf);
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next(), nullptr, 0);
+      opt.seed = args.seed();
     } else if (arg == "--device") {
-      opt.device = next();
+      opt.device = args.value();
     } else if (arg == "--deadline-ms") {
-      opt.deadline_ms = std::atof(next());
+      opt.deadline_ms = args.real(0, kInf);
     } else if (arg == "--timeout-ms") {
-      opt.timeout_ms = std::atof(next());
+      opt.timeout_ms = args.real(0, kInf);
     } else if (arg == "--json") {
-      opt.json_out = next();
+      opt.json_out = args.value();
     } else if (arg == "--mix") {
       opt.run_frac = opt.compile_frac = opt.stats_frac = 0;
-      std::string spec = next();
-      size_t pos = 0;
-      while (pos < spec.size()) {
-        size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos) comma = spec.size();
-        const std::string part = spec.substr(pos, comma - pos);
-        const size_t eq = part.find('=');
-        if (eq == std::string::npos) {
-          std::fprintf(stderr, "serve_loadgen: bad --mix part '%s'\n",
-                       part.c_str());
-          return 2;
+      const std::string spec = args.value();
+      args.check([&] {
+        for (const SpecItem& it : split_spec(spec, "--mix")) {
+          const double f = read_real("--mix " + it.key, it.value, 0, 1);
+          if (it.key == "run") opt.run_frac = f;
+          else if (it.key == "compile") opt.compile_frac = f;
+          else if (it.key == "stats") opt.stats_frac = f;
+          else throw IoError("--mix: unknown op '" + it.key + "'");
         }
-        const std::string op = part.substr(0, eq);
-        const double f = std::atof(part.c_str() + eq + 1);
-        if (op == "run") opt.run_frac = f;
-        else if (op == "compile") opt.compile_frac = f;
-        else if (op == "stats") opt.stats_frac = f;
-        else {
-          std::fprintf(stderr, "serve_loadgen: unknown mix op '%s'\n",
-                       op.c_str());
-          return 2;
-        }
-        pos = comma + 1;
-      }
+      });
     } else {
       std::fprintf(stderr, "serve_loadgen: unknown option '%s'\n",
                    arg.c_str());
@@ -208,14 +189,8 @@ int main(int argc, char** argv) {
   }
   for (double& c : cdf) c /= acc;
 
-  const serve::Endpoint ep = [&] {
-    try {
-      return serve::parse_endpoint(opt.connect);
-    } catch (const IoError& e) {
-      std::fprintf(stderr, "serve_loadgen: %s\n", e.what());
-      std::exit(2);
-    }
-  }();
+  const serve::Endpoint ep =
+      args.check([&] { return serve::parse_endpoint(opt.connect); });
 
   // A daemon resetting a connection mid-write (chaos, drain deadline) must
   // surface as EPIPE on our side, not kill the whole load generator.

@@ -5,7 +5,8 @@
 //
 // Runs every benchsuite program on both device profiles under a mixed
 // fault spec (default all=0.01, i.e. 1% of launches fault) across SEEDS
-// seeds (default 10), checking the robustness contract end to end:
+// seeds (default 10; 0..2147483647), checking the robustness contract end
+// to end:
 //
 //   * no run crashes or throws: every outcome is either ok or a structured
 //     fault-unrecoverable Diagnostic;
@@ -42,6 +43,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -63,6 +65,7 @@
 #include "src/serve/server.h"
 #include "src/support/json.h"
 #include "src/support/rng.h"
+#include "src/support/str.h"
 #include "src/support/trace.h"
 
 namespace incflat {
@@ -513,7 +516,12 @@ int soak(const std::string& spec_str, int n_seeds) {
 
 int main(int argc, char** argv) {
   const std::string spec = argc > 1 ? argv[1] : "all=0.01";
-  const int seeds = argc > 2 ? std::atoi(argv[2]) : 10;
+  const incflat::ArgReader args("soak_faults", argc, argv);
+  int seeds = 10;
+  if (argc > 2) {
+    seeds = static_cast<int>(args.check(
+        [&] { return incflat::read_int("SEEDS", argv[2], 0, INT_MAX); }));
+  }
   try {
     if (spec == "chaos") return incflat::chaos_soak();
     return incflat::soak(spec, seeds);
