@@ -97,21 +97,26 @@ class FaultSession {
   FaultSession() {
     const char* f = std::getenv("INCFLAT_FAULTS");
     if (!f || !*f) return;
-    try {
-      spec_ = parse_fault_spec(f);
-      uint64_t seed = 0xb0a7f001ULL;
-      if (const char* s = std::getenv("INCFLAT_FAULT_SEED")) {
-        seed = read_seed("INCFLAT_FAULT_SEED", s);
+    // A refused value exits 3 naming the one variable that holds it.
+    const auto checked = [](const char* prefix, auto&& read) {
+      try {
+        return read();
+      } catch (const std::exception& e) {
+        std::cerr << prefix << e.what() << "\n";
+        std::exit(3);
       }
-      if (const char* p = std::getenv("INCFLAT_RUN_POLICY")) {
-        policy_ = parse_run_policy(p);
-      }
-      plan_ = FaultPlan(spec_, seed);
-      enabled_ = spec_.faults_launches();
-    } catch (const std::exception& e) {
-      std::cerr << "INCFLAT_FAULTS: " << e.what() << "\n";
-      std::exit(3);
+    };
+    spec_ = checked("INCFLAT_FAULTS: ", [&] { return parse_fault_spec(f); });
+    uint64_t seed = 0xb0a7f001ULL;
+    if (const char* s = std::getenv("INCFLAT_FAULT_SEED")) {
+      seed = checked("", [&] { return read_seed("INCFLAT_FAULT_SEED", s); });
     }
+    if (const char* p = std::getenv("INCFLAT_RUN_POLICY")) {
+      policy_ = checked("INCFLAT_RUN_POLICY: ",
+                        [&] { return parse_run_policy(p); });
+    }
+    plan_ = FaultPlan(spec_, seed);
+    enabled_ = spec_.faults_launches();
   }
   FaultSession(const FaultSession&) = delete;
   FaultSession& operator=(const FaultSession&) = delete;

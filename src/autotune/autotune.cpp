@@ -1,13 +1,15 @@
 #include "src/autotune/autotune.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -123,7 +125,8 @@ struct MeasureSession {
   /// Measure one evaluation: replay from the journal when entries remain,
   /// else measure live (a candidate whose pricing throws EvalError — e.g.
   /// unbound sizes — is infeasible, not fatal) and journal the result.
-  double evaluate(uint64_t key_hash, const std::function<double()>& true_cost) {
+  template <typename TrueCost>
+  double evaluate(uint64_t key_hash, const TrueCost& true_cost) {
     if (replay_ix < replay.size()) {
       const JournalEntry& e = replay[replay_ix];
       if (e.key_hash != key_hash) {
@@ -164,8 +167,8 @@ bool session_needed(const TunerOptions& opts) {
 // ---------------------------------------------------------------------------
 // Evaluation: each dataset's sizes are swept through the plan's cost arena
 // once, and every candidate afterwards is a decision-tree descent on the
-// plan's threshold slots.  Dedup keys are the concatenated guard-path
-// bitsets of all datasets, each one forward pass over the guard list.
+// plan's threshold slots.  A dedup key is the guard-path signature of every
+// dataset, from one pass over the guard list with datasets as bit lanes.
 // ---------------------------------------------------------------------------
 
 struct PlanEval {
@@ -182,35 +185,130 @@ struct PlanEval {
   }
 };
 
+/// The memo key of a signature: per lane word and guard, the reached lanes
+/// then the taken lanes, one bit per lane of the word, packed back to back,
+/// so a key holds 2 bits per guard per dataset.
+void pack_key(const LaneSig& sig, std::span<uint64_t> key) {
+  uint64_t acc = 0;  // the key word being filled, `fill` bits so far
+  size_t fill = 0, out = 0;
+  const auto put = [&](uint64_t v, size_t n) {
+    acc |= v << fill;
+    fill += n;
+    if (fill < 64) return;
+    key[out++] = acc;
+    fill -= 64;
+    acc = fill == 0 ? 0 : v >> (n - fill);  // the bits of v left over
+  };
+  const uint64_t* reached = sig.reached.data();
+  const uint64_t* taken = sig.taken.data();
+  for (size_t w = 0; w < sig.words; ++w) {
+    const size_t n = std::min<size_t>(64, sig.lanes - 64 * w);
+    for (size_t g = 0; g < sig.guards; ++g) {
+      put(*reached++, n);
+      put(*taken++, n);
+    }
+  }
+  if (fill > 0) key[out] = acc;
+}
+
+/// A deterministic hash of a memo key's words.
+uint64_t key_hash(std::span<const uint64_t> key) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const uint64_t w : key) {
+    h = (h ^ w) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 29;
+  }
+  return h ^ (h >> 32);
+}
+
+/// Costs by memo key in an open-addressed table: the keys, all `words`
+/// long, sit back to back in one arena, and a power-of-two index of entry
+/// numbers, at most half full, is probed linearly from the key's hash.
+struct CostTable {
+  size_t words = 0;
+  std::vector<uint64_t> keys;    // entry e's key: [e * words, (e + 1) * words)
+  std::vector<uint64_t> hashes;  // entry e's key_hash
+  std::vector<double> costs;
+  /// Power-of-two sized; 0 is an empty slot, else entry number + 1.
+  std::vector<uint32_t> index = std::vector<uint32_t>(64);
+
+  /// The index slot holding `key`, or the empty slot where it belongs.
+  size_t probe(std::span<const uint64_t> key, uint64_t h) const {
+    const size_t mask = index.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      const uint32_t e = index[i];
+      if (e == 0) return i;
+      if (hashes[e - 1] == h &&
+          std::equal(key.begin(), key.end(), keys.begin() + (e - 1) * words)) {
+        return i;
+      }
+    }
+  }
+
+  /// Add `key` at the empty slot probe() returned for it.
+  void insert(size_t slot, std::span<const uint64_t> key, uint64_t h,
+              double cost) {
+    INCFLAT_CHECK(costs.size() < UINT32_MAX, "tuner memo is full");
+    keys.insert(keys.end(), key.begin(), key.end());
+    hashes.push_back(h);
+    costs.push_back(cost);
+    index[slot] = static_cast<uint32_t>(costs.size());
+    if (2 * costs.size() <= index.size()) return;
+    index.assign(2 * index.size(), 0);
+    const size_t mask = index.size() - 1;
+    for (size_t e = 0; e < hashes.size(); ++e) {
+      size_t i = hashes[e] & mask;
+      while (index[i] != 0) i = (i + 1) & mask;
+      index[i] = static_cast<uint32_t>(e + 1);
+    }
+  }
+};
+
 /// Candidate costs memoized by dedup key: an assignment whose key was seen
 /// is a dedup hit and costs nothing to evaluate (paper Sec. 4.2).  The slot,
-/// key and signature buffers are reused across trials.
+/// signature and key buffers are reused, so a hit allocates nothing.
 struct PlanMemoizer {
   const PlanEval& ev;
   MeasureSession* session = nullptr;
-  std::map<std::vector<uint64_t>, double> cache;
+  const GuardLanes lanes;
+  CostTable table;
   int evaluations = 0;
   int dedup_hits = 0;
   std::vector<int64_t> slots;
+  LaneSig sig;
   std::vector<uint64_t> key;
-  PathSig sig;
+  std::vector<uint64_t> journal_key;
 
-  PlanMemoizer(const PlanEval& e, MeasureSession* s) : ev(e), session(s) {}
+  PlanMemoizer(const PlanEval& e, MeasureSession* s)
+      : ev(e),
+        session(s),
+        lanes(e.plan, e.caches),
+        slots(e.plan.guards.size()),
+        key((2 * e.plan.guards.size() * e.caches.size() + 63) / 64) {
+    table.words = key.size();
+  }
+
+  /// The journal's hash of the current key: the FNV-1a of every dataset's
+  /// PathSig words, concatenated in dataset order, as journals have always
+  /// recorded it, so older journals still resume.
+  uint64_t journal_key_hash() {
+    journal_key.clear();
+    for (size_t d = 0; d < sig.lanes; ++d) sig.append_path(d, journal_key);
+    return journal_hash(journal_key.data(),
+                        journal_key.size() * sizeof(uint64_t));
+  }
 
   double cost(const Candidate& cand) {
-    slots.resize(cand.size());
     for (size_t i = 0; i < cand.size(); ++i) {
       slots[i] = cand[i] == kUnset ? kDefaultThreshold : cand[i];
     }
-    key.clear();
-    for (const PlanDatasetCache& c : ev.caches) {
-      plan_signature(ev.plan, c, slots, sig);
-      key.insert(key.end(), sig.bits.begin(), sig.bits.end());
-    }
-    auto it = cache.find(key);
-    if (it != cache.end()) {
+    plan_signature(ev.plan, lanes, slots, sig);
+    pack_key(sig, key);
+    const uint64_t h = key_hash(key);
+    const size_t at = table.probe(key, h);
+    if (const uint32_t e = table.index[at]; e != 0) {
       ++dedup_hits;
-      return it->second;
+      return table.costs[e - 1];
     }
     ++evaluations;
     // Weighted-sum cost in tuning_cost's accumulation order; the descent's
@@ -224,13 +322,9 @@ struct PlanMemoizer {
       }
       return total;
     };
-    const double c =
-        session
-            ? session->evaluate(
-                  journal_hash(key.data(), key.size() * sizeof(uint64_t)),
-                  true_cost)
-            : true_cost();
-    cache.emplace(key, c);
+    const double c = session ? session->evaluate(journal_key_hash(), true_cost)
+                             : true_cost();
+    table.insert(at, key, h, c);
     return c;
   }
 };
@@ -273,9 +367,10 @@ void stochastic_search(PlanMemoizer& memo, const TunerOptions& opts,
       for (int k = 0; k < n_mut; ++k) {
         int64_t& v = cand[static_cast<size_t>(
             rng.uniform_int(0, static_cast<int64_t>(n) - 1))];
+        // Every value is a power of two: 2^kLog2Min..2^kLog2Max or the
+        // default.
         const int64_t cur = v == kUnset ? kDefaultThreshold : v;
-        int exp = 0;
-        while ((int64_t{1} << exp) < cur && exp < 62) ++exp;
+        int exp = std::countr_zero(static_cast<uint64_t>(cur));
         exp += static_cast<int>(rng.uniform_int(-4, 4));
         exp = std::clamp(exp, kLog2Min, kLog2Max);
         v = int64_t{1} << exp;

@@ -13,12 +13,16 @@
 // guards are the thresholds, its guard i compares threshold i, and its Par
 // values give the exhaustive search's candidates.  Each training dataset
 // gets a PlanDatasetCache, and from then on every candidate assignment
-// costs one tree descent.  Dedup keys are guard-path bitsets, one forward
-// pass over the guard list per dataset (plan_signature), which prices
-// nothing and walks no tree.  A candidate is a flat vector of guard slots
-// (a sentinel leaves a threshold at its default), so a trial descends on
-// reused slot and key buffers: no trial builds a name-keyed map, and only
-// the report is a ThresholdEnv.  Both run on the calling thread.
+// costs one tree descent.  A dedup key is the guard-path bitsets of all
+// datasets from one forward pass over the guard list, datasets as bit
+// lanes (plan_signature over GuardLanes), which prices nothing and walks
+// no tree; it is packed into 2 bits per guard per dataset and looked up in
+// an open-addressed table with one flat key arena.  A candidate is a flat
+// vector of guard slots (a sentinel leaves a threshold at its default), so
+// a trial runs on reused slot, signature and key buffers: no trial builds a
+// name-keyed map, a dedup hit allocates nothing, and only the report is a
+// ThresholdEnv.
+// Both run on the calling thread.
 #pragma once
 
 #include <cstdint>

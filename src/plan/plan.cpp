@@ -59,13 +59,41 @@ const PlanDatasetCache::PricedKernel& PlanDatasetCache::kernel(int k) const {
   return pk;
 }
 
-bool PlanDatasetCache::guard_taken(int guard_ix, int64_t threshold_value) const {
-  const GuardVals& gv = guards_[static_cast<size_t>(guard_ix)];
-  if (gv.error) {
-    throw EvalError("plan: guard size expression uses an unbound variable");
+void PlanDatasetCache::GuardVals::unbound() {
+  throw EvalError("plan: guard size expression uses an unbound variable");
+}
+
+void LaneSig::append_path(size_t lane, std::vector<uint64_t>& out) const {
+  const size_t base = out.size();
+  out.resize(base + (2 * guards + 63) / 64, 0);
+  const uint64_t* r = reached.data() + lane / 64 * guards;
+  const uint64_t* t = taken.data() + lane / 64 * guards;
+  const size_t bit = lane % 64;
+  for (size_t g = 0; g < guards; ++g) {
+    const size_t b = 2 * g;
+    out[base + b / 64] |= ((r[g] >> bit) & 1) << (b % 64);
+    out[base + (b + 1) / 64] |= ((t[g] >> bit) & 1) << ((b + 1) % 64);
   }
-  if (gv.fit_fail) return false;
-  return gv.par >= threshold_value;
+}
+
+GuardLanes::GuardLanes(const KernelPlan& plan,
+                       std::span<const PlanDatasetCache> caches)
+    : guards(plan.guards.size()),
+      lanes(caches.size()),
+      words((caches.size() + 63) / 64),
+      par(guards * lanes),
+      fit_fail(words * guards),
+      unbound(words * guards) {
+  for (size_t g = 0; g < guards; ++g) {
+    for (size_t d = 0; d < lanes; ++d) {
+      const PlanDatasetCache::GuardVals& v =
+          caches[d].guard(static_cast<int>(g));
+      const size_t w = d / 64 * guards + g;
+      par[g * lanes + d] = v.par;
+      fit_fail[w] |= uint64_t{v.fit_fail} << (d % 64);
+      unbound[w] |= uint64_t{v.error} << (d % 64);
+    }
+  }
 }
 
 namespace {
@@ -96,7 +124,7 @@ struct Descent {
       }
       case PlanNode::Kind::Guard: {
         const size_t g = static_cast<size_t>(n.guard);
-        const bool taken = cache.guard_taken(n.guard, slots[g]);
+        const bool taken = cache.guard(n.guard).taken(slots[g]);
         if (est) est->guards.emplace_back(plan.guards[g].threshold, taken);
         if (sched) path.emplace_back(n.guard, taken);
         const double t = node(taken ? n.then_node : n.else_node);
@@ -232,20 +260,50 @@ double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
   return plan_descend(plan, cache, thresholds, {});
 }
 
+void plan_signature(const KernelPlan& plan, const GuardLanes& lanes,
+                    std::span<const int64_t> slots, LaneSig& sig) {
+  INCFLAT_CHECK(slots.size() == plan.guards.size() &&
+                    lanes.guards == plan.guards.size(),
+                "plan signature needs one threshold value per guard");
+  const size_t guards = lanes.guards;
+  sig.guards = guards;
+  sig.lanes = lanes.lanes;
+  sig.words = lanes.words;
+  sig.reached.resize(lanes.words * guards);
+  sig.taken.resize(lanes.words * guards);
+  // Lane word by lane word, each a pass over the guards (a guard's parent
+  // comes before it).  Every lane's Par is compared, reached or not: a
+  // loop of fixed length, where one over the reached lanes would branch.
+  for (size_t w = 0; w < lanes.words; ++w) {
+    uint64_t* const reached = sig.reached.data() + w * guards;
+    uint64_t* const taken = sig.taken.data() + w * guards;
+    const uint64_t* const fit_fail = lanes.fit_fail.data() + w * guards;
+    const uint64_t* const unbound = lanes.unbound.data() + w * guards;
+    const size_t n = std::min<size_t>(64, lanes.lanes - 64 * w);
+    const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+    const int64_t* par = lanes.par.data() + 64 * w;
+    for (size_t g = 0; g < guards; ++g, par += lanes.lanes) {
+      const GuardInfo& gi = plan.guards[g];
+      const size_t p = static_cast<size_t>(gi.parent);
+      const uint64_t r = gi.parent < 0 ? all
+                         : gi.in_then  ? taken[p]
+                                       : reached[p] & ~taken[p];
+      if (unbound[g] & r) PlanDatasetCache::GuardVals::unbound();
+      const int64_t slot = slots[g];
+      uint64_t ge = 0;
+      for (size_t b = 0; b < n; ++b) ge |= uint64_t{par[b] >= slot} << b;
+      reached[g] = r;
+      taken[g] = r & ~fit_fail[g] & ge;
+    }
+  }
+}
+
 void plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
                     std::span<const int64_t> slots, PathSig& sig) {
-  INCFLAT_CHECK(slots.size() == plan.guards.size(),
-                "plan signature needs one threshold value per guard");
-  sig.bits.assign((2 * plan.guards.size() + 63) / 64, 0);
-  for (size_t g = 0; g < plan.guards.size(); ++g) {
-    const GuardInfo& gi = plan.guards[g];
-    if (gi.parent >= 0 && !(sig.reached(gi.parent) &&
-                            sig.taken(gi.parent) == gi.in_then)) {
-      continue;
-    }
-    const int ix = static_cast<int>(g);
-    sig.set(ix, cache.guard_taken(ix, slots[g]));
-  }
+  LaneSig lane;
+  plan_signature(plan, GuardLanes(plan, std::span(&cache, 1)), slots, lane);
+  sig.bits.clear();
+  lane.append_path(0, sig.bits);
 }
 
 PathSig plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,

@@ -19,8 +19,11 @@
 // schedule.  Which guards an assignment reaches, and which arms they take,
 // is one forward pass over the guard list (plan_signature), since each
 // guard records its enclosing guard — the dedup key the autotuner exploits
-// (Sec. 4.2).  Each guard compares its own threshold, so a guard's index is
-// its threshold's slot: guard g's value is slots[g], and a named assignment
+// (Sec. 4.2).  The pass signs many datasets at once: dataset d is bit lane
+// d, and each guard yields a word of the lanes that reach it and a word of
+// the lanes that take it (LaneSig); a single dataset is the one-lane case.
+// Each guard compares its own threshold, so a guard's index is its
+// threshold's slot: guard g's value is slots[g], and a named assignment
 // (ThresholdEnv) is resolved to slots once per call.
 //
 // The plan is the only cost model simulation, runs and tuning use.  The IR
@@ -29,6 +32,7 @@
 // (property-tested in tests/test_plan.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -114,6 +118,22 @@ struct PathSig {
   bool bit(size_t b) const { return (bits[b / 64] >> (b % 64)) & 1; }
 };
 
+/// The path signatures of many datasets at once, bit-sliced: dataset d is
+/// lane d, bit d % 64 of lane word d / 64.  Each guard has `words` words of
+/// the lanes that reach it and as many of the lanes that take it (a
+/// subset), so a lane's PathSig is the transpose of its bits.
+struct LaneSig {
+  size_t guards = 0;
+  size_t lanes = 0;
+  size_t words = 0;  // (lanes + 63) / 64
+  /// Lane word w of guard g is [w * guards + g] of each.
+  std::vector<uint64_t> reached;
+  std::vector<uint64_t> taken;
+
+  /// Append lane `lane`'s PathSig words to `out`.
+  void append_path(size_t lane, std::vector<uint64_t>& out) const;
+};
+
 /// The compile-once plan for one target program.
 struct KernelPlan {
   std::string program;  // the target program's name
@@ -156,9 +176,24 @@ class PlanDatasetCache {
   /// Priced kernel `k`; throws EvalError if its sizes are unbound.
   const PricedKernel& kernel(int k) const;
 
-  /// Guard branch under a threshold value, mirroring the walker's
-  /// guard_taken: fit failure wins, else par >= threshold.
-  bool guard_taken(int guard_ix, int64_t threshold_value) const;
+  /// A guard's operands on this dataset.
+  struct GuardVals {
+    int64_t par = 0;        // Par(e)
+    bool fit_fail = false;  // the workgroup-fit bound rejects the guard
+    bool error = false;     // its sizes are unbound (and fit does not fail)
+
+    /// The branch under a threshold value, mirroring the walker's
+    /// guard_taken: fit failure wins, else par >= threshold.  Throws
+    /// EvalError if the sizes are unbound.
+    bool taken(int64_t threshold_value) const {
+      if (error) unbound();
+      return !fit_fail && par >= threshold_value;
+    }
+    [[noreturn]] static void unbound();
+  };
+  const GuardVals& guard(int guard_ix) const {
+    return guards_[static_cast<size_t>(guard_ix)];
+  }
 
   /// The evaluated arena (loop trip counts live here alongside kernel work).
   const CostValues& values() const { return values_; }
@@ -168,12 +203,24 @@ class PlanDatasetCache {
   SizeEnv sizes_;
   CostValues values_;
   std::vector<PricedKernel> kernels_;
-  struct GuardVals {
-    int64_t par = 0;
-    bool fit_fail = false;
-    bool error = false;
-  };
   std::vector<GuardVals> guards_;
+};
+
+/// Every guard's operands on many datasets, transposed for the lane pass:
+/// dataset d is lane d, as in LaneSig.  Read once from each dataset's
+/// cache (PlanDatasetCache::guard), so a search builds it once.
+struct GuardLanes {
+  GuardLanes(const KernelPlan& plan, std::span<const PlanDatasetCache> caches);
+
+  size_t guards = 0;
+  size_t lanes = 0;
+  size_t words = 0;  // (lanes + 63) / 64
+  /// Guard g's Par on lane d: par[g * lanes + d].
+  std::vector<int64_t> par;
+  /// Lane word w of the lanes whose fit bound rejects guard g, and of those
+  /// where its sizes are unbound: [w * guards + g] of each.
+  std::vector<uint64_t> fit_fail;
+  std::vector<uint64_t> unbound;
 };
 
 /// One entry of a run's kernel-launch schedule: a kernel step the estimate
@@ -230,16 +277,25 @@ RunEstimate plan_estimate(const KernelPlan& plan, const PlanDatasetCache& cache,
 double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
                  const ThresholdEnv& thresholds);
 
-/// Guard-path signature: which guards an assignment reaches and which
-/// branches they take, without pricing a single kernel or walking the
-/// tree.  One forward pass over KernelPlan::guards: guard g is reached if
-/// it has no parent, or if its parent was reached and took the arm
-/// `in_then` names, exactly the guards a descent visits (both arms of a
-/// DataCond, every loop body).  Throws EvalError if a reached guard's
-/// sizes are unbound.  This is the autotuner's dedup key — equal
-/// signatures select identical code versions and therefore cost the same
-/// (Sec. 4.2), so the cost evaluation can be skipped entirely.  `sig` is
-/// reset to the plan's guard count first, so one buffer serves every call.
+/// Guard-path signatures of every lane (dataset) of `lanes`, built for
+/// `plan`: which guards an assignment reaches and which branches they
+/// take, without pricing a single kernel or walking the tree.  One forward
+/// pass over KernelPlan::guards for all lanes together: at a root every
+/// lane is reached; otherwise guard g's reached lanes are its parent's
+/// taken lanes, or its parent's reached-but-not-taken lanes, as `in_then`
+/// says — exactly the guards a descent visits (both arms of a DataCond,
+/// every loop body).  Its taken lanes are the reached ones where the fit
+/// bound holds and Par >= slots[g] (GuardVals::taken's rule).  Throws
+/// EvalError if a reached lane's guard sizes are unbound.  This is the
+/// autotuner's dedup key — equal signatures select identical code versions
+/// and therefore cost the same (Sec. 4.2), so the cost evaluation can be
+/// skipped entirely.  `sig` is resized first, so one buffer serves every
+/// call.
+void plan_signature(const KernelPlan& plan, const GuardLanes& lanes,
+                    std::span<const int64_t> slots, LaneSig& sig);
+
+/// One dataset's signature: the one-lane case of the pass above.  `sig`
+/// is reset to the plan's guard count.
 void plan_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
                     std::span<const int64_t> slots, PathSig& sig);
 

@@ -358,7 +358,9 @@ struct ServeSocket::Impl {
       req = Json::parse(payload);
     } catch (const JsonParseError& e) {
       // Malformed JSON fails this one request; framing is still intact.
-      answer_inline(*conn, seq, core.reject_malformed(e));
+      answer_inline(*conn, seq,
+                    core.reject(std::string("malformed request json: ") +
+                                e.what()));
       return;
     }
     std::string op;
@@ -407,8 +409,13 @@ struct ServeSocket::Impl {
     // alive for the job lambda regardless of how the request ends;
     // ServerCore borrows it only inside the call.
     std::shared_ptr<CancelToken> token;
-    if (const Json* dl = req.find("deadline_ms");
-        dl && dl->is_number() && dl->as_double() > 0) {
+    if (const Json* dl = req.find("deadline_ms")) {
+      if (!dl->is_number() || !(dl->as_double() > 0)) {
+        Json resp = core.reject("'deadline_ms' must be a number > 0");
+        echo_id(req, resp);
+        answer_inline(*conn, seq, resp);
+        return;
+      }
       token = std::make_shared<CancelToken>(dl->as_double());
     }
     // A run or compile whose entry is resident costs microseconds: answer

@@ -20,11 +20,12 @@
 //
 // plus an optional "id" (any JSON value) echoed verbatim in the response,
 // so clients that pipeline requests can match reordered responses, and an
-// optional "deadline_ms" (number > 0): the end-to-end budget the client
-// grants the daemon for this request, counted from the moment the frame is
-// decoded.  A request still queued past its deadline is answered "timeout"
-// without running; a request caught mid-execution returns "timeout" at the
-// next cooperative cancellation check instead of burning its worker.
+// optional "deadline_ms" (a number > 0; any other value answers
+// "bad-request"): the end-to-end budget the client grants the daemon for
+// this request, counted from the moment the frame is decoded.  A request
+// still queued past its deadline is answered "timeout" without running; a
+// request caught mid-execution returns "timeout" at the next cooperative
+// cancellation check instead of burning its worker.
 //
 // Every response is an object with "ok":bool; failures carry "error"
 // (message) and "code" ("bad-request" | "unknown-op" | "protocol" |

@@ -176,19 +176,18 @@ std::string ServerCore::handle_text(const std::string& payload) {
   try {
     req = Json::parse(payload);
   } catch (const JsonParseError& e) {
-    return reject_malformed(e).str(-1);
+    return reject(std::string("malformed request json: ") + e.what()).str(-1);
   }
   return handle(req).str(-1);
 }
 
-Json ServerCore::reject_malformed(const JsonParseError& e) {
+Json ServerCore::reject(const std::string& message) {
   {
     sync::MutexLock lk(stats_mu_);
     ++rstats_.total;
     ++rstats_.errors;
   }
-  return error_response(code::kBadRequest,
-                        std::string("malformed request json: ") + e.what());
+  return error_response(code::kBadRequest, message);
 }
 
 Json ServerCore::handle(const Json& request, const CancelToken* cancel) {

@@ -127,9 +127,10 @@ class ServerCore {
   /// structured "bad-request" error; this never throws either.
   std::string handle_text(const std::string& payload);
 
-  /// The answer to a payload that is not JSON: "bad-request", counted in
-  /// requests.total and errors like any failed request.
-  Json reject_malformed(const JsonParseError& e);
+  /// A "bad-request" answer given before dispatch (a payload that is not
+  /// JSON, a malformed deadline_ms), counted in requests.total and errors
+  /// like any failed request.
+  Json reject(const std::string& message);
 
   /// Scheduler priority class for an op ("run"/"stats"/"ping"/"shutdown"
   /// High, "compile" Normal, "tune" Low): the socket layer's dispatch rule.

@@ -107,13 +107,16 @@ class ArgReader {
   /// The seed in environment variable `var`, if it is set.
   std::optional<uint64_t> env_seed(const char* var) const;
 
-  /// `read()`'s result; an IoError it throws is a usage error.
+  /// `read()`'s result; an IoError it throws is a usage error, reported
+  /// as "<name>: <reason>" when a name (the flag, variable or argument read)
+  /// is given.
   template <typename Fn>
-  auto check(Fn&& read) const -> decltype(read()) {
+  auto check(Fn&& read, const std::string& name = "") const
+      -> decltype(read()) {
     try {
       return read();
     } catch (const IoError& e) {
-      fail(e.what());
+      fail(name.empty() ? e.what() : name + ": " + e.what());
     }
   }
   /// Print "<tool>: <message>" to stderr and exit 2.

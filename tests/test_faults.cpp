@@ -28,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -774,6 +775,76 @@ TEST(Journal, ResumeAfterCrashIsBitIdentical) {
   EXPECT_EQ(resumed.default_cost_us, full.default_cost_us);
   EXPECT_EQ(resumed.journal_replayed, static_cast<int>(keep) - 2);
   EXPECT_GT(resumed.journal_replayed, 0);
+}
+
+// A journal names each evaluation by a hash of its dedup key: every
+// training dataset's PathSig words, concatenated.  A resume compares those
+// hashes, so a change to how the tuner lays out its keys must leave them
+// alone, or no journal an older build wrote would resume.  Resuming within
+// one build (above) cannot see that; these lines, written by a build whose
+// tuner keyed a std::map on the concatenated words, can.
+TEST(Journal, KeyHashesMatchAnOlderBuild) {
+  const std::vector<std::string> matmul_k40 = {
+      "77338b2f13cebfe5 4070ea1f4fdbdd25", "ab288eb44668b813 411482a101cffda5",
+      "182315ba4e9ee845 40adf1bd10757e93", "b8236e7869253285 411cfa98bc663613",
+      "97daaa0db5e57bc5 4090ba0844d2f6c2", "991831b0c412c7c5 40acf5a336630aa7",
+      "8a816fd5a451fc33 41130913ddfee2b9",
+  };
+  const std::vector<std::string> locvolcalib_vega64 = {
+      "5a83b7cbbb3c3895 40f4e1556ef4f46a", "9000f63b41a6b09b 40ea7d8af2f36445",
+      "281b35387dbb73c1 40fd0e28fcdfece6", "efe51b72104a103b 40ec6a84bf7cfc4f",
+      "78769a53b5803f46 41782e95ad89c5e7", "84746849f28d483b 40fcc176b7f3ba68",
+      "a57eb9bdf5608441 40f7c80b98dd93e4", "9c107d935b54dfbb 40ef9a51415cbd61",
+      "b5f6199b9c6985bb 40eb1d6356643528", "ba67dd0289df9835 40f83195712bc6e6",
+      "c3d625b0c9eb00e1 417478825376097f", "3e16904977993f1b 40e9db236a023c89",
+      "8cf23a65346700d5 40f45a9157b2373f", "867efa636630d861 4101bb541da60ca7",
+      "66933f23d4ea67b5 40f7547835bc5d0b", "e9045c970f63dfa3 40eba54866df9679",
+      "697c94754c19ead5 41028a22f0966fea", "b0a81519e3bd6c7b 40cb4b9f505fd885",
+      "3a37bd78e9c96881 410259fd53b3786e", "e6631f9a34d43801 410106b2fab5358b",
+      "8147057f74169606 417215617874f2f9", "29c294bc90a283c1 40f824dbdc8c284c",
+      "f8eb5dfbcc1f055 40ec9814fd2d7864", "7a4873931fc99441 40f6c8091b21542e",
+      "5b2c17b71be12bfb 40e119e8211ba5da", "a1fd3aa85366bb17 41742d524f3b3f76",
+      "dc3dd02f060dc7e1 40ff205bb24f06b1", "e94c74ebac03bb21 41083781f39f67a5",
+      "851caa69792c941b 40f087248286105e", "f5d1d887085beb97 4174916f313bb61c",
+      "25aed9479576b3f5 40f18f9192c5c4b7", "6109be81d6b99e26 4172568046e62238",
+      "a84b54c21dd1a375 40ed2ca47a7e56d1", "385249abcc05b73 40f501f393227942",
+      "afb086bc07cb2af3 40f48db5bb9677b1", "af08449c812bdf13 4100666febf46a66",
+      "17eb763782adb95b 40d1969f9f819505", "9ef9d2e4d28462db 40fca7a5ad3b8145",
+      "700187d214f5d061 41734c68ba08c4fd", "bbc5ff078af4534f 40f3675aa8d53cd9",
+      "bdf58fd0847c786f 4175114a21c1b55f", "231dc4414baed6b7 4174e72cd97bea3f",
+      "7b2ad6aa5d52f475 40e9161fd04db3e8", "35d378570122ae26 417217b74e3b1a91",
+      "427f528a114c5033 40e1d078125b8a52", "daa7405eb86cb93 40f4551972c690c9",
+      "8e9f8ffc60faab13 40f332ea247d39ce", "7741659dba4b7e1 4100855dac6d6734",
+      "6a20f1f1cf8747ef 41743ff50d4e41dd", "e26e37c7fc434155 40ea2e92f4a1915b",
+      "d8f965ecf32d1d83 40d0decf5720cff0", "ddc89331a43c1b7b 40d2aecad5561bdc",
+      "4f9f6bf9f2c21c15 40fa5ae81762b7ec", "ac675e761341a58f 40fed5517d063a9f",
+      "fe11686a985f164d 40f1d9181da196ad", "c8bc86e47d3ec0f2 41718f78e22a4e4b",
+      "4ef729da6c22d035 41023c19452e8211", "7ec81a228bed6ded 4102f9bb16596749",
+      "eb417b8ac7cf638f 4174270f94fa9f01", "619e404b3abcc83 40d54de356ccaf28",
+      "e0878a022f88032a 417205da418b734c", "4e546ed84f8577cd 40e9fa3b2b39227d",
+      "ed03552749700fb3 40ee1563abcaf31c", "bd21745302255f9b 40eb1a1f0c49f37f",
+      "90b7bcfaf445f572 4171d50d7b2bf53a", "29237c5ad91d5f77 40f5cbc414b11f68",
+      "f122116b0d3dec01 4173ac0550bdf4a0", "96d11372f9513a3 40fbe4e50bde110a",
+  };
+  const std::string path = "/tmp/incflat_test_key_hashes.journal";
+  for (const auto& [name, dev, want] :
+       {std::tuple{"matmul", device_k40(), &matmul_k40},
+        std::tuple{"LocVolCalib", device_vega64(), &locvolcalib_vega64}}) {
+    const Benchmark b = get_benchmark(name);
+    const Compiled fr = compile(b.program, FlattenMode::Incremental);
+    TunerOptions topts;
+    topts.noise = 0.1;
+    topts.journal = path;
+    const TuningReport rep = autotune(dev, *fr.plan, training_sets(b), topts);
+    std::vector<std::string> got;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("E ", 0) == 0) got.push_back(line.substr(2));
+    }
+    std::remove(path.c_str());
+    EXPECT_EQ(got, *want) << name << "/" << dev.name;
+    EXPECT_EQ(rep.evaluations, static_cast<int>(want->size()));
+  }
 }
 
 TEST(Journal, InterleavedAppendersNeverTearLines) {

@@ -255,7 +255,7 @@ void walk_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
       return;
     case PlanNode::Kind::Guard: {
       const bool taken =
-          cache.guard_taken(n.guard, slots[static_cast<size_t>(n.guard)]);
+          cache.guard(n.guard).taken(slots[static_cast<size_t>(n.guard)]);
       sig.set(n.guard, taken);
       walk_signature(plan, cache, slots, taken ? n.then_node : n.else_node,
                      sig);
@@ -271,29 +271,62 @@ void walk_signature(const KernelPlan& plan, const PlanDatasetCache& cache,
   }
 }
 
-/// Checks the guard-list signature against the walk under one assignment:
-/// the same bits, or EvalError from both.  Returns whether the walk threw.
-bool expect_signature_matches_walk(const KernelPlan& plan,
-                                   const PlanDatasetCache& cache,
-                                   const std::vector<int64_t>& slots,
-                                   const std::string& ctx) {
-  PathSig want(plan.guards.size()), got;
-  bool want_threw = false, got_threw = false;
+/// Checks the guard-list signatures against the walk under one assignment,
+/// on every lane of `lanes` (one dataset cache each): the one-lane form on
+/// each lane and the lane pass over all of them give each lane's walked
+/// bits, or throw EvalError, the lane pass exactly when some lane's walk
+/// throws.  Returns the number of lanes whose walk threw.
+int expect_signature_matches_walk(const KernelPlan& plan,
+                                  std::span<const PlanDatasetCache> lanes,
+                                  const std::vector<int64_t>& slots,
+                                  const std::string& ctx) {
+  std::vector<PathSig> want(lanes.size(), PathSig(plan.guards.size()));
+  int threw = 0;
+  for (size_t d = 0; d < lanes.size(); ++d) {
+    const std::string lctx = ctx + " lane " + std::to_string(d);
+    bool want_threw = false, got_threw = false;
+    try {
+      walk_signature(plan, lanes[d], slots, plan.root, want[d]);
+    } catch (const EvalError&) {
+      want_threw = true;
+    }
+    PathSig got;
+    try {
+      plan_signature(plan, lanes[d], slots, got);
+    } catch (const EvalError&) {
+      got_threw = true;
+    }
+    EXPECT_EQ(got_threw, want_threw) << lctx;
+    if (!want_threw && !got_threw) {
+      EXPECT_EQ(got.bits, want[d].bits) << lctx;
+    }
+    threw += want_threw;
+  }
+  LaneSig sig;
+  bool lanes_threw = false;
   try {
-    walk_signature(plan, cache, slots, plan.root, want);
+    plan_signature(plan, GuardLanes(plan, lanes), slots, sig);
   } catch (const EvalError&) {
-    want_threw = true;
+    lanes_threw = true;
   }
-  try {
-    plan_signature(plan, cache, slots, got);
-  } catch (const EvalError&) {
-    got_threw = true;
+  EXPECT_EQ(lanes_threw, threw > 0) << ctx;
+  if (lanes_threw || threw > 0) return threw;
+  EXPECT_EQ(sig.words, (lanes.size() + 63) / 64) << ctx;
+  for (size_t d = 0; d < lanes.size(); ++d) {
+    const size_t w = d / 64;
+    for (size_t g = 0; g < plan.guards.size(); ++g) {
+      const int ix = static_cast<int>(g);
+      const std::string gctx = ctx + " lane " + std::to_string(d) +
+                               " guard " + std::to_string(g);
+      EXPECT_EQ((sig.reached[w * sig.guards + g] >> (d % 64)) & 1,
+                want[d].reached(ix))
+          << gctx;
+      EXPECT_EQ((sig.taken[w * sig.guards + g] >> (d % 64)) & 1,
+                want[d].taken(ix))
+          << gctx;
+    }
   }
-  EXPECT_EQ(got_threw, want_threw) << ctx;
-  if (!want_threw && !got_threw) {
-    EXPECT_EQ(got.bits, want.bits) << ctx;
-  }
-  return want_threw;
+  return threw;
 }
 
 /// Seeded random slot vectors for `plan`, led by all-taken and all-off.
@@ -329,53 +362,92 @@ Program deep_program(int depth) {
   return typecheck_program(std::move(p));
 }
 
-// The tuner's dedup key is one pass over the guard list.  It must reach
-// exactly the guards a descent of the tree visits, with the same branches,
-// and throw exactly when a reached guard's sizes are unbound: across the
-// suite, the deep nests, and a data-dependent branch over guards.
+// The tuner's dedup key is one pass over the guard list for all of its
+// datasets together.  Each lane must reach exactly the guards a descent of
+// the tree visits, with the same branches, and the pass must throw exactly
+// when a reached guard's sizes are unbound on some lane: across the suite
+// (every evaluation and tuning dataset of a plan as one set of lanes), the
+// deep nests, a data-dependent branch over guards, and lane sets of more
+// than one word.
 TEST(PlanLayer, GuardListSignatureMatchesTheTreeWalk) {
   Rng rng(0x516e);
   int checks = 0, throws = 0;
   const auto check = [&](const KernelPlan& plan, const DeviceProfile& dev,
-                         const SizeEnv& sizes, const std::string& ctx) {
-    const PlanDatasetCache cache(plan, dev, sizes);
-    for (const auto& slots : random_slots(plan, rng, 20)) {
-      throws += expect_signature_matches_walk(plan, cache, slots, ctx);
-      ++checks;
+                         const std::vector<SizeEnv>& datasets,
+                         const std::string& ctx) {
+    std::vector<PlanDatasetCache> lanes;
+    for (const SizeEnv& sizes : datasets) lanes.emplace_back(plan, dev, sizes);
+    for (const auto& slots : random_slots(plan, rng, 60)) {
+      throws += expect_signature_matches_walk(plan, lanes, slots, ctx);
+      checks += static_cast<int>(lanes.size());
     }
   };
   const std::vector<DeviceProfile> devices{device_k40(), device_vega64()};
   for (const auto& name : all_benchmark_names()) {
     const Benchmark b = get_benchmark(name);
+    std::vector<SizeEnv> datasets;
+    for (const auto* set : {&b.datasets, &b.tuning}) {
+      for (const auto& d : *set) datasets.push_back(d.sizes);
+    }
     for (FlattenMode mode : {FlattenMode::Moderate, FlattenMode::Incremental,
                              FlattenMode::Full}) {
       const KernelPlan plan =
           build_kernel_plan(flatten(b.program, mode).program);
       for (const auto& dev : devices) {
-        for (const auto* set : {&b.datasets, &b.tuning}) {
-          for (const auto& d : *set) {
-            check(plan, dev, d.sizes,
-                  name + "/" + mode_name(mode) + "/" + dev.name + "/" + d.name);
-          }
-        }
+        check(plan, dev, datasets,
+              name + "/" + mode_name(mode) + "/" + dev.name);
       }
     }
   }
-  for (int depth = 2; depth <= 5; ++depth) {
+  for (int depth = 2; depth <= 12; ++depth) {
     const KernelPlan plan = build_kernel_plan(
         flatten(deep_program(depth), FlattenMode::Incremental).program);
-    SizeEnv sizes;
-    for (int i = 0; i < depth; ++i) {
-      sizes["d" + std::to_string(i)] = int64_t{1} << rng.uniform_int(1, 12);
+    // Each of the `depth` dimensions at most 2^(60 / depth), so that the
+    // nest's Par, their product, stays within int64.
+    const int log2_max = std::min(12, 60 / depth);
+    std::vector<SizeEnv> datasets(3);
+    for (SizeEnv& sizes : datasets) {
+      for (int i = 0; i < depth; ++i) {
+        sizes["d" + std::to_string(i)] = int64_t{1}
+                                         << rng.uniform_int(1, log2_max);
+      }
     }
     for (const auto& dev : devices) {
-      check(plan, dev, sizes, "deep" + std::to_string(depth) + "/" + dev.name);
+      check(plan, dev, datasets,
+            "deep" + std::to_string(depth) + "/" + dev.name);
+    }
+  }
+
+  // 65 and 130 lanes: scaled copies of matmul's datasets, so the lane
+  // words past the first are filled and partly filled.
+  {
+    const Benchmark b = get_benchmark("matmul");
+    std::vector<SizeEnv> base;
+    for (const auto* set : {&b.datasets, &b.tuning}) {
+      for (const auto& d : *set) base.push_back(d.sizes);
+    }
+    const KernelPlan plan = build_kernel_plan(
+        flatten(b.program, FlattenMode::Incremental).program);
+    for (const size_t n : {size_t{65}, size_t{130}}) {
+      std::vector<SizeEnv> datasets;
+      for (size_t i = 0; i < n; ++i) {
+        SizeEnv sizes = base[i % base.size()];
+        const int64_t up = 1 + static_cast<int64_t>(i % 5);
+        const int64_t down = 1 + static_cast<int64_t>(i % 3);
+        for (auto& [var, v] : sizes) v = std::max<int64_t>(1, v * up / down);
+        datasets.push_back(std::move(sizes));
+      }
+      for (const auto& dev : devices) {
+        check(plan, dev, datasets,
+              "matmul x" + std::to_string(n) + "/" + dev.name);
+      }
     }
   }
 
   // if c < 0 then map (reduce (+)) xss else map (reduce max) xss: one
   // DataCond over two guard spines.  A dataset without m leaves the inner
-  // guards unbound, so an assignment throws exactly when it reaches one.
+  // guards unbound, so an assignment throws exactly when it reaches one,
+  // alone or as one lane among bound ones.
   Program p;
   p.name = "data_cond_over_guards";
   p.inputs = {{"c", Type::scalar(Scalar::F32)},
@@ -396,10 +468,15 @@ TEST(PlanLayer, GuardListSignatureMatchesTheTreeWalk) {
                             return n.kind == PlanNode::Kind::DataCond;
                           }),
             1);
+  const SizeEnv bound{{"n", 1 << 10}, {"m", 1 << 8}};
+  const SizeEnv no_m{{"n", 1 << 10}};
+  const SizeEnv bound_small{{"n", 1 << 4}, {"m", 1 << 2}};
   const int before = throws;
   for (const auto& dev : devices) {
-    check(plan, dev, {{"n", 1 << 10}, {"m", 1 << 8}}, "datacond/" + dev.name);
-    check(plan, dev, {{"n", 1 << 10}}, "datacond/no m/" + dev.name);
+    check(plan, dev, {bound}, "datacond/" + dev.name);
+    check(plan, dev, {no_m}, "datacond/no m/" + dev.name);
+    check(plan, dev, {bound, no_m, bound_small},
+          "datacond/bound, no m, bound/" + dev.name);
   }
   EXPECT_GT(throws, before);  // the unbound dataset threw somewhere
   EXPECT_LT(throws, checks);  // ...and not everywhere

@@ -1328,6 +1328,35 @@ TEST(Socket, FarDeadlineIsNoDeadlineOverTheWire) {
   EXPECT_EQ(fx.core.scheduler().stats().expired, 0);
 }
 
+TEST(Socket, MalformedDeadlineIsABadRequest) {
+  // deadline_ms is a number > 0 or absent: any other value answers
+  // bad-request naming the field, rather than running with no deadline.
+  // A deadline past the clock's range is still a valid one.
+  const serve::Endpoint ep =
+      serve::parse_endpoint("unix:/tmp/incflat_test_baddeadline.sock");
+  SocketFixture fx(ep);
+  ServeClient client(ep, /*timeout_ms=*/30000);
+  const auto send = [&](const std::string& deadline) {
+    return client.call_text(
+        R"({"op":"run","benchmark":"matmul","dataset":"square","id":7,)"
+        R"("deadline_ms":)" + deadline + "}");
+  };
+  for (const char* bad : {R"("soon")", "-5", "0", "true"}) {
+    const Json resp = Json::parse(send(bad));
+    EXPECT_FALSE(resp.get("ok").as_bool()) << bad;
+    EXPECT_EQ(resp.get("code").as_string(), "bad-request") << bad;
+    EXPECT_NE(resp.get("error").as_string().find("deadline_ms"),
+              std::string::npos)
+        << bad;
+    EXPECT_EQ(resp.get("id").as_double(), 7) << bad;
+  }
+  const serve::RequestStats refused = fx.core.request_stats();
+  EXPECT_EQ(refused.total, 4);
+  EXPECT_EQ(refused.errors, 4);
+  const Json far = Json::parse(send("1e300"));
+  EXPECT_TRUE(far.get("ok").as_bool()) << far.str(-1);
+}
+
 TEST(Socket, ConnCapAnswersOverloadedThenCloses) {
   const serve::Endpoint ep =
       serve::parse_endpoint("unix:/tmp/incflat_test_conncap.sock");

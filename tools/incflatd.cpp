@@ -25,6 +25,7 @@
 #include <limits>
 #include <string>
 
+#include "src/gpusim/faults.h"
 #include "src/serve/chaos.h"
 #include "src/serve/net.h"
 #include "src/serve/server.h"
@@ -92,11 +93,22 @@ int usage(FILE* to) {
 int main(int argc, char** argv) {
   Options opt;
   ArgReader args("incflatd", argc, argv);
-  if (const char* env = std::getenv("INCFLAT_FAULTS")) opt.serve.faults = env;
+  // A fault or chaos spec is read where it is given, so a malformed one is
+  // a usage error naming its flag or variable.
+  const auto faults = [&](const std::string& spec, const std::string& name) {
+    args.check([&] { parse_fault_spec(spec); }, name);
+    opt.serve.faults = spec;
+  };
+  const auto chaos = [&](const std::string& spec, const std::string& name) {
+    opt.sock.chaos = args.check([&] { return serve::parse_net_chaos(spec); },
+                                name);
+  };
+  if (const char* env = std::getenv("INCFLAT_FAULTS"))
+    faults(env, "INCFLAT_FAULTS");
   if (auto seed = args.env_seed("INCFLAT_FAULT_SEED"))
     opt.serve.fault_seed = *seed;
-  std::string chaos_spec;
-  if (const char* env = std::getenv("INCFLAT_NET_CHAOS")) chaos_spec = env;
+  if (const char* env = std::getenv("INCFLAT_NET_CHAOS"))
+    chaos(env, "INCFLAT_NET_CHAOS");
   if (auto seed = args.env_seed("INCFLAT_NET_CHAOS_SEED"))
     opt.sock.chaos_seed = *seed;
 
@@ -112,7 +124,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       opt.serve.workers = static_cast<int>(args.integer(0, 1024));
     } else if (arg == "--faults") {
-      opt.serve.faults = args.value();
+      faults(args.value(), arg);
     } else if (arg == "--fault-seed") {
       opt.serve.fault_seed = args.seed();
     } else if (arg == "--tune-trials") {
@@ -127,7 +139,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--drain-ms") {
       opt.sock.drain_ms = args.real(0, kInf);
     } else if (arg == "--net-chaos") {
-      chaos_spec = args.value();
+      chaos(args.value(), arg);
     } else if (arg == "--net-chaos-seed") {
       opt.sock.chaos_seed = args.seed();
     } else if (arg == "--trace") {
@@ -142,7 +154,6 @@ int main(int argc, char** argv) {
 
   try {
     if (opt.trace) trace::set_enabled(true);
-    opt.sock.chaos = serve::parse_net_chaos(chaos_spec);
     const serve::Endpoint ep = serve::parse_endpoint(opt.listen);
     serve::ServerCore core(opt.serve);
     serve::ServeSocket sock(core, ep, opt.sock);

@@ -467,8 +467,7 @@ int chaos_soak() {
   return t.failures == 0 ? 0 : 1;
 }
 
-int soak(const std::string& spec_str, int n_seeds) {
-  const FaultSpec spec = parse_fault_spec(spec_str);
+int soak(const std::string& spec_str, const FaultSpec& spec, int n_seeds) {
   const std::vector<DeviceProfile> devices{device_k40(), device_vega64()};
   Tally t;
   for (const auto& name : all_benchmark_names()) {
@@ -522,9 +521,14 @@ int main(int argc, char** argv) {
     seeds = static_cast<int>(args.check(
         [&] { return incflat::read_int("SEEDS", argv[2], 0, INT_MAX); }));
   }
+  const bool chaos = spec == "chaos";
+  const incflat::FaultSpec fspec =
+      chaos ? incflat::FaultSpec{}
+            : args.check([&] { return incflat::parse_fault_spec(spec); },
+                         "SPEC");
   try {
-    if (spec == "chaos") return incflat::chaos_soak();
-    return incflat::soak(spec, seeds);
+    if (chaos) return incflat::chaos_soak();
+    return incflat::soak(spec, fspec, seeds);
   } catch (const std::exception& e) {
     std::cerr << "soak: fatal: " << e.what() << "\n";
     return 1;
