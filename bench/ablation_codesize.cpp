@@ -2,12 +2,6 @@
 // The paper reports "on average, IF takes 4x longer to compile and
 // generates 3x larger binaries than MF".  Here we measure compile time of
 // the flattening pipeline and code size as AST nodes / emitted kernels.
-//
-// The second table measures what the static size analysis claws back:
-// compiling with simplify-guards (IFs) folds guards that are provably
-// constant under the benchmarks' declared dataset bounds, deleting dead
-// versions and their thresholds — with *identical* cost estimates and
-// tuned results, which the shape checks verify.
 #include <chrono>
 
 #include "bench/harness.h"
@@ -70,76 +64,6 @@ int run() {
                 "incremental flattening costs more compile time than "
                 "moderate (paper: ~4x)");
 
-  // ---- simplify-guards: statically-pruned incremental flattening -------
-  const DeviceProfile dev = device_k40();
-  std::cout << "\n=== IF vs IF+simplify-guards (IFs) on " << dev.name
-            << " ===\n";
-  Table stab({"benchmark", "IF kernels", "IFs kernels", "IF thr", "IFs thr",
-              "IF nodes", "IFs nodes", "est match", "tuned match"});
-  int pruned_programs = 0;
-  bool all_est_match = true, all_tuned_match = true;
-  CompileOptions sopts;
-  sopts.simplify = true;
-  sopts.limits = analysis::limits_for(dev);
-  for (const auto& name : names) {
-    Benchmark b = get_benchmark(name);
-    const Compiled plain = compile(b.program, FlattenMode::Incremental);
-    const Compiled simp = compile(b.program, FlattenMode::Incremental, sopts);
-    const int64_t pk = count_segops(plain.flat.program.body);
-    const int64_t sk = count_segops(simp.flat.program.body);
-    const size_t pt = plain.flat.thresholds.size();
-    const size_t st = simp.flat.thresholds.size();
-    if (sk < pk && st < pt) ++pruned_programs;
-
-    // Cost-estimate identity on every evaluation dataset, for the default
-    // and a sweep of uniform threshold assignments.
-    bool est_match = true;
-    std::vector<ThresholdEnv> sweeps(1);
-    for (const int64_t v : {int64_t{1}, int64_t{256}, int64_t{1} << 22}) {
-      ThresholdEnv te;
-      for (const auto& ti : plain.flat.thresholds.all()) {
-        te.values[ti.name] = v;
-      }
-      sweeps.push_back(std::move(te));
-    }
-    for (const auto& ds : b.datasets) {
-      for (const auto& te : sweeps) {
-        const RunEstimate a = bench::sim(*plain.plan, dev, ds.sizes, te);
-        const RunEstimate s = bench::sim(*simp.plan, dev, ds.sizes, te);
-        if (a.time_us != s.time_us || a.kernels.size() != s.kernels.size()) {
-          est_match = false;
-        }
-      }
-    }
-    all_est_match = all_est_match && est_match;
-
-    // Tuned-result identity: the exhaustive tuner must land on the same
-    // best cost over the same training data.
-    std::vector<TuningDataset> train;
-    for (const auto& d : b.tuning) train.push_back({d.name, d.sizes, 1.0});
-    const TuningReport ra = exhaustive_tune(dev, *plain.plan, train);
-    const TuningReport rs = exhaustive_tune(dev, *simp.plan, train);
-    const bool tuned_match = ra.best_cost_us == rs.best_cost_us;
-    all_tuned_match = all_tuned_match && tuned_match;
-
-    stab.row({name, std::to_string(pk), std::to_string(sk),
-              std::to_string(pt), std::to_string(st),
-              std::to_string(count_nodes(plain.flat.program.body)),
-              std::to_string(count_nodes(simp.flat.program.body)),
-              est_match ? "yes" : "NO", tuned_match ? "yes" : "NO"});
-  }
-  stab.print(std::cout);
-  std::cout << "\nprograms with strictly fewer versions AND thresholds: "
-            << pruned_programs << "/" << count << "\n";
-  checks.expect(pruned_programs >= 2,
-                "simplify-guards statically deletes versions and "
-                "thresholds on at least two benchmarks");
-  checks.expect(all_est_match,
-                "pruned plans price identically to the full plans on "
-                "every dataset and threshold assignment");
-  checks.expect(all_tuned_match,
-                "exhaustive tuning reaches the same best cost with the "
-                "pruned search space");
   return checks.print(std::cout);
 }
 

@@ -41,8 +41,8 @@ struct Linter {
                  "' is always-false for every in-bounds dataset on " +
                  on_device() + ": the then-arm (" +
                  std::to_string(count_segops(i->then_e)) +
-                 " seg-op version(s)) is dead code; "
-                 "simplify-guards removes it");
+                 " seg-op version(s)) never fits a workgroup, so it is "
+                 "dead code");
       } else if (fit_vacuous(tc->fit)) {
         emit(Severity::Note, "guard-constant-fit", at,
              "workgroup-fit bound " + tc->fit.str() + " of guard '" +

@@ -7,8 +7,9 @@
 //
 //   dead-version   (warning) — a guard the size analysis decides constant
 //                   for every in-bounds dataset on the given device: one
-//                   arm (and every seg-op version inside it) can never run.
-//                   simplify-guards would delete it.
+//                   arm (and every seg-op version inside it) can never run,
+//                   because its workgroup-fit conjunct always rejects it
+//                   (guard_never_taken in src/analysis/range.h).
 //   local-mem-overflow (error) — an intra-group seg-op whose symbolic
 //                   scratchpad footprint's *lower* bound exceeds the
 //                   device's local memory: the cost model will always take

@@ -1,5 +1,5 @@
 // Symbolic size algebra over the program's size variables, and the guard
-// decision simplify-guards and lint build on it.
+// decision lint's dead-version check builds on.
 //
 //  * IntInterval — a saturating integer interval [lo, hi] with open ends,
 //    with just the arithmetic (mul/min/max/neg) needed to concretize a

@@ -31,7 +31,7 @@ Compiled compile(const Program& src, FlattenMode mode,
 
   PassManager pm;
   if (opts.passes.empty()) {
-    pm = compile_pipeline(mode, opts.simplify);
+    pm = compile_pipeline(mode);
   } else {
     for (const auto& name : opts.passes) {
       pm.add(name == "transform" ? mode_name(mode) : name);
@@ -42,7 +42,6 @@ Compiled compile(const Program& src, FlattenMode mode,
   st.program = src;
   st.mode = mode;
   st.options = opts.flatten;
-  st.limits = opts.limits;
 
   PassManagerOptions po;
   po.verify_each = opts.verify_each;

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/range.h"
 #include "src/flatten/flatten.h"
 #include "src/gpusim/cost.h"
 #include "src/interp/interp.h"
@@ -39,15 +38,6 @@ struct CompileOptions {
   std::vector<std::string> passes;
   /// Verify structural IR invariants after every pass (src/ir/verify.h).
   bool verify_each = false;
-  /// Run simplify-guards (plus a prune-segbinds rerun) before plan-build:
-  /// fold guards the size analysis proves constant under the program's
-  /// declared size bounds and `limits`, deleting dead versions and their
-  /// thresholds.  Off by default — the canned pipeline's output is then
-  /// bit-identical to previous releases.  Ignored when `passes` is given
-  /// explicitly (name the pass yourself).
-  bool simplify = false;
-  /// Device limits for simplify-guards (see analysis::limits_for).
-  analysis::AnalysisLimits limits;
   /// Observer called with each pass's name and the program after it ran
   /// (e.g. incflatc --print-after).
   std::function<void(const std::string& pass, const Program& program)>

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/ir/traverse.h"
+#include "src/support/checked.h"
 #include "src/support/error.h"
 
 namespace incflat {
@@ -295,7 +296,7 @@ struct CostWalker {
 
   int64_t sizes_threads(const std::vector<Type>& ts) {
     int64_t n = 0;
-    for (const auto& t : ts) n += t.count(sizes);
+    for (const auto& t : ts) n = size_add(n, t.count(sizes));
     return std::max<int64_t>(n, 1);
   }
 
@@ -314,7 +315,7 @@ struct CostWalker {
 
   int64_t space_points(const SegSpace& space) const {
     int64_t n = 1;
-    for (const auto& b : space) n *= b.dim.eval(sizes);
+    for (const auto& b : space) n = size_mul(n, b.dim.eval(sizes));
     return n;
   }
 
@@ -565,7 +566,7 @@ struct CostWalker {
     }
 
     Work total = per * static_cast<double>(groups);
-    const int64_t threads = groups * group_size;
+    const int64_t threads = size_mul(groups, group_size);
     std::string what = "segmap^" + std::to_string(so.level) + "{intra}";
     return price_kernel(what, total, threads, 1, fallback);
   }
@@ -585,9 +586,9 @@ int64_t eval_size_scalar(const ExprP& e, const SizeEnv& sizes) {
   if (auto* b = e->as<BinOpE>()) {
     const int64_t x = eval_size_scalar(b->lhs, sizes);
     const int64_t y = eval_size_scalar(b->rhs, sizes);
-    if (b->op == "+") return x + y;
-    if (b->op == "-") return x - y;
-    if (b->op == "*") return x * y;
+    if (b->op == "+") return size_add(x, y);
+    if (b->op == "-") return size_sub(x, y);
+    if (b->op == "*") return size_mul(x, y);
     if (b->op == "/") return y == 0 ? 0 : x / y;
     if (b->op == "min") return std::min(x, y);
     if (b->op == "max") return std::max(x, y);

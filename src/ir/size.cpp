@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/support/checked.h"
 #include "src/support/str.h"
 
 namespace incflat {
@@ -30,7 +31,7 @@ SizeProd& SizeProd::operator*=(const SizeProd& o) {
 
 int64_t SizeProd::eval(const SizeEnv& env) const {
   int64_t n = konst;
-  for (const auto& d : vars) n *= d.eval(env);
+  for (const auto& d : vars) n = size_mul(n, d.eval(env));
   return n;
 }
 

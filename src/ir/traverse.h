@@ -157,7 +157,7 @@ ExprP map_children(const ExprP& e, F&& f) {
 /// annotations and lambda parameter types, which are derived from the rest
 /// (and a segmap's unused combine operator).  A shared pointer is equal
 /// without a walk.  This is the one test of code version identity (rule
-/// G3's degenerate case, simplify-guards' F3).
+/// G3's degenerate case).
 bool same_ir(const ExprP& a, const ExprP& b);
 
 /// Free variable names of `e`.  Size variables inside Dims (iota/replicate

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "src/support/checked.h"
 #include "src/support/error.h"
 #include "src/support/str.h"
 
@@ -85,7 +86,7 @@ Type Type::expand(const std::vector<Dim>& outer) const {
 
 int64_t Type::count(const SizeEnv& env) const {
   int64_t n = 1;
-  for (const auto& d : shape) n *= d.eval(env);
+  for (const auto& d : shape) n = size_mul(n, d.eval(env));
   return n;
 }
 

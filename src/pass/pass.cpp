@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/analysis/simplify.h"
 #include "src/flatten/fusion.h"
 #include "src/flatten/normalize.h"
 #include "src/flatten/prune.h"
@@ -81,14 +80,6 @@ struct TilingPass final : Pass {
   }
 };
 
-struct SimplifyGuardsPass final : Pass {
-  const char* name() const override { return "simplify-guards"; }
-  const char* span_name() const override { return "pass.simplify-guards"; }
-  void run(PipelineState& st) const override {
-    analysis::simplify_guards(st.program, st.limits);
-  }
-};
-
 struct PlanBuildPass final : Pass {
   const char* name() const override { return "plan-build"; }
   const char* span_name() const override { return "pass.plan-build"; }
@@ -119,9 +110,6 @@ std::unique_ptr<Pass> make_pass(const std::string& name) {
   }
   if (name == "prune-segbinds") return std::make_unique<PruneSegbindsPass>();
   if (name == "tiling") return std::make_unique<TilingPass>();
-  if (name == "simplify-guards") {
-    return std::make_unique<SimplifyGuardsPass>();
-  }
   if (name == "plan-build") return std::make_unique<PlanBuildPass>();
   std::string known;
   for (const auto& n : pass_names()) {
@@ -133,9 +121,8 @@ std::unique_ptr<Pass> make_pass(const std::string& name) {
 }
 
 std::vector<std::string> pass_names() {
-  return {"fusion",         "normalize", "moderate",
-          "incremental",    "full",      "prune-segbinds",
-          "tiling",         "simplify-guards", "plan-build"};
+  return {"fusion", "normalize",      "moderate", "incremental",
+          "full",   "prune-segbinds", "tiling",   "plan-build"};
 }
 
 PassManager& PassManager::add(std::unique_ptr<Pass> p) {
@@ -169,13 +156,8 @@ PassManager flatten_pipeline(FlattenMode mode) {
   return pm;
 }
 
-PassManager compile_pipeline(FlattenMode mode, bool simplify) {
+PassManager compile_pipeline(FlattenMode mode) {
   PassManager pm = flatten_pipeline(mode);
-  if (simplify) {
-    // The prune rerun removes seg-space bindings whose only consumer was a
-    // version simplify-guards deleted.
-    pm.add("simplify-guards").add("prune-segbinds");
-  }
   pm.add("plan-build");
   return pm;
 }

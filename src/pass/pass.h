@@ -18,14 +18,11 @@
 //   full              comparisons
 //   prune-segbinds  drop dead seg-space bindings
 //   tiling          mark block-tilable segmaps, check level discipline
-//   simplify-guards fold guards decided by the size analysis (opt-in; see
-//                     src/analysis/simplify.h) and drop dead versions
 //   plan-build      lower the target program into a KernelPlan
 //
 // The program is the only state the passes share about guards: the
 // threshold registry is read off the final program's guards
-// (src/flatten/thresholds.h), so a pass that folds a guard drops its
-// threshold with it.
+// (src/flatten/thresholds.h).
 //
 // Every pass keeps the program type-annotated: it gives each node it
 // builds the types the checker would, so no pass re-typechecks.  The
@@ -38,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/range.h"
 #include "src/flatten/flatten.h"
 #include "src/ir/expr.h"
 #include "src/plan/plan.h"
@@ -53,9 +49,6 @@ struct PipelineState {
   FlattenMode mode = FlattenMode::Incremental;
   FlattenOptions options;
   std::shared_ptr<const KernelPlan> plan;
-  /// Device limits consulted by simplify-guards; negative fields (the
-  /// default) make every device-dependent fold rule inapplicable.
-  analysis::AnalysisLimits limits;
 };
 
 /// A named pipeline stage.  `name()` and `span_name()` must return string
@@ -103,11 +96,7 @@ class PassManager {
 /// fusion, normalize, <mode>, prune-segbinds, tiling.
 PassManager flatten_pipeline(FlattenMode mode);
 
-/// flatten_pipeline plus plan-build — what exec::compile runs.  With
-/// `simplify`, simplify-guards and a second prune-segbinds run between
-/// tiling and plan-build (the rerun removes bindings orphaned by deleted
-/// versions); without it the sequence — and hence the output — is exactly
-/// the historical one.
-PassManager compile_pipeline(FlattenMode mode, bool simplify = false);
+/// flatten_pipeline plus plan-build — what exec::compile runs.
+PassManager compile_pipeline(FlattenMode mode);
 
 }  // namespace incflat

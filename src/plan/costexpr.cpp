@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/support/checked.h"
 #include "src/support/error.h"
 
 namespace incflat {
@@ -22,14 +23,16 @@ double eval_f2(COp op, double x, double y) {
   }
 }
 
-int64_t eval_i2(COp op, int64_t x, int64_t y) {
+/// `*out = x op y`; false when a sum or product does not fit in int64 (the
+/// walker's EvalError, src/support/checked.h).
+bool eval_i2(COp op, int64_t x, int64_t y, int64_t* out) {
   switch (op) {
-    case COp::AddI: return x + y;
-    case COp::SubI: return x - y;
-    case COp::MulI: return x * y;
-    case COp::DivI: return y == 0 ? 0 : x / y;
-    case COp::MinI: return std::min(x, y);
-    case COp::MaxI: return std::max(x, y);
+    case COp::AddI: return checked_add(x, y, out);
+    case COp::SubI: return checked_sub(x, y, out);
+    case COp::MulI: return checked_mul(x, y, out);
+    case COp::DivI: *out = y == 0 ? 0 : x / y; return true;
+    case COp::MinI: *out = std::min(x, y); return true;
+    case COp::MaxI: *out = std::max(x, y); return true;
     default: INCFLAT_FAIL("costexpr: not an int binop");
   }
 }
@@ -120,8 +123,9 @@ int CostArena::fold2(COp op, int a, int b) {
     if (op == COp::MulF && is_constf(b, &fb) && fb == 1.0) return a;
     if (op == COp::MulF && is_constf(a, &fa) && fa == 1.0) return b;
   } else {
+    int64_t v = 0;
     if (is_consti(a, &ia) && is_consti(b, &ib)) {
-      return consti(eval_i2(op, ia, ib));
+      return eval_i2(op, ia, ib, &v) ? consti(v) : invalid();
     }
   }
   CNode n;
@@ -251,8 +255,8 @@ CostValues::CostValues(const CostArena& arena, const DeviceProfile& dev,
         break;
       case COp::AddI: case COp::SubI: case COp::MulI: case COp::DivI:
       case COp::MinI: case COp::MaxI:
-        v.i = eval_i2(n.op, va(n.a).i, va(n.b).i);
-        valid_[k] = ok(n.a) && ok(n.b);
+        valid_[k] = eval_i2(n.op, va(n.a).i, va(n.b).i, &v.i) && ok(n.a) &&
+                    ok(n.b);
         break;
       case COp::IntToF:
         v.f = static_cast<double>(va(n.a).i);
@@ -285,14 +289,16 @@ CostValues::CostValues(const CostArena& arena, const DeviceProfile& dev,
 
 double CostValues::get_f(int id) const {
   if (!valid_[static_cast<size_t>(id)]) {
-    throw EvalError("plan: cost expression uses an unbound size variable");
+    throw EvalError(
+        "plan: cost expression uses an unbound or overflowing size");
   }
   return vals_[static_cast<size_t>(id)].f;
 }
 
 int64_t CostValues::get_i(int id) const {
   if (!valid_[static_cast<size_t>(id)]) {
-    throw EvalError("plan: cost expression uses an unbound size variable");
+    throw EvalError(
+        "plan: cost expression uses an unbound or overflowing size");
   }
   return vals_[static_cast<size_t>(id)].i;
 }

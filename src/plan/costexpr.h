@@ -12,11 +12,12 @@
 // without touching the IR again.
 //
 // Node ids are indices into the arena vector; nodes only reference earlier
-// nodes, so one forward sweep computes every value.  Unbound size variables
-// poison their dependents (valid bit) instead of throwing, because a node
-// may sit on a code-version path the current traversal never takes; the
-// error surfaces only if a traversal actually reads a poisoned value —
-// exactly when the walker would have thrown.
+// nodes, so one forward sweep computes every value.  Unbound size variables,
+// and int64 sums and products that overflow (src/support/checked.h), poison
+// their dependents (valid bit) instead of throwing, because a node may sit
+// on a code-version path the current traversal never takes; the error
+// surfaces only if a traversal actually reads a poisoned value — exactly
+// when the walker would have thrown.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +56,8 @@ struct CNode {
 };
 
 /// Append-only expression arena.  Binary ops on two constants fold at build
-/// time (computing the same operation earlier is bitwise-identical);
+/// time (computing the same operation earlier is bitwise-identical; an
+/// integer overflow folds to an Invalid node);
 /// x + 0.0 and x * 1.0 fold because cost quantities are never -0.0 / NaN.
 class CostArena {
  public:
@@ -109,7 +111,8 @@ class CostArena {
 
 /// All node values for one (device, dataset) pair, computed in one forward
 /// sweep.  Reading a poisoned node throws EvalError (the walker's
-/// behaviour when its lazily-taken path hits an unbound size variable).
+/// behaviour when its lazily-taken path hits an unbound size variable or an
+/// overflowing size).
 class CostValues {
  public:
   CostValues(const CostArena& arena, const DeviceProfile& dev,

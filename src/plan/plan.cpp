@@ -54,13 +54,14 @@ PlanDatasetCache::PlanDatasetCache(const KernelPlan& plan,
 const PlanDatasetCache::PricedKernel& PlanDatasetCache::kernel(int k) const {
   const PricedKernel& pk = kernels_[static_cast<size_t>(k)];
   if (!pk.valid) {
-    throw EvalError("plan: kernel cost uses an unbound size variable");
+    throw EvalError("plan: kernel cost uses an unbound or overflowing size");
   }
   return pk;
 }
 
 void PlanDatasetCache::GuardVals::unbound() {
-  throw EvalError("plan: guard size expression uses an unbound variable");
+  throw EvalError(
+      "plan: guard size expression uses an unbound or overflowing size");
 }
 
 void LaneSig::append_path(size_t lane, std::vector<uint64_t>& out) const {

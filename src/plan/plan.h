@@ -173,18 +173,19 @@ class PlanDatasetCache {
     bool fallback = false;
     bool valid = false;
   };
-  /// Priced kernel `k`; throws EvalError if its sizes are unbound.
+  /// Priced kernel `k`; throws EvalError if its sizes are unbound or
+  /// overflow int64.
   const PricedKernel& kernel(int k) const;
 
   /// A guard's operands on this dataset.
   struct GuardVals {
     int64_t par = 0;        // Par(e)
     bool fit_fail = false;  // the workgroup-fit bound rejects the guard
-    bool error = false;     // its sizes are unbound (and fit does not fail)
+    bool error = false;     // sizes unbound or overflowing, fit not failing
 
     /// The branch under a threshold value, mirroring the walker's
     /// guard_taken: fit failure wins, else par >= threshold.  Throws
-    /// EvalError if the sizes are unbound.
+    /// EvalError if the sizes are unbound or overflow int64.
     bool taken(int64_t threshold_value) const {
       if (error) unbound();
       return !fit_fail && par >= threshold_value;
@@ -218,7 +219,7 @@ struct GuardLanes {
   /// Guard g's Par on lane d: par[g * lanes + d].
   std::vector<int64_t> par;
   /// Lane word w of the lanes whose fit bound rejects guard g, and of those
-  /// where its sizes are unbound: [w * guards + g] of each.
+  /// where its sizes are unbound or overflow: [w * guards + g] of each.
   std::vector<uint64_t> fit_fail;
   std::vector<uint64_t> unbound;
 };
@@ -286,11 +287,11 @@ double plan_cost(const KernelPlan& plan, const PlanDatasetCache& cache,
 /// says — exactly the guards a descent visits (both arms of a DataCond,
 /// every loop body).  Its taken lanes are the reached ones where the fit
 /// bound holds and Par >= slots[g] (GuardVals::taken's rule).  Throws
-/// EvalError if a reached lane's guard sizes are unbound.  This is the
-/// autotuner's dedup key — equal signatures select identical code versions
-/// and therefore cost the same (Sec. 4.2), so the cost evaluation can be
-/// skipped entirely.  `sig` is resized first, so one buffer serves every
-/// call.
+/// EvalError if a reached lane's guard sizes are unbound or overflow.  This
+/// is the autotuner's dedup key — equal signatures select identical code
+/// versions and therefore cost the same (Sec. 4.2), so the cost evaluation
+/// can be skipped entirely.  `sig` is resized first, so one buffer serves
+/// every call.
 void plan_signature(const KernelPlan& plan, const GuardLanes& lanes,
                     std::span<const int64_t> slots, LaneSig& sig);
 

@@ -86,6 +86,9 @@ expect 2 --fault-seed "$x" --fault-seed 12abc --list
 expect 2 --fault-seed "$x" --fault-seed -1 --list
 expect 2 --fault-seed "$x" --fault-seed 18446744073709551616 --list
 expect 2 INCFLAT_FAULT_SEED env INCFLAT_FAULT_SEED=12abc "$x" --list
+expect 2 --faults "$x" --faults all=abc --list
+expect 2 INCFLAT_FAULTS env INCFLAT_FAULTS=all=abc "$x" --list
+expect 2 --run-policy "$x" --run-policy retries=x --list
 
 expect 2 SEEDS "$s" all=zzz ten
 expect 2 SEEDS "$s" all=zzz -1

@@ -1,10 +1,9 @@
 // Tests for the static analysis layer (src/analysis/): interval arithmetic
 // soundness (property-tested against concrete evaluation), def-use chains,
 // guard decisions, the threshold registry read off a guard nest, the
-// simplify-guards pass (fold correctness, interpreter equivalence, estimate
-// identity on the benchsuite), the prune-segbinds bottom-up fix, and the
-// lint catalogue.  Also a differential property on generated programs:
-// every flattening mode computes the source program's values.
+// prune-segbinds bottom-up fix, and the lint catalogue.  Also a
+// differential property on generated programs: every flattening mode
+// computes the source program's values.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +14,6 @@
 #include "src/analysis/dataflow.h"
 #include "src/analysis/lint.h"
 #include "src/analysis/range.h"
-#include "src/analysis/simplify.h"
 #include "src/benchsuite/benchmark.h"
 #include "src/exec/exec.h"
 #include "src/flatten/prune.h"
@@ -454,7 +452,6 @@ TEST(Registry, ReadOffTheGuardNestInPreOrder) {
   //   if t0 then (if t1 then 1 else 2)
   //   else if t2 then (if t3 then 3 else 4)
   //        else (if t4 then 5 else 6)
-  // t2's fit bound m never fits a 2-wide workgroup when m >= 4.
   const SizeExpr n = SizeExpr::of(Dim::v("n"));
   const SizeExpr m = SizeExpr::of(Dim::v("m"));
   const SizeExpr nm = SizeExpr::of(prod_of(1, {"n", "m"}));
@@ -463,7 +460,6 @@ TEST(Registry, ReadOffTheGuardNestInPreOrder) {
   };
   Program p;
   p.name = "nest";
-  p.size_bounds["m"] = SizeBound{4, -1};
   p.body = iff(g("t0", n, SizeExpr{}),
                iff(g("t1", nm, n), cf32(1), cf32(2)),
                iff(g("t2", m, m), iff(g("t3", m, SizeExpr{}), cf32(3), cf32(4)),
@@ -489,35 +485,18 @@ TEST(Registry, ReadOffTheGuardNestInPreOrder) {
   EXPECT_EQ(all[2].par, m);
   EXPECT_EQ(all[2].fit, m);
   EXPECT_TRUE(all[4].fit.alts.empty());
-
-  // Folding t2 (F1) drops it and the then-arm's t3 from the registry, and
-  // t2's step from t4's path.
-  const analysis::SimplifyStats stats =
-      analysis::simplify_guards(p, AnalysisLimits{2, 1024});
-  EXPECT_EQ(stats.guards_folded, 1);
-  EXPECT_EQ(stats.thresholds_dropped, 2);
-  const ThresholdRegistry folded(p.body);
-  ASSERT_EQ(names(folded), (std::vector<std::string>{"t0", "t1", "t4"}));
-  EXPECT_EQ(folded.all()[1].path, (GuardPath{{"t0", true}}));
-  EXPECT_EQ(folded.all()[2].path, (GuardPath{{"t0", false}}));
-  EXPECT_EQ(folded.tree_str(),
-            "t0: n >= ?\n"
-            "  t1: " + nm.str() + " >= ?   [under t0=T]\n"
-            "  t4: " + nm.str() + " >= ?   [under t0=F]\n");
 }
 
-// -------------------------------------------------------- simplify-guards
+// ------------------------------------------------------------------- lint
 
 /// A two-version target program whose intra-group arm requires fit = m:
 /// `if (m >= t && fit m) then intra else flat` where both arms compute the
 /// per-row sums of xss.
-constexpr const char* kGuardT = "suff_intra_par_0";
-
 Program guarded_program() {
   Program p;
   p.name = "guarded";
   p.inputs = {{"xss", Type::array(Scalar::F32, {Dim::v("n"), Dim::v("m")})}};
-  ExprP cmp = mk(ThresholdCmpE{kGuardT, SizeExpr::of(Dim::v("m")),
+  ExprP cmp = mk(ThresholdCmpE{"suff_intra_par_0", SizeExpr::of(Dim::v("m")),
                                SizeExpr::of(Dim::v("m"))});
   ExprP intra = seg1_body(segred0());
   ExprP flat = seg1_body(redomap(binlam("+", Scalar::F32),
@@ -527,120 +506,6 @@ Program guarded_program() {
   p.body = iff(std::move(cmp), std::move(intra), std::move(flat));
   return typecheck_program(std::move(p));
 }
-
-TEST(SimplifyGuards, FoldsInfeasibleIntraVersionAndPreservesValues) {
-  Program plain = guarded_program();
-  // Declared: m >= 4.  On a device with max_group_size = 2 the fit bound
-  // can never hold, so the guard is always-false -> keep the flat arm.
-  Program simplified = plain;
-  simplified.size_bounds["m"] = SizeBound{4, -1};
-  const analysis::SimplifyStats stats =
-      analysis::simplify_guards(simplified, AnalysisLimits{2, 1024});
-  EXPECT_EQ(stats.guards_folded, 1);
-  EXPECT_EQ(stats.versions_pruned, 2);  // the segmap^1 and its segred^0
-  EXPECT_EQ(stats.thresholds_dropped, 1);
-  EXPECT_TRUE(ThresholdRegistry(simplified.body).empty());
-
-  // Semantics are bounds-independent: even on sizes *violating* the
-  // declared bounds the two programs compute identical values (all guarded
-  // versions are equivalent), for any threshold assignment.
-  Rng rng(31);
-  for (const int64_t m : {int64_t{1}, int64_t{3}, int64_t{8}}) {
-    InterpCtx ctx;
-    ctx.sizes = {{"n", 3}, {"m", m}};
-    ctx.max_group_size = 2;
-    Value xss = Value::zeros(Scalar::F32, {3, m});
-    for (int64_t i = 0; i < xss.count(); ++i) {
-      xss.fset(i, static_cast<double>(rng.uniform_int(-4, 9)));
-    }
-    for (const int64_t t : {int64_t{1}, int64_t{4}, int64_t{1} << 20}) {
-      ctx.thresholds.values = {{kGuardT, t}};
-      const Values a = run_program(ctx, plain, {xss});
-      const Values b = run_program(ctx, simplified, {xss});
-      ASSERT_EQ(a.size(), b.size());
-      EXPECT_TRUE(a[0].approx_equal(b[0], 1e-6)) << "m=" << m << " t=" << t;
-    }
-  }
-}
-
-TEST(SimplifyGuards, NoBoundsNoLimitsMeansNoFolds) {
-  Program p = guarded_program();
-  const std::string before = pretty(p.body);
-  const analysis::SimplifyStats stats =
-      analysis::simplify_guards(p, AnalysisLimits{});
-  EXPECT_EQ(stats.guards_folded, 0);
-  EXPECT_EQ(stats.versions_pruned, 0);
-  EXPECT_EQ(stats.thresholds_dropped, 0);
-  EXPECT_EQ(pretty(p.body), before);
-}
-
-TEST(SimplifyGuards, BenchsuiteEstimatesAndKernelChoicesUnchanged) {
-  // The acceptance criterion: with --simplify the plan has strictly fewer
-  // versions and thresholds, yet prices identically (same kernels, same
-  // estimates) for every in-bounds dataset and *any* threshold assignment.
-  const DeviceProfile dev = device_k40();
-  for (const std::string name : {"Heston", "Backprop", "LavaMD"}) {
-    const Benchmark b = get_benchmark(name);
-    const Compiled plain = compile(b.program, FlattenMode::Incremental);
-    CompileOptions sopts;
-    sopts.simplify = true;
-    sopts.limits = analysis::limits_for(dev);
-    const Compiled simp = compile(b.program, FlattenMode::Incremental, sopts);
-
-    EXPECT_LT(simp.flat.thresholds.size(), plain.flat.thresholds.size())
-        << name;
-    EXPECT_LT(count_segops(simp.flat.program.body),
-              count_segops(plain.flat.program.body))
-        << name;
-
-    std::vector<ThresholdEnv> sweeps;
-    sweeps.emplace_back();  // defaults
-    for (const int64_t v : {int64_t{1}, int64_t{512}, int64_t{1} << 24}) {
-      ThresholdEnv te;
-      for (const auto& ti : plain.flat.thresholds.all()) {
-        te.values[ti.name] = v;
-      }
-      sweeps.push_back(std::move(te));
-    }
-    for (const auto& ds : b.datasets) {
-      for (const auto& te : sweeps) {
-        const RunEstimate a = simulate(dev, plain, ds.sizes, te);
-        const RunEstimate s = simulate(dev, simp, ds.sizes, te);
-        EXPECT_DOUBLE_EQ(a.time_us, s.time_us) << name << "/" << ds.name;
-        ASSERT_EQ(a.kernels.size(), s.kernels.size())
-            << name << "/" << ds.name;
-        for (size_t i = 0; i < a.kernels.size(); ++i) {
-          EXPECT_EQ(a.kernels[i].what, s.kernels[i].what)
-              << name << "/" << ds.name;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimplifyGuards, TargetValuesUnchangedOnBenchsuite) {
-  // Interpreter-level equivalence at the (deliberately out-of-bounds)
-  // test sizes: folding never changes computed values.
-  const DeviceProfile dev = device_k40();
-  for (const std::string name : {"Heston", "Backprop", "LavaMD"}) {
-    const Benchmark b = get_benchmark(name);
-    const Compiled plain = compile(b.program, FlattenMode::Incremental);
-    CompileOptions sopts;
-    sopts.simplify = true;
-    sopts.limits = analysis::limits_for(dev);
-    const Compiled simp = compile(b.program, FlattenMode::Incremental, sopts);
-    Rng rng(41);
-    const std::vector<Value> inputs = b.gen_inputs(rng, b.test_sizes);
-    const Values a = execute(dev, plain, b.test_sizes, {}, inputs);
-    const Values s = execute(dev, simp, b.test_sizes, {}, inputs);
-    ASSERT_EQ(a.size(), s.size()) << name;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_TRUE(a[i].approx_equal(s[i], 1e-4)) << name;
-    }
-  }
-}
-
-// ------------------------------------------------------------------- lint
 
 TEST(Lint, FindsDeadVersionAndDeadBinding) {
   Program p = guarded_program();
@@ -663,12 +528,6 @@ TEST(Lint, FindsDeadVersionAndDeadBinding) {
   EXPECT_TRUE(has("dead-binding"));
   EXPECT_EQ(count_at_least(ds, Severity::Error), 0);
   EXPECT_GE(count_at_least(ds, Severity::Warning), 1);
-
-  // After simplify + prune the dead-version finding disappears.
-  analysis::simplify_guards(p, lopts.limits);
-  p.body = prune_seg_spaces(p.body);
-  const std::vector<Diagnostic> after = analysis::lint_program(p, lopts);
-  for (const auto& d : after) EXPECT_NE(d.check, "dead-version") << d.str();
 }
 
 TEST(Lint, FlagsStaticallyOverflowingLocalMemory) {

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
+#include "src/exec/exec.h"
 #include "src/flatten/flatten.h"
 #include "src/gpusim/cost.h"
 #include "src/interp/interp.h"
 #include "src/ir/builder.h"
 #include "src/ir/traverse.h"
 #include "src/ir/typecheck.h"
+#include "src/support/error.h"
 #include "src/support/rng.h"
 
 namespace incflat {
@@ -140,6 +143,50 @@ TEST(DeepNest, CostModelHandlesDeepVersions) {
     RunEstimate est = estimate_run(dev, fr.program, sizes, env);
     EXPECT_GT(est.time_us, 0);
     EXPECT_TRUE(std::isfinite(est.time_us));
+  }
+}
+
+TEST(DeepNest, SizeProductsPastInt64AreEvalErrors) {
+  // Six dimensions of 2^12 make 2^72 points.  A version whose guard or
+  // thread count needs that product is refused with an EvalError by both
+  // cost models, rather than wrapping a signed product (undefined
+  // behaviour).  Under the default thresholds incremental flattening takes
+  // a version that parallelises d0*d1 only, which both price, although the
+  // plan's sweep still evaluates the fully flattened version it never
+  // reaches; with every threshold at 2^62 it falls through to that version.
+  // At 2^10 per dimension (2^60 points) every version prices.
+  const auto price = [](auto&& run) -> std::optional<double> {
+    try {
+      return run().time_us;
+    } catch (const EvalError&) {
+      return std::nullopt;
+    }
+  };
+  for (const FlattenMode mode : {FlattenMode::Moderate,
+                                 FlattenMode::Incremental, FlattenMode::Full}) {
+    const Compiled c = compile(deep_program(6), mode);
+    for (const DeviceProfile& dev : {device_k40(), device_vega64()}) {
+      for (const int bits : {10, 12}) {
+        SizeEnv sizes;
+        for (const char* d : {"d0", "d1", "d2", "d3", "d4", "d5"}) {
+          sizes[d] = int64_t{1} << bits;
+        }
+        for (const bool far : {false, true}) {
+          ThresholdEnv thr;
+          if (far) thr.default_threshold = int64_t{1} << 62;
+          const std::optional<double> plan =
+              price([&] { return simulate(dev, c, sizes, thr); });
+          const std::optional<double> walk = price(
+              [&] { return estimate_run(dev, c.flat.program, sizes, thr); });
+          SCOPED_TRACE(testing::Message()
+                       << mode_name(mode) << " on " << dev.name << " at 2^"
+                       << bits << (far ? ", thresholds 2^62" : ""));
+          EXPECT_EQ(plan.has_value(),
+                    bits == 10 || (!far && mode == FlattenMode::Incremental));
+          EXPECT_EQ(plan, walk);
+        }
+      }
+    }
   }
 }
 

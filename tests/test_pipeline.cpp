@@ -7,10 +7,10 @@
 //  * pinned output — one hash per benchmark and mode over the target IR,
 //    the threshold tree and the lint findings on both devices;
 //  * --verify-each equivalent: verification, annotations included, passes
-//    clean after every pass on the whole suite, with and without
-//    simplify-guards, and the plan's threshold slots list the registry's
-//    names in order; a pass that mistypes a node fails verification under
-//    verify_each or INCFLAT_VERIFY_EACH, attributed to that pass;
+//    clean after every pass on the whole suite, and the plan's threshold
+//    slots list the registry's names in order; a pass that mistypes a node
+//    fails verification under verify_each or INCFLAT_VERIFY_EACH,
+//    attributed to that pass;
 //  * registry behaviour: mode_from_name round-trips, unknown pass/mode
 //    names fail with messages listing the valid ones, omitting plan-build
 //    leaves Compiled::plan null and simulate() prices on a throwaway plan.
@@ -84,13 +84,13 @@ TEST(Pipeline, SuiteOutputIsPinned) {
       {"LocVolCalib",
        {0x10e0deb1b55318abULL, 0x5e7125c336c1e02fULL, 0x10e0deb1b55318abULL}},
       {"Heston",
-       {0x462068357581c448ULL, 0x94a586f49d8186beULL, 0x5846828c15b67781ULL}},
+       {0x462068357581c448ULL, 0x34b920143ea84492ULL, 0x5846828c15b67781ULL}},
       {"OptionPricing",
        {0xae7489ae6b9056f5ULL, 0xcf508f6fa116a44aULL, 0xfa8f8374b77e9c61ULL}},
       {"Backprop",
-       {0x8fae8b9f9fd73c8fULL, 0x63b0c3d8f5d0406eULL, 0xf3450d1bc6323fd3ULL}},
+       {0x8fae8b9f9fd73c8fULL, 0xa69ed0fd9c30c2acULL, 0xf3450d1bc6323fd3ULL}},
       {"LavaMD",
-       {0x634fc62e03f7cc8dULL, 0xa22c0463ee18abddULL, 0x72ef9efaa7ea4b54ULL}},
+       {0x634fc62e03f7cc8dULL, 0xc3d19918d81ca549ULL, 0x72ef9efaa7ea4b54ULL}},
       {"NW",
        {0x7964d70fac90e884ULL, 0xf9d641e557b95a04ULL, 0x7964d70fac90e884ULL}},
       {"NN",
@@ -154,36 +154,26 @@ TEST(Pipeline, CompileEstimatesAreBitIdenticalAcrossCompositions) {
 TEST(Pipeline, EveryPassEmitsExactTypes) {
   // No pass re-typechecks: each types the nodes it builds.  verify_each
   // compares every annotation with a fresh typecheck after every pass, so
-  // a type a pass got wrong fails here, with and without simplify-guards.
-  // Plan guard i is registry entry i: the tuner's candidate vectors and its
-  // report keys rest on that.
+  // a type a pass got wrong fails here.  Plan guard i is registry entry i:
+  // the tuner's candidate vectors and its report keys rest on that.
   for (const auto& name : all_benchmark_names()) {
     const Benchmark b = get_benchmark(name);
     for (FlattenMode mode : kModes) {
-      // Run 0 without simplify-guards, runs 1 and 2 with it on each device.
-      for (int run = 0; run < 3; ++run) {
-        CompileOptions o = opts_for(b, mode);
-        o.verify_each = true;
-        std::string ctx = name + " / " + mode_name(mode);
-        if (run > 0) {
-          const DeviceProfile dev = run == 1 ? device_k40() : device_vega64();
-          o.simplify = true;
-          o.limits = analysis::limits_for(dev);
-          ctx += " --simplify --device " + dev.name;
+      CompileOptions o = opts_for(b, mode);
+      o.verify_each = true;
+      const std::string ctx = name + " / " + mode_name(mode);
+      try {
+        const Compiled c = compile(b.program, mode, o);
+        const auto& reg = c.flat.thresholds.all();
+        ASSERT_EQ(c.plan->guards.size(), reg.size()) << ctx;
+        for (size_t i = 0; i < reg.size(); ++i) {
+          const GuardInfo& g = c.plan->guards[i];
+          EXPECT_EQ(g.threshold, reg[i].name) << ctx;
+          EXPECT_EQ(g.par, reg[i].par) << ctx;
+          EXPECT_EQ(g.fit, reg[i].fit) << ctx;
         }
-        try {
-          const Compiled c = compile(b.program, mode, o);
-          const auto& reg = c.flat.thresholds.all();
-          ASSERT_EQ(c.plan->guards.size(), reg.size()) << ctx;
-          for (size_t i = 0; i < reg.size(); ++i) {
-            const GuardInfo& g = c.plan->guards[i];
-            EXPECT_EQ(g.threshold, reg[i].name) << ctx;
-            EXPECT_EQ(g.par, reg[i].par) << ctx;
-            EXPECT_EQ(g.fit, reg[i].fit) << ctx;
-          }
-        } catch (const CompilerError& e) {
-          ADD_FAILURE() << ctx << ": " << e.what();
-        }
+      } catch (const CompilerError& e) {
+        ADD_FAILURE() << ctx << ": " << e.what();
       }
     }
   }
@@ -303,7 +293,7 @@ TEST(Pipeline, UnknownPassNameListsRegistry) {
     EXPECT_STREQ(e.what(),
                  "unknown pass 'constant-folding' (known passes: fusion, "
                  "normalize, moderate, incremental, full, prune-segbinds, "
-                 "tiling, simplify-guards, plan-build)");
+                 "tiling, plan-build)");
   }
 }
 

@@ -52,7 +52,6 @@ struct Options {
   bool print_plan = false;
   bool lint = false;
   bool lint_json = false;
-  bool simplify = false;
   bool tune = false;
   bool exhaustive = false;
   bool json = false;
@@ -63,10 +62,10 @@ struct Options {
   bool verify_each = false;
   std::string passes;       // comma-separated pass list ("" = canned)
   std::string print_after;  // pass name, or "all"
-  std::string faults;       // --faults SPEC (or INCFLAT_FAULTS)
+  FaultSpec faults;         // --faults SPEC (or INCFLAT_FAULTS)
   uint64_t fault_seed = 0xfa0175eedULL;
   bool fault_seed_set = false;
-  std::string run_policy;   // --run-policy SPEC
+  RunPolicy run_policy;     // --run-policy SPEC
   std::string tune_journal; // --tune-journal FILE
   bool resume = false;
 };
@@ -91,10 +90,6 @@ int usage() {
       "                              memory overflow, unused bindings); exit\n"
       "                              non-zero on error-severity findings\n"
       "  --lint-json                 like --lint, structured JSON output\n"
-      "  --simplify                  run the simplify-guards pass: fold\n"
-      "                              guards the size analysis proves\n"
-      "                              constant for the device, delete dead\n"
-      "                              versions and their thresholds\n"
       "  --no-fuse                   skip pre-flattening fusion (the paper's\n"
       "                              Sec. 5.3 Backprop ablation)\n"
       "  --passes LIST               run this comma-separated pass pipeline\n"
@@ -137,17 +132,22 @@ std::optional<Options> parse(int argc, char** argv) {
       {"--device", &o.device}, {"--dataset", &o.dataset},
       {"--tuning", &o.tuning_in}, {"--out", &o.tuning_out},
       {"--passes", &o.passes}, {"--print-after", &o.print_after},
-      {"--faults", &o.faults}, {"--run-policy", &o.run_policy},
       {"--tune-journal", &o.tune_journal}};
   const std::map<std::string, bool*> switches = {
       {"--list", &o.list}, {"--tune", &o.tune},
       {"--exhaustive", &o.exhaustive}, {"--print-ir", &o.print_ir},
       {"--tree", &o.print_tree}, {"--plan", &o.print_plan},
-      {"--lint", &o.lint}, {"--simplify", &o.simplify},
-      {"--no-fuse", &o.no_fuse}, {"--verify-each", &o.verify_each},
-      {"--json", &o.json}, {"--stats", &o.stats}, {"--trace", &o.trace},
-      {"--resume", &o.resume}};
+      {"--lint", &o.lint}, {"--no-fuse", &o.no_fuse},
+      {"--verify-each", &o.verify_each}, {"--json", &o.json},
+      {"--stats", &o.stats}, {"--trace", &o.trace}, {"--resume", &o.resume}};
   ArgReader args("incflatc", argc, argv);
+  // A fault or run-policy spec is read where it is given, so a malformed
+  // one is a usage error naming its flag or variable.
+  bool faults_set = false;
+  const auto faults = [&](const std::string& spec, const std::string& name) {
+    o.faults = args.check([&] { return parse_fault_spec(spec); }, name);
+    faults_set = !spec.empty();
+  };
   while (args.next()) {
     const std::string& a = args.arg();
     if (const auto v = values.find(a); v != values.end()) {
@@ -160,8 +160,13 @@ std::optional<Options> parse(int argc, char** argv) {
       o.trace = true;
       o.trace_out = a.substr(std::string("--trace=").size());
       if (o.trace_out.empty()) return std::nullopt;
+    } else if (a == "--faults") {
+      faults(args.value(), a);
     } else if (a.rfind("--faults=", 0) == 0) {
-      o.faults = a.substr(std::string("--faults=").size());
+      faults(a.substr(std::string("--faults=").size()), "--faults");
+    } else if (a == "--run-policy") {
+      const std::string spec = args.value();
+      o.run_policy = args.check([&] { return parse_run_policy(spec); }, a);
     } else if (a == "--fault-seed") {
       o.fault_seed = args.seed();
       o.fault_seed_set = true;
@@ -172,8 +177,10 @@ std::optional<Options> parse(int argc, char** argv) {
   }
   // Environment hooks (explicit flags win): INCFLAT_FAULTS carries a fault
   // spec into runs that cannot edit the command line (CI soak, benches).
-  if (o.faults.empty()) {
-    if (const char* env = std::getenv("INCFLAT_FAULTS")) o.faults = env;
+  if (!faults_set) {
+    if (const char* env = std::getenv("INCFLAT_FAULTS")) {
+      faults(env, "INCFLAT_FAULTS");
+    }
   }
   if (!o.fault_seed_set) {
     if (const auto seed = args.env_seed("INCFLAT_FAULT_SEED")) {
@@ -237,8 +244,6 @@ int run(const Options& o) {
   copts.flatten.fuse =
       !o.no_fuse && (mode != FlattenMode::Moderate || b.fuse_moderate);
   copts.verify_each = o.verify_each;
-  copts.simplify = o.simplify;
-  copts.limits = analysis::limits_for(dev);
   for (size_t pos = 0; pos < o.passes.size();) {
     size_t comma = o.passes.find(',', pos);
     if (comma == std::string::npos) comma = o.passes.size();
@@ -300,11 +305,6 @@ int run(const Options& o) {
   ThresholdEnv thresholds;
   if (!o.tuning_in.empty()) thresholds = load_tuning(o.tuning_in);
 
-  // Fault injection: spec parse errors are input errors (exit 3, via the
-  // IoError handler in main), like an unreadable tuning file.
-  const FaultSpec fspec = parse_fault_spec(o.faults);
-  const RunPolicy policy = parse_run_policy(o.run_policy);
-
   // compile() builds the plan unless --passes leaves out plan-build; then it
   // is built here, once, for tuning and simulation to share.
   if (!c.plan && (o.tune || !o.dataset.empty())) c.plan = plan_of(c);
@@ -316,8 +316,8 @@ int run(const Options& o) {
     // Fault-injected tuning: the spec's noise amplitude perturbs every
     // measurement and its launch rate makes individual measurements fail;
     // the tuner answers with median-of-k re-measurement.
-    topts.noise = fspec.noise;
-    topts.failure_rate = fspec.launch_rate();
+    topts.noise = o.faults.noise;
+    topts.failure_rate = o.faults.launch_rate();
     if (o.fault_seed_set) topts.measure_seed = o.fault_seed;
     topts.journal = o.tune_journal;
     topts.resume = o.resume;
@@ -352,20 +352,20 @@ int run(const Options& o) {
       return 2;
     }
 
-    if (fspec.faults_launches()) {
+    if (o.faults.faults_launches()) {
       // Fault-injected execution: retries and graceful degradation over the
       // guard tree; an unrecoverable run reports a structured diagnostic
       // and exits 1 instead of throwing.
-      FaultPlan fplan(fspec, o.fault_seed);
+      FaultPlan fplan(o.faults, o.fault_seed);
       const RunOutcome out =
-          run_with_faults(dev, c, ds->sizes, thresholds, fplan, policy);
+          run_with_faults(dev, c, ds->sizes, thresholds, fplan, o.run_policy);
       if (o.json) {
         Json j = Json::object();
         j.set("benchmark", b.name)
             .set("mode", mode_name(mode))
             .set("device", dev.name)
             .set("dataset", ds->name)
-            .set("faults_spec", fault_spec_str(fspec))
+            .set("faults_spec", fault_spec_str(o.faults))
             .set("fault_seed", static_cast<int64_t>(o.fault_seed))
             .set("ok", out.ok)
             .set("time_us", out.time_us)
@@ -392,7 +392,7 @@ int run(const Options& o) {
         std::cout << j.str() << "\n";
       } else {
         std::cout << b.name << "/" << ds->name << " on " << dev.name
-                  << " (faults " << fault_spec_str(fspec) << ", seed 0x"
+                  << " (faults " << fault_spec_str(o.faults) << ", seed 0x"
                   << std::hex << o.fault_seed << std::dec
                   << "): " << outcome_str(out) << "\n";
         if (out.error) std::cout << "  " << out.error->str() << "\n";
@@ -465,8 +465,8 @@ int main(int argc, char** argv) {
     }
     return 1;
   } catch (const incflat::IoError& e) {
-    // Missing, unreadable or malformed input (tuning files, journals,
-    // fault/policy specs): structured diagnostic, distinct exit code.
+    // Missing, unreadable or malformed input files (tuning files,
+    // journals): structured diagnostic, distinct exit code.
     incflat::Diagnostic d;
     d.check = "input";
     d.context = "cli";
