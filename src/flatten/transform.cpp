@@ -15,10 +15,10 @@ namespace incflat {
 
 namespace {
 
-const Type& type_of(const TypeEnv& env, const std::string& name) {
-  auto it = env.find(name);
-  INCFLAT_CHECK(it != env.end(), "flatten: variable " + name + " untyped");
-  return it->second;
+const Type& type_of(const ScopedTypeEnv& env, const std::string& name) {
+  const Type* t = env.find(name);
+  INCFLAT_CHECK(t, "flatten: variable " + name + " untyped");
+  return *t;
 }
 
 std::set<std::string> space_dom(const SegSpace& sigma) {
@@ -47,7 +47,7 @@ std::vector<Type> expand_all(const std::vector<Type>& ts,
   return out;
 }
 
-ExprP typed_var(const TypeEnv& env, const std::string& name) {
+ExprP typed_var(const ScopedTypeEnv& env, const std::string& name) {
   return mk(VarE{name}, {type_of(env, name)});
 }
 
@@ -113,6 +113,12 @@ struct Flattener {
   ib::NameGen ng;
   int thresholds_named = 0;  // G3's degenerate case does not give names back
 
+  /// The types in scope at the expression being transformed.  A rule binds
+  /// the names it introduces here, under a Scope that unbinds them when the
+  /// rule returns, so its callers never see them.
+  ScopedTypeEnv env;
+  using Scope = ScopedTypeEnv::Scope;
+
   bool incremental() const { return mode == FlattenMode::Incremental; }
 
   /// A fresh threshold name of the given kind ("suff_outer_par" /
@@ -124,9 +130,9 @@ struct Flattener {
   // -- small helpers --------------------------------------------------------
 
   /// Names for SOAC array operands; non-Var operands are hoisted into
-  /// `hoists` (they must be invariant to sigma).
+  /// `hoists` (they must be invariant to sigma), and their names bound.
   std::vector<std::string> ensure_vars(
-      const std::vector<ExprP>& args, const SegSpace& sigma, TypeEnv& env,
+      const std::vector<ExprP>& args, const SegSpace& sigma,
       std::vector<std::pair<std::string, ExprP>>& hoists) {
     std::vector<std::string> out;
     const auto dom = space_dom(sigma);
@@ -140,7 +146,7 @@ struct Flattener {
                       "cannot hoist context-variant SOAC operand");
       }
       std::string name = ng.fresh("arr");
-      env[name] = a->type();
+      env.bind(name, a->type());
       hoists.emplace_back(name, a);
       out.push_back(name);
     }
@@ -155,9 +161,10 @@ struct Flattener {
     return e;
   }
 
-  /// Extend sigma with one level binding `params` to rows of `arrays`.
+  /// Extend sigma with one level binding `params` to rows of `arrays`, and
+  /// bind the params.
   SegSpace add_level(const SegSpace& sigma, std::vector<std::string> params,
-                     std::vector<std::string> arrays, TypeEnv& env) {
+                     std::vector<std::string> arrays) {
     SegBind bind;
     bind.params = std::move(params);
     bind.arrays = std::move(arrays);
@@ -165,7 +172,7 @@ struct Flattener {
     INCFLAT_CHECK(at.rank() >= 1, "seg-space over scalar array");
     bind.dim = at.shape[0];
     for (size_t i = 0; i < bind.params.size(); ++i) {
-      env[bind.params[i]] = type_of(env, bind.arrays[i]).row();
+      env.bind(bind.params[i], type_of(env, bind.arrays[i]).row());
     }
     SegSpace out = sigma;
     out.push_back(std::move(bind));
@@ -187,8 +194,7 @@ struct Flattener {
   }
 
   /// Collapse a Var (or tuple of Vars) that fully chains through sigma.
-  static ExprP collapse_chain(const ExprP& e, const SegSpace& sigma,
-                              const TypeEnv& env) {
+  ExprP collapse_chain(const ExprP& e, const SegSpace& sigma) const {
     auto collapse1 = [&](const ExprP& x) -> ExprP {
       auto* v = x->as<VarE>();
       if (!v) return nullptr;
@@ -227,7 +233,7 @@ struct Flattener {
   /// through sigma so that `inner` is bound to its fully-peeled rows — the
   /// binding structure of rule G6 (and reused by G7).
   SegSpace chain_through(const SegSpace& sigma, const std::string& top,
-                         const std::string& inner, TypeEnv& env) {
+                         const std::string& inner) {
     SegSpace out = sigma;
     std::string cur = top;
     for (size_t k = 0; k < out.size(); ++k) {
@@ -235,7 +241,7 @@ struct Flattener {
       std::string next = innermost ? inner : ng.fresh(inner + "_c");
       out[k].params.push_back(next);
       out[k].arrays.push_back(cur);
-      env[next] = type_of(env, cur).row();
+      env.bind(next, type_of(env, cur).row());
       cur = next;
     }
     return out;
@@ -243,8 +249,7 @@ struct Flattener {
 
   /// The body of a perfect reduce/scan nest: its element variables, or the
   /// tuple of them.
-  static ExprP elements(const std::vector<std::string>& names,
-                        const TypeEnv& env) {
+  ExprP elements(const std::vector<std::string>& names) const {
     if (names.size() == 1) return typed_var(env, names[0]);
     std::vector<ExprP> elems;
     std::vector<Type> ts;
@@ -257,8 +262,7 @@ struct Flattener {
 
   // -- the transformation ---------------------------------------------------
 
-  ExprP transform(const SegSpace& sigma, int level, const ExprP& e,
-                  TypeEnv env) {
+  ExprP transform(const SegSpace& sigma, int level, const ExprP& e) {
     INCFLAT_CHECK(e != nullptr, "transform of null");
 
     // G0 / G1 / G2: no inner parallelism left.
@@ -270,37 +274,33 @@ struct Flattener {
       // Identity nests: manifesting a variable that chains through every
       // context level just reproduces the underlying whole array — emit
       // that array instead of a copy kernel.
-      if (ExprP collapsed = collapse_chain(e, sigma, env)) return collapsed;
+      if (ExprP collapsed = collapse_chain(e, sigma)) return collapsed;
       // G5 applies to rearranges even without inner SOACs.
       if (auto* ra = e->as<RearrangeE>()) {
-        return rearrange_case(*ra, e, sigma, level, env);
+        return rearrange_case(*ra, e, sigma, level);
       }
       trace::count("flatten.rule.G1");
       return manifest(sigma, level, e);
     }
 
-    if (auto* l = e->as<LetE>()) return let_case(*l, sigma, level, env);
-    if (auto* m = e->as<MapE>()) return map_case(*m, sigma, level, env);
-    if (auto* s = e->as<ScanE>()) return scan_case(*s, sigma, level, env);
-    if (auto* sm = e->as<ScanomapE>()) {
-      return scanomap_case(*sm, sigma, level, env);
-    }
-    if (auto* r = e->as<ReduceE>()) return reduce_case(*r, sigma, level, env);
+    if (auto* l = e->as<LetE>()) return let_case(*l, sigma, level);
+    if (auto* m = e->as<MapE>()) return map_case(*m, sigma, level);
+    if (auto* s = e->as<ScanE>()) return scan_case(*s, sigma, level);
+    if (auto* sm = e->as<ScanomapE>()) return scanomap_case(*sm, sigma, level);
+    if (auto* r = e->as<ReduceE>()) return reduce_case(*r, sigma, level);
     if (auto* rm = e->as<RedomapE>()) {
-      return redomap_case(*rm, e, sigma, level, env);
+      return redomap_case(*rm, e, sigma, level);
     }
-    if (auto* lp = e->as<LoopE>()) {
-      return loop_case(*lp, e, sigma, level, env);
-    }
-    if (auto* i = e->as<IfE>()) return if_case(*i, e, sigma, level, env);
+    if (auto* lp = e->as<LoopE>()) return loop_case(*lp, e, sigma, level);
+    if (auto* i = e->as<IfE>()) return if_case(*i, e, sigma, level);
     if (auto* ra = e->as<RearrangeE>()) {
-      return rearrange_case(*ra, e, sigma, level, env);
+      return rearrange_case(*ra, e, sigma, level);
     }
     if (auto* t = e->as<TupleE>()) {
       std::vector<ExprP> elems;
       std::vector<Type> ts;
       for (const auto& x : t->elems) {
-        elems.push_back(transform(sigma, level, x, env));
+        elems.push_back(transform(sigma, level, x));
         ts.push_back(elems.back()->type());
       }
       return mk(TupleE{std::move(elems)}, std::move(ts));
@@ -314,17 +314,16 @@ struct Flattener {
   // G6: let-distribution.  Sequential bindings are sunk (substituted) into
   // the body; parallel bindings are flattened under sigma and their results
   // threaded through the context as expanded arrays.
-  ExprP let_case(const LetE& l, const SegSpace& sigma, int level,
-                 TypeEnv env) {
+  ExprP let_case(const LetE& l, const SegSpace& sigma, int level) {
     if (sigma.empty()) {
-      ExprP rhs2 = transform(sigma, level, l.rhs, env);
-      TypeEnv env2 = env;
+      ExprP rhs2 = transform(sigma, level, l.rhs);
       INCFLAT_CHECK(l.rhs->types.size() == l.vars.size(),
                     "let arity in flatten");
+      const Scope scope(env);
       for (size_t i = 0; i < l.vars.size(); ++i) {
-        env2[l.vars[i]] = l.rhs->types[i];
+        env.bind(l.vars[i], l.rhs->types[i]);
       }
-      ExprP body2 = transform(sigma, level, l.body, env2);
+      ExprP body2 = transform(sigma, level, l.body);
       return typed_let(l.vars, rhs2, body2);
     }
 
@@ -356,52 +355,49 @@ struct Flattener {
           }
         } else {
           // Sequential multi-result rhs (e.g. a loop): distribute instead.
-          return distribute_binding(l, sigma, level, env);
+          return distribute_binding(l, sigma, level);
         }
-        return transform(sigma, level, subst_vars(l.body, sub), env);
+        return transform(sigma, level, subst_vars(l.body, sub));
       }
-      return distribute_binding(l, sigma, level, env);
+      return distribute_binding(l, sigma, level);
     }
 
-    return distribute_binding(l, sigma, level, env);
+    return distribute_binding(l, sigma, level);
   }
 
-  ExprP distribute_binding(const LetE& l, const SegSpace& sigma, int level,
-                           TypeEnv env) {
+  ExprP distribute_binding(const LetE& l, const SegSpace& sigma, int level) {
     trace::count("flatten.rule.G6");
-    ExprP rhs2 = transform(sigma, level, l.rhs, env);
+    ExprP rhs2 = transform(sigma, level, l.rhs);
     INCFLAT_CHECK(l.rhs->types.size() == l.vars.size(),
                   "let arity in distribute");
     const std::vector<Dim> dims = space_dims(sigma);
-    TypeEnv env2 = env;
+    const Scope scope(env);
     SegSpace sigma2 = sigma;
     std::vector<std::string> tops;
     for (size_t i = 0; i < l.vars.size(); ++i) {
       std::string top = ng.fresh(l.vars[i] + "_exp");
-      env2[top] = l.rhs->types[i].expand(dims);
-      sigma2 = chain_through(sigma2, top, l.vars[i], env2);
+      env.bind(top, l.rhs->types[i].expand(dims));
+      sigma2 = chain_through(sigma2, top, l.vars[i]);
       tops.push_back(top);
     }
-    ExprP body2 = transform(sigma2, level, l.body, env2);
+    ExprP body2 = transform(sigma2, level, l.body);
     return typed_let(tops, rhs2, body2);
   }
 
   // G2 / G3 (and the moderate/full recursion) at a map.
-  ExprP map_case(const MapE& m, const SegSpace& sigma, int level,
-                 TypeEnv env) {
+  ExprP map_case(const MapE& m, const SegSpace& sigma, int level) {
+    const Scope scope(env);
     std::vector<std::pair<std::string, ExprP>> hoists;
-    TypeEnv env1 = env;
-    std::vector<std::string> arrs = ensure_vars(m.arrays, sigma, env1, hoists);
+    std::vector<std::string> arrs = ensure_vars(m.arrays, sigma, hoists);
     std::vector<std::string> params;
     for (const auto& p : m.f.params) params.push_back(p.name);
-    TypeEnv envp = env1;
-    SegSpace sigmap = add_level(sigma, params, arrs, envp);
+    SegSpace sigmap = add_level(sigma, params, arrs);
     const ExprP& body = m.f.body;
 
     if (!has_soacs(body)) {
       if (body->is<RearrangeE>()) {
         // Give rule G5 a chance to lift the rearrange out of the nest.
-        return wrap_hoists(hoists, transform(sigmap, level, body, envp));
+        return wrap_hoists(hoists, transform(sigmap, level, body));
       }
       // G2: body fully sequential; manifest the whole nest.
       trace::count("flatten.rule.G2");
@@ -410,7 +406,7 @@ struct Flattener {
 
     if (!incremental() || level == 0) {
       // Moderate / full / intra-group: continue flattening, no versioning.
-      return wrap_hoists(hoists, transform(sigmap, level, body, envp));
+      return wrap_hoists(hoists, transform(sigmap, level, body));
     }
 
     // G3: three guarded versions.
@@ -420,7 +416,7 @@ struct Flattener {
 
     // e_intra: the body flattened at the next hardware level down, with an
     // empty context (one workgroup per instance of the current nest).
-    ExprP e_intra_body = transform({}, level - 1, body, envp);
+    ExprP e_intra_body = transform({}, level - 1, body);
     ExprP e_middle;
     ExprP cmp_intra;
     if (has_segops(e_intra_body)) {
@@ -431,7 +427,7 @@ struct Flattener {
                               std::move(par_middle), std::move(fit_intra));
     }
 
-    ExprP e_flat = transform(sigmap, level, body, envp);
+    ExprP e_flat = transform(sigmap, level, body);
 
     ExprP guarded;
     if (!e_middle && same_ir(e_flat, e_top)) {
@@ -450,36 +446,32 @@ struct Flattener {
   }
 
   // Perfect scan nest -> segscan (both modes parallelise perfect scans).
-  ExprP scan_case(const ScanE& s, const SegSpace& sigma, int level,
-                  TypeEnv env) {
+  ExprP scan_case(const ScanE& s, const SegSpace& sigma, int level) {
     check_invariant_neutral(s.neutral, sigma);
+    const Scope scope(env);
     std::vector<std::pair<std::string, ExprP>> hoists;
-    TypeEnv env1 = env;
-    std::vector<std::string> arrs = ensure_vars(s.arrays, sigma, env1, hoists);
+    std::vector<std::string> arrs = ensure_vars(s.arrays, sigma, hoists);
     std::vector<std::string> params;
     for (size_t i = 0; i < arrs.size(); ++i) params.push_back(ng.fresh("e"));
-    TypeEnv envp = env1;
-    SegSpace sigmap = add_level(sigma, params, arrs, envp);
+    SegSpace sigmap = add_level(sigma, params, arrs);
     SegOpE so;
     so.op = SegOpE::Op::Scan;
     so.level = level;
     so.space = sigmap;
     so.combine = s.op;
     so.neutral = s.neutral;
-    so.body = elements(params, envp);
+    so.body = elements(params);
     return wrap_hoists(hoists, typed_segop(std::move(so)));
   }
 
-  ExprP scanomap_case(const ScanomapE& s, const SegSpace& sigma, int level,
-                      TypeEnv env) {
+  ExprP scanomap_case(const ScanomapE& s, const SegSpace& sigma, int level) {
     check_invariant_neutral(s.neutral, sigma);
+    const Scope scope(env);
     std::vector<std::pair<std::string, ExprP>> hoists;
-    TypeEnv env1 = env;
-    std::vector<std::string> arrs = ensure_vars(s.arrays, sigma, env1, hoists);
+    std::vector<std::string> arrs = ensure_vars(s.arrays, sigma, hoists);
     std::vector<std::string> params;
     for (const auto& p : s.mapf.params) params.push_back(p.name);
-    TypeEnv envp = env1;
-    SegSpace sigmap = add_level(sigma, params, arrs, envp);
+    SegSpace sigmap = add_level(sigma, params, arrs);
     SegOpE so;
     so.op = SegOpE::Op::Scan;
     so.level = level;
@@ -491,33 +483,31 @@ struct Flattener {
   }
 
   // G4 + perfect reduce nest -> segred.
-  ExprP reduce_case(const ReduceE& r, const SegSpace& sigma, int level,
-                    TypeEnv env) {
-    if (ExprP g4 = try_g4(r, env)) {
+  ExprP reduce_case(const ReduceE& r, const SegSpace& sigma, int level) {
+    if (ExprP g4 = try_g4(r)) {
       trace::count("flatten.rule.G4");
-      return transform(sigma, level, g4, env);
+      return transform(sigma, level, g4);
     }
     check_invariant_neutral(r.neutral, sigma);
+    const Scope scope(env);
     std::vector<std::pair<std::string, ExprP>> hoists;
-    TypeEnv env1 = env;
-    std::vector<std::string> arrs = ensure_vars(r.arrays, sigma, env1, hoists);
+    std::vector<std::string> arrs = ensure_vars(r.arrays, sigma, hoists);
     std::vector<std::string> params;
     for (size_t i = 0; i < arrs.size(); ++i) params.push_back(ng.fresh("e"));
-    TypeEnv envp = env1;
-    SegSpace sigmap = add_level(sigma, params, arrs, envp);
+    SegSpace sigmap = add_level(sigma, params, arrs);
     SegOpE so;
     so.op = SegOpE::Op::Red;
     so.level = level;
     so.space = sigmap;
     so.combine = r.op;
     so.neutral = r.neutral;
-    so.body = elements(params, envp);
+    so.body = elements(params);
     return wrap_hoists(hoists, typed_segop(std::move(so)));
   }
 
   /// G4: reduce (map g) (replicate k d) zss  ==>
   ///     map (reduce g d) (transpose zss); returns null if no match.
-  ExprP try_g4(const ReduceE& r, const TypeEnv& env) {
+  ExprP try_g4(const ReduceE& r) {
     if (r.arrays.size() != 1 || r.neutral.size() != 1) return nullptr;
     auto* repl = r.neutral[0]->as<ReplicateE>();
     if (!repl) return nullptr;
@@ -536,12 +526,12 @@ struct Flattener {
         ib::lam({ib::p(col, Type())},
                 ib::reduce(inner_map->f, {repl->elem}, {ib::var(col)})),
         ib::transpose(r.arrays[0]));
-    return typecheck_expr(rewritten, env);
+    return typecheck_expr(rewritten, env.bindings());
   }
 
   // Redomap: mode-dependent treatment (G9 under incremental flattening).
   ExprP redomap_case(const RedomapE& rm, const ExprP& e, const SegSpace& sigma,
-                     int level, TypeEnv env) {
+                     int level) {
     check_invariant_neutral(rm.neutral, sigma);
     const bool inner_par = has_soacs(rm.mapf.body);
 
@@ -551,29 +541,32 @@ struct Flattener {
         // tiling) — manifest the whole nest.
         return manifest(sigma, level, e);
       }
-      return segred_of(rm, sigma, level, env);
+      return segred_of(rm, sigma, level);
     }
 
     if (mode == FlattenMode::Full) {
-      if (inner_par) return decompose_redomap(rm, sigma, level, env);
-      return segred_of(rm, sigma, level, env);
+      if (inner_par) return decompose_redomap(rm, sigma, level);
+      return segred_of(rm, sigma, level);
     }
 
     // Incremental: the not-shown rule (no inner parallelism -> segred
     // directly), else G9.  At level 0 there is no hardware level below to
     // version against, so the redomap is decomposed unguarded.
-    if (!inner_par) return segred_of(rm, sigma, level, env);
-    if (level == 0) return decompose_redomap(rm, sigma, level, env);
+    if (!inner_par) return segred_of(rm, sigma, level);
+    if (level == 0) return decompose_redomap(rm, sigma, level);
 
     trace::count("flatten.rule.G9");
     trace::count("flatten.versions", 2);
-    TypeEnv envp = env;
     std::vector<std::pair<std::string, ExprP>> hoists;
-    std::vector<std::string> arrs = ensure_vars(rm.arrays, sigma, envp, hoists);
-    std::vector<std::string> params;
-    for (const auto& p : rm.mapf.params) params.push_back(p.name);
-    TypeEnv envb = envp;
-    SegSpace sigmap = add_level(sigma, params, arrs, envb);
+    SegSpace sigmap;
+    {
+      // The top version's names; the recursive arm sees none of them.
+      const Scope scope(env);
+      std::vector<std::string> arrs = ensure_vars(rm.arrays, sigma, hoists);
+      std::vector<std::string> params;
+      for (const auto& p : rm.mapf.params) params.push_back(p.name);
+      sigmap = add_level(sigma, params, arrs);
+    }
 
     SegOpE top;
     top.op = SegOpE::Op::Red;
@@ -585,7 +578,7 @@ struct Flattener {
     ExprP e_top = typed_segop(std::move(top));
 
     const std::string t = fresh_threshold("suff_outer_par");
-    ExprP e_rec = decompose_redomap(rm, sigma, level, env);
+    ExprP e_rec = decompose_redomap(rm, sigma, level);
 
     ExprP cmp = typed_guard(t, par_of_space(sigmap), SizeExpr{});
     return wrap_hoists(hoists, typed_if(cmp, e_top, e_rec));
@@ -594,7 +587,7 @@ struct Flattener {
   /// Decompose redomap ⊕ f d̄ x̄s into `let ys = map f xs in reduce ⊕ d̄ ys`
   /// and flatten the result (G9's recursive arm).
   ExprP decompose_redomap(const RedomapE& rm, const SegSpace& sigma,
-                          int level, const TypeEnv& env) {
+                          int level) {
     const std::vector<Type>& elem_tys = rm.mapf.body->types;
     const Dim outer = rm.arrays.at(0)->type().shape.at(0);
     std::vector<std::string> ys;
@@ -606,18 +599,16 @@ struct Flattener {
     ExprP ys_map = mk(MapE{rm.mapf, rm.arrays}, expand_all(elem_tys, {outer}));
     ExprP reduced = mk(ReduceE{rm.red, rm.neutral, std::move(yvars)}, elem_tys);
     ExprP decomposed = typed_let(std::move(ys), ys_map, std::move(reduced));
-    return transform(sigma, level, decomposed, env);
+    return transform(sigma, level, decomposed);
   }
 
-  ExprP segred_of(const RedomapE& rm, const SegSpace& sigma, int level,
-                  TypeEnv env) {
+  ExprP segred_of(const RedomapE& rm, const SegSpace& sigma, int level) {
+    const Scope scope(env);
     std::vector<std::pair<std::string, ExprP>> hoists;
-    TypeEnv env1 = env;
-    std::vector<std::string> arrs = ensure_vars(rm.arrays, sigma, env1, hoists);
+    std::vector<std::string> arrs = ensure_vars(rm.arrays, sigma, hoists);
     std::vector<std::string> params;
     for (const auto& p : rm.mapf.params) params.push_back(p.name);
-    TypeEnv envp = env1;
-    SegSpace sigmap = add_level(sigma, params, arrs, envp);
+    SegSpace sigmap = add_level(sigma, params, arrs);
     SegOpE so;
     so.op = SegOpE::Op::Red;
     so.level = level;
@@ -630,17 +621,17 @@ struct Flattener {
 
   // G7: interchange a map-nest context into a loop.
   ExprP loop_case(const LoopE& lp, const ExprP& e, const SegSpace& sigma,
-                  int level, TypeEnv env) {
+                  int level) {
     if (sigma.empty()) {
       // Host level: flatten the body; the loop itself stays sequential.
-      TypeEnv env2 = env;
+      const Scope scope(env);
       std::vector<Type> ptys;
       for (size_t i = 0; i < lp.params.size(); ++i) {
         ptys.push_back(lp.inits[i]->type());
-        env2[lp.params[i]] = ptys.back();
+        env.bind(lp.params[i], ptys.back());
       }
-      env2[lp.ivar] = Type::scalar(Scalar::I64);
-      ExprP body2 = transform(sigma, level, lp.body, env2);
+      env.bind(lp.ivar, Type::scalar(Scalar::I64));
+      ExprP body2 = transform(sigma, level, lp.body);
       return mk(LoopE{lp.params, lp.inits, lp.ivar, lp.count, body2}, ptys);
     }
 
@@ -654,23 +645,27 @@ struct Flattener {
     }
 
     trace::count("flatten.rule.G7");
-    const std::vector<Dim> dims = space_dims(sigma);
-    TypeEnv env2 = env;
-    SegSpace sigma2 = sigma;
-    std::vector<std::string> new_params;
+    // Every initialiser is expanded in the pre-loop environment, before
+    // any loop name is bound.
     std::vector<ExprP> new_inits;
     std::vector<Type> new_tys;
     for (size_t i = 0; i < lp.params.size(); ++i) {
+      new_inits.push_back(expand_init(lp.inits[i], sigma));
+      new_tys.push_back(new_inits.back()->type());
+    }
+    const std::vector<Dim> dims = space_dims(sigma);
+    const Scope scope(env);
+    SegSpace sigma2 = sigma;
+    std::vector<std::string> new_params;
+    for (size_t i = 0; i < lp.params.size(); ++i) {
       const Type init_ty = lp.inits[i]->type();
       std::string top = ng.fresh(lp.params[i] + "_exp");
-      env2[top] = init_ty.expand(dims);
+      env.bind(top, init_ty.expand(dims));
       new_params.push_back(top);
-      new_inits.push_back(expand_init(lp.inits[i], sigma, env));
-      new_tys.push_back(new_inits.back()->type());
-      sigma2 = chain_through(sigma2, top, lp.params[i], env2);
+      sigma2 = chain_through(sigma2, top, lp.params[i]);
     }
-    env2[lp.ivar] = Type::scalar(Scalar::I64);
-    ExprP body2 = transform(sigma2, level, lp.body, env2);
+    env.bind(lp.ivar, Type::scalar(Scalar::I64));
+    ExprP body2 = transform(sigma2, level, lp.body);
     return mk(LoopE{new_params, new_inits, lp.ivar, lp.count, body2},
               std::move(new_tys));
   }
@@ -678,8 +673,7 @@ struct Flattener {
   /// The expansion z^r of a loop initialiser across the context (rule G7):
   /// context-bound chains resolve to the underlying whole array; invariant
   /// values are replicated over the context's dimensions.
-  ExprP expand_init(const ExprP& init, const SegSpace& sigma,
-                    const TypeEnv& env) {
+  ExprP expand_init(const ExprP& init, const SegSpace& sigma) const {
     if (auto* v = init->as<VarE>()) {
       // Chase binder chains from the innermost level outwards.
       std::string name = v->name;
@@ -719,11 +713,11 @@ struct Flattener {
 
   // G8: push the context's innermost map into invariant branches
   // (incremental and full flattening only; moderate manifests).
-  ExprP if_case(const IfE& i, const ExprP& e, const SegSpace& sigma, int level,
-                TypeEnv env) {
+  ExprP if_case(const IfE& i, const ExprP& e, const SegSpace& sigma,
+                int level) {
     if (sigma.empty()) {
-      ExprP t = transform(sigma, level, i.then_e, env);
-      ExprP f = transform(sigma, level, i.else_e, env);
+      ExprP t = transform(sigma, level, i.then_e);
+      ExprP f = transform(sigma, level, i.else_e);
       return typed_if(i.cond, t, f);
     }
     if (mode == FlattenMode::Moderate) return manifest(sigma, level, e);
@@ -746,7 +740,7 @@ struct Flattener {
       const Dim dim = arrays.at(0)->type().shape.at(0);
       ExprP m = mk(MapE{Lambda{params, branch}, arrays},
                    expand_all(branch->types, {dim}));
-      return transform(outer, level, m, env);
+      return transform(outer, level, m);
     };
     ExprP t = remap(i.then_e);
     ExprP f = remap(i.else_e);
@@ -756,7 +750,7 @@ struct Flattener {
   // G5: rearrange of the innermost context-bound array becomes a rearrange
   // of the whole array one level up.
   ExprP rearrange_case(const RearrangeE& ra, const ExprP& e,
-                       const SegSpace& sigma, int level, TypeEnv env) {
+                       const SegSpace& sigma, int level) {
     if (sigma.empty()) return e;  // plain metadata op at host level
     auto* v = ra.e->as<VarE>();
     if (v) {
@@ -769,8 +763,9 @@ struct Flattener {
         std::vector<int> perm{0};
         for (int k : ra.perm) perm.push_back(1 + k);
         SegSpace outer(sigma.begin(), sigma.end() - 1);
-        ExprP lifted = typecheck_expr(ib::rearrange(perm, ib::var(arr)), env);
-        return transform(outer, level, lifted, env);
+        ExprP lifted =
+            typecheck_expr(ib::rearrange(perm, ib::var(arr)), env.bindings());
+        return transform(outer, level, lifted);
       }
     }
     return manifest(sigma, level, e);
@@ -794,12 +789,13 @@ ExprP transform_program(const Program& anf, FlattenMode mode) {
   Flattener fl;
   fl.mode = mode;
 
-  TypeEnv env;
-  for (const auto& in : anf.inputs) env[in.name] = in.type;
-  for (const auto& sp : anf.size_params()) env[sp] = Type::scalar(Scalar::I64);
+  for (const auto& in : anf.inputs) fl.env.bind(in.name, in.type);
+  for (const auto& sp : anf.size_params()) {
+    fl.env.bind(sp, Type::scalar(Scalar::I64));
+  }
 
   // Flattening starts at the GPU grid level (l = 1) with an empty context.
-  ExprP body = fl.transform({}, 1, anf.body, env);
+  ExprP body = fl.transform({}, 1, anf.body);
   if (trace::enabled()) {
     trace::count("flatten.thresholds",
                  static_cast<int64_t>(ThresholdRegistry(body).size()));

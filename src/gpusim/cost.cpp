@@ -224,22 +224,22 @@ struct CostWalker {
         env[lp->params[i]] = lp->inits[i]->types.at(0);
       }
       env[lp->ivar] = Type::scalar(Scalar::I64);
-      const double trips =
-          static_cast<double>(eval_size_scalar(lp->count, sizes));
+      const int64_t count = eval_size_scalar(lp->count, sizes);
+      const double trips = static_cast<double>(count);
       const int64_t k0 = out.kernel_launches;
       const Work w0 = out.total;
       const size_t kc0 = out.kernels.size();
       double body_t = host(lp->body);
-      // Scale the body's contribution by the trip count.
-      out.kernel_launches = k0 + (out.kernel_launches - k0) *
-                                     static_cast<int64_t>(trips);
+      // Scale the body's contribution by the trip count; launches saturate.
+      out.kernel_launches = saturating_add(
+          k0, saturating_mul(out.kernel_launches - k0, count));
       Work dw = out.total;
       dw.flops = w0.flops + (dw.flops - w0.flops) * trips;
       dw.gbytes = w0.gbytes + (dw.gbytes - w0.gbytes) * trips;
       dw.lbytes = w0.lbytes + (dw.lbytes - w0.lbytes) * trips;
       out.total = dw;
       for (size_t k = kc0; k < out.kernels.size(); ++k) {
-        out.kernels[k].what += " x" + std::to_string(static_cast<int64_t>(trips));
+        out.kernels[k].what += " x" + std::to_string(count);
       }
       return t + body_t * trips;
     }
@@ -254,7 +254,8 @@ struct CostWalker {
       CostWalker b{dev, sizes, thr, {}, env};
       const double ta = a.host(i->then_e), tb = b.host(i->else_e);
       CostWalker& worse = ta >= tb ? a : b;
-      out.kernel_launches += worse.out.kernel_launches;
+      out.kernel_launches =
+          saturating_add(out.kernel_launches, worse.out.kernel_launches);
       out.total += worse.out.total;
       out.kernels.insert(out.kernels.end(), worse.out.kernels.begin(),
                          worse.out.kernels.end());
@@ -307,7 +308,7 @@ struct CostWalker {
                       int64_t threads, int launches,
                       bool local_fallback = false) {
     const double t = roofline_time(dev, w, threads, launches);
-    out.kernel_launches += launches;
+    out.kernel_launches = saturating_add(out.kernel_launches, launches);
     out.total += w;
     out.kernels.push_back(KernelCost{what, t, threads, w, local_fallback});
     return t;

@@ -2,9 +2,27 @@
 
 #include <set>
 
+#include "src/ir/traverse.h"
 #include "src/support/error.h"
 
 namespace incflat {
+
+Expr::Expr(ExprNode n) : node(std::move(n)) { set_facts(); }
+
+Expr::Expr(ExprNode n, std::vector<Type> ts)
+    : node(std::move(n)), types(std::move(ts)) {
+  set_facts();
+}
+
+void Expr::set_facts() {
+  for_each_child(*this, [this](const Child& c) {
+    if (!c.expr) return;
+    const Expr& x = *c.expr;
+    const bool segop = x.is<SegOpE>();
+    segops_below_ = segops_below_ || segop || x.segops_below_;
+    soacs_below_ = soacs_below_ || segop || is_soac(x) || x.soacs_below_;
+  });
+}
 
 const Type& Expr::type() const {
   INCFLAT_CHECK(types.size() == 1,

@@ -198,9 +198,8 @@ struct Expr {
   ExprNode node;
   std::vector<Type> types;
 
-  explicit Expr(ExprNode n) : node(std::move(n)) {}
-  Expr(ExprNode n, std::vector<Type> ts)
-      : node(std::move(n)), types(std::move(ts)) {}
+  explicit Expr(ExprNode n);
+  Expr(ExprNode n, std::vector<Type> ts);
 
   template <typename T>
   const T* as() const {
@@ -213,6 +212,20 @@ struct Expr {
 
   /// The single result type; throws if the node has != 1 results.
   const Type& type() const;
+
+  /// Structural facts about the children (traverse.h's for_each_child) and
+  /// everything below them: a source SOAC or a seg-op, and a seg-op.  The
+  /// constructor sets them once from the children's kinds and facts; a
+  /// node is immutable once shared, so they never go stale.  has_soacs and
+  /// has_segops (traverse.h) read them.
+  bool soacs_below() const { return soacs_below_; }
+  bool segops_below() const { return segops_below_; }
+
+ private:
+  void set_facts();
+
+  bool soacs_below_ = false;
+  bool segops_below_ = false;
 };
 
 /// Allocate an expression node (untyped; run the type checker to fill types).

@@ -265,41 +265,41 @@ bool same_ir(const ExprP& a, const ExprP& b) {
 
 namespace {
 
-void fv(const ExprP& e, const std::set<std::string>& bound,
-        std::set<std::string>& out) {
+void fv(const ExprP& e, BoundNames& bound, std::set<std::string>& out) {
   if (!e) return;
-  auto dim = [&](const Dim& d, const std::set<std::string>& b) {
-    if (!d.is_const() && !b.count(d.var)) out.insert(d.var);
+  auto dim = [&](const Dim& d) {
+    if (!d.is_const() && !bound.contains(d.var)) out.insert(d.var);
   };
   if (auto* v = e->as<VarE>()) {
-    if (!bound.count(v->name)) out.insert(v->name);
+    if (!bound.contains(v->name)) out.insert(v->name);
     return;
   }
-  if (auto* io = e->as<IotaE>()) return dim(io->count, bound);
+  if (auto* io = e->as<IotaE>()) return dim(io->count);
   if (auto* tc = e->as<ThresholdCmpE>()) {
     for (const auto& alt : tc->par.alts) {
-      for (const auto& d : alt.vars) dim(d, bound);
+      for (const auto& d : alt.vars) dim(d);
     }
     return;
   }
   if (auto* rp = e->as<ReplicateE>()) {
-    dim(rp->count, bound);
+    dim(rp->count);
   } else if (auto* so = e->as<SegOpE>()) {
     // Each level's source arrays and dimension see the outer levels' params.
-    std::set<std::string> outer = bound;
+    const size_t outer = bound.size();
     for (const auto& lvl : so->space) {
       for (const auto& a : lvl.arrays) {
-        if (!outer.count(a)) out.insert(a);
+        if (!bound.contains(a)) out.insert(a);
       }
-      dim(lvl.dim, outer);
-      outer.insert(lvl.params.begin(), lvl.params.end());
+      dim(lvl.dim);
+      for (const auto& p : lvl.params) bound.push(p);
     }
+    bound.pop_to(outer);
   }
   for_each_child(*e, [&](const Child& c) {
-    if (c.binds.empty()) return fv(c.expr, bound, out);
-    std::set<std::string> inner = bound;
-    c.binds.each([&](const std::string& n) { inner.insert(n); });
-    fv(c.expr, inner, out);
+    const size_t outer = bound.size();
+    bound.push(c.binds);
+    fv(c.expr, bound, out);
+    bound.pop_to(outer);
   });
 }
 
@@ -318,13 +318,13 @@ bool any_node(const ExprP& e, Pred& pred) {  // NOLINT(misc-no-recursion)
 
 std::set<std::string> free_vars(const ExprP& e) {
   std::set<std::string> out;
-  fv(e, {}, out);
+  BoundNames bound;
+  fv(e, bound, out);
   return out;
 }
 
 bool has_soacs(const ExprP& e) {
-  auto pred = [](const Expr& x) { return is_soac(x) || x.is<SegOpE>(); };
-  return any_node(e, pred);
+  return e && (e->soacs_below() || is_soac(*e) || e->is<SegOpE>());
 }
 
 ExprP subst_vars(const ExprP& e, const std::map<std::string, ExprP>& sub) {
@@ -368,8 +368,7 @@ int64_t count_segops(const ExprP& e) {
 }
 
 bool has_segops(const ExprP& e) {
-  auto pred = [](const Expr& x) { return x.is<SegOpE>(); };
-  return any_node(e, pred);
+  return e && (e->segops_below() || e->is<SegOpE>());
 }
 
 }  // namespace incflat

@@ -10,9 +10,12 @@
 // interpreter, the printer, normalize, the flattening rules, the cost
 // walker and the plan builder keep their own recursion: their visit order
 // or per-kind rebuild decides their output.  same_ir adds one exhaustive
-// visit of its own, over the fields that are not children.
+// visit of its own, over the fields that are not children.  Expr's
+// constructor reads the same listing once per node to set the facts that
+// make has_soacs and has_segops O(1).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -160,6 +163,28 @@ ExprP map_children(const ExprP& e, F&& f) {
 /// G3's degenerate case).
 bool same_ir(const ExprP& a, const ExprP& b);
 
+/// The names bound around a point of a walk, innermost last, held as
+/// pointers into the IR being walked.  A binder pushes its names before it
+/// walks a child and pops back to the old size after; scopes are a few
+/// names deep, so membership is a linear scan and no scope copies a set.
+class BoundNames {
+ public:
+  size_t size() const { return names_.size(); }
+  void push(const std::string& name) { names_.push_back(&name); }
+  void push(const Binders& b) {
+    b.each([this](const std::string& name) { push(name); });
+  }
+  /// Unbinds every name pushed since the size was `n`.
+  void pop_to(size_t n) { names_.resize(n); }
+  bool contains(const std::string& name) const {
+    return std::any_of(names_.begin(), names_.end(),
+                       [&](const std::string* n) { return *n == name; });
+  }
+
+ private:
+  std::vector<const std::string*> names_;
+};
+
 /// Free variable names of `e`.  Size variables inside Dims (iota/replicate
 /// counts) are included, since datasets bind them in the value environment
 /// too.  Names bound by lambdas, lets, loops, and seg-space binders are
@@ -168,7 +193,8 @@ std::set<std::string> free_vars(const ExprP& e);
 
 /// True if `e` contains any source-language SOAC (map/reduce/scan/redomap/
 /// scanomap) or target seg-op anywhere, including inside lambdas.  This is
-/// the "has inner SOACs" test of rules G2/G3.
+/// the "has inner SOACs" test of rules G2/G3.  O(1): it reads the facts the
+/// node's constructor set; false for null.
 bool has_soacs(const ExprP& e);
 
 /// Substitute expressions for free variables (used by the flattening pass to
@@ -183,7 +209,7 @@ int64_t count_nodes(const ExprP& e);
 /// Number of seg-op nodes (generated kernel versions metric).
 int64_t count_segops(const ExprP& e);
 
-/// True if `e` contains a seg-op; stops at the first one.
+/// True if `e` contains a seg-op.  O(1), like has_soacs; false for null.
 bool has_segops(const ExprP& e);
 
 }  // namespace incflat

@@ -1,6 +1,8 @@
 #include "src/ir/type.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/support/checked.h"
 #include "src/support/error.h"
@@ -99,6 +101,45 @@ std::string Type::str() const {
   for (const auto& d : shape) os << "[" << d.str() << "]";
   os << scalar_name(elem);
   return os.str();
+}
+
+void ScopedTypeEnv::bind(const std::string& name, Type t) {
+  auto it = env_.lower_bound(name);
+  if (it == env_.end() || it->first != name) {
+    undo_.push_back({env_.emplace_hint(it, name, std::move(t)), {}});
+  } else {
+    undo_.push_back({it, std::exchange(it->second, std::move(t))});
+  }
+}
+
+const Type* ScopedTypeEnv::find(const std::string& name) const {
+  auto it = env_.find(name);
+  return it == env_.end() ? nullptr : &it->second;
+}
+
+void ScopedTypeEnv::restore(size_t m) {
+  while (undo_.size() > m) {
+    Undo& u = undo_.back();
+    if (u.old) {
+      u.at->second = std::move(*u.old);
+    } else {
+      env_.erase(u.at);
+    }
+    undo_.pop_back();
+  }
+}
+
+const std::string* ScopedTypeEnv::rebound_since(size_t m) const {
+  const std::string* bad = nullptr;
+  const auto first = undo_.begin() + static_cast<std::ptrdiff_t>(m);
+  for (auto u = first; u != undo_.end(); ++u) {
+    if (!u->old || u->at->second == *u->old) continue;
+    // A later record of a name holds a type bound since the mark.
+    const bool earliest = std::none_of(
+        first, u, [&](const Undo& v) { return v.at == u->at; });
+    if (earliest && (!bad || u->at->first < *bad)) bad = &u->at->first;
+  }
+  return bad;
 }
 
 }  // namespace incflat

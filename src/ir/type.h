@@ -7,8 +7,10 @@
 // variables to integers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,7 +89,66 @@ struct Type {
 };
 
 /// Mapping from variable names to their types; threaded through the type
-/// checker and the flattening pass.
+/// checker.
 using TypeEnv = std::map<std::string, Type>;
+
+/// One TypeEnv that a walk binds into and unbinds from in place: bind()
+/// records what it overwrote in an undo log, and restore(m) undoes every
+/// binding made since mark m, newest first.  A walk that marks on entering
+/// a scope and restores on leaving it sees at every point exactly the
+/// bindings a copy of the environment per scope would hold, without the
+/// copies.  The flattening transform and the plan builder each walk with
+/// one.
+class ScopedTypeEnv {
+ public:
+  /// Binds `name` to `t`, shadowing the type it had, if any.
+  void bind(const std::string& name, Type t);
+
+  /// The type `name` is bound to, or null.
+  const Type* find(const std::string& name) const;
+
+  /// The type `name` is bound to; throws std::out_of_range if unbound.
+  const Type& at(const std::string& name) const { return env_.at(name); }
+
+  /// Every binding in scope.
+  const TypeEnv& bindings() const { return env_; }
+
+  size_t mark() const { return undo_.size(); }
+
+  /// Undoes every binding made since mark `m`.
+  void restore(size_t m);
+
+  /// The least name, in name order, that was bound at mark `m` and now has
+  /// a different type; null if none.  Reads only the records made since
+  /// `m`: a name's first record since then holds its type at the mark.
+  const std::string* rebound_since(size_t m) const;
+
+  /// Undoes, when it goes out of scope, every binding made since it was
+  /// constructed; restores on every return path, exceptions included.
+  class Scope {
+   public:
+    explicit Scope(ScopedTypeEnv& env) : env_(env), mark_(env.mark()) {}
+    ~Scope() { env_.restore(mark_); }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    ScopedTypeEnv& env_;
+    size_t mark_;
+  };
+
+ private:
+  /// One binding: the entry it wrote and the type the name had before
+  /// (none if the binding inserted it).  A std::map iterator stays valid
+  /// until its own record is undone, because restore undoes records newest
+  /// first and erases only entries their records inserted.
+  struct Undo {
+    TypeEnv::iterator at;
+    std::optional<Type> old;
+  };
+
+  TypeEnv env_;
+  std::vector<Undo> undo_;
+};
 
 }  // namespace incflat

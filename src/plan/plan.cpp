@@ -4,6 +4,7 @@
 #include <iterator>
 #include <sstream>
 
+#include "src/support/checked.h"
 #include "src/support/error.h"
 
 namespace incflat {
@@ -144,7 +145,7 @@ struct Descent {
     const KernelDesc& d = plan.kernels[static_cast<size_t>(k)];
     const auto& pk = cache.kernel(k);
     if (est) {
-      est->kernel_launches += d.launches;
+      est->kernel_launches = saturating_add(est->kernel_launches, d.launches);
       est->total += pk.work;
       est->kernels.push_back(
           KernelCost{d.what, pk.time_us, pk.threads, pk.work, pk.fallback});
@@ -173,7 +174,8 @@ struct Descent {
     const bool then_worse = ta >= tb;
     if (est) {
       const RunEstimate& worse = then_worse ? ea : eb;
-      est->kernel_launches += worse.kernel_launches;
+      est->kernel_launches =
+          saturating_add(est->kernel_launches, worse.kernel_launches);
       est->total += worse.total;
       est->kernels.insert(est->kernels.end(), worse.kernels.begin(),
                           worse.kernels.end());
@@ -197,23 +199,23 @@ struct Descent {
     const size_t s0 = sched ? sched->size() : 0;
     const double body_t = node(n.child);
     if (est) {
-      est->kernel_launches =
-          k0 + (est->kernel_launches - k0) * static_cast<int64_t>(trips);
+      // Launches saturate, as the walker's do.
+      est->kernel_launches = saturating_add(
+          k0, saturating_mul(est->kernel_launches - k0, count));
       Work dw = est->total;
       dw.flops = w0.flops + (dw.flops - w0.flops) * trips;
       dw.gbytes = w0.gbytes + (dw.gbytes - w0.gbytes) * trips;
       dw.lbytes = w0.lbytes + (dw.lbytes - w0.lbytes) * trips;
       est->total = dw;
       for (size_t k = kc0; k < est->kernels.size(); ++k) {
-        est->kernels[k].what +=
-            " x" + std::to_string(static_cast<int64_t>(trips));
+        est->kernels[k].what += " x" + std::to_string(count);
       }
     }
     if (sched) {
       for (size_t i = s0; i < sched->size(); ++i) {
         LaunchInfo& li = (*sched)[i];
         li.time_us *= trips;
-        li.launches *= count;
+        li.launches = saturating_mul(li.launches, count);
         li.what += " x" + std::to_string(count);
       }
     }

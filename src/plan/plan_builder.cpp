@@ -17,11 +17,12 @@
 // build with a CompilerError, as does a branch that rebinds a name.
 //
 // The walker copies its type environment at every branch and kernel; the
-// builder keeps one TypeEnv and an undo log instead (bind/mark/restore),
-// which leaves the same bindings visible at every point of the walk.
+// builder keeps one ScopedTypeEnv (src/ir/type.h) instead, marking and
+// restoring it where the walker copies, which leaves the same bindings
+// visible at every point of the walk.  Names private to a kernel walk sit
+// on a BoundNames stack (src/ir/traverse.h) the same way.
 
 #include <algorithm>
-#include <optional>
 #include <set>
 #include <utility>
 
@@ -53,48 +54,9 @@ struct SymWork {
 struct Builder {
   KernelPlan& plan;
   CostArena& A;
-  TypeEnv env;
-
-  using Privates = std::set<std::string>;
+  ScopedTypeEnv env;
 
   explicit Builder(KernelPlan& p) : plan(p), A(p.arena) {}
-
-  // ------------------------------------------------------ type environment
-
-  /// One binding made since some mark: the entry it wrote and the type the
-  /// name had before (none if the binding inserted it).  A std::map
-  /// iterator stays valid until its own record is undone, because restore
-  /// undoes records newest first and erases only entries their records
-  /// inserted.
-  struct Undo {
-    TypeEnv::iterator at;
-    std::optional<Type> old;
-  };
-  std::vector<Undo> undo_;
-
-  void bind(const std::string& name, Type t) {
-    auto it = env.lower_bound(name);
-    if (it == env.end() || it->first != name) {
-      undo_.push_back({env.emplace_hint(it, name, std::move(t)), {}});
-    } else {
-      undo_.push_back({it, std::exchange(it->second, std::move(t))});
-    }
-  }
-
-  size_t mark() const { return undo_.size(); }
-
-  /// Undo every binding made since `m`.
-  void restore(size_t m) {
-    while (undo_.size() > m) {
-      Undo& u = undo_.back();
-      if (u.old) {
-        u.at->second = std::move(*u.old);
-      } else {
-        env.erase(u.at);
-      }
-      undo_.pop_back();
-    }
-  }
 
   /// Where a guard being added sits: its nearest enclosing guard and arm.
   int guard_parent_ = -1;
@@ -272,9 +234,10 @@ struct Builder {
 
   // ------------------------------------------------- sequential (per-thread)
 
-  /// Mirrors CostWalker::seqp.  `tile_div` is an F node.  `priv` is copied
-  /// only at the binders that add names to it.
-  SymWork seqp(const ExprP& e, int tile_div, const Privates& priv) {
+  /// Mirrors CostWalker::seqp.  `tile_div` is an F node.  `priv` holds the
+  /// names bound inside the kernel around `e`; a binder pushes its names
+  /// for its body and pops them after.
+  SymWork seqp(const ExprP& e, int tile_div, BoundNames& priv) {
     if (!e) return wzero();
     if (e->is<ThresholdCmpE>()) guard_in_kernel();
     SymWork w = wzero();
@@ -296,27 +259,28 @@ struct Builder {
                        seqp(i->else_e, tile_div, priv)));
       return w;
     }
+    const size_t outer = priv.size();
     if (auto* l = e->as<LetE>()) {
       w = seqp(l->rhs, tile_div, priv);
-      Privates priv2 = priv;
-      priv2.insert(l->vars.begin(), l->vars.end());
-      w = wadd(w, seqp(l->body, tile_div, priv2));
+      for (const auto& v : l->vars) priv.push(v);
+      w = wadd(w, seqp(l->body, tile_div, priv));
+      priv.pop_to(outer);
       return w;
     }
     if (auto* lp = e->as<LoopE>()) {
       for (const auto& in : lp->inits) w = wadd(w, seqp(in, tile_div, priv));
       const int trips = A.i2f(size_scalar_i(lp->count));
-      Privates priv2 = priv;
-      priv2.insert(lp->params.begin(), lp->params.end());
-      priv2.insert(lp->ivar);
-      w = wadd(w, wscale(seqp(lp->body, tile_div, priv2), trips));
+      for (const auto& p : lp->params) priv.push(p);
+      priv.push(lp->ivar);
+      w = wadd(w, wscale(seqp(lp->body, tile_div, priv), trips));
+      priv.pop_to(outer);
       return w;
     }
     if (auto* m = e->as<MapE>()) {
       const int n = A.i2f(soac_len_i(m->arrays));
-      Privates priv2 = priv;
-      for (const auto& p : m->f.params) priv2.insert(p.name);
-      SymWork body = seqp(m->f.body, tile_div, priv2);
+      for (const auto& p : m->f.params) priv.push(p.name);
+      SymWork body = seqp(m->f.body, tile_div, priv);
+      priv.pop_to(outer);
       body = wadd(body, read_work(m->arrays, priv, tile_div));
       body.gbytes = A.addf(body.gbytes, bytes_of_rows_f(e->types));
       return wscale(body, n);
@@ -336,9 +300,9 @@ struct Builder {
     }
     if (auto* rm = e->as<RedomapE>()) {
       const int n = A.i2f(soac_len_i(rm->arrays));
-      Privates priv2 = priv;
-      for (const auto& p : rm->mapf.params) priv2.insert(p.name);
-      SymWork body = seqp(rm->mapf.body, tile_div, priv2);
+      for (const auto& p : rm->mapf.params) priv.push(p.name);
+      SymWork body = seqp(rm->mapf.body, tile_div, priv);
+      priv.pop_to(outer);
       body = wadd(body, seqp(rm->red.body, tile_div, priv));
       body = wadd(body,
                   read_work(rm->arrays, priv,
@@ -347,9 +311,9 @@ struct Builder {
     }
     if (auto* sm = e->as<ScanomapE>()) {
       const int n = A.i2f(soac_len_i(sm->arrays));
-      Privates priv2 = priv;
-      for (const auto& p : sm->mapf.params) priv2.insert(p.name);
-      SymWork body = seqp(sm->mapf.body, tile_div, priv2);
+      for (const auto& p : sm->mapf.params) priv.push(p.name);
+      SymWork body = seqp(sm->mapf.body, tile_div, priv);
+      priv.pop_to(outer);
       body = wadd(body, seqp(sm->red.body, tile_div, priv));
       body = wadd(body, read_work(sm->arrays, priv, tile_div));
       body.gbytes = A.addf(body.gbytes, bytes_of_rows_f(e->types));
@@ -367,7 +331,7 @@ struct Builder {
       w = seqp(ix->arr, tile_div, priv);
       for (const auto& i : ix->idxs) w = wadd(w, seqp(i, tile_div, priv));
       auto* av = ix->arr->as<VarE>();
-      if (av && priv.count(av->name)) {
+      if (av && priv.contains(av->name)) {
         w.gbytes = A.addf(w.gbytes, bytes_of_f(e->types));
       } else {
         w.gbytes = A.addf(w.gbytes, A.divf(bytes_of_f(e->types), tile_div));
@@ -381,15 +345,21 @@ struct Builder {
     INCFLAT_FAIL("plan seq cost: parallel construct in sequential context");
   }
 
+  /// seqp over a whole kernel-level expression, with no private names yet.
+  SymWork seq(const ExprP& e, int tile_div) {
+    BoundNames priv;
+    return seqp(e, tile_div, priv);
+  }
+
   /// Mirrors CostWalker::read_work.
-  SymWork read_work(const std::vector<ExprP>& arrays, const Privates& priv,
+  SymWork read_work(const std::vector<ExprP>& arrays, const BoundNames& priv,
                     int tile_div) {
     SymWork w = wzero();
     for (const auto& a : arrays) {
       if (a->is<IotaE>()) continue;
       const int b = bytes_of_f(a->type().row());
       auto* av = a->as<VarE>();
-      if (av && priv.count(av->name)) {
+      if (av && priv.contains(av->name)) {
         w.gbytes = A.addf(w.gbytes, b);
       } else {
         w.gbytes = A.addf(w.gbytes, A.divf(b, tile_div));
@@ -403,22 +373,11 @@ struct Builder {
   /// A branch of the walk that rebinds an already-typed name to a different
   /// type would make later lookups branch-dependent, which a tree cannot
   /// express; the flattener never emits such programs, but guard against it.
-  /// Reads only the bindings made since mark `m`: a name bound at the mark
-  /// has its old type in its first record since then, and must hold it
-  /// still.  Reports the first such name in name order.
+  /// Reports the first such name since mark `m` in name order.
   void check_no_rebind(size_t m) {
-    const std::string* bad = nullptr;
-    for (size_t i = m; i < undo_.size(); ++i) {
-      const Undo& u = undo_[i];
-      if (!u.old || u.at->second == *u.old) continue;
-      // A later record of a name holds a type bound inside the branch.
-      const bool first = std::none_of(
-          undo_.begin() + static_cast<std::ptrdiff_t>(m),
-          undo_.begin() + static_cast<std::ptrdiff_t>(i),
-          [&](const Undo& v) { return v.at == u.at; });
-      if (first && (!bad || u.at->first < *bad)) bad = &u.at->first;
+    if (const std::string* bad = env.rebound_since(m)) {
+      unsupported("branch rebinds name " + *bad);
     }
-    if (bad) unsupported("branch rebinds name " + *bad);
   }
 
   /// Mirrors CostWalker::host; returns a plan node id.
@@ -431,7 +390,7 @@ struct Builder {
     if (auto* l = e->as<LetE>()) {
       const int rhs_n = build_host(l->rhs);
       for (size_t i = 0; i < l->vars.size(); ++i) {
-        bind(l->vars[i], l->rhs->types[i]);
+        env.bind(l->vars[i], l->rhs->types[i]);
       }
       const int body_n = build_host(l->body);
       return block({child_step(rhs_n), child_step(body_n)});
@@ -440,16 +399,16 @@ struct Builder {
       std::vector<PlanNode::Step> steps;
       for (size_t i = 0; i < lp->params.size(); ++i) {
         steps.push_back(child_step(build_host(lp->inits[i])));
-        bind(lp->params[i], lp->inits[i]->types.at(0));
+        env.bind(lp->params[i], lp->inits[i]->types.at(0));
       }
-      bind(lp->ivar, Type::scalar(Scalar::I64));
+      env.bind(lp->ivar, Type::scalar(Scalar::I64));
       const int count = size_scalar_i(lp->count);
       const int body_n = build_host(lp->body);
       steps.push_back(child_step(scale_node(count, body_n)));
       return block(std::move(steps));
     }
     if (auto* i = e->as<IfE>()) {
-      const size_t m = mark();
+      const size_t m = env.mark();
       if (auto* tc = i->cond->as<ThresholdCmpE>()) {
         const int gix = add_guard(*tc);
         const int parent = guard_parent_;
@@ -458,11 +417,11 @@ struct Builder {
         guard_in_then_ = true;
         const int tn = build_host(i->then_e);
         check_no_rebind(m);
-        restore(m);
+        env.restore(m);
         guard_in_then_ = false;
         const int en = build_host(i->else_e);
         check_no_rebind(m);
-        restore(m);
+        env.restore(m);
         guard_parent_ = parent;
         guard_in_then_ = in_then;
         return guard_node(gix, tn, en);
@@ -470,9 +429,9 @@ struct Builder {
       // Data-dependent host branch: the walker prices both sides with fresh
       // sub-walkers and merges the worse; the tree keeps both children.
       const int tn = build_host(i->then_e);
-      restore(m);
+      env.restore(m);
       const int en = build_host(i->else_e);
-      restore(m);
+      env.restore(m);
       return data_node(tn, en);
     }
     if (auto* so = e->as<SegOpE>()) return build_kernel(*so);
@@ -491,7 +450,7 @@ struct Builder {
       return empty_block();
     }
     // Residual sequential SOACs at host level.
-    SymWork w = seqp(e, A.constf(1.0), Privates{});
+    SymWork w = seq(e, A.constf(1.0));
     return add_kernel("sequential", w, A.consti(1), 1, -1);
   }
 
@@ -508,18 +467,17 @@ struct Builder {
   /// only).  Computed with the walker's exact double accumulation.
   double scalar_param_bytes(const SegSpace& space) {
     double b = 0;
-    const size_t m = mark();
+    const size_t m = env.mark();
     for (const auto& lvl : space) {
       for (size_t i = 0; i < lvl.params.size(); ++i) {
-        auto it = env.find(lvl.arrays[i]);
-        INCFLAT_CHECK(it != env.end(),
-                      "plan: seg array untyped: " + lvl.arrays[i]);
-        const Type row = it->second.row();
-        bind(lvl.params[i], row);
+        const Type* at = env.find(lvl.arrays[i]);
+        INCFLAT_CHECK(at, "plan: seg array untyped: " + lvl.arrays[i]);
+        const Type row = at->row();
+        env.bind(lvl.params[i], row);
         if (row.is_scalar()) b += scalar_bytes(row.elem);
       }
     }
-    restore(m);
+    env.restore(m);
     return b;
   }
 
@@ -530,26 +488,26 @@ struct Builder {
       pass_through.insert(lvl.arrays.begin(), lvl.arrays.end());
     }
     int b = A.constf(0.0);
-    const size_t m = mark();
+    const size_t m = env.mark();
     for (const auto& lvl : space) {
       for (size_t i = 0; i < lvl.params.size(); ++i) {
-        auto it = env.find(lvl.arrays[i]);
-        INCFLAT_CHECK(it != env.end(), "plan: seg array untyped");
-        const Type row = it->second.row();
-        bind(lvl.params[i], row);
+        const Type* at = env.find(lvl.arrays[i]);
+        INCFLAT_CHECK(at, "plan: seg array untyped");
+        const Type row = at->row();
+        env.bind(lvl.params[i], row);
         if (row.is_array() && !pass_through.count(lvl.params[i])) {
           b = A.addf(b, bytes_of_f(row));
         }
       }
     }
-    restore(m);
+    env.restore(m);
     return b;
   }
 
   void bind_space(const SegSpace& space) {
     for (const auto& lvl : space) {
       for (size_t i = 0; i < lvl.params.size(); ++i) {
-        bind(lvl.params[i], env.at(lvl.arrays[i]).row());
+        env.bind(lvl.params[i], env.at(lvl.arrays[i]).row());
       }
     }
   }
@@ -567,7 +525,7 @@ struct Builder {
 
   /// Mirrors CostWalker::kernel.
   int build_kernel(const SegOpE& so) {
-    const size_t m = mark();
+    const size_t m = env.mark();
     const int points = space_points_i(so.space);
     const bool has_inner = has_segops(so.body);
     int node;
@@ -578,7 +536,7 @@ struct Builder {
     } else {
       node = build_thread_kernel(so, points);
     }
-    restore(m);
+    env.restore(m);
     return node;
   }
 
@@ -587,7 +545,7 @@ struct Builder {
     const int tile_div = so.block_tiled ? dev_tile() : A.constf(1.0);
     const double scalar_reads = scalar_param_bytes(so.space);
     bind_space(so.space);
-    SymWork per = seqp(so.body, tile_div, Privates{});
+    SymWork per = seq(so.body, tile_div);
     per.gbytes = A.addf(per.gbytes, A.constf(scalar_reads));
 
     std::string what;
@@ -600,7 +558,7 @@ struct Builder {
           total.gbytes, A.mulf(points_f, bytes_per_point_results_f(so)));
     } else if (so.op == SegOpE::Op::Red) {
       what = "segred^" + std::to_string(so.level);
-      SymWork comb = seqp(so.combine.body, A.constf(1.0), Privates{});
+      SymWork comb = seq(so.combine.body, A.constf(1.0));
       total = wadd(total, wscale(comb, points_f));
       const int segments =
           A.divi(points, A.maxi(dim_i(so.space.back().dim), A.consti(1)));
@@ -609,7 +567,7 @@ struct Builder {
       launches = 2;
     } else {
       what = "segscan^" + std::to_string(so.level);
-      SymWork comb = seqp(so.combine.body, A.constf(1.0), Privates{});
+      SymWork comb = seq(so.combine.body, A.constf(1.0));
       total = wadd(total, wscale(comb, A.mulf(A.constf(2.0), points_f)));
       total.gbytes =
           A.addf(total.gbytes, A.mulf(A.mulf(A.constf(3.0), points_f),
@@ -636,13 +594,13 @@ struct Builder {
     if (auto* so = e->as<SegOpE>()) {
       const int pts = space_points_i(so->space);
       acc.max_inner = A.maxi(acc.max_inner, pts);
-      const size_t m = mark();
+      const size_t m = env.mark();
       SymWork w = wzero();
       const int pts_f = A.i2f(pts);
       for (const auto& lvl : so->space) {
         for (size_t i = 0; i < lvl.params.size(); ++i) {
           const Type row = env.at(lvl.arrays[i]).row();
-          bind(lvl.params[i], row);
+          env.bind(lvl.params[i], row);
           const int b = A.mulf(pts_f, bytes_of_f(row));
           if (acc.local_names.count(lvl.arrays[i])) {
             w.lbytes = A.addf(w.lbytes, b);
@@ -651,8 +609,8 @@ struct Builder {
           }
         }
       }
-      SymWork body = seqp(so->body, A.constf(1.0), Privates{});
-      restore(m);
+      SymWork body = seq(so->body, A.constf(1.0));
+      env.restore(m);
       const int elem_bytes = bytes_per_point_results_f(*so);
       w = wadd(w, wscale(body, pts_f));
       if (so->op == SegOpE::Op::Scan) {
@@ -661,12 +619,12 @@ struct Builder {
         w.lbytes = A.addf(
             w.lbytes,
             A.mulf(A.mulf(A.mulf(A.constf(2.0), logp), pts_f), elem_bytes));
-        w = wadd(w, wscale(seqp(so->combine.body, A.constf(1.0), Privates{}),
+        w = wadd(w, wscale(seq(so->combine.body, A.constf(1.0)),
                            A.mulf(logp, pts_f)));
       } else if (so->op == SegOpE::Op::Red) {
         w.lbytes = A.addf(
             w.lbytes, A.mulf(A.mulf(A.constf(2.0), pts_f), elem_bytes));
-        w = wadd(w, wscale(seqp(so->combine.body, A.constf(1.0), Privates{}),
+        w = wadd(w, wscale(seq(so->combine.body, A.constf(1.0)),
                            pts_f));
       } else {
         w.lbytes = A.addf(w.lbytes, A.mulf(pts_f, elem_bytes));
@@ -679,7 +637,7 @@ struct Builder {
     if (auto* l = e->as<LetE>()) {
       group_walk(l->rhs, acc);
       for (size_t i = 0; i < l->vars.size(); ++i) {
-        bind(l->vars[i], l->rhs->types[i]);
+        env.bind(l->vars[i], l->rhs->types[i]);
         acc.local_names.insert(l->vars[i]);
       }
       group_walk(l->body, acc);
@@ -687,10 +645,10 @@ struct Builder {
     }
     if (auto* lp = e->as<LoopE>()) {
       for (size_t i = 0; i < lp->params.size(); ++i) {
-        bind(lp->params[i], lp->inits[i]->types.at(0));
+        env.bind(lp->params[i], lp->inits[i]->types.at(0));
         acc.local_names.insert(lp->params[i]);
       }
-      bind(lp->ivar, Type::scalar(Scalar::I64));
+      env.bind(lp->ivar, Type::scalar(Scalar::I64));
       const int trips = A.i2f(size_scalar_i(lp->count));
       SymGroupAcc inner;
       inner.per_group = wzero();
@@ -733,12 +691,12 @@ struct Builder {
       return;
     }
     // Sequential code inside the group.
-    acc.per_group = wadd(acc.per_group, seqp(e, A.constf(1.0), Privates{}));
+    acc.per_group = wadd(acc.per_group, seq(e, A.constf(1.0)));
   }
 
   /// Mirrors group_kernel.
   int build_group_kernel(const SegOpE& so, int groups) {
-    const size_t m = mark();
+    const size_t m = env.mark();
     bind_space(so.space);
     const int staged_in = A.addf(array_param_bytes_f(so.space),
                                  A.constf(scalar_param_bytes(so.space)));
@@ -750,7 +708,7 @@ struct Builder {
       acc.local_names.insert(lvl.params.begin(), lvl.params.end());
     }
     group_walk(so.body, acc);
-    restore(m);
+    env.restore(m);
 
     const int group_size =
         A.mini(A.maxi(acc.max_inner, A.consti(1)), dev_maxg());
@@ -803,9 +761,9 @@ KernelPlan build_kernel_plan(const Program& p) {
   KernelPlan plan;
   plan.program = p.name;
   Builder b(plan);
-  for (const auto& in : p.inputs) b.bind(in.name, in.type);
+  for (const auto& in : p.inputs) b.env.bind(in.name, in.type);
   for (const auto& sp : p.size_params()) {
-    b.bind(sp, Type::scalar(Scalar::I64));
+    b.env.bind(sp, Type::scalar(Scalar::I64));
   }
   plan.root = b.build_host(p.body);
   if (trace::enabled()) {

@@ -5,9 +5,14 @@
 // cost arena (src/plan/costexpr.cpp) through the flag form — so a result
 // past int64 is an EvalError in the walker and a poisoned value in the
 // plan, and the two still agree on which datasets they cannot price.
+// Kernel-launch counts, which a host loop multiplies by its trip count,
+// saturate at the int64 limits instead (saturating_add/mul): a launch
+// count is reported, never used as a size, and both cost models then
+// agree on it without failing a run they can otherwise price.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "src/support/error.h"
@@ -24,6 +29,21 @@ inline bool checked_sub(int64_t a, int64_t b, int64_t* out) {
 }
 inline bool checked_mul(int64_t a, int64_t b, int64_t* out) {
   return !__builtin_mul_overflow(a, b, out);
+}
+
+/// a + b (a * b), clamped to the int64 range when the exact result does
+/// not fit.
+inline int64_t saturating_add(int64_t a, int64_t b) {
+  int64_t r = 0;
+  if (checked_add(a, b, &r)) return r;
+  return b < 0 ? std::numeric_limits<int64_t>::min()
+               : std::numeric_limits<int64_t>::max();
+}
+inline int64_t saturating_mul(int64_t a, int64_t b) {
+  int64_t r = 0;
+  if (checked_mul(a, b, &r)) return r;
+  return (a < 0) != (b < 0) ? std::numeric_limits<int64_t>::min()
+                            : std::numeric_limits<int64_t>::max();
 }
 
 namespace detail {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <ostream>
 #include <thread>
 
@@ -47,7 +48,7 @@ struct State {
   // Counters accumulate; gauges overwrite.  Insertion order is preserved
   // for stable summary/report output.
   std::vector<std::pair<std::string, int64_t>> counters GUARDED_BY(mu);
-  std::map<std::string, size_t> counter_ix GUARDED_BY(mu);
+  std::map<std::string, size_t, std::less<>> counter_ix GUARDED_BY(mu);
   std::map<std::thread::id, int> tids GUARDED_BY(mu);
 
   int64_t now_us() const {
@@ -62,12 +63,12 @@ struct State {
     return t;
   }
 
-  void bump(const std::string& name, int64_t delta, bool accumulate)
+  void bump(std::string_view name, int64_t delta, bool accumulate)
       REQUIRES(mu) {
     auto it = counter_ix.find(name);
     if (it == counter_ix.end()) {
-      counter_ix.emplace(name, counters.size());
-      counters.emplace_back(name, delta);
+      counter_ix.emplace(std::string(name), counters.size());
+      counters.emplace_back(std::string(name), delta);
     } else if (accumulate) {
       counters[it->second].second += delta;
     } else {
@@ -136,14 +137,14 @@ Span::~Span() {
                            end - start_us_});
 }
 
-void count(const std::string& name, int64_t delta) {
+void count(std::string_view name, int64_t delta) {
   if (!enabled()) return;
   State& s = state();
   sync::MutexLock lk(s.mu);
   s.bump(name, delta, /*accumulate=*/true);
 }
 
-void gauge(const std::string& name, int64_t value) {
+void gauge(std::string_view name, int64_t value) {
   if (!enabled()) return;
   State& s = state();
   sync::MutexLock lk(s.mu);

@@ -25,6 +25,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace incflat::trace {
@@ -65,11 +66,13 @@ class Span {
 };
 
 /// Add `delta` to the named counter.  Thread-safe; no-op when disabled.
-void count(const std::string& name, int64_t delta = 1);
+/// The name is copied into a key only when enabled, so a disabled call
+/// with a literal allocates nothing.
+void count(std::string_view name, int64_t delta = 1);
 
 /// Record an instantaneous value (last write wins) — e.g. arena sizes,
-/// tree depths.  Thread-safe; no-op when disabled.
-void gauge(const std::string& name, int64_t value);
+/// tree depths.  Thread-safe; no-op when disabled, like count.
+void gauge(std::string_view name, int64_t value);
 
 /// Per-phase aggregate of every recorded span with this name.
 struct SpanStat {

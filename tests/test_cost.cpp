@@ -2,9 +2,15 @@
 // results depend on (DESIGN.md invariant 5 among them).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "src/exec/exec.h"
 #include "src/flatten/flatten.h"
 #include "src/gpusim/cost.h"
+#include "src/plan/plan.h"
 #include "src/ir/builder.h"
 #include "src/ir/typecheck.h"
 #include "src/support/error.h"
@@ -77,6 +83,44 @@ TEST(CostModel, LoopMultipliesKernelLaunches) {
       estimate_run(dev, fr.program, {{"n", 64}, {"k", 8}}, {});
   EXPECT_EQ(e8.kernel_launches, 8 * e1.kernel_launches);
   EXPECT_NEAR(e8.time_us, 8 * e1.time_us, 1e-6);
+}
+
+TEST(CostModel, LoopLaunchCountsSaturate) {
+  // A host loop of k trips around one reduce (one segred, 2 launches).
+  // Past 2^62 trips the launch count no longer fits in int64: the walker,
+  // the plan's estimate and its launch schedule all saturate it at
+  // INT64_MAX, agree on the time, and name the exact trip count in the
+  // kernel's " xN" suffix.
+  Program p;
+  p.name = "loopred";
+  p.inputs = {{"xs", Type::array(Scalar::F32, {Dim::v("n")})}};
+  p.extra_sizes = {"k"};
+  p.body = loop({"s"}, {cf32(0)}, "i", var("k"),
+                reduce(binlam("+", Scalar::F32), {cf32(0)}, {var("xs")}));
+  p = typecheck_program(std::move(p));
+  const Compiled c = compile(p, FlattenMode::Incremental);
+  ASSERT_NE(c.plan, nullptr);
+  const DeviceProfile dev = device_k40();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const int64_t k : {int64_t{1} << 62, kMax}) {
+    const SizeEnv sizes{{"n", 1024}, {"k", k}};
+    const RunEstimate sim = simulate(dev, c, sizes);
+    const RunEstimate walk = estimate_run(dev, c.flat.program, sizes, {});
+    const std::vector<LaunchInfo> sched = plan_launch_schedule(
+        *c.plan, PlanDatasetCache(*c.plan, dev, sizes), {});
+    const std::string what = "segred^1 x" + std::to_string(k);
+    EXPECT_EQ(sim.kernel_launches, kMax) << k;
+    EXPECT_EQ(walk.kernel_launches, kMax) << k;
+    EXPECT_EQ(sim.time_us, walk.time_us) << k;
+    ASSERT_EQ(sim.kernels.size(), 1u) << k;
+    ASSERT_EQ(walk.kernels.size(), 1u) << k;
+    EXPECT_EQ(sim.kernels[0].what, what);
+    EXPECT_EQ(walk.kernels[0].what, what);
+    ASSERT_EQ(sched.size(), 1u) << k;
+    EXPECT_EQ(sched[0].launches, kMax) << k;
+    EXPECT_EQ(sched[0].time_us, sim.time_us) << k;
+    EXPECT_EQ(sched[0].what, what);
+  }
 }
 
 // matmul's version (2) is marked block_tiled; its global traffic must be

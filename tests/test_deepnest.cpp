@@ -17,6 +17,7 @@
 #include "src/ir/typecheck.h"
 #include "src/support/error.h"
 #include "src/support/rng.h"
+#include "tests/traverse_oracle.h"
 
 namespace incflat {
 namespace {
@@ -58,6 +59,26 @@ TEST(DeepNest, ThresholdCountGrowsWithDepth) {
   // The expansion is exponential in depth but statically bounded — the
   // 4-deep nest stays well under a hundred versions (paper: "manageable").
   EXPECT_LT(count_segops(d4.program.body), 100);
+}
+
+TEST(DeepNest, QueriesMatchReferenceWalks) {
+  // Node facts and free variables against the reference walks on every
+  // node of deep_program(2..12), before and after every pass, in all
+  // three modes.
+  for (int depth = 2; depth <= 12; ++depth) {
+    const Program p = deep_program(depth);
+    EXPECT_EQ(oracle::first_mismatch(p.body), "") << depth;
+    for (FlattenMode mode : {FlattenMode::Moderate, FlattenMode::Incremental,
+                             FlattenMode::Full}) {
+      CompileOptions o;
+      o.after_pass = [&](const std::string& pass, const Program& prog) {
+        EXPECT_EQ(oracle::first_mismatch(prog.body), "")
+            << "depth " << depth << " / " << mode_name(mode) << ", after "
+            << pass;
+      };
+      compile(p, mode, o);
+    }
+  }
 }
 
 TEST(DeepNest, ModerateStaysSingleVersion) {

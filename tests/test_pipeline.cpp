@@ -31,8 +31,10 @@
 #include "src/ir/print.h"
 #include "src/ir/verify.h"
 #include "src/pass/pass.h"
+#include "src/plan/plan.h"
 #include "src/support/diag.h"
 #include "src/support/error.h"
+#include "src/support/json.h"
 
 namespace incflat {
 namespace {
@@ -111,6 +113,87 @@ TEST(Pipeline, SuiteOutputIsPinned) {
         lo.device_name = dev.name;
         text += diagnostics_str(
             analysis::lint_program(c.flat.program, lo));
+      }
+      const std::string ctx =
+          std::string(pin.bench) + " / " + mode_name(kModes[m]);
+      const uint64_t got = journal_hash(text.data(), text.size());
+      EXPECT_EQ(got, pin.hash[m]) << ctx << ": 0x" << std::hex << got;
+    }
+  }
+}
+
+/// The estimate fields `incflatc --json` prints for one dataset run.
+Json estimate_json(const RunEstimate& est) {
+  Json j = Json::object();
+  j.set("time_us", est.time_us)
+      .set("kernel_launches", est.kernel_launches)
+      .set("global_bytes", est.total.gbytes)
+      .set("local_bytes", est.total.lbytes)
+      .set("flops", est.total.flops);
+  Json guards = Json::array();
+  for (const auto& [name, taken] : est.guards) {
+    guards.push(Json::object().set("threshold", name).set("taken", taken));
+  }
+  j.set("guards", std::move(guards));
+  Json kernels = Json::array();
+  for (const auto& k : est.kernels) {
+    kernels.push(Json::object()
+                     .set("kind", k.what)
+                     .set("time_us", k.time_us)
+                     .set("threads", k.threads)
+                     .set("fallback", k.used_local_fallback));
+  }
+  j.set("kernels", std::move(kernels));
+  return j;
+}
+
+TEST(Pipeline, PlanAndEstimatesArePinned) {
+  // FNV-1a per benchmark and mode over what SuiteOutputIsPinned leaves
+  // out: the unfused target IR and threshold tree, the default compile's
+  // plan statistics, and its estimate on k40 and vega64 for every
+  // evaluation and tuning dataset, in the fields `incflatc --json` prints.
+  struct Pin {
+    const char* bench;
+    uint64_t hash[3];
+  };
+  const Pin pins[] = {
+      {"matmul",
+       {0x299fa9832b163d4dULL, 0x980804573d1942b3ULL, 0x13ad535b07464c79ULL}},
+      {"LocVolCalib",
+       {0x485c17165651ac8bULL, 0x692725ae9490df3cULL, 0x485c17165651ac8bULL}},
+      {"Heston",
+       {0x7b3a59de8a64a0b7ULL, 0xd63e9dfebcbcb0abULL, 0x604cd90c0c60fe47ULL}},
+      {"OptionPricing",
+       {0xe81dd6ecf6ec0545ULL, 0x87aca24988f7f081ULL, 0x2b996cb188cf118dULL}},
+      {"Backprop",
+       {0x713116de5d7e06beULL, 0x9edb27eca3246e04ULL, 0x0ca3cf73d50ace86ULL}},
+      {"LavaMD",
+       {0xbe997c8c50fc5dbaULL, 0x349c6aa846e56161ULL, 0x71dab40ba23f53d6ULL}},
+      {"NW",
+       {0xf2fbdb9667625709ULL, 0x94384b380211e757ULL, 0xf2fbdb9667625709ULL}},
+      {"NN",
+       {0x387e55e6200365ecULL, 0xddf03203eb51fc41ULL, 0xed1ea8fb077ed067ULL}},
+      {"SRAD",
+       {0xbb361d294a7c46eeULL, 0xe9de43ba90b37d01ULL, 0x31e00fc3a3b0d58eULL}},
+      {"Pathfinder",
+       {0x8c6b35a2e6c95eacULL, 0x80799415bbe09cebULL, 0x8c6b35a2e6c95eacULL}},
+  };
+  for (const Pin& pin : pins) {
+    const Benchmark b = get_benchmark(pin.bench);
+    for (size_t m = 0; m < kModes.size(); ++m) {
+      CompileOptions no_fuse;
+      no_fuse.flatten.fuse = false;
+      const Compiled u = compile(b.program, kModes[m], no_fuse);
+      std::string text = pretty(u.flat.program) + u.flat.thresholds.tree_str();
+      const Compiled c = compile(b.program, kModes[m], opts_for(b, kModes[m]));
+      ASSERT_NE(c.plan, nullptr);
+      text += plan_stats(*c.plan) + "\n";
+      for (const DeviceProfile& dev : {device_k40(), device_vega64()}) {
+        for (const auto* sets : {&b.datasets, &b.tuning}) {
+          for (const BenchDataset& d : *sets) {
+            text += estimate_json(simulate(dev, c, d.sizes)).str() + "\n";
+          }
+        }
       }
       const std::string ctx =
           std::string(pin.bench) + " / " + mode_name(kModes[m]);

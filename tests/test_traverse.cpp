@@ -1,5 +1,7 @@
 // Unit tests: structural traversals — the child walker and mapper, IR
-// equality, free variables, SOAC detection, substitution, counting.
+// equality, node facts, free variables, SOAC detection, substitution,
+// counting.  Node facts and free variables are checked against the
+// reference walks in traverse_oracle.h.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -7,9 +9,12 @@
 #include <variant>
 #include <vector>
 
+#include "src/benchsuite/benchmark.h"
+#include "src/exec/exec.h"
 #include "src/ir/builder.h"
 #include "src/ir/print.h"
 #include "src/ir/traverse.h"
+#include "tests/traverse_oracle.h"
 
 namespace incflat {
 namespace {
@@ -114,7 +119,9 @@ std::vector<std::string> bound_names(const Binders& b) {
   return out;
 }
 
-TEST(Traverse, EachNodeKindListsItsChildren) {
+/// One node of every kind over distinct placeholder variables, with the
+/// children for_each_child must list.
+std::vector<NodeCase> node_cases() {
   std::vector<ExprP> c;  // distinct placeholder children
   for (int i = 0; i < 4; ++i) c.push_back(var("c" + std::to_string(i)));
   const Type i64 = Type::scalar(Scalar::I64);
@@ -135,7 +142,7 @@ TEST(Traverse, EachNodeKindListsItsChildren) {
   segmap.level = 0;
   segmap.neutral = {};
 
-  const std::vector<NodeCase> cases = {
+  return {
       {var("v"), {}},
       {ci64(1), {}},
       {add(c[0], c[1]), {{c[0], none, "at"}, {c[1], none, "at"}}},
@@ -180,9 +187,12 @@ TEST(Traverse, EachNodeKindListsItsChildren) {
       {mk(segmap), {{c[2], {"x", "y"}, "at.segmap^0.body"}}},
       {mk(ThresholdCmpE{"t0", SizeExpr::one(), SizeExpr{}}), {}},
   };
+}
 
+TEST(Traverse, EachNodeKindListsItsChildren) {
+  const Type i64 = Type::scalar(Scalar::I64);
   std::set<size_t> kinds;
-  for (const NodeCase& k : cases) {
+  for (const NodeCase& k : node_cases()) {
     const ExprP node = mk(k.node->node, {i64});
     kinds.insert(node->node.index());
     const std::string ctx = pretty(node);
@@ -205,7 +215,9 @@ TEST(Traverse, EachNodeKindListsItsChildren) {
 
     std::vector<ExprP> fresh;
     const ExprP mapped = map_children(node, [&](const Child&) {
-      fresh.push_back(var("r" + std::to_string(fresh.size())));
+      // Not "r" + to_string(..): GCC 12's -Wrestrict misfires on it here.
+      std::string name = "r";
+      fresh.push_back(var(name.append(std::to_string(fresh.size()))));
       return fresh.back();
     });
     ASSERT_EQ(fresh.size(), k.children.size()) << ctx;
@@ -231,6 +243,67 @@ TEST(Traverse, EachNodeKindListsItsChildren) {
     EXPECT_EQ(m, fresh.size()) << ctx;
   }
   EXPECT_EQ(kinds.size(), std::variant_size_v<ExprNode>);
+}
+
+// ------------------------------------------- node facts and free variables
+
+TEST(Traverse, NodeFactsAndFreeVarsMatchReferenceWalks) {
+  // A map, then a seg-op, at each child position of every node kind in
+  // turn.  The fixture's placeholders are plain variables and no suite
+  // seg-op has a SOAC in its combine operator, so only this case catches a
+  // facts computation that skips a child, such as a segred's combine
+  // operator or a lambda body.
+  const Type i64 = Type::scalar(Scalar::I64);
+  const ExprP soac = map1(lam({p("z", i64)}, var("z")), var("zs"));
+  SegOpE seg;
+  seg.space = {SegBind{{"z"}, {"zs"}, Dim::v("n")}};
+  seg.body = var("z");
+  const ExprP segop = mk(std::move(seg));
+  for (const NodeCase& k : node_cases()) {
+    const ExprP node = mk(k.node->node, {i64});
+    const std::string ctx = pretty(node);
+    EXPECT_FALSE(node->soacs_below()) << ctx;
+    EXPECT_FALSE(node->segops_below()) << ctx;
+    EXPECT_EQ(oracle::first_mismatch(node), "") << ctx;
+    for (const ExprP& inner : {soac, segop}) {
+      for (size_t at = 0; at < k.children.size(); ++at) {
+        size_t pos = 0;
+        const ExprP placed = map_children(node, [&](const Child& c) {
+          return pos++ == at ? inner : c.expr;
+        });
+        const std::string where = pretty(placed);
+        EXPECT_TRUE(placed->soacs_below()) << where;
+        EXPECT_EQ(placed->segops_below(), inner == segop) << where;
+        EXPECT_TRUE(has_soacs(placed)) << where;
+        EXPECT_EQ(oracle::first_mismatch(placed), "") << where;
+      }
+    }
+  }
+}
+
+TEST(Traverse, QueriesMatchReferenceWalksOnTheSuite) {
+  // Every suite program after every pass, in all three modes, fused and
+  // unfused.
+  for (const auto& name : all_benchmark_names()) {
+    const Benchmark b = get_benchmark(name);
+    EXPECT_EQ(oracle::first_mismatch(b.program.body), "") << name;
+    for (FlattenMode mode : {FlattenMode::Moderate, FlattenMode::Incremental,
+                             FlattenMode::Full}) {
+      for (bool fuse : {true, false}) {
+        CompileOptions o;
+        o.flatten.fuse = fuse;
+        int passes = 0;
+        o.after_pass = [&](const std::string& pass, const Program& prog) {
+          ++passes;
+          EXPECT_EQ(oracle::first_mismatch(prog.body), "")
+              << name << " / " << mode_name(mode) << " / fuse " << fuse
+              << ", after " << pass;
+        };
+        compile(b.program, mode, o);
+        EXPECT_GE(passes, 5) << name;
+      }
+    }
+  }
 }
 
 TEST(FreeVars, BindersShadow) {
