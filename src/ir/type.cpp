@@ -1,6 +1,5 @@
 #include "src/ir/type.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -127,19 +126,6 @@ void ScopedTypeEnv::restore(size_t m) {
     }
     undo_.pop_back();
   }
-}
-
-const std::string* ScopedTypeEnv::rebound_since(size_t m) const {
-  const std::string* bad = nullptr;
-  const auto first = undo_.begin() + static_cast<std::ptrdiff_t>(m);
-  for (auto u = first; u != undo_.end(); ++u) {
-    if (!u->old || u->at->second == *u->old) continue;
-    // A later record of a name holds a type bound since the mark.
-    const bool earliest = std::none_of(
-        first, u, [&](const Undo& v) { return v.at == u->at; });
-    if (earliest && (!bad || u->at->first < *bad)) bad = &u->at->first;
-  }
-  return bad;
 }
 
 }  // namespace incflat

@@ -97,8 +97,7 @@ using TypeEnv = std::map<std::string, Type>;
 /// binding made since mark m, newest first.  A walk that marks on entering
 /// a scope and restores on leaving it sees at every point exactly the
 /// bindings a copy of the environment per scope would hold, without the
-/// copies.  The flattening transform and the plan builder each walk with
-/// one.
+/// copies.  The flattening transform walks with one.
 class ScopedTypeEnv {
  public:
   /// Binds `name` to `t`, shadowing the type it had, if any.
@@ -107,9 +106,6 @@ class ScopedTypeEnv {
   /// The type `name` is bound to, or null.
   const Type* find(const std::string& name) const;
 
-  /// The type `name` is bound to; throws std::out_of_range if unbound.
-  const Type& at(const std::string& name) const { return env_.at(name); }
-
   /// Every binding in scope.
   const TypeEnv& bindings() const { return env_; }
 
@@ -117,11 +113,6 @@ class ScopedTypeEnv {
 
   /// Undoes every binding made since mark `m`.
   void restore(size_t m);
-
-  /// The least name, in name order, that was bound at mark `m` and now has
-  /// a different type; null if none.  Reads only the records made since
-  /// `m`: a name's first record since then holds its type at the mark.
-  const std::string* rebound_since(size_t m) const;
 
   /// Undoes, when it goes out of scope, every binding made since it was
   /// constructed; restores on every return path, exceptions included.

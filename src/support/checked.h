@@ -1,10 +1,11 @@
 // Checked int64 arithmetic on sizes: dataset dimensions, element, point
 // and thread counts, loop trip counts.  Both cost models add and multiply
-// sizes only through these — the IR walker (src/gpusim/cost.cpp, with
-// SizeProd::eval and Type::count) through the throwing form, the plan's
-// cost arena (src/plan/costexpr.cpp) through the flag form — so a result
-// past int64 is an EvalError in the walker and a poisoned value in the
-// plan, and the two still agree on which datasets they cannot price.
+// sizes, and evaluate a program's size division, only through these — the
+// IR walker (src/gpusim/cost.cpp, with SizeProd::eval and Type::count)
+// through the throwing form, the plan's cost arena (src/plan/costexpr.cpp)
+// through the flag form — so a result past int64, INT64_MIN / -1 included,
+// is an EvalError in the walker and a poisoned value in the plan, and the
+// two still agree on which datasets they cannot price.
 // Kernel-launch counts, which a host loop multiplies by its trip count,
 // saturate at the int64 limits instead (saturating_add/mul): a launch
 // count is reported, never used as a size, and both cost models then
@@ -29,6 +30,15 @@ inline bool checked_sub(int64_t a, int64_t b, int64_t* out) {
 }
 inline bool checked_mul(int64_t a, int64_t b, int64_t* out) {
   return !__builtin_mul_overflow(a, b, out);
+}
+
+/// `*out = a / b`, truncating toward zero, and 0 when b is 0 (the cost
+/// models' size division); false for INT64_MIN / -1, whose quotient does
+/// not fit.
+inline bool checked_div(int64_t a, int64_t b, int64_t* out) {
+  if (b == -1 && a == std::numeric_limits<int64_t>::min()) return false;
+  *out = b == 0 ? 0 : a / b;
+  return true;
 }
 
 /// a + b (a * b), clamped to the int64 range when the exact result does
@@ -68,6 +78,13 @@ inline int64_t size_sub(int64_t a, int64_t b) {
 inline int64_t size_mul(int64_t a, int64_t b) {
   int64_t r = 0;
   if (!checked_mul(a, b, &r)) detail::throw_size_overflow(a, "*", b);
+  return r;
+}
+
+/// a / b, and 0 when b is 0; throws EvalError for INT64_MIN / -1.
+inline int64_t size_div(int64_t a, int64_t b) {
+  int64_t r = 0;
+  if (!checked_div(a, b, &r)) detail::throw_size_overflow(a, "/", b);
   return r;
 }
 

@@ -25,6 +25,7 @@
 #include "src/ir/verify.h"
 #include "src/support/diag.h"
 #include "src/support/rng.h"
+#include "tests/traverse_oracle.h"
 
 namespace incflat {
 namespace {
@@ -231,7 +232,8 @@ TEST(GeneratedPrograms, FlatteningPreservesValuesProperty) {
   // sizes, power-of-two thresholds and device, and prices to a finite,
   // non-negative time (0 for scalar-only programs: no kernel launches).
   // Its guards pass the verifier's guards check (none inside a kernel),
-  // and plan guard i is registry entry i.
+  // plan guard i is registry entry i, and prune-segbinds gives what the
+  // set-based pass gives on the same input.
   Rng rng(101);
   int guarded = 0;
   for (int iter = 0; iter < 40; ++iter) {
@@ -246,7 +248,16 @@ TEST(GeneratedPrograms, FlatteningPreservesValuesProperty) {
     for (const FlattenMode mode : {FlattenMode::Moderate,
                                    FlattenMode::Incremental,
                                    FlattenMode::Full}) {
-      const Compiled c = compile(p, mode);
+      CompileOptions o;
+      ExprP input = p.body;
+      o.after_pass = [&](const std::string& pass, const Program& prog) {
+        if (pass == "prune-segbinds") {
+          EXPECT_TRUE(same_ir(prog.body, oracle::prune_seg_spaces(input)))
+              << mode_name(mode) << "\n" << pretty(p);
+        }
+        input = prog.body;
+      };
+      const Compiled c = compile(p, mode, o);
       if (!c.flat.thresholds.empty()) ++guarded;
       const VerifyOptions guards_only{
           .types = false, .levels = false, .segbinds = false};

@@ -123,6 +123,40 @@ TEST(CostModel, LoopLaunchCountsSaturate) {
   }
 }
 
+TEST(CostModel, SizeQuotientPastInt64IsAnEvalError) {
+  // A host loop of m / k trips around one reduce.  INT64_MIN / -1 does not
+  // fit in int64: the walker and the plan refuse it with an EvalError
+  // instead of trapping, and the arena folds it between constants to an
+  // Invalid node.  A division by 0 is still 0, so the loop runs no trips.
+  Program p;
+  p.name = "loopdiv";
+  p.inputs = {{"xs", Type::array(Scalar::F32, {Dim::v("n")})}};
+  p.extra_sizes = {"m", "k"};
+  p.body = loop({"s"}, {cf32(0)}, "i", divide(var("m"), var("k")),
+                reduce(binlam("+", Scalar::F32), {cf32(0)}, {var("xs")}));
+  p = typecheck_program(std::move(p));
+  const Compiled c = compile(p, FlattenMode::Incremental);
+  ASSERT_NE(c.plan, nullptr);
+  const DeviceProfile dev = device_k40();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const SizeEnv overflow{{"n", 1024}, {"m", kMin}, {"k", -1}};
+  EXPECT_THROW(simulate(dev, c, overflow), EvalError);
+  EXPECT_THROW(estimate_run(dev, c.flat.program, overflow, {}), EvalError);
+  for (const int64_t k : {int64_t{0}, int64_t{3}}) {
+    const SizeEnv sizes{{"n", 1024}, {"m", 7}, {"k", k}};
+    const RunEstimate sim = simulate(dev, c, sizes);
+    const RunEstimate walk = estimate_run(dev, c.flat.program, sizes, {});
+    EXPECT_EQ(sim.kernel_launches, k == 3 ? 4 : 0) << k;
+    EXPECT_EQ(sim.kernel_launches, walk.kernel_launches) << k;
+    EXPECT_EQ(sim.time_us, walk.time_us) << k;
+  }
+  CostArena arena;
+  const int quotient = arena.divi(arena.consti(kMin), arena.consti(-1));
+  EXPECT_EQ(arena.nodes()[static_cast<size_t>(quotient)].op, COp::Invalid);
+  const int by_zero = arena.divi(arena.consti(kMin), arena.consti(0));
+  EXPECT_EQ(by_zero, arena.consti(0));
+}
+
 // matmul's version (2) is marked block_tiled; its global traffic must be
 // roughly tile_size times lower than the same kernel untiled.
 TEST(CostModel, BlockTilingReducesGlobalTraffic) {

@@ -64,17 +64,23 @@ TEST(DeepNest, ThresholdCountGrowsWithDepth) {
 TEST(DeepNest, QueriesMatchReferenceWalks) {
   // Node facts and free variables against the reference walks on every
   // node of deep_program(2..12), before and after every pass, in all
-  // three modes.
+  // three modes; and prune-segbinds against the set-based pass.
   for (int depth = 2; depth <= 12; ++depth) {
     const Program p = deep_program(depth);
     EXPECT_EQ(oracle::first_mismatch(p.body), "") << depth;
     for (FlattenMode mode : {FlattenMode::Moderate, FlattenMode::Incremental,
                              FlattenMode::Full}) {
       CompileOptions o;
+      ExprP input = p.body;
       o.after_pass = [&](const std::string& pass, const Program& prog) {
         EXPECT_EQ(oracle::first_mismatch(prog.body), "")
             << "depth " << depth << " / " << mode_name(mode) << ", after "
             << pass;
+        if (pass == "prune-segbinds") {
+          EXPECT_TRUE(same_ir(prog.body, oracle::prune_seg_spaces(input)))
+              << "depth " << depth << " / " << mode_name(mode);
+        }
+        input = prog.body;
       };
       compile(p, mode, o);
     }

@@ -283,7 +283,8 @@ TEST(Traverse, NodeFactsAndFreeVarsMatchReferenceWalks) {
 
 TEST(Traverse, QueriesMatchReferenceWalksOnTheSuite) {
   // Every suite program after every pass, in all three modes, fused and
-  // unfused.
+  // unfused; and prune-segbinds' output against the set-based pass on the
+  // same input.
   for (const auto& name : all_benchmark_names()) {
     const Benchmark b = get_benchmark(name);
     EXPECT_EQ(oracle::first_mismatch(b.program.body), "") << name;
@@ -293,11 +294,19 @@ TEST(Traverse, QueriesMatchReferenceWalksOnTheSuite) {
         CompileOptions o;
         o.flatten.fuse = fuse;
         int passes = 0;
+        ExprP input = b.program.body;
         o.after_pass = [&](const std::string& pass, const Program& prog) {
           ++passes;
-          EXPECT_EQ(oracle::first_mismatch(prog.body), "")
-              << name << " / " << mode_name(mode) << " / fuse " << fuse
-              << ", after " << pass;
+          const std::string ctx = name + " / " + mode_name(mode) +
+                                  " / fuse " + std::to_string(fuse) +
+                                  ", after " + pass;
+          EXPECT_EQ(oracle::first_mismatch(prog.body), "") << ctx;
+          if (pass == "prune-segbinds") {
+            EXPECT_TRUE(
+                same_ir(prog.body, oracle::prune_seg_spaces(input)))
+                << ctx;
+          }
+          input = prog.body;
         };
         compile(b.program, mode, o);
         EXPECT_GE(passes, 5) << name;

@@ -1,14 +1,18 @@
 // Reference walks for the IR's structural queries, kept as the tests'
 // oracle: has_soacs and has_segops as plain recursive walks, a node's facts
 // (Expr::soacs_below, Expr::segops_below) as the same walks over each of
-// its children, and free_vars as the algorithm that copies the bound set at
-// every binder.  first_mismatch compares them with the library's answers on
-// every node reachable from a root.
+// its children, free_vars as the algorithm that copies the bound set at
+// every binder, and prune-segbinds as the pass that computes each
+// seg-op's free variables by name.  first_mismatch compares the queries
+// with the library's answers on every node reachable from a root.
 #pragma once
 
+#include <cstddef>
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "src/ir/print.h"
 #include "src/ir/traverse.h"
@@ -91,6 +95,49 @@ inline void fv(const ExprP& e, const std::set<std::string>& bound,
 inline std::set<std::string> free_vars(const ExprP& e) {
   std::set<std::string> out;
   fv(e, {}, out);
+  return out;
+}
+
+/// Drops the seg-space bindings of `so` (e's payload, its body already
+/// pruned) whose parameters neither the body (or combine operator) nor a
+/// kept deeper binding's array names; `e` itself when it drops none.
+inline ExprP prune_segop(const ExprP& e, const SegOpE& so) {
+  std::set<std::string> used = oracle::free_vars(so.body);
+  if (so.op != SegOpE::Op::Map) {
+    for (const auto& fv : oracle::free_vars(so.combine.body)) used.insert(fv);
+    for (const auto& p : so.combine.params) used.erase(p.name);
+  }
+  // (level, position) of each dropped binding, innermost level first.
+  std::vector<std::pair<size_t, size_t>> dropped;
+  for (size_t k = so.space.size(); k > 0; --k) {
+    const SegBind& b = so.space[k - 1];
+    for (size_t i = 0; i < b.params.size(); ++i) {
+      if (used.count(b.params[i])) {
+        used.insert(b.arrays[i]);
+      } else {
+        dropped.emplace_back(k - 1, i);
+      }
+    }
+  }
+  if (dropped.empty()) return e;
+  SegOpE out = so;
+  // Outermost level first, last position first, so positions stay valid.
+  for (auto it = dropped.rbegin(); it != dropped.rend(); ++it) {
+    SegBind& b = out.space[it->first];
+    const auto at = static_cast<std::ptrdiff_t>(it->second);
+    b.params.erase(b.params.begin() + at);
+    b.arrays.erase(b.arrays.begin() + at);
+  }
+  return mk(std::move(out), e->types);
+}
+
+/// prune-segbinds as a bottom-up rebuild that asks free_vars at every
+/// seg-op.
+inline ExprP prune_seg_spaces(const ExprP& e) {  // NOLINT(misc-no-recursion)
+  if (!e) return e;
+  ExprP out = map_children(
+      e, [](const Child& c) { return oracle::prune_seg_spaces(c.expr); });
+  if (auto* so = out->as<SegOpE>()) return oracle::prune_segop(out, *so);
   return out;
 }
 
