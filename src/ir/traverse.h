@@ -176,8 +176,15 @@ class BoundNames {
   }
   /// Unbinds every name pushed since the size was `n`.
   void pop_to(size_t n) { names_.resize(n); }
+  /// The `k`th name pushed and not popped.
+  const std::string& operator[](size_t k) const { return *names_[k]; }
   bool contains(const std::string& name) const {
-    return std::any_of(names_.begin(), names_.end(),
+    return contains(name, names_.size());
+  }
+  /// Whether one of the first `end` names is `name`.
+  bool contains(const std::string& name, size_t end) const {
+    return std::any_of(names_.begin(),
+                       names_.begin() + static_cast<std::ptrdiff_t>(end),
                        [&](const std::string* n) { return *n == name; });
   }
 
